@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-core bench-kernels bench-telemetry bench-serving bench-dist bench-smoke bench-tables examples fmt clean
+.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-core bench-kernels bench-telemetry bench-serving bench-dist bench-e2e bench-smoke bench-tables examples fmt clean
 
 all: build vet test
 
@@ -129,6 +129,12 @@ bench-serving:
 # itself recorded. Closes the ROADMAP [scale] item.
 bench-dist:
 	$(GO) run ./cmd/benchcore -study dist -o BENCH_dist.json
+
+# One end-to-end benchmark run of one BENCHMARK.json workload, with the
+# driver's settings: `make bench-e2e W=joint-sweep` (joint-accum-par,
+# schrodinger-dense, serve-plan). Build products land under .bench_build/.
+bench-e2e:
+	bash benchmark/run.sh --workload $(W) --seed 2203 --seconds 25 --trace 0
 
 # Regenerate every table and figure at laptop scale.
 bench-tables:

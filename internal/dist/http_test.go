@@ -73,17 +73,24 @@ func newWorkerServer() *httptest.Server {
 // like on the wire. Tying the death to the lease count (instead of a timer
 // or a polling goroutine) keeps the kill deterministic however fast the
 // engine drains the queue.
+//
+// killed is closed when the first connection is dropped, so a test can hold
+// other workers back until the kill has landed.
 type killableWorker struct {
 	srv    *httptest.Server
 	served atomic.Int64
+	killed chan struct{}
 }
 
 func newKillableWorker() *killableWorker {
-	kw := &killableWorker{}
+	kw := &killableWorker{killed: make(chan struct{})}
 	inner := server.NewWithConfig(server.Config{Logger: discard()})
 	kw.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/dist/run" {
-			if kw.served.Add(1) > 1 {
+			if n := kw.served.Add(1); n > 1 {
+				if n == 2 {
+					close(kw.killed)
+				}
 				hj, ok := w.(http.Hijacker)
 				if !ok {
 					panic("httptest response is not hijackable")
@@ -132,10 +139,23 @@ func matchAmps(t *testing.T, got, want []complex128, tol float64) {
 func TestHTTPWorkerKilledMidRun(t *testing.T) {
 	job := &dist.Job{QASM: integQASM(8, 10, 21), Method: "joint", CutPos: 3}
 
-	healthy := newWorkerServer()
-	defer healthy.Close()
 	doomed := newKillableWorker()
 	defer doomed.srv.Close()
+	// The pool is greedy: an ungated survivor can drain it before the doomed
+	// worker is offered the second lease that kills it, and then nothing is
+	// ever reassigned. Hold the survivor's leases until the kill has landed.
+	inner := server.NewWithConfig(server.Config{Logger: discard()})
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/run" {
+			select {
+			case <-doomed.killed:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer healthy.Close()
 
 	var stats dist.Stats
 	co := mustNew(t, dist.Config{

@@ -191,3 +191,39 @@ func TestClassificationRejectsNearMisses(t *testing.T) {
 		t.Fatal("projector should still be diagonal")
 	}
 }
+
+// TestDiagonalOn checks the per-qubit commutation flag against its meaning:
+// a gate diagonal on matrix bit b commutes with Z on that qubit, and one that
+// is not does not.
+func TestDiagonalOn(t *testing.T) {
+	cases := []struct {
+		g    Gate
+		want []bool // per matrix bit
+	}{
+		{RZZ(0.3, 0, 1), []bool{true, true}},
+		{CNOT(0, 1), []bool{true, false}}, // control, target
+		{CRX(0.4, 1, 0), []bool{true, false}},
+		{CCX(0, 1, 2), []bool{true, true, false}},
+		{H(0), []bool{false}},
+		{SWAP(0, 1), []bool{false, false}},
+	}
+	for _, tc := range cases {
+		for b, want := range tc.want {
+			if got := tc.g.DiagonalOn(b); got != want {
+				t.Errorf("%s: DiagonalOn(%d) = %v, want %v", tc.g.Name, b, got, want)
+			}
+			// Z on matrix bit b as a full-size diagonal.
+			dim := tc.g.Matrix.Rows
+			z := cmat.Identity(dim)
+			for i := 0; i < dim; i++ {
+				if i>>b&1 == 1 {
+					z.Set(i, i, -1)
+				}
+			}
+			commutes := cmat.Commutator(tc.g.Matrix, z).FrobeniusNorm() < 1e-12
+			if commutes != want {
+				t.Errorf("%s: commutes with Z on bit %d = %v, flag says %v", tc.g.Name, b, commutes, want)
+			}
+		}
+	}
+}

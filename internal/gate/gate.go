@@ -122,6 +122,15 @@ func (g *Gate) SharesQubit(h *Gate) bool {
 	return false
 }
 
+// DiagonalOn reports whether the gate acts diagonally on matrix bit b (qubit
+// Qubits[b]): the operator is block-diagonal in that qubit's computational
+// basis, because the whole matrix is diagonal or because the bit is a
+// control. Two operators that are both diagonal on every qubit they share
+// commute.
+func (g *Gate) DiagonalOn(b int) bool {
+	return g.Diagonal || g.Controls>>b&1 != 0
+}
+
 // Clone returns a deep copy of the gate.
 func (g *Gate) Clone() Gate {
 	c := Gate{

@@ -21,13 +21,7 @@ func allocHarness(tb testing.TB) (*walker, statevec.Vector) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := &engine{
-		backend: BackendDense,
-		nLower:  plan.Partition.NumLower(),
-		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
-		m:       resolveAmplitudes(plan, 0),
-	}
-	e.compile(plan, 0)
+	e := compiled(plan, 0)
 	ws, err := e.newWorkspace()
 	if err != nil {
 		tb.Fatal(err)
@@ -156,5 +150,33 @@ func TestPoisonedPoolRunStaysFinite(t *testing.T) {
 	}
 	if gets, reuses := dws.pool.Stats(); reuses == 0 {
 		t.Fatalf("pool never reused a buffer (gets=%d): the poisoning test exercised nothing", gets)
+	}
+}
+
+// TestWalkerRootIsCopiedNotAliased guards the shared post-segment-0 root:
+// every prefix task must work on its own copy, so after any number of tasks
+// the root still holds exactly |0…0⟩ advanced through segment 0.
+func TestWalkerRootIsCopiedNotAliased(t *testing.T) {
+	walk, scratch := allocHarness(t)
+	root, ok := walk.root.(*densePair)
+	if !ok {
+		t.Fatalf("walker root is %T, want *densePair", walk.root)
+	}
+	e := walk.e
+	wantLo, wantUp := statevec.NewVector(e.nLower), statevec.NewVector(e.nUpper)
+	e.segs[0].loSeg.Apply(wantLo)
+	e.segs[0].upSeg.Apply(wantUp)
+
+	for _, prefix := range [][]int{nil, {1}, {0, 1}} {
+		scratch.Clear()
+		if _, err := walk.runPrefix(context.Background(), prefix, scratch); err != nil {
+			t.Fatal(err)
+		}
+		if d := statevec.MaxAbsDiffVec(root.lo, wantLo); d != 0 {
+			t.Fatalf("prefix %v changed the root's lower half by %g", prefix, d)
+		}
+		if d := statevec.MaxAbsDiffVec(root.up, wantUp); d != 0 {
+			t.Fatalf("prefix %v changed the root's upper half by %g", prefix, d)
+		}
 	}
 }

@@ -104,8 +104,8 @@ func addSat(a, b int64) int64 {
 // Cost projects the resources required to execute plan under opts, without
 // allocating anything. The memory model mirrors the engine: each worker
 // holds at most one partition state pair per remaining cut level (the clone
-// chain of runBranch) plus an m-amplitude scratch accumulator, and a single
-// m-amplitude global accumulator is shared.
+// chain of the walk), its root pair, and an m-amplitude scratch accumulator;
+// a single m-amplitude global accumulator is shared.
 func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	nLower := plan.Partition.NumLower()
 	nUpper := plan.Partition.NumUpper(plan.NumQubits)
@@ -116,8 +116,9 @@ func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	pair = addSat(pair, mulSat(bytesPerAmp, int64(1)<<uint(max(nUpper, 0))))
 	accBytes := mulSat(bytesPerAmp, int64(m))
 	// Clone chain: the branch recursion may hold one extra pair per cut
-	// level, plus the pair owned by the prefix task itself.
-	chain := mulSat(pair, int64(len(plan.Cuts)+1))
+	// level, plus the pair owned by the prefix task itself and the worker's
+	// post-segment-0 root every task is forked from.
+	chain := mulSat(pair, int64(len(plan.Cuts)+2))
 	perWorker := addSat(chain, accBytes) // scratch accumulator per worker
 
 	paths, exact := plan.NumPaths()

@@ -221,13 +221,7 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf,
 		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry}
 	e.trc, e.tsc = trace.FromContext(ctx)
-	endCompile := opts.Telemetry.Span("compile")
-	csp := e.trc.Start(e.tsc, "compile")
 	e.compile(plan, opts.FusionMaxQubits)
-	csp.SetInt("segments", int64(len(e.segs)))
-	csp.SetInt("cuts", int64(len(e.cuts)))
-	csp.End()
-	endCompile()
 
 	if opts.Resume != nil {
 		if err := opts.Resume.validateFor(plan, m); err != nil {
@@ -278,40 +272,42 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 	}, nil
 }
 
-// compile lowers the plan: local gates are remapped to partition-local
-// labels, grouped into segments between cuts, and fused; cut terms become
-// partition-local gates.
+// compile lowers the plan: cut terms become partition-local gates, local
+// gates are remapped to partition-local labels, scheduled into the earliest
+// segment they can legally reach (schedule), and fused per segment.
 func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
+	endCompile := e.tel.Span("compile")
+	csp := e.trc.Start(e.tsc, "compile")
 	upOff := e.nLower
-	seg := segment{}
-	for _, st := range plan.Steps {
-		switch st.Kind {
-		case cut.LocalStep:
-			g := st.Gate
-			if st.Side == cut.Lower {
-				seg.lower = append(seg.lower, g)
-			} else {
-				seg.upper = append(seg.upper, g.Remap(func(q int) int { return q - upOff }))
-			}
-		case cut.CutStep:
-			e.segs = append(e.segs, seg)
-			seg = segment{}
-			cp := st.Cut
-			cc := compiledCut{}
-			loQ := append([]int(nil), cp.LowerQubits...)
-			upQ := make([]int, len(cp.UpperQubits))
-			for i, q := range cp.UpperQubits {
-				upQ[i] = q - upOff
-			}
-			for _, t := range cp.Terms {
-				cc.sigma = append(cc.sigma, complex(t.Sigma, 0))
-				cc.lower = append(cc.lower, gate.New("cut-term", t.Lower, nil, loQ...))
-				cc.upper = append(cc.upper, gate.New("cut-term", t.Upper, nil, upQ...))
-			}
-			e.cuts = append(e.cuts, cc)
+	for _, cp := range plan.Cuts {
+		cc := compiledCut{}
+		loQ := append([]int(nil), cp.LowerQubits...)
+		upQ := make([]int, len(cp.UpperQubits))
+		for i, q := range cp.UpperQubits {
+			upQ[i] = q - upOff
+		}
+		for _, t := range cp.Terms {
+			cc.sigma = append(cc.sigma, complex(t.Sigma, 0))
+			cc.lower = append(cc.lower, gate.New("cut-term", t.Lower, nil, loQ...))
+			cc.upper = append(cc.upper, gate.New("cut-term", t.Upper, nil, upQ...))
+		}
+		e.cuts = append(e.cuts, cc)
+	}
+
+	at, hoisted := e.schedule(plan)
+	e.segs = make([]segment, len(e.cuts)+1)
+	for i := range plan.Steps {
+		st := &plan.Steps[i]
+		if st.Kind != cut.LocalStep {
+			continue
+		}
+		seg := &e.segs[at[i]]
+		if st.Side == cut.Lower {
+			seg.lower = append(seg.lower, st.Gate)
+		} else {
+			seg.upper = append(seg.upper, st.Gate.Remap(func(q int) int { return q - upOff }))
 		}
 	}
-	e.segs = append(e.segs, seg) // trailing segment after the last cut
 
 	if fusionMaxQubits >= 0 {
 		if fusionMaxQubits == 0 {
@@ -343,6 +339,68 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
 	if e.tel != nil {
 		e.tel.SetStructure(kernelClassNames(), e.segClassTable(), e.cutClassTable())
 	}
+	csp.SetInt("segments", int64(len(e.segs)))
+	csp.SetInt("cuts", int64(len(e.cuts)))
+	csp.SetInt("gates_hoisted", int64(hoisted))
+	csp.End()
+	endCompile()
+}
+
+// schedule assigns every local gate of the plan to the earliest segment it
+// can legally reach and returns that segment per plan step (cut steps keep
+// zero) plus the number of gates moved out of their original segment. Segment
+// l is replayed once per term choice of cuts 0…l-1, so multiplicity never
+// decreases with the level and moving a gate earlier can only remove work.
+//
+// A gate may cross anything it commutes with, judged per shared qubit from
+// the classification flags alone: two operators that both act diagonally on
+// every qubit they share (gate.DiagonalOn) are block-diagonal over those
+// qubits with blocks on disjoint supports, hence commute. So per qubit it is
+// enough to remember the position of the latest item touching it and of the
+// latest item not diagonal on it, with segment s at position 2s and cut l at
+// 2l+1. Within a segment gates keep plan order, so every pair the schedule
+// inverts commutes, and only the engine's segments change: the plan, its
+// hash, prefixes and checkpoints are untouched.
+func (e *engine) schedule(plan *cut.Plan) (at []int, hoisted int) {
+	lastAny := make([]int, plan.NumQubits)
+	lastOffDiag := make([]int, plan.NumQubits)
+	mark := func(g *gate.Gate, qubits []int, pos int) {
+		for b, q := range qubits {
+			lastAny[q] = max(lastAny[q], pos)
+			if !g.DiagonalOn(b) {
+				lastOffDiag[q] = max(lastOffDiag[q], pos)
+			}
+		}
+	}
+	at = make([]int, len(plan.Steps))
+	level := 0
+	for i := range plan.Steps {
+		st := &plan.Steps[i]
+		if st.Kind == cut.CutStep {
+			c := &e.cuts[level]
+			for t := range c.sigma {
+				mark(&c.lower[t], st.Cut.LowerQubits, 2*level+1)
+				mark(&c.upper[t], st.Cut.UpperQubits, 2*level+1)
+			}
+			level++
+			continue
+		}
+		g := &st.Gate
+		pos := 0
+		for b, q := range g.Qubits {
+			if g.DiagonalOn(b) {
+				pos = max(pos, lastOffDiag[q])
+			} else {
+				pos = max(pos, lastAny[q])
+			}
+		}
+		at[i] = (pos + 1) / 2
+		if at[i] < level {
+			hoisted++
+		}
+		mark(g, g.Qubits, 2*at[i])
+	}
+	return at, hoisted
 }
 
 // numKinds is the number of kernel classes the gate package distinguishes.

@@ -151,13 +151,7 @@ func runPrefixes(ctx context.Context, plan *cut.Plan, opts Options, splitLevels 
 	e := &engine{backend: opts.Backend, nLower: nLower, nUpper: nUpper, m: m,
 		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf, tel: opts.Telemetry}
 	e.trc, e.tsc = trace.FromContext(ctx)
-	endCompile := opts.Telemetry.Span("compile")
-	csp := e.trc.Start(e.tsc, "compile")
 	e.compile(plan, opts.FusionMaxQubits)
-	csp.SetInt("segments", int64(len(e.segs)))
-	csp.SetInt("cuts", int64(len(e.cuts)))
-	csp.End()
-	endCompile()
 
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc

@@ -138,12 +138,12 @@ func TestCostModelShape(t *testing.T) {
 	if est.Paths != 1<<6 || !est.PathsExact {
 		t.Fatalf("paths = %d exact=%v, want 64 exact", est.Paths, est.PathsExact)
 	}
-	// pair = 16·(2^4 + 2^4) = 512 B; chain = pair·(cuts+1); scratch = 16·64.
+	// pair = 16·(2^4 + 2^4) = 512 B; chain = pair·(cuts+2); scratch = 16·64.
 	wantPair := int64(512)
 	if est.StatePairBytes != wantPair {
 		t.Fatalf("pair bytes = %d, want %d", est.StatePairBytes, wantPair)
 	}
-	wantPerWorker := wantPair*int64(len(plan.Cuts)+1) + 16*64
+	wantPerWorker := wantPair*int64(len(plan.Cuts)+2) + 16*64
 	if est.PerWorkerBytes != wantPerWorker {
 		t.Fatalf("per-worker bytes = %d, want %d", est.PerWorkerBytes, wantPerWorker)
 	}

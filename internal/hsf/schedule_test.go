@@ -1,0 +1,261 @@
+package hsf
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"hsfsim/internal/circuit"
+	"hsfsim/internal/cut"
+	"hsfsim/internal/gate"
+	"hsfsim/internal/graph"
+	"hsfsim/internal/qaoa"
+	"hsfsim/internal/statevec"
+)
+
+// q22Plan is the benchmark's own instance: the q22-3 SBM-QAOA circuit cut
+// between its blocks with cascade grouping (2^10 joint paths).
+func q22Plan(tb testing.TB) *cut.Plan {
+	tb.Helper()
+	g, err := graph.TwoBlockModel(11, 11, 0.8, 0.20, rand.New(rand.NewSource(2203)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := g.RandomizeWeights(0.5, 1.5, rand.New(rand.NewSource(2203))); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := qaoa.Build(g, qaoa.Params{Gammas: []float64{0.7}, Betas: []float64{0.5}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: 10}, Strategy: cut.StrategyCascade})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// compiled lowers plan on a bare dense engine (no telemetry, no tracing).
+func compiled(plan *cut.Plan, fusionMaxQubits int) *engine {
+	e := &engine{
+		backend: BackendDense,
+		nLower:  plan.Partition.NumLower(),
+		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
+		m:       resolveAmplitudes(plan, 0),
+	}
+	e.compile(plan, fusionMaxQubits)
+	return e
+}
+
+// randomCascades builds CNOT or CZ fans from one anchor across the cut, with
+// non-diagonal gates on the fan targets and controlled gates hanging off the
+// anchor between them: the gates the scheduler may and may not move across a
+// cascade's terms.
+func randomCascades(rng *rand.Rand, n, cutPos int, name string) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := 0; q < n; q++ {
+		c.Append(gate.H(q))
+	}
+	for round := 0; round < 2; round++ {
+		anchor := rng.Intn(cutPos + 1)
+		for _, t := range rng.Perm(n - cutPos - 1)[:2] {
+			fan := cutPos + 1 + t
+			if name == "cx" {
+				c.Append(gate.CNOT(anchor, fan))
+			} else {
+				c.Append(gate.CZ(anchor, fan))
+			}
+			switch rng.Intn(3) {
+			case 0:
+				c.Append(gate.X(fan))
+			case 1:
+				c.Append(gate.T(fan), gate.RZ(rng.Float64(), anchor))
+			default:
+				c.Append(gate.CNOT(anchor, (anchor+1)%(cutPos+1)))
+			}
+		}
+		c.Append(gate.RX(rng.Float64(), anchor))
+	}
+	for q := 0; q < n; q++ {
+		c.Append(gate.T(q)) // trailing diagonals: path-invariant wherever no X or RX came last
+	}
+	return c
+}
+
+// randomGRCSLayers alternates CZ layers on a line with random non-diagonal
+// single-qubit gates on every qubit, cut-touched ones included.
+func randomGRCSLayers(rng *rand.Rand, n, depth int) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := 0; q < n; q++ {
+		c.Append(gate.H(q))
+	}
+	for d := 0; d < depth; d++ {
+		for q := d % 2; q+1 < n; q += 2 {
+			c.Append(gate.CZ(q, q+1))
+		}
+		for q := 0; q < n; q++ {
+			switch rng.Intn(3) {
+			case 0:
+				c.Append(gate.SX(q))
+			case 1:
+				c.Append(gate.SY(q))
+			default:
+				c.Append(gate.T(q))
+			}
+		}
+	}
+	return c
+}
+
+// TestScheduleProperty is the scheduler's safety net: over random circuits of
+// the paper's families, every grouping strategy, both backends and one or
+// four workers, the amplitudes equal the Schrödinger oracle to 1e-12, no gate
+// is scheduled later than the plan placed it, and no gate is lost.
+func TestScheduleProperty(t *testing.T) {
+	const n, cutPos = 8, 3
+	builders := map[string]func(*rand.Rand) *circuit.Circuit{
+		"qaoa":    func(rng *rand.Rand) *circuit.Circuit { return randomQAOAish(rng, n, 8) },
+		"cx-fans": func(rng *rand.Rand) *circuit.Circuit { return randomCascades(rng, n, cutPos, "cx") },
+		"cz-fans": func(rng *rand.Rand) *circuit.Circuit { return randomCascades(rng, n, cutPos, "cz") },
+		"grcs":    func(rng *rand.Rand) *circuit.Circuit { return randomGRCSLayers(rng, n, 3) },
+	}
+	for name, build := range builders {
+		for _, strategy := range []cut.Strategy{cut.StrategyNone, cut.StrategyCascade, cut.StrategyWindow} {
+			t.Run(fmt.Sprintf("%s/%v", name, strategy), func(t *testing.T) {
+				total := 0
+				for seed := int64(1); seed <= 3; seed++ {
+					circ := build(rand.New(rand.NewSource(seed)))
+					plan := buildPlan(t, circ, cutPos, strategy)
+					want := schrodinger(circ)
+					for _, run := range []Options{
+						{Backend: BackendDense, Workers: 1},
+						{Backend: BackendDense, Workers: 4},
+						{Backend: BackendDD},
+					} {
+						res, err := Run(plan, run)
+						if err != nil {
+							t.Fatalf("seed %d %v: %v", seed, run.Backend, err)
+						}
+						if d := statevec.MaxAbsDiff(res.Amplitudes, want); d > 1e-12 {
+							t.Fatalf("seed %d %v workers %d: off the oracle by %g", seed, run.Backend, run.Workers, d)
+						}
+					}
+
+					e := compiled(plan, -1)
+					at, hoisted := e.schedule(plan)
+					level, local, moved := 0, 0, 0
+					for i, st := range plan.Steps {
+						if st.Kind == cut.CutStep {
+							level++
+							continue
+						}
+						local++
+						if at[i] > level {
+							t.Fatalf("seed %d: step %d (%s) scheduled into segment %d, after its own %d", seed, i, st.Gate.String(), at[i], level)
+						}
+						if at[i] < level {
+							moved++
+						}
+					}
+					if moved != hoisted {
+						t.Fatalf("seed %d: %d gates moved, schedule reports %d", seed, moved, hoisted)
+					}
+					placed := 0
+					for _, s := range e.segs {
+						placed += len(s.lower) + len(s.upper)
+					}
+					if placed != local {
+						t.Fatalf("seed %d: %d local gates in the plan, %d in the segments", seed, local, placed)
+					}
+					total += hoisted
+				}
+				if total == 0 {
+					t.Fatal("no gate was hoisted on any seed: the case exercises nothing")
+				}
+			})
+		}
+	}
+}
+
+// TestScheduleQ22Structure pins what the scheduler does to the benchmark's
+// instance: every intra-partition RZZ runs once in segment 0 and the segment
+// replayed at every leaf keeps only the last mixers.
+func TestScheduleQ22Structure(t *testing.T) {
+	plan := q22Plan(t)
+	e := compiled(plan, 0)
+
+	diag2 := 0
+	for _, gs := range [][]gate.Gate{e.segs[0].lower, e.segs[0].upper} {
+		for i := range gs {
+			if gs[i].NumQubits() == 2 && gs[i].Diagonal {
+				diag2++
+			}
+		}
+	}
+	if diag2 != 85 {
+		t.Fatalf("segment 0 holds %d two-qubit diagonals after fusion, want all 85", diag2)
+	}
+	at, _ := e.schedule(plan)
+	for i, st := range plan.Steps {
+		if st.Kind == cut.LocalStep && st.Gate.Name == "rzz" && at[i] != 0 {
+			t.Fatalf("local %s scheduled into segment %d, want 0", st.Gate.String(), at[i])
+		}
+	}
+
+	last := e.segs[len(e.segs)-1]
+	for side, gs := range map[string][]gate.Gate{"lower": last.lower, "upper": last.upper} {
+		if len(gs) > 2 {
+			t.Fatalf("last segment holds %d %s gates, want ≤ 2", len(gs), side)
+		}
+		for i := range gs {
+			if gs[i].Diagonal {
+				t.Fatalf("last segment still holds diagonal %s", gs[i].String())
+			}
+		}
+	}
+}
+
+// TestScheduleDoesNotCrossNonCommuting covers the moves the scheduler must
+// refuse: each circuit's last gate has to stay behind the cut.
+func TestScheduleDoesNotCrossNonCommuting(t *testing.T) {
+	cases := []struct {
+		name string
+		c    *circuit.Circuit
+		want int // segment of the last gate
+	}{
+		// RX shares qubit 0 with the RZZ's (diagonal) terms.
+		{"rx-after-rzz", circuitOf(4, gate.RZZ(0.4, 0, 2), gate.RX(0.3, 0)), 1},
+		// X on the CNOT's target: the terms are I and X there, and the
+		// conservative structural rule keeps the X behind them.
+		{"x-on-cnot-target", circuitOf(4, gate.H(0), gate.CNOT(0, 2), gate.X(2)), 1},
+		// H on the control, where the terms are projectors.
+		{"h-on-cnot-control", circuitOf(4, gate.CNOT(0, 2), gate.H(0)), 1},
+		// A non-diagonal gate blocks a diagonal one behind it on the same qubit.
+		{"rz-behind-rx", circuitOf(4, gate.RZZ(0.4, 1, 2), gate.RX(0.3, 1), gate.RZ(0.2, 1)), 1},
+		// Positive controls: a diagonal gate and a CNOT controlled on the
+		// cut-touched qubit both cross the projector side of a CNOT's terms.
+		{"rz-on-cnot-control", circuitOf(4, gate.H(0), gate.CNOT(0, 2), gate.RZ(0.2, 0)), 0},
+		{"cnot-off-cnot-control", circuitOf(4, gate.H(0), gate.CNOT(0, 2), gate.CNOT(0, 1)), 0},
+	}
+	for _, tc := range cases {
+		plan := buildPlan(t, tc.c, 1, cut.StrategyNone)
+		e := compiled(plan, -1)
+		at, _ := e.schedule(plan)
+		if got := at[len(at)-1]; got != tc.want {
+			t.Errorf("%s: last gate scheduled into segment %d, want %d", tc.name, got, tc.want)
+		}
+		res, err := Run(plan, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := statevec.MaxAbsDiff(res.Amplitudes, schrodinger(tc.c)); d > 1e-12 {
+			t.Errorf("%s: off the oracle by %g", tc.name, d)
+		}
+	}
+}
+
+func circuitOf(n int, gs ...gate.Gate) *circuit.Circuit {
+	c := circuit.New(n)
+	c.Append(gs...)
+	return c
+}

@@ -154,7 +154,11 @@ func TestTelemetryAcrossFaultAndResume(t *testing.T) {
 
 	var buf bytes.Buffer
 	rec1 := telemetry.New()
-	_, err := Run(plan, Options{Workers: 2, FailAfterPaths: 40,
+	// 8 prefix tasks of 32 leaves on two workers: by leaf 100 the two tasks in
+	// flight hold at most 62, so at least two tasks are merged whatever the
+	// interleaving (failing at 40 left none merged when the workers ran in
+	// lockstep).
+	_, err := Run(plan, Options{Workers: 2, FailAfterPaths: 100,
 		CheckpointWriter: &buf, Telemetry: rec1})
 	if !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("err = %v, want ErrInjectedFault", err)
@@ -209,5 +213,23 @@ func TestTelemetryPrefixRun(t *testing.T) {
 	}
 	if rep.Counters.Leaves != ck.PathsSimulated {
 		t.Fatalf("leaves = %d, want %d", rep.Counters.Leaves, ck.PathsSimulated)
+	}
+}
+
+// TestTelemetryReflectsScheduling pins the scheduler's effect where a user
+// reads it: the class tables are built from the scheduled segments, so on the
+// q22-3 plan the diagonal-class applications of one run are the 4 092 cut
+// terms plus segment 0's one pass per worker — not the ≈ 51 000 of replaying
+// every intra-partition RZZ at each of the 1 024 leaves.
+func TestTelemetryReflectsScheduling(t *testing.T) {
+	rec := telemetry.New()
+	res, err := Run(q22Plan(t), Options{Workers: 1, MaxAmplitudes: 1 << 10, Telemetry: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := rec.Report()
+	checkReportMatchesResult(t, rep, res)
+	if got := rep.KernelClasses["diagonal"]; got < 4092 || got >= 6000 {
+		t.Fatalf("diagonal-class applications = %d, want the 4092 cut terms plus one segment-0 pass, under 6000", got)
 	}
 }

@@ -24,7 +24,12 @@ type walkFrame struct {
 // workspace. The frame stack is reused across prefix tasks and forked states
 // recycle through the workspace, so steady-state execution allocates
 // nothing: live pair states never exceed the remaining tree depth (one per
-// frame), exactly the clone-chain bound of the Cost model.
+// frame) plus the root, exactly the clone-chain bound of the Cost model.
+//
+// root is |0…0⟩ advanced through segment 0 — where the scheduler hoists every
+// path-invariant gate — computed on the walker's first task. Every task
+// starts from a fork of it (a copy, never an alias), so segment 0 runs once
+// per worker instead of once per prefix task.
 //
 // wc is the worker's private telemetry counter block (nil when telemetry is
 // disabled). Its methods neither allocate nor lock — counters are plain
@@ -36,6 +41,7 @@ type walker struct {
 	ws    workspace
 	wc    *telemetry.WorkerCounters
 	stack []walkFrame
+	root  pairState
 }
 
 // runPrefixRecover wraps runPrefix with panic recovery: a panicking path
@@ -53,7 +59,18 @@ func (w *walker) runPrefixRecover(ctx context.Context, prefix []int, acc stateve
 // into the remaining subtree. It returns the number of path leaves
 // accumulated into acc.
 func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vector) (int64, error) {
-	st, err := w.ws.newRoot()
+	if w.root == nil {
+		root, err := w.ws.newRoot()
+		if err != nil {
+			return 0, err
+		}
+		if err := w.applySegment(root, 0); err != nil {
+			root.release()
+			return 0, err
+		}
+		w.root = root
+	}
+	st, err := w.root.fork()
 	if err != nil {
 		return 0, err
 	}
@@ -63,16 +80,11 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 			st.release()
 			return 0, err
 		}
-		var t0 time.Time
-		sampled := false
-		if w.wc != nil {
-			if sampled = w.wc.Sample(); sampled {
-				t0 = time.Now()
+		if l > 0 {
+			if err := w.applySegment(st, l); err != nil {
+				st.release()
+				return 0, err
 			}
-		}
-		if err := st.applySegment(&w.e.segs[l]); err != nil {
-			st.release()
-			return 0, err
 		}
 		c := &w.e.cuts[l]
 		if err := st.applyCutTerm(c, t); err != nil {
@@ -80,7 +92,6 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 			return 0, err
 		}
 		if w.wc != nil {
-			w.wc.Seg(l, sampled, t0)
 			w.wc.CutTerm(l, t)
 		}
 		coeff *= c.sigma[t]
@@ -88,11 +99,31 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 	return w.walk(ctx, st, len(prefix), coeff, acc)
 }
 
+// applySegment advances st through segment l, counting the application and
+// timing one in 64 of them.
+func (w *walker) applySegment(st pairState, l int) error {
+	var t0 time.Time
+	sampled := false
+	if w.wc != nil {
+		if sampled = w.wc.Sample(); sampled {
+			t0 = time.Now()
+		}
+	}
+	if err := st.applySegment(&w.e.segs[l]); err != nil {
+		return err
+	}
+	if w.wc != nil {
+		w.wc.Seg(l, sampled, t0)
+	}
+	return nil
+}
+
 // walk runs the subtree rooted at (root, level) depth-first with an explicit
-// stack, taking ownership of root. Cut terms are expanded in ascending
-// order, matching the engine's historical recursive order; the last term of
-// a cut takes over the parent's state in place of a fork, so a rank-r cut
-// forks r-1 times.
+// stack, taking ownership of root. Segment 0 is already part of every root
+// (see walker.root), so only frames at level ≥ 1 apply theirs. Cut terms are
+// expanded in ascending order, matching the engine's historical recursive
+// order; the last term of a cut takes over the parent's state in place of a
+// fork, so a rank-r cut forks r-1 times.
 func (w *walker) walk(ctx context.Context, root pairState, level int, coeff complex128, acc statevec.Vector) (int64, error) {
 	w.stack = append(w.stack[:0], walkFrame{st: root, level: level, coeff: coeff})
 	var nLeaves int64
@@ -118,11 +149,13 @@ func (w *walker) walk(ctx context.Context, root pairState, level int, coeff comp
 					t0 = time.Now()
 				}
 			}
-			if err := f.st.applySegment(&w.e.segs[f.level]); err != nil {
-				return fail(err)
-			}
-			if w.wc != nil {
-				w.wc.Seg(f.level, sampled, t0)
+			if f.level > 0 {
+				if err := f.st.applySegment(&w.e.segs[f.level]); err != nil {
+					return fail(err)
+				}
+				if w.wc != nil {
+					w.wc.Seg(f.level, sampled, t0)
+				}
 			}
 			f.entered = true
 			if f.level == len(w.e.cuts) {

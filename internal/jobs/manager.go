@@ -110,6 +110,15 @@ type job struct {
 	resMeta    *ResultMeta
 	progress   *telemetry.Tracker
 	watchers   []chan struct{}
+
+	// Manifests are snapshotted under m.mu but written after it is released,
+	// so two writers (Submit's "queued", a runner's "running") can reach the
+	// store out of order. manSeq numbers the snapshots; persist holds
+	// persistMu across the write and drops any snapshot older than the one
+	// already on disk.
+	manSeq       uint64
+	persistMu    sync.Mutex
+	persistedSeq uint64
 }
 
 func (j *job) batchKeyOf() batchKey { return j.fp }
@@ -1011,8 +1020,12 @@ func (m *Manager) snapshotLocked(j *job) Snapshot {
 	return s
 }
 
+// manifestOf snapshots j for the store. Callers hold m.mu (or, in loadStore,
+// run before any other goroutine exists), which is what orders manSeq.
 func (m *Manager) manifestOf(j *job) *Manifest {
+	j.manSeq++
 	man := &Manifest{
+		seq:         j.manSeq,
 		ID:          j.id,
 		Tenant:      j.tenant,
 		Priority:    j.priority,
@@ -1037,9 +1050,16 @@ func (m *Manager) persist(j *job, man *Manifest) {
 	if m.store == nil {
 		return
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	if man.seq < j.persistedSeq {
+		return // a newer snapshot of this job is already on disk
+	}
 	if err := m.store.PutJob(man); err != nil {
 		m.logf("jobs: persist failed job=%s: %v", j.id, err)
+		return
 	}
+	j.persistedSeq = man.seq
 }
 
 // StatsSnapshot is the manager's observable state for /metrics and /readyz.

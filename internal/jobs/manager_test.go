@@ -137,7 +137,9 @@ func TestSchrodingerJob(t *testing.T) {
 // the test stages queued work behind it, and waits until it is running.
 func submitBlocker(t *testing.T, m *Manager) Snapshot {
 	t.Helper()
-	c := crossCircuit(99, 8, 13)
+	// 2^16 paths (tens of ms): long enough that the jobs a test queues behind
+	// the blocker are all submitted while it still runs.
+	c := crossCircuit(99, 8, 16)
 	snap, err := m.Submit(Request{Tenant: "blocker", Circuit: c, Opts: hsfOpts(8)})
 	if err != nil {
 		t.Fatal(err)
@@ -406,8 +408,9 @@ func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A long walk (2^15 paths) plus one job queued behind it.
-	c := crossCircuit(70, 8, 15)
+	// A long walk (2^17 paths) plus one job queued behind it.
+	const killPaths = 1 << 17
+	c := crossCircuit(70, 8, 17)
 	opts := hsfOpts(8)
 	opts.MaxAmplitudes = 64
 	running, err := m1.Submit(Request{Tenant: "t1", RequestID: "req-kill", Circuit: c, Opts: opts})
@@ -442,7 +445,7 @@ func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 	if err != nil || ck == nil {
 		t.Fatalf("no checkpoint survived the kill: %v", err)
 	}
-	if ck.PathsSimulated <= 0 || ck.PathsSimulated >= 1<<15 {
+	if ck.PathsSimulated <= 0 || ck.PathsSimulated >= killPaths {
 		t.Fatalf("checkpoint covers %d paths, want a strict mid-run state", ck.PathsSimulated)
 	}
 
@@ -476,8 +479,8 @@ func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 	if d := maxDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
 		t.Fatalf("resumed result diverges from direct Simulate by %g", d)
 	}
-	if res.PathsSimulated != 1<<15 {
-		t.Fatalf("resumed run covered %d paths, want %d", res.PathsSimulated, 1<<15)
+	if res.PathsSimulated != killPaths {
+		t.Fatalf("resumed run covered %d paths, want %d", res.PathsSimulated, killPaths)
 	}
 	res2, err := m2.Result(queued.ID)
 	if err != nil {

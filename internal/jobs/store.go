@@ -36,6 +36,10 @@ type Manifest struct {
 	// Result metadata for done jobs; the amplitudes live in the result
 	// checkpoint file (Acc field), retrievable via Store.GetResult.
 	ResultMeta *ResultMeta `json:"result,omitempty"`
+
+	// seq orders a job's manifests by snapshot time inside one manager (see
+	// job.manSeq); it is not stored.
+	seq uint64
 }
 
 // ResultMeta is the scalar part of a finished job's result.

@@ -86,7 +86,7 @@ func formatFloat(f float64) string {
 // statements produce errors rather than silent drops.
 func Parse(r io.Reader) (*circuit.Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 0, 4096), 1<<20) // grows on demand, same 1 MiB line cap
 	var c *circuit.Circuit
 	lineNo := 0
 	for sc.Scan() {

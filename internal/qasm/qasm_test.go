@@ -1,7 +1,9 @@
 package qasm
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -122,6 +124,25 @@ creg c[1];
 	}
 	if len(c.Gates) != 1 || c.Gates[0].Name != "h" {
 		t.Fatalf("gates = %v", c.Gates)
+	}
+}
+
+// TestParseLongLines pins the scanner's line cap: the buffer starts small and
+// grows on demand, so a line far beyond the initial 4 KiB still parses, and
+// one beyond the 1 MiB cap is an error rather than a silent truncation.
+func TestParseLongLines(t *testing.T) {
+	const stmt = "h q[0]; "
+	n := 300_000 / len(stmt)
+	c, err := Parse(strings.NewReader("qreg q[1];\n" + strings.Repeat(stmt, n) + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Gates) != n {
+		t.Fatalf("parsed %d gates from one long line, want %d", len(c.Gates), n)
+	}
+	over := "qreg q[1];\n" + strings.Repeat(stmt, (1<<20)/len(stmt)+1) + "\n"
+	if _, err := Parse(strings.NewReader(over)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over the cap: err = %v, want bufio.ErrTooLong", err)
 	}
 }
 

@@ -362,12 +362,11 @@ func (s State) rot2(m []complex128, q0, q1, lo, hi int) {
 type planKind uint8
 
 const (
-	planDense    planKind = iota // full gather/matvec/scatter (rotK)
-	planDiag                     // multiply each amplitude by a diagonal entry
-	planCtrlDiag                 // diagonal restricted to the control-satisfied subspace
-	planPerm                     // amplitude moves along permutation cycles
-	planCtrl                     // dense submatrix on the non-control bits only
-	planSparse                   // matvec skipping zero entries and identity rows
+	planDense  planKind = iota // full gather/matvec/scatter (rotK)
+	planDiag                   // multiply the control-satisfied amplitudes by a diagonal entry
+	planPerm                   // amplitude moves along permutation cycles
+	planCtrl                   // dense submatrix on the non-control bits only
+	planSparse                 // matvec skipping zero entries and identity rows
 )
 
 // kernelPlan is the precomputed index machinery of the k-qubit kernels.
@@ -382,12 +381,14 @@ type kernelPlan struct {
 	sorted  []int // ascending qubit positions for zero-bit insertion
 	offsets []int // offsets[t]: matrix index t spread over the gate qubits
 
-	// planDiag: the full diagonal, indexed by matrix index.
-	// planCtrlDiag: compacted to the control-satisfied block, indexed by the
-	// free-bit pattern.
-	diag []complex128
+	// planDiag: the diagonal compacted to the control-satisfied block,
+	// indexed by the free-bit pattern (the full diagonal when the gate has no
+	// controls); lowFree is the free-bit position of the lowest gate qubit,
+	// -1 when that qubit is a control.
+	diag    []complex128
+	lowFree int
 
-	// planCtrlDiag / planCtrl control geometry.
+	// planDiag / planCtrl control geometry.
 	ctrlSorted []int        // ascending control qubit positions (one-bit insertion)
 	freeQubits []int        // non-control qubit positions, ascending matrix bit order
 	ctrlOff    int          // OR of the control qubit masks
@@ -413,13 +414,10 @@ type kernelPlan struct {
 }
 
 // domain is the block count the plan's kernel iterates for a state of n
-// amplitudes: full for a plain diagonal, the control-satisfied subspace for a
-// controlled diagonal, one block per 2^k amplitudes otherwise.
+// amplitudes: the control-satisfied subspace for a diagonal (all of it without
+// controls), one block per 2^k amplitudes otherwise.
 func (p *kernelPlan) domain(n int) int {
-	switch p.kind {
-	case planDiag:
-		return n
-	case planCtrlDiag:
+	if p.kind == planDiag {
 		return n >> len(p.ctrlSorted)
 	}
 	return n >> p.k
@@ -483,8 +481,9 @@ func buildKernelPlan(g *gate.Gate) *kernelPlan {
 	sorted := func() []int { return sortedQubits(g) }
 
 	switch {
-	case g.Diagonal && g.Controls != 0:
-		p.kind = planCtrlDiag
+	case g.Diagonal:
+		p.kind = planDiag
+		p.sorted = sorted()
 		var freeBits []int
 		p.ctrlSorted, p.freeQubits, freeBits = splitControls(g)
 		fdim := 1 << len(freeBits)
@@ -496,12 +495,12 @@ func buildKernelPlan(g *gate.Gate) *kernelPlan {
 			}
 			p.diag[u] = m[t*kdim+t]
 		}
-
-	case g.Diagonal:
-		p.kind = planDiag
-		p.diag = make([]complex128, kdim)
-		for t := 0; t < kdim; t++ {
-			p.diag[t] = m[t*kdim+t]
+		p.lowFree = -1
+		for j, q := range p.freeQubits {
+			if q == p.sorted[0] {
+				p.lowFree = j
+				break
+			}
 		}
 
 	case g.Perm != nil:
@@ -708,9 +707,7 @@ func (s State) applyK(g *gate.Gate) {
 func (s State) kernelK(g *gate.Gate, p *kernelPlan, lo, hi int, in []complex128) {
 	switch p.kind {
 	case planDiag:
-		s.mulDiagK(g.Qubits, p.diag, lo, hi)
-	case planCtrlDiag:
-		s.ctrlDiagK(p, lo, hi)
+		s.diagK(p, lo, hi)
 	case planPerm:
 		s.permK(p, lo, hi)
 	case planCtrl:
@@ -722,20 +719,10 @@ func (s State) kernelK(g *gate.Gate, p *kernelPlan, lo, hi int, in []complex128)
 	}
 }
 
-func (s State) mulDiagK(qubits []int, diag []complex128, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t := 0
-		for j, q := range qubits {
-			t |= ((i >> q) & 1) << j
-		}
-		s[i] *= diag[t]
-	}
-}
-
-// ctrlDiagK multiplies the control-satisfied subspace by the compacted
-// diagonal: block o spreads into an index with every control bit forced to
-// one, so a CCZ touches one amplitude in eight.
-func (s State) ctrlDiagK(p *kernelPlan, lo, hi int) {
+// diagK multiplies the control-satisfied subspace by the compacted diagonal:
+// block o spreads into an index with every control bit forced to one, so a
+// CCZ touches one amplitude in eight.
+func (s State) diagK(p *kernelPlan, lo, hi int) {
 	for o := lo; o < hi; o++ {
 		i := o
 		for _, q := range p.ctrlSorted {

@@ -572,9 +572,7 @@ func (v Vector) applyK(g *gate.Gate) {
 func (v Vector) kernelK(g *gate.Gate, p *kernelPlan, lo, hi int, in []complex128) {
 	switch p.kind {
 	case planDiag:
-		v.mulDiagK(g.Qubits, p.diag, lo, hi)
-	case planCtrlDiag:
-		v.ctrlDiagK(p, lo, hi)
+		v.diagK(p, lo, hi)
 	case planPerm:
 		v.permK(p, lo, hi)
 	case planCtrl:
@@ -586,23 +584,28 @@ func (v Vector) kernelK(g *gate.Gate, p *kernelPlan, lo, hi int, in []complex128
 	}
 }
 
-func (v Vector) mulDiagK(qubits []int, diag []complex128, lo, hi int) {
+// diagK multiplies the control-satisfied amplitudes by the plan's diagonal
+// over blocks [lo,hi) of the control-compacted domain. Amplitudes that agree
+// on every gate bit share one factor and are contiguous below the lowest gate
+// qubit s0, so a run of 2^s0 is one span scale. When that run is too short
+// for span dispatch but the next gate qubit's is not, the two runs around bit
+// s0 form a 1q diagonal (a phase when s0 is a control) on a contiguous
+// sub-slice, which the low-qubit kernels take. Everything else — partial
+// blocks, two gate qubits below spanMin, the scalar arm — goes one amplitude
+// at a time.
+func (v Vector) diagK(p *kernelPlan, lo, hi int) {
 	re, im := v.Re, v.Im
-	for i := lo; i < hi; i++ {
-		t := 0
-		for j, q := range qubits {
-			t |= ((i >> q) & 1) << j
+	s0, s1 := p.sorted[0], p.sorted[1]
+	step, pair := 0, false // block length in the compacted domain; 0: scalar
+	if sm := ops.spanMin; sm > 0 && 1<<s0 >= sm {
+		step = 1 << s0
+	} else if sm > 0 && 1<<s1 >= sm {
+		step, pair = 1<<s1, true
+		if p.lowFree < 0 {
+			step >>= 1 // the control bit s0 is compacted away
 		}
-		dr, di := real(diag[t]), imag(diag[t])
-		r, m := re[i], im[i]
-		re[i] = dr*r - di*m
-		im[i] = dr*m + di*r
 	}
-}
-
-func (v Vector) ctrlDiagK(p *kernelPlan, lo, hi int) {
-	re, im := v.Re, v.Im
-	for o := lo; o < hi; o++ {
+	for o := lo; o < hi; {
 		i := o
 		for _, q := range p.ctrlSorted {
 			i = (i>>q)<<(q+1) | (i & (1<<q - 1)) | 1<<q
@@ -611,10 +614,27 @@ func (v Vector) ctrlDiagK(p *kernelPlan, lo, hi int) {
 		for j, q := range p.freeQubits {
 			u |= ((i >> q) & 1) << j
 		}
-		dr, di := real(p.diag[u]), imag(p.diag[u])
-		r, m := re[i], im[i]
-		re[i] = dr*r - di*m
-		im[i] = dr*m + di*r
+		d := p.diag[u]
+		n := 1
+		if step > 0 {
+			n = min(step-o&(step-1), hi-o)
+		}
+		switch {
+		case step > 0 && !pair:
+			ops.scale(re[i:i+n], im[i:i+n], real(d), imag(d))
+		case pair && n == step && p.lowFree >= 0:
+			v.Slice(i, i+n).diag1(d, p.diag[u|1<<p.lowFree], s0, 0, n>>1)
+		case pair && n == step:
+			b := i &^ (1 << s0)
+			v.Slice(b, b+2*n).phase1(d, s0, 0, n)
+		default:
+			n = 1
+			dr, di := real(d), imag(d)
+			r, m := re[i], im[i]
+			re[i] = dr*r - di*m
+			im[i] = dr*m + di*r
+		}
+		o += n
 	}
 }
 

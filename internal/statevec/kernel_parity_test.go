@@ -191,8 +191,8 @@ func TestKernelKParity(t *testing.T) {
 				kind planKind
 			}{
 				{randDiagGate(rng, 0, qs...), planDiag},
-				{randDiagGate(rng, 1<<rng.Intn(k), qs...), planCtrlDiag},
-				{randDiagGate(rng, kdim-1, qs...), planCtrlDiag}, // CCZ-like: every bit a control
+				{randDiagGate(rng, 1<<rng.Intn(k), qs...), planDiag},
+				{randDiagGate(rng, kdim-1, qs...), planDiag}, // CCZ-like: every bit a control
 				{randPermGate(rng, false, qs...), planPerm},
 				{randPermGate(rng, true, qs...), planPerm},
 				{randCtrlGate(rng, 1, qs...), planCtrl},

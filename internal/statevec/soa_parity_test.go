@@ -368,6 +368,80 @@ func TestSoAParityAllArms(t *testing.T) {
 	}
 }
 
+// TestSoADiagKAllArms sweeps the k≥3 diagonal kernel under every arm: k = 3…6
+// gates whose lowest qubit is 0, 1, 2 or higher (contiguous runs of 1, 2, 4
+// and ≥ 8 amplitudes — the low-qubit pair path, the shortest span, the plain
+// span), plain and controlled (on the lowest qubit, on another, on all but
+// one), unprepared, prepared and inline, plus a gate on both qubits 0 and 1
+// and ragged sub-ranges that force the one-amplitude fallback — all against
+// the interleaved gather loop at 1e-12.
+func TestSoADiagKAllArms(t *testing.T) {
+	orig := KernelISA()
+	defer func() {
+		if err := SelectKernelISA(orig); err != nil {
+			t.Fatalf("restoring arm %q: %v", orig, err)
+		}
+	}()
+	const n = 10
+	for _, isa := range KernelISAs() {
+		t.Run(isa, func(t *testing.T) {
+			if err := SelectKernelISA(isa); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(33))
+			check := func(g gate.Gate) {
+				t.Helper()
+				checkSoAParity(t, rng, &g, n) // builds its plan per call
+				PrepareGate(&g)
+				checkSoAParity(t, rng, &g, n)
+
+				s := randomState(rng, n)
+				want := FromComplex(s)
+				want.ApplyGate(&g)
+				inline := FromComplex(s)
+				inline.applyInline(&g, nil)
+				if d := MaxAbsDiffVec(inline, want); d > parityTol {
+					t.Fatalf("%s on %v: inline diverges by %g", g.Name, g.Qubits, d)
+				}
+				plan := planOf(&g)
+				dom := plan.domain(1 << n)
+				a, b := 1+rng.Intn(dom/2), dom/2+rng.Intn(dom/2)
+				ragged := FromComplex(s)
+				ragged.diagK(plan, 0, a)
+				ragged.diagK(plan, a, b)
+				ragged.diagK(plan, b, dom)
+				if d := MaxAbsDiffVec(ragged, want); d > parityTol {
+					t.Fatalf("%s on %v: split at %d,%d diverges by %g", g.Name, g.Qubits, a, b, d)
+				}
+			}
+			for k := 3; k <= 6; k++ {
+				for lowest := 0; lowest <= 3; lowest++ {
+					qs := []int{lowest}
+					for _, q := range rng.Perm(n - lowest - 1)[:k-1] {
+						qs = append(qs, lowest+1+q)
+					}
+					rng.Shuffle(k, func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+					lowBit, otherBit := 0, 1
+					for b, q := range qs {
+						if q == lowest {
+							lowBit, otherBit = b, (b+1)%k
+						}
+					}
+					for _, ctrl := range []int{0, 1 << lowBit, 1 << otherBit, (1<<k - 1) &^ (1 << otherBit)} {
+						check(randDiagGate(rng, ctrl, qs...))
+					}
+				}
+				both := append([]int{1, 0}, rng.Perm(n - 2)[:k-2]...)
+				for i := 2; i < k; i++ {
+					both[i] += 2
+				}
+				check(randDiagGate(rng, 0, both...))
+				check(randDiagGate(rng, 2, both...))
+			}
+		})
+	}
+}
+
 // phasedPerm3 builds a 3q phased permutation — one 2-cycle carrying phase i
 // on both moves plus a fixed state with phase −1 — so permK's
 // single-transposition fast path exercises both its cross branch and its
