@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-core bench-kernels bench-telemetry bench-serving bench-dist bench-e2e bench-smoke bench-tables examples fmt clean
+.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-core bench-kernels bench-telemetry bench-serving bench-dist bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
 
 all: build vet test
 
@@ -135,6 +135,17 @@ bench-dist:
 # schrodinger-dense, serve-plan). Build products land under .bench_build/.
 bench-e2e:
 	bash benchmark/run.sh --workload $(W) --seed 2203 --seconds 25 --trace 0
+
+# Paired A/B run of one workload, a base revision against this checkout:
+# `make bench-ab BASE=<rev> W=<workload> [N=10] [SEED=2203] [S=25]` runs N
+# alternating pairs of S-second windows and prints, per end-to-end metric,
+# both sides' median [q1, q3] and the pairs the change won. BASE=HEAD is an
+# A/A run of the uncommitted edits against the last commit.
+N ?= 10
+SEED ?= 2203
+S ?= 25
+bench-ab:
+	bash scripts/bench-ab.sh $(BASE) $(W) $(N) $(SEED) $(S)
 
 # Regenerate every table and figure at laptop scale.
 bench-tables:

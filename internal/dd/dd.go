@@ -134,7 +134,13 @@ func (d *DD) add(a, b edge, cache map[addKey]edge) edge {
 	if a.n.level == -1 {
 		return edge{w: a.w + b.w, n: d.terminal}
 	}
-	// Factor out a.w so the cache keys on the weight ratio.
+	// Factor out the larger weight so the cache keys on a ratio of at most 1:
+	// against a rounding residue of an exact cancellation the inverse ratio
+	// overflows the key's quantization, and every such sum of the two nodes
+	// would share one cache entry.
+	if cmplx.Abs(b.w) > cmplx.Abs(a.w) {
+		a, b = b, a
+	}
 	ratio := b.w / a.w
 	rr, ri := quantize(ratio)
 	key := addKey{a: a.n.id, b: b.n.id, wr: rr, wi: ri}

@@ -132,6 +132,41 @@ func TestMatchesStatevectorRandom(t *testing.T) {
 	}
 }
 
+// TestAddKeepsCancellationResidues runs square-root-gate layers (SX, SY, T
+// between CZ layers, as in the GRCS circuits), where sums that are exactly zero
+// leave rounding residues of 1e-17 as edge weights. Adding a normal edge to
+// such a residue used to take the ratio large/tiny, which no longer fits the
+// cache key's quantization, so unrelated additions shared a cache entry and
+// one circuit in seven came out wrong by 0.1 and more.
+func TestAddKeepsCancellationResidues(t *testing.T) {
+	for seed := int64(31); seed <= 40; seed++ {
+		for _, n := range []int{4, 5} {
+			rng := rand.New(rand.NewSource(seed))
+			c := circuit.New(n)
+			for q := 0; q < n; q++ {
+				c.Append(gate.H(q))
+			}
+			for depth := 0; depth < 4; depth++ {
+				for q := depth % 2; q+1 < n; q += 2 {
+					c.Append(gate.CZ(q, q+1))
+				}
+				for q := 0; q < n; q++ {
+					c.Append([]func(int) gate.Gate{gate.SX, gate.SY, gate.T}[rng.Intn(3)](q))
+				}
+			}
+			ref := statevec.NewState(n)
+			ref.ApplyAll(c.Gates)
+			d := New(n, 0)
+			if err := d.ApplyCircuit(c); err != nil {
+				t.Fatal(err)
+			}
+			if diff := statevec.MaxAbsDiff(d.ToStatevector(), ref); diff > 1e-8 {
+				t.Fatalf("seed %d, %d qubits: DD diverges by %g", seed, n, diff)
+			}
+		}
+	}
+}
+
 func TestThreeQubitGate(t *testing.T) {
 	// The outer-product expansion handles arbitrary arity: Toffoli.
 	c := circuit.New(3)

@@ -11,22 +11,39 @@ import (
 	"hsfsim/internal/telemetry/trace"
 )
 
+// allocShape is one instance of the allocation harnesses: manyCutCircuit(n, 6)
+// cut after cutPos, 2^6 = 64 leaves per replay, whose full output has enough
+// accumulator rows for leaf batches of k.
+type allocShape struct{ n, cutPos, k int }
+
+// allocShapes covers the smallest batch that holds a leaf back (16 rows, so
+// every fold applies two leaves) and the largest the engine forms (64 rows).
+var allocShapes = map[string]allocShape{"K=2": {8, 3, 2}, "K=8": {12, 5, 8}}
+
+// harnessPlan builds shape's plan and checks that it gives the batch size the
+// shape is named after.
+func harnessPlan(tb testing.TB, shape allocShape) *cut.Plan {
+	tb.Helper()
+	plan, err := cut.BuildPlan(manyCutCircuit(shape.n, 6), cut.Options{Partition: cut.Partition{CutPos: shape.cutPos}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if k, _ := leafBatchShape(resolveAmplitudes(plan, 0), plan.Partition.NumLower()); k != shape.k {
+		tb.Fatalf("harness %+v folds %d leaves per pass", shape, k)
+	}
+	return plan
+}
+
 // allocHarness compiles a many-cut plan and returns a dense-backend walker
 // with its scratch accumulator, warmed so the workspace pool, the pair free
 // list, and the frame stack have reached steady state.
-func allocHarness(tb testing.TB) (*walker, statevec.Vector) {
+func allocHarness(tb testing.TB, shape allocShape) (*walker, statevec.Vector) {
 	tb.Helper()
-	c := manyCutCircuit(8, 6) // 2^6 = 64 leaves per replay
-	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: 3}})
+	e := compiled(harnessPlan(tb, shape), 0)
+	walk, err := e.newWalker(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := compiled(plan, 0)
-	ws, err := e.newWorkspace()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	walk := &walker{e: e, ws: ws}
 	scratch := statevec.MakeVector(e.m)
 	for i := 0; i < 2; i++ { // warm the pools
 		scratch.Clear()
@@ -41,7 +58,7 @@ func allocHarness(tb testing.TB) (*walker, statevec.Vector) {
 // leaves) on a warm walker. The interesting number is allocs/op: the pooled
 // workspace keeps it at zero.
 func BenchmarkRunBranchSteadyState(b *testing.B) {
-	walk, scratch := allocHarness(b)
+	walk, scratch := allocHarness(b, allocShapes["K=2"])
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,19 +78,23 @@ func TestZeroAllocsPerLeaf(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	walk, scratch := allocHarness(t)
-	ctx := context.Background()
-	var leaves int64
-	allocs := testing.AllocsPerRun(10, func() {
-		scratch.Clear()
-		n, err := walk.runPrefix(ctx, nil, scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaves += n
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state walk allocated %.1f times per replay (%d leaves), want 0", allocs, leaves)
+	for name, shape := range allocShapes {
+		t.Run(name, func(t *testing.T) {
+			walk, scratch := allocHarness(t, shape)
+			ctx := context.Background()
+			var leaves int64
+			allocs := testing.AllocsPerRun(10, func() {
+				scratch.Clear()
+				n, err := walk.runPrefix(ctx, nil, scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				leaves += n
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state walk allocated %.1f times per replay (%d leaves), want 0", allocs, leaves)
+			}
+		})
 	}
 }
 
@@ -86,70 +107,125 @@ func TestZeroAllocsPerLeafWithTracing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	walk, scratch := allocHarness(t)
-	e := walk.e
-	e.trc = trace.NewRecorder(512)
-	root := e.trc.Start(trace.SpanContext{}, "walk")
-	e.tsc = root.Context()
-	defer root.End()
+	for name, shape := range allocShapes {
+		t.Run(name, func(t *testing.T) {
+			walk, scratch := allocHarness(t, shape)
+			e := walk.e
+			e.trc = trace.NewRecorder(512)
+			root := e.trc.Start(trace.SpanContext{}, "walk")
+			e.tsc = root.Context()
+			defer root.End()
 
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(10, func() {
-		scratch.Clear()
-		sp := e.trc.Start(e.tsc, "prefix")
-		sp.SetLane(1)
-		n, err := walk.runPrefix(ctx, nil, scratch)
-		sp.SetInt("leaves", n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp.End()
-	})
-	if allocs != 0 {
-		t.Fatalf("traced steady-state walk allocated %.1f times per replay, want 0", allocs)
-	}
-	if e.trc.Len() == 0 {
-		t.Fatal("no spans recorded: the guard exercised nothing")
+			ctx := context.Background()
+			allocs := testing.AllocsPerRun(10, func() {
+				scratch.Clear()
+				sp := e.trc.Start(e.tsc, "prefix")
+				sp.SetLane(1)
+				n, err := walk.runPrefix(ctx, nil, scratch)
+				sp.SetInt("leaves", n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp.End()
+			})
+			if allocs != 0 {
+				t.Fatalf("traced steady-state walk allocated %.1f times per replay, want 0", allocs)
+			}
+			if e.trc.Len() == 0 {
+				t.Fatal("no spans recorded: the guard exercised nothing")
+			}
+		})
 	}
 }
 
 // TestPoisonedPoolRunStaysFinite turns on the pool's NaN poisoning and
 // replays the tree: if any code path read a released buffer before
-// reinitializing it, the canary would propagate into the amplitudes.
+// reinitializing it — the fold a lower half its batch had already given
+// back, say — the canary would propagate into the amplitudes.
 func TestPoisonedPoolRunStaysFinite(t *testing.T) {
-	walk, scratch := allocHarness(t)
-	dws, ok := walk.ws.(*denseWorkspace)
-	if !ok {
-		t.Fatalf("workspace is %T, want *denseWorkspace", walk.ws)
-	}
-	dws.pool.Poison = true
+	for name, shape := range allocShapes {
+		t.Run(name, func(t *testing.T) {
+			walk, scratch := allocHarness(t, shape)
+			pool := walk.batch.pool
+			pool.Poison = true
 
-	scratch.Clear()
-	if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
-		t.Fatal(err)
-	}
-	want := scratch.ToComplex()
+			scratch.Clear()
+			if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
+				t.Fatal(err)
+			}
+			want := scratch.ToComplex()
 
-	scratch.Clear()
-	if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
-		t.Fatal(err)
+			scratch.Clear()
+			if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
+				t.Fatal(err)
+			}
+			var norm float64
+			for i := 0; i < scratch.Len(); i++ {
+				v := scratch.Amplitude(i)
+				if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+					t.Fatalf("amplitude %d = %v: a poisoned buffer leaked into the result", i, v)
+				}
+				norm += real(v)*real(v) + imag(v)*imag(v)
+			}
+			if math.Abs(norm-1) > 1e-9 {
+				t.Fatalf("norm = %g, want 1", norm)
+			}
+			if d := statevec.MaxAbsDiff(scratch.ToComplex(), want); d != 0 {
+				t.Fatalf("poisoned replays disagree: max diff %g", d)
+			}
+			if gets, reuses := pool.Stats(); reuses == 0 {
+				t.Fatalf("pool never reused a buffer (gets=%d): the poisoning test exercised nothing", gets)
+			}
+		})
 	}
-	var norm float64
-	for i := 0; i < scratch.Len(); i++ {
-		v := scratch.Amplitude(i)
-		if cmplx.IsNaN(v) || cmplx.IsInf(v) {
-			t.Fatalf("amplitude %d = %v: a poisoned buffer leaked into the result", i, v)
-		}
-		norm += real(v)*real(v) + imag(v)*imag(v)
+}
+
+// TestWalkerReuseAfterFailedTask stops a task on a warm walker with leaves
+// held in its batch — by cancellation, and by a panic the worker recovers
+// from — and then runs a whole task on the same walker: the held leaves of
+// the failed task must be gone, not folded into the next task's accumulator,
+// so the result equals a fresh walker's exactly. After the cancellation the
+// pool must also have every buffer back: over its whole life the walker drew
+// no more fresh buffers than the clone chain and a full batch need.
+func TestWalkerReuseAfterFailedTask(t *testing.T) {
+	shape := allocShapes["K=8"]
+	_, fresh := allocHarness(t, shape) // the harness leaves its last replay in the accumulator
+	stops := map[string]func(cancel context.CancelFunc){
+		"cancel": func(cancel context.CancelFunc) { cancel() },
+		"panic":  func(context.CancelFunc) { panic("boom") },
 	}
-	if math.Abs(norm-1) > 1e-9 {
-		t.Fatalf("norm = %g, want 1", norm)
-	}
-	if d := statevec.MaxAbsDiff(scratch.ToComplex(), want); d > 1e-12 {
-		t.Fatalf("poisoned replays disagree: max diff %g", d)
-	}
-	if gets, reuses := dws.pool.Stats(); reuses == 0 {
-		t.Fatalf("pool never reused a buffer (gets=%d): the poisoning test exercised nothing", gets)
+	for name, stop := range stops {
+		t.Run(name, func(t *testing.T) {
+			walk, scratch := allocHarness(t, shape)
+			e := walk.e
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			stopAt := e.leaves.Load() + 8 + 3 // one fold done, three leaves held
+			e.hook = func(leaves int64) {
+				if leaves == stopAt {
+					stop(cancel)
+				}
+			}
+			scratch.Clear()
+			if _, err := walk.runPrefixRecover(ctx, nil, scratch); err == nil || e.leaves.Load() != stopAt {
+				t.Fatalf("task returned %v at leaf %d, want an error at leaf %d", err, e.leaves.Load(), stopAt)
+			}
+			if held := len(walk.batch.los); held != 0 {
+				t.Fatalf("failed task left %d leaves in the batch", held)
+			}
+			e.hook = nil
+			scratch.Clear()
+			if _, err := walk.runPrefixRecover(context.Background(), nil, scratch); err != nil {
+				t.Fatal(err)
+			}
+			if d := statevec.MaxAbsDiffVec(scratch, fresh); d != 0 {
+				t.Fatalf("task after a failed one is off a fresh walker's by %g", d)
+			}
+			gets, reuses := walk.batch.pool.Stats()
+			if bound := 2*(len(e.cuts)+2) + shape.k - 1; name == "cancel" && gets-reuses > bound {
+				t.Fatalf("walker drew %d fresh buffers, want at most %d: the failed task lost some", gets-reuses, bound)
+			}
+		})
 	}
 }
 
@@ -157,7 +233,7 @@ func TestPoisonedPoolRunStaysFinite(t *testing.T) {
 // every prefix task must work on its own copy, so after any number of tasks
 // the root still holds exactly |0…0⟩ advanced through segment 0.
 func TestWalkerRootIsCopiedNotAliased(t *testing.T) {
-	walk, scratch := allocHarness(t)
+	walk, scratch := allocHarness(t, allocShapes["K=2"])
 	root, ok := walk.root.(*densePair)
 	if !ok {
 		t.Fatalf("walker root is %T, want *densePair", walk.root)

@@ -83,13 +83,13 @@ func (o Options) backendWorkers() (int, error) {
 
 // pairState is one (lower, upper) partition state pair at a node of the path
 // tree — the unit the walker forks at cuts, advances through segments, and
-// folds into the dense accumulator at leaves. Implementations are owned by a
-// single worker goroutine.
+// emits into its leaf batch at leaves. Implementations are owned by a single
+// worker goroutine.
 //
 // Ownership discipline: fork produces an independent sibling; release returns
-// the state to its workspace, after which it must not be used. The walker
-// releases every state exactly once, so live states never exceed the tree
-// depth.
+// the state to its workspace, after which it must not be used; emit is the
+// release of a leaf. The walker ends every state exactly once, so live states
+// never exceed the tree depth.
 type pairState interface {
 	// applySegment advances both partitions through a segment's local gates.
 	applySegment(seg *segment) error
@@ -99,25 +99,83 @@ type pairState interface {
 	fork() (pairState, error)
 	// release returns the state to its workspace free list.
 	release()
-	// accumulate adds coeff · (upper ⊗ lower) into the first acc.Len()
-	// amplitudes of the SoA accumulator acc.
-	accumulate(acc statevec.Vector, coeff complex128)
+	// emit hands the leaf coeff · (upper ⊗ lower) to b and releases the state.
+	emit(b *leafBatch, coeff complex128)
 }
 
 // workspace is one worker goroutine's private pair-state factory: it owns
-// the free lists (and, for dense, the buffer pool) its states recycle
-// through. Workspaces are not safe for concurrent use.
+// the free lists its states recycle through. Workspaces are not safe for
+// concurrent use.
 type workspace interface {
 	newRoot() (pairState, error)
 }
 
-// newWorkspace builds the per-worker workspace for the engine's backend.
-func (e *engine) newWorkspace() (workspace, error) {
+// newWorkspace builds the per-worker workspace for the engine's backend on
+// the worker's buffer pool.
+func (e *engine) newWorkspace(pool *statevec.Pool) (workspace, error) {
 	switch e.backend {
 	case BackendDense:
-		return newDenseWorkspace(e), nil
+		return &denseWorkspace{e: e, pool: pool}, nil
 	case BackendDD:
 		return newDDWorkspace(e), nil
 	}
 	return nil, fmt.Errorf("hsf: %v: %w", e.backend, ErrUnsupported)
+}
+
+// leafBatchShape returns K, the number of leaves one fold applies, and the
+// number of accumulator rows (upper amplitudes) an m-amplitude output reads.
+// K is fixed by the shapes: the held lower halves may take at most ⅛ of the
+// accumulator's bytes, because every one of them is memory the run would not
+// otherwise allocate, and beyond 8 leaves the fold gains little. The engine
+// and Cost both size the batch from here.
+func leafBatchShape(m, nLower int) (k, rows int) {
+	rows = (m + 1<<nLower - 1) >> nLower
+	return min(max(rows/8, 1), 8), rows
+}
+
+// leafBatch is one worker's pending rank-K update of its accumulator: the
+// leaves emitted since the last fold, each as its path coefficient, the rows
+// of its upper half the output reads, and its lower half. A lower half stays
+// in the pool buffer the leaf evolved it in (the dense backend hands it over
+// without a copy) and returns to the pool when the batch is folded or
+// discarded; nothing else of a leaf outlives emit.
+type leafBatch struct {
+	pool   *statevec.Pool
+	coeffs []complex128      // len = leaves held, cap = K
+	ups    []statevec.Vector // K rows of the coefficient table
+	los    []statevec.Vector // len = leaves held, cap = K
+}
+
+func (e *engine) newLeafBatch(pool *statevec.Pool) leafBatch {
+	k, rows := leafBatchShape(e.m, e.nLower)
+	table := statevec.MakeVector(k * rows)
+	b := leafBatch{
+		pool:   pool,
+		coeffs: make([]complex128, 0, k),
+		ups:    make([]statevec.Vector, k),
+		los:    make([]statevec.Vector, 0, k),
+	}
+	for i := range b.ups {
+		b.ups[i] = table.Slice(i*rows, (i+1)*rows)
+	}
+	return b
+}
+
+// add holds one more leaf. The batch takes over lo, a buffer of its pool, and
+// returns the table row the caller fills with the leading amplitudes of the
+// leaf's upper half.
+func (b *leafBatch) add(coeff complex128, lo statevec.Vector) statevec.Vector {
+	b.coeffs = append(b.coeffs, coeff)
+	b.los = append(b.los, lo)
+	return b.ups[len(b.los)-1]
+}
+
+func (b *leafBatch) full() bool { return len(b.los) == len(b.ups) }
+
+// discard empties the batch without folding it.
+func (b *leafBatch) discard() {
+	for _, lo := range b.los {
+		b.pool.Put(lo)
+	}
+	b.coeffs, b.los = b.coeffs[:0], b.los[:0]
 }

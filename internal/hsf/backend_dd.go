@@ -6,14 +6,14 @@ import (
 	"hsfsim/internal/cut"
 	"hsfsim/internal/dd"
 	"hsfsim/internal/gate"
-	"hsfsim/internal/statevec"
 )
 
 // ddWorkspace is the decision-diagram backend (Burgholzer/Bauer/Wille, QCE
 // 2021 — the paper's ref [10]): partition states are edges into two shared
 // DD node stores, so forking a pair copies two edge handles instead of two
 // amplitude arrays and the path tree shares whole sub-diagrams. Leaves are
-// expanded into dense half-statevector scratch buffers for accumulation.
+// expanded into dense half-statevector scratch buffers and emitted into the
+// same leaf batch as the dense backend's.
 //
 // The node stores are single-threaded, which is why BackendDD caps the run
 // at one path worker (backendWorkers). Its value is memory compression and
@@ -96,12 +96,18 @@ func (p *ddPair) release() {
 	p.ws.free = append(p.ws.free, p)
 }
 
-func (p *ddPair) accumulate(acc statevec.Vector, coeff complex128) {
-	p.ws.loDD.FillStatevector(p.lo, p.ws.loBuf)
-	p.ws.upDD.FillStatevector(p.up, p.ws.upBuf)
-	// The DD expands leaves into interleaved scratch (its natural output);
-	// the edge-converting accumulate folds them into the SoA accumulator.
-	statevec.AccumulateKronComplex(acc, coeff, p.ws.upBuf, p.ws.loBuf, p.ws.e.nLower)
+// emit expands the leaf into interleaved scratch (the DD's natural output)
+// and converts what the batch keeps into SoA: the lower half into a buffer of
+// the batch's pool, the upper rows into the table.
+func (p *ddPair) emit(b *leafBatch, coeff complex128) {
+	ws := p.ws
+	ws.loDD.FillStatevector(p.lo, ws.loBuf)
+	ws.upDD.FillStatevector(p.up, ws.upBuf)
+	lo := b.pool.Get(len(ws.loBuf))
+	lo.CopyFromComplex(ws.loBuf)
+	row := b.add(coeff, lo)
+	row.CopyFromComplex(ws.upBuf[:row.Len()])
+	p.release()
 }
 
 // RunDD executes the plan on the decision-diagram backend. It is shorthand

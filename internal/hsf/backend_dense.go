@@ -6,21 +6,13 @@ import "hsfsim/internal/statevec"
 // statevec.Vector buffers (split real/imag planes) recycled through a
 // size-keyed per-worker pool, and the pair structs themselves recycle through
 // a free list, so steady-state walking allocates nothing. Segments, cut
-// terms, and the leaf accumulate all run on the SoA planes — a path never
+// terms, and the leaf fold all run on the SoA planes — a path never
 // round-trips through an interleaved []complex128.
 type denseWorkspace struct {
 	e    *engine
 	pool *statevec.Pool
 	free []*densePair
 }
-
-func newDenseWorkspace(e *engine) *denseWorkspace {
-	return &denseWorkspace{e: e, pool: statevec.NewPool()}
-}
-
-// poolStats exposes the buffer pool's get/reuse counters for telemetry
-// (queried once, at worker exit).
-func (ws *denseWorkspace) poolStats() (gets, reuses int) { return ws.pool.Stats() }
 
 // take returns a pair with fresh buffers of the partition sizes attached
 // (contents unspecified).
@@ -75,6 +67,11 @@ func (p *densePair) release() {
 	p.ws.free = append(p.ws.free, p)
 }
 
-func (p *densePair) accumulate(acc statevec.Vector, coeff complex128) {
-	statevec.AccumulateKron(acc, coeff, p.up, p.lo, p.ws.e.nLower)
+// emit gives the lower half to the batch as it is and copies out the upper
+// rows, so the upper half returns to the pool at once.
+func (p *densePair) emit(b *leafBatch, coeff complex128) {
+	row := b.add(coeff, p.lo)
+	row.CopyFrom(p.up.Slice(0, row.Len()))
+	p.lo = statevec.Vector{}
+	p.release()
 }

@@ -55,8 +55,8 @@ type CostEstimate struct {
 	// StatePairBytes is one (lower, upper) partition statevector pair.
 	StatePairBytes int64
 	// PerWorkerBytes bounds one worker's footprint: the clone chain of
-	// partition state pairs down the remaining path tree plus the private
-	// accumulator scratch.
+	// partition state pairs down the remaining path tree, the private
+	// accumulator scratch and the leaf batch.
 	PerWorkerBytes int64
 	// AccumulatorBytes is the shared output accumulator.
 	AccumulatorBytes int64
@@ -104,22 +104,27 @@ func addSat(a, b int64) int64 {
 // Cost projects the resources required to execute plan under opts, without
 // allocating anything. The memory model mirrors the engine: each worker
 // holds at most one partition state pair per remaining cut level (the clone
-// chain of the walk), its root pair, and an m-amplitude scratch accumulator;
-// a single m-amplitude global accumulator is shared.
+// chain of the walk), its root pair, an m-amplitude scratch accumulator and
+// its leaf batch; a single m-amplitude global accumulator is shared.
 func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	nLower := plan.Partition.NumLower()
 	nUpper := plan.Partition.NumUpper(plan.NumQubits)
 	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
 	workers := resolveWorkers(opts.Workers)
 
-	pair := mulSat(bytesPerAmp, int64(1)<<uint(max(nLower, 0)))
-	pair = addSat(pair, mulSat(bytesPerAmp, int64(1)<<uint(max(nUpper, 0))))
+	lower := mulSat(bytesPerAmp, int64(1)<<uint(max(nLower, 0)))
+	pair := addSat(lower, mulSat(bytesPerAmp, int64(1)<<uint(max(nUpper, 0))))
 	accBytes := mulSat(bytesPerAmp, int64(m))
 	// Clone chain: the branch recursion may hold one extra pair per cut
 	// level, plus the pair owned by the prefix task itself and the worker's
 	// post-segment-0 root every task is forked from.
 	chain := mulSat(pair, int64(len(plan.Cuts)+2))
 	perWorker := addSat(chain, accBytes) // scratch accumulator per worker
+	// Leaf batch: the last held leaf's lower half is still the chain's, the
+	// other K-1 are extra, and the coefficient table has K rows.
+	k, rows := leafBatchShape(m, max(nLower, 0))
+	batch := addSat(mulSat(lower, int64(k-1)), mulSat(bytesPerAmp, int64(k*rows)))
+	perWorker = addSat(perWorker, batch)
 
 	paths, exact := plan.NumPaths()
 	return CostEstimate{

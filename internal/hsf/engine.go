@@ -579,12 +579,11 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			ws, err := e.newWorkspace()
+			walk, err := e.newWalker(e.tel.Worker(len(e.segs), e.ranks))
 			if err != nil {
 				fail(err)
 				return
 			}
-			walk := &walker{e: e, ws: ws, wc: e.tel.Worker(len(e.segs), e.ranks)}
 			// The worker accumulates its subtrees into private SoA scratch;
 			// the interleaved checkpoint accumulator is only touched at the
 			// merge below (the layout's edge-conversion boundary).
@@ -643,9 +642,7 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 			}
 			closeSpan()
 			if walk.wc != nil {
-				if ps, ok := ws.(interface{ poolStats() (int, int) }); ok {
-					walk.wc.AddPool(ps.poolStats())
-				}
+				walk.wc.AddPool(walk.batch.pool.Stats())
 				e.tel.Flush(walk.wc)
 			}
 		}(w)

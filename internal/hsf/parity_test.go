@@ -137,47 +137,69 @@ func TestParityKernelZoo(t *testing.T) {
 // backend. Both recoveries must land on the identical amplitudes: the
 // checkpoint format, the prefix bookkeeping, and the walker are shared, so
 // backends are interchangeable mid-run.
+//
+// The mid-batch cases run one worker on a plan that folds eight leaves per
+// pass and fail 35 leaves into the second of four 64-leaf tasks, with three
+// leaves held: the checkpoint must hold the first task and nothing of the
+// second.
 func TestParityFaultAndResume(t *testing.T) {
-	c := manyCutCircuit(8, 8) // 2^8 = 256 paths
-	plan := buildPlan(t, c, 3, cut.StrategyNone)
-	want, err := Run(plan, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, failOn := range []Backend{BackendDense, BackendDD} {
-		resumeOn := BackendDD
-		if failOn == BackendDD {
-			resumeOn = BackendDense
+	for _, tc := range []struct {
+		suffix         string
+		plan           *cut.Plan // 2^8 = 256 paths
+		k              int       // leaves per fold
+		workers        int
+		failAfter      int64
+		wantCheckpoint int64 // PathsSimulated of the checkpoint; 0: any progress
+	}{
+		{"", buildPlan(t, manyCutCircuit(8, 8), 3, cut.StrategyNone), 2, 0, 128, 0},
+		{"-mid-batch", buildPlan(t, manyCutCircuit(12, 8), 5, cut.StrategyNone), 8, 1, 64 + 35, 64},
+	} {
+		plan := tc.plan
+		if k, _ := leafBatchShape(1<<plan.NumQubits, plan.Partition.NumLower()); k != tc.k {
+			t.Fatalf("case %q folds %d leaves per pass, want %d", tc.suffix, k, tc.k)
 		}
-		t.Run("fail-"+failOn.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			_, err := Run(plan, Options{
-				Backend:          failOn,
-				CheckpointWriter: &buf,
-				FailAfterPaths:   128,
+		want, err := Run(plan, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, failOn := range []Backend{BackendDense, BackendDD} {
+			resumeOn := BackendDD
+			if failOn == BackendDD {
+				resumeOn = BackendDense
+			}
+			t.Run("fail-"+failOn.String()+tc.suffix, func(t *testing.T) {
+				var buf bytes.Buffer
+				_, err := Run(plan, Options{
+					Backend:          failOn,
+					Workers:          tc.workers,
+					CheckpointWriter: &buf,
+					FailAfterPaths:   tc.failAfter,
+				})
+				if !errors.Is(err, ErrInjectedFault) {
+					t.Fatalf("err = %v, want ErrInjectedFault", err)
+				}
+				ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ck.Prefixes) == 0 || ck.PathsSimulated == 0 {
+					t.Fatalf("checkpoint empty: %d prefixes, %d paths", len(ck.Prefixes), ck.PathsSimulated)
+				}
+				if tc.wantCheckpoint != 0 && ck.PathsSimulated != tc.wantCheckpoint {
+					t.Fatalf("checkpoint holds %d paths, want %d", ck.PathsSimulated, tc.wantCheckpoint)
+				}
+				res, err := Run(plan, Options{Backend: resumeOn, Workers: tc.workers, Resume: ck})
+				if err != nil {
+					t.Fatalf("resume on %v: %v", resumeOn, err)
+				}
+				if d := statevec.MaxAbsDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
+					t.Fatalf("resume on %v diverges: max diff %g", resumeOn, d)
+				}
+				if res.PathsSimulated != want.PathsSimulated {
+					t.Fatalf("paths = %d, want %d", res.PathsSimulated, want.PathsSimulated)
+				}
 			})
-			if !errors.Is(err, ErrInjectedFault) {
-				t.Fatalf("err = %v, want ErrInjectedFault", err)
-			}
-			ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ck.Prefixes) == 0 || ck.PathsSimulated == 0 {
-				t.Fatalf("checkpoint empty: %d prefixes, %d paths", len(ck.Prefixes), ck.PathsSimulated)
-			}
-			res, err := Run(plan, Options{Backend: resumeOn, Resume: ck})
-			if err != nil {
-				t.Fatalf("resume on %v: %v", resumeOn, err)
-			}
-			if d := statevec.MaxAbsDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
-				t.Fatalf("resume on %v diverges: max diff %g", resumeOn, d)
-			}
-			if res.PathsSimulated != want.PathsSimulated {
-				t.Fatalf("paths = %d, want %d", res.PathsSimulated, want.PathsSimulated)
-			}
-		})
+		}
 	}
 }
 

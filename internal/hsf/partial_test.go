@@ -90,6 +90,44 @@ func TestRunPrefixesPartialContextReturnsCompletedSubset(t *testing.T) {
 	}
 }
 
+// TestRunPrefixesPartialContextCancelledMidBatch cancels one worker 35 leaves
+// into the second of four 64-leaf tasks on a plan that folds eight leaves per
+// pass, so three leaves are held when it stops. The partial must list the
+// first task alone and hold exactly that task's amplitudes: nothing of the
+// abandoned task, folded or held, may have reached it.
+func TestRunPrefixesPartialContextCancelledMidBatch(t *testing.T) {
+	plan := buildPlan(t, manyCutCircuit(12, 8), 5, cut.StrategyNone)
+	if k, _ := leafBatchShape(1<<plan.NumQubits, plan.Partition.NumLower()); k != 8 {
+		t.Fatalf("plan folds %d leaves per pass, want 8", k)
+	}
+	prefixes := EnumeratePrefixes(plan, 2)
+	for _, backend := range []Backend{BackendDense, BackendDD} {
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := Options{Backend: backend, Workers: 1, testHookLeaf: func(leaves int64) {
+			if leaves == 64+35 {
+				cancel()
+			}
+		}}
+		part, err := RunPrefixesPartialContext(ctx, plan, opts, 2, prefixes)
+		cancel()
+		if err != nil {
+			t.Fatalf("%v: partial run: %v", backend, err)
+		}
+		if len(part.Prefixes) != 1 || PrefixKey(part.Prefixes[0]) != PrefixKey(prefixes[0]) || part.PathsSimulated != 64 {
+			t.Fatalf("%v: partial lists prefixes %v with %d paths, want the first task's 64", backend, part.Prefixes, part.PathsSimulated)
+		}
+		first, err := RunPrefixesContext(context.Background(), plan, Options{Backend: backend, Workers: 1}, 2, prefixes[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range first.Acc {
+			if part.Acc[i] != first.Acc[i] {
+				t.Fatalf("%v: amplitude %d is %v, the first task alone gives %v", backend, i, part.Acc[i], first.Acc[i])
+			}
+		}
+	}
+}
+
 func TestRunPrefixesPartialContextPassesThroughRealErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := randomQAOAish(rng, 8, 8)

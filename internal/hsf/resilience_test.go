@@ -138,17 +138,32 @@ func TestCostModelShape(t *testing.T) {
 	if est.Paths != 1<<6 || !est.PathsExact {
 		t.Fatalf("paths = %d exact=%v, want 64 exact", est.Paths, est.PathsExact)
 	}
-	// pair = 16·(2^4 + 2^4) = 512 B; chain = pair·(cuts+2); scratch = 16·64.
+	// pair = 16·(2^4 + 2^4) = 512 B; chain = pair·(cuts+2); scratch = 16·64;
+	// 64 amplitudes are 4 accumulator rows, so the leaf batch holds one leaf:
+	// no extra lower half and a 1 × 4 coefficient table.
 	wantPair := int64(512)
 	if est.StatePairBytes != wantPair {
 		t.Fatalf("pair bytes = %d, want %d", est.StatePairBytes, wantPair)
 	}
-	wantPerWorker := wantPair*int64(len(plan.Cuts)+2) + 16*64
+	wantPerWorker := wantPair*int64(len(plan.Cuts)+2) + 16*64 + 16*4
 	if est.PerWorkerBytes != wantPerWorker {
 		t.Fatalf("per-worker bytes = %d, want %d", est.PerWorkerBytes, wantPerWorker)
 	}
 	if est.TotalBytes != 4*wantPerWorker+16*64 {
 		t.Fatalf("total bytes = %d", est.TotalBytes)
+	}
+
+	// The batch term is (K-1) lower halves plus a K × rows table, with the
+	// engine's own K: on the full outputs of the two allocation harnesses,
+	// 16 rows fold 2 leaves per pass and 64 rows fold 8.
+	for _, shape := range allocShapes {
+		plan := harnessPlan(t, shape)
+		lower, rows := int64(16)<<plan.Partition.NumLower(), int64(1)<<(shape.n-plan.Partition.NumLower())
+		pair := lower + 16*rows
+		want := pair*int64(len(plan.Cuts)+2) + 16<<shape.n + int64(shape.k-1)*lower + int64(shape.k)*rows*16
+		if est := Cost(plan, Options{Workers: 1}); est.PerWorkerBytes != want {
+			t.Fatalf("K=%d: per-worker bytes = %d, want %d", shape.k, est.PerWorkerBytes, want)
+		}
 	}
 }
 

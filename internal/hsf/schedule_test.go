@@ -107,39 +107,55 @@ func randomGRCSLayers(rng *rand.Rand, n, depth int) *circuit.Circuit {
 	return c
 }
 
+// propertyCircuits are the random circuit families of the property tests, on
+// n qubits cut after cutPos.
+func propertyCircuits(n, cutPos int) map[string]func(*rand.Rand) *circuit.Circuit {
+	return map[string]func(*rand.Rand) *circuit.Circuit{
+		"qaoa":    func(rng *rand.Rand) *circuit.Circuit { return randomQAOAish(rng, n, 8) },
+		"cx-fans": func(rng *rand.Rand) *circuit.Circuit { return randomCascades(rng, n, cutPos, "cx") },
+		"cz-fans": func(rng *rand.Rand) *circuit.Circuit { return randomCascades(rng, n, cutPos, "cz") },
+		"grcs":    func(rng *rand.Rand) *circuit.Circuit { return randomGRCSLayers(rng, n, 3) },
+	}
+}
+
+// propertyRuns are the executions every property case holds against the
+// Schrödinger oracle.
+var propertyRuns = []Options{
+	{Backend: BackendDense, Workers: 1},
+	{Backend: BackendDense, Workers: 4},
+	{Backend: BackendDD},
+}
+
+// checkAgainstOracle runs plan once per propertyRuns entry for the first m
+// amplitudes and compares them with want at 1e-12.
+func checkAgainstOracle(t *testing.T, plan *cut.Plan, m int, want statevec.State) {
+	t.Helper()
+	for _, run := range propertyRuns {
+		run.MaxAmplitudes = m
+		res, err := Run(plan, run)
+		if err != nil {
+			t.Fatalf("%v: %v", run.Backend, err)
+		}
+		if d := statevec.MaxAbsDiff(res.Amplitudes, want[:m]); d > 1e-12 {
+			t.Fatalf("%v workers %d, %d amplitudes: off the oracle by %g", run.Backend, run.Workers, m, d)
+		}
+	}
+}
+
 // TestScheduleProperty is the scheduler's safety net: over random circuits of
 // the paper's families, every grouping strategy, both backends and one or
 // four workers, the amplitudes equal the Schrödinger oracle to 1e-12, no gate
 // is scheduled later than the plan placed it, and no gate is lost.
 func TestScheduleProperty(t *testing.T) {
 	const n, cutPos = 8, 3
-	builders := map[string]func(*rand.Rand) *circuit.Circuit{
-		"qaoa":    func(rng *rand.Rand) *circuit.Circuit { return randomQAOAish(rng, n, 8) },
-		"cx-fans": func(rng *rand.Rand) *circuit.Circuit { return randomCascades(rng, n, cutPos, "cx") },
-		"cz-fans": func(rng *rand.Rand) *circuit.Circuit { return randomCascades(rng, n, cutPos, "cz") },
-		"grcs":    func(rng *rand.Rand) *circuit.Circuit { return randomGRCSLayers(rng, n, 3) },
-	}
-	for name, build := range builders {
+	for name, build := range propertyCircuits(n, cutPos) {
 		for _, strategy := range []cut.Strategy{cut.StrategyNone, cut.StrategyCascade, cut.StrategyWindow} {
 			t.Run(fmt.Sprintf("%s/%v", name, strategy), func(t *testing.T) {
 				total := 0
 				for seed := int64(1); seed <= 3; seed++ {
 					circ := build(rand.New(rand.NewSource(seed)))
 					plan := buildPlan(t, circ, cutPos, strategy)
-					want := schrodinger(circ)
-					for _, run := range []Options{
-						{Backend: BackendDense, Workers: 1},
-						{Backend: BackendDense, Workers: 4},
-						{Backend: BackendDD},
-					} {
-						res, err := Run(plan, run)
-						if err != nil {
-							t.Fatalf("seed %d %v: %v", seed, run.Backend, err)
-						}
-						if d := statevec.MaxAbsDiff(res.Amplitudes, want); d > 1e-12 {
-							t.Fatalf("seed %d %v workers %d: off the oracle by %g", seed, run.Backend, run.Workers, d)
-						}
-					}
+					checkAgainstOracle(t, plan, 1<<n, schrodinger(circ))
 
 					e := compiled(plan, -1)
 					at, hoisted := e.schedule(plan)
@@ -171,6 +187,33 @@ func TestScheduleProperty(t *testing.T) {
 				}
 				if total == 0 {
 					t.Fatal("no gate was hoisted on any seed: the case exercises nothing")
+				}
+			})
+		}
+	}
+}
+
+// TestLeafFoldProperty takes the same families through the output shapes that
+// decide how leaves reach the accumulator: a full output of 16 rows (one per
+// upper amplitude) folds two leaves per pass and one of 64 rows eight, while
+// outputs of one amplitude, one lower half, and one amplitude less or more
+// fold leaf by leaf and stop inside a row.
+func TestLeafFoldProperty(t *testing.T) {
+	const cutPos = 3
+	const dimLo = 1 << (cutPos + 1)
+	for _, shape := range []struct{ n, k int }{{8, 2}, {10, 8}} {
+		if k, _ := leafBatchShape(1<<shape.n, cutPos+1); k != shape.k {
+			t.Fatalf("%d qubits fold %d leaves per pass, want %d", shape.n, k, shape.k)
+		}
+		for name, build := range propertyCircuits(shape.n, cutPos) {
+			t.Run(fmt.Sprintf("K=%d/%s", shape.k, name), func(t *testing.T) {
+				circ := build(rand.New(rand.NewSource(int64(shape.n))))
+				want := schrodinger(circ)
+				for _, strategy := range []cut.Strategy{cut.StrategyNone, cut.StrategyCascade, cut.StrategyWindow} {
+					plan := buildPlan(t, circ, cutPos, strategy)
+					for _, m := range []int{1, dimLo - 1, dimLo, dimLo + 1, 1 << shape.n} {
+						checkAgainstOracle(t, plan, m, want)
+					}
 				}
 			})
 		}

@@ -13,13 +13,9 @@ import (
 
 // telemetryAllocHarness mirrors allocHarness with telemetry enabled: the
 // walker carries a live WorkerCounters block feeding a shared Recorder.
-func telemetryAllocHarness(tb testing.TB) (*walker, statevec.Vector, *telemetry.Recorder) {
+func telemetryAllocHarness(tb testing.TB, shape allocShape) (*walker, statevec.Vector, *telemetry.Recorder) {
 	tb.Helper()
-	c := manyCutCircuit(8, 6)
-	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: 3}})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	plan := harnessPlan(tb, shape)
 	rec := telemetry.New()
 	e := &engine{
 		backend: BackendDense,
@@ -29,11 +25,10 @@ func telemetryAllocHarness(tb testing.TB) (*walker, statevec.Vector, *telemetry.
 		tel:     rec,
 	}
 	e.compile(plan, 0)
-	ws, err := e.newWorkspace()
+	walk, err := e.newWalker(rec.Worker(len(e.segs), e.ranks))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	walk := &walker{e: e, ws: ws, wc: rec.Worker(len(e.segs), e.ranks)}
 	scratch := statevec.MakeVector(e.m)
 	for i := 0; i < 2; i++ { // warm the pools
 		scratch.Clear()
@@ -51,25 +46,39 @@ func TestZeroAllocsPerLeafWithTelemetry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	walk, scratch, rec := telemetryAllocHarness(t)
-	ctx := context.Background()
-	var leaves int64
-	allocs := testing.AllocsPerRun(10, func() {
-		scratch.Clear()
-		n, err := walk.runPrefix(ctx, nil, scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaves += n
-	})
-	if allocs != 0 {
-		t.Fatalf("telemetry-enabled walk allocated %.1f times per replay (%d leaves), want 0", allocs, leaves)
-	}
-	// The walk must actually have been measured: flush and check counters.
-	rec.Flush(walk.wc)
-	rep := rec.Report()
-	if rep.Counters.Leaves == 0 || rep.Counters.SegmentApplications == 0 {
-		t.Fatalf("telemetry saw nothing: %+v", rep.Counters)
+	for name, shape := range allocShapes {
+		t.Run(name, func(t *testing.T) {
+			walk, scratch, rec := telemetryAllocHarness(t, shape)
+			ctx := context.Background()
+			var leaves int64
+			allocs := testing.AllocsPerRun(10, func() {
+				scratch.Clear()
+				n, err := walk.runPrefix(ctx, nil, scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				leaves += n
+			})
+			if allocs != 0 {
+				t.Fatalf("telemetry-enabled walk allocated %.1f times per replay (%d leaves), want 0", allocs, leaves)
+			}
+			// The walk must actually have been measured: flush and check
+			// counters. Every batch of the harness is full, and over the
+			// replays some fold's turn to be timed has come.
+			rec.Flush(walk.wc)
+			rep := rec.Report()
+			if rep.Counters.Leaves == 0 || rep.Counters.SegmentApplications == 0 {
+				t.Fatalf("telemetry saw nothing: %+v", rep.Counters)
+			}
+			if rep.Counters.LeavesFolded != rep.Counters.Leaves ||
+				rep.Counters.LeafFolds*int64(shape.k) != rep.Counters.Leaves {
+				t.Fatalf("%d leaves emitted, %d folded in %d folds of %d", rep.Counters.Leaves,
+					rep.Counters.LeavesFolded, rep.Counters.LeafFolds, shape.k)
+			}
+			if rep.LeafFold.Count == 0 {
+				t.Fatalf("no fold was timed in %d", rep.Counters.LeafFolds)
+			}
+		})
 	}
 }
 
@@ -77,7 +86,7 @@ func TestZeroAllocsPerLeafWithTelemetry(t *testing.T) {
 // with telemetry enabled; comparing the two quantifies the recorder's
 // overhead (budget: ≤2%, tracked in BENCH_telemetry.json).
 func BenchmarkRunBranchSteadyStateTelemetry(b *testing.B) {
-	walk, scratch, _ := telemetryAllocHarness(b)
+	walk, scratch, _ := telemetryAllocHarness(b, allocShapes["K=2"])
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -107,6 +116,10 @@ func checkReportMatchesResult(t *testing.T, rep *telemetry.Report, res *Result) 
 		t.Fatalf("leaves counted = %d, want simulated-resumed = %d",
 			rep.Counters.Leaves, res.PathsSimulated-rep.Paths.Resumed)
 	}
+	if rep.Counters.LeavesFolded != rep.Counters.Leaves || rep.Counters.LeafFolds == 0 {
+		t.Fatalf("%d leaves emitted, %d folded in %d folds", rep.Counters.Leaves,
+			rep.Counters.LeavesFolded, rep.Counters.LeafFolds)
+	}
 	if rep.Counters.SegmentApplications < rep.Counters.Leaves {
 		t.Fatalf("segment applications %d < leaves %d", rep.Counters.SegmentApplications, rep.Counters.Leaves)
 	}
@@ -122,26 +135,30 @@ func checkReportMatchesResult(t *testing.T, rep *telemetry.Report, res *Result) 
 	}
 }
 
-// TestTelemetryCountsMatchResult runs the same plan on both backends with a
-// recorder attached and checks the report reconciles with the Result.
+// TestTelemetryCountsMatchResult runs the same plan on both backends, dense
+// with one and with four workers, with a recorder attached and checks the
+// report reconciles with the Result: in particular every simulated path was
+// folded, whichever worker's batch held it.
 func TestTelemetryCountsMatchResult(t *testing.T) {
 	plan := buildPlan(t, manyCutCircuit(8, 5), 3, cut.StrategyNone)
-	for _, backend := range []Backend{BackendDense, BackendDD} {
+	for _, run := range propertyRuns {
 		rec := telemetry.New()
-		res, err := Run(plan, Options{Backend: backend, Telemetry: rec})
+		run.Telemetry = rec
+		res, err := Run(plan, run)
 		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+			t.Fatalf("%v: %v", run.Backend, err)
 		}
 		rep := rec.Report()
 		checkReportMatchesResult(t, rep, res)
-		if res.PathsSimulated != int64(res.NumPaths) {
-			t.Fatalf("%v: incomplete run: %d of %d paths", backend, res.PathsSimulated, res.NumPaths)
+		if res.PathsSimulated != int64(res.NumPaths) || rep.Counters.LeavesFolded != res.PathsSimulated {
+			t.Fatalf("%v workers %d: %d of %d paths simulated, %d folded", run.Backend, run.Workers,
+				res.PathsSimulated, res.NumPaths, rep.Counters.LeavesFolded)
 		}
-		if backend == BackendDense && rep.Counters.PoolGets == 0 {
-			t.Fatalf("dense backend reported no pool activity")
+		if rep.Counters.PoolGets == 0 {
+			t.Fatalf("%v reported no pool activity", run.Backend)
 		}
 		if rep.Par.Gomaxprocs == 0 || rep.Par.Workers == 0 {
-			t.Fatalf("%v: par stats missing: %+v", backend, rep.Par)
+			t.Fatalf("%v: par stats missing: %+v", run.Backend, rep.Par)
 		}
 	}
 }

@@ -31,6 +31,10 @@ type walkFrame struct {
 // starts from a fork of it (a copy, never an alias), so segment 0 runs once
 // per worker instead of once per prefix task.
 //
+// batch holds the leaves emitted since the last fold. It is empty between
+// tasks: a task that completes folds it into its accumulator, a task that
+// fails discards it, because a failed task's accumulator is never merged.
+//
 // wc is the worker's private telemetry counter block (nil when telemetry is
 // disabled). Its methods neither allocate nor lock — counters are plain
 // fields flushed once at worker exit, and sampled timings (1 in 64) feed
@@ -42,6 +46,18 @@ type walker struct {
 	wc    *telemetry.WorkerCounters
 	stack []walkFrame
 	root  pairState
+	batch leafBatch
+}
+
+// newWalker builds one worker's walker: its buffer pool, the backend
+// workspace and the leaf batch that share it.
+func (e *engine) newWalker(wc *telemetry.WorkerCounters) (*walker, error) {
+	pool := statevec.NewPool()
+	ws, err := e.newWorkspace(pool)
+	if err != nil {
+		return nil, err
+	}
+	return &walker{e: e, ws: ws, wc: wc, batch: e.newLeafBatch(pool)}, nil
 }
 
 // runPrefixRecover wraps runPrefix with panic recovery: a panicking path
@@ -56,9 +72,13 @@ func (w *walker) runPrefixRecover(ctx context.Context, prefix []int, acc stateve
 }
 
 // runPrefix simulates the fixed term choices of a prefix task, then descends
-// into the remaining subtree. It returns the number of path leaves
-// accumulated into acc.
+// into the remaining subtree. It returns the number of path leaves reached;
+// on a nil error all of them are folded into acc.
 func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vector) (int64, error) {
+	// The walker outlives the task: what a failed one (error, cancellation,
+	// injected fault, panic) still holds would otherwise be folded into the
+	// next task's accumulator.
+	defer w.batch.discard()
 	if w.root == nil {
 		root, err := w.ws.newRoot()
 		if err != nil {
@@ -96,19 +116,41 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 		}
 		coeff *= c.sigma[t]
 	}
-	return w.walk(ctx, st, len(prefix), coeff, acc)
+	nLeaves, err := w.walk(ctx, st, len(prefix), coeff, acc)
+	if err == nil {
+		w.fold(acc)
+	}
+	return nLeaves, err
+}
+
+// fold applies the held leaves to acc in one blocked pass and returns their
+// lower halves to the pool, timing one fold in 64.
+func (w *walker) fold(acc statevec.Vector) {
+	b := &w.batch
+	if len(b.los) == 0 {
+		return
+	}
+	sampled, t0 := w.sample()
+	statevec.FoldKron(acc, b.coeffs, b.ups, b.los, w.e.nLower)
+	if w.wc != nil {
+		w.wc.Fold(len(b.los), sampled, t0)
+	}
+	b.discard()
+}
+
+// sample opens a timing for one operation in 64 when telemetry is on: it
+// reports whether this one is timed and, if so, its start.
+func (w *walker) sample() (sampled bool, t0 time.Time) {
+	if w.wc != nil && w.wc.Sample() {
+		return true, time.Now()
+	}
+	return false, t0
 }
 
 // applySegment advances st through segment l, counting the application and
 // timing one in 64 of them.
 func (w *walker) applySegment(st pairState, l int) error {
-	var t0 time.Time
-	sampled := false
-	if w.wc != nil {
-		if sampled = w.wc.Sample(); sampled {
-			t0 = time.Now()
-		}
-	}
+	sampled, t0 := w.sample()
 	if err := st.applySegment(&w.e.segs[l]); err != nil {
 		return err
 	}
@@ -142,13 +184,7 @@ func (w *walker) walk(ctx context.Context, root pairState, level int, coeff comp
 			if err := stopped(ctx); err != nil {
 				return fail(err)
 			}
-			var t0 time.Time
-			sampled := false
-			if w.wc != nil {
-				if sampled = w.wc.Sample(); sampled {
-					t0 = time.Now()
-				}
-			}
+			sampled, t0 := w.sample()
 			if f.level > 0 {
 				if err := f.st.applySegment(&w.e.segs[f.level]); err != nil {
 					return fail(err)
@@ -163,14 +199,17 @@ func (w *walker) walk(ctx context.Context, root pairState, level int, coeff comp
 				if w.e.failAfter > 0 && n > w.e.failAfter {
 					return fail(ErrInjectedFault)
 				}
-				f.st.accumulate(acc, f.coeff)
+				f.st.emit(&w.batch, f.coeff)
 				nLeaves++
-				f.st.release()
 				w.stack = w.stack[:len(w.stack)-1]
 				if w.wc != nil {
 					// Leaf latency spans the leaf's final segment sweep
-					// through accumulation, sharing the segment's sample.
+					// through emit, sharing the segment's sample; the fold
+					// is timed on its own.
 					w.wc.Leaf(sampled, t0)
+				}
+				if w.batch.full() {
+					w.fold(acc)
 				}
 				if w.e.hook != nil {
 					w.e.hook(n)

@@ -4,8 +4,9 @@
 //     the standard expvar handler. Counters describe the whole process:
 //     multiple service instances (tests, embedded daemons) aggregate here.
 //   - GET /metrics — Prometheus text exposition of the same counters plus
-//     the per-service latency histograms (leaf latency, segment sweep time,
-//     dist lease durations) and runtime gauges (heap, GC, goroutines).
+//     the per-service latency histograms (leaf latency, leaf fold, segment
+//     sweep time, dist lease durations) and runtime gauges (heap, GC,
+//     goroutines).
 //
 // Dist lease stats are scoped per coordinator: every service owns a private
 // *dist.Stats (so concurrent services — e.g. a coordinator and its workers
@@ -235,8 +236,11 @@ func (s *service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeTenantMetrics(w, s.jobs.TenantStats())
 
 	telemetry.WriteHistogram(w, "hsfsimd_leaf_latency_seconds",
-		"Sampled per-leaf latency (segment sweep + accumulate) of local runs.",
+		"Sampled per-leaf latency (last segment sweep + emit into the leaf batch) of local runs.",
 		&s.leafLatency)
+	telemetry.WriteHistogram(w, "hsfsimd_leaf_fold_seconds",
+		"Sampled durations of folding one leaf batch into the accumulator, local runs.",
+		&s.leafFold)
 	telemetry.WriteHistogram(w, "hsfsimd_segment_sweep_seconds",
 		"Sampled segment sweep durations of local runs.", &s.segmentSweep)
 	telemetry.WriteHistogram(w, "hsfsimd_dist_lease_duration_seconds",
@@ -300,5 +304,6 @@ func writeTenantMetrics(w http.ResponseWriter, rows []jobs.TenantStats) {
 // service-level histograms /metrics exposes.
 func (s *service) mergeRunTelemetry(rec *telemetry.Recorder) {
 	s.leafLatency.Merge(rec.LeafLatency.Snapshot())
+	s.leafFold.Merge(rec.LeafFold.Snapshot())
 	s.segmentSweep.Merge(rec.SegmentSweep.Snapshot())
 }

@@ -218,6 +218,7 @@ func TestPrometheusMetricsScrape(t *testing.T) {
 	}
 
 	checkHistogram(t, fams, "hsfsimd_leaf_latency_seconds")
+	checkHistogram(t, fams, "hsfsimd_leaf_fold_seconds")
 	checkHistogram(t, fams, "hsfsimd_segment_sweep_seconds")
 	checkHistogram(t, fams, "hsfsimd_dist_lease_duration_seconds")
 

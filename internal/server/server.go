@@ -265,8 +265,9 @@ type service struct {
 	distStats *dist.Stats
 
 	// Service-lifetime histograms served by /metrics; request-scoped recorders
-	// merge into the first two, the coordinator's OnLease feeds the third.
+	// merge into the first three, the coordinator's OnLease feeds the last.
 	leafLatency    telemetry.Histogram
+	leafFold       telemetry.Histogram
 	segmentSweep   telemetry.Histogram
 	leaseDurations telemetry.Histogram
 

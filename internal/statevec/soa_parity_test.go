@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"strings"
@@ -236,9 +237,9 @@ func TestSoAPreparedKernelZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAccumulateKronParity pins the SoA leaf accumulate (and its interleaved
-// edge-converting variant) against the naive complex tensor accumulation,
-// including a truncated accumulator (MaxAmplitudes cutting mid-block).
+// TestAccumulateKronParity pins the SoA leaf accumulate against the naive
+// complex tensor accumulation, including a truncated accumulator
+// (MaxAmplitudes cutting mid-block).
 func TestAccumulateKronParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	const nLower, nUpper = 4, 3
@@ -250,21 +251,110 @@ func TestAccumulateKronParity(t *testing.T) {
 		for i := range want {
 			want[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		accSoA := FromComplex(want)
-		accCpx := FromComplex(want)
+		acc := FromComplex(want)
 		for x := 0; x < m; x++ {
 			want[x] += coeff * up[x>>nLower] * lo[x&(1<<nLower-1)]
 		}
-		AccumulateKron(accSoA, coeff, FromComplex(up), FromComplex(lo), nLower)
-		AccumulateKronComplex(accCpx, coeff, up, lo, nLower)
+		AccumulateKron(acc, coeff, FromComplex(up), FromComplex(lo), nLower)
 		for i := range want {
-			if cmplx.Abs(accSoA.Amplitude(i)-want[i]) > parityTol {
-				t.Fatalf("m=%d AccumulateKron amplitude %d: got %v want %v", m, i, accSoA.Amplitude(i), want[i])
-			}
-			if cmplx.Abs(accCpx.Amplitude(i)-want[i]) > parityTol {
-				t.Fatalf("m=%d AccumulateKronComplex amplitude %d: got %v want %v", m, i, accCpx.Amplitude(i), want[i])
+			if cmplx.Abs(acc.Amplitude(i)-want[i]) > parityTol {
+				t.Fatalf("m=%d AccumulateKron amplitude %d: got %v want %v", m, i, acc.Amplitude(i), want[i])
 			}
 		}
+	}
+}
+
+// withinUlps reports whether a and b are at most n units in the last place of
+// the larger one apart.
+func withinUlps(a, b float64, n int) bool {
+	x := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b) <= float64(n)*(math.Nextafter(x, math.Inf(1))-x)
+}
+
+// TestFoldKronAllArms holds the leaf fold, on every kernel arm, against the
+// naive complex tensor accumulation at 1e-12 and against one AccumulateKron
+// call per leaf at 4 ulp per amplitude: tiling may reorder work across
+// amplitudes, never across the leaves of one. Output lengths sit on and around
+// one lower half, inside a column tile and at the full state; a sequence of
+// leaves is folded K at a time, so unless K divides it the last batch is
+// short. Everything the fold has no business reading is NaN: the upper
+// amplitudes past the accumulator's rows, the lower amplitudes past a
+// sub-row output, the table rows past the held leaves, and the lower half of a
+// leaf whose coefficient row is all zero.
+func TestFoldKronAllArms(t *testing.T) {
+	orig := KernelISA()
+	defer func() {
+		if err := SelectKernelISA(orig); err != nil {
+			t.Fatalf("restoring arm %q: %v", orig, err)
+		}
+	}()
+	const (
+		nLower, nUpper = 10, 3 // two column tiles per row
+		dimLo          = 1 << nLower
+		leaves         = 19
+		zeroLeaf       = 5
+	)
+	nan := math.NaN()
+	poison := func(v Vector, from int) {
+		for i := from; i < v.Len(); i++ {
+			v.Re[i], v.Im[i] = nan, nan
+		}
+	}
+	for _, isa := range KernelISAs() {
+		t.Run(isa, func(t *testing.T) {
+			if err := SelectKernelISA(isa); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(43))
+			for _, m := range []int{1, dimLo - 1, dimLo, dimLo + 1, 3*dimLo + foldTileCols + 5, 1 << (nLower + nUpper)} {
+				rows := (m + dimLo - 1) >> nLower
+				coeffs := make([]complex128, leaves)
+				ups, los := make([]Vector, leaves), make([]Vector, leaves)
+				start := make([]complex128, m)
+				for i := range start {
+					start[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+				want := append([]complex128(nil), start...)
+				for k := range coeffs {
+					coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+					up, lo := randomState(rng, nUpper), randomState(rng, nLower)
+					ups[k], los[k] = FromComplex(up), FromComplex(lo)
+					poison(ups[k], rows)
+					poison(los[k], m)
+					if k == zeroLeaf {
+						ups[k].Slice(0, rows).Clear()
+						poison(los[k], 0)
+						continue
+					}
+					for x := range want {
+						want[x] += coeffs[k] * up[x>>nLower] * lo[x&(dimLo-1)]
+					}
+				}
+				oneRow := FromComplex(start)
+				for k := range coeffs {
+					AccumulateKron(oneRow, coeffs[k], ups[k], los[k], nLower)
+				}
+				spare := MakeVector(1 << nUpper)
+				poison(spare, 0)
+				for _, K := range []int{1, 2, 7, 8} {
+					acc := FromComplex(start)
+					for k0 := 0; k0 < leaves; k0 += K {
+						k1 := min(k0+K, leaves)
+						// A short batch leaves table rows past its leaves.
+						table := append(append([]Vector(nil), ups[k0:k1]...), spare)
+						FoldKron(acc, coeffs[k0:k1], table, los[k0:k1], nLower)
+					}
+					for i := range want {
+						if d := cmplx.Abs(acc.Amplitude(i) - want[i]); !(d <= parityTol) { // NaN fails too
+							t.Fatalf("m=%d K=%d amplitude %d: got %v want %v", m, K, i, acc.Amplitude(i), want[i])
+						}
+						if !withinUlps(acc.Re[i], oneRow.Re[i], 4) || !withinUlps(acc.Im[i], oneRow.Im[i], 4) {
+							t.Fatalf("m=%d K=%d amplitude %d: fold %v, leaf by leaf %v", m, K, i, acc.Amplitude(i), oneRow.Amplitude(i))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package statevec
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -341,13 +343,6 @@ func TestLargeStateParallelPath(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkApply1Q20(b *testing.B) {
 	s := NewState(20)
 	g := gate.H(7)
@@ -402,5 +397,32 @@ func BenchmarkApplyVecDiagonalQ20(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v.ApplyGate(&g)
+	}
+}
+
+// BenchmarkLeafFold measures the HSF leaf fold at the benchmark's two shapes
+// (11-qubit lower halves; 2^14 amplitudes fold one leaf per pass, 2^20 fold
+// eight) and reports the time per leaf.
+func BenchmarkLeafFold(b *testing.B) {
+	const nLower = 11
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct{ m, k int }{{1 << 14, 1}, {1 << 20, 8}} {
+		b.Run(fmt.Sprintf("m=2^%d/K=%d", bits.Len(uint(tc.m))-1, tc.k), func(b *testing.B) {
+			acc := MakeVector(tc.m)
+			coeffs := make([]complex128, tc.k)
+			ups := make([]Vector, tc.k)
+			los := make([]Vector, tc.k)
+			for k := range los {
+				coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+				ups[k] = FromComplex(randomState(rng, 11))
+				los[k] = FromComplex(randomState(rng, nLower))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FoldKron(acc, coeffs, ups, los, nLower)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.k), "ns/leaf")
+		})
 	}
 }

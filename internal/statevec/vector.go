@@ -183,53 +183,54 @@ func MaxAbsDiffVec(a, b Vector) float64 {
 	return d
 }
 
-// AccumulateKron adds coeff · (up ⊗ lo) to the first acc.Len() amplitudes of
-// acc: acc[a<<nLower|b] += coeff·up[a]·lo[b]. This is the HSF leaf-sweep hot
-// loop — per upper amplitude one stride-1 complex AXPY over the lower
-// partition, dispatched through the SoA kernel table.
-func AccumulateKron(acc Vector, coeff complex128, up, lo Vector, nLower int) {
+// Tile shape of FoldKron: at most foldTileCols columns (lower amplitudes) by
+// as many accumulator rows (one per upper amplitude) as make foldTileAmps
+// amplitudes, two rows of a wide lower half. The accumulator tile and one
+// leaf's slab of lower amplitudes must sit in L1 together; DESIGN.md "Leaf
+// fold" has the measurements behind the numbers.
+const (
+	foldTileCols = 512
+	foldTileAmps = 1024
+)
+
+// FoldKron adds Σ_k coeffs[k] · (ups[k] ⊗ los[k]) to the first acc.Len()
+// amplitudes of acc: acc[a<<nLower|b] += coeffs[k]·ups[k][a]·los[k][b], the
+// product Upᵀ·diag(coeffs)·Lo of K = len(coeffs) HSF leaves (ups and los may
+// be longer). It reads ups[k][a] only for the ⌈acc.Len()/2^nLower⌉ rows acc
+// has. The accumulator is walked in L1-sized tiles and all K leaves are
+// applied to a tile back to back — one stride-1 complex AXPY per row and leaf
+// through the SoA kernel table — so acc is loaded once per K leaves while
+// every amplitude still receives its leaves in slice order.
+func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
 	m := acc.Len()
-	dimLo := 1 << nLower
-	cr, ci := real(coeff), imag(coeff)
-	for x0 := 0; x0 < m; x0 += dimLo {
-		upr, upi := up.Re[x0>>nLower], up.Im[x0>>nLower]
-		ur := cr*upr - ci*upi
-		ui := cr*upi + ci*upr
-		if ur == 0 && ui == 0 {
-			continue
+	cols := min(1<<nLower, m)
+	rows := (m + 1<<nLower - 1) >> nLower
+	tileRows := foldTileAmps / min(cols, foldTileCols)
+	for a0 := 0; a0 < rows; a0 += tileRows {
+		a1 := min(a0+tileRows, rows)
+		for c0 := 0; c0 < cols; c0 += foldTileCols {
+			c1 := min(c0+foldTileCols, cols)
+			for k, coeff := range coeffs {
+				cr, ci := real(coeff), imag(coeff)
+				upRe, upIm := ups[k].Re, ups[k].Im
+				loRe, loIm := los[k].Re[c0:c1], los[k].Im[c0:c1]
+				for a := a0; a < a1; a++ {
+					ur := cr*upRe[a] - ci*upIm[a]
+					ui := cr*upIm[a] + ci*upRe[a]
+					x0 := a<<nLower + c0
+					n := min(c1-c0, m-x0) // the last row may be short
+					if n <= 0 || (ur == 0 && ui == 0) {
+						continue
+					}
+					ops.axpy(acc.Re[x0:x0+n], acc.Im[x0:x0+n], loRe[:n], loIm[:n], ur, ui)
+				}
+			}
 		}
-		end := x0 + dimLo
-		if end > m {
-			end = m
-		}
-		n := end - x0
-		ops.axpy(acc.Re[x0:end], acc.Im[x0:end], lo.Re[:n], lo.Im[:n], ur, ui)
 	}
 }
 
-// AccumulateKronComplex is AccumulateKron with interleaved up/lo factors. The
-// DD backend expands leaves into complex scratch buffers (the decision
-// diagram's natural output) and folds them into the SoA accumulator through
-// this edge conversion without materializing SoA copies.
-func AccumulateKronComplex(acc Vector, coeff complex128, up, lo []complex128, nLower int) {
-	m := acc.Len()
-	dimLo := 1 << nLower
-	for x0 := 0; x0 < m; x0 += dimLo {
-		u := coeff * up[x0>>nLower]
-		if u == 0 {
-			continue
-		}
-		ur, ui := real(u), imag(u)
-		end := x0 + dimLo
-		if end > m {
-			end = m
-		}
-		accRe, accIm := acc.Re[x0:end], acc.Im[x0:end]
-		block := lo[:end-x0]
-		for i, lv := range block {
-			lr, li := real(lv), imag(lv)
-			accRe[i] += ur*lr - ui*li
-			accIm[i] += ur*li + ui*lr
-		}
-	}
+// AccumulateKron adds coeff · (up ⊗ lo) to the first acc.Len() amplitudes of
+// acc: the one-leaf call of FoldKron.
+func AccumulateKron(acc Vector, coeff complex128, up, lo Vector, nLower int) {
+	FoldKron(acc, []complex128{coeff}, []Vector{up}, []Vector{lo}, nLower)
 }

@@ -44,6 +44,8 @@ type Recorder struct {
 
 	// Merged worker totals.
 	leaves      int64
+	folds       int64
+	foldLeaves  int64
 	segApps     []int64 // [segment] application counts
 	segSampleNs []int64
 	segSamples  []int64
@@ -62,7 +64,11 @@ type Recorder struct {
 	totals RunTotals
 
 	// Shared histograms; observed from worker goroutines via atomics.
+	// LeafLatency is a leaf's last segment sweep plus its emit into the
+	// worker's leaf batch; the accumulate itself is deferred to the fold that
+	// applies the whole batch, which LeafFold times.
 	LeafLatency    Histogram
+	LeafFold       Histogram
 	SegmentSweep   Histogram
 	LeaseDurations Histogram
 }
@@ -233,6 +239,8 @@ type WorkerCounters struct {
 	rec         *Recorder
 	tick        uint64
 	leaves      int64
+	folds       int64
+	foldLeaves  int64
 	segCount    []int64
 	segSampleNs []int64
 	segSamples  []int64
@@ -282,12 +290,23 @@ func (w *WorkerCounters) Seg(seg int, sampled bool, t0 time.Time) {
 	}
 }
 
-// Leaf counts one completed leaf; if sampled, t0 is the start of the leaf's
-// segment application and the span feeds the leaf-latency histogram.
+// Leaf counts one emitted leaf; if sampled, t0 is the start of the leaf's
+// segment application and the span — sweep plus emit, not the deferred
+// accumulate — feeds the leaf-latency histogram.
 func (w *WorkerCounters) Leaf(sampled bool, t0 time.Time) {
 	w.leaves++
 	if sampled {
 		w.rec.LeafLatency.Observe(time.Since(t0))
+	}
+}
+
+// Fold counts one fold of n held leaves into the accumulator; if sampled, t0
+// is its start and the duration feeds the leaf-fold histogram.
+func (w *WorkerCounters) Fold(n int, sampled bool, t0 time.Time) {
+	w.folds++
+	w.foldLeaves += int64(n)
+	if sampled {
+		w.rec.LeafFold.Observe(time.Since(t0))
 	}
 }
 
@@ -316,6 +335,8 @@ func (r *Recorder) Flush(w *WorkerCounters) {
 	defer r.mu.Unlock()
 	r.workers++
 	r.leaves += w.leaves
+	r.folds += w.folds
+	r.foldLeaves += w.foldLeaves
 	r.cutTerms += w.cutTerms
 	r.forks += w.forks
 	r.poolGets += w.poolGets
@@ -351,6 +372,8 @@ type PathStats struct {
 // Counters is the flat counter block of the Report.
 type Counters struct {
 	Leaves              int64 `json:"leaves"`
+	LeafFolds           int64 `json:"leaf_folds"`
+	LeavesFolded        int64 `json:"leaves_folded"`
 	SegmentApplications int64 `json:"segment_applications"`
 	CutTermApplications int64 `json:"cut_term_applications"`
 	Forks               int64 `json:"forks"`
@@ -385,6 +408,7 @@ type Report struct {
 	KernelClasses  map[string]int64  `json:"kernel_classes,omitempty"`
 	Segments       []SegmentStats    `json:"segments,omitempty"`
 	LeafLatency    HistogramSnapshot `json:"leaf_latency"`
+	LeafFold       HistogramSnapshot `json:"leaf_fold"`
 	SegmentSweep   HistogramSnapshot `json:"segment_sweep"`
 	LeaseDurations HistogramSnapshot `json:"lease_durations"`
 	Leases         []LeaseEvent      `json:"leases,omitempty"`
@@ -413,12 +437,15 @@ func (r *Recorder) Report() *Report {
 		},
 		Counters: Counters{
 			Leaves:              r.leaves,
+			LeafFolds:           r.folds,
+			LeavesFolded:        r.foldLeaves,
 			CutTermApplications: r.cutTerms,
 			Forks:               r.forks,
 			PoolGets:            r.poolGets,
 			PoolReuses:          r.poolReuses,
 		},
 		LeafLatency:    r.LeafLatency.Snapshot(),
+		LeafFold:       r.LeafFold.Snapshot(),
 		SegmentSweep:   r.SegmentSweep.Snapshot(),
 		LeaseDurations: r.LeaseDurations.Snapshot(),
 		Par: ParStats{

@@ -53,6 +53,9 @@ func TestWorkerCountersFlushAndReport(t *testing.T) {
 				if i%2 == 0 {
 					wc.Fork()
 				}
+				if i%8 == 7 || i == 99 { // folds of 8 and a last one of 4
+					wc.Fold(i%8+1, i == 99, t0)
+				}
 			}
 			wc.AddPool(10, 7)
 			r.Flush(wc)
@@ -64,6 +67,10 @@ func TestWorkerCountersFlushAndReport(t *testing.T) {
 	rep := r.Report()
 	if rep.Counters.Leaves != 400 {
 		t.Fatalf("leaves = %d, want 400", rep.Counters.Leaves)
+	}
+	if rep.Counters.LeafFolds != 4*13 || rep.Counters.LeavesFolded != 400 || rep.LeafFold.Count != 4 {
+		t.Fatalf("%d leaves folded in %d folds, %d timed; want 400 in 52, 4 timed",
+			rep.Counters.LeavesFolded, rep.Counters.LeafFolds, rep.LeafFold.Count)
 	}
 	if rep.Counters.SegmentApplications != 800 {
 		t.Fatalf("segment applications = %d, want 800", rep.Counters.SegmentApplications)
