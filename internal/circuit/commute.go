@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"slices"
 	"sort"
 
 	"hsfsim/internal/cmat"
@@ -10,38 +11,82 @@ import (
 // commuteTol is the tolerance for the explicit commutator check.
 const commuteTol = 1e-10
 
+// maxStackUnion is the largest union support whose commutator Commute
+// evaluates on fixed-size stack arrays; every pair of library gates fits.
+const maxStackUnion = 4
+
 // Commute reports whether two gates commute as operators on the full
 // register. Three increasingly expensive checks are used:
 //  1. disjoint qubit supports always commute;
-//  2. two diagonal gates always commute;
+//  2. two gates that both act diagonally on every qubit they share
+//     (gate.DiagonalOn: the matrix is diagonal or the qubit is a control) are
+//     block-diagonal over those qubits with blocks on disjoint supports, so
+//     they commute — the one structural rule of the tree, which the engine's
+//     segment scheduler applies per qubit frontier;
 //  3. otherwise the commutator of the two operators embedded on the union of
 //     their supports is computed explicitly.
 func Commute(a, b *gate.Gate) bool {
-	if !a.SharesQubit(b) {
-		return true
-	}
-	if a.Diagonal && b.Diagonal {
-		return true
-	}
-	union := unionQubits(a, b)
-	ma := embedOnQubits(a, union)
-	mb := embedOnQubits(b, union)
-	return cmat.Commutator(ma, mb).FrobeniusNorm() <= commuteTol
-}
-
-// unionQubits returns the sorted union of the supports of a and b.
-func unionQubits(a, b *gate.Gate) []int {
-	seen := make(map[int]bool)
-	var union []int
-	for _, q := range a.Qubits {
-		if !seen[q] {
-			seen[q] = true
-			union = append(union, q)
+	shared, structural := false, true
+	for ba, q := range a.Qubits {
+		if bb := slices.Index(b.Qubits, q); bb >= 0 {
+			shared = true
+			structural = structural && a.DiagonalOn(ba) && b.DiagonalOn(bb)
 		}
 	}
+	if !shared || structural {
+		return true
+	}
+	var buf [2 * maxStackUnion]int
+	union := unionQubits(buf[:0], a, b)
+	if len(union) > maxStackUnion {
+		return cmat.Commutator(embedOnQubits(a, union), embedOnQubits(b, union)).FrobeniusNorm() <= commuteTol
+	}
+	const maxDim = 1 << maxStackUnion
+	var ma, mb [maxDim * maxDim]complex128
+	dim := 1 << len(union)
+	embedInto(ma[:dim*dim], a, union)
+	embedInto(mb[:dim*dim], b, union)
+	var norm2 float64
+	for i := 0; i < dim; i++ {
+		for j := 0; j < dim; j++ {
+			var c complex128
+			for k := 0; k < dim; k++ {
+				c += ma[i*dim+k]*mb[k*dim+j] - mb[i*dim+k]*ma[k*dim+j]
+			}
+			norm2 += real(c)*real(c) + imag(c)*imag(c)
+		}
+	}
+	return norm2 <= commuteTol*commuteTol
+}
+
+// embedInto writes g ⊗ identity on the register of the given sorted qubits
+// (qubits[k] is bit k) into the zeroed row-major dst.
+func embedInto(dst []complex128, g *gate.Gate, qubits []int) {
+	var bit [maxStackUnion]int // register bit of each matrix bit of g
+	mask := 0
+	for k, q := range g.Qubits {
+		bit[k] = slices.Index(qubits, q)
+		mask |= 1 << bit[k]
+	}
+	k := len(g.Qubits)
+	dim := 1 << len(qubits)
+	for r := 0; r < dim; r++ {
+		for lc := 0; lc < 1<<k; lc++ {
+			lr, c := 0, r&^mask
+			for b := 0; b < k; b++ {
+				lr |= (r >> bit[b] & 1) << b
+				c |= (lc >> b & 1) << bit[b]
+			}
+			dst[r*dim+c] = g.Matrix.Data[lr<<k|lc]
+		}
+	}
+}
+
+// unionQubits appends the sorted union of the supports of a and b to dst.
+func unionQubits(dst []int, a, b *gate.Gate) []int {
+	union := append(dst, a.Qubits...)
 	for _, q := range b.Qubits {
-		if !seen[q] {
-			seen[q] = true
+		if !a.Touches(q) {
 			union = append(union, q)
 		}
 	}
@@ -63,8 +108,8 @@ func embedOnQubits(g *gate.Gate, qubits []int) *cmat.Matrix {
 	return applyGateToMatrix(&local, u, len(qubits))
 }
 
-// EmbedOnQubits is the exported form of embedOnQubits used by the schmidt and
-// cut packages when constructing joint-cut block matrices.
+// EmbedOnQubits is the exported form of embedOnQubits, which the fusion pass
+// multiplies cluster members with.
 func EmbedOnQubits(g *gate.Gate, qubits []int) *cmat.Matrix {
 	return embedOnQubits(g, qubits)
 }
@@ -87,11 +132,7 @@ func BuildDAG(c *Circuit) *DependencyDAG {
 	d := &DependencyDAG{N: n, Succ: make([][]int, n), Pred: make([][]int, n)}
 	for j := 0; j < n; j++ {
 		for i := 0; i < j; i++ {
-			gi, gj := &c.Gates[i], &c.Gates[j]
-			if !gi.SharesQubit(gj) {
-				continue
-			}
-			if Commute(gi, gj) {
+			if Commute(&c.Gates[i], &c.Gates[j]) {
 				continue
 			}
 			d.Succ[i] = append(d.Succ[i], j)

@@ -1,0 +1,100 @@
+package cut
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"hsfsim/internal/circuit"
+	"hsfsim/internal/graph"
+	"hsfsim/internal/qaoa"
+)
+
+// sbmQAOA is the benchmark's instance family: one QAOA layer on a two-block
+// stochastic block model with half qubits per block (q20-3 is the serve-plan
+// workload's circuit, q22-3 the joint-* workloads').
+func sbmQAOA(tb testing.TB, half int, graphSeed int64) *circuit.Circuit {
+	tb.Helper()
+	g, err := graph.TwoBlockModel(half, half, 0.8, 0.20, rand.New(rand.NewSource(graphSeed)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := g.RandomizeWeights(0.5, 1.5, rand.New(rand.NewSource(2203))); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := qaoa.Build(g, qaoa.Params{Gammas: []float64{0.7}, Betas: []float64{0.5}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// planCase is one plan the budget and the benchmark share.
+type planCase struct {
+	name      string
+	half      int
+	graphSeed int64
+	strategy  Strategy
+	maxBlock  int
+}
+
+func (pc planCase) build(tb testing.TB) (*circuit.Circuit, Options) {
+	return sbmQAOA(tb, pc.half, pc.graphSeed),
+		Options{Partition: Partition{CutPos: pc.half - 1}, Strategy: pc.strategy, MaxBlockQubits: pc.maxBlock}
+}
+
+var planCases = []planCase{
+	{"q20-3/window-8", 10, 2003, StrategyWindow, 8},
+	{"q22-3/cascade", 11, 2203, StrategyCascade, 0},
+	{"q22-3/window-11", 11, 2203, StrategyWindow, 11},
+}
+
+func BenchmarkBuildPlan(b *testing.B) {
+	for _, pc := range planCases {
+		b.Run(pc.name, func(b *testing.B) {
+			c, opts := pc.build(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildPlan(c, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildPlanAllocBudget is the planner's regression gate that does not
+// depend on the clock: a diagonal block decomposed through its dense unitary
+// allocates 4^n entries per block (18.9 MB and 158 613 objects per q20-3
+// plan), through its phase matrix 2^n.
+func TestBuildPlanAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		index               int
+		maxBytes, maxObject uint64
+	}{
+		{0, 1 << 20, 5000},
+		{2, 16 << 20, 0},
+	} {
+		pc := planCases[tc.index]
+		c, opts := pc.build(t)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := BuildPlan(c, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		objects := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%s: %d B, %d objects per plan", pc.name, bytes, objects)
+		if bytes > tc.maxBytes {
+			t.Errorf("%s: BuildPlan allocates %d B per plan, budget %d", pc.name, bytes, tc.maxBytes)
+		}
+		if tc.maxObject > 0 && objects > tc.maxObject {
+			t.Errorf("%s: BuildPlan allocates %d objects per plan, budget %d", pc.name, objects, tc.maxObject)
+		}
+	}
+}

@@ -176,10 +176,10 @@ func CrossingGateIndices(c *circuit.Circuit, p Partition) []int {
 
 // splitQubits returns the sorted touched lower and upper qubits of a set of
 // gates.
-func splitQubits(c *circuit.Circuit, p Partition, gateIdx []int) (lower, upper []int) {
+func splitQubits(gates []*gate.Gate, p Partition) (lower, upper []int) {
 	seen := make(map[int]bool)
-	for _, gi := range gateIdx {
-		for _, q := range c.Gates[gi].Qubits {
+	for _, g := range gates {
+		for _, q := range g.Qubits {
 			if seen[q] {
 				continue
 			}

@@ -2,9 +2,11 @@ package cut
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hsfsim/internal/circuit"
+	"hsfsim/internal/cmat"
 	"hsfsim/internal/gate"
 	"hsfsim/internal/schmidt"
 )
@@ -147,16 +149,14 @@ func BuildPlan(c *circuit.Circuit, opts Options) (*Plan, error) {
 	return plan, nil
 }
 
-// decomposeBlock builds the joint operator of the member gates (indices into
-// rc, sorted) and Schmidt-decomposes it across the partition.
+// decomposeBlock Schmidt-decomposes the product of the member gates (indices
+// into rc, sorted) across the partition.
 func decomposeBlock(rc *circuit.Circuit, opts Options, members []int) (*CutPoint, error) {
-	lowerQ, upperQ := splitQubits(rc, opts.Partition, members)
-	touched := append(append([]int(nil), lowerQ...), upperQ...)
-	pos := make(map[int]int, len(touched))
-	for k, q := range touched {
-		pos[q] = k
+	gates := make([]*gate.Gate, len(members))
+	for i, m := range members {
+		gates[i] = &rc.Gates[m]
 	}
-
+	lowerQ, upperQ := splitQubits(gates, opts.Partition)
 	label := blockLabel(rc, members)
 	cp := &CutPoint{LowerQubits: lowerQ, UpperQubits: upperQ, GateIndices: members, Label: label}
 
@@ -168,15 +168,7 @@ func decomposeBlock(rc *circuit.Circuit, opts Options, members []int) (*CutPoint
 		}
 	}
 
-	// Numeric path: multiply the member gates on the touched-qubit register
-	// (lower qubits occupy the low bits because labels sort that way), then
-	// decompose.
-	block := circuit.New(len(touched))
-	for _, m := range members {
-		block.Append(rc.Gates[m].Remap(func(q int) int { return pos[q] }))
-	}
-	op := block.Unitary()
-	d, err := schmidt.Decompose(op, len(lowerQ), len(upperQ), opts.Tol)
+	d, err := decompose(gates, lowerQ, upperQ, opts.Tol)
 	if err != nil {
 		return nil, fmt.Errorf("cut: decomposing %s: %w", label, err)
 	}
@@ -186,6 +178,49 @@ func decomposeBlock(rc *circuit.Circuit, opts Options, members []int) (*CutPoint
 		cp.Truncated = true
 	}
 	return cp, nil
+}
+
+// decompose Schmidt-decomposes the product of gates (applied in order) on the
+// register lowerQ ++ upperQ, whose lower qubits occupy the low bits because
+// labels sort that way. It picks the route by gate class, as statevec picks
+// kernels: when every gate is diagonal the product is one 2^n vector and the
+// SVD runs on its phase matrix; anything else goes through the dense unitary.
+func decompose(gates []*gate.Gate, lowerQ, upperQ []int, tol float64) (*schmidt.Decomposition, error) {
+	touched := append(append([]int(nil), lowerQ...), upperQ...)
+	for _, g := range gates {
+		if !g.Diagonal {
+			return schmidt.Decompose(blockUnitary(gates, touched), len(lowerQ), len(upperQ), tol)
+		}
+	}
+	diag := make([]complex128, 1<<len(touched))
+	for i := range diag {
+		diag[i] = 1
+	}
+	var bit []int // register bit of each matrix bit of the current gate
+	for _, g := range gates {
+		bit = bit[:0]
+		for _, q := range g.Qubits {
+			bit = append(bit, slices.Index(touched, q))
+		}
+		for i := range diag {
+			l := 0
+			for b, p := range bit {
+				l |= (i >> p & 1) << b
+			}
+			diag[i] *= g.Matrix.At(l, l)
+		}
+	}
+	return schmidt.DecomposeDiagonal(diag, len(lowerQ), len(upperQ), tol)
+}
+
+// blockUnitary multiplies the gates into a dense operator on the register
+// whose bit k is qubit touched[k].
+func blockUnitary(gates []*gate.Gate, touched []int) *cmat.Matrix {
+	block := circuit.New(len(touched))
+	for _, g := range gates {
+		block.Append(g.Remap(func(q int) int { return slices.Index(touched, q) }))
+	}
+	return block.Unitary()
 }
 
 // blockLabel summarizes a block for reports, e.g. "block[rzz x3]".
@@ -296,30 +331,11 @@ func StandardPathCount(c *circuit.Circuit, p Partition, tol float64) (uint64, fl
 // GateSchmidtRank computes the Schmidt rank of a single gate across the
 // partition.
 func GateSchmidtRank(g *gate.Gate, p Partition, tol float64) (int, error) {
-	var lowerQ, upperQ []int
-	for _, q := range g.Qubits {
-		if p.IsLower(q) {
-			lowerQ = append(lowerQ, q)
-		} else {
-			upperQ = append(upperQ, q)
-		}
+	gates := []*gate.Gate{g}
+	lowerQ, upperQ := splitQubits(gates, p)
+	d, err := decompose(gates, lowerQ, upperQ, tol)
+	if err != nil {
+		return 0, err
 	}
-	sort.Ints(lowerQ)
-	sort.Ints(upperQ)
-	touched := append(append([]int(nil), lowerQ...), upperQ...)
-	pos := make(map[int]int, len(touched))
-	for k, q := range touched {
-		pos[q] = k
-	}
-	local := g.Remap(func(q int) int { return pos[q] })
-	op := circuit.EmbedOnQubits(&local, localIota(len(touched)))
-	return schmidt.OperatorSchmidtRank(op, len(lowerQ), len(upperQ), tol)
-}
-
-func localIota(n int) []int {
-	r := make([]int, n)
-	for i := range r {
-		r[i] = i
-	}
-	return r
+	return d.Rank(), nil
 }

@@ -125,8 +125,7 @@ func (g *Gate) SharesQubit(h *Gate) bool {
 // DiagonalOn reports whether the gate acts diagonally on matrix bit b (qubit
 // Qubits[b]): the operator is block-diagonal in that qubit's computational
 // basis, because the whole matrix is diagonal or because the bit is a
-// control. Two operators that are both diagonal on every qubit they share
-// commute.
+// control. It is the per-qubit input of circuit.Commute's structural rule.
 func (g *Gate) DiagonalOn(b int) bool {
 	return g.Diagonal || g.Controls>>b&1 != 0
 }

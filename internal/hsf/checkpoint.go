@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 
+	"hsfsim/internal/cmat"
 	"hsfsim/internal/cut"
 )
 
@@ -75,8 +76,10 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 }
 
 // PlanHash fingerprints the structural identity of a plan: register size,
-// partition, step sequence, and every cut's Schmidt spectrum. Two plans with
-// equal hashes execute the same path tree.
+// partition, step sequence, and every cut's Schmidt terms — singular values
+// and factor entries, since a degenerate σ pair admits more than one basis
+// and prefixes summed from two factorizations of one cut are not a run of
+// either. Two plans with equal hashes execute the same path tree.
 func PlanHash(plan *cut.Plan) uint64 {
 	h := fnv.New64a()
 	buf := make([]byte, 8)
@@ -85,6 +88,23 @@ func PlanHash(plan *cut.Plan) uint64 {
 		h.Write(buf)
 	}
 	wf := func(v float64) { wu(math.Float64bits(v)) }
+	wc := func(v complex128) { wf(real(v)); wf(imag(v)) }
+	// An exactly diagonal factor is covered by its diagonal: 2^n entries
+	// where the matrix has 4^n.
+	wm := func(m *cmat.Matrix) {
+		stride := m.Cols + 1
+		for r := 0; r < m.Rows && stride > 1; r++ {
+			for c, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+				if v != 0 && c != r {
+					stride = 1
+					break
+				}
+			}
+		}
+		for i := 0; i < len(m.Data); i += stride {
+			wc(m.Data[i])
+		}
+	}
 	wu(uint64(plan.NumQubits))
 	wu(uint64(int64(plan.Partition.CutPos)))
 	for _, st := range plan.Steps {
@@ -94,6 +114,8 @@ func PlanHash(plan *cut.Plan) uint64 {
 			wu(uint64(st.Cut.Rank()))
 			for _, t := range st.Cut.Terms {
 				wf(t.Sigma)
+				wm(t.Upper)
+				wm(t.Lower)
 			}
 			for _, q := range st.Cut.LowerQubits {
 				wu(uint64(q))
@@ -112,8 +134,7 @@ func PlanHash(plan *cut.Plan) uint64 {
 			}
 			if mat := st.Gate.Matrix; mat != nil {
 				for _, v := range mat.Data {
-					wf(real(v))
-					wf(imag(v))
+					wc(v)
 				}
 			}
 		}

@@ -353,14 +353,13 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
 // decreases with the level and moving a gate earlier can only remove work.
 //
 // A gate may cross anything it commutes with, judged per shared qubit from
-// the classification flags alone: two operators that both act diagonally on
-// every qubit they share (gate.DiagonalOn) are block-diagonal over those
-// qubits with blocks on disjoint supports, hence commute. So per qubit it is
-// enough to remember the position of the latest item touching it and of the
-// latest item not diagonal on it, with segment s at position 2s and cut l at
-// 2l+1. Within a segment gates keep plan order, so every pair the schedule
-// inverts commutes, and only the engine's segments change: the plan, its
-// hash, prefixes and checkpoints are untouched.
+// the classification flags alone by the structural rule of circuit.Commute
+// (rule 2 there). So per qubit it is enough to remember the position of the
+// latest item touching it and of the latest item not diagonal on it
+// (gate.DiagonalOn), with segment s at position 2s and cut l at 2l+1. Within
+// a segment gates keep plan order, so every pair the schedule inverts
+// commutes, and only the engine's segments change: the plan, its hash,
+// prefixes and checkpoints are untouched.
 func (e *engine) schedule(plan *cut.Plan) (at []int, hoisted int) {
 	lastAny := make([]int, plan.NumQubits)
 	lastOffDiag := make([]int, plan.NumQubits)

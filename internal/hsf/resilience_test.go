@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"hsfsim/internal/circuit"
+	"hsfsim/internal/cmat"
 	"hsfsim/internal/cut"
 	"hsfsim/internal/gate"
+	"hsfsim/internal/schmidt"
 	"hsfsim/internal/statevec"
 )
 
@@ -329,5 +332,70 @@ func TestPlanHashStability(t *testing.T) {
 	other := PlanHash(buildPlan(t, c, 3, cut.StrategyCascade))
 	if a == other {
 		t.Fatal("different strategies hash equal")
+	}
+}
+
+// TestPlanHashCoversFactors rotates the basis of a degenerate σ pair: a CZ
+// cut has σ = (√2, √2), so (X₀, X₁), (Y₀, Y₁) → the same real rotation of
+// both is another valid factorization with bit-identical singular values. It
+// gives the same amplitudes on its own, but prefixes from the two
+// factorizations must never be summed, so the hashes must differ and a
+// checkpoint of one must be rejected by the other.
+func TestPlanHashCoversFactors(t *testing.T) {
+	c := circuit.New(4)
+	for q := 0; q < 4; q++ {
+		c.Append(gate.H(q))
+	}
+	c.Append(gate.CZ(1, 2), gate.RX(0.3, 1), gate.CZ(0, 3), gate.RX(0.4, 2))
+	plan := buildPlan(t, c, 1, cut.StrategyNone)
+	if len(plan.Cuts) != 2 || plan.Cuts[0].Rank() != 2 || plan.Cuts[0].Terms[0].Sigma != plan.Cuts[0].Terms[1].Sigma {
+		t.Fatalf("want two cuts with a degenerate σ pair, got %d cuts", len(plan.Cuts))
+	}
+
+	rotated := *plan
+	rotated.Steps = append([]cut.Step(nil), plan.Steps...)
+	rotated.Cuts = append([]*cut.CutPoint(nil), plan.Cuts...)
+	cp := *plan.Cuts[0]
+	t0, t1 := cp.Terms[0], cp.Terms[1]
+	cs, sn := complex(math.Cos(0.6), 0), complex(math.Sin(0.6), 0)
+	mix := func(a, b *cmat.Matrix, ca, cb complex128) *cmat.Matrix {
+		return cmat.Add(cmat.Scale(ca, a), cmat.Scale(cb, b))
+	}
+	cp.Terms = []schmidt.Term{
+		{Sigma: t0.Sigma, Upper: mix(t0.Upper, t1.Upper, cs, sn), Lower: mix(t0.Lower, t1.Lower, cs, sn)},
+		{Sigma: t1.Sigma, Upper: mix(t0.Upper, t1.Upper, -sn, cs), Lower: mix(t0.Lower, t1.Lower, -sn, cs)},
+	}
+	rotated.Cuts[0] = &cp
+	for i := range rotated.Steps {
+		if rotated.Steps[i].Cut == plan.Cuts[0] {
+			rotated.Steps[i].Cut = &cp
+		}
+	}
+
+	want, err := Run(plan, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(&rotated, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := statevec.MaxAbsDiff(got.Amplitudes, want.Amplitudes); d > 1e-12 {
+		t.Fatalf("rotated factorization is not one of the same cut: off by %g", d)
+	}
+	if PlanHash(plan) == PlanHash(&rotated) {
+		t.Fatal("same σ, different factors: hashes equal")
+	}
+
+	var buf bytes.Buffer
+	if _, err := Run(plan, Options{CheckpointWriter: &buf, FailAfterPaths: 2, Workers: 1}); !errors.Is(err, ErrInjectedFault) {
+		t.Fatalf("err = %v, want ErrInjectedFault", err)
+	}
+	ck, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(&rotated, Options{Resume: ck}); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("resume on the rotated factorization: err = %v, want ErrCheckpointMismatch", err)
 	}
 }

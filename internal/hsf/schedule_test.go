@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hsfsim/internal/circuit"
 	"hsfsim/internal/cut"
@@ -13,9 +14,8 @@ import (
 	"hsfsim/internal/statevec"
 )
 
-// q22Plan is the benchmark's own instance: the q22-3 SBM-QAOA circuit cut
-// between its blocks with cascade grouping (2^10 joint paths).
-func q22Plan(tb testing.TB) *cut.Plan {
+// q22Circuit is the benchmark's own instance: the q22-3 SBM-QAOA circuit.
+func q22Circuit(tb testing.TB) *circuit.Circuit {
 	tb.Helper()
 	g, err := graph.TwoBlockModel(11, 11, 0.8, 0.20, rand.New(rand.NewSource(2203)))
 	if err != nil {
@@ -28,7 +28,14 @@ func q22Plan(tb testing.TB) *cut.Plan {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: 10}, Strategy: cut.StrategyCascade})
+	return c
+}
+
+// q22Plan cuts q22Circuit between its blocks with cascade grouping (2^10
+// joint paths).
+func q22Plan(tb testing.TB) *cut.Plan {
+	tb.Helper()
+	plan, err := cut.BuildPlan(q22Circuit(tb), cut.Options{Partition: cut.Partition{CutPos: 10}, Strategy: cut.StrategyCascade})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -216,6 +223,42 @@ func TestLeafFoldProperty(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestQ22LargeWindowBlocks plans the benchmark instance with windows of 10,
+// 11 and 12 qubits — 4|6 to 4|8 splits whose dense decomposition took 20 s to
+// minutes and whose phase matrices are at most 32 × 256 — at interactive
+// latency, and checks the first 2^10 amplitudes against Schrödinger.
+func TestQ22LargeWindowBlocks(t *testing.T) {
+	c := q22Circuit(t)
+	v := statevec.NewVector(c.NumQubits)
+	statevec.CompileSegment(c.Gates, c.NumQubits).Apply(v)
+	const m = 1 << 10
+	want := v.Slice(0, m).ToComplex()
+	for _, maxBlock := range []int{10, 11, 12} {
+		start := time.Now()
+		plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: 10}, Strategy: cut.StrategyWindow, MaxBlockQubits: maxBlock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("max_block_qubits %d: plan took %v, want < 1 s", maxBlock, el)
+		}
+		widest := 0
+		for _, cp := range plan.Cuts {
+			widest = max(widest, len(cp.LowerQubits)+len(cp.UpperQubits))
+		}
+		if widest != maxBlock {
+			t.Errorf("max_block_qubits %d: widest block touches %d qubits", maxBlock, widest)
+		}
+		res, err := Run(plan, Options{MaxAmplitudes: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := statevec.MaxAbsDiff(res.Amplitudes, want); d > 1e-12 {
+			t.Errorf("max_block_qubits %d: off the oracle by %g", maxBlock, d)
 		}
 	}
 }

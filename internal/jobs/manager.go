@@ -661,12 +661,18 @@ func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Trac
 	res, err := hsfsim.SimulateCompiledContext(ctx, cp, runOpts)
 	if err != nil && errors.Is(err, hsfsim.ErrCheckpointMismatch) && runOpts.ResumeFrom != nil {
 		// The stored checkpoint belonged to a different plan generation
-		// (fingerprint collision or stale file): drop it and run clean.
+		// (a build with another PlanHash, a fingerprint collision or a stale
+		// file): drop it and run clean.
 		_ = m.store.DeleteCheckpoint(key)
 		runOpts.ResumeFrom = nil
 		runOpts.MaxAmplitudes = need
 		finalCkpt.Reset()
 		resumed = false
+		m.mu.Lock()
+		for _, j := range b.jobs {
+			j.resumed = false // loadStore marked a re-offered running job in advance
+		}
+		m.mu.Unlock()
 		res, err = hsfsim.SimulateCompiledContext(ctx, cp, runOpts)
 	}
 	if err != nil {

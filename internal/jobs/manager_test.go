@@ -397,6 +397,37 @@ func TestWatchSignalsTransitions(t *testing.T) {
 	}
 }
 
+// parkMidRun waits for a durable mid-run checkpoint of the running job, then
+// kills the manager. Close also flushes the final engine checkpoint, so a
+// successor on the same store provably resumes rather than restarts. It
+// returns the checkpoint's store key.
+func parkMidRun(t *testing.T, m1 *Manager, store1 Store, running Snapshot, totalPaths int64) string {
+	t.Helper()
+	key := ckptKey(running.Fingerprint)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if ck, _ := store1.GetCheckpoint(key); ck != nil && ck.PathsSimulated > 0 {
+			break
+		}
+		if snap, _ := m1.Get(running.ID); snap.State.Terminal() {
+			t.Fatalf("job finished before a checkpoint flush; grow the workload (state %v)", snap.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no mid-run checkpoint appeared")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closeNow(t, m1)
+	ck, err := store1.GetCheckpoint(key)
+	if err != nil || ck == nil {
+		t.Fatalf("no checkpoint survived the kill: %v", err)
+	}
+	if ck.PathsSimulated <= 0 || ck.PathsSimulated >= totalPaths {
+		t.Fatalf("checkpoint covers %d paths, want a strict mid-run state", ck.PathsSimulated)
+	}
+	return key
+}
+
 func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	store1, err := NewDirStore(dir)
@@ -423,31 +454,7 @@ func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for a durable mid-run checkpoint, then kill the manager. Close
-	// also flushes the final engine checkpoint, so the successor provably
-	// resumes rather than restarts.
-	key := ckptKey(running.Fingerprint)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if ck, _ := store1.GetCheckpoint(key); ck != nil && ck.PathsSimulated > 0 {
-			break
-		}
-		if snap, _ := m1.Get(running.ID); snap.State.Terminal() {
-			t.Fatalf("job finished before a checkpoint flush; grow the workload (state %v)", snap.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no mid-run checkpoint appeared")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	closeNow(t, m1)
-	ck, err := store1.GetCheckpoint(key)
-	if err != nil || ck == nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
-	if ck.PathsSimulated <= 0 || ck.PathsSimulated >= killPaths {
-		t.Fatalf("checkpoint covers %d paths, want a strict mid-run state", ck.PathsSimulated)
-	}
+	parkMidRun(t, m1, store1, running, killPaths)
 
 	// Restart over the same store: both jobs must be re-offered and finish.
 	store2, err := NewDirStore(dir)
@@ -492,6 +499,66 @@ func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 	}
 	if st := m2.Stats(); st.Resumed < 1 {
 		t.Fatalf("resume not counted: %+v", st)
+	}
+}
+
+// TestStaleCheckpointRestartsFromZero parks a job mid-run, then makes its
+// checkpoint one of another plan generation (what an upgrade that changes
+// PlanHash leaves in the store): the successor must drop it, run the whole
+// tree, and not report the job as resumed.
+func TestStaleCheckpointRestartsFromZero(t *testing.T) {
+	dir := t.TempDir()
+	store1, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err := New(Config{Runners: 1, Store: store1, FlushInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const totalPaths = 1 << 17
+	c := crossCircuit(70, 8, 17)
+	opts := hsfOpts(8)
+	opts.MaxAmplitudes = 64
+	running, err := m1.Submit(Request{Tenant: "t1", Circuit: c, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := parkMidRun(t, m1, store1, running, totalPaths)
+
+	store2, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := store2.GetCheckpoint(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.PlanHash ^= 1
+	if err := store2.PutCheckpoint(key, ck); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := New(Config{Runners: 1, Store: store2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNow(t, m2)
+	if snap := waitState(t, m2, running.ID, StateDone); snap.Resumed {
+		t.Fatal("job restarted from zero is marked resumed")
+	}
+	res, err := m2.Result(running.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hsfsim.Simulate(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
+		t.Fatalf("restarted result diverges from direct Simulate by %g", d)
+	}
+	if res.PathsSimulated != totalPaths {
+		t.Fatalf("restarted run covered %d paths, want all %d", res.PathsSimulated, totalPaths)
 	}
 }
 

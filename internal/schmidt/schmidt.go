@@ -7,7 +7,9 @@
 //	A = Σ_m σ_m · X_m ⊗ Y_m
 //
 // with X_m acting on the upper partition, Y_m on the lower partition, and the
-// number of terms equal to the Schmidt rank r ≤ min(4^{n_a}, 4^{n_b}).
+// number of terms equal to the Schmidt rank r ≤ min(4^{n_a}, 4^{n_b}). A
+// diagonal operator needs only the SVD of its 2^{n_b} × 2^{n_a} phase matrix
+// (DecomposeDiagonal).
 package schmidt
 
 import (
@@ -65,10 +67,6 @@ func Decompose(op *cmat.Matrix, nLower, nUpper int, tol float64) (*Decomposition
 	if nLower == 0 || nUpper == 0 {
 		return nil, fmt.Errorf("schmidt: trivial bipartition (%d, %d)", nLower, nUpper)
 	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-
 	dimLo := 1 << nLower
 	dimUp := 1 << nUpper
 
@@ -92,27 +90,75 @@ func Decompose(op *cmat.Matrix, nLower, nUpper int, tol float64) (*Decomposition
 	if err != nil {
 		return nil, fmt.Errorf("schmidt: %w", err)
 	}
-	rank := svd.Rank(tol)
+	return termsFromSVD(svd, nLower, nUpper, tol), nil
+}
 
-	d := &Decomposition{NumLower: nLower, NumUpper: nUpper, SingularValues: svd.S}
-	for m := 0; m < rank; m++ {
-		lower := cmat.New(dimLo, dimLo)
-		for ib := 0; ib < dimLo; ib++ {
-			for jb := 0; jb < dimLo; jb++ {
-				lower.Set(ib, jb, svd.U.At(ib*dimLo+jb, m))
-			}
-		}
-		upper := cmat.New(dimUp, dimUp)
-		for ia := 0; ia < dimUp; ia++ {
-			for ja := 0; ja < dimUp; ja++ {
-				// V† row m: conj(V[(i_a,j_a), m]).
-				v := svd.V.At(ia*dimUp+ja, m)
-				upper.Set(ia, ja, complex(real(v), -imag(v)))
-			}
-		}
-		d.Terms = append(d.Terms, Term{Sigma: svd.S[m], Upper: upper, Lower: lower})
+// DecomposeDiagonal computes the Schmidt decomposition of the diagonal
+// operator Σ_i diag[i]·|i⟩⟨i| (index bits as in Decompose) from the SVD of its
+// 2^nLower × 2^nUpper phase matrix d[i_b, i_a] = diag[i_a·2^nLower + i_b].
+// The full reshape of a diagonal operator is that matrix padded with zero rows
+// and columns, so the singular values are those Decompose finds (Ufrecht et
+// al., "Optimal joint cutting of two-qubit rotation gates"); the factors are
+// diagonal with exact zeros elsewhere.
+func DecomposeDiagonal(diag []complex128, nLower, nUpper int, tol float64) (*Decomposition, error) {
+	if len(diag) != 1<<(nLower+nUpper) {
+		return nil, fmt.Errorf("schmidt: diagonal has %d entries, want %d for %d qubits", len(diag), 1<<(nLower+nUpper), nLower+nUpper)
 	}
-	return d, nil
+	if nLower == 0 || nUpper == 0 {
+		return nil, fmt.Errorf("schmidt: trivial bipartition (%d, %d)", nLower, nUpper)
+	}
+	dimLo := 1 << nLower
+	dimUp := 1 << nUpper
+	phase := cmat.New(dimLo, dimUp)
+	for ia := 0; ia < dimUp; ia++ {
+		for ib := 0; ib < dimLo; ib++ {
+			phase.Data[ib*dimUp+ia] = diag[ia*dimLo+ib]
+		}
+	}
+	svd, err := cmat.SVD(phase)
+	if err != nil {
+		return nil, fmt.Errorf("schmidt: %w", err)
+	}
+	return termsFromSVD(svd, nLower, nUpper, tol), nil
+}
+
+// termsFromSVD absorbs the SVD of a reshaped operator into Schmidt terms:
+// column m of U unfolds into Y_m and the conjugate of column m of V (row m of
+// V†) into X_m. Terms with σ ≤ tol·σ_max are dropped; tol ≤ 0 selects
+// DefaultTol.
+func termsFromSVD(svd *cmat.SVDResult, nLower, nUpper int, tol float64) *Decomposition {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	d := &Decomposition{NumLower: nLower, NumUpper: nUpper, SingularValues: svd.S}
+	d.Terms = make([]Term, svd.Rank(tol))
+	for m := range d.Terms {
+		d.Terms[m] = Term{
+			Sigma: svd.S[m],
+			Upper: unfold(svd.V, m, 1<<nUpper, true),
+			Lower: unfold(svd.U, m, 1<<nLower, false),
+		}
+	}
+	return d
+}
+
+// unfold lays column m of u out as a dim×dim operator: a column of dim²
+// entries is the operator row by row (full reshape), one of dim entries its
+// diagonal (phase matrix).
+func unfold(u *cmat.Matrix, m, dim int, conj bool) *cmat.Matrix {
+	out := cmat.New(dim, dim)
+	stride := 1
+	if u.Rows == dim {
+		stride = dim + 1
+	}
+	for k := 0; k < u.Rows; k++ {
+		v := u.Data[k*u.Cols+m]
+		if conj {
+			v = complex(real(v), -imag(v))
+		}
+		out.Data[k*stride] = v
+	}
+	return out
 }
 
 // Reconstruct recomputes Σ σ_m X_m ⊗ Y_m for verification.

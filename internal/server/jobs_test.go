@@ -204,6 +204,39 @@ func TestJobSubmitRejections(t *testing.T) {
 	}
 }
 
+// TestMaxBlockQubitsLimit checks the trust-boundary bound on the planner's
+// block size on every route that plans: MaxBlockQubits is accepted, one more
+// is a 422 with the JSON error envelope.
+func TestMaxBlockQubitsLimit(t *testing.T) {
+	_, srv := newJobsTestServer(t, Config{})
+	sim := func(n int) SimulateRequest {
+		return SimulateRequest{QASM: cascadeQASM, Strategy: "window", MaxBlockQubits: n}
+	}
+	for _, tc := range []struct {
+		path     string
+		body     func(n int) any
+		accepted int
+	}{
+		{"/simulate", func(n int) any { return sim(n) }, http.StatusOK},
+		{"/analyze", func(n int) any { return AnalyzeRequest{QASM: cascadeQASM, Strategy: "window", MaxBlockQubits: n} }, http.StatusOK},
+		{"/jobs", func(n int) any { return JobSubmitRequest{SimulateRequest: sim(n)} }, http.StatusAccepted},
+	} {
+		resp := post(t, srv, tc.path, tc.body(MaxBlockQubits))
+		resp.Body.Close()
+		if resp.StatusCode != tc.accepted {
+			t.Errorf("%s at %d: status %d, want %d", tc.path, MaxBlockQubits, resp.StatusCode, tc.accepted)
+		}
+		resp = post(t, srv, tc.path, tc.body(MaxBlockQubits+1))
+		var e errorBody
+		err := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || err != nil || !strings.Contains(e.Error, "max_block_qubits") {
+			t.Errorf("%s at %d: status %d, error %q (%v), want 422 naming max_block_qubits",
+				tc.path, MaxBlockQubits+1, resp.StatusCode, e.Error, err)
+		}
+	}
+}
+
 func TestJobCancelAndResultConflict(t *testing.T) {
 	// One runner pinned on a slow job keeps the second job queued, so cancel
 	// and the 409 no-result path are deterministic.

@@ -54,6 +54,12 @@ const MaxRequestBytes = 4 << 20
 // MaxReturnedAmplitudes bounds the amplitudes echoed back per request.
 const MaxReturnedAmplitudes = 4096
 
+// MaxBlockQubits bounds a request's max_block_qubits. Planning takes no
+// context, and a block with a non-diagonal member is decomposed through its
+// dense 4^n-entry unitary (4 GiB at n = 14), so an unchecked value would
+// spend that before any deadline, limiter or cost estimate could act.
+const MaxBlockQubits = 10
+
 // StatusClientClosedRequest is the nonstandard (nginx-convention) status
 // logged when the client goes away mid-simulation.
 const StatusClientClosedRequest = 499
@@ -620,6 +626,14 @@ func cutPosOf(req *int, numQubits int) (int, error) {
 	return *req, nil
 }
 
+// checkBlockQubits rejects (422) a max_block_qubits above MaxBlockQubits.
+func checkBlockQubits(n int) error {
+	if n > MaxBlockQubits {
+		return fmt.Errorf("max_block_qubits %d exceeds the limit of %d", n, MaxBlockQubits)
+	}
+	return nil
+}
+
 func (s *service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r.Context())
 	var req AnalyzeRequest
@@ -637,6 +651,9 @@ func (s *service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cutPos, err := cutPosOf(req.CutPos, c.NumQubits)
+	if err == nil {
+		err = checkBlockQubits(req.MaxBlockQubits)
+	}
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err, reqID)
 		return
@@ -689,6 +706,9 @@ func (s *service) simulateOptions(req *SimulateRequest, numQubits int) (hsfsim.O
 		if opts.CutPos, err = cutPosOf(req.CutPos, numQubits); err != nil {
 			return hsfsim.Options{}, http.StatusUnprocessableEntity, err
 		}
+	}
+	if err := checkBlockQubits(req.MaxBlockQubits); err != nil {
+		return hsfsim.Options{}, http.StatusUnprocessableEntity, err
 	}
 	return opts, 0, nil
 }
@@ -786,6 +806,9 @@ func (s *service) handleDistributedSimulate(w http.ResponseWriter, r *http.Reque
 		return
 	}
 	cutPos, err := cutPosOf(req.CutPos, numQubits)
+	if err == nil {
+		err = checkBlockQubits(req.MaxBlockQubits)
+	}
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err, reqID)
 		return
