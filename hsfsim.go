@@ -308,11 +308,15 @@ func SimulateContext(ctx context.Context, c *Circuit, opts Options) (*Result, er
 type CompiledPlan struct {
 	circuit *Circuit
 	method  Method
-	plan    *cut.Plan                 // HSF methods
-	seg     *statevec.CompiledSegment // Schrodinger
-	gates   []gate.Gate               // Schrodinger, post-fusion (telemetry census)
-	fp      uint64
-	compile time.Duration
+	plan    *cut.Plan // HSF methods
+	// Schrodinger: the product state the peeled leading 1-qubit gates prepare
+	// (per qubit, G_k…G_1|0⟩), the segment applied to it, and the peeled then
+	// fused gates (telemetry census).
+	prologue [][2]complex128
+	seg      *statevec.CompiledSegment
+	gates    []gate.Gate
+	fp       uint64
+	compile  time.Duration
 }
 
 // Fingerprint returns the plan's cache key: a hash of the circuit (gate
@@ -347,7 +351,7 @@ func (p *CompiledPlan) CompileTime() time.Duration { return p.compile }
 // control against a cached plan without rebuilding it.
 func (p *CompiledPlan) EstimateCost(opts Options) *CostEstimate {
 	if p.plan == nil {
-		est := schrodingerCost(p.circuit.NumQubits)
+		est := schrodingerCost(p.circuit.NumQubits, opts.MaxAmplitudes, p.seg.TableBytes())
 		return &est
 	}
 	workers := opts.Workers
@@ -422,23 +426,21 @@ func Compile(c *Circuit, opts Options) (*CompiledPlan, error) {
 	switch opts.Method {
 	case Schrodinger:
 		endCompile := opts.Telemetry.Span("compile")
-		gates := c.Gates
+		var gates []gate.Gate
+		cp.prologue, cp.gates, gates = peelPrologue(c)
 		if opts.FusionMaxQubits >= 0 {
 			maxQ := opts.FusionMaxQubits
 			if maxQ == 0 {
 				maxQ = fuse.DefaultMaxQubits
 			}
 			gates = fuse.Fuse(gates, maxQ)
-		} else {
-			// Compilation attaches kernel plans to the gate structs; copy so
-			// the caller's circuit is left untouched.
-			gates = append([]gate.Gate(nil), gates...)
 		}
 		// Compile once: every fused k-qubit gate gets its kernel plan here
-		// instead of rebuilding (and allocating) it on each application, and
-		// runs of low-qubit gates become cache-blocked sweeps over the state.
-		cp.gates = gates
+		// instead of rebuilding (and allocating) it on each application, runs
+		// of low-qubit gates become cache-blocked sweeps over the state and
+		// runs of diagonal gates phase steps.
 		cp.seg = statevec.CompileSegment(gates, c.NumQubits)
+		cp.gates = append(cp.gates, gates...)
 		endCompile()
 	case StandardHSF, JointHSF:
 		strategy := cut.StrategyNone
@@ -491,28 +493,57 @@ func SimulateCompiledContext(ctx context.Context, cp *CompiledPlan, opts Options
 	return cp.runHSF(ctx, opts)
 }
 
-// schrodingerCost estimates the dense statevector footprint of a full 2^n
-// simulation: the state itself plus a same-sized scratch bound for fused
-// gate application.
-func schrodingerCost(numQubits int) CostEstimate {
-	bytes := int64(math.MaxInt64)
-	if numQubits < 60 {
-		bytes = int64(16) << uint(numQubits)
+// peelPrologue splits off the circuit's product-state prologue: a 1-qubit
+// gate on a qubit no multi-qubit gate has touched yet commutes to the front
+// of the circuit and folds into that qubit's 2-vector G_k…G_1|0⟩. It returns
+// the per-qubit vectors, the peeled gates, and a copy of the remaining gates
+// (compilation attaches kernel plans to the gate structs, and the caller's
+// circuit is left untouched).
+func peelPrologue(c *Circuit) (prologue [][2]complex128, peeled, rest []gate.Gate) {
+	prologue = make([][2]complex128, c.NumQubits)
+	for q := range prologue {
+		prologue[q][0] = 1
 	}
-	return CostEstimate{
-		Paths:            1,
-		PathsExact:       true,
-		Workers:          1,
-		StatePairBytes:   bytes,
-		PerWorkerBytes:   bytes,
-		AccumulatorBytes: bytes,
-		TotalBytes:       bytes,
+	entangled := make([]bool, c.NumQubits)
+	rest = make([]gate.Gate, 0, len(c.Gates))
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		if q := g.Qubits[0]; len(g.Qubits) == 1 && !entangled[q] {
+			m, v := g.Matrix.Data, prologue[q]
+			prologue[q] = [2]complex128{m[0]*v[0] + m[1]*v[1], m[2]*v[0] + m[3]*v[1]}
+			peeled = append(peeled, *g)
+			continue
+		}
+		for _, q := range g.Qubits {
+			entangled[q] = true
+		}
+		rest = append(rest, *g)
 	}
+	return prologue, peeled, rest
+}
+
+// schrodingerCost estimates the footprint of a full 2^n simulation returning
+// maxAmps amplitudes (0: all): the state's two SoA planes and the compiled
+// segment's phase tables and sweep scratch (PerWorkerBytes), plus the
+// interleaved result (AccumulatorBytes).
+func schrodingerCost(numQubits, maxAmps int, tableBytes int64) CostEstimate {
+	est := CostEstimate{Paths: 1, PathsExact: true, Workers: 1,
+		StatePairBytes: math.MaxInt64, PerWorkerBytes: math.MaxInt64, TotalBytes: math.MaxInt64}
+	if numQubits < 58 {
+		est.StatePairBytes = 16 << numQubits
+		est.AccumulatorBytes = est.StatePairBytes
+		if maxAmps > 0 && maxAmps < 1<<numQubits {
+			est.AccumulatorBytes = 16 * int64(maxAmps)
+		}
+		est.PerWorkerBytes = est.StatePairBytes + tableBytes
+		est.TotalBytes = est.PerWorkerBytes + est.AccumulatorBytes
+	}
+	return est
 }
 
 func (cp *CompiledPlan) runSchrodinger(ctx context.Context, opts Options) (*Result, error) {
 	c, seg := cp.circuit, cp.seg
-	est := schrodingerCost(c.NumQubits)
+	est := *cp.EstimateCost(opts)
 	budget := opts.MemoryBudget
 	if budget == 0 {
 		budget = DefaultMemoryBudget
@@ -537,7 +568,7 @@ func (cp *CompiledPlan) runSchrodinger(ctx context.Context, opts Options) (*Resu
 	simStart := time.Now()
 	// The sweep runs on the SoA planes; amplitudes are interleaved exactly
 	// once, at the Result edge below.
-	s := statevec.NewVector(c.NumQubits)
+	s := statevec.NewProductVector(cp.prologue)
 	for i := 0; i < seg.NumSteps(); i++ {
 		select {
 		case <-ctx.Done():
@@ -560,10 +591,12 @@ func (cp *CompiledPlan) runSchrodinger(ctx context.Context, opts Options) (*Resu
 		TotalPaths: 1, Simulated: 1, Workers: 1,
 		Gomaxprocs: runtime.GOMAXPROCS(0), Elapsed: simTime,
 	})
-	amps := []complex128(s.ToComplex())
-	if opts.MaxAmplitudes > 0 && opts.MaxAmplitudes < len(amps) {
-		amps = amps[:opts.MaxAmplitudes]
+	m := s.Len()
+	if opts.MaxAmplitudes > 0 && opts.MaxAmplitudes < m {
+		m = opts.MaxAmplitudes
 	}
+	amps := make([]complex128, m)
+	s.Slice(0, m).CopyToComplex(amps)
 	return &Result{
 		Amplitudes:     amps,
 		Method:         Schrodinger,
@@ -691,36 +724,12 @@ func PathCounts(c *Circuit, cutPos int, strategy BlockStrategy, maxBlockQubits i
 // Options.MaxPaths admission gate; services can call it to reject or price
 // jobs before committing to a run.
 func EstimateCost(c *Circuit, opts Options) (*CostEstimate, error) {
-	if c == nil {
-		return nil, errors.New("hsfsim: nil circuit")
-	}
-	if opts.Method == Schrodinger {
-		est := schrodingerCost(c.NumQubits)
-		return &est, nil
-	}
-	strategy := cut.StrategyNone
-	if opts.Method == JointHSF {
-		strategy = opts.BlockStrategy
-		if strategy == cut.StrategyNone {
-			strategy = cut.StrategyCascade
-		}
-	}
-	plan, err := cut.BuildPlan(c, cut.Options{
-		Partition:      cut.Partition{CutPos: opts.CutPos},
-		Strategy:       strategy,
-		MaxBlockQubits: opts.MaxBlockQubits,
-		Tol:            opts.Tol,
-		UseAnalytic:    opts.UseAnalyticCascades,
-	})
+	opts.Telemetry = nil
+	cp, err := Compile(c, opts)
 	if err != nil {
-		return nil, fmt.Errorf("hsfsim: %w", err)
+		return nil, err
 	}
-	workers := opts.Workers
-	if !opts.engineBackend().ParallelWorkers() {
-		workers = 1
-	}
-	est := hsf.Cost(plan, hsf.Options{MaxAmplitudes: opts.MaxAmplitudes, Workers: workers})
-	return &est, nil
+	return cp.EstimateCost(opts), nil
 }
 
 // engineBackend resolves the effective HSF backend: the deprecated

@@ -7,10 +7,10 @@ import (
 	"hsfsim/internal/qaoa"
 )
 
-// The fusion-budget benchmark behind fuse.DefaultMaxQubits: with the pure-Go
-// kernels, 2-qubit clusters (unrolled kernel) are the sweet spot; 3-qubit
-// and larger clusters fall back to the general gather/scatter kernel and
-// lose to unfused application.
+// The fusion-budget benchmark behind fuse.DefaultMaxQubits: 2-qubit clusters
+// (span kernels) are the sweet spot; 3-qubit and larger clusters fall back to
+// the general gather/scatter kernel, keep their diagonal gates out of the
+// sweep's phase step, and lose to unfused application.
 func benchBudget(b *testing.B, fq int) {
 	spec := qaoa.ScaledInstances()[3] // q18-1
 	inst, err := spec.Generate(qaoa.SingleLayer())

@@ -14,12 +14,13 @@ import (
 )
 
 // DefaultMaxQubits is the default fusion cluster size. Two-qubit clusters
-// capture the dominant win (absorbing single-qubit gates into the unrolled
-// two-qubit kernel); larger clusters fall back to the general gather/scatter
-// kernel, which measurably loses on these pure-Go kernels (see
-// BenchmarkFusionBudget*: budget 2 ≈ 70 ms vs budget 3 ≈ 103 ms on the q18-1
-// Schrödinger baseline). qsim's AVX kernels favour larger clusters; this
-// implementation does not.
+// absorb single-qubit gates into the 2-qubit span kernels. A larger cluster is
+// a dense k≥3 block on the general gather/scatter kernel, and every diagonal
+// gate it swallows is one the Schrödinger sweep's phase step would have
+// applied for free (statevec.CompileSegment): on the q18-1 Schrödinger
+// baseline, one core, BenchmarkFusionBudget* reads 6.7 ms unfused, 6.0 ms at
+// budget 2, 14.4 ms at 3 and 25.1 ms at 4. qsim's AVX kernels favour larger
+// clusters; this implementation does not.
 const DefaultMaxQubits = 2
 
 // cluster is an open fusion group under construction.

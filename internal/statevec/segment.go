@@ -1,6 +1,8 @@
 package statevec
 
 import (
+	"runtime"
+
 	"hsfsim/internal/gate"
 	"hsfsim/internal/par"
 )
@@ -10,11 +12,28 @@ import (
 // run of gates replays over it.
 const DefaultTileQubits = 13
 
-// segStep is one unit of a compiled segment: either a run of low gates swept
-// tile by tile, or a single high gate applied as a full-state pass.
+// minPhasePasses is the number of run members reaching the tile boundary —
+// each a full pass over the state when applied as a gate — from which a
+// diagonal run pays for a phase step's three multiplies per amplitude.
+const minPhasePasses = 3
+
+// StepKind names how a compiled step sweeps the state.
+type StepKind uint8
+
+const (
+	// StepHigh is one gate reaching the tile boundary: a full-state pass.
+	StepHigh StepKind = iota
+	// StepTiled is a run of gates below the boundary replayed tile by tile.
+	StepTiled
+	// StepPhase is a run of diagonal gates applied as one table-driven pass.
+	StepPhase
+)
+
+// segStep is one unit of a compiled segment.
 type segStep struct {
 	gates []gate.Gate // aliases the compiled gate slice
-	tiled bool
+	kind  StepKind
+	phase *phaseStep // StepPhase only
 }
 
 // CompiledSegment is a gate sequence preprocessed for repeated application:
@@ -22,34 +41,53 @@ type segStep struct {
 // requirement is precomputed, and consecutive gates acting only on qubits
 // below the tile boundary are grouped into cache-blocked sweeps — one pass
 // over the statevector in 2^TileQubits-amplitude tiles applying the whole run
-// per tile, instead of one full memory sweep per gate. For states at or below
-// one tile (every HSF partition state small enough to be cache-resident
-// anyway) compilation degrades to prepared inline application with a single
-// shared scratch.
+// per tile, instead of one full memory sweep per gate. On a register larger
+// than one tile, diagonal gates are first gathered into maximal runs and a run
+// that would cost minPhasePasses full passes becomes a phase step. For states
+// at or below one tile (every HSF partition state small enough to be
+// cache-resident anyway) compilation degrades to prepared inline application
+// with a single shared scratch.
 type CompiledSegment struct {
 	steps   []segStep
 	tileQ   int
-	scratch int // max kernel gather-buffer length across all gates
-	n       int // qubit count the segment was compiled for
+	scratch int   // max kernel gather-buffer length across all steps
+	tables  int64 // bytes of phase tables
+	n       int   // qubit count the segment was compiled for
 }
 
 // CompileSegment prepares gs (attaching kernel plans) and groups it into
-// sweep steps for an n-qubit register. The compiled segment aliases gs, so
-// the caller must not mutate the gates afterwards.
+// sweep steps for an n-qubit register. The compiled segment aliases gs (or,
+// above one tile, a reordered copy sharing its matrices), so the caller must
+// not mutate the gates afterwards.
 func CompileSegment(gs []gate.Gate, n int) *CompiledSegment {
+	return compileSegment(gs, n, DefaultTileQubits)
+}
+
+func compileSegment(gs []gate.Gate, n, tileQ int) *CompiledSegment {
 	PrepareGates(gs)
-	cs := &CompiledSegment{tileQ: DefaultTileQubits, n: n}
-	if cs.tileQ > n {
-		cs.tileQ = n
+	cs := &CompiledSegment{tileQ: min(tileQ, n), n: n}
+	var runs [][2]int
+	if n > tileQ {
+		gs, runs = gatherDiagonal(gs, tileQ)
 	}
 	runStart := -1
 	flush := func(end int) {
 		if runStart >= 0 {
-			cs.steps = append(cs.steps, segStep{gates: gs[runStart:end], tiled: true})
+			cs.steps = append(cs.steps, segStep{gates: gs[runStart:end], kind: StepTiled})
 			runStart = -1
 		}
 	}
-	for i := range gs {
+	for i := 0; i < len(gs); i++ {
+		if len(runs) > 0 && runs[0][0] == i {
+			flush(i)
+			end := runs[0][1]
+			runs = runs[1:]
+			cs.steps = append(cs.steps, segStep{gates: gs[i:end], kind: StepPhase, phase: newPhaseStep(gs[i:end], tileQ)})
+			cs.scratch = max(cs.scratch, phaseScratch(tileQ))
+			cs.tables += 16 << tileQ
+			i = end - 1
+			continue
+		}
 		g := &gs[i]
 		if plan, ok := g.KernelCache().(*kernelPlan); ok && plan.scratch > cs.scratch {
 			cs.scratch = plan.scratch
@@ -67,13 +105,198 @@ func CompileSegment(gs []gate.Gate, n int) *CompiledSegment {
 	return cs
 }
 
+// gatherDiagonal reorders gs so that diagonal gates form maximal runs, using
+// only the structural commutation rule (DESIGN.md "The one commutation rule":
+// two gates commute when both are diagonal on every qubit they share). One
+// run is open at a time, followed by the gates that could not pass it. A
+// phase-step candidate joins the run when no gate behind the run is
+// non-diagonal on one of its qubits; otherwise the run closes and a new one
+// opens with it. Any other gate moves in front of the run when the rule lets
+// it pass the run and everything behind it, and else queues behind the run.
+// It returns the reordered copy and the [start,end) of every run worth a
+// phase step.
+func gatherDiagonal(gs []gate.Gate, tileQ int) (out []gate.Gate, runs [][2]int) {
+	out = make([]gate.Gate, 0, len(gs))
+	var run, behind []gate.Gate
+	// Qubit masks: every qubit of the run, every qubit of the gates behind
+	// it, and the qubits some gate behind it is not diagonal on.
+	var runAll, behindAll, behindOff uint64
+	passes := 0
+	closeRun := func() {
+		if passes >= minPhasePasses {
+			runs = append(runs, [2]int{len(out), len(out) + len(run)})
+		}
+		// Run members commute with one another: those below the boundary go
+		// first, where a run left as gates shares one tiled step.
+		for _, low := range []bool{true, false} {
+			for i := range run {
+				if (run[i].MaxQubit() < tileQ) == low {
+					out = append(out, run[i])
+				}
+			}
+		}
+		out = append(out, behind...)
+		run, behind = run[:0], behind[:0]
+		runAll, behindAll, behindOff, passes = 0, 0, 0, 0
+	}
+	for i := range gs {
+		g := &gs[i]
+		var all, off uint64
+		below := 0
+		for b, q := range g.Qubits {
+			all |= 1 << q
+			if !g.DiagonalOn(b) {
+				off |= 1 << q
+			}
+			if q < tileQ {
+				below++
+			}
+		}
+		// A diagonal gate straddling the boundary with two or more qubits
+		// below it is not a per-tile product of one-qubit factors.
+		candidate := g.Diagonal && (below <= 1 || below == len(g.Qubits))
+		switch {
+		case candidate:
+			if all&behindOff != 0 {
+				closeRun()
+			}
+			run = append(run, *g)
+			runAll |= all
+			if below < len(g.Qubits) {
+				passes++
+			}
+		case off&(runAll|behindAll) == 0 && all&behindOff == 0:
+			out = append(out, *g)
+		default:
+			behind = append(behind, *g)
+			behindAll |= all
+			behindOff |= off
+		}
+	}
+	closeRun()
+	return out, runs
+}
+
+// phaseStep applies a run of diagonal gates in one pass: the amplitude at
+// tile t, offset i is multiplied by
+//
+//	Π_high d_g(t) · ⊗_l (p0_l(t), p1_l(t))[i] · low[i]
+//
+// where low is the product of the members entirely below the tile boundary,
+// the first factor collects the members entirely at or above it, and a member
+// with exactly one qubit l below it contributes, for the tile's fixed high
+// bits, the pair of diagonal entries selected by bit l. The members reaching
+// the boundary are evaluated per tile from their diagonals — a few operations
+// per gate against 2^tileQ amplitudes — so a step owns 2^tileQ table entries
+// whatever the register size. Nothing divides: cut-term projectors have zero
+// entries.
+type phaseStep struct {
+	low   Vector
+	above []gate.Gate // the members reaching the boundary
+	tileQ int
+}
+
+// phaseScratch is the per-worker scratch of a phase step: tileQ factor pairs
+// and the two Kronecker half-tables of the tile's bits.
+func phaseScratch(tileQ int) int {
+	a := (tileQ + 1) / 2
+	return 2*tileQ + 1<<a + 1<<(tileQ-a)
+}
+
+// newPhaseStep builds the step of a run as gatherDiagonal orders it: members
+// below the boundary first.
+func newPhaseStep(run []gate.Gate, tileQ int) *phaseStep {
+	p := &phaseStep{low: MakeVector(1 << tileQ), above: run, tileQ: tileQ}
+	for i := range p.low.Re {
+		p.low.Re[i] = 1
+	}
+	for len(p.above) > 0 && p.above[0].MaxQubit() < tileQ {
+		p.low.applyInline(&p.above[0], nil)
+		p.above = p.above[1:]
+	}
+	return p
+}
+
+// kron writes seed · ⊗_l (pairs[2l], pairs[2l+1]) into dst by doubling.
+func kron(dst []complex128, seed complex128, pairs []complex128) {
+	dst[0] = seed
+	for l, size := 0, 1; size < len(dst); l, size = l+1, size<<1 {
+		p0, p1 := pairs[2*l], pairs[2*l+1]
+		for j := 0; j < size; j++ {
+			dst[j+size] = dst[j] * p1
+			dst[j] *= p0
+		}
+	}
+}
+
+// apply multiplies tile t of the state by its phases. The tile's Kronecker
+// factor splits into a table over the lower and one over the upper half of
+// its bits, so the inner loop is three multiplies per amplitude against two
+// L1-resident tables and the low table, with no tile-sized scratch.
+func (p *phaseStep) apply(tile Vector, t int, buf []complex128) {
+	pairs := buf[:2*p.tileQ]
+	for i := range pairs {
+		pairs[i] = 1
+	}
+	seed := complex(1, 0)
+	for gi := range p.above {
+		g := &p.above[gi]
+		d, stride := g.Matrix.Data, 1<<len(g.Qubits)+1
+		idx, low, lowBit := 0, -1, 0
+		for b, q := range g.Qubits {
+			if q < p.tileQ {
+				low, lowBit = q, 1<<b
+			} else {
+				idx |= (t >> (q - p.tileQ) & 1) << b
+			}
+		}
+		if low < 0 {
+			seed *= d[idx*stride]
+			continue
+		}
+		pairs[2*low] *= d[idx*stride]
+		pairs[2*low+1] *= d[(idx|lowBit)*stride]
+	}
+	a := (p.tileQ + 1) / 2
+	na := 1 << a
+	ka := buf[2*p.tileQ : 2*p.tileQ+na]
+	kb := buf[2*p.tileQ+na : phaseScratch(p.tileQ)]
+	kron(ka, 1, pairs[:2*a])
+	kron(kb, seed, pairs[2*a:])
+	for b, c := range kb {
+		cr, ci := real(c), imag(c)
+		re, im := tile.Re[b<<a:(b+1)<<a], tile.Im[b<<a:(b+1)<<a]
+		lre, lim := p.low.Re[b<<a:(b+1)<<a], p.low.Im[b<<a:(b+1)<<a]
+		for x, k := range ka {
+			wr := real(k)*cr - imag(k)*ci
+			wi := real(k)*ci + imag(k)*cr
+			pr := wr*lre[x] - wi*lim[x]
+			pi := wr*lim[x] + wi*lre[x]
+			r, m := re[x], im[x]
+			re[x] = pr*r - pi*m
+			im[x] = pr*m + pi*r
+		}
+	}
+}
+
 // NumSteps returns the number of sweep steps; drive ApplyStep over
 // [0,NumSteps) to interleave cancellation checks with bounded-size units of
 // work.
 func (cs *CompiledSegment) NumSteps() int { return len(cs.steps) }
 
+// Step reports the kind of sweep step i and how many gates it applies.
+func (cs *CompiledSegment) Step(i int) (StepKind, int) {
+	return cs.steps[i].kind, len(cs.steps[i].gates)
+}
+
 // NumQubits returns the register size the segment was compiled for.
 func (cs *CompiledSegment) NumQubits() int { return cs.n }
+
+// TableBytes returns the memory the segment's phase tables hold for its
+// lifetime plus the scratch its sweep workers borrow while applying it.
+func (cs *CompiledSegment) TableBytes() int64 {
+	return cs.tables + int64(16*cs.scratch*runtime.GOMAXPROCS(0))
+}
 
 // Apply runs the whole compiled segment over v.
 func (cs *CompiledSegment) Apply(v Vector) {
@@ -82,61 +305,46 @@ func (cs *CompiledSegment) Apply(v Vector) {
 	}
 }
 
-// borrow fetches the segment's shared gather scratch from the pool, or nil
-// when no gate in the segment needs one.
-func (cs *CompiledSegment) borrow() (*[]complex128, []complex128) {
-	if cs.scratch == 0 {
-		return nil, nil
-	}
-	return getScratch(cs.scratch)
-}
-
-// ApplyStep runs sweep step i over v. Tiled steps iterate aligned
+// ApplyStep runs sweep step i over v. Tiled and phase steps iterate aligned
 // 2^tileQ-amplitude tiles — each tile is a self-contained sub-register for
-// gates below the boundary — applying every gate of the run while the tile is
-// cache-hot; tiles are distributed across the parallelism budget. High gates
-// run as ordinary full-state passes. Tiles slice both SoA planes, so a tile
-// is itself a Vector and the kernels' span dispatch applies within it.
+// gates below the boundary — applying every gate of the run, or the run's
+// phases, while the tile is cache-hot; tiles are distributed across the
+// parallelism budget. High gates run as ordinary full-state passes. Tiles
+// slice both SoA planes, so a tile is itself a Vector and the kernels' span
+// dispatch applies within it.
 func (cs *CompiledSegment) ApplyStep(v Vector, i int) {
 	st := &cs.steps[i]
-	if !st.tiled {
+	if st.kind == StepHigh {
 		v.ApplyGate(&st.gates[0])
 		return
 	}
 	tiles := v.Len() >> cs.tileQ
-	if tiles <= 1 {
-		sp, buf := cs.borrow()
+	if tiles <= 1 || par.Inner() <= 1 {
+		cs.sweep(v, st, 0, max(tiles, 1))
+		return
+	}
+	parallelRange(tiles, func(lo, hi int) { cs.sweep(v, st, lo, hi) })
+}
+
+// sweep applies step st to tiles [lo,hi) of v with one borrowed scratch.
+func (cs *CompiledSegment) sweep(v Vector, st *segStep, lo, hi int) {
+	var sp *[]complex128
+	var buf []complex128
+	if cs.scratch > 0 {
+		sp, buf = getScratch(cs.scratch)
+	}
+	tileLen := min(1<<cs.tileQ, v.Len())
+	for t := lo; t < hi; t++ {
+		sub := v.Slice(t*tileLen, (t+1)*tileLen)
+		if st.phase != nil {
+			st.phase.apply(sub, t, buf)
+			continue
+		}
 		for g := range st.gates {
-			v.applyInline(&st.gates[g], buf)
+			sub.applyInline(&st.gates[g], buf)
 		}
-		if sp != nil {
-			scratchPool.Put(sp)
-		}
-		return
 	}
-	if par.Inner() <= 1 {
-		sp, buf := cs.borrow()
-		for t := 0; t < tiles; t++ {
-			sub := v.Slice(t<<cs.tileQ, (t+1)<<cs.tileQ)
-			for g := range st.gates {
-				sub.applyInline(&st.gates[g], buf)
-			}
-		}
-		if sp != nil {
-			scratchPool.Put(sp)
-		}
-		return
+	if sp != nil {
+		scratchPool.Put(sp)
 	}
-	parallelRange(tiles, func(lo, hi int) {
-		sp, buf := cs.borrow()
-		for t := lo; t < hi; t++ {
-			sub := v.Slice(t<<cs.tileQ, (t+1)<<cs.tileQ)
-			for g := range st.gates {
-				sub.applyInline(&st.gates[g], buf)
-			}
-		}
-		if sp != nil {
-			scratchPool.Put(sp)
-		}
-	})
 }

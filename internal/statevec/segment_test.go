@@ -75,17 +75,16 @@ func TestCompileSegmentGrouping(t *testing.T) {
 	if cs.NumSteps() != 4 {
 		t.Fatalf("NumSteps = %d, want 4", cs.NumSteps())
 	}
-	wantTiled := []bool{true, false, true, false}
+	wantKinds := []StepKind{StepTiled, StepHigh, StepTiled, StepHigh}
 	wantLens := []int{3, 1, 2, 1}
-	for i, st := range cs.steps {
-		if st.tiled != wantTiled[i] || len(st.gates) != wantLens[i] {
-			t.Fatalf("step %d: tiled=%v len=%d, want tiled=%v len=%d",
-				i, st.tiled, len(st.gates), wantTiled[i], wantLens[i])
+	for i := range wantKinds {
+		if kind, n := cs.Step(i); kind != wantKinds[i] || n != wantLens[i] {
+			t.Fatalf("step %d: kind=%v len=%d, want kind=%v len=%d", i, kind, n, wantKinds[i], wantLens[i])
 		}
 	}
 	// A register at or below the tile size has every gate "low": one step.
 	cs = CompileSegment([]gate.Gate{gate.H(0), gate.CZ(0, 5), gate.H(5)}, 6)
-	if cs.NumSteps() != 1 || !cs.steps[0].tiled {
+	if kind, _ := cs.Step(0); cs.NumSteps() != 1 || kind != StepTiled {
 		t.Fatalf("small register: steps=%d, want one tiled step", cs.NumSteps())
 	}
 }

@@ -43,6 +43,39 @@ func NewVector(nQubits int) Vector {
 	return v
 }
 
+// NewProductVector returns the product state ⊗_q (qs[q][0]|0⟩ + qs[q][1]|1⟩)
+// on len(qs) qubits. The first tile is built by doubling and every further
+// tile written once as a multiple of it: a circuit's layer of leading 1-qubit
+// gates costs one streaming write instead of one sweep per gate over |0…0⟩.
+func NewProductVector(qs [][2]complex128) Vector {
+	n := len(qs)
+	v := NewVector(n)
+	tileQ := min(n, DefaultTileQubits)
+	base := v.Slice(0, 1<<tileQ)
+	for q, size := 0, 1; q < tileQ; q, size = q+1, size<<1 {
+		lo, hi := base.Slice(0, size), base.Slice(size, 2*size)
+		hi.CopyFrom(lo)
+		ops.scale(hi.Re, hi.Im, real(qs[q][1]), imag(qs[q][1]))
+		ops.scale(lo.Re, lo.Im, real(qs[q][0]), imag(qs[q][0]))
+	}
+	// Descending, so that tile 0 is still the unscaled base when read.
+	for t := v.Len()>>tileQ - 1; t >= 0; t-- {
+		c := complex(1, 0)
+		for q := tileQ; q < n; q++ {
+			c *= qs[q][t>>(q-tileQ)&1]
+		}
+		switch {
+		case t == 0:
+			ops.scale(base.Re, base.Im, real(c), imag(c))
+		case c != 0:
+			// The tile is still zero: adding c·base writes it.
+			dst := v.Slice(t<<tileQ, (t+1)<<tileQ)
+			ops.axpy(dst.Re, dst.Im, base.Re, base.Im, real(c), imag(c))
+		}
+	}
+	return v
+}
+
 // FromComplex converts an interleaved amplitude slice into a freshly
 // allocated SoA vector. It is the inbound edge conversion: call it once at an
 // API boundary, not inside a loop.

@@ -43,4 +43,25 @@ func TestSchrodingerSegmentZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("compiled segment replay allocates %v allocs/op, want 0", allocs)
 	}
+
+	// Above one tile: a diagonal run across the tile boundary compiles to a
+	// phase step, whose per-tile factor tables come from the same pool.
+	const wide = statevec.DefaultTileQubits + 2
+	var run []gate.Gate
+	for q := 0; q < wide; q++ {
+		run = append(run, gate.H(q))
+	}
+	for q := 0; q < wide-1; q++ {
+		run = append(run, gate.RZZ(rng.Float64(), q, wide-1), gate.CZ(q, q+1))
+	}
+	run = append(run, gate.CCZ(0, wide-2, wide-1), gate.RX(0.3, wide-1))
+	seg = statevec.CompileSegment(run, wide)
+	if sizes := phaseSteps(seg); len(sizes) != 1 || sizes[0] != 2*(wide-1)+1 {
+		t.Fatalf("phase steps of %v gates, want the whole diagonal layer (%d) in one", sizes, 2*(wide-1)+1)
+	}
+	s = statevec.NewVector(wide)
+	seg.Apply(s)
+	if allocs := testing.AllocsPerRun(10, func() { seg.Apply(s) }); allocs != 0 && !raceEnabled {
+		t.Errorf("phase-step replay allocates %v allocs/op, want 0", allocs)
+	}
 }

@@ -1,0 +1,225 @@
+package hsfsim
+
+import (
+	"errors"
+	"math/cmplx"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"hsfsim/internal/graph"
+	"hsfsim/internal/grcs"
+	"hsfsim/internal/qaoa"
+	"hsfsim/internal/statevec"
+)
+
+// gateByGate is the oracle that shares no compiled path with Simulate: the
+// circuit's gates, cloned and unprepared, applied one full pass each.
+func gateByGate(c *Circuit) statevec.Vector {
+	v := statevec.NewVector(c.NumQubits)
+	for i := range c.Gates {
+		g := c.Gates[i].Clone()
+		v.ApplyGate(&g)
+	}
+	return v
+}
+
+func checkSchrodinger(t *testing.T, c *Circuit, opts Options) *Result {
+	t.Helper()
+	opts.Method = Schrodinger
+	res, err := Simulate(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gateByGate(c)
+	if len(res.Amplitudes) != want.Len() {
+		t.Fatalf("%d amplitudes, want %d", len(res.Amplitudes), want.Len())
+	}
+	for i, a := range res.Amplitudes {
+		if !(cmplx.Abs(a-want.Amplitude(i)) <= 1e-12) {
+			t.Fatalf("fusion %d: amplitude %d = %v, gate by gate %v", opts.FusionMaxQubits, i, a, want.Amplitude(i))
+		}
+	}
+	return res
+}
+
+// TestProloguePeel pins which gates fold into the product state and checks
+// the peeled run against the AoS State oracle.
+func TestProloguePeel(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		gates  []Gate
+		peeled int
+	}{
+		{"first gate on a qubit is 2-qubit: nothing of it peels", 3,
+			[]Gate{CNOT(0, 1), H(0), H(1), H(2), RZZ(0.3, 1, 2), X(2)}, 1},
+		{"X then H on one qubit", 2, []Gate{X(0), H(0), CZ(0, 1), H(0)}, 2},
+		{"idle qubits", 4, []Gate{H(1), CNOT(1, 3)}, 1},
+		{"1-qubit gates only", 3, []Gate{H(0), RX(0.4, 1), Y(2), T(0), RY(1.1, 1)}, 5},
+		{"no gates", 2, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCircuit(tc.n)
+			c.Append(tc.gates...)
+			_, peeled, rest := peelPrologue(c)
+			if len(peeled) != tc.peeled || len(peeled)+len(rest) != len(tc.gates) {
+				t.Fatalf("peeled %d and kept %d of %d gates, want %d peeled", len(peeled), len(rest), len(tc.gates), tc.peeled)
+			}
+			want := statevec.NewState(tc.n)
+			for i := range c.Gates {
+				g := c.Gates[i].Clone()
+				want.ApplyGate(&g)
+			}
+			for _, fusion := range []int{-1, 0} {
+				res, err := Simulate(c, Options{Method: Schrodinger, FusionMaxQubits: fusion})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, a := range res.Amplitudes {
+					if cmplx.Abs(a-want[i]) > 1e-12 {
+						t.Fatalf("fusion %d: amplitude %d = %v, want %v", fusion, i, a, want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSchrodingerAboveOneTile runs circuits whose registers exceed one sweep
+// tile — so the prologue, the gather and the phase step are all live — with
+// fusion off, default and wide.
+func TestSchrodingerAboveOneTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	g, err := graph.TwoBlockModel(8, 8, 0.6, 0.2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qaoa2, err := qaoa.Build(g, qaoa.Params{Gammas: []float64{0.7, 0.3}, Betas: []float64{0.5, 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan := NewCircuit(15)
+	for q := 0; q < 15; q++ {
+		fan.Append(H(q))
+	}
+	for layer := 0; layer < 2; layer++ {
+		for q := 0; q < 13; q++ {
+			fan.Append(CZ(q, 14), CPhase(rng.Float64(), 13, q))
+		}
+		fan.Append(RX(0.3, 14), CCZ(0, 1, 14), T(13), SX(13))
+	}
+	layers, err := grcs.Generate(grcs.Options{Rows: 4, Cols: 4, Depth: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		c     *Circuit
+		phase bool // enough diagonal gates reach the tile boundary for a phase step
+	}{{"qaoa-p2-q16", qaoa2, true}, {"cz-fan-q15", fan, true}, {"grcs-4x4-d6", layers, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, fusion := range []int{-1, 0, 3} {
+				checkSchrodinger(t, tc.c, Options{FusionMaxQubits: fusion})
+			}
+			cp, err := Compile(tc.c, Options{Method: Schrodinger})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.phase && len(phaseSteps(cp.seg)) == 0 {
+				t.Error("no phase step: the circuit does not exercise the table-driven pass")
+			}
+		})
+	}
+}
+
+// allocated returns the bytes fn allocates, averaged over runs.
+func allocated(runs int, fn func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / int64(runs)
+}
+
+// TestSchrodingerCostCoversAllocation: the admission estimate must bound what
+// a run allocates — the planes, the result actually returned (not a second
+// full state when only a prefix is asked for), the phase tables — and a
+// budget the old 16·2^n estimate passed must now reject a full-state run.
+func TestSchrodingerCostCoversAllocation(t *testing.T) {
+	const n = 16
+	g, err := graph.TwoBlockModel(n/2, n/2, 0.6, 0.2, rand.New(rand.NewSource(52)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := qaoa.Build(g, qaoa.SingleLayer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const state = int64(16) << n
+	for _, m := range []int{0, 1024} {
+		opts := Options{Method: Schrodinger, MaxAmplitudes: m, Workers: 1}
+		cp, err := Compile(c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := cp.EstimateCost(opts).TotalBytes
+		if direct, err := EstimateCost(c, opts); err != nil || direct.TotalBytes != est {
+			t.Fatalf("m=%d: EstimateCost = %+v, %v; the compiled plan says %d", m, direct, err, est)
+		}
+		run := allocated(3, func() {
+			if _, err := SimulateCompiled(cp, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The run allocates the planes and the result (large objects round up
+		// to whole pages); the estimate also holds the tables Compile built.
+		t.Logf("m=%d: estimate %d B, run allocates %d B, tables %d B", m, est, run, cp.seg.TableBytes())
+		result := state
+		if m > 0 {
+			result = 16 * int64(m)
+		}
+		if want := state + result + cp.seg.TableBytes(); est != want {
+			t.Errorf("m=%d: estimate %d B, want state + result + tables = %d B", m, est, want)
+		}
+		if run > est || run < state+result {
+			t.Errorf("m=%d: run allocates %d B, want within [state + result = %d, estimate = %d]", m, run, state+result, est)
+		}
+	}
+	// 16·2^n was the whole estimate before: it admitted a run that allocates
+	// twice that.
+	_, err = Simulate(c, Options{Method: Schrodinger, MemoryBudget: state + state/2})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("budget of 1.5 states on a full-state run: err = %v, want ErrBudget", err)
+	}
+	if _, err := Simulate(c, Options{Method: Schrodinger, MemoryBudget: state + state/2, MaxAmplitudes: 1024}); err != nil {
+		t.Fatalf("the same budget with 1024 amplitudes: %v", err)
+	}
+}
+
+// TestSchrodingerFingerprintPinned: the plan key hashes the circuit and the
+// plan-affecting options only; how the sweep is compiled must not move it
+// (cached plans and checkpoints are addressed by it).
+func TestSchrodingerFingerprintPinned(t *testing.T) {
+	c := NewCircuit(3)
+	c.Append(H(0), H(1), RZZ(0.25, 0, 1), CNOT(1, 2), RX(0.5, 2))
+	for _, tc := range []struct {
+		opts Options
+		want uint64
+	}{
+		{Options{Method: Schrodinger}, 0xf7b90ac556110501},
+		{Options{Method: Schrodinger, FusionMaxQubits: -1}, 0x7661c97966931f79},
+		{Options{Method: JointHSF, CutPos: 0}, 0xc3bf0fb016227682},
+	} {
+		got, err := Fingerprint(c, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("Fingerprint(%+v) = %#x, want %#x", tc.opts.Method, got, tc.want)
+		}
+	}
+}

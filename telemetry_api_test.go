@@ -58,32 +58,56 @@ func TestSimulateTelemetryReport(t *testing.T) {
 	}
 }
 
-// TestSimulateTelemetrySchrodinger checks the baseline path: one "path",
-// per-step sweep timings, and a kernel-class census that matches the gate
-// count exactly when fusion is disabled.
+// TestSimulateTelemetrySchrodinger checks the baseline path: one "path", one
+// sweep timing per compiled step, and a kernel-class census of the source
+// gates — exact when fusion is off — in which the gates peeled into the
+// product-state prologue and the members of a phase step still count, each in
+// its own class.
 func TestSimulateTelemetrySchrodinger(t *testing.T) {
-	c := telemetryTestCircuit()
-	rec := NewTelemetryRecorder()
-	res, err := Simulate(c, Options{Method: Schrodinger, FusionMaxQubits: -1, Telemetry: rec})
-	if err != nil {
-		t.Fatal(err)
+	// 14 qubits: one more than a sweep tile, so the five RZZ reaching qubit
+	// 13 compile to one phase step and RX to one tiled step.
+	wide := NewCircuit(14)
+	for q := 0; q < 14; q++ {
+		wide.Append(H(q))
 	}
-	rep := res.Report
-	if rep == nil {
-		t.Fatal("Result.Report not populated")
+	for q := 0; q < 5; q++ {
+		wide.Append(RZZ(0.1*float64(q+1), q, 13))
 	}
-	if rep.Paths.Simulated != 1 || rep.Paths.Total != 1 {
-		t.Fatalf("paths = %+v, want 1/1", rep.Paths)
-	}
-	var classTotal int64
-	for _, n := range rep.KernelClasses {
-		classTotal += n
-	}
-	if want := int64(len(c.Gates)); classTotal != want {
-		t.Fatalf("kernel-class census = %d, want %d (one per gate, fusion off)", classTotal, want)
-	}
-	if rep.SegmentSweep.Count == 0 {
-		t.Fatalf("no segment sweep timings recorded")
+	wide.Append(RX(0.2, 1))
+	for _, tc := range []struct {
+		c               *Circuit
+		steps           int64
+		dense, diagonal int64
+	}{
+		{telemetryTestCircuit(), 1, 7, 3},
+		{wide, 2, 15, 5},
+	} {
+		rec := NewTelemetryRecorder()
+		res, err := Simulate(tc.c, Options{Method: Schrodinger, FusionMaxQubits: -1, Telemetry: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Report
+		if rep == nil {
+			t.Fatal("Result.Report not populated")
+		}
+		if rep.Paths.Simulated != 1 || rep.Paths.Total != 1 {
+			t.Fatalf("paths = %+v, want 1/1", rep.Paths)
+		}
+		var classTotal int64
+		for _, n := range rep.KernelClasses {
+			classTotal += n
+		}
+		if want := int64(len(tc.c.Gates)); classTotal != want {
+			t.Fatalf("kernel-class census = %d, want %d (one per gate, fusion off)", classTotal, want)
+		}
+		if rep.KernelClasses["dense"] != tc.dense || rep.KernelClasses["diagonal"] != tc.diagonal {
+			t.Fatalf("census %v, want %d dense and %d diagonal", rep.KernelClasses, tc.dense, tc.diagonal)
+		}
+		if rep.SegmentSweep.Count != tc.steps || int64(len(rep.Segments)) != tc.steps {
+			t.Fatalf("%d sweep timings over %d steps, want one for each of %d compiled steps",
+				rep.SegmentSweep.Count, len(rep.Segments), tc.steps)
+		}
 	}
 }
 
