@@ -110,12 +110,12 @@ bench-telemetry:
 	$(GO) run ./cmd/benchcore -study telemetry -o BENCH_telemetry.json
 
 # Quick kernel-bench smoke: one benchtime iteration over the statevec
-# kernels under the best arm runtime dispatch selects (avx2/neon where the
-# CPU has it). The old GOAMD64=v3 override is obsolete — the hand-written
-# assembly arms carry the AVX2/FMA (and NEON) code on every build, and
-# HSFSIM_KERNEL_ISA forces a weaker arm when needed.
+# kernels and the leaf fold under the best arm runtime dispatch selects
+# (avx2/neon where the CPU has it). The old GOAMD64=v3 override is obsolete —
+# the hand-written assembly arms carry the AVX2/FMA (and NEON) code on every
+# build, and HSFSIM_KERNEL_ISA forces a weaker arm when needed.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Apply|Kernel|Segment' -benchtime=1x ./internal/statevec/
+	$(GO) test -run=NONE -bench='Apply|Kernel|Segment|LeafFold' -benchtime=1x ./internal/statevec/
 
 # Job-service serving study: N concurrent same-circuit jobs through the
 # manager (plan cache + batching) vs. fingerprint-distinct submissions, with

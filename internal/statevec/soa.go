@@ -17,7 +17,11 @@ package statevec
 // The HSFSIM_KERNEL_ISA environment variable (or SelectKernelISA) forces a
 // weaker arm; see soa_dispatch.go. The primitives are chosen so each maps to
 // one obvious vertical SIMD loop: no lane shuffles, no horizontal
-// reductions.
+// reductions. They are scale, rot2x2, swap, cross, axpy and rot4x4 over
+// spans, the optional low-qubit pair kernels, and fold, the HSF leaf fold's
+// register-blocked micro-kernel: foldRows accumulator rows held in
+// registers while up to foldChunk leaves are added, an axpy per row and
+// leaf on the arms without a body of their own.
 
 // kernelOps is the startup-selected table of span primitives. All spans
 // passed to these functions are equal-length and non-aliasing (x and y spans
@@ -51,6 +55,14 @@ type kernelOps struct {
 	// complex matrix.
 	rot4x4 func(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i []float64, m []complex128)
 
+	// fold: the register-blocked leaf fold. For the foldRows accumulator rows
+	// acc[r·stride : r·stride+n] it adds Σ_k t.c[k][r] · t.lo[k][:n], leaves
+	// in table order, with axpy's per-element operation sequence. The
+	// assembly arms hold the rows in registers across all t.k leaves; the
+	// others run foldAxpy. The table travels by value: a pointer argument to
+	// a call through this field would move FoldKron's table to the heap.
+	fold func(acc Vector, stride, n int, t foldTable)
+
 	// rot1lo and diag1lo are optional interleaved-pair kernels for 1q gates
 	// on qubits 0 and 1, whose runs (length 1 and 2) never reach spanMin.
 	// The assembly arms vectorize them with in-register shuffles — a trick
@@ -83,6 +95,36 @@ func scalarArm() kernelOps {
 		cross:   scalarCross,
 		axpy:    scalarAxpy,
 		rot4x4:  scalarRot4x4,
+		fold:    foldAxpy,
+	}
+}
+
+const (
+	foldRows  = 4 // accumulator rows one fold call holds (R)
+	foldChunk = 8 // leaves one fold call applies at most
+)
+
+// foldTable is the operand table of one fold call: the lower halves of up to
+// foldChunk leaves and their per-row coefficients c[k][r] = (re, im) of
+// coeff_k · up_k[a0+r], in the order the leaves reach every amplitude.
+type foldTable struct {
+	lo [foldChunk]Vector
+	c  [foldChunk][foldRows][2]float64
+	k  int
+}
+
+// foldAxpy is the reference fold body: one axpy per leaf and row, skipping
+// rows whose coefficient is zero exactly as FoldKron's unblocked rows do.
+func foldAxpy(acc Vector, stride, n int, t foldTable) {
+	for k := range t.k {
+		lo := t.lo[k].Slice(0, n)
+		for r, c := range &t.c[k] {
+			if c[0] == 0 && c[1] == 0 {
+				continue
+			}
+			x := r * stride
+			ops.axpy(acc.Re[x:x+n], acc.Im[x:x+n], lo.Re, lo.Im, c[0], c[1])
+		}
 	}
 }
 

@@ -40,8 +40,12 @@ func archArms() []kernelOps {
 		rot4x4:  avx2Rot4x4,
 		rot1lo:  avx2Rot1Lo,
 		diag1lo: avx2Diag1Lo,
+		fold:    avx2Fold,
 	}}
 }
+
+//go:noescape
+func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[foldChunk]Vector, c *[foldChunk][foldRows][2]float64, k int)
 
 //go:noescape
 func avx2ScaleRe(xr, xi *float64, n int, cr float64)
@@ -158,6 +162,27 @@ func avx2Axpy(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64) {
 		s, t := srcRe[i], srcIm[i]
 		dstRe[i] += cr*s - ci*t
 		dstIm[i] += cr*t + ci*s
+	}
+}
+
+// avx2Fold hands the 4-column-divisible head to the register-blocked body and
+// the sub-register tail to the reference loop. The bounds checks stand in for
+// the ones the assembly cannot make.
+func avx2Fold(acc Vector, stride, n int, t foldTable) {
+	h := n &^ 3
+	if h > 0 {
+		end := (foldRows-1)*stride + h
+		_, _ = acc.Re[end-1], acc.Im[end-1]
+		for k := range t.k {
+			_, _ = t.lo[k].Re[h-1], t.lo[k].Im[h-1]
+		}
+		avx2FoldN(&acc.Re[0], &acc.Im[0], stride, h, &t.lo, &t.c, t.k)
+	}
+	if h < n {
+		for k := range t.k {
+			t.lo[k] = t.lo[k].Slice(h, n)
+		}
+		foldAxpy(acc.Slice(h, acc.Len()), stride, n-h, t)
 	}
 }
 

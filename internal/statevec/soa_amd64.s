@@ -692,3 +692,88 @@ loop:
 	JLT  loop
 	VZEROUPPER
 	RET
+
+// --- register-blocked leaf fold ---------------------------------------------
+//
+// Hand-written: gen_amd64.go does not generate this body (avo cannot be
+// fetched offline); asm/README.md has its contract.
+
+// func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[8]Vector, c *[8][4][2]float64, k int)
+// acc row r += Σ_k c[k][r] · lo[k][:n] for the 4 rows at accRe/accIm,
+// stride elements apart. Four columns of all four rows (Y0–Y7) stay in
+// registers while the k leaves are applied in table order: per leaf, two
+// lower-half loads and eight coefficient broadcasts feed sixteen FMAs, in
+// avx2AxpyCx's per-element sequence. lo is the table's [8]Vector: leaf k's
+// Re data pointer is at 48k and its Im data pointer at 48k+24. k > 0.
+TEXT ·avx2FoldN(SB), NOSPLIT, $0-56
+	MOVQ accRe+0(FP), DI
+	MOVQ accIm+8(FP), SI
+	MOVQ stride+16(FP), DX
+	SHLQ $3, DX          // row stride in bytes
+	LEAQ (DX)(DX*2), R11 // three row strides
+	MOVQ n+24(FP), CX
+	MOVQ lo+32(FP), R8
+	MOVQ c+40(FP), R9
+	MOVQ k+48(FP), R10
+	IMULQ $48, R10
+	ADDQ R8, R10         // end of the held leaves
+	XORQ AX, AX          // column
+col:
+	VMOVUPD (DI), Y0         // row 0 re
+	VMOVUPD (SI), Y1         // row 0 im
+	VMOVUPD (DI)(DX*1), Y2   // row 1
+	VMOVUPD (SI)(DX*1), Y3
+	VMOVUPD (DI)(DX*2), Y4   // row 2
+	VMOVUPD (SI)(DX*2), Y5
+	VMOVUPD (DI)(R11*1), Y6  // row 3
+	VMOVUPD (SI)(R11*1), Y7
+	MOVQ R8, BX
+	MOVQ R9, R12
+leaf:
+	MOVQ 0(BX), R13
+	VMOVUPD (R13)(AX*8), Y8 // s
+	MOVQ 24(BX), R13
+	VMOVUPD (R13)(AX*8), Y9 // t
+	VBROADCASTSD 0(R12), Y10 // row 0: cr, ci
+	VBROADCASTSD 8(R12), Y11
+	VFMADD231PD  Y10, Y8, Y0 // re += cr·s
+	VFNMADD231PD Y11, Y9, Y0 // re −= ci·t
+	VFMADD231PD  Y10, Y9, Y1 // im += cr·t
+	VFMADD231PD  Y11, Y8, Y1 // im += ci·s
+	VBROADCASTSD 16(R12), Y12
+	VBROADCASTSD 24(R12), Y13
+	VFMADD231PD  Y12, Y8, Y2
+	VFNMADD231PD Y13, Y9, Y2
+	VFMADD231PD  Y12, Y9, Y3
+	VFMADD231PD  Y13, Y8, Y3
+	VBROADCASTSD 32(R12), Y14
+	VBROADCASTSD 40(R12), Y15
+	VFMADD231PD  Y14, Y8, Y4
+	VFNMADD231PD Y15, Y9, Y4
+	VFMADD231PD  Y14, Y9, Y5
+	VFMADD231PD  Y15, Y8, Y5
+	VBROADCASTSD 48(R12), Y10
+	VBROADCASTSD 56(R12), Y11
+	VFMADD231PD  Y10, Y8, Y6
+	VFNMADD231PD Y11, Y9, Y6
+	VFMADD231PD  Y10, Y9, Y7
+	VFMADD231PD  Y11, Y8, Y7
+	ADDQ $48, BX
+	ADDQ $64, R12
+	CMPQ BX, R10
+	JLT  leaf
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (SI)
+	VMOVUPD Y2, (DI)(DX*1)
+	VMOVUPD Y3, (SI)(DX*1)
+	VMOVUPD Y4, (DI)(DX*2)
+	VMOVUPD Y5, (SI)(DX*2)
+	VMOVUPD Y6, (DI)(R11*1)
+	VMOVUPD Y7, (SI)(R11*1)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  col
+	VZEROUPPER
+	RET

@@ -733,3 +733,113 @@ loop:
 	SUB  $4, R8, R8
 	CBNZ R8, loop
 	RET
+
+// func neonFoldN(accRe, accIm *float64, stride, n int, lo *[8]Vector, c *[8][4][2]float64, k int)
+// Register-blocked leaf fold: acc row r += Σ_k c[k][r] · lo[k][:n] for the 4
+// rows at accRe/accIm, stride elements apart; n > 0 and n%4 == 0. Four
+// columns of all four rows (V0–V15, two vectors per plane and row) stay in
+// registers while the k > 0 leaves are applied in table order: per leaf, four
+// lower-half loads and eight coefficient broadcasts feed thirty-two FMLA/FMLS,
+// in neonAxpyCx's per-element sequence. lo is the table's [8]Vector: leaf k's
+// Re data pointer is at 48k and its Im data pointer at 48k+24.
+TEXT ·neonFoldN(SB), NOSPLIT, $0-56
+	MOVD accRe+0(FP), R0
+	MOVD accIm+8(FP), R1
+	MOVD stride+16(FP), R2
+	LSL  $3, R2, R2 // row stride in bytes
+	ADD  R2, R0, R3 // row 1
+	ADD  R2, R1, R4
+	ADD  R2, R3, R5 // row 2
+	ADD  R2, R4, R6
+	ADD  R2, R5, R7 // row 3
+	ADD  R2, R6, R8
+	MOVD n+24(FP), R9
+	MOVD lo+32(FP), R10
+	MOVD c+40(FP), R11
+	MOVD k+48(FP), R12
+	MOVD $48, R13
+	MUL  R13, R12, R12
+	ADD  R10, R12, R12 // end of the held leaves
+	MOVD ZR, R13       // lower-half byte offset
+col:
+	VLD1 (R0), [V0.D2, V1.D2]   // row 0 re
+	VLD1 (R1), [V2.D2, V3.D2]   // row 0 im
+	VLD1 (R3), [V4.D2, V5.D2]   // row 1
+	VLD1 (R4), [V6.D2, V7.D2]
+	VLD1 (R5), [V8.D2, V9.D2]   // row 2
+	VLD1 (R6), [V10.D2, V11.D2]
+	VLD1 (R7), [V12.D2, V13.D2] // row 3
+	VLD1 (R8), [V14.D2, V15.D2]
+	MOVD R10, R14
+	MOVD R11, R15
+leaf:
+	MOVD (R14), R19
+	MOVD 24(R14), R20
+	ADD  R13, R19, R19
+	ADD  R13, R20, R20
+	VLD1 (R19), [V16.D2, V17.D2] // s
+	VLD1 (R20), [V18.D2, V19.D2] // t
+	FMOVD 0(R15), F20 // row 0: cr, ci
+	FMOVD 8(R15), F21
+	VDUP  V20.D[0], V20.D2
+	VDUP  V21.D[0], V21.D2
+	VFMLA V20.D2, V16.D2, V0.D2 // re += cr·s
+	VFMLA V20.D2, V17.D2, V1.D2
+	VFMLS V21.D2, V18.D2, V0.D2 // re −= ci·t
+	VFMLS V21.D2, V19.D2, V1.D2
+	VFMLA V20.D2, V18.D2, V2.D2 // im += cr·t
+	VFMLA V20.D2, V19.D2, V3.D2
+	VFMLA V21.D2, V16.D2, V2.D2 // im += ci·s
+	VFMLA V21.D2, V17.D2, V3.D2
+	FMOVD 16(R15), F22
+	FMOVD 24(R15), F23
+	VDUP  V22.D[0], V22.D2
+	VDUP  V23.D[0], V23.D2
+	VFMLA V22.D2, V16.D2, V4.D2
+	VFMLA V22.D2, V17.D2, V5.D2
+	VFMLS V23.D2, V18.D2, V4.D2
+	VFMLS V23.D2, V19.D2, V5.D2
+	VFMLA V22.D2, V18.D2, V6.D2
+	VFMLA V22.D2, V19.D2, V7.D2
+	VFMLA V23.D2, V16.D2, V6.D2
+	VFMLA V23.D2, V17.D2, V7.D2
+	FMOVD 32(R15), F24
+	FMOVD 40(R15), F25
+	VDUP  V24.D[0], V24.D2
+	VDUP  V25.D[0], V25.D2
+	VFMLA V24.D2, V16.D2, V8.D2
+	VFMLA V24.D2, V17.D2, V9.D2
+	VFMLS V25.D2, V18.D2, V8.D2
+	VFMLS V25.D2, V19.D2, V9.D2
+	VFMLA V24.D2, V18.D2, V10.D2
+	VFMLA V24.D2, V19.D2, V11.D2
+	VFMLA V25.D2, V16.D2, V10.D2
+	VFMLA V25.D2, V17.D2, V11.D2
+	FMOVD 48(R15), F26
+	FMOVD 56(R15), F27
+	VDUP  V26.D[0], V26.D2
+	VDUP  V27.D[0], V27.D2
+	VFMLA V26.D2, V16.D2, V12.D2
+	VFMLA V26.D2, V17.D2, V13.D2
+	VFMLS V27.D2, V18.D2, V12.D2
+	VFMLS V27.D2, V19.D2, V13.D2
+	VFMLA V26.D2, V18.D2, V14.D2
+	VFMLA V26.D2, V19.D2, V15.D2
+	VFMLA V27.D2, V16.D2, V14.D2
+	VFMLA V27.D2, V17.D2, V15.D2
+	ADD  $48, R14
+	ADD  $64, R15
+	CMP  R12, R14
+	BLO  leaf
+	VST1.P [V0.D2, V1.D2], 32(R0)
+	VST1.P [V2.D2, V3.D2], 32(R1)
+	VST1.P [V4.D2, V5.D2], 32(R3)
+	VST1.P [V6.D2, V7.D2], 32(R4)
+	VST1.P [V8.D2, V9.D2], 32(R5)
+	VST1.P [V10.D2, V11.D2], 32(R6)
+	VST1.P [V12.D2, V13.D2], 32(R7)
+	VST1.P [V14.D2, V15.D2], 32(R8)
+	ADD  $32, R13
+	SUB  $4, R9, R9
+	CBNZ R9, col
+	RET

@@ -32,6 +32,7 @@ func spanArm() kernelOps {
 		cross:   spanCross,
 		axpy:    spanAxpy,
 		rot4x4:  spanRot4x4,
+		fold:    foldAxpy,
 	}
 }
 

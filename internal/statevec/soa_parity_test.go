@@ -273,14 +273,18 @@ func withinUlps(a, b float64, n int) bool {
 
 // TestFoldKronAllArms holds the leaf fold, on every kernel arm, against the
 // naive complex tensor accumulation at 1e-12 and against one AccumulateKron
-// call per leaf at 4 ulp per amplitude: tiling may reorder work across
+// call per leaf at 4 ulp per amplitude: blocking may reorder work across
 // amplitudes, never across the leaves of one. Output lengths sit on and around
-// one lower half, inside a column tile and at the full state; a sequence of
-// leaves is folded K at a time, so unless K divides it the last batch is
-// short. Everything the fold has no business reading is NaN: the upper
+// one lower half, inside a row and at the full state, and give every
+// remainder of a foldRows block, with a short last row inside one; 2-column
+// rows are narrower than one vector. A sequence of leaves is folded K at a
+// time, so unless K divides it the last batch is short, and K past foldChunk
+// is split. Everything the fold has no business reading is NaN: the upper
 // amplitudes past the accumulator's rows, the lower amplitudes past a
 // sub-row output, the table rows past the held leaves, and the lower half of a
-// leaf whose coefficient row is all zero.
+// leaf whose coefficient row is all zero. Another leaf is zero on the rows of
+// one block only. An empty accumulator is a no-op, and the fold allocates
+// nothing.
 func TestFoldKronAllArms(t *testing.T) {
 	orig := KernelISA()
 	defer func() {
@@ -289,11 +293,18 @@ func TestFoldKronAllArms(t *testing.T) {
 		}
 	}()
 	const (
-		nLower, nUpper = 10, 3 // two column tiles per row
-		dimLo          = 1 << nLower
-		leaves         = 19
-		zeroLeaf       = 5
+		leaves   = 19
+		zeroLeaf = 5
+		partLeaf = 11 // zero on rows [foldRows, 2·foldRows)
 	)
+	shapes := []struct {
+		nLower, nUpper int
+		ms             []int
+	}{
+		{10, 3, []int{1, 1<<10 - 1, 1 << 10, 1<<10 + 1, 3<<10 + 1<<9 + 5, 1 << 13}},
+		{6, 4, []int{3 << 6, 4<<6 + 17, 6 << 6, 6<<6 + 7, 9 << 6, 12<<6 + 33, 16 << 6}},
+		{1, 4, []int{19, 32}},
+	}
 	nan := math.NaN()
 	poison := func(v Vector, from int) {
 		for i := from; i < v.Len(); i++ {
@@ -306,54 +317,71 @@ func TestFoldKronAllArms(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(43))
-			for _, m := range []int{1, dimLo - 1, dimLo, dimLo + 1, 3*dimLo + foldTileCols + 5, 1 << (nLower + nUpper)} {
-				rows := (m + dimLo - 1) >> nLower
-				coeffs := make([]complex128, leaves)
-				ups, los := make([]Vector, leaves), make([]Vector, leaves)
-				start := make([]complex128, m)
-				for i := range start {
-					start[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				}
-				want := append([]complex128(nil), start...)
-				for k := range coeffs {
-					coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
-					up, lo := randomState(rng, nUpper), randomState(rng, nLower)
-					ups[k], los[k] = FromComplex(up), FromComplex(lo)
-					poison(ups[k], rows)
-					poison(los[k], m)
-					if k == zeroLeaf {
-						ups[k].Slice(0, rows).Clear()
-						poison(los[k], 0)
-						continue
+			for _, sh := range shapes {
+				nLower, dimLo := sh.nLower, 1<<sh.nLower
+				for _, m := range sh.ms {
+					rows := (m + dimLo - 1) >> nLower
+					coeffs := make([]complex128, leaves)
+					ups, los := make([]Vector, leaves), make([]Vector, leaves)
+					start := make([]complex128, m)
+					for i := range start {
+						start[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 					}
-					for x := range want {
-						want[x] += coeffs[k] * up[x>>nLower] * lo[x&(dimLo-1)]
-					}
-				}
-				oneRow := FromComplex(start)
-				for k := range coeffs {
-					AccumulateKron(oneRow, coeffs[k], ups[k], los[k], nLower)
-				}
-				spare := MakeVector(1 << nUpper)
-				poison(spare, 0)
-				for _, K := range []int{1, 2, 7, 8} {
-					acc := FromComplex(start)
-					for k0 := 0; k0 < leaves; k0 += K {
-						k1 := min(k0+K, leaves)
-						// A short batch leaves table rows past its leaves.
-						table := append(append([]Vector(nil), ups[k0:k1]...), spare)
-						FoldKron(acc, coeffs[k0:k1], table, los[k0:k1], nLower)
-					}
-					for i := range want {
-						if d := cmplx.Abs(acc.Amplitude(i) - want[i]); !(d <= parityTol) { // NaN fails too
-							t.Fatalf("m=%d K=%d amplitude %d: got %v want %v", m, K, i, acc.Amplitude(i), want[i])
+					want := append([]complex128(nil), start...)
+					for k := range coeffs {
+						coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+						ups[k] = FromComplex(randomState(rng, sh.nUpper))
+						los[k] = FromComplex(randomState(rng, nLower))
+						poison(ups[k], rows)
+						poison(los[k], m)
+						switch {
+						case k == zeroLeaf:
+							ups[k].Slice(0, rows).Clear()
+							poison(los[k], 0)
+							continue
+						case k == partLeaf && rows > foldRows:
+							ups[k].Slice(foldRows, min(2*foldRows, rows)).Clear()
 						}
-						if !withinUlps(acc.Re[i], oneRow.Re[i], 4) || !withinUlps(acc.Im[i], oneRow.Im[i], 4) {
-							t.Fatalf("m=%d K=%d amplitude %d: fold %v, leaf by leaf %v", m, K, i, acc.Amplitude(i), oneRow.Amplitude(i))
+						for x := range want {
+							want[x] += coeffs[k] * ups[k].Amplitude(x>>nLower) * los[k].Amplitude(x&(dimLo-1))
+						}
+					}
+					oneRow := FromComplex(start)
+					for k := range coeffs {
+						AccumulateKron(oneRow, coeffs[k], ups[k], los[k], nLower)
+					}
+					spare := MakeVector(1 << sh.nUpper)
+					poison(spare, 0)
+					for _, K := range []int{1, 2, 7, 8, 9, 17} {
+						acc := FromComplex(start)
+						for k0 := 0; k0 < leaves; k0 += K {
+							k1 := min(k0+K, leaves)
+							// A short batch leaves table rows past its leaves.
+							table := append(append([]Vector(nil), ups[k0:k1]...), spare)
+							FoldKron(acc, coeffs[k0:k1], table, los[k0:k1], nLower)
+						}
+						for i := range want {
+							if d := cmplx.Abs(acc.Amplitude(i) - want[i]); !(d <= parityTol) { // NaN fails too
+								t.Fatalf("nLower=%d m=%d K=%d amplitude %d: got %v want %v", nLower, m, K, i, acc.Amplitude(i), want[i])
+							}
+							if !withinUlps(acc.Re[i], oneRow.Re[i], 4) || !withinUlps(acc.Im[i], oneRow.Im[i], 4) {
+								t.Fatalf("nLower=%d m=%d K=%d amplitude %d: fold %v, leaf by leaf %v", nLower, m, K, i, acc.Amplitude(i), oneRow.Amplitude(i))
+							}
+						}
+					}
+					if m == 1<<(nLower+sh.nUpper) {
+						acc := FromComplex(start)
+						for _, K := range []int{1, 8, 9} {
+							if allocs := testing.AllocsPerRun(10, func() { FoldKron(acc, coeffs[:K], ups, los, nLower) }); allocs != 0 {
+								t.Errorf("nLower=%d K=%d: %v allocs per fold", nLower, K, allocs)
+							}
 						}
 					}
 				}
 			}
+			empty := MakeVector(0)
+			FoldKron(empty, []complex128{1, 2}, []Vector{MakeVector(8), MakeVector(8)}, []Vector{MakeVector(8), MakeVector(8)}, 3)
+			AccumulateKron(empty, 1, MakeVector(8), MakeVector(8), 3)
 		})
 	}
 }
@@ -708,6 +736,21 @@ func TestSpanPrimitivesAllArms(t *testing.T) {
 						arm.rot2x2(g[0], g[1], g[2], g[3], ar, ai*im, br, bi*im, cr, ci*im, dr, di*im)
 						ref.rot2x2(w[0], w[1], w[2], w[3], ar, ai*im, br, bi*im, cr, ci*im, dr, di*im)
 						check(t, "rot2x2", n, off, g, w)
+					}
+					{
+						var tab foldTable
+						for tab.k = 0; tab.k < 3; tab.k++ {
+							tab.lo[tab.k] = Vector{window(n, off), window(n, off)}
+							for r := range foldRows {
+								tab.c[tab.k][r] = [2]float64{rng.NormFloat64(), rng.NormFloat64()}
+							}
+						}
+						stride := n + 5
+						g := [][]float64{window(3*stride+n, off), window(3*stride+n, off)}
+						w := [][]float64{append([]float64(nil), g[0]...), append([]float64(nil), g[1]...)}
+						arm.fold(Vector{g[0], g[1]}, stride, n, tab)
+						ref.fold(Vector{w[0], w[1]}, stride, n, tab)
+						check(t, "fold", n, off, g, w)
 					}
 					for _, im := range []float64{0, 1} {
 						m := make([]complex128, 16)

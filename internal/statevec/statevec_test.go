@@ -400,29 +400,31 @@ func BenchmarkApplyVecDiagonalQ20(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafFold measures the HSF leaf fold at the benchmark's two shapes
-// (11-qubit lower halves; 2^14 amplitudes fold one leaf per pass, 2^20 fold
-// eight) and reports the time per leaf.
+// BenchmarkLeafFold measures the HSF leaf fold at the benchmark's three
+// shapes — joint-sweep (2^14 amplitudes, 11-qubit lower halves, one leaf per
+// pass), serve-plan (2^14, 10-qubit, two) and joint-accum-par (2^20, 11-qubit,
+// eight) — and reports the time per leaf and the rate at 8·m flops per leaf.
 func BenchmarkLeafFold(b *testing.B) {
-	const nLower = 11
 	rng := rand.New(rand.NewSource(41))
-	for _, tc := range []struct{ m, k int }{{1 << 14, 1}, {1 << 20, 8}} {
-		b.Run(fmt.Sprintf("m=2^%d/K=%d", bits.Len(uint(tc.m))-1, tc.k), func(b *testing.B) {
+	for _, tc := range []struct{ m, nLower, k int }{{1 << 14, 11, 1}, {1 << 14, 10, 2}, {1 << 20, 11, 8}} {
+		b.Run(fmt.Sprintf("m=2^%d/nLower=%d/K=%d", bits.Len(uint(tc.m))-1, tc.nLower, tc.k), func(b *testing.B) {
 			acc := MakeVector(tc.m)
 			coeffs := make([]complex128, tc.k)
 			ups := make([]Vector, tc.k)
 			los := make([]Vector, tc.k)
 			for k := range los {
 				coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
-				ups[k] = FromComplex(randomState(rng, 11))
-				los[k] = FromComplex(randomState(rng, nLower))
+				ups[k] = FromComplex(randomState(rng, bits.Len(uint(tc.m))-1-tc.nLower))
+				los[k] = FromComplex(randomState(rng, tc.nLower))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				FoldKron(acc, coeffs, ups, los, nLower)
+				FoldKron(acc, coeffs, ups, los, tc.nLower)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.k), "ns/leaf")
+			leaves := float64(b.N * tc.k)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/leaves, "ns/leaf")
+			b.ReportMetric(8*float64(tc.m)*leaves/float64(b.Elapsed().Nanoseconds()), "GFlop/s")
 		})
 	}
 }

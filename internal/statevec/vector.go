@@ -216,50 +216,62 @@ func MaxAbsDiffVec(a, b Vector) float64 {
 	return d
 }
 
-// Tile shape of FoldKron: at most foldTileCols columns (lower amplitudes) by
-// as many accumulator rows (one per upper amplitude) as make foldTileAmps
-// amplitudes, two rows of a wide lower half. The accumulator tile and one
-// leaf's slab of lower amplitudes must sit in L1 together; DESIGN.md "Leaf
-// fold" has the measurements behind the numbers.
-const (
-	foldTileCols = 512
-	foldTileAmps = 1024
-)
-
 // FoldKron adds Σ_k coeffs[k] · (ups[k] ⊗ los[k]) to the first acc.Len()
 // amplitudes of acc: acc[a<<nLower|b] += coeffs[k]·ups[k][a]·los[k][b], the
 // product Upᵀ·diag(coeffs)·Lo of K = len(coeffs) HSF leaves (ups and los may
 // be longer). It reads ups[k][a] only for the ⌈acc.Len()/2^nLower⌉ rows acc
-// has. The accumulator is walked in L1-sized tiles and all K leaves are
-// applied to a tile back to back — one stride-1 complex AXPY per row and leaf
-// through the SoA kernel table — so acc is loaded once per K leaves while
-// every amplitude still receives its leaves in slice order.
+// has. Whole rows go foldRows at a time through the kernel table's fold,
+// which streams them once per foldChunk leaves; the rows left over and a
+// short last row take one stride-1 complex AXPY per row and leaf. Either way
+// every amplitude receives its leaves in slice order.
 func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
 	m := acc.Len()
-	cols := min(1<<nLower, m)
-	rows := (m + 1<<nLower - 1) >> nLower
-	tileRows := foldTileAmps / min(cols, foldTileCols)
-	for a0 := 0; a0 < rows; a0 += tileRows {
-		a1 := min(a0+tileRows, rows)
-		for c0 := 0; c0 < cols; c0 += foldTileCols {
-			c1 := min(c0+foldTileCols, cols)
-			for k, coeff := range coeffs {
-				cr, ci := real(coeff), imag(coeff)
-				upRe, upIm := ups[k].Re, ups[k].Im
-				loRe, loIm := los[k].Re[c0:c1], los[k].Im[c0:c1]
-				for a := a0; a < a1; a++ {
-					ur := cr*upRe[a] - ci*upIm[a]
-					ui := cr*upIm[a] + ci*upRe[a]
-					x0 := a<<nLower + c0
-					n := min(c1-c0, m-x0) // the last row may be short
-					if n <= 0 || (ur == 0 && ui == 0) {
-						continue
-					}
-					ops.axpy(acc.Re[x0:x0+n], acc.Im[x0:x0+n], loRe[:n], loIm[:n], ur, ui)
+	if m == 0 {
+		return
+	}
+	stride := 1 << nLower
+	cols := min(stride, m)
+	blocks := (m / cols) &^ (foldRows - 1) // rows in whole blocks
+	var t foldTable
+	for a0 := 0; a0 < blocks; a0 += foldRows {
+		for k0 := 0; k0 < len(coeffs); k0 += foldChunk {
+			// A leaf whose coefficients are all zero on these rows is dropped
+			// and its lower half never read.
+			t.k = 0
+			for k := k0; k < min(k0+foldChunk, len(coeffs)); k++ {
+				c, nonzero := &t.c[t.k], false
+				for r := range c {
+					ur, ui := rowCoeff(coeffs[k], ups[k], a0+r)
+					c[r] = [2]float64{ur, ui}
+					nonzero = nonzero || ur != 0 || ui != 0
 				}
+				if nonzero {
+					t.lo[t.k] = los[k]
+					t.k++
+				}
+			}
+			if t.k > 0 {
+				x0 := a0 * stride
+				ops.fold(acc.Slice(x0, x0+(foldRows-1)*stride+cols), stride, cols, t)
 			}
 		}
 	}
+	for a := blocks; a<<nLower < m; a++ {
+		x0 := a << nLower
+		n := min(cols, m-x0) // the last row may be short
+		for k, coeff := range coeffs {
+			if ur, ui := rowCoeff(coeff, ups[k], a); ur != 0 || ui != 0 {
+				ops.axpy(acc.Re[x0:x0+n], acc.Im[x0:x0+n], los[k].Re[:n], los[k].Im[:n], ur, ui)
+			}
+		}
+	}
+}
+
+// rowCoeff returns the real and imaginary parts of coeff·up[a], the factor
+// row a of a leaf's lower half is added with.
+func rowCoeff(coeff complex128, up Vector, a int) (float64, float64) {
+	cr, ci := real(coeff), imag(coeff)
+	return cr*up.Re[a] - ci*up.Im[a], cr*up.Im[a] + ci*up.Re[a]
 }
 
 // AccumulateKron adds coeff · (up ⊗ lo) to the first acc.Len() amplitudes of
