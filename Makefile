@@ -110,8 +110,9 @@ bench-telemetry:
 	$(GO) run ./cmd/benchcore -study telemetry -o BENCH_telemetry.json
 
 # Quick kernel-bench smoke: one benchtime iteration over the statevec
-# kernels and the leaf fold under the best arm runtime dispatch selects
-# (avx2/neon where the CPU has it). The old GOAMD64=v3 override is obsolete —
+# kernels under the best arm runtime dispatch selects (avx512/avx2/neon where
+# the CPU has it), and the leaf fold on every available arm side by side
+# (BenchmarkLeafFold/<shape>/<arm>). The old GOAMD64=v3 override is obsolete —
 # the hand-written assembly arms carry the AVX2/FMA (and NEON) code on every
 # build, and HSFSIM_KERNEL_ISA forces a weaker arm when needed.
 bench-smoke:

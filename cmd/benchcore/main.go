@@ -64,7 +64,7 @@ type report struct {
 func main() {
 	out := flag.String("o", "", "output file (- for stdout; default BENCH_<study>.json)")
 	study := flag.String("study", "core", "study to run: core | kernels | telemetry | serving | dist")
-	isa := flag.String("kernel-isa", "", "force a kernel ISA for the whole run: scalar|span|avx2|neon (default: best available; equivalent to "+statevec.EnvKernelISA+")")
+	isa := flag.String("kernel-isa", "", "force a kernel ISA for the whole run: scalar|span|avx2|avx512|neon (default: best available; equivalent to "+statevec.EnvKernelISA+")")
 	flag.Parse()
 	if *isa != "" {
 		fail(statevec.SelectKernelISA(*isa))

@@ -6,10 +6,11 @@ package statevec
 // selected once at startup:
 //
 //   - default builds install the best available arm (soa_dispatch.go):
-//     Go-assembly vector bodies — AVX2+FMA on amd64 (soa_amd64.s), NEON on
-//     arm64 (soa_arm64.s) — when the CPU feature probe admits them, else the
-//     unrolled-Go span arm (this file); kernels take the span path whenever
-//     a gate's contiguous run length reaches ops.spanMin;
+//     Go-assembly vector bodies — AVX2+FMA on amd64 (soa_amd64.s, plus an
+//     AVX-512F leaf fold), NEON on arm64 (soa_arm64.s) — when the CPU
+//     feature probe admits them, else the unrolled-Go span arm (this file);
+//     kernels take the span path whenever a gate's contiguous run length
+//     reaches ops.spanMin;
 //   - `-tags purego` builds install the plain scalar arm (soa_purego.go) with
 //     spanMin=0, so every kernel runs its scalar fallback loop — the
 //     reference semantics, and the portability floor for exotic targets.
@@ -77,10 +78,11 @@ type kernelOps struct {
 // is an immediate nil dereference in every test.
 var ops kernelOps
 
-// KernelISA reports which kernel arm this process is running: "avx2" or
-// "neon" when the assembly arm is live, "span" for the unrolled-Go fallback,
-// "scalar" under -tags purego or a forced override. Telemetry and the bench
-// studies record it so artifacts say which arm produced them.
+// KernelISA reports which kernel arm this process is running: "avx512"
+// (avx2 with the ZMM leaf fold), "avx2" or "neon" when an assembly arm is
+// live, "span" for the unrolled-Go fallback, "scalar" under -tags purego or
+// a forced override. Telemetry and the bench studies record it so artifacts
+// say which arm produced them.
 func KernelISA() string { return ops.name }
 
 // scalarArm is the reference arm: plain one-element loops, span dispatch
@@ -111,6 +113,15 @@ type foldTable struct {
 	lo [foldChunk]Vector
 	c  [foldChunk][foldRows][2]float64
 	k  int
+}
+
+// from returns the table with every held lower half cut to columns [h, n):
+// the operands of a fold over the columns an assembly head left.
+func (t foldTable) from(h, n int) foldTable {
+	for k := range t.k {
+		t.lo[k] = t.lo[k].Slice(h, n)
+	}
+	return t
 }
 
 // foldAxpy is the reference fold body: one axpy per leaf and row, skipping

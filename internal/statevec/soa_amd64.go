@@ -4,8 +4,9 @@ package statevec
 
 import "hsfsim/internal/cpufeat"
 
-// AVX2+FMA arm. The assembly bodies (soa_amd64.s; generator under asm/)
-// process 4 float64 lanes per YMM register with unaligned loads — plane
+// AVX2+FMA arm, and the avx512 arm that replaces only its fold. The assembly
+// bodies (soa_amd64.s; notes under asm/) process 4 float64 lanes per YMM
+// register (8 per ZMM in the avx512 fold) with unaligned loads — plane
 // allocation is 64-byte aligned but spans start at arbitrary gate-offset
 // positions, so the bodies assume nothing. Each wrapper below picks the
 // real-coefficient entry point when the imaginary parts are exactly zero
@@ -24,12 +25,16 @@ import "hsfsim/internal/cpufeat"
 const avx2SpanMin = 4
 
 // archArms returns the amd64 assembly candidates, best-first. The AVX2 arm
-// needs AVX2 and FMA3, OS-enabled (see internal/cpufeat).
+// needs AVX2 and FMA3, OS-enabled (see internal/cpufeat). The avx512 arm is
+// the avx2 table with the fold replaced: the fold is the one primitive that
+// reuses each loaded accumulator element across many FMAs, where 8-lane
+// registers pay; the others stream their spans once per call and stay on
+// avx2.
 func archArms() []kernelOps {
 	if !cpufeat.X86.HasAVX2 || !cpufeat.X86.HasFMA {
 		return nil
 	}
-	return []kernelOps{{
+	avx2 := kernelOps{
 		name:    "avx2",
 		spanMin: avx2SpanMin,
 		scale:   avx2Scale,
@@ -41,11 +46,20 @@ func archArms() []kernelOps {
 		rot1lo:  avx2Rot1Lo,
 		diag1lo: avx2Diag1Lo,
 		fold:    avx2Fold,
-	}}
+	}
+	if !cpufeat.X86.HasAVX512F {
+		return []kernelOps{avx2}
+	}
+	avx512 := avx2
+	avx512.name, avx512.fold = "avx512", avx512Fold
+	return []kernelOps{avx512, avx2}
 }
 
 //go:noescape
 func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[foldChunk]Vector, c *[foldChunk][foldRows][2]float64, k int)
+
+//go:noescape
+func avx512FoldN(accRe, accIm *float64, stride, n int, lo *[foldChunk]Vector, c *[foldChunk][foldRows][2]float64, k int)
 
 //go:noescape
 func avx2ScaleRe(xr, xi *float64, n int, cr float64)
@@ -166,23 +180,29 @@ func avx2Axpy(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64) {
 }
 
 // avx2Fold hands the 4-column-divisible head to the register-blocked body and
-// the sub-register tail to the reference loop. The bounds checks stand in for
-// the ones the assembly cannot make.
+// the sub-register tail to the reference loop.
 func avx2Fold(acc Vector, stride, n int, t foldTable) {
 	h := n &^ 3
 	if h > 0 {
-		end := (foldRows-1)*stride + h
-		_, _ = acc.Re[end-1], acc.Im[end-1]
-		for k := range t.k {
-			_, _ = t.lo[k].Re[h-1], t.lo[k].Im[h-1]
-		}
+		checkFoldHead(acc, stride, h, &t)
 		avx2FoldN(&acc.Re[0], &acc.Im[0], stride, h, &t.lo, &t.c, t.k)
 	}
 	if h < n {
-		for k := range t.k {
-			t.lo[k] = t.lo[k].Slice(h, n)
-		}
-		foldAxpy(acc.Slice(h, acc.Len()), stride, n-h, t)
+		foldAxpy(acc.Slice(h, acc.Len()), stride, n-h, t.from(h, n))
+	}
+}
+
+// avx512Fold hands the 16-column-divisible head to the ZMM body and the rest
+// to avx2Fold. Both bodies give each element the same FMA sequence, so the
+// output is bit-identical to avx2Fold's.
+func avx512Fold(acc Vector, stride, n int, t foldTable) {
+	h := n &^ 15
+	if h > 0 {
+		checkFoldHead(acc, stride, h, &t)
+		avx512FoldN(&acc.Re[0], &acc.Im[0], stride, h, &t.lo, &t.c, t.k)
+	}
+	if h < n {
+		avx2Fold(acc.Slice(h, acc.Len()), stride, n-h, t.from(h, n))
 	}
 }
 

@@ -1,15 +1,16 @@
 //go:build !purego
 
-// AVX2+FMA span-primitive bodies. Generated shape: see asm/gen_amd64.go for
-// the avo generator these bodies are maintained against; the committed text
-// is authoritative so builds need no codegen step.
+// AVX2+FMA span-primitive bodies and the AVX-512F leaf fold. Hand-maintained:
+// this text is the source (asm/README.md has the contracts), so builds need
+// no codegen step.
 //
 // Contract shared by every TEXT below: pointer arguments address the first
 // element of equal-length, non-aliasing float64 spans; n > 0 and n%4 == 0
-// (the Go wrappers in soa_amd64.go peel the sub-register tail); loads and
-// stores are unaligned (VMOVUPD) because spans start at arbitrary
-// gate-offset positions inside the 64-byte-aligned planes. No function
-// calls, no stack frame, YMM state cleared with VZEROUPPER before RET.
+// (n%16 == 0 for avx512FoldN; the Go wrappers in soa_amd64.go peel the
+// rest); loads and stores are unaligned (VMOVUPD) because spans start at
+// arbitrary gate-offset positions inside the 64-byte-aligned planes. No
+// function calls, no stack frame, upper vector state cleared with VZEROUPPER
+// before RET.
 
 #include "textflag.h"
 
@@ -694,9 +695,6 @@ loop:
 	RET
 
 // --- register-blocked leaf fold ---------------------------------------------
-//
-// Hand-written: gen_amd64.go does not generate this body (avo cannot be
-// fetched offline); asm/README.md has its contract.
 
 // func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[8]Vector, c *[8][4][2]float64, k int)
 // acc row r += Σ_k c[k][r] · lo[k][:n] for the 4 rows at accRe/accIm,
@@ -773,6 +771,120 @@ leaf:
 	ADDQ $32, DI
 	ADDQ $32, SI
 	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  col
+	VZEROUPPER
+	RET
+
+// func avx512FoldN(accRe, accIm *float64, stride, n int, lo *[8]Vector, c *[8][4][2]float64, k int)
+// avx2FoldN on 16 columns of 8-lane ZMM registers: the 4 rows × 2 groups ×
+// re/im accumulators sit in Z0–Z15 (row r's re groups in Z4r, Z4r+1, its im
+// groups in Z4r+2, Z4r+3). Per leaf, s and t of both groups (Z16–Z19) and
+// the eight coefficient broadcasts (Z20–Z27) feed 32 FMAs in avx2FoldN's
+// per-element sequence, so every element rounds exactly as there.
+// n % 16 == 0, k > 0.
+TEXT ·avx512FoldN(SB), NOSPLIT, $0-56
+	MOVQ accRe+0(FP), DI
+	MOVQ accIm+8(FP), SI
+	MOVQ stride+16(FP), DX
+	SHLQ $3, DX          // row stride in bytes
+	LEAQ (DX)(DX*2), R11 // three row strides
+	MOVQ n+24(FP), CX
+	MOVQ lo+32(FP), R8
+	MOVQ c+40(FP), R9
+	MOVQ k+48(FP), R10
+	IMULQ $48, R10
+	ADDQ R8, R10         // end of the held leaves
+	XORQ AX, AX          // column
+col:
+	VMOVUPD (DI), Z0           // row 0 re
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (SI), Z2           // row 0 im
+	VMOVUPD 64(SI), Z3
+	VMOVUPD (DI)(DX*1), Z4     // row 1
+	VMOVUPD 64(DI)(DX*1), Z5
+	VMOVUPD (SI)(DX*1), Z6
+	VMOVUPD 64(SI)(DX*1), Z7
+	VMOVUPD (DI)(DX*2), Z8     // row 2
+	VMOVUPD 64(DI)(DX*2), Z9
+	VMOVUPD (SI)(DX*2), Z10
+	VMOVUPD 64(SI)(DX*2), Z11
+	VMOVUPD (DI)(R11*1), Z12   // row 3
+	VMOVUPD 64(DI)(R11*1), Z13
+	VMOVUPD (SI)(R11*1), Z14
+	VMOVUPD 64(SI)(R11*1), Z15
+	MOVQ R8, BX
+	MOVQ R9, R12
+leaf:
+	MOVQ 0(BX), R13
+	VMOVUPD (R13)(AX*8), Z16   // s
+	VMOVUPD 64(R13)(AX*8), Z17
+	MOVQ 24(BX), R13
+	VMOVUPD (R13)(AX*8), Z18   // t
+	VMOVUPD 64(R13)(AX*8), Z19
+	VBROADCASTSD 0(R12), Z20   // row 0: cr, ci
+	VBROADCASTSD 8(R12), Z21
+	VBROADCASTSD 16(R12), Z22  // row 1
+	VBROADCASTSD 24(R12), Z23
+	VBROADCASTSD 32(R12), Z24  // row 2
+	VBROADCASTSD 40(R12), Z25
+	VBROADCASTSD 48(R12), Z26  // row 3
+	VBROADCASTSD 56(R12), Z27
+	VFMADD231PD  Z20, Z16, Z0  // re += cr·s
+	VFMADD231PD  Z20, Z17, Z1
+	VFNMADD231PD Z21, Z18, Z0  // re −= ci·t
+	VFNMADD231PD Z21, Z19, Z1
+	VFMADD231PD  Z20, Z18, Z2  // im += cr·t
+	VFMADD231PD  Z20, Z19, Z3
+	VFMADD231PD  Z21, Z16, Z2  // im += ci·s
+	VFMADD231PD  Z21, Z17, Z3
+	VFMADD231PD  Z22, Z16, Z4
+	VFMADD231PD  Z22, Z17, Z5
+	VFNMADD231PD Z23, Z18, Z4
+	VFNMADD231PD Z23, Z19, Z5
+	VFMADD231PD  Z22, Z18, Z6
+	VFMADD231PD  Z22, Z19, Z7
+	VFMADD231PD  Z23, Z16, Z6
+	VFMADD231PD  Z23, Z17, Z7
+	VFMADD231PD  Z24, Z16, Z8
+	VFMADD231PD  Z24, Z17, Z9
+	VFNMADD231PD Z25, Z18, Z8
+	VFNMADD231PD Z25, Z19, Z9
+	VFMADD231PD  Z24, Z18, Z10
+	VFMADD231PD  Z24, Z19, Z11
+	VFMADD231PD  Z25, Z16, Z10
+	VFMADD231PD  Z25, Z17, Z11
+	VFMADD231PD  Z26, Z16, Z12
+	VFMADD231PD  Z26, Z17, Z13
+	VFNMADD231PD Z27, Z18, Z12
+	VFNMADD231PD Z27, Z19, Z13
+	VFMADD231PD  Z26, Z18, Z14
+	VFMADD231PD  Z26, Z19, Z15
+	VFMADD231PD  Z27, Z16, Z14
+	VFMADD231PD  Z27, Z17, Z15
+	ADDQ $48, BX
+	ADDQ $64, R12
+	CMPQ BX, R10
+	JLT  leaf
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (SI)
+	VMOVUPD Z3, 64(SI)
+	VMOVUPD Z4, (DI)(DX*1)
+	VMOVUPD Z5, 64(DI)(DX*1)
+	VMOVUPD Z6, (SI)(DX*1)
+	VMOVUPD Z7, 64(SI)(DX*1)
+	VMOVUPD Z8, (DI)(DX*2)
+	VMOVUPD Z9, 64(DI)(DX*2)
+	VMOVUPD Z10, (SI)(DX*2)
+	VMOVUPD Z11, 64(SI)(DX*2)
+	VMOVUPD Z12, (DI)(R11*1)
+	VMOVUPD Z13, 64(DI)(R11*1)
+	VMOVUPD Z14, (SI)(R11*1)
+	VMOVUPD Z15, 64(SI)(R11*1)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	ADDQ $16, AX
 	CMPQ AX, CX
 	JLT  col
 	VZEROUPPER

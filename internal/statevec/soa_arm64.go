@@ -45,23 +45,15 @@ func archArms() []kernelOps {
 func neonFoldN(accRe, accIm *float64, stride, n int, lo *[foldChunk]Vector, c *[foldChunk][foldRows][2]float64, k int)
 
 // neonFold hands the 4-column-divisible head (two vectors per plane and row)
-// to the register-blocked body and the tail to the reference loop. The bounds
-// checks stand in for the ones the assembly cannot make.
+// to the register-blocked body and the tail to the reference loop.
 func neonFold(acc Vector, stride, n int, t foldTable) {
 	h := n &^ 3
 	if h > 0 {
-		end := (foldRows-1)*stride + h
-		_, _ = acc.Re[end-1], acc.Im[end-1]
-		for k := range t.k {
-			_, _ = t.lo[k].Re[h-1], t.lo[k].Im[h-1]
-		}
+		checkFoldHead(acc, stride, h, &t)
 		neonFoldN(&acc.Re[0], &acc.Im[0], stride, h, &t.lo, &t.c, t.k)
 	}
 	if h < n {
-		for k := range t.k {
-			t.lo[k] = t.lo[k].Slice(h, n)
-		}
-		foldAxpy(acc.Slice(h, acc.Len()), stride, n-h, t)
+		foldAxpy(acc.Slice(h, acc.Len()), stride, n-h, t.from(h, n))
 	}
 }
 

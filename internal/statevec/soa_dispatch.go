@@ -19,15 +19,16 @@ import (
 //     -kernel-isa flag, the per-arm parity sweep).
 //
 // Overrides can only choose among the compiled-in, CPU-supported arms: you
-// can force avx2 down to span or scalar, never scalar up to avx2.
+// can force avx512 down to avx2, span or scalar, never scalar up to avx2.
 
 // EnvKernelISA names the environment variable that forces a kernel arm at
-// startup: one of "scalar", "span", "avx2", "neon" (subject to availability).
+// startup: one of "scalar", "span", "avx2", "avx512", "neon" (subject to
+// availability).
 const EnvKernelISA = "HSFSIM_KERNEL_ISA"
 
 // kernelISANames is every arm name any build knows, used to distinguish "not
 // available here" from "no such arm" in override errors.
-var kernelISANames = []string{"scalar", "span", "avx2", "neon"}
+var kernelISANames = []string{"scalar", "span", "avx2", "avx512", "neon"}
 
 // arms holds the available kernel arms, best-first. buildArms is supplied by
 // the build-tag arms (soa_native.go / soa_purego.go); the per-architecture

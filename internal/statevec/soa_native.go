@@ -36,6 +36,17 @@ func spanArm() kernelOps {
 	}
 }
 
+// checkFoldHead makes the bounds checks an assembly fold body cannot: every
+// row of the accumulator block and every held lower half has an h-column
+// head.
+func checkFoldHead(acc Vector, stride, h int, t *foldTable) {
+	end := (foldRows-1)*stride + h
+	_, _ = acc.Re[end-1], acc.Im[end-1]
+	for k := range t.k {
+		_, _ = t.lo[k].Re[h-1], t.lo[k].Im[h-1]
+	}
+}
+
 // alignedFloats returns a zeroed n-element slice whose first element sits on
 // a 64-byte boundary. It over-allocates by one cache line and re-slices; the
 // returned slice points into the padded array, which keeps it live.

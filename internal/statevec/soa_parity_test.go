@@ -276,14 +276,18 @@ func withinUlps(a, b float64, n int) bool {
 // call per leaf at 4 ulp per amplitude: blocking may reorder work across
 // amplitudes, never across the leaves of one. Output lengths sit on and around
 // one lower half, inside a row and at the full state, and give every
-// remainder of a foldRows block, with a short last row inside one; 2-column
-// rows are narrower than one vector. A sequence of leaves is folded K at a
-// time, so unless K divides it the last batch is short, and K past foldChunk
-// is split. Everything the fold has no business reading is NaN: the upper
-// amplitudes past the accumulator's rows, the lower amplitudes past a
-// sub-row output, the table rows past the held leaves, and the lower half of a
-// leaf whose coefficient row is all zero. Another leaf is zero on the rows of
-// one block only. An empty accumulator is a no-op, and the fold allocates
+// remainder of a foldRows block, with a short last row inside one. Rows are
+// 2^nLower columns wide: 2 is narrower than one YMM vector, 8 fills only the
+// avx2 head of the avx512 arm, 16 is exactly one ZMM block, and the 32-column
+// shape also takes every sub-row length from 17 to 31 and short last rows of
+// 20 and 28 columns (other column remainders mod 16 reach the fold bodies
+// only directly, in TestSpanPrimitivesAllArms). A sequence of leaves is
+// folded K at a time, so unless K divides it the last batch is short, and K
+// past foldChunk is split. Everything the fold has no business reading is
+// NaN: the upper amplitudes past the accumulator's rows, the lower amplitudes
+// past a sub-row output, the table rows past the held leaves, and the lower
+// half of a leaf whose coefficient row is all zero. Another leaf is zero on
+// the rows of one block only. An empty accumulator is a no-op, and the fold allocates
 // nothing.
 func TestFoldKronAllArms(t *testing.T) {
 	orig := KernelISA()
@@ -303,6 +307,9 @@ func TestFoldKronAllArms(t *testing.T) {
 	}{
 		{10, 3, []int{1, 1<<10 - 1, 1 << 10, 1<<10 + 1, 3<<10 + 1<<9 + 5, 1 << 13}},
 		{6, 4, []int{3 << 6, 4<<6 + 17, 6 << 6, 6<<6 + 7, 9 << 6, 12<<6 + 33, 16 << 6}},
+		{5, 3, []int{17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 4<<5 + 20, 5<<5 + 28, 8 << 5}},
+		{4, 3, []int{4 << 4, 5<<4 + 9, 8 << 4}},
+		{3, 4, []int{4 << 3, 7<<3 + 5, 16 << 3}},
 		{1, 4, []int{19, 32}},
 	}
 	nan := math.NaN()
@@ -383,6 +390,84 @@ func TestFoldKronAllArms(t *testing.T) {
 			FoldKron(empty, []complex128{1, 2}, []Vector{MakeVector(8), MakeVector(8)}, []Vector{MakeVector(8), MakeVector(8)}, 3)
 			AccumulateKron(empty, 1, MakeVector(8), MakeVector(8), 3)
 		})
+	}
+}
+
+// TestFoldAVX512MatchesAVX2 holds the ZMM fold to the avx2 one bit for bit
+// (±0 counted equal): FoldKron on the benchmark's three shapes and a ragged
+// 7-leaf one, and the fold primitive itself on every column count up to 48,
+// which splits into a ZMM head, an avx2 head and a foldAxpy tail in every
+// combination.
+func TestFoldAVX512MatchesAVX2(t *testing.T) {
+	var zmm, ymm kernelOps
+	for _, arm := range arms {
+		switch arm.name {
+		case "avx512":
+			zmm = arm
+		case "avx2":
+			ymm = arm
+		}
+	}
+	if zmm.fold == nil {
+		t.Skipf("no avx512 arm here (available: %v)", KernelISAs())
+	}
+	orig := KernelISA()
+	defer func() {
+		if err := SelectKernelISA(orig); err != nil {
+			t.Fatalf("restoring arm %q: %v", orig, err)
+		}
+	}()
+	rng := rand.New(rand.NewSource(47))
+	randomVector := func(n int) Vector {
+		v := MakeVector(n)
+		for i := range v.Re {
+			v.Re[i], v.Im[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		return v
+	}
+	same := func(what string, a, b Vector) {
+		t.Helper()
+		for i := range a.Re {
+			if a.Re[i] != b.Re[i] || a.Im[i] != b.Im[i] {
+				t.Fatalf("%s: amplitude %d: avx512 %v, avx2 %v", what, i, a.Amplitude(i), b.Amplitude(i))
+			}
+		}
+	}
+	for _, sh := range []struct{ m, nLower, nUpper, k int }{
+		{1 << 14, 11, 3, 1}, {1 << 14, 10, 4, 2}, {1 << 20, 11, 9, 8}, {13<<9 + 100, 9, 4, 7},
+	} {
+		coeffs := make([]complex128, sh.k)
+		ups, los := make([]Vector, sh.k), make([]Vector, sh.k)
+		for k := range coeffs {
+			coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			ups[k] = FromComplex(randomState(rng, sh.nUpper))
+			los[k] = FromComplex(randomState(rng, sh.nLower))
+		}
+		start := randomVector(sh.m)
+		var got [2]Vector
+		for i, isa := range []string{"avx512", "avx2"} {
+			if err := SelectKernelISA(isa); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = start.Clone()
+			FoldKron(got[i], coeffs, ups, los, sh.nLower)
+		}
+		same(fmt.Sprintf("FoldKron m=%d nLower=%d K=%d", sh.m, sh.nLower, sh.k), got[0], got[1])
+	}
+	for n := 1; n <= 48; n++ {
+		var tab foldTable
+		for tab.k = 0; tab.k < 1+n%foldChunk; tab.k++ {
+			tab.lo[tab.k] = randomVector(n)
+			for r := range foldRows {
+				tab.c[tab.k][r] = [2]float64{rng.NormFloat64(), rng.NormFloat64()}
+			}
+		}
+		stride := n + 3
+		a := randomVector((foldRows-1)*stride + n)
+		b := a.Clone()
+		zmm.fold(a, stride, n, tab)
+		ymm.fold(b, stride, n, tab)
+		same(fmt.Sprintf("fold n=%d K=%d", n, tab.k), a, b)
 	}
 }
 
@@ -655,15 +740,19 @@ func TestLoQubitKernelsAllArms(t *testing.T) {
 	}
 }
 
-// TestSpanPrimitivesAllArms hammers the six span primitives of every arm
-// directly against the scalar reference bodies, over lengths below spanMin,
-// odd lengths, and unaligned offsets — the span shapes kernel dispatch
-// produces at low qubit positions and odd gate offsets. Both coefficient
-// classes (real-only and complex) are exercised so the Re/Cx assembly entry
-// points and their tail epilogues are all covered.
+// TestSpanPrimitivesAllArms hammers the span primitives and the fold of every
+// arm directly against the scalar reference bodies, over lengths below
+// spanMin, every length up to 36 (so every remainder mod 16 follows one and
+// two 16-column fold heads), and unaligned offsets — the span shapes kernel
+// dispatch produces at low qubit positions and odd gate offsets. Both
+// coefficient classes (real-only and complex) are exercised so the Re/Cx
+// assembly entry points and their tail epilogues are all covered.
 func TestSpanPrimitivesAllArms(t *testing.T) {
 	ref := scalarArm()
-	lengths := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 33, 100}
+	lengths := []int{100}
+	for n := 1; n <= 36; n++ {
+		lengths = append(lengths, n)
+	}
 	offsets := []int{0, 1, 3}
 	rng := rand.New(rand.NewSource(31))
 	window := func(n, off int) []float64 {
@@ -780,6 +869,7 @@ func TestSelectKernelISA(t *testing.T) {
 			t.Fatalf("restoring arm %q: %v", orig, err)
 		}
 	}()
+	t.Logf("installed %q, available %v", orig, KernelISAs())
 	avail := map[string]bool{}
 	for _, name := range KernelISAs() {
 		avail[name] = true

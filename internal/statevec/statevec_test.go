@@ -403,28 +403,39 @@ func BenchmarkApplyVecDiagonalQ20(b *testing.B) {
 // BenchmarkLeafFold measures the HSF leaf fold at the benchmark's three
 // shapes — joint-sweep (2^14 amplitudes, 11-qubit lower halves, one leaf per
 // pass), serve-plan (2^14, 10-qubit, two) and joint-accum-par (2^20, 11-qubit,
-// eight) — and reports the time per leaf and the rate at 8·m flops per leaf.
+// eight) — on every kernel arm this process has, and reports the time per
+// leaf and the rate at 8·m flops per leaf.
 func BenchmarkLeafFold(b *testing.B) {
+	orig := KernelISA()
+	defer func() {
+		if err := SelectKernelISA(orig); err != nil {
+			b.Fatalf("restoring arm %q: %v", orig, err)
+		}
+	}()
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct{ m, nLower, k int }{{1 << 14, 11, 1}, {1 << 14, 10, 2}, {1 << 20, 11, 8}} {
-		b.Run(fmt.Sprintf("m=2^%d/nLower=%d/K=%d", bits.Len(uint(tc.m))-1, tc.nLower, tc.k), func(b *testing.B) {
-			acc := MakeVector(tc.m)
-			coeffs := make([]complex128, tc.k)
-			ups := make([]Vector, tc.k)
-			los := make([]Vector, tc.k)
-			for k := range los {
-				coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
-				ups[k] = FromComplex(randomState(rng, bits.Len(uint(tc.m))-1-tc.nLower))
-				los[k] = FromComplex(randomState(rng, tc.nLower))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				FoldKron(acc, coeffs, ups, los, tc.nLower)
-			}
-			leaves := float64(b.N * tc.k)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/leaves, "ns/leaf")
-			b.ReportMetric(8*float64(tc.m)*leaves/float64(b.Elapsed().Nanoseconds()), "GFlop/s")
-		})
+		acc := MakeVector(tc.m)
+		coeffs := make([]complex128, tc.k)
+		ups := make([]Vector, tc.k)
+		los := make([]Vector, tc.k)
+		for k := range los {
+			coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			ups[k] = FromComplex(randomState(rng, bits.Len(uint(tc.m))-1-tc.nLower))
+			los[k] = FromComplex(randomState(rng, tc.nLower))
+		}
+		for _, isa := range KernelISAs() {
+			b.Run(fmt.Sprintf("m=2^%d/nLower=%d/K=%d/%s", bits.Len(uint(tc.m))-1, tc.nLower, tc.k, isa), func(b *testing.B) {
+				if err := SelectKernelISA(isa); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					FoldKron(acc, coeffs, ups, los, tc.nLower)
+				}
+				leaves := float64(b.N * tc.k)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/leaves, "ns/leaf")
+				b.ReportMetric(8*float64(tc.m)*leaves/float64(b.Elapsed().Nanoseconds()), "GFlop/s")
+			})
+		}
 	}
 }
