@@ -39,7 +39,7 @@ race-core:
 # across the worker pool with a shared scratch discipline; run the kernel and
 # segment parity suites under the detector to catch any aliasing regression.
 race-sweep:
-	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather' -count=1 ./internal/statevec/ ./internal/hsf/
+	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair' -count=1 ./internal/statevec/ ./internal/hsf/
 
 # Telemetry race pass: per-worker counters flush into the shared recorder and
 # the atomic histograms are hammered from every walker goroutine; the guard

@@ -309,14 +309,13 @@ type CompiledPlan struct {
 	circuit *Circuit
 	method  Method
 	plan    *cut.Plan // HSF methods
-	// Schrodinger: the product state the peeled leading 1-qubit gates prepare
-	// (per qubit, G_k…G_1|0⟩), the segment applied to it, and the peeled then
-	// fused gates (telemetry census).
-	prologue [][2]complex128
-	seg      *statevec.CompiledSegment
-	gates    []gate.Gate
-	fp       uint64
-	compile  time.Duration
+	// Schrodinger: the segment compiled from the product state the peeled
+	// leading 1-qubit gates prepare (per qubit, G_k…G_1|0⟩), and the peeled
+	// then fused gates (telemetry census).
+	seg     *statevec.CompiledSegment
+	gates   []gate.Gate
+	fp      uint64
+	compile time.Duration
 }
 
 // Fingerprint returns the plan's cache key: a hash of the circuit (gate
@@ -426,8 +425,7 @@ func Compile(c *Circuit, opts Options) (*CompiledPlan, error) {
 	switch opts.Method {
 	case Schrodinger:
 		endCompile := opts.Telemetry.Span("compile")
-		var gates []gate.Gate
-		cp.prologue, cp.gates, gates = peelPrologue(c)
+		prologue, peeled, gates := peelPrologue(c)
 		if opts.FusionMaxQubits >= 0 {
 			maxQ := opts.FusionMaxQubits
 			if maxQ == 0 {
@@ -437,10 +435,11 @@ func Compile(c *Circuit, opts Options) (*CompiledPlan, error) {
 		}
 		// Compile once: every fused k-qubit gate gets its kernel plan here
 		// instead of rebuilding (and allocating) it on each application, runs
-		// of low-qubit gates become cache-blocked sweeps over the state and
-		// runs of diagonal gates phase steps.
-		cp.seg = statevec.CompileSegment(gates, c.NumQubits)
-		cp.gates = append(cp.gates, gates...)
+		// of low-qubit gates become cache-blocked sweeps over the state, runs
+		// of diagonal gates phase steps — the first of which writes the
+		// product state — and high 1-qubit gates pairs.
+		cp.seg = statevec.CompileProduct(prologue, gates)
+		cp.gates = append(peeled, gates...)
 		endCompile()
 	case StandardHSF, JointHSF:
 		strategy := cut.StrategyNone
@@ -568,7 +567,7 @@ func (cp *CompiledPlan) runSchrodinger(ctx context.Context, opts Options) (*Resu
 	simStart := time.Now()
 	// The sweep runs on the SoA planes; amplitudes are interleaved exactly
 	// once, at the Result edge below.
-	s := statevec.NewProductVector(cp.prologue)
+	s := seg.NewState()
 	for i := 0; i < seg.NumSteps(); i++ {
 		select {
 		case <-ctx.Done():

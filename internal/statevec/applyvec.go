@@ -235,31 +235,20 @@ func (v Vector) permPhase1(b, c complex128, q, lo, hi int) {
 	}
 }
 
+// rot1: the dense 1q gate. Arms with a whole-range rot1 slot take every
+// qubit in one call; the others run one span call per run, or the scalar loop.
 func (v Vector) rot1(a, b, c, d complex128, q, lo, hi int) {
 	mask := 1 << q
 	ar, ai := real(a), imag(a)
 	br, bi := real(b), imag(b)
 	cr, ci := real(c), imag(c)
 	dr, di := real(d), imag(d)
-	if sm := ops.spanMin; sm > 0 && mask >= sm {
-		re, im := v.Re, v.Im
-		for o := lo; o < hi; {
-			g := o >> q
-			end := (g + 1) << q
-			if end > hi {
-				end = hi
-			}
-			i0 := g<<(q+1) | (o & (mask - 1))
-			i1 := i0 + mask
-			n := end - o
-			ops.rot2x2(re[i0:i0+n], im[i0:i0+n], re[i1:i1+n], im[i1:i1+n],
-				ar, ai, br, bi, cr, ci, dr, di)
-			o = end
-		}
+	if ops.rot1 != nil {
+		ops.rot1(v.Re, v.Im, q, lo, hi, ar, ai, br, bi, cr, ci, dr, di)
 		return
 	}
-	if q < 2 && ops.rot1lo != nil {
-		ops.rot1lo(v.Re, v.Im, q, lo, hi, ar, ai, br, bi, cr, ci, dr, di)
+	if sm := ops.spanMin; sm > 0 && mask >= sm {
+		rot1Runs(v.Re, v.Im, q, lo, hi, ops.rot2x2, ar, ai, br, bi, cr, ci, dr, di)
 		return
 	}
 	re, im := v.Re, v.Im

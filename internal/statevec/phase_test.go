@@ -310,7 +310,7 @@ func libraryGate(rng *rand.Rand, n int) gate.Gate {
 // uncompiled gate list and holds every gate exactly once.
 func TestGatherProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	sawPhase := 0
+	sawPhase, sawPair := 0, 0
 	for rep := 0; rep < 120; rep++ {
 		n := 6 + rng.Intn(5)
 		tileQ := 3 + rng.Intn(3)
@@ -340,10 +340,16 @@ func TestGatherProperty(t *testing.T) {
 		}
 		steps, _ := phaseGates(cs)
 		sawPhase += steps
+		for i := range cs.steps {
+			if cs.steps[i].pair != nil {
+				sawPair++
+			}
+		}
 	}
-	if sawPhase < 100 {
-		t.Fatalf("only %d phase steps over the property run: the circuits do not exercise the gather", sawPhase)
+	if sawPhase < 100 || sawPair < 20 {
+		t.Fatalf("only %d phase steps and %d pairs over the property run: the circuits do not exercise the gather and the pairing", sawPhase, sawPair)
 	}
+	t.Logf("%d phase steps, %d pairs", sawPhase, sawPair)
 }
 
 // TestGatherPins fixes what may and may not pass an open run, on a 6-qubit
@@ -405,6 +411,112 @@ func TestGatherPins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPairHighPins fixes which 1-qubit gates above the tile boundary pair
+// into one pass, on a 6-qubit register with the boundary at 3: each case
+// gives the compiled gate order and the number of paired steps.
+func TestPairHighPins(t *testing.T) {
+	const tileQ, n = 3, 6
+	rx3, h3, h4, h5 := gate.RX(0.4, 3), gate.H(3), gate.H(4), gate.H(5)
+	rx2, rz4, cnot21, cnot41 := gate.RX(0.6, 2), gate.RZ(0.2, 4), gate.CNOT(2, 1), gate.CNOT(4, 1)
+	r := []gate.Gate{gate.RZZ(0.3, 0, 3), gate.RZZ(0.5, 1, 4), gate.RZZ(0.7, 0, 4)}
+	for _, tc := range []struct {
+		name      string
+		in, order []gate.Gate
+		pairs     int
+	}{
+		{"adjacent gates on two high qubits pair", []gate.Gate{rx3, h4}, []gate.Gate{rx3, h4}, 1},
+		{"the second moves past a gate that does not touch it",
+			[]gate.Gate{rx3, cnot21, h4}, []gate.Gate{rx3, h4, cnot21}, 1},
+		{"an entangler on the second qubit blocks it", []gate.Gate{rx3, cnot41, h4}, []gate.Gate{rx3, cnot41, h4}, 0},
+		{"a diagonal gate on the second qubit blocks it", []gate.Gate{rx3, rz4, h4}, []gate.Gate{rx3, rz4, h4}, 0},
+		{"two gates on one qubit do not pair", []gate.Gate{rx3, h3}, []gate.Gate{rx3, h3}, 0},
+		{"a gate below the boundary does not pair", []gate.Gate{rx2, rx3}, []gate.Gate{rx2, rx3}, 0},
+		{"a blocked gate is skipped for the next one", []gate.Gate{rx3, cnot41, h4, h5}, []gate.Gate{rx3, h5, cnot41, h4}, 1},
+		{"pairs do not reach across a phase run", []gate.Gate{rx3, r[0], r[1], r[2], h4}, []gate.Gate{rx3, r[0], r[1], r[2], h4}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := checkCompiled(t, rand.New(rand.NewSource(48)), cloneGates(tc.in), n, tileQ)
+			var order []string
+			pairs := 0
+			for i := range cs.steps {
+				for j := range cs.steps[i].gates {
+					order = append(order, cs.steps[i].gates[j].String())
+				}
+				if cs.steps[i].pair != nil {
+					pairs++
+				}
+			}
+			var want []string
+			for i := range tc.order {
+				want = append(want, tc.order[i].String())
+			}
+			if !slices.Equal(order, want) || pairs != tc.pairs {
+				t.Errorf("compiled order %v with %d pairs, want %v with %d", order, pairs, want, tc.pairs)
+			}
+		})
+	}
+}
+
+// TestPhaseStepWritesProduct: compiled from a product state — components
+// zero, one or random, so the written tiles hold exact zeros — a segment
+// whose first step is a phase step writes the state there, and equals the
+// product state with the gates applied one by one; one whose first step is
+// not keeps the product-state write. Under every kernel arm, at, just above
+// and well above one tile.
+func TestPhaseStepWritesProduct(t *testing.T) {
+	forEachArm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(49))
+		writes := 0
+		for rep := 0; rep < 24; rep++ {
+			tileQ := 3 + rng.Intn(3)
+			n := tileQ + []int{0, 1, 3}[rep%3]
+			qs := make([][2]complex128, n)
+			for q := range qs {
+				switch rng.Intn(4) {
+				case 0:
+					qs[q] = [2]complex128{1, 0}
+				case 1:
+					qs[q] = [2]complex128{0, 1}
+				default:
+					u := randUnitary(rng, 2)
+					qs[q] = [2]complex128{u.Data[0], u.Data[2]}
+				}
+			}
+			var gs []gate.Gate
+			for i := 0; rep%2 == 0 && n > tileQ && i < 6; i++ { // a phase run first
+				gs = append(gs, randDiagonal(rng, append(pick(rng, 0, tileQ, 1), pick(rng, tileQ, n, 1)...)))
+			}
+			if rep%2 == 1 {
+				gs = append(gs, libraryGate(rng, n)) // the first step is rarely a phase step
+			}
+			for len(gs) < 30 {
+				if rng.Intn(4) == 0 {
+					gs = append(gs, libraryGate(rng, n))
+				} else {
+					gs = append(gs, randDiagonal(rng, pick(rng, 0, n, 1+rng.Intn(2))))
+				}
+			}
+			want := NewProductVector(qs)
+			want.ApplyAll(cloneGates(gs))
+			cs := compileProduct(qs, gs, tileQ)
+			got := cs.NewState()
+			cs.Apply(got)
+			if d := MaxAbsDiffVec(got, want); !(d <= parityTol) {
+				t.Fatalf("rep %d n=%d tileQ=%d: %g from the gate-by-gate state", rep, n, tileQ, d)
+			}
+			if kind, _ := cs.Step(0); cs.writes != (kind == StepPhase) {
+				t.Fatalf("rep %d: first step %v, writes %v", rep, kind, cs.writes)
+			}
+			if cs.writes {
+				writes++
+			}
+		}
+		if writes < 6 {
+			t.Fatalf("only %d writing phase steps: the circuits do not exercise them", writes)
+		}
+	})
 }
 
 // TestProductVector checks the doubling write against gates applied to

@@ -19,10 +19,11 @@ package statevec
 // weaker arm; see soa_dispatch.go. The primitives are chosen so each maps to
 // one obvious vertical SIMD loop: no lane shuffles, no horizontal
 // reductions. They are scale, rot2x2, swap, cross, axpy and rot4x4 over
-// spans, the optional low-qubit pair kernels, and fold, the HSF leaf fold's
-// register-blocked micro-kernel: foldRows accumulator rows held in
-// registers while up to foldChunk leaves are added, an axpy per row and
-// leaf on the arms without a body of their own.
+// spans, the optional whole-range 1q rotation and low-qubit diagonal
+// kernels, and fold, the HSF leaf fold's register-blocked micro-kernel:
+// foldRows accumulator rows held in registers while up to foldChunk leaves
+// are added, an axpy per row and leaf on the arms without a body of their
+// own.
 
 // kernelOps is the startup-selected table of span primitives. All spans
 // passed to these functions are equal-length and non-aliasing (x and y spans
@@ -64,12 +65,21 @@ type kernelOps struct {
 	// a call through this field would move FoldKron's table to the heap.
 	fold func(acc Vector, stride, n int, t foldTable)
 
-	// rot1lo and diag1lo are optional interleaved-pair kernels for 1q gates
-	// on qubits 0 and 1, whose runs (length 1 and 2) never reach spanMin.
-	// The assembly arms vectorize them with in-register shuffles — a trick
-	// the span primitives above cannot express — over the half-block pairs
-	// [lo,hi) of rot1/diag1. Nil on arms without them; callers must check.
-	rot1lo  func(re, im []float64, q, lo, hi int, ar, ai, br, bi, cr, ci, dr, di float64)
+	// rot1 is the optional whole-range 1q rotation: the dense gate
+	// [[a, b], [c, d]] on qubit q over the half-block pairs [lo,hi) of the
+	// planes, for every q, in one call. On qubits 0 and 1, whose runs
+	// (length 1 and 2) never reach spanMin, the assembly arms vectorize the
+	// pairs with in-register shuffles. Above, a 2^q-element run costs one
+	// span call — 13 arguments and up to 8 broadcasts — which dominates at
+	// q = 2…5; the amd64 arm instead loops over whole groups inside one
+	// assembly body, bit-identical to the span path, and the NEON arm keeps
+	// the span loop (rot1Runs). Nil on arms without it: Vector.rot1 then
+	// takes the span loop or its scalar loop.
+	rot1 func(re, im []float64, q, lo, hi int, ar, ai, br, bi, cr, ci, dr, di float64)
+
+	// diag1lo is the optional interleaved-pair diag(a, d) kernel for qubits 0
+	// and 1 (phase1 passes a = 1), vectorized like rot1's low qubits. Nil on
+	// arms without it; callers must check.
 	diag1lo func(re, im []float64, q, lo, hi int, ar, ai, dr, di float64)
 }
 
@@ -168,9 +178,29 @@ func scalarRot2x2(xr, xi, yr, yi []float64, ar, ai, br, bi, cr, ci, dr, di float
 	}
 }
 
+// rot1Runs applies the dense 1q rotation on qubit q to the half-block pairs
+// [lo,hi) one contiguous run pair at a time through rot2x2: Vector.rot1's span
+// path, the NEON rot1 slot above qubit 1, and the partial groups the amd64
+// group-looped body leaves at either end. Adding j < n to i0 never carries
+// into bit q, so both spans of a run are contiguous.
+func rot1Runs(re, im []float64, q, lo, hi int,
+	rot2x2 func(xr, xi, yr, yi []float64, ar, ai, br, bi, cr, ci, dr, di float64),
+	ar, ai, br, bi, cr, ci, dr, di float64) {
+	mask := 1 << q
+	for o := lo; o < hi; {
+		g := o >> q
+		end := min((g+1)<<q, hi)
+		i0 := g<<(q+1) | (o & (mask - 1))
+		i1 := i0 + mask
+		n := end - o
+		rot2x2(re[i0:i0+n], im[i0:i0+n], re[i1:i1+n], im[i1:i1+n], ar, ai, br, bi, cr, ci, dr, di)
+		o = end
+	}
+}
+
 // rot1Pair applies the dense 1q rotation to the single half-block pair o for
 // qubit q: the per-pair body of rot1's scalar loop, shared by the assembly
-// arms' rot1lo wrappers for their unaligned head and sub-register tail pairs.
+// arms' rot1 wrappers for their unaligned head and sub-register tail pairs.
 func rot1Pair(re, im []float64, q, o int, ar, ai, br, bi, cr, ci, dr, di float64) {
 	mask := 1 << q
 	i0 := (o>>q)<<(q+1) | (o & (mask - 1))

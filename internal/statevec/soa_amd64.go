@@ -43,7 +43,7 @@ func archArms() []kernelOps {
 		cross:   avx2Cross,
 		axpy:    avx2Axpy,
 		rot4x4:  avx2Rot4x4,
-		rot1lo:  avx2Rot1Lo,
+		rot1:    avx2Rot1,
 		diag1lo: avx2Diag1Lo,
 		fold:    avx2Fold,
 	}
@@ -224,6 +224,42 @@ func avx2Rot2x2(xr, xi, yr, yi []float64, ar, ai, br, bi, cr, ci, dr, di float64
 		xi[i] = ar*xm + ai*x + br*ym + bi*y
 		yr[i] = cr*x - ci*xm + dr*y - di*ym
 		yi[i] = cr*xm + ci*x + dr*ym + di*y
+	}
+}
+
+//go:noescape
+func avx2Rot1GrpRe(re, im *float64, half, groups int, ar, br, cr, dr float64)
+
+//go:noescape
+func avx2Rot1GrpCx(re, im *float64, half, groups int, ar, ai, br, bi, cr, ci, dr, di float64)
+
+// avx2Rot1 is the rot1 slot: the dense 1q rotation on qubit q over the
+// half-block pairs [lo,hi), one assembly call per range. For q ≥ 2 the whole
+// groups go to the group-looped body and a partial group at either end —
+// parallelRange may split mid-group — to avx2Rot2x2, run by run; both give
+// each element avx2Rot2x2's FMA sequence, so the output is bit-identical to
+// one span call per run. Qubits 0 and 1 take the interleaved-pair kernels.
+func avx2Rot1(re, im []float64, q, lo, hi int, ar, ai, br, bi, cr, ci, dr, di float64) {
+	if q < 2 {
+		avx2Rot1Lo(re, im, q, lo, hi, ar, ai, br, bi, cr, ci, dr, di)
+		return
+	}
+	if head := min((lo>>q+1)<<q, hi); lo&(1<<q-1) != 0 && lo < head {
+		rot1Runs(re, im, q, lo, head, avx2Rot2x2, ar, ai, br, bi, cr, ci, dr, di)
+		lo = head
+	}
+	if g0, g1 := lo>>q, hi>>q; g0 < g1 {
+		x0, x1 := g0<<(q+1), g1<<(q+1)
+		_, _ = re[x1-1], im[x1-1]
+		if ai == 0 && bi == 0 && ci == 0 && di == 0 {
+			avx2Rot1GrpRe(&re[x0], &im[x0], 1<<q, g1-g0, ar, br, cr, dr)
+		} else {
+			avx2Rot1GrpCx(&re[x0], &im[x0], 1<<q, g1-g0, ar, ai, br, bi, cr, ci, dr, di)
+		}
+		lo = g1 << q
+	}
+	if lo < hi {
+		rot1Runs(re, im, q, lo, hi, avx2Rot2x2, ar, ai, br, bi, cr, ci, dr, di)
 	}
 }
 

@@ -288,6 +288,118 @@ loop:
 	VZEROUPPER
 	RET
 
+// --- group-looped 1q rotation -----------------------------------------------
+//
+// The dense 1q gate on qubit q ≥ 2 over whole half-block groups: group g is
+// the x span re/im[2g·half, 2g·half+half) and the y span right after it, half
+// = 2^q. Each group runs avx2Rot2x2Re/Cx's loop unchanged (same per-element
+// FMA sequence, so the output is bit-identical to one span call per group);
+// the outer loop advances 2·half elements per group, so a whole q-range is one
+// call instead of one 13-argument call and 4–8 broadcasts per 2^q-element
+// run. half > 0, half%4 == 0, groups > 0.
+
+// func avx2Rot1GrpRe(re, im *float64, half, groups int, ar, br, cr, dr float64)
+TEXT ·avx2Rot1GrpRe(SB), NOSPLIT, $0-64
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ half+16(FP), CX
+	MOVQ groups+24(FP), DX
+	VBROADCASTSD ar+32(FP), Y0
+	VBROADCASTSD br+40(FP), Y1
+	VBROADCASTSD cr+48(FP), Y2
+	VBROADCASTSD dr+56(FP), Y3
+	LEAQ (DI)(CX*8), R8 // y spans start half elements in
+	LEAQ (SI)(CX*8), R9
+	MOVQ CX, BX
+	SHLQ $4, BX // bytes per group: 2·half·8
+group:
+	XORQ AX, AX
+loop:
+	VMOVUPD (DI)(AX*8), Y4 // x
+	VMOVUPD (SI)(AX*8), Y5 // xm
+	VMOVUPD (R8)(AX*8), Y6 // y
+	VMOVUPD (R9)(AX*8), Y7 // ym
+	VMULPD      Y0, Y4, Y8  // ar·x
+	VFMADD231PD Y1, Y6, Y8  // + br·y
+	VMULPD      Y0, Y5, Y9  // ar·xm
+	VFMADD231PD Y1, Y7, Y9  // + br·ym
+	VMULPD      Y2, Y4, Y10 // cr·x
+	VFMADD231PD Y3, Y6, Y10 // + dr·y
+	VMULPD      Y2, Y5, Y11 // cr·xm
+	VFMADD231PD Y3, Y7, Y11 // + dr·ym
+	VMOVUPD Y8, (DI)(AX*8)
+	VMOVUPD Y9, (SI)(AX*8)
+	VMOVUPD Y10, (R8)(AX*8)
+	VMOVUPD Y11, (R9)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  loop
+	ADDQ BX, DI
+	ADDQ BX, SI
+	ADDQ BX, R8
+	ADDQ BX, R9
+	DECQ DX
+	JNZ  group
+	VZEROUPPER
+	RET
+
+// func avx2Rot1GrpCx(re, im *float64, half, groups int, ar, ai, br, bi, cr, ci, dr, di float64)
+TEXT ·avx2Rot1GrpCx(SB), NOSPLIT, $0-96
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ half+16(FP), CX
+	MOVQ groups+24(FP), DX
+	VBROADCASTSD ar+32(FP), Y0
+	VBROADCASTSD ai+40(FP), Y1
+	VBROADCASTSD br+48(FP), Y2
+	VBROADCASTSD bi+56(FP), Y3
+	VBROADCASTSD cr+64(FP), Y4
+	VBROADCASTSD ci+72(FP), Y5
+	VBROADCASTSD dr+80(FP), Y6
+	VBROADCASTSD di+88(FP), Y7
+	LEAQ (DI)(CX*8), R8
+	LEAQ (SI)(CX*8), R9
+	MOVQ CX, BX
+	SHLQ $4, BX
+group:
+	XORQ AX, AX
+loop:
+	VMOVUPD (DI)(AX*8), Y8  // x
+	VMOVUPD (SI)(AX*8), Y9  // xm
+	VMOVUPD (R8)(AX*8), Y10 // y
+	VMOVUPD (R9)(AX*8), Y11 // ym
+	VMULPD       Y0, Y8, Y12   // ar·x
+	VFNMADD231PD Y1, Y9, Y12   // − ai·xm
+	VFMADD231PD  Y2, Y10, Y12  // + br·y
+	VFNMADD231PD Y3, Y11, Y12  // − bi·ym
+	VMULPD       Y0, Y9, Y13   // ar·xm
+	VFMADD231PD  Y1, Y8, Y13   // + ai·x
+	VFMADD231PD  Y2, Y11, Y13  // + br·ym
+	VFMADD231PD  Y3, Y10, Y13  // + bi·y
+	VMULPD       Y4, Y8, Y14   // cr·x
+	VFNMADD231PD Y5, Y9, Y14   // − ci·xm
+	VFMADD231PD  Y6, Y10, Y14  // + dr·y
+	VFNMADD231PD Y7, Y11, Y14  // − di·ym
+	VMULPD       Y4, Y9, Y15   // cr·xm
+	VFMADD231PD  Y5, Y8, Y15   // + ci·x
+	VFMADD231PD  Y6, Y11, Y15  // + dr·ym
+	VFMADD231PD  Y7, Y10, Y15  // + di·y
+	VMOVUPD Y12, (DI)(AX*8)
+	VMOVUPD Y13, (SI)(AX*8)
+	VMOVUPD Y14, (R8)(AX*8)
+	VMOVUPD Y15, (R9)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  loop
+	ADDQ BX, DI
+	ADDQ BX, SI
+	ADDQ BX, R8
+	ADDQ BX, R9
+	DECQ DX
+	JNZ  group
+	VZEROUPPER
+	RET
+
 // func avx2Rot4x4N(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i *float64, n int, m *complex128)
 // 2q dense matvec over four span quadruples. The 16 complex coefficients are
 // broadcast from m (row-major, interleaved re/im) per row; all eight input

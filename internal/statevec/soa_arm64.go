@@ -35,7 +35,7 @@ func archArms() []kernelOps {
 		cross:   neonCross,
 		axpy:    neonAxpy,
 		rot4x4:  neonRot4x4,
-		rot1lo:  neonRot1Lo,
+		rot1:    neonRot1,
 		diag1lo: neonDiag1Lo,
 		fold:    neonFold,
 	}}
@@ -105,12 +105,18 @@ func neonDiag1LoQ0(re, im *float64, n int, ar, ai, dr, di float64)
 //go:noescape
 func neonDiag1LoQ1(re, im *float64, n int, ar, ai, dr, di float64)
 
-// neonRot1Lo vectorizes the dense 1q rotation on qubits 0 and 1 — runs too
-// short for the span path — over the half-block pairs [lo,hi). The assembly
+// neonRot1 is the rot1 slot: the dense 1q rotation on qubit q over the
+// half-block pairs [lo,hi). Qubits q ≥ 2 keep the span loop, one neonRot2x2
+// call per run (there is no group-looped NEON body). Qubits 0 and 1 — runs
+// too short for the span path — are vectorized in-register: the assembly
 // processes 4 float64 per plane per iteration (2 amplitude pairs), so the
 // wrapper aligns lo to a 2-pair group for q=1 (parallelRange may split at an
 // odd pair) and peels the <2-pair tail with the scalar pair body.
-func neonRot1Lo(re, im []float64, q, lo, hi int, ar, ai, br, bi, cr, ci, dr, di float64) {
+func neonRot1(re, im []float64, q, lo, hi int, ar, ai, br, bi, cr, ci, dr, di float64) {
+	if q >= 2 {
+		rot1Runs(re, im, q, lo, hi, neonRot2x2, ar, ai, br, bi, cr, ci, dr, di)
+		return
+	}
 	if q == 1 && lo&1 != 0 && lo < hi {
 		rot1Pair(re, im, q, lo, ar, ai, br, bi, cr, ci, dr, di)
 		lo++
@@ -139,7 +145,7 @@ func neonRot1Lo(re, im []float64, q, lo, hi int, ar, ai, br, bi, cr, ci, dr, di 
 	}
 }
 
-// neonDiag1Lo is the diag(a, d) analogue of neonRot1Lo (phase1 reuses it
+// neonDiag1Lo is the diag(a, d) analogue of neonRot1's low qubits (phase1 reuses it
 // with a = 1).
 func neonDiag1Lo(re, im []float64, q, lo, hi int, ar, ai, dr, di float64) {
 	if q == 1 && lo&1 != 0 && lo < hi {

@@ -400,6 +400,35 @@ func BenchmarkApplyVecDiagonalQ20(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelRot1PerQubit applies RX to every qubit of one hot 2^13
+// tile — the sweep's tile — on every kernel arm and reports ns per
+// amplitude: a per-run dispatch shows as a cliff at small q, where a run
+// is 2^q amplitudes long.
+func BenchmarkKernelRot1PerQubit(b *testing.B) {
+	orig := KernelISA()
+	defer func() {
+		if err := SelectKernelISA(orig); err != nil {
+			b.Fatalf("restoring arm %q: %v", orig, err)
+		}
+	}()
+	const n = DefaultTileQubits
+	v := FromComplex(randomState(rand.New(rand.NewSource(42)), n))
+	for q := 0; q < n; q++ {
+		g := gate.RX(0.3, q)
+		for _, isa := range KernelISAs() {
+			b.Run(fmt.Sprintf("q=%d/%s", q, isa), func(b *testing.B) {
+				if err := SelectKernelISA(isa); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < b.N; i++ {
+					v.kernel1(&g, 0, 1<<(n-1))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N<<n), "ns/amp")
+			})
+		}
+	}
+}
+
 // BenchmarkLeafFold measures the HSF leaf fold at the benchmark's three
 // shapes — joint-sweep (2^14 amplitudes, 11-qubit lower halves, one leaf per
 // pass), serve-plan (2^14, 10-qubit, two) and joint-accum-par (2^20, 11-qubit,

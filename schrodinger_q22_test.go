@@ -1,6 +1,7 @@
 package hsfsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -39,23 +40,38 @@ func phaseSteps(seg *statevec.CompiledSegment) (sizes []int) {
 
 // TestQ22SweepStepBudget is the clock-free gate on the Schrödinger sweep of
 // the schrodinger-dense workload: the prologue covers every qubit, the RZZ
-// cost layer is one phase step, and what remains is the mixer layer.
+// cost layer is one phase step that writes the product state, and what
+// remains is the mixer layer — one tiled step below the boundary and the
+// high mixers in pairs.
 func TestQ22SweepStepBudget(t *testing.T) {
 	c := q22Circuit(t)
-	cp, err := Compile(c, Options{Method: Schrodinger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q, v := range cp.prologue {
+	prologue, _, _ := peelPrologue(c)
+	for q, v := range prologue {
 		if v == [2]complex128{1, 0} {
 			t.Errorf("qubit %d: no prologue gate peeled", q)
 		}
 	}
+	cp, err := Compile(c, Options{Method: Schrodinger})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sizes := phaseSteps(cp.seg); len(sizes) != 1 || sizes[0] < 110 {
 		t.Errorf("phase steps of %v gates, want one of ≥ 110", sizes)
 	}
-	if n := cp.seg.NumSteps(); n > 26 {
-		t.Errorf("%d sweep steps, want ≤ 26 (92 before the phase step)", n)
+	if kind, _ := cp.seg.Step(0); kind != statevec.StepPhase {
+		t.Errorf("first step is %v, want the phase step that writes the state", kind)
+	}
+	high, steps := 0, ""
+	for i := 0; i < cp.seg.NumSteps(); i++ {
+		kind, gates := cp.seg.Step(i)
+		if kind == statevec.StepHigh {
+			high++
+		}
+		steps += fmt.Sprintf(" %s×%d", []string{"high", "tiled", "phase"}[kind], gates)
+	}
+	t.Logf("steps:%s", steps)
+	if n := cp.seg.NumSteps(); n > 7 || high > 5 {
+		t.Errorf("%d sweep steps, %d of them full passes, want ≤ 7 and ≤ 5 (10 and 8 before pairing, 92 before the phase step)", n, high)
 	}
 }
 

@@ -32,6 +32,9 @@ func checkSchrodinger(t *testing.T, c *Circuit, opts Options) *Result {
 		t.Fatal(err)
 	}
 	want := gateByGate(c)
+	if m := opts.MaxAmplitudes; m > 0 && m < want.Len() {
+		want = want.Slice(0, m)
+	}
 	if len(res.Amplitudes) != want.Len() {
 		t.Fatalf("%d amplitudes, want %d", len(res.Amplitudes), want.Len())
 	}
@@ -86,9 +89,44 @@ func TestProloguePeel(t *testing.T) {
 	}
 }
 
+// mixerTraps builds an n-qubit circuit (n ≥ 16) whose 1-qubit gates above the
+// 13-qubit tile boundary invite wrong pairs: a CNOT, CZ or CCZ on a high qubit
+// between two high RX, two gates on one high qubit, diagonal high gates, a
+// pair straddling the boundary — next to pairs that are right, with and
+// without a gate to move past. With phaseFirst, an H layer and a CZ ring
+// make the first step a phase step; without it, a CNOT chain comes first.
+func mixerTraps(n int, phaseFirst bool, rng *rand.Rand) *Circuit {
+	c := NewCircuit(n)
+	for q := 0; q < n; q++ {
+		c.Append(H(q))
+	}
+	if !phaseFirst {
+		for q := n - 1; q > 0; q-- {
+			c.Append(CNOT(q, q-1))
+		}
+	}
+	for q := 0; q < n; q++ {
+		c.Append(CZ(q, (q+1)%n))
+	}
+	th := func() float64 { return rng.Float64()*6 - 3 }
+	c.Append(RX(th(), 13), CNOT(14, 2), RX(th(), 14), // an entangler on the second
+		RX(th(), 15), CZ(13, 4), RX(th(), 13), // a diagonal entangler on the second
+		RX(th(), 14), CCZ(1, 14, 15), RX(th(), 15), // a 3-qubit diagonal on both
+		RX(th(), 13), RY(th(), 13), // one qubit twice
+		RZ(th(), 14), T(15), RX(th(), 14), // diagonal high gates
+		RX(th(), 12), RX(th(), 13), // straddling the boundary
+		RX(th(), 14), CNOT(3, 5), RY(th(), 15), // a gate both may pass
+		RX(th(), 13), RX(th(), 14)) // adjacent
+	for q := 0; q < n; q++ {
+		c.Append(RX(th(), q))
+	}
+	return c
+}
+
 // TestSchrodingerAboveOneTile runs circuits whose registers exceed one sweep
-// tile — so the prologue, the gather and the phase step are all live — with
-// fusion off, default and wide.
+// tile — so the prologue, the gather, the phase step that writes the product
+// state and the pairing of high 1-qubit gates are all live — with fusion off,
+// default and wide, and full and prefix results.
 func TestSchrodingerAboveOneTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	g, err := graph.TwoBlockModel(8, 8, 0.6, 0.2, rng)
@@ -117,17 +155,39 @@ func TestSchrodingerAboveOneTile(t *testing.T) {
 		name  string
 		c     *Circuit
 		phase bool // enough diagonal gates reach the tile boundary for a phase step
-	}{{"qaoa-p2-q16", qaoa2, true}, {"cz-fan-q15", fan, true}, {"grcs-4x4-d6", layers, false}} {
+		first bool // the first step is a phase step, which writes the product state
+		pairs bool // with fusion off, some high 1-qubit gates pair
+	}{
+		{"qaoa-p2-q16", qaoa2, true, true, true},
+		{"cz-fan-q15", fan, true, true, true},
+		{"grcs-4x4-d6", layers, true, true, true},
+		{"mixer-traps-q16", mixerTraps(16, true, rng), true, true, true},
+		{"mixer-traps-product-first-q16", mixerTraps(16, false, rng), true, false, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, fusion := range []int{-1, 0, 3} {
-				checkSchrodinger(t, tc.c, Options{FusionMaxQubits: fusion})
+				for _, m := range []int{0, 1000, 1<<13 + 1} {
+					checkSchrodinger(t, tc.c, Options{FusionMaxQubits: fusion, MaxAmplitudes: m})
+				}
 			}
-			cp, err := Compile(tc.c, Options{Method: Schrodinger})
+			cp, err := Compile(tc.c, Options{Method: Schrodinger, FusionMaxQubits: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.phase && len(phaseSteps(cp.seg)) == 0 {
 				t.Error("no phase step: the circuit does not exercise the table-driven pass")
+			}
+			if kind, _ := cp.seg.Step(0); (kind == statevec.StepPhase) != tc.first {
+				t.Errorf("first step is a %v step, want a phase step: %v", kind, tc.first)
+			}
+			pairs := 0
+			for i := 0; i < cp.seg.NumSteps(); i++ {
+				if kind, gates := cp.seg.Step(i); kind == statevec.StepHigh && gates == 2 {
+					pairs++
+				}
+			}
+			if (pairs > 0) != tc.pairs {
+				t.Errorf("%d paired steps, want some: %v", pairs, tc.pairs)
 			}
 		})
 	}

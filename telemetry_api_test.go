@@ -65,7 +65,9 @@ func TestSimulateTelemetryReport(t *testing.T) {
 // its own class.
 func TestSimulateTelemetrySchrodinger(t *testing.T) {
 	// 14 qubits: one more than a sweep tile, so the five RZZ reaching qubit
-	// 13 compile to one phase step and RX to one tiled step.
+	// 13 compile to one phase step — the first step, which writes the product
+	// state the H layer prepares, and must still be timed — and RX to one
+	// tiled step.
 	wide := NewCircuit(14)
 	for q := 0; q < 14; q++ {
 		wide.Append(H(q))
