@@ -105,7 +105,6 @@ func main() {
 		analytic  = flag.Bool("analytic", false, "use analytic cascade decompositions")
 		quiet     = flag.Bool("quiet", false, "print statistics only, no amplitudes")
 		backend   = flag.String("backend", "dense", "state backend: dense (alias array) | dd; schrodinger also accepts mps")
-		engine    = flag.String("engine", "", "deprecated alias of -backend for HSF runs: array | dd")
 		memBudget = flag.Int64("memory-budget", 0, "admission memory budget in bytes (0: 16 GiB default, <0: unlimited)")
 		maxPaths  = flag.Uint64("max-paths", 0, "reject plans with more Feynman paths than this (0: unlimited)")
 		ckptPath  = flag.String("checkpoint", "", "write a resume checkpoint here if the run is interrupted")
@@ -184,13 +183,9 @@ func main() {
 		if opts.CutPos > c.NumQubits-2 {
 			fail(fmt.Errorf("cut position %d out of range [0, %d] for %d qubits", opts.CutPos, c.NumQubits-2, c.NumQubits))
 		}
-		name := *backend
-		if *engine != "" {
-			name = *engine // deprecated spelling wins when set
-		}
-		b, err := hsfsim.ParseBackend(name)
+		b, err := hsfsim.ParseBackend(*backend)
 		if err != nil {
-			fail(fmt.Errorf("HSF methods run on the dense or dd backend, got %q", name))
+			fail(fmt.Errorf("HSF methods run on the dense or dd backend, got %q", *backend))
 		}
 		opts.Backend = b
 	}

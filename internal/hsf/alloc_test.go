@@ -240,8 +240,8 @@ func TestWalkerRootIsCopiedNotAliased(t *testing.T) {
 	}
 	e := walk.e
 	wantLo, wantUp := statevec.NewVector(e.nLower), statevec.NewVector(e.nUpper)
-	e.segs[0].loSeg.Apply(wantLo)
-	e.segs[0].upSeg.Apply(wantUp)
+	e.segs[0].comp[cut.Lower].Apply(wantLo)
+	e.segs[0].comp[cut.Upper].Apply(wantUp)
 
 	for _, prefix := range [][]int{nil, {1}, {0, 1}} {
 		scratch.Clear()

@@ -1,8 +1,6 @@
 package hsf
 
 import (
-	"context"
-
 	"hsfsim/internal/cut"
 	"hsfsim/internal/dd"
 	"hsfsim/internal/gate"
@@ -17,7 +15,10 @@ import (
 //
 // The node stores are single-threaded, which is why BackendDD caps the run
 // at one path worker (backendWorkers). Its value is memory compression and
-// the structural comparison with the dense backend, not raw speed.
+// the structural comparison with the dense backend, not raw speed. It runs
+// the unprojected gate lists (compile applies the output cone to the dense
+// backend only) and reads the rows the output needs at emit, so it
+// cross-checks the projection.
 type ddWorkspace struct {
 	e            *engine
 	loDD, upDD   *dd.DD
@@ -56,10 +57,10 @@ type ddPair struct {
 }
 
 func (p *ddPair) applySegment(seg *segment) error {
-	if err := p.applyAll(p.ws.loDD, &p.lo, seg.lower); err != nil {
+	if err := p.applyAll(p.ws.loDD, &p.lo, seg.gates[cut.Lower]); err != nil {
 		return err
 	}
-	return p.applyAll(p.ws.upDD, &p.up, seg.upper)
+	return p.applyAll(p.ws.upDD, &p.up, seg.gates[cut.Upper])
 }
 
 func (p *ddPair) applyAll(d *dd.DD, root *dd.Edge, gs []gate.Gate) error {
@@ -74,11 +75,11 @@ func (p *ddPair) applyAll(d *dd.DD, root *dd.Edge, gs []gate.Gate) error {
 }
 
 func (p *ddPair) applyCutTerm(c *compiledCut, t int) error {
-	lo, err := p.ws.loDD.ApplyGateTo(p.lo, &c.lower[t])
+	lo, err := p.ws.loDD.ApplyGateTo(p.lo, &c.terms[cut.Lower][t])
 	if err != nil {
 		return err
 	}
-	up, err := p.ws.upDD.ApplyGateTo(p.up, &c.upper[t])
+	up, err := p.ws.upDD.ApplyGateTo(p.up, &c.terms[cut.Upper][t])
 	if err != nil {
 		return err
 	}
@@ -108,21 +109,4 @@ func (p *ddPair) emit(b *leafBatch, coeff complex128) {
 	row := b.add(coeff, lo)
 	row.CopyFromComplex(ws.upBuf[:row.Len()])
 	p.release()
-}
-
-// RunDD executes the plan on the decision-diagram backend. It is shorthand
-// for Run with Options.Backend = BackendDD: the DD backend shares the path
-// walker with the dense engine, so prefix tasks, checkpoint/resume,
-// FailAfterPaths, and cancellation all behave identically. Only Workers > 1
-// is rejected (ErrUnsupported) — the DD node store is single-threaded.
-func RunDD(plan *cut.Plan, opts Options) (*Result, error) {
-	opts.Backend = BackendDD
-	return Run(plan, opts)
-}
-
-// RunDDContext is RunDD under a caller context; see RunContext for the
-// cancellation contract.
-func RunDDContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, error) {
-	opts.Backend = BackendDD
-	return RunContext(ctx, plan, opts)
 }

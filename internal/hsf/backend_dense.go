@@ -1,6 +1,9 @@
 package hsf
 
-import "hsfsim/internal/statevec"
+import (
+	"hsfsim/internal/cut"
+	"hsfsim/internal/statevec"
+)
 
 // denseWorkspace is the dense-array backend: partition states are
 // statevec.Vector buffers (split real/imag planes) recycled through a
@@ -8,15 +11,19 @@ import "hsfsim/internal/statevec"
 // a free list, so steady-state walking allocates nothing. Segments, cut
 // terms, and the leaf fold all run on the SoA planes — a path never
 // round-trips through an interleaved []complex128.
+//
+// A half shrinks in place wherever the output cone drops qubits (see cone),
+// so a fork takes buffers of the parent's current size, and a shrunken buffer
+// returns to the pool at the size it was taken at.
 type denseWorkspace struct {
 	e    *engine
 	pool *statevec.Pool
 	free []*densePair
 }
 
-// take returns a pair with fresh buffers of the partition sizes attached
+// take returns a pair with fresh buffers of nLo and nUp amplitudes attached
 // (contents unspecified).
-func (ws *denseWorkspace) take() *densePair {
+func (ws *denseWorkspace) take(nLo, nUp int) *densePair {
 	var p *densePair
 	if n := len(ws.free); n > 0 {
 		p = ws.free[n-1]
@@ -24,13 +31,13 @@ func (ws *denseWorkspace) take() *densePair {
 	} else {
 		p = &densePair{ws: ws}
 	}
-	p.lo = ws.pool.Get(1 << ws.e.nLower)
-	p.up = ws.pool.Get(1 << ws.e.nUpper)
+	p.lo = ws.pool.Get(nLo)
+	p.up = ws.pool.Get(nUp)
 	return p
 }
 
 func (ws *denseWorkspace) newRoot() (pairState, error) {
-	p := ws.take()
+	p := ws.take(1<<ws.e.nLower, 1<<ws.e.nUpper)
 	p.lo.SetBasis()
 	p.up.SetBasis()
 	return p, nil
@@ -42,19 +49,19 @@ type densePair struct {
 }
 
 func (p *densePair) applySegment(seg *segment) error {
-	seg.loSeg.Apply(p.lo)
-	seg.upSeg.Apply(p.up)
+	p.lo = seg.run(cut.Lower, p.lo)
+	p.up = seg.run(cut.Upper, p.up)
 	return nil
 }
 
 func (p *densePair) applyCutTerm(c *compiledCut, t int) error {
-	p.lo.ApplyGate(&c.lower[t])
-	p.up.ApplyGate(&c.upper[t])
+	p.lo = c.run(cut.Lower, t, p.lo)
+	p.up = c.run(cut.Upper, t, p.up)
 	return nil
 }
 
 func (p *densePair) fork() (pairState, error) {
-	f := p.ws.take()
+	f := p.ws.take(p.lo.Len(), p.up.Len())
 	f.lo.CopyFrom(p.lo)
 	f.up.CopyFrom(p.up)
 	return f, nil

@@ -103,22 +103,31 @@ func addSat(a, b int64) int64 {
 
 // Cost projects the resources required to execute plan under opts, without
 // allocating anything. The memory model mirrors the engine: each worker
-// holds at most one partition state pair per remaining cut level (the clone
-// chain of the walk), its root pair, an m-amplitude scratch accumulator and
-// its leaf batch; a single m-amplitude global accumulator is shared.
+// holds its root pair, at most one partition state pair per cut level (the
+// clone chain of the walk), an m-amplitude scratch accumulator and its leaf
+// batch; a single m-amplitude global accumulator is shared.
 func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	nLower := plan.Partition.NumLower()
 	nUpper := plan.Partition.NumUpper(plan.NumQubits)
 	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
 	workers := resolveWorkers(opts.Workers)
 
+	halves := func(lo, up int) int64 {
+		return mulSat(bytesPerAmp, addSat(int64(1)<<uint(max(lo, 0)), int64(1)<<uint(max(up, 0))))
+	}
 	lower := mulSat(bytesPerAmp, int64(1)<<uint(max(nLower, 0)))
-	pair := addSat(lower, mulSat(bytesPerAmp, int64(1)<<uint(max(nUpper, 0))))
+	pair := halves(nLower, nUpper)
 	accBytes := mulSat(bytesPerAmp, int64(m))
-	// Clone chain: the branch recursion may hold one extra pair per cut
-	// level, plus the pair owned by the prefix task itself and the worker's
-	// post-segment-0 root every task is forked from.
-	chain := mulSat(pair, int64(len(plan.Cuts)+2))
+	// Clone chain: the root is taken at full size and shrinks in place. Every
+	// other pair is forked at its parent's size after a segment — the prefix
+	// task's from the root after segment 0, a branch's at cut l after
+	// segment l — and keeps that buffer while the cone shrinks it further.
+	c := planCone(plan, m)
+	after := func(l int) int64 { return halves(c.qubits(cut.Lower, 2*l), c.qubits(cut.Upper, 2*l)) }
+	chain := addSat(pair, after(0))
+	for l := range plan.Cuts {
+		chain = addSat(chain, after(l))
+	}
 	perWorker := addSat(chain, accBytes) // scratch accumulator per worker
 	// Leaf batch: the last held leaf's lower half is still the chain's, the
 	// other K-1 are extra, and the coefficient table has K rows.

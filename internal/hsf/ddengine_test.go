@@ -17,7 +17,8 @@ func runDDHSF(t *testing.T, c *circuit.Circuit, cutPos int, strategy cut.Strateg
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDD(plan, opts)
+	opts.Backend = BackendDD
+	res, err := Run(plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestDDEngineMatchesArrayEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddRes, err := RunDD(plan, Options{MaxAmplitudes: 32})
+	ddRes, err := Run(plan, Options{Backend: BackendDD, MaxAmplitudes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestDDEngineTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDD(plan, Options{Timeout: time.Microsecond}); err != ErrTimeout {
+	if _, err := Run(plan, Options{Backend: BackendDD, Timeout: time.Microsecond}); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }

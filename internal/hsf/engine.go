@@ -137,21 +137,36 @@ type Result struct {
 }
 
 // segment is the run of local gates between two consecutive cuts, remapped
-// to partition-local qubit labels and optionally fused. The dense backend
-// replays the compiled forms (kernel plans attached, cache-blocked sweep
-// grouping); the DD backend walks the gate slices directly.
+// to partition-local qubit labels and optionally fused; its arrays are
+// indexed by cut.Side. The dense backend replays the compiled forms (kernel
+// plans attached, cache-blocked sweep grouping), then drops the qubits the
+// output cone fixes there; the DD backend walks the gate slices directly.
 type segment struct {
-	lower []gate.Gate
-	upper []gate.Gate
-	loSeg *statevec.CompiledSegment
-	upSeg *statevec.CompiledSegment
+	gates [2][]gate.Gate
+	comp  [2]*statevec.CompiledSegment // dense only
+	proj  [2]*statevec.Projection      // dense only; nil drops nothing
 }
 
-// compiledCut is a cut with its terms lowered to partition-local gates.
+// run advances one side's dense state through the segment and returns it
+// with the qubits dropped at the segment's end.
+func (s *segment) run(side cut.Side, v statevec.Vector) statevec.Vector {
+	s.comp[side].Apply(v)
+	return s.proj[side].Apply(v)
+}
+
+// compiledCut is a cut with its terms lowered to partition-local gates,
+// indexed by cut.Side.
 type compiledCut struct {
 	sigma []complex128
-	lower []gate.Gate // one per term
-	upper []gate.Gate
+	terms [2][]gate.Gate          // one per term
+	proj  [2]*statevec.Projection // dense only; nil drops nothing
+}
+
+// run applies term t to one side's dense state and returns it with the
+// qubits dropped after the cut.
+func (c *compiledCut) run(side cut.Side, t int, v statevec.Vector) statevec.Vector {
+	v.ApplyGate(&c.terms[side][t])
+	return c.proj[side].Apply(v)
 }
 
 type engine struct {
@@ -274,66 +289,62 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 
 // compile lowers the plan: cut terms become partition-local gates, local
 // gates are remapped to partition-local labels, scheduled into the earliest
-// segment they can legally reach (schedule), and fused per segment.
+// segment they can legally reach (schedule), and fused per segment. On the
+// dense backend the output cone is applied first (project), so every side of
+// every segment compiles at the qubit count it runs at.
 func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
 	endCompile := e.tel.Span("compile")
 	csp := e.trc.Start(e.tsc, "compile")
-	upOff := e.nLower
-	for _, cp := range plan.Cuts {
-		cc := compiledCut{}
-		loQ := append([]int(nil), cp.LowerQubits...)
-		upQ := make([]int, len(cp.UpperQubits))
-		for i, q := range cp.UpperQubits {
-			upQ[i] = q - upOff
-		}
-		for _, t := range cp.Terms {
-			cc.sigma = append(cc.sigma, complex(t.Sigma, 0))
-			cc.lower = append(cc.lower, gate.New("cut-term", t.Lower, nil, loQ...))
-			cc.upper = append(cc.upper, gate.New("cut-term", t.Upper, nil, upQ...))
-		}
-		e.cuts = append(e.cuts, cc)
-	}
-
-	at, hoisted := e.schedule(plan)
+	e.cuts = lowerCuts(plan)
+	at, hoisted, lastAny := schedule(plan, e.cuts)
 	e.segs = make([]segment, len(e.cuts)+1)
 	for i := range plan.Steps {
 		st := &plan.Steps[i]
 		if st.Kind != cut.LocalStep {
 			continue
 		}
+		g := st.Gate
+		if st.Side == cut.Upper {
+			g = g.Remap(func(q int) int { return q - e.nLower })
+		}
 		seg := &e.segs[at[i]]
-		if st.Side == cut.Lower {
-			seg.lower = append(seg.lower, st.Gate)
-		} else {
-			seg.upper = append(seg.upper, st.Gate.Remap(func(q int) int { return q - upOff }))
+		seg.gates[st.Side] = append(seg.gates[st.Side], g)
+	}
+
+	dense := e.backend == BackendDense
+	var c cone
+	leaf := [2]int{e.nLower, e.nUpper} // qubits of each half at a leaf
+	if dense {
+		c = newCone(lastAny, e.m, e.nLower, e.nUpper, len(e.cuts))
+		for side := range leaf {
+			e.project(cut.Side(side), &c)
+			leaf[side] = c.qubits(cut.Side(side), 2*len(e.cuts))
 		}
 	}
 
-	if fusionMaxQubits >= 0 {
-		if fusionMaxQubits == 0 {
-			fusionMaxQubits = fuse.DefaultMaxQubits
-		}
-		for i := range e.segs {
-			e.segs[i].lower = fuse.Fuse(e.segs[i].lower, fusionMaxQubits)
-			e.segs[i].upper = fuse.Fuse(e.segs[i].upper, fusionMaxQubits)
-		}
+	if fusionMaxQubits == 0 {
+		fusionMaxQubits = fuse.DefaultMaxQubits
 	}
-
-	// Compile the segments now, while the gates are still owned by this
-	// goroutine: the walker replays these gates once per path, and the
-	// compiled form attaches every kernel plan (no per-call index
-	// precomputation) and groups low gates into cache-blocked sweeps.
 	for i := range e.segs {
-		e.segs[i].loSeg = statevec.CompileSegment(e.segs[i].lower, e.nLower)
-		e.segs[i].upSeg = statevec.CompileSegment(e.segs[i].upper, e.nUpper)
+		for side, gs := range e.segs[i].gates {
+			if fusionMaxQubits > 0 {
+				gs = fuse.Fuse(gs, fusionMaxQubits)
+				e.segs[i].gates[side] = gs
+			}
+			// Compile the segments now, while the gates are still owned by
+			// this goroutine: the walker replays these gates once per path,
+			// and the compiled form attaches every kernel plan (no per-call
+			// index precomputation) and groups low gates into cache-blocked
+			// sweeps.
+			if dense {
+				e.segs[i].comp[side] = statevec.CompileSegment(gs, c.qubits(cut.Side(side), 2*i-1))
+			}
+		}
 	}
-	for i := range e.cuts {
-		statevec.PrepareGates(e.cuts[i].lower)
-		statevec.PrepareGates(e.cuts[i].upper)
-	}
-
 	e.ranks = make([]int, len(e.cuts))
 	for i := range e.cuts {
+		statevec.PrepareGates(e.cuts[i].terms[cut.Lower])
+		statevec.PrepareGates(e.cuts[i].terms[cut.Upper])
 		e.ranks[i] = len(e.cuts[i].sigma)
 	}
 	if e.tel != nil {
@@ -342,15 +353,40 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
 	csp.SetInt("segments", int64(len(e.segs)))
 	csp.SetInt("cuts", int64(len(e.cuts)))
 	csp.SetInt("gates_hoisted", int64(hoisted))
+	csp.SetInt("lo_qubits_projected", int64(e.nLower-leaf[cut.Lower]))
+	csp.SetInt("up_qubits_projected", int64(e.nUpper-leaf[cut.Upper]))
+	csp.SetInt("leaf_lo_amps", 1<<leaf[cut.Lower])
+	csp.SetInt("leaf_up_amps", 1<<leaf[cut.Upper])
 	csp.End()
 	endCompile()
 }
 
+// lowerCuts lowers every cut of the plan to partition-local term gates.
+func lowerCuts(plan *cut.Plan) []compiledCut {
+	upOff := plan.Partition.NumLower()
+	cuts := make([]compiledCut, len(plan.Cuts))
+	for l, cp := range plan.Cuts {
+		cc := &cuts[l]
+		loQ := append([]int(nil), cp.LowerQubits...)
+		upQ := make([]int, len(cp.UpperQubits))
+		for i, q := range cp.UpperQubits {
+			upQ[i] = q - upOff
+		}
+		for _, t := range cp.Terms {
+			cc.sigma = append(cc.sigma, complex(t.Sigma, 0))
+			cc.terms[cut.Lower] = append(cc.terms[cut.Lower], gate.New("cut-term", t.Lower, nil, loQ...))
+			cc.terms[cut.Upper] = append(cc.terms[cut.Upper], gate.New("cut-term", t.Upper, nil, upQ...))
+		}
+	}
+	return cuts
+}
+
 // schedule assigns every local gate of the plan to the earliest segment it
 // can legally reach and returns that segment per plan step (cut steps keep
-// zero) plus the number of gates moved out of their original segment. Segment
-// l is replayed once per term choice of cuts 0…l-1, so multiplicity never
-// decreases with the level and moving a gate earlier can only remove work.
+// zero), the number of gates moved out of their original segment, and per
+// qubit the position of the last item touching it. Segment l is replayed once
+// per term choice of cuts 0…l-1, so multiplicity never decreases with the
+// level and moving a gate earlier can only remove work.
 //
 // A gate may cross anything it commutes with, judged per shared qubit from
 // the classification flags alone by the structural rule of circuit.Commute
@@ -360,8 +396,8 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
 // a segment gates keep plan order, so every pair the schedule inverts
 // commutes, and only the engine's segments change: the plan, its hash,
 // prefixes and checkpoints are untouched.
-func (e *engine) schedule(plan *cut.Plan) (at []int, hoisted int) {
-	lastAny := make([]int, plan.NumQubits)
+func schedule(plan *cut.Plan, cuts []compiledCut) (at []int, hoisted int, lastAny []int) {
+	lastAny = make([]int, plan.NumQubits)
 	lastOffDiag := make([]int, plan.NumQubits)
 	mark := func(g *gate.Gate, qubits []int, pos int) {
 		for b, q := range qubits {
@@ -376,10 +412,10 @@ func (e *engine) schedule(plan *cut.Plan) (at []int, hoisted int) {
 	for i := range plan.Steps {
 		st := &plan.Steps[i]
 		if st.Kind == cut.CutStep {
-			c := &e.cuts[level]
+			c := &cuts[level]
 			for t := range c.sigma {
-				mark(&c.lower[t], st.Cut.LowerQubits, 2*level+1)
-				mark(&c.upper[t], st.Cut.UpperQubits, 2*level+1)
+				mark(&c.terms[cut.Lower][t], st.Cut.LowerQubits, 2*level+1)
+				mark(&c.terms[cut.Upper][t], st.Cut.UpperQubits, 2*level+1)
 			}
 			level++
 			continue
@@ -399,7 +435,7 @@ func (e *engine) schedule(plan *cut.Plan) (at []int, hoisted int) {
 		}
 		mark(g, g.Qubits, 2*at[i])
 	}
-	return at, hoisted
+	return at, hoisted, lastAny
 }
 
 // numKinds is the number of kernel classes the gate package distinguishes.
@@ -433,7 +469,7 @@ func countClasses(gss ...[]gate.Gate) []int64 {
 func (e *engine) segClassTable() [][]int64 {
 	t := make([][]int64, len(e.segs))
 	for i := range e.segs {
-		t[i] = countClasses(e.segs[i].lower, e.segs[i].upper)
+		t[i] = countClasses(e.segs[i].gates[:]...)
 	}
 	return t
 }
@@ -445,8 +481,8 @@ func (e *engine) cutClassTable() [][][]int64 {
 	for l := range e.cuts {
 		t[l] = make([][]int64, len(e.cuts[l].sigma))
 		for term := range t[l] {
-			t[l][term] = countClasses(
-				e.cuts[l].lower[term:term+1], e.cuts[l].upper[term:term+1])
+			terms := &e.cuts[l].terms
+			t[l][term] = countClasses(terms[cut.Lower][term:term+1], terms[cut.Upper][term:term+1])
 		}
 	}
 	return t

@@ -1,0 +1,440 @@
+package hsf
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"hsfsim/internal/circuit"
+	"hsfsim/internal/cut"
+	"hsfsim/internal/gate"
+	"hsfsim/internal/statevec"
+	"hsfsim/internal/telemetry/trace"
+)
+
+// compiledFor lowers plan for an m-amplitude output on a bare engine of the
+// given backend (no telemetry, no tracing).
+func compiledFor(plan *cut.Plan, backend Backend, m, fusionMaxQubits int) *engine {
+	e := &engine{
+		backend: backend,
+		nLower:  plan.Partition.NumLower(),
+		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
+		m:       m,
+	}
+	e.compile(plan, fusionMaxQubits)
+	return e
+}
+
+// eachArm runs f once per kernel arm of this build, then restores the arm the
+// process started with.
+func eachArm(t *testing.T, f func(t *testing.T)) {
+	orig := statevec.KernelISA()
+	defer func() {
+		if err := statevec.SelectKernelISA(orig); err != nil {
+			t.Fatalf("restoring arm %q: %v", orig, err)
+		}
+	}()
+	for _, isa := range statevec.KernelISAs() {
+		if err := statevec.SelectKernelISA(isa); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(isa, f)
+	}
+}
+
+// coneCircuit builds an n-qubit circuit, cut after cutPos, whose qubits end in
+// the ways the cone tells apart. After an opening H layer and four crossings,
+// qubit q ends on a 1-qubit gate (q%4 == 0), on a CNOT inside its partition
+// (1), or on a crossing RZZ that becomes a cut term (2); qubits with q%4 == 3
+// are touched by nothing after the opening layer.
+func coneCircuit(rng *rand.Rand, n, cutPos int) *circuit.Circuit {
+	busy := func(lo, hi int) int { // a random qubit of [lo, hi] not kept idle
+		for {
+			if q := lo + rng.Intn(hi-lo+1); q%4 != 3 {
+				return q
+			}
+		}
+	}
+	c := circuit.New(n)
+	for q := 0; q < n; q++ {
+		c.Append(gate.H(q))
+	}
+	for i := 0; i < 4; i++ {
+		a, b := busy(0, cutPos), busy(cutPos+1, n-1)
+		c.Append(gate.RZZ(rng.Float64(), a, b), gate.RX(rng.Float64(), a), gate.RY(rng.Float64(), b))
+	}
+	for q := 0; q < n; q++ {
+		lo, hi := 0, cutPos
+		if q > cutPos {
+			lo, hi = cutPos+1, n-1
+		}
+		switch q % 4 {
+		case 0:
+			c.Append(gate.RX(rng.Float64(), q))
+		case 1:
+			if q+1 <= hi {
+				c.Append(gate.CNOT(q, q+1))
+			} else if q-1 >= lo {
+				c.Append(gate.CNOT(q, q-1))
+			}
+		case 2:
+			other := busy(cutPos+1, n-1)
+			if q > cutPos {
+				other = busy(0, cutPos)
+			}
+			c.Append(gate.RZZ(rng.Float64(), q, other))
+		}
+	}
+	return c
+}
+
+// coneKinds classifies where plan's cone drops qubits for an m-amplitude
+// output, comparing the dense engine's lists with the DD backend's
+// unprojected ones (both unfused): after segment 0, at a cut, with a
+// contracted 1-qubit gate after a later segment, or as a plain slice there.
+func coneKinds(plan *cut.Plan, m int) (kinds map[string]bool) {
+	dense := compiledFor(plan, BackendDense, m, -1)
+	dd := compiledFor(plan, BackendDD, m, -1)
+	kinds = map[string]bool{}
+	for side := range 2 {
+		kinds["segment 0"] = kinds["segment 0"] || dense.segs[0].proj[side] != nil
+		for l := range dense.cuts {
+			kinds["cut"] = kinds["cut"] || dense.cuts[l].proj[side] != nil
+		}
+		for s := 1; s < len(dense.segs); s++ {
+			removed := len(dd.segs[s].gates[side]) - len(dense.segs[s].gates[side])
+			kinds["contracted"] = kinds["contracted"] || removed > 0
+			kinds["plain"] = kinds["plain"] || dense.segs[s].proj[side].NumDropped() > removed
+		}
+	}
+	return kinds
+}
+
+// unprojectedCost is Cost's per-worker figure without the cone: every pair of
+// the clone chain at full size.
+func unprojectedCost(plan *cut.Plan, m int) int64 {
+	nLower, nUpper := plan.Partition.NumLower(), plan.Partition.NumUpper(plan.NumQubits)
+	pair := int64(16) * (1<<nLower + 1<<nUpper)
+	k, rows := leafBatchShape(m, nLower)
+	return pair*int64(len(plan.Cuts)+2) + 16*int64(m) + int64(k-1)*16<<nLower + int64(k*rows)*16
+}
+
+// TestProjectionMatchesOracle holds the cone against the Schrödinger oracle
+// at 1e-12 on random circuits whose output-fixed qubits end on every kind of
+// item, for outputs around one lower half, on both backends (the DD one runs
+// unprojected), one and two workers, and every kernel arm. The cone must have
+// dropped qubits in all four places somewhere over the cases, and Cost must
+// never charge more than the unprojected chain.
+func TestProjectionMatchesOracle(t *testing.T) {
+	const n, cutPos = 8, 3
+	const dimLo = 1 << (cutPos + 1)
+	ms := []int{1, 3, dimLo - 1, dimLo, dimLo + 1, 2*dimLo + 3, 1 << n}
+	seen := map[string]bool{}
+	type instance struct {
+		name string
+		plan *cut.Plan
+		want statevec.State
+	}
+	var cases []instance
+	for seed := int64(1); seed <= 4; seed++ {
+		circ := coneCircuit(rand.New(rand.NewSource(seed)), n, cutPos)
+		for _, strategy := range []cut.Strategy{cut.StrategyNone, cut.StrategyCascade} {
+			plan := buildPlan(t, circ, cutPos, strategy)
+			cases = append(cases, instance{fmt.Sprintf("seed %d/%v", seed, strategy), plan, schrodinger(circ)})
+			for _, m := range ms {
+				for kind, ok := range coneKinds(plan, m) {
+					seen[kind] = seen[kind] || ok
+				}
+				if est := Cost(plan, Options{Workers: 1, MaxAmplitudes: m}); est.PerWorkerBytes > unprojectedCost(plan, m) {
+					t.Fatalf("seed %d, m = %d: Cost charges %d B per worker, over the unprojected %d", seed, m, est.PerWorkerBytes, unprojectedCost(plan, m))
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"segment 0", "cut", "contracted", "plain"} {
+		if !seen[kind] {
+			t.Fatalf("no case drops a qubit at %s: the cases exercise less than they claim", kind)
+		}
+	}
+	eachArm(t, func(t *testing.T) {
+		for _, tc := range cases {
+			for _, m := range ms {
+				for _, workers := range []int{1, 2} {
+					res, err := Run(tc.plan, Options{Workers: workers, MaxAmplitudes: m})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := statevec.MaxAbsDiff(res.Amplitudes, tc.want[:m]); d > 1e-12 {
+						t.Fatalf("%s, %d workers, m = %d: off the oracle by %g", tc.name, workers, m, d)
+					}
+				}
+			}
+		}
+	})
+	for _, tc := range cases {
+		for _, m := range ms {
+			res, err := Run(tc.plan, Options{Backend: BackendDD, MaxAmplitudes: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := statevec.MaxAbsDiff(res.Amplitudes, tc.want[:m]); d > 1e-12 {
+				t.Fatalf("%s, dd, m = %d: off the oracle by %g", tc.name, m, d)
+			}
+		}
+	}
+}
+
+// TestProjectionQ22MatchesOracle runs the benchmark instance through the cone
+// at the outputs around one 2^11-amplitude lower half and at the benchmark's
+// 2^14, dense on every arm with one and two workers, against the Schrödinger
+// state. (The full 2^22 output is left to the small circuits: accumulating it
+// per worker would hold several 64 MiB planes.) DD takes about a minute for
+// the whole tree here, so it cross-checks two sampled paths: its unprojected
+// run of them at 2^14 amplitudes must lead with what the cone gives at every m.
+func TestProjectionQ22MatchesOracle(t *testing.T) {
+	c := q22Circuit(t)
+	plan := q22Plan(t)
+	v := statevec.NewVector(c.NumQubits)
+	statevec.CompileSegment(c.Gates, c.NumQubits).Apply(v)
+	ms := []int{1, 1<<11 - 1, 1 << 11, 1<<11 + 1, 1 << 14}
+	want := v.Slice(0, 1<<14).ToComplex()
+	eachArm(t, func(t *testing.T) {
+		for _, m := range ms {
+			for _, workers := range []int{1, 2} {
+				res, err := Run(plan, Options{Workers: workers, MaxAmplitudes: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := statevec.MaxAbsDiff(res.Amplitudes, want[:m]); d > 1e-12 {
+					t.Fatalf("%d workers, m = %d: off the oracle by %g", workers, m, d)
+				}
+			}
+		}
+	})
+
+	depth := len(plan.Cuts)
+	paths := EnumeratePrefixes(plan, depth)
+	sample := [][]int{paths[0], paths[len(paths)-1]}
+	dd, err := RunPrefixesContext(context.Background(), plan, Options{Backend: BackendDD, MaxAmplitudes: 1 << 14}, depth, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms {
+		dense, err := RunPrefixesContext(context.Background(), plan, Options{Workers: 1, MaxAmplitudes: m}, depth, sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := statevec.MaxAbsDiff(dense.Acc, dd.Acc[:m]); d > 1e-12 {
+			t.Fatalf("m = %d: sampled paths off DD's by %g", m, d)
+		}
+	}
+}
+
+// TestProjectionQ22Ladder pins the cone on the benchmark instance at 2^14
+// amplitudes, 8 upper rows: upper qubits 3–10 are output-fixed and the upper
+// half shrinks 2048 → 1024 after segment 0 (nothing touches qubit 6 later),
+// → 512 after segment 2, → 256 after segment 8 and → 8 after segment 9, whose
+// projection absorbs the RX mixers on qubits 3, 4, 5, 7 and 8. The lower half
+// keeps its 2048 amplitudes, and no qubit is dropped at a cut. Cost charges
+// the pairs of that ladder, below the unprojected chain at 2^14 and 2^20.
+func TestProjectionQ22Ladder(t *testing.T) {
+	plan := q22Plan(t)
+	dense := compiledFor(plan, BackendDense, 1<<14, -1)
+	dd := compiledFor(plan, BackendDD, 1<<14, -1)
+	want := []int{10, 10, 9, 9, 9, 9, 9, 9, 8, 3, 3} // upper qubits after each segment
+	if len(dense.segs) != len(want) {
+		t.Fatalf("%d segments, want %d", len(dense.segs), len(want))
+	}
+	up := 11
+	for s := range dense.segs {
+		seg := &dense.segs[s]
+		if n := seg.comp[cut.Lower].NumQubits(); n != 11 || seg.proj[cut.Lower] != nil {
+			t.Fatalf("segment %d: lower half runs at %d qubits, dropping %d", s, n, seg.proj[cut.Lower].NumDropped())
+		}
+		if n := seg.comp[cut.Upper].NumQubits(); n != up {
+			t.Fatalf("segment %d: upper half runs at %d qubits, want %d", s, n, up)
+		}
+		if up -= seg.proj[cut.Upper].NumDropped(); up != want[s] {
+			t.Fatalf("segment %d leaves %d upper qubits, want %d", s, up, want[s])
+		}
+		if s < len(dense.cuts) && (dense.cuts[s].proj[cut.Lower] != nil || dense.cuts[s].proj[cut.Upper] != nil) {
+			t.Fatalf("cut %d drops qubits", s)
+		}
+	}
+	var mixers []int
+	for _, g := range dd.segs[9].gates[cut.Upper] {
+		if g.Name != "rx" {
+			t.Fatalf("segment 9 holds upper %s, want only RX mixers", g.String())
+		}
+		mixers = append(mixers, g.Qubits[0])
+	}
+	if fmt.Sprint(mixers) != "[3 4 5 7 8]" || len(dense.segs[9].gates[cut.Upper]) != 0 {
+		t.Fatalf("segment 9 upper: mixers on %v unprojected, %d gates left after the contraction", mixers, len(dense.segs[9].gates[cut.Upper]))
+	}
+
+	for _, tc := range []struct {
+		m    int
+		want int64
+	}{{1 << 14, 1052928}, {1 << 20, 34488320}} {
+		est := Cost(plan, Options{Workers: 1, MaxAmplitudes: tc.m})
+		if est.TotalBytes != tc.want {
+			t.Errorf("m = %d: Cost = %d B, want %d", tc.m, est.TotalBytes, tc.want)
+		}
+		if unproj := unprojectedCost(plan, tc.m) + 16*int64(tc.m); est.TotalBytes >= unproj {
+			t.Errorf("m = %d: Cost = %d B, not below the unprojected %d", tc.m, est.TotalBytes, unproj)
+		}
+	}
+}
+
+// TestProjectionCompileSpan checks what the compile span reports about the
+// cone: qubits dropped per side and the halves a leaf holds. One path is
+// enough to compile and record it.
+func TestProjectionCompileSpan(t *testing.T) {
+	plan := q22Plan(t)
+	for _, tc := range []struct {
+		backend        Backend
+		m              int
+		lo, up         int64
+		leafLo, leafUp int64
+	}{
+		{BackendDense, 1 << 14, 0, 8, 2048, 8},
+		{BackendDense, 1 << 10, 1, 11, 1024, 1},
+		{BackendDD, 1 << 14, 0, 0, 2048, 2048},
+	} {
+		rec := trace.NewRecorder(64)
+		ctx := trace.NewContext(context.Background(), rec, trace.SpanContext{})
+		opts := Options{Backend: tc.backend, Workers: 1, MaxAmplitudes: tc.m}
+		if _, err := RunPrefixesContext(ctx, plan, opts, len(plan.Cuts), [][]int{make([]int, len(plan.Cuts))}); err != nil {
+			t.Fatal(err)
+		}
+		var found bool
+		for _, ev := range rec.Snapshot() {
+			if ev.Name != "compile" {
+				continue
+			}
+			found = true
+			got := [4]int64{ev.Int("lo_qubits_projected", -1), ev.Int("up_qubits_projected", -1),
+				ev.Int("leaf_lo_amps", -1), ev.Int("leaf_up_amps", -1)}
+			if want := [4]int64{tc.lo, tc.up, tc.leafLo, tc.leafUp}; got != want || ev.Int("gates_hoisted", -1) < 0 {
+				t.Errorf("%v, m = %d: compile span reports %v, want %v", tc.backend, tc.m, got, want)
+			}
+		}
+		if !found {
+			t.Fatalf("%v, m = %d: no compile span recorded", tc.backend, tc.m)
+		}
+	}
+}
+
+// TestProjectionCheckpointAcrossBackends stops a projected dense run halfway
+// by an injected fault and resumes its checkpoint on DD, and the other way
+// round: both reproduce the uninterrupted amplitudes at 1e-12.
+func TestProjectionCheckpointAcrossBackends(t *testing.T) {
+	const cutPos = 4
+	plan := buildPlan(t, coneCircuit(rand.New(rand.NewSource(7)), 10, cutPos), cutPos, cut.StrategyNone)
+	np, _ := plan.NumPaths()
+	if np < 16 {
+		t.Fatalf("plan has %d paths, too few to stop halfway", np)
+	}
+	for _, m := range []int{3, 1<<(cutPos+1) + 1} {
+		want, err := Run(plan, Options{MaxAmplitudes: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, failOn := range []Backend{BackendDense, BackendDD} {
+			resumeOn := BackendDD
+			if failOn == BackendDD {
+				resumeOn = BackendDense
+			}
+			var buf bytes.Buffer
+			_, err := Run(plan, Options{Backend: failOn, Workers: 1, MaxAmplitudes: m,
+				CheckpointWriter: &buf, FailAfterPaths: int64(np / 2)})
+			if !errors.Is(err, ErrInjectedFault) {
+				t.Fatalf("m = %d on %v: err = %v, want ErrInjectedFault", m, failOn, err)
+			}
+			ck, err := ReadCheckpoint(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.PathsSimulated == 0 {
+				t.Fatalf("m = %d on %v: empty checkpoint", m, failOn)
+			}
+			res, err := Run(plan, Options{Backend: resumeOn, MaxAmplitudes: m, Resume: ck})
+			if err != nil {
+				t.Fatalf("m = %d: resume on %v: %v", m, resumeOn, err)
+			}
+			if d := statevec.MaxAbsDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
+				t.Fatalf("m = %d: %v checkpoint resumed on %v is off by %g", m, failOn, resumeOn, d)
+			}
+		}
+	}
+}
+
+// TestProjectionWalkZeroAllocs takes the allocation guard and the pool's NaN
+// canary to walks the cone shrinks: halves shrink in place and forks take
+// buffers of the parent's size, so a warm walker still allocates nothing, and
+// no buffer handed back at its full size leaks stale amplitudes into a sum.
+func TestProjectionWalkZeroAllocs(t *testing.T) {
+	for name, shape := range allocShapes {
+		plan := harnessPlan(t, shape)
+		for _, m := range []int{3, 1<<(shape.cutPos+1) + 1} {
+			t.Run(fmt.Sprintf("%s/m=%d", name, m), func(t *testing.T) {
+				want, err := Run(plan, Options{Backend: BackendDD, MaxAmplitudes: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := compiledFor(plan, BackendDense, m, 0)
+				walk, err := e.newWalker(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walk.batch.pool.Poison = true
+				scratch := statevec.MakeVector(m)
+				replay := func() {
+					scratch.Clear()
+					if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 2; i++ {
+					replay()
+					if d := statevec.MaxAbsDiff(scratch.ToComplex(), want.Amplitudes); !(d <= 1e-12) {
+						t.Fatalf("replay %d on a poisoned pool is off the DD run by %g", i, d)
+					}
+				}
+				if raceEnabled {
+					return // the detector's instrumentation allocates
+				}
+				if allocs := testing.AllocsPerRun(10, replay); allocs != 0 {
+					t.Fatalf("projected walk allocated %.1f times per replay, want 0", allocs)
+				}
+			})
+		}
+	}
+}
+
+// TestProjectionRelabelsPreparedGates covers a gate whose labels the cone
+// changes after a kernel plan was built for the old ones: a CCX on lower
+// qubits 0, 2, 3 sits behind a cut (the RX between keeps it there) while
+// qubit 1, last touched in segment 0, is dropped at m = 2. The circuit's
+// gates are prepared before planning, as a Schrödinger run of the same
+// circuit would leave them, so the plan's copy arrives with a kernel plan for
+// qubits 0, 2, 3 that must not run on the relabelled 0, 1, 2.
+func TestProjectionRelabelsPreparedGates(t *testing.T) {
+	circ := circuitOf(8, gate.H(0), gate.H(1), gate.H(2), gate.H(3), gate.H(5),
+		gate.RZZ(0.4, 0, 5), gate.RX(0.3, 0), gate.CCX(0, 2, 3), gate.RZZ(0.7, 2, 6))
+	statevec.PrepareGates(circ.Gates)
+	plan := buildPlan(t, circ, 3, cut.StrategyNone)
+	want := schrodinger(circ)
+	for _, m := range []int{1, 2, 3} {
+		res, err := Run(plan, Options{Workers: 1, MaxAmplitudes: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := statevec.MaxAbsDiff(res.Amplitudes, want[:m]); d > 1e-12 {
+			t.Fatalf("m = %d: off the oracle by %g", m, d)
+		}
+	}
+}

@@ -51,7 +51,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if _, err := RunContext(ctx, plan, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := RunDDContext(ctx, plan, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := RunContext(ctx, plan, Options{Backend: BackendDD}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dd: err = %v, want context.Canceled", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestRunContextParentDeadlineDistinctFromTimeout(t *testing.T) {
 	if _, err := RunContext(context.Background(), plan, Options{Timeout: time.Microsecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if _, err := RunDDContext(context.Background(), plan, Options{Timeout: time.Microsecond}); !errors.Is(err, ErrTimeout) {
+	if _, err := RunContext(context.Background(), plan, Options{Backend: BackendDD, Timeout: time.Microsecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("dd: err = %v, want ErrTimeout", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := Run(plan, Options{MaxPaths: 4}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("paths: err = %v, want ErrBudget", err)
 	}
-	if _, err := RunDD(plan, Options{MaxPaths: 4}); !errors.Is(err, ErrBudget) {
+	if _, err := Run(plan, Options{Backend: BackendDD, MaxPaths: 4}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("dd paths: err = %v, want ErrBudget", err)
 	}
 
@@ -141,14 +141,18 @@ func TestCostModelShape(t *testing.T) {
 	if est.Paths != 1<<6 || !est.PathsExact {
 		t.Fatalf("paths = %d exact=%v, want 64 exact", est.Paths, est.PathsExact)
 	}
-	// pair = 16·(2^4 + 2^4) = 512 B; chain = pair·(cuts+2); scratch = 16·64;
-	// 64 amplitudes are 4 accumulator rows, so the leaf batch holds one leaf:
-	// no extra lower half and a 1 × 4 coefficient table.
+	// pair = 16·(2^4 + 2^4) = 512 B; scratch = 16·64; 64 amplitudes are 4
+	// accumulator rows, so the leaf batch holds one leaf: no extra lower half
+	// and a 1 × 4 coefficient table. The rows read upper qubits 2 and 3 only
+	// at 0, and the chain charges what the cone leaves: the root is the one
+	// full pair; nothing touches qubit 2 after segment 0 and qubit 3 crosses
+	// last at the final cut, so the task and each of the 6 cuts fork pairs of
+	// 16 + 8 amplitudes (384 B).
 	wantPair := int64(512)
 	if est.StatePairBytes != wantPair {
 		t.Fatalf("pair bytes = %d, want %d", est.StatePairBytes, wantPair)
 	}
-	wantPerWorker := wantPair*int64(len(plan.Cuts)+2) + 16*64 + 16*4
+	wantPerWorker := wantPair + 384*int64(len(plan.Cuts)+1) + 16*64 + 16*4
 	if est.PerWorkerBytes != wantPerWorker {
 		t.Fatalf("per-worker bytes = %d, want %d", est.PerWorkerBytes, wantPerWorker)
 	}

@@ -165,7 +165,7 @@ func TestScheduleProperty(t *testing.T) {
 					checkAgainstOracle(t, plan, 1<<n, schrodinger(circ))
 
 					e := compiled(plan, -1)
-					at, hoisted := e.schedule(plan)
+					at, hoisted, _ := schedule(plan, e.cuts)
 					level, local, moved := 0, 0, 0
 					for i, st := range plan.Steps {
 						if st.Kind == cut.CutStep {
@@ -185,7 +185,7 @@ func TestScheduleProperty(t *testing.T) {
 					}
 					placed := 0
 					for _, s := range e.segs {
-						placed += len(s.lower) + len(s.upper)
+						placed += len(s.gates[cut.Lower]) + len(s.gates[cut.Upper])
 					}
 					if placed != local {
 						t.Fatalf("seed %d: %d local gates in the plan, %d in the segments", seed, local, placed)
@@ -271,7 +271,7 @@ func TestScheduleQ22Structure(t *testing.T) {
 	e := compiled(plan, 0)
 
 	diag2 := 0
-	for _, gs := range [][]gate.Gate{e.segs[0].lower, e.segs[0].upper} {
+	for _, gs := range e.segs[0].gates {
 		for i := range gs {
 			if gs[i].NumQubits() == 2 && gs[i].Diagonal {
 				diag2++
@@ -281,7 +281,7 @@ func TestScheduleQ22Structure(t *testing.T) {
 	if diag2 != 85 {
 		t.Fatalf("segment 0 holds %d two-qubit diagonals after fusion, want all 85", diag2)
 	}
-	at, _ := e.schedule(plan)
+	at, _, _ := schedule(plan, e.cuts)
 	for i, st := range plan.Steps {
 		if st.Kind == cut.LocalStep && st.Gate.Name == "rzz" && at[i] != 0 {
 			t.Fatalf("local %s scheduled into segment %d, want 0", st.Gate.String(), at[i])
@@ -289,7 +289,7 @@ func TestScheduleQ22Structure(t *testing.T) {
 	}
 
 	last := e.segs[len(e.segs)-1]
-	for side, gs := range map[string][]gate.Gate{"lower": last.lower, "upper": last.upper} {
+	for side, gs := range map[string][]gate.Gate{"lower": last.gates[cut.Lower], "upper": last.gates[cut.Upper]} {
 		if len(gs) > 2 {
 			t.Fatalf("last segment holds %d %s gates, want ≤ 2", len(gs), side)
 		}
@@ -326,7 +326,7 @@ func TestScheduleDoesNotCrossNonCommuting(t *testing.T) {
 	for _, tc := range cases {
 		plan := buildPlan(t, tc.c, 1, cut.StrategyNone)
 		e := compiled(plan, -1)
-		at, _ := e.schedule(plan)
+		at, _, _ := schedule(plan, e.cuts)
 		if got := at[len(at)-1]; got != tc.want {
 			t.Errorf("%s: last gate scheduled into segment %d, want %d", tc.name, got, tc.want)
 		}

@@ -6,7 +6,9 @@ import "math"
 // HSF path walker forks and releases one (lower, upper) vector pair per
 // path-tree node, so a per-worker Pool turns the O(paths) large allocations
 // of naive cloning into a handful of buffers reused for the whole run (live
-// count = tree depth).
+// count = tree depth). Buffers are keyed by the size they were allocated at,
+// so a state the walker's output-cone projection shrank in place still comes
+// back whole.
 //
 // A Pool is not safe for concurrent use; each worker goroutine owns its own.
 type Pool struct {
@@ -47,11 +49,13 @@ func (p *Pool) GetZero(n int) Vector {
 }
 
 // Put releases a vector back to the pool. The caller must not use v
-// afterwards. Releasing the zero Vector is a no-op.
+// afterwards. Releasing the zero Vector is a no-op. A vector resliced shorter
+// (a Projection's result) returns at the length Get handed it out with.
 func (p *Pool) Put(v Vector) {
 	if v.Re == nil {
 		return
 	}
+	v = Vector{Re: v.Re[:cap(v.Re)], Im: v.Im[:cap(v.Im)]}
 	if p.Poison {
 		nan := math.NaN()
 		for i := range v.Re {
