@@ -38,9 +38,11 @@ race-core:
 # Sweep-executor race pass: the tiled segment sweeps fan gate applications out
 # across the worker pool with a shared scratch discipline; run the kernel and
 # segment parity suites under the detector to catch any aliasing regression,
-# and the output-cone projection suites, whose halves shrink in place.
+# the output-cone projection suites, whose halves shrink in place, the leaf
+# fold's batch bit-identity, and the planner's group scan and contraction
+# against their oracles.
 race-sweep:
-	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection' -count=1 ./internal/statevec/ ./internal/hsf/
+	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|Contract' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
 
 # Telemetry race pass: per-worker counters flush into the shared recorder and
 # the atomic histograms are hammered from every walker goroutine; the guard

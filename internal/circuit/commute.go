@@ -120,23 +120,65 @@ func EmbedOnQubits(g *gate.Gate, qubits []int) *cmat.Matrix {
 // circuit unitary unchanged.
 type DependencyDAG struct {
 	N    int
-	Succ [][]int // Succ[i]: gates that must come after i
-	Pred [][]int // Pred[j]: gates that must come before j
+	Succ [][]int // Succ[i]: gates that must come after i, ascending
+
+	mark []uint8 // Contractible's scratch, one entry per gate
 }
 
-// BuildDAG computes the dependency DAG of c. Transitive edges are included
-// only between gates with overlapping supports (which is sufficient: any
-// dependency chain is preserved by composition of these edges).
+// BuildDAG computes the dependency DAG of c. Disjoint gates always commute,
+// so only pairs sharing a qubit are checked: gate i against the later gates
+// in each of its qubits' lists, a pair sharing two qubits once. Transitive
+// edges are included only between gates with overlapping supports (which is
+// sufficient: any dependency chain is preserved by composition of these
+// edges). The Succ lists share one array.
 func BuildDAG(c *Circuit) *DependencyDAG {
-	n := len(c.Gates)
-	d := &DependencyDAG{N: n, Succ: make([][]int, n), Pred: make([][]int, n)}
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			if Commute(&c.Gates[i], &c.Gates[j]) {
-				continue
+	n, nq := len(c.Gates), c.NumQubits
+	// on[start[q]:start[q+1]] lists the gates on qubit q in circuit order.
+	start := make([]int, nq+1)
+	for i := range c.Gates {
+		for _, q := range c.Gates[i].Qubits {
+			start[q+1]++
+		}
+	}
+	for q := range nq {
+		start[q+1] += start[q]
+	}
+	on, fill := make([]int, start[nq]), slices.Clone(start[:nq])
+	for i := range c.Gates {
+		for _, q := range c.Gates[i].Qubits {
+			on[fill[q]] = i
+			fill[q]++
+		}
+	}
+	d := &DependencyDAG{N: n, Succ: make([][]int, n)}
+	succ := make([]int, 0, 2*len(on))
+	seen := make([]int, n) // seen[j] = i+1 once the pair (i, j) is checked
+	for i := range c.Gates {
+		g, from := &c.Gates[i], len(succ)
+		for _, q := range g.Qubits {
+			list := on[start[q]:start[q+1]]
+			at, _ := slices.BinarySearch(list, i)
+			for _, j := range list[at+1:] {
+				if seen[j] == i+1 {
+					continue
+				}
+				seen[j] = i + 1
+				if !Commute(g, &c.Gates[j]) {
+					succ = append(succ, j)
+				}
 			}
-			d.Succ[i] = append(d.Succ[i], j)
-			d.Pred[j] = append(d.Pred[j], i)
+		}
+		if len(succ) > from {
+			slices.Sort(succ[from:])
+			d.Succ[i] = succ[from:]
+		}
+	}
+	// Point every list into the final array: appends may have moved it.
+	at := 0
+	for i, s := range d.Succ {
+		if len(s) > 0 {
+			d.Succ[i] = succ[at : at+len(s) : at+len(s)]
+			at += len(s)
 		}
 	}
 	return d
@@ -149,11 +191,13 @@ func BuildDAG(c *Circuit) *DependencyDAG {
 // constraints). Gates not in any group are singleton nodes. Ties are broken
 // by smallest original index, giving a deterministic, stable order.
 func (d *DependencyDAG) ContractAndOrder(groups [][]int) (order []int, ok bool) {
-	// node id per gate: groups get ids 0..len(groups)-1, singletons follow.
+	// Node ids: groups get 0..len(groups)-1, singletons follow in gate
+	// order. Node v's members are members[first[v]:first[v+1]], ascending.
 	nodeOf := make([]int, d.N)
 	for i := range nodeOf {
 		nodeOf[i] = -1
 	}
+	grouped := 0
 	for gi, grp := range groups {
 		for _, idx := range grp {
 			if nodeOf[idx] != -1 {
@@ -161,66 +205,67 @@ func (d *DependencyDAG) ContractAndOrder(groups [][]int) (order []int, ok bool) 
 			}
 			nodeOf[idx] = gi
 		}
+		grouped += len(grp)
 	}
-	numNodes := len(groups)
-	members := make([][]int, len(groups))
+	numNodes := len(groups) + d.N - grouped
+	members := make([]int, 0, d.N)
+	first := make([]int, numNodes+1)
 	for gi, grp := range groups {
-		members[gi] = append([]int(nil), grp...)
-		sort.Ints(members[gi])
+		members = append(members, grp...)
+		slices.Sort(members[first[gi]:])
+		first[gi+1] = len(members)
 	}
-	for i := 0; i < d.N; i++ {
+	for i, v := 0, len(groups); i < d.N; i++ {
 		if nodeOf[i] == -1 {
-			nodeOf[i] = numNodes
-			members = append(members, []int{i})
-			numNodes++
+			nodeOf[i] = v
+			members = append(members, i)
+			v++
+			first[v] = len(members)
 		}
 	}
 
-	// Contracted edges.
-	succ := make([]map[int]bool, numNodes)
-	indeg := make([]int, numNodes)
-	for i := range succ {
-		succ[i] = make(map[int]bool)
+	// Contracted edges: succ[edge[v]:edge[v+1]] leave node v, each once
+	// (stamp[w] = v+1 once v → w is recorded).
+	edges := 0
+	for _, s := range d.Succ {
+		edges += len(s)
 	}
-	for i := 0; i < d.N; i++ {
-		for _, j := range d.Succ[i] {
-			a, b := nodeOf[i], nodeOf[j]
-			if a == b {
-				continue
-			}
-			if !succ[a][b] {
-				succ[a][b] = true
-				indeg[b]++
+	succ := make([]int, 0, edges)
+	edge, indeg, stamp := make([]int, numNodes+1), make([]int, numNodes), make([]int, numNodes)
+	for v := range numNodes {
+		for _, i := range members[first[v]:first[v+1]] {
+			for _, j := range d.Succ[i] {
+				if w := nodeOf[j]; w != v && stamp[w] != v+1 {
+					stamp[w] = v + 1
+					succ = append(succ, w)
+					indeg[w]++
+				}
 			}
 		}
+		edge[v+1] = len(succ)
 	}
 
 	// Kahn's algorithm with smallest-first-member tie-break.
-	firstIdx := make([]int, numNodes)
-	for v := 0; v < numNodes; v++ {
-		firstIdx[v] = members[v][0]
-	}
-	var ready []int
-	for v := 0; v < numNodes; v++ {
+	ready := stamp[:0] // every stamp is read for the last time above
+	for v := range numNodes {
 		if indeg[v] == 0 {
 			ready = append(ready, v)
 		}
 	}
 	order = make([]int, 0, d.N)
 	for len(ready) > 0 {
-		// Pick the ready node with the smallest first member.
 		best := 0
 		for i := 1; i < len(ready); i++ {
-			if firstIdx[ready[i]] < firstIdx[ready[best]] {
+			if members[first[ready[i]]] < members[first[ready[best]]] {
 				best = i
 			}
 		}
 		v := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		order = append(order, members[v]...)
-		for w := range succ[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
+		ready[best] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		order = append(order, members[first[v]:first[v+1]]...)
+		for _, w := range succ[edge[v]:edge[v+1]] {
+			if indeg[w]--; indeg[w] == 0 {
 				ready = append(ready, w)
 			}
 		}
@@ -229,6 +274,55 @@ func (d *DependencyDAG) ContractAndOrder(groups [][]int) (order []int, ok bool) 
 		return nil, false // cycle: grouping invalid
 	}
 	return order, true
+}
+
+// Contractible reports whether group can run as one contiguous block:
+// exactly when ContractAndOrder([][]int{group}) succeeds. That fails when a
+// member repeats, or when some gate outside the group that a member reaches
+// reaches a member in turn. Edges run forward, so every such gate lies in
+// [min group, max group], and one ascending scan of that range finds it
+// without contracting anything. The scan's marks live on the DAG: it
+// allocates only on the first call and is not safe for concurrent use.
+func (d *DependencyDAG) Contractible(group []int) bool {
+	if len(group) == 0 {
+		return true
+	}
+	const (
+		member  = 1
+		reached = 2 // a non-member some member reaches
+	)
+	if d.mark == nil {
+		d.mark = make([]uint8, d.N)
+	}
+	lo, hi := slices.Min(group), slices.Max(group)
+	mark := d.mark[lo : hi+1]
+	clear(mark)
+	for _, i := range group {
+		if mark[i-lo] == member {
+			return false
+		}
+		mark[i-lo] = member
+	}
+	for i := lo; i <= hi; i++ {
+		from := mark[i-lo]
+		if from == 0 {
+			continue
+		}
+		for _, j := range d.Succ[i] {
+			if j > hi {
+				break
+			}
+			switch mark[j-lo] {
+			case 0:
+				mark[j-lo] = reached
+			case member:
+				if from == reached {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // Reorder returns a new circuit with gates in the given index order.

@@ -226,27 +226,23 @@ func groupWindows(c *circuit.Circuit, p Partition, maxBlockQubits int) [][]int {
 }
 
 // splitGroupValid splits a group whose contraction is cyclic into maximal
-// valid prefixes: members are added greedily while the singleton contraction
-// of the running subgroup stays acyclic. Subgroups of size 1 dissolve.
+// valid prefixes: members are added greedily while the running subgroup stays
+// contractible. Subgroups of size 1 dissolve.
 func splitGroupValid(dag *circuit.DependencyDAG, group []int) [][]int {
 	var out [][]int
 	var cur []int
-	flush := func() {
-		if len(cur) >= 2 {
-			out = append(out, cur)
-		}
-		cur = nil
-	}
 	for _, m := range group {
-		cand := append(append([]int(nil), cur...), m)
-		if _, ok := dag.ContractAndOrder([][]int{cand}); ok {
-			cur = cand
+		if cur = append(cur, m); dag.Contractible(cur) {
 			continue
 		}
-		flush()
+		if cur = cur[:len(cur)-1]; len(cur) >= 2 {
+			out = append(out, cur)
+		}
 		cur = []int{m}
 	}
-	flush()
+	if len(cur) >= 2 {
+		out = append(out, cur)
+	}
 	return out
 }
 
@@ -275,7 +271,7 @@ func buildGroups(c *circuit.Circuit, p Partition, strategy Strategy, maxBlockQub
 func resolveGroups(dag *circuit.DependencyDAG, groups [][]int) ([][]int, []int, error) {
 	var valid [][]int
 	for _, g := range groups {
-		if _, ok := dag.ContractAndOrder([][]int{g}); ok {
+		if dag.Contractible(g) {
 			valid = append(valid, g)
 		} else {
 			valid = append(valid, splitGroupValid(dag, g)...)

@@ -73,7 +73,8 @@ func BuildPlan(c *circuit.Circuit, opts Options) (*Plan, error) {
 		sort.Ints(groupMembers[gi])
 	}
 
-	plan := &Plan{NumQubits: c.NumQubits, Partition: opts.Partition}
+	// Every step takes at least one gate.
+	plan := &Plan{NumQubits: c.NumQubits, Partition: opts.Partition, Steps: make([]Step, 0, len(rc.Gates))}
 	emitted := make([]bool, len(rc.Gates))
 
 	emitSingle := func(np int) error {

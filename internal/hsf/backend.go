@@ -122,15 +122,15 @@ func (e *engine) newWorkspace(pool *statevec.Pool) (workspace, error) {
 	return nil, fmt.Errorf("hsf: %v: %w", e.backend, ErrUnsupported)
 }
 
-// leafBatchShape returns K, the number of leaves one fold applies, and the
-// number of accumulator rows (upper amplitudes) an m-amplitude output reads.
-// K is fixed by the shapes: the held lower halves may take at most ⅛ of the
-// accumulator's bytes, because every one of them is memory the run would not
-// otherwise allocate, and beyond 8 leaves the fold gains little. The engine
-// and Cost both size the batch from here.
-func leafBatchShape(m, nLower int) (k, rows int) {
-	rows = (m + 1<<nLower - 1) >> nLower
-	return min(max(rows/8, 1), 8), rows
+// leafBatchK is the number of leaves one fold applies, at every accumulator
+// shape: the fold's own chunk, so a batch streams the accumulator once. The
+// engine and Cost both size the batch from here.
+const leafBatchK = statevec.FoldChunk
+
+// leafRows returns the number of accumulator rows (upper amplitudes) an
+// m-amplitude output reads.
+func leafRows(m, nLower int) int {
+	return (m + 1<<nLower - 1) >> nLower
 }
 
 // leafBatch is one worker's pending rank-K update of its accumulator: the
@@ -147,13 +147,13 @@ type leafBatch struct {
 }
 
 func (e *engine) newLeafBatch(pool *statevec.Pool) leafBatch {
-	k, rows := leafBatchShape(e.m, e.nLower)
-	table := statevec.MakeVector(k * rows)
+	rows := leafRows(e.m, e.nLower)
+	table := statevec.MakeVector(leafBatchK * rows)
 	b := leafBatch{
 		pool:   pool,
-		coeffs: make([]complex128, 0, k),
-		ups:    make([]statevec.Vector, k),
-		los:    make([]statevec.Vector, 0, k),
+		coeffs: make([]complex128, 0, leafBatchK),
+		ups:    make([]statevec.Vector, leafBatchK),
+		los:    make([]statevec.Vector, 0, leafBatchK),
 	}
 	for i := range b.ups {
 		b.ups[i] = table.Slice(i*rows, (i+1)*rows)

@@ -25,8 +25,7 @@ type cone struct {
 // newCone places the drops from the per-qubit last positions schedule
 // returns. A qubit nothing touches is last touched by segment 0.
 func newCone(lastAny []int, m, nLower, nUpper, cuts int) cone {
-	_, rows := leafBatchShape(m, nLower)
-	free := [2]int{min(bits.Len(uint(m-1)), nLower), bits.Len(uint(rows - 1))}
+	free := [2]int{min(bits.Len(uint(m-1)), nLower), bits.Len(uint(leafRows(m, nLower) - 1))}
 	c := cone{n: [2]int{nLower, nUpper}}
 	for side, off := range [2]int{0, nLower} {
 		c.drops[side] = make([][]int, 2*cuts+1)

@@ -131,8 +131,8 @@ func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	perWorker := addSat(chain, accBytes) // scratch accumulator per worker
 	// Leaf batch: the last held leaf's lower half is still the chain's, the
 	// other K-1 are extra, and the coefficient table has K rows.
-	k, rows := leafBatchShape(m, max(nLower, 0))
-	batch := addSat(mulSat(lower, int64(k-1)), mulSat(bytesPerAmp, int64(k*rows)))
+	rows := leafRows(m, max(nLower, 0))
+	batch := addSat(mulSat(lower, leafBatchK-1), mulSat(bytesPerAmp, int64(leafBatchK*rows)))
 	perWorker = addSat(perWorker, batch)
 
 	paths, exact := plan.NumPaths()

@@ -138,26 +138,21 @@ func TestParityKernelZoo(t *testing.T) {
 // checkpoint format, the prefix bookkeeping, and the walker are shared, so
 // backends are interchangeable mid-run.
 //
-// The mid-batch cases run one worker on a plan that folds eight leaves per
-// pass and fail 35 leaves into the second of four 64-leaf tasks, with three
-// leaves held: the checkpoint must hold the first task and nothing of the
-// second.
+// The mid-batch cases run one worker and fail 35 leaves into the second of
+// four 64-leaf tasks, eight leaves per fold, with three leaves held: the
+// checkpoint must hold the first task and nothing of the second.
 func TestParityFaultAndResume(t *testing.T) {
 	for _, tc := range []struct {
 		suffix         string
 		plan           *cut.Plan // 2^8 = 256 paths
-		k              int       // leaves per fold
 		workers        int
 		failAfter      int64
 		wantCheckpoint int64 // PathsSimulated of the checkpoint; 0: any progress
 	}{
-		{"", buildPlan(t, manyCutCircuit(8, 8), 3, cut.StrategyNone), 2, 0, 128, 0},
-		{"-mid-batch", buildPlan(t, manyCutCircuit(12, 8), 5, cut.StrategyNone), 8, 1, 64 + 35, 64},
+		{"", buildPlan(t, manyCutCircuit(8, 8), 3, cut.StrategyNone), 0, 128, 0},
+		{"-mid-batch", buildPlan(t, manyCutCircuit(12, 8), 5, cut.StrategyNone), 1, 64 + 35, 64},
 	} {
 		plan := tc.plan
-		if k, _ := leafBatchShape(1<<plan.NumQubits, plan.Partition.NumLower()); k != tc.k {
-			t.Fatalf("case %q folds %d leaves per pass, want %d", tc.suffix, k, tc.k)
-		}
 		want, err := Run(plan, Options{})
 		if err != nil {
 			t.Fatal(err)

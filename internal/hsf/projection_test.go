@@ -118,8 +118,7 @@ func coneKinds(plan *cut.Plan, m int) (kinds map[string]bool) {
 func unprojectedCost(plan *cut.Plan, m int) int64 {
 	nLower, nUpper := plan.Partition.NumLower(), plan.Partition.NumUpper(plan.NumQubits)
 	pair := int64(16) * (1<<nLower + 1<<nUpper)
-	k, rows := leafBatchShape(m, nLower)
-	return pair*int64(len(plan.Cuts)+2) + 16*int64(m) + int64(k-1)*16<<nLower + int64(k*rows)*16
+	return pair*int64(len(plan.Cuts)+2) + 16*int64(m) + (leafBatchK-1)*16<<nLower + int64(leafBatchK*leafRows(m, nLower))*16
 }
 
 // TestProjectionMatchesOracle holds the cone against the Schrödinger oracle
@@ -239,7 +238,8 @@ func TestProjectionQ22MatchesOracle(t *testing.T) {
 // → 512 after segment 2, → 256 after segment 8 and → 8 after segment 9, whose
 // projection absorbs the RX mixers on qubits 3, 4, 5, 7 and 8. The lower half
 // keeps its 2048 amplitudes, and no qubit is dropped at a cut. Cost charges
-// the pairs of that ladder, below the unprojected chain at 2^14 and 2^20.
+// the pairs of that ladder, below the unprojected chain at 2^14 and 2^20, and
+// at both outputs an 8-leaf batch: seven held lower halves of 32 KiB.
 func TestProjectionQ22Ladder(t *testing.T) {
 	plan := q22Plan(t)
 	dense := compiledFor(plan, BackendDense, 1<<14, -1)
@@ -278,7 +278,7 @@ func TestProjectionQ22Ladder(t *testing.T) {
 	for _, tc := range []struct {
 		m    int
 		want int64
-	}{{1 << 14, 1052928}, {1 << 20, 34488320}} {
+	}{{1 << 14, 1283200}, {1 << 20, 34488320}} {
 		est := Cost(plan, Options{Workers: 1, MaxAmplitudes: tc.m})
 		if est.TotalBytes != tc.want {
 			t.Errorf("m = %d: Cost = %d B, want %d", tc.m, est.TotalBytes, tc.want)

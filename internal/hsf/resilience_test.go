@@ -141,18 +141,18 @@ func TestCostModelShape(t *testing.T) {
 	if est.Paths != 1<<6 || !est.PathsExact {
 		t.Fatalf("paths = %d exact=%v, want 64 exact", est.Paths, est.PathsExact)
 	}
-	// pair = 16·(2^4 + 2^4) = 512 B; scratch = 16·64; 64 amplitudes are 4
-	// accumulator rows, so the leaf batch holds one leaf: no extra lower half
-	// and a 1 × 4 coefficient table. The rows read upper qubits 2 and 3 only
-	// at 0, and the chain charges what the cone leaves: the root is the one
-	// full pair; nothing touches qubit 2 after segment 0 and qubit 3 crosses
-	// last at the final cut, so the task and each of the 6 cuts fork pairs of
-	// 16 + 8 amplitudes (384 B).
+	// pair = 16·(2^4 + 2^4) = 512 B; scratch = 16·64; the leaf batch holds 8
+	// leaves: 7 lower halves besides the chain's (16·16 B each) and an 8 × 4
+	// coefficient table, since 64 amplitudes are 4 accumulator rows. The rows
+	// read upper qubits 2 and 3 only at 0, and the chain charges what the
+	// cone leaves: the root is the one full pair; nothing touches qubit 2
+	// after segment 0 and qubit 3 crosses last at the final cut, so the task
+	// and each of the 6 cuts fork pairs of 16 + 8 amplitudes (384 B).
 	wantPair := int64(512)
 	if est.StatePairBytes != wantPair {
 		t.Fatalf("pair bytes = %d, want %d", est.StatePairBytes, wantPair)
 	}
-	wantPerWorker := wantPair + 384*int64(len(plan.Cuts)+1) + 16*64 + 16*4
+	wantPerWorker := wantPair + 384*int64(len(plan.Cuts)+1) + 16*64 + 7*16*16 + 16*8*4
 	if est.PerWorkerBytes != wantPerWorker {
 		t.Fatalf("per-worker bytes = %d, want %d", est.PerWorkerBytes, wantPerWorker)
 	}
@@ -160,16 +160,15 @@ func TestCostModelShape(t *testing.T) {
 		t.Fatalf("total bytes = %d", est.TotalBytes)
 	}
 
-	// The batch term is (K-1) lower halves plus a K × rows table, with the
-	// engine's own K: on the full outputs of the two allocation harnesses,
-	// 16 rows fold 2 leaves per pass and 64 rows fold 8.
-	for _, shape := range allocShapes {
+	// The batch term is 7 lower halves plus an 8 × rows table on the full
+	// outputs of the two allocation harnesses, 16 and 64 rows.
+	for name, shape := range allocShapes {
 		plan := harnessPlan(t, shape)
 		lower, rows := int64(16)<<plan.Partition.NumLower(), int64(1)<<(shape.n-plan.Partition.NumLower())
 		pair := lower + 16*rows
-		want := pair*int64(len(plan.Cuts)+2) + 16<<shape.n + int64(shape.k-1)*lower + int64(shape.k)*rows*16
+		want := pair*int64(len(plan.Cuts)+2) + 16<<shape.n + 7*lower + 8*rows*16
 		if est := Cost(plan, Options{Workers: 1}); est.PerWorkerBytes != want {
-			t.Fatalf("K=%d: per-worker bytes = %d, want %d", shape.k, est.PerWorkerBytes, want)
+			t.Fatalf("%s: per-worker bytes = %d, want %d", name, est.PerWorkerBytes, want)
 		}
 	}
 }

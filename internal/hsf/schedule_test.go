@@ -9,26 +9,13 @@ import (
 	"hsfsim/internal/circuit"
 	"hsfsim/internal/cut"
 	"hsfsim/internal/gate"
-	"hsfsim/internal/graph"
-	"hsfsim/internal/qaoa"
 	"hsfsim/internal/statevec"
 )
 
 // q22Circuit is the benchmark's own instance: the q22-3 SBM-QAOA circuit.
 func q22Circuit(tb testing.TB) *circuit.Circuit {
 	tb.Helper()
-	g, err := graph.TwoBlockModel(11, 11, 0.8, 0.20, rand.New(rand.NewSource(2203)))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := g.RandomizeWeights(0.5, 1.5, rand.New(rand.NewSource(2203))); err != nil {
-		tb.Fatal(err)
-	}
-	c, err := qaoa.Build(g, qaoa.Params{Gammas: []float64{0.7}, Betas: []float64{0.5}})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return c
+	return sbmCircuit(tb, 11, 2203)
 }
 
 // q22Plan cuts q22Circuit between its blocks with cascade grouping (2^10
@@ -201,19 +188,20 @@ func TestScheduleProperty(t *testing.T) {
 }
 
 // TestLeafFoldProperty takes the same families through the output shapes that
-// decide how leaves reach the accumulator: a full output of 16 rows (one per
-// upper amplitude) folds two leaves per pass and one of 64 rows eight, while
-// outputs of one amplitude, one lower half, and one amplitude less or more
-// fold leaf by leaf and stop inside a row.
+// decide how leaves reach the accumulator: full outputs of 16 and 64 rows (one
+// per upper amplitude), which go through the blocked fold, and outputs of one
+// amplitude, one lower half, and one amplitude less or more, which stop
+// inside a row. The subtests are named after the leaves per fold the two
+// shapes had when K grew with the rows; every shape folds leafBatchK now.
 func TestLeafFoldProperty(t *testing.T) {
 	const cutPos = 3
 	const dimLo = 1 << (cutPos + 1)
-	for _, shape := range []struct{ n, k int }{{8, 2}, {10, 8}} {
-		if k, _ := leafBatchShape(1<<shape.n, cutPos+1); k != shape.k {
-			t.Fatalf("%d qubits fold %d leaves per pass, want %d", shape.n, k, shape.k)
-		}
+	for _, shape := range []struct {
+		n    int
+		name string
+	}{{8, "K=2"}, {10, "K=8"}} {
 		for name, build := range propertyCircuits(shape.n, cutPos) {
-			t.Run(fmt.Sprintf("K=%d/%s", shape.k, name), func(t *testing.T) {
+			t.Run(shape.name+"/"+name, func(t *testing.T) {
 				circ := build(rand.New(rand.NewSource(int64(shape.n))))
 				want := schrodinger(circ)
 				for _, strategy := range []cut.Strategy{cut.StrategyNone, cut.StrategyCascade, cut.StrategyWindow} {

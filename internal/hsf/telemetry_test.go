@@ -71,9 +71,9 @@ func TestZeroAllocsPerLeafWithTelemetry(t *testing.T) {
 				t.Fatalf("telemetry saw nothing: %+v", rep.Counters)
 			}
 			if rep.Counters.LeavesFolded != rep.Counters.Leaves ||
-				rep.Counters.LeafFolds*int64(shape.k) != rep.Counters.Leaves {
+				rep.Counters.LeafFolds*leafBatchK != rep.Counters.Leaves {
 				t.Fatalf("%d leaves emitted, %d folded in %d folds of %d", rep.Counters.Leaves,
-					rep.Counters.LeavesFolded, rep.Counters.LeafFolds, shape.k)
+					rep.Counters.LeavesFolded, rep.Counters.LeafFolds, leafBatchK)
 			}
 			if rep.LeafFold.Count == 0 {
 				t.Fatalf("no fold was timed in %d", rep.Counters.LeafFolds)

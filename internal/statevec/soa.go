@@ -21,7 +21,7 @@ package statevec
 // reductions. They are scale, rot2x2, swap, cross, axpy and rot4x4 over
 // spans, the optional whole-range 1q rotation and low-qubit diagonal
 // kernels, and fold, the HSF leaf fold's register-blocked micro-kernel:
-// foldRows accumulator rows held in registers while up to foldChunk leaves
+// foldRows accumulator rows held in registers while up to FoldChunk leaves
 // are added, an axpy per row and leaf on the arms without a body of their
 // own.
 
@@ -111,17 +111,19 @@ func scalarArm() kernelOps {
 	}
 }
 
-const (
-	foldRows  = 4 // accumulator rows one fold call holds (R)
-	foldChunk = 8 // leaves one fold call applies at most
-)
+const foldRows = 4 // accumulator rows one fold call holds (R)
+
+// FoldChunk is the number of leaves one fold call applies at most: FoldKron
+// streams each block of the accumulator once per FoldChunk leaves, which is
+// why the HSF engine batches exactly that many.
+const FoldChunk = 8
 
 // foldTable is the operand table of one fold call: the lower halves of up to
-// foldChunk leaves and their per-row coefficients c[k][r] = (re, im) of
+// FoldChunk leaves and their per-row coefficients c[k][r] = (re, im) of
 // coeff_k · up_k[a0+r], in the order the leaves reach every amplitude.
 type foldTable struct {
-	lo [foldChunk]Vector
-	c  [foldChunk][foldRows][2]float64
+	lo [FoldChunk]Vector
+	c  [FoldChunk][foldRows][2]float64
 	k  int
 }
 

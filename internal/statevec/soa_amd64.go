@@ -56,10 +56,10 @@ func archArms() []kernelOps {
 }
 
 //go:noescape
-func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[foldChunk]Vector, c *[foldChunk][foldRows][2]float64, k int)
+func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[FoldChunk]Vector, c *[FoldChunk][foldRows][2]float64, k int)
 
 //go:noescape
-func avx512FoldN(accRe, accIm *float64, stride, n int, lo *[foldChunk]Vector, c *[foldChunk][foldRows][2]float64, k int)
+func avx512FoldN(accRe, accIm *float64, stride, n int, lo *[FoldChunk]Vector, c *[FoldChunk][foldRows][2]float64, k int)
 
 //go:noescape
 func avx2ScaleRe(xr, xi *float64, n int, cr float64)

@@ -42,7 +42,7 @@ func archArms() []kernelOps {
 }
 
 //go:noescape
-func neonFoldN(accRe, accIm *float64, stride, n int, lo *[foldChunk]Vector, c *[foldChunk][foldRows][2]float64, k int)
+func neonFoldN(accRe, accIm *float64, stride, n int, lo *[FoldChunk]Vector, c *[FoldChunk][foldRows][2]float64, k int)
 
 // neonFold hands the 4-column-divisible head (two vectors per plane and row)
 // to the register-blocked body and the tail to the reference loop.

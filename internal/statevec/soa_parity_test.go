@@ -3,6 +3,7 @@ package statevec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"strings"
@@ -283,7 +284,7 @@ func withinUlps(a, b float64, n int) bool {
 // 20 and 28 columns (other column remainders mod 16 reach the fold bodies
 // only directly, in TestSpanPrimitivesAllArms). A sequence of leaves is
 // folded K at a time, so unless K divides it the last batch is short, and K
-// past foldChunk is split. Everything the fold has no business reading is
+// past FoldChunk is split. Everything the fold has no business reading is
 // NaN: the upper amplitudes past the accumulator's rows, the lower amplitudes
 // past a sub-row output, the table rows past the held leaves, and the lower
 // half of a leaf whose coefficient row is all zero. Another leaf is zero on
@@ -393,6 +394,46 @@ func TestFoldKronAllArms(t *testing.T) {
 	}
 }
 
+// TestFoldBatchBitIdentical holds, on every kernel arm, one FoldKron of
+// FoldChunk leaves to FoldChunk one-leaf FoldKron calls bit for bit (±0
+// counted equal): batching leaves changes which pass reads the accumulator,
+// never the operations one amplitude receives or their order, so the HSF
+// engine's batch size cannot move a result. The shapes are the joint-sweep
+// (8 rows × 2048) and serve-plan (16 × 1024) accumulators and outputs of one
+// row and of three, the last one short, which take the per-row axpy alone.
+func TestFoldBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	forEachArm(t, func(t *testing.T) {
+		for _, sh := range []struct{ m, nLower int }{
+			{8 << 11, 11}, {16 << 10, 10}, {1 << 11, 11}, {2<<10 + 100, 10},
+		} {
+			rows := (sh.m + 1<<sh.nLower - 1) >> sh.nLower
+			coeffs := make([]complex128, FoldChunk)
+			ups, los := make([]Vector, FoldChunk), make([]Vector, FoldChunk)
+			for k := range coeffs {
+				coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+				ups[k] = FromComplex(randomState(rng, bits.Len(uint(rows-1))))
+				los[k] = FromComplex(randomState(rng, sh.nLower))
+			}
+			start := make([]complex128, sh.m)
+			for i := range start {
+				start[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			batch, single := FromComplex(start), FromComplex(start)
+			FoldKron(batch, coeffs, ups, los, sh.nLower)
+			for k := range coeffs {
+				FoldKron(single, coeffs[k:k+1], ups[k:k+1], los[k:k+1], sh.nLower)
+			}
+			for i := range start {
+				if batch.Re[i] != single.Re[i] || batch.Im[i] != single.Im[i] {
+					t.Fatalf("%d rows × 2^%d, amplitude %d: %d-leaf fold %v, leaf by leaf %v",
+						rows, sh.nLower, i, FoldChunk, batch.Amplitude(i), single.Amplitude(i))
+				}
+			}
+		}
+	})
+}
+
 // TestFoldAVX512MatchesAVX2 holds the ZMM fold to the avx2 one bit for bit
 // (±0 counted equal): FoldKron on the benchmark's three shapes and a ragged
 // 7-leaf one, and the fold primitive itself on every column count up to 48,
@@ -434,7 +475,7 @@ func TestFoldAVX512MatchesAVX2(t *testing.T) {
 		}
 	}
 	for _, sh := range []struct{ m, nLower, nUpper, k int }{
-		{1 << 14, 11, 3, 1}, {1 << 14, 10, 4, 2}, {1 << 20, 11, 9, 8}, {13<<9 + 100, 9, 4, 7},
+		{1 << 14, 11, 3, 8}, {1 << 14, 10, 4, 8}, {1 << 20, 11, 9, 8}, {13<<9 + 100, 9, 4, 7},
 	} {
 		coeffs := make([]complex128, sh.k)
 		ups, los := make([]Vector, sh.k), make([]Vector, sh.k)
@@ -456,7 +497,7 @@ func TestFoldAVX512MatchesAVX2(t *testing.T) {
 	}
 	for n := 1; n <= 48; n++ {
 		var tab foldTable
-		for tab.k = 0; tab.k < 1+n%foldChunk; tab.k++ {
+		for tab.k = 0; tab.k < 1+n%FoldChunk; tab.k++ {
 			tab.lo[tab.k] = randomVector(n)
 			for r := range foldRows {
 				tab.c[tab.k][r] = [2]float64{rng.NormFloat64(), rng.NormFloat64()}

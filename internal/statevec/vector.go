@@ -221,7 +221,7 @@ func MaxAbsDiffVec(a, b Vector) float64 {
 // product Upᵀ·diag(coeffs)·Lo of K = len(coeffs) HSF leaves (ups and los may
 // be longer). It reads ups[k][a] only for the ⌈acc.Len()/2^nLower⌉ rows acc
 // has. Whole rows go foldRows at a time through the kernel table's fold,
-// which streams them once per foldChunk leaves; the rows left over and a
+// which streams them once per FoldChunk leaves; the rows left over and a
 // short last row take one stride-1 complex AXPY per row and leaf. Either way
 // every amplitude receives its leaves in slice order.
 func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
@@ -234,11 +234,11 @@ func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
 	blocks := (m / cols) &^ (foldRows - 1) // rows in whole blocks
 	var t foldTable
 	for a0 := 0; a0 < blocks; a0 += foldRows {
-		for k0 := 0; k0 < len(coeffs); k0 += foldChunk {
+		for k0 := 0; k0 < len(coeffs); k0 += FoldChunk {
 			// A leaf whose coefficients are all zero on these rows is dropped
 			// and its lower half never read.
 			t.k = 0
-			for k := k0; k < min(k0+foldChunk, len(coeffs)); k++ {
+			for k := k0; k < min(k0+FoldChunk, len(coeffs)); k++ {
 				c, nonzero := &t.c[t.k], false
 				for r := range c {
 					ur, ui := rowCoeff(coeffs[k], ups[k], a0+r)
