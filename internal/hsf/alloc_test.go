@@ -44,7 +44,7 @@ func allocHarness(tb testing.TB, shape allocShape) (*walker, statevec.Vector) {
 	scratch := statevec.MakeVector(e.m)
 	for i := 0; i < 2; i++ { // warm the pools
 		scratch.Clear()
-		if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
+		if _, err := walk.runTask(context.Background(), nil, scratch); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -61,16 +61,17 @@ func BenchmarkRunBranchSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scratch.Clear()
-		if _, err := walk.runPrefix(ctx, nil, scratch); err != nil {
+		if _, err := walk.runTask(ctx, nil, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestZeroAllocsPerLeaf is the allocation regression guard: once the
-// workspace is warm, simulating a path subtree must not allocate at all —
-// forked states come from the pool, pair structs from the free list, frames
-// from the retained stack, and the sequential gate kernels build no closures.
+// workspace is warm, a prefix task — the subtree's walk and, on the K=2
+// shape, a two-gate fold epilogue — must not allocate at all: forked states
+// come from the pool, pair structs from the free list, frames from the
+// retained stack, and the sequential gate kernels build no closures.
 func TestZeroAllocsPerLeaf(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -78,11 +79,14 @@ func TestZeroAllocsPerLeaf(t *testing.T) {
 	for name, shape := range allocShapes {
 		t.Run(name, func(t *testing.T) {
 			walk, scratch := allocHarness(t, shape)
+			if name == "K=2" && len(walk.e.epiGates) != 2 {
+				t.Fatalf("the K=2 shape sinks %d gates, want 2: the guard no longer covers the epilogue", len(walk.e.epiGates))
+			}
 			ctx := context.Background()
 			var leaves int64
 			allocs := testing.AllocsPerRun(10, func() {
 				scratch.Clear()
-				n, err := walk.runPrefix(ctx, nil, scratch)
+				n, err := walk.runTask(ctx, nil, scratch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +122,7 @@ func TestZeroAllocsPerLeafWithTracing(t *testing.T) {
 				scratch.Clear()
 				sp := e.trc.Start(e.tsc, "prefix")
 				sp.SetLane(1)
-				n, err := walk.runPrefix(ctx, nil, scratch)
+				n, err := walk.runTask(ctx, nil, scratch)
 				sp.SetInt("leaves", n)
 				if err != nil {
 					t.Fatal(err)
@@ -147,13 +151,13 @@ func TestPoisonedPoolRunStaysFinite(t *testing.T) {
 			pool.Poison = true
 
 			scratch.Clear()
-			if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
+			if _, err := walk.runTask(context.Background(), nil, scratch); err != nil {
 				t.Fatal(err)
 			}
 			want := scratch.ToComplex()
 
 			scratch.Clear()
-			if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
+			if _, err := walk.runTask(context.Background(), nil, scratch); err != nil {
 				t.Fatal(err)
 			}
 			var norm float64
@@ -204,7 +208,7 @@ func TestWalkerReuseAfterFailedTask(t *testing.T) {
 				}
 			}
 			scratch.Clear()
-			if _, err := walk.runPrefixRecover(ctx, nil, scratch); err == nil || e.leaves.Load() != stopAt {
+			if _, err := walk.runTask(ctx, nil, scratch); err == nil || e.leaves.Load() != stopAt {
 				t.Fatalf("task returned %v at leaf %d, want an error at leaf %d", err, e.leaves.Load(), stopAt)
 			}
 			if held := len(walk.batch.los); held != 0 {
@@ -212,7 +216,7 @@ func TestWalkerReuseAfterFailedTask(t *testing.T) {
 			}
 			e.hook = nil
 			scratch.Clear()
-			if _, err := walk.runPrefixRecover(context.Background(), nil, scratch); err != nil {
+			if _, err := walk.runTask(context.Background(), nil, scratch); err != nil {
 				t.Fatal(err)
 			}
 			if d := statevec.MaxAbsDiffVec(scratch, fresh); d != 0 {
@@ -242,7 +246,7 @@ func TestWalkerRootIsCopiedNotAliased(t *testing.T) {
 
 	for _, prefix := range [][]int{nil, {1}, {0, 1}} {
 		scratch.Clear()
-		if _, err := walk.runPrefix(context.Background(), prefix, scratch); err != nil {
+		if _, err := walk.runTask(context.Background(), prefix, scratch); err != nil {
 			t.Fatal(err)
 		}
 		if d := statevec.MaxAbsDiffVec(root.lo, wantLo); d != 0 {

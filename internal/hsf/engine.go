@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -179,6 +180,12 @@ type engine struct {
 	m       int // output amplitudes
 	leaves  atomic.Int64
 
+	// epi is the fold epilogue: the gates sink moved out of the path tree,
+	// fused and compiled for the accumulator's registers (see sink), nil when
+	// none sank. epiGates are its gates, for the kernel-class census.
+	epi      *statevec.CompiledSegment
+	epiGates []gate.Gate
+
 	failAfter int64
 	hook      func(int64)
 	onCkpt    func(*Checkpoint)
@@ -232,17 +239,22 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 	}
 	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
 
-	e := &engine{backend: opts.Backend, nLower: nLower, nUpper: nUpper, m: m,
-		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf,
-		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry}
-	e.trc, e.tsc = trace.FromContext(ctx)
-	e.compile(plan, opts.FusionMaxQubits)
-
+	// Expand enough leading cut levels that the task count comfortably
+	// exceeds the worker count. A resumed run reuses the checkpoint's split
+	// depth so prefix vectors stay comparable.
+	splitLevels := ChooseSplitLevels(plan, 4*workers)
 	if opts.Resume != nil {
 		if err := opts.Resume.validateFor(plan, m); err != nil {
 			return nil, err
 		}
+		splitLevels = opts.Resume.SplitLevels
 	}
+
+	e := &engine{backend: opts.Backend, nLower: nLower, nUpper: nUpper, m: m,
+		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf,
+		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry}
+	e.trc, e.tsc = trace.FromContext(ctx)
+	e.compile(plan, opts.FusionMaxQubits, splitLevels)
 
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -260,7 +272,7 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 	start := time.Now()
 	wsp := e.trc.Start(e.tsc, "walk")
 	e.tsc = wsp.Context() // prefix-task spans parent to the walk phase
-	amps, ck, err := e.run(ctx, workers, opts.Resume, plan)
+	amps, ck, err := e.run(ctx, workers, splitLevels, opts.Resume, plan)
 	if ck != nil {
 		wsp.SetInt("paths", ck.PathsSimulated)
 	}
@@ -287,35 +299,43 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 	}, nil
 }
 
-// compile lowers the plan: cut terms become partition-local gates, local
-// gates are remapped to partition-local labels, scheduled into the earliest
-// segment they can legally reach (schedule), and fused per segment. On the
-// dense backend the output cone is applied first (project), so every side of
-// every segment compiles at the qubit count it runs at.
-func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
+// compile lowers the plan for runs that expand splitLevels cut levels into
+// prefix tasks: cut terms become partition-local gates, local gates are
+// scheduled into the earliest segment they can legally reach (schedule),
+// those cheaper after the fold move to the epilogue (sink), and the rest are
+// remapped to partition-local labels and fused per segment. On the dense
+// backend the output cone is applied first (project), so every side of every
+// segment compiles at the qubit count it runs at.
+func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	endCompile := e.tel.Span("compile")
 	csp := e.trc.Start(e.tsc, "compile")
 	e.cuts = lowerCuts(plan)
 	at, hoisted, lastAny := schedule(plan, e.cuts)
+	c := newCone(lastAny, e.m, e.nLower, e.nUpper, len(e.cuts))
+	sunk := sink(plan, e.cuts, at, &c, e.m, splitLevels)
 	e.segs = make([]segment, len(e.cuts)+1)
+	var epi []gate.Gate
 	for i := range plan.Steps {
 		st := &plan.Steps[i]
 		if st.Kind != cut.LocalStep {
 			continue
 		}
 		g := st.Gate
+		if sunk[i] {
+			epi = append(epi, g) // the accumulator's labels are the plan's
+			continue
+		}
 		if st.Side == cut.Upper {
 			g = g.Remap(func(q int) int { return q - e.nLower })
 		}
 		seg := &e.segs[at[i]]
 		seg.gates[st.Side] = append(seg.gates[st.Side], g)
 	}
+	gatesSunk := len(epi)
 
 	dense := e.backend == BackendDense
-	var c cone
 	leaf := [2]int{e.nLower, e.nUpper} // qubits of each half at a leaf
 	if dense {
-		c = newCone(lastAny, e.m, e.nLower, e.nUpper, len(e.cuts))
 		for side := range leaf {
 			e.project(cut.Side(side), &c)
 			leaf[side] = c.qubits(cut.Side(side), 2*len(e.cuts))
@@ -341,6 +361,13 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
 			}
 		}
 	}
+	if len(epi) > 0 {
+		if fusionMaxQubits > 0 {
+			epi = fuse.Fuse(epi, fusionMaxQubits)
+		}
+		e.epiGates = epi
+		e.epi = statevec.CompileSegment(epi, freeQubits(e.m))
+	}
 	e.ranks = make([]int, len(e.cuts))
 	for i := range e.cuts {
 		statevec.PrepareGates(e.cuts[i].terms[cut.Lower])
@@ -353,6 +380,7 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits int) {
 	csp.SetInt("segments", int64(len(e.segs)))
 	csp.SetInt("cuts", int64(len(e.cuts)))
 	csp.SetInt("gates_hoisted", int64(hoisted))
+	csp.SetInt("gates_sunk", int64(gatesSunk))
 	csp.SetInt("lo_qubits_projected", int64(e.nLower-leaf[cut.Lower]))
 	csp.SetInt("up_qubits_projected", int64(e.nUpper-leaf[cut.Upper]))
 	csp.SetInt("leaf_lo_amps", 1<<leaf[cut.Lower])
@@ -438,6 +466,88 @@ func schedule(plan *cut.Plan, cuts []compiledCut) (at []int, hoisted int, lastAn
 	return at, hoisted, lastAny
 }
 
+// freeQubits returns how many low qubits are free in an m-amplitude output:
+// the first m amplitudes are m/2^k whole registers over qubits 0…k-1, with
+// k the number of trailing zero bits of m.
+func freeQubits(m int) int { return bits.TrailingZeros(uint(m)) }
+
+// sink picks the local gates the fold epilogue applies instead of the path
+// tree, per plan step. Every path's leaf adds w_p · up_p ⊗ lo_p to its task's
+// accumulator, and the sum is linear, so a gate G acting on every path's
+// halves last may act once on the sum instead: Σ_p w_p · up_p ⊗ (G·lo_p) =
+// (I ⊗ G) · Σ_p w_p · up_p ⊗ lo_p. A gate scheduled into segment l sinks when
+//
+//  1. it may pass everything after it: walking the plan from its end, cut
+//     terms and kept gates block their qubits, and a gate passes them by the
+//     structural rule of circuit.Commute, as in schedule;
+//  2. every qubit it touches is free in the output (freeQubits), so the
+//     accumulator holds whole registers over it and the cone never drops it;
+//     every lower qubit is free exactly when m is a multiple of 2^nLower;
+//  3. it is cheaper after the fold: M(l) · 2^{n_side(l)} > T · m, where M(l)
+//     = Π_{j<l} rank_j is the segment's replay count, n_side(l) the side's
+//     qubits there under the cone c, and T = M(splitLevels) the prefix-task
+//     count — each task applies the epilogue to its m-amplitude accumulator.
+//
+// Sunk gates keep plan order. Like schedule, sink changes only the engine's
+// segments: a task's accumulator ends as the same operator applied to the
+// same paths, so the plan, its hash, prefix keys and checkpoints are
+// untouched. Both backends sink the same gates.
+func sink(plan *cut.Plan, cuts []compiledCut, at []int, c *cone, m, splitLevels int) []bool {
+	replays := make([]int64, len(cuts)+1)
+	replays[0] = 1
+	for l := range cuts {
+		replays[l+1] = mulSat(replays[l], int64(len(cuts[l].sigma)))
+	}
+	afterFold := mulSat(replays[splitLevels], int64(m))
+	free := freeQubits(m)
+	blockedAny := make([]bool, plan.NumQubits) // some later kept item touches q
+	blockedOff := make([]bool, plan.NumQubits) // … and is not diagonal on it
+	block := func(g *gate.Gate, qubits []int) {
+		for b, q := range qubits {
+			blockedAny[q] = true
+			blockedOff[q] = blockedOff[q] || !g.DiagonalOn(b)
+		}
+	}
+	sunk := make([]bool, len(plan.Steps))
+	level := len(cuts)
+	for i := len(plan.Steps) - 1; i >= 0; i-- {
+		st := &plan.Steps[i]
+		if st.Kind == cut.CutStep {
+			level--
+			cc := &cuts[level]
+			for t := range cc.sigma {
+				block(&cc.terms[cut.Lower][t], st.Cut.LowerQubits)
+				block(&cc.terms[cut.Upper][t], st.Cut.UpperQubits)
+			}
+			continue
+		}
+		g := &st.Gate
+		l := at[i]
+		ok := mulSat(replays[l], int64(1)<<c.qubits(st.Side, 2*l-1)) > afterFold
+		for b, q := range g.Qubits {
+			ok = ok && q < free && !blockedOff[q] && (g.DiagonalOn(b) || !blockedAny[q])
+		}
+		if ok {
+			sunk[i] = true
+		} else {
+			block(g, g.Qubits)
+		}
+	}
+	return sunk
+}
+
+// epilogue finishes a task's folded accumulator: the sunk gates act on each
+// of its 2^freeQubits-amplitude registers in place.
+func (e *engine) epilogue(acc statevec.Vector) {
+	if e.epi == nil {
+		return
+	}
+	n := 1 << e.epi.NumQubits()
+	for lo := 0; lo < acc.Len(); lo += n {
+		e.epi.Apply(acc.Slice(lo, lo+n))
+	}
+}
+
 // numKinds is the number of kernel classes the gate package distinguishes.
 const numKinds = int(gate.KindControlled) + 1
 
@@ -472,6 +582,18 @@ func (e *engine) segClassTable() [][]int64 {
 		t[i] = countClasses(e.segs[i].gates[:]...)
 	}
 	return t
+}
+
+// epilogueClasses returns the kernel-class census of the epilogue over tasks
+// finished prefix tasks. An epilogue gate counts once per accumulator row per
+// task, the unit of a lower-half application, so with the segment and cut
+// tables the per-class totals are the gates the run applied.
+func (e *engine) epilogueClasses(tasks int64) []int64 {
+	counts := countClasses(e.epiGates)
+	for k := range counts {
+		counts[k] *= tasks * int64(leafRows(e.m, e.nLower))
+	}
+	return counts
 }
 
 // cutClassTable returns, per cut level and term, the kernel-class census of
@@ -528,16 +650,7 @@ func stopped(ctx context.Context) error {
 // completion, so the set of merged prefixes is always a consistent,
 // checkpointable state. On error the partial checkpoint is returned
 // alongside the error.
-func (e *engine) run(ctx context.Context, workers int, resume *Checkpoint, plan *cut.Plan) ([]complex128, *Checkpoint, error) {
-	// Determine how many leading cut levels to expand so that the task count
-	// comfortably exceeds the worker count. A resumed run reuses the
-	// checkpoint's split depth so prefix vectors stay comparable.
-	splitLevels := 0
-	if resume != nil {
-		splitLevels = resume.SplitLevels
-	} else {
-		splitLevels = ChooseSplitLevels(plan, 4*workers)
-	}
+func (e *engine) run(ctx context.Context, workers, splitLevels int, resume *Checkpoint, plan *cut.Plan) ([]complex128, *Checkpoint, error) {
 	prefixes := EnumeratePrefixes(plan, splitLevels)
 
 	ck := &Checkpoint{
@@ -571,9 +684,10 @@ func (e *engine) run(ctx context.Context, workers int, resume *Checkpoint, plan 
 }
 
 // runTasks executes the pending prefix tasks on a worker pool, merging each
-// completed subtree into ck under the mutex so ck is always a consistent,
-// checkpointable state. It returns the first error encountered (workers that
-// drained without running anything report the external cancellation cause).
+// completed subtree, finished by the fold epilogue, into ck under the mutex
+// so ck is always a consistent, checkpointable state. It returns the first
+// error encountered (workers that drained without running anything report
+// the external cancellation cause).
 //
 // Each worker owns a private workspace (backend state pools) and a reusable
 // walker, and the pool's worker count is reserved against the process-wide
@@ -596,8 +710,9 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 	defer cancelRun(nil)
 
 	var (
-		mu       sync.Mutex // guards ck and firstErr
+		mu       sync.Mutex // guards ck, firstErr and merged
 		firstErr error
+		merged   int64 // tasks this call merged into ck
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -654,7 +769,7 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 					sp = e.trc.Start(e.tsc, "prefix")
 					sp.SetLane(lane + 1)
 				}
-				nLeaves, err := walk.runPrefixRecover(runCtx, prefix, scratch)
+				nLeaves, err := walk.runTask(runCtx, prefix, scratch)
 				spTasks++
 				spLeaves += nLeaves
 				if err != nil {
@@ -670,6 +785,7 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 				scratch.AddToComplex(ck.Acc)
 				ck.Prefixes = append(ck.Prefixes, prefix)
 				ck.PathsSimulated += nLeaves
+				merged++
 				if e.onCkpt != nil {
 					e.onCkpt(ck)
 				}
@@ -687,6 +803,9 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 	}
 	close(taskCh)
 	wg.Wait()
+	if e.tel != nil && e.epi != nil {
+		e.tel.AddKernelClasses(kernelClassNames(), e.epilogueClasses(merged))
+	}
 
 	if firstErr == nil {
 		firstErr = stopped(ctx)

@@ -151,7 +151,7 @@ func runPrefixes(ctx context.Context, plan *cut.Plan, opts Options, splitLevels 
 	e := &engine{backend: opts.Backend, nLower: nLower, nUpper: nUpper, m: m,
 		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf, tel: opts.Telemetry}
 	e.trc, e.tsc = trace.FromContext(ctx)
-	e.compile(plan, opts.FusionMaxQubits)
+	e.compile(plan, opts.FusionMaxQubits, splitLevels)
 
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc

@@ -15,16 +15,16 @@ import (
 	"hsfsim/internal/telemetry/trace"
 )
 
-// compiledFor lowers plan for an m-amplitude output on a bare engine of the
-// given backend (no telemetry, no tracing).
-func compiledFor(plan *cut.Plan, backend Backend, m, fusionMaxQubits int) *engine {
+// compiledFor lowers plan for an m-amplitude output, split at splitLevels, on
+// a bare engine of the given backend (no telemetry, no tracing).
+func compiledFor(plan *cut.Plan, backend Backend, m, fusionMaxQubits, splitLevels int) *engine {
 	e := &engine{
 		backend: backend,
 		nLower:  plan.Partition.NumLower(),
 		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
 		m:       m,
 	}
-	e.compile(plan, fusionMaxQubits)
+	e.compile(plan, fusionMaxQubits, splitLevels)
 	return e
 }
 
@@ -96,8 +96,8 @@ func coneCircuit(rng *rand.Rand, n, cutPos int) *circuit.Circuit {
 // unprojected ones (both unfused): after segment 0, at a cut, with a
 // contracted 1-qubit gate after a later segment, or as a plain slice there.
 func coneKinds(plan *cut.Plan, m int) (kinds map[string]bool) {
-	dense := compiledFor(plan, BackendDense, m, -1)
-	dd := compiledFor(plan, BackendDD, m, -1)
+	dense := compiledFor(plan, BackendDense, m, -1, 0)
+	dd := compiledFor(plan, BackendDD, m, -1, 0)
 	kinds = map[string]bool{}
 	for side := range 2 {
 		kinds["segment 0"] = kinds["segment 0"] || dense.segs[0].proj[side] != nil
@@ -242,8 +242,8 @@ func TestProjectionQ22MatchesOracle(t *testing.T) {
 // at both outputs an 8-leaf batch: seven held lower halves of 32 KiB.
 func TestProjectionQ22Ladder(t *testing.T) {
 	plan := q22Plan(t)
-	dense := compiledFor(plan, BackendDense, 1<<14, -1)
-	dd := compiledFor(plan, BackendDD, 1<<14, -1)
+	dense := compiledFor(plan, BackendDense, 1<<14, -1, 0)
+	dd := compiledFor(plan, BackendDD, 1<<14, -1, 0)
 	want := []int{10, 10, 9, 9, 9, 9, 9, 9, 8, 3, 3} // upper qubits after each segment
 	if len(dense.segs) != len(want) {
 		t.Fatalf("%d segments, want %d", len(dense.segs), len(want))
@@ -385,7 +385,7 @@ func TestProjectionWalkZeroAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := compiledFor(plan, BackendDense, m, 0)
+				e := compiledFor(plan, BackendDense, m, 0, 0)
 				walk, err := e.newWalker(nil)
 				if err != nil {
 					t.Fatal(err)

@@ -37,7 +37,7 @@ func compiled(plan *cut.Plan, fusionMaxQubits int) *engine {
 		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
 		m:       resolveAmplitudes(plan, 0),
 	}
-	e.compile(plan, fusionMaxQubits)
+	e.compile(plan, fusionMaxQubits, 0)
 	return e
 }
 
@@ -170,12 +170,12 @@ func TestScheduleProperty(t *testing.T) {
 					if moved != hoisted {
 						t.Fatalf("seed %d: %d gates moved, schedule reports %d", seed, moved, hoisted)
 					}
-					placed := 0
+					placed := len(e.epiGates) // unfused: one per sunk gate
 					for _, s := range e.segs {
 						placed += len(s.gates[cut.Lower]) + len(s.gates[cut.Upper])
 					}
 					if placed != local {
-						t.Fatalf("seed %d: %d local gates in the plan, %d in the segments", seed, local, placed)
+						t.Fatalf("seed %d: %d local gates in the plan, %d in the segments and the epilogue", seed, local, placed)
 					}
 					total += hoisted
 				}

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"hsfsim/internal/cut"
+	"hsfsim/internal/gate"
 	"hsfsim/internal/statevec"
 	"hsfsim/internal/telemetry"
+	"hsfsim/internal/telemetry/trace"
 )
 
 // telemetryAllocHarness mirrors allocHarness with telemetry enabled: the
@@ -24,7 +26,7 @@ func telemetryAllocHarness(tb testing.TB, shape allocShape) (*walker, statevec.V
 		m:       resolveAmplitudes(plan, 0),
 		tel:     rec,
 	}
-	e.compile(plan, 0)
+	e.compile(plan, 0, 0)
 	walk, err := e.newWalker(rec.Worker(len(e.segs), e.ranks))
 	if err != nil {
 		tb.Fatal(err)
@@ -32,7 +34,7 @@ func telemetryAllocHarness(tb testing.TB, shape allocShape) (*walker, statevec.V
 	scratch := statevec.MakeVector(e.m)
 	for i := 0; i < 2; i++ { // warm the pools
 		scratch.Clear()
-		if _, err := walk.runPrefix(context.Background(), nil, scratch); err != nil {
+		if _, err := walk.runTask(context.Background(), nil, scratch); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -53,7 +55,7 @@ func TestZeroAllocsPerLeafWithTelemetry(t *testing.T) {
 			var leaves int64
 			allocs := testing.AllocsPerRun(10, func() {
 				scratch.Clear()
-				n, err := walk.runPrefix(ctx, nil, scratch)
+				n, err := walk.runTask(ctx, nil, scratch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +94,7 @@ func BenchmarkRunBranchSteadyStateTelemetry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scratch.Clear()
-		if _, err := walk.runPrefix(ctx, nil, scratch); err != nil {
+		if _, err := walk.runTask(ctx, nil, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,5 +250,42 @@ func TestTelemetryReflectsScheduling(t *testing.T) {
 	checkReportMatchesResult(t, rep, res)
 	if got := rep.KernelClasses["diagonal"]; got < 4092 || got >= 6000 {
 		t.Fatalf("diagonal-class applications = %d, want the 4092 cut terms plus one segment-0 pass, under 6000", got)
+	}
+}
+
+// TestTelemetryCountsEpilogue pins what a joint-sweep run reports about the
+// fold epilogue: the compile span's gates_sunk counts the five lower mixers
+// sink takes out of the tree, and the dense-class total counts each of them
+// once per accumulator row of each of the four prefix tasks, 4 · 8 · 5 = 160
+// applications on top of the segments' own, so the class totals are the
+// gates the run applied.
+func TestTelemetryCountsEpilogue(t *testing.T) {
+	plan := q22Plan(t)
+	rec := telemetry.New()
+	trc := trace.NewRecorder(64)
+	ctx := trace.NewContext(context.Background(), trc, trace.SpanContext{})
+	res, err := RunContext(ctx, plan, Options{Workers: 1, MaxAmplitudes: 1 << 14, Telemetry: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := rec.Report()
+	checkReportMatchesResult(t, rep, res)
+	sunk := int64(-1)
+	for _, ev := range trc.Snapshot() {
+		if ev.Name == "compile" {
+			sunk = ev.Int("gates_sunk", -1)
+		}
+	}
+	if sunk != 5 {
+		t.Errorf("compile span reports gates_sunk = %d, want 5", sunk)
+	}
+	e := compiledFor(plan, BackendDense, 1<<14, 0, ChooseSplitLevels(plan, 4))
+	var inTree int64
+	for s, st := range rep.Segments {
+		inTree += st.Applications * countClasses(e.segs[s].gates[:]...)[gate.KindDense]
+	}
+	dense := rep.KernelClasses[gate.KindDense.String()]
+	if dense-inTree != 4*8*5 {
+		t.Errorf("dense-class applications %d, %d of them in segments: the epilogue counts %d, want 160", dense, inTree, dense-inTree)
 	}
 }

@@ -60,15 +60,20 @@ func (e *engine) newWalker(wc *telemetry.WorkerCounters) (*walker, error) {
 	return &walker{e: e, ws: ws, wc: wc, batch: e.newLeafBatch(pool)}, nil
 }
 
-// runPrefixRecover wraps runPrefix with panic recovery: a panicking path
-// worker yields a *PanicError instead of tearing the process down.
-func (w *walker) runPrefixRecover(ctx context.Context, prefix []int, acc statevec.Vector) (nLeaves int64, err error) {
+// runTask runs one prefix task into acc, which holds nothing else: runPrefix
+// folds the subtree's leaves, then the fold epilogue finishes their sum. A
+// panicking path worker yields a *PanicError instead of tearing the process
+// down.
+func (w *walker) runTask(ctx context.Context, prefix []int, acc statevec.Vector) (nLeaves int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return w.runPrefix(ctx, prefix, acc)
+	if nLeaves, err = w.runPrefix(ctx, prefix, acc); err == nil {
+		w.e.epilogue(acc)
+	}
+	return nLeaves, err
 }
 
 // runPrefix simulates the fixed term choices of a prefix task, then descends

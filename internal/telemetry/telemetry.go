@@ -57,7 +57,8 @@ type Recorder struct {
 	workers     int
 
 	// Directly-attributed kernel classes (Schrödinger path, which has no
-	// walker and counts its gates up front).
+	// walker and counts its gates up front, and the HSF fold epilogue,
+	// counted once per run from its finished tasks).
 	extraClasses map[string]int64
 
 	leases []LeaseEvent
@@ -120,7 +121,8 @@ func (r *Recorder) SetStructure(classNames []string, segClasses [][]int64, cutCl
 }
 
 // AddKernelClasses adds directly-counted class totals (used by the
-// Schrödinger baseline, which applies every gate exactly once).
+// Schrödinger baseline, which applies every gate exactly once, and by the HSF
+// engine for the gates its fold epilogue applied).
 func (r *Recorder) AddKernelClasses(names []string, counts []int64) {
 	if r == nil {
 		return
