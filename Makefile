@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-core bench-kernels bench-telemetry bench-serving bench-dist bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
+.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-dist bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
 
 all: build vet test
 
@@ -93,25 +93,9 @@ jobs-test:
 cover:
 	$(GO) test -cover ./...
 
-# Full benchmark sweep (one iteration each; see bench_test.go for targets).
+# Every Benchmark function in the tree, one iteration each.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
-# Execution-core microbenchmarks (walker backends + gate kernels) as a
-# machine-readable artifact.
-bench-core:
-	$(GO) run ./cmd/benchcore -o BENCH_core.json
-
-# Structure-specialized kernel study: every specialized kernel vs. the forced
-# dense-matvec path on identical gates, plus end-to-end sweeps.
-bench-kernels:
-	$(GO) run ./cmd/benchcore -study kernels -o BENCH_kernels.json
-
-# Telemetry overhead study: path-tree runs with the recorder off vs. on,
-# paired-sample median comparison. The overhead_pct column must stay within
-# the ±2% budget DESIGN.md documents.
-bench-telemetry:
-	$(GO) run ./cmd/benchcore -study telemetry -o BENCH_telemetry.json
 
 # Quick kernel-bench smoke: one benchtime iteration over the statevec
 # kernels under the best arm runtime dispatch selects (avx512/avx2/neon where
@@ -122,18 +106,12 @@ bench-telemetry:
 bench-smoke:
 	$(GO) test -run=NONE -bench='Apply|Kernel|Segment|LeafFold' -benchtime=1x ./internal/statevec/
 
-# Job-service serving study: N concurrent same-circuit jobs through the
-# manager (plan cache + batching) vs. fingerprint-distinct submissions, with
-# throughput and p50/p99 latency per scenario.
-bench-serving:
-	$(GO) run ./cmd/benchcore -study serving -o BENCH_serving.json
-
 # Distributed scaling study: loopback fleets at 2/4/8/16 workers (adaptive
 # vs. fixed batch sizing) plus a real-HTTP variant, with lease overhead,
 # steal efficiency, and utilization computed from the trace spans the run
 # itself recorded. Closes the ROADMAP [scale] item.
 bench-dist:
-	$(GO) run ./cmd/benchcore -study dist -o BENCH_dist.json
+	$(GO) run ./cmd/benchcore -o BENCH_dist.json
 
 # One end-to-end benchmark run of one BENCHMARK.json workload, with the
 # driver's settings: `make bench-e2e W=joint-sweep` (joint-accum-par,

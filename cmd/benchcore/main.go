@@ -1,105 +1,27 @@
-// Command benchcore measures the execution core — the shared path-tree
-// walker on both backends plus the statevector gate kernels — and emits the
-// results as machine-readable JSON for regression tracking:
+// Command benchcore runs the distributed scaling study — loopback fleets at
+// 2/4/8/16 workers with adaptive and fixed lease sizing, plus a real-HTTP
+// fleet — and writes its rows as machine-readable JSON:
 //
-//	benchcore -o BENCH_core.json
-//	benchcore -study kernels -o BENCH_kernels.json
-//	benchcore -study telemetry -o BENCH_telemetry.json
-//	benchcore -study serving -o BENCH_serving.json
-//	benchcore -study dist -o BENCH_dist.json
-//	make bench-core bench-kernels bench-telemetry bench-serving bench-dist
+//	benchcore -o BENCH_dist.json
+//	make bench-dist
 //
-// The core study's allocs_per_op column is the headline number: steady-state
-// walking must stay at zero allocations per replay (see internal/hsf
-// TestZeroAllocsPerLeaf for the enforcing test; this tool records the same
-// property alongside timing so a regression shows up in the artifact
-// history). The kernel study pits every structure-specialized gate kernel
-// against the dense-matvec fallback on identical gates (classification flags
-// stripped, dense plan forced) and records end-to-end sweeps with and without
-// the specialized kernels.
+// Lease overhead, steal efficiency and fleet utilization are the one thing
+// the end-to-end benchmark workloads (BENCHMARK.json) cannot measure. Set
+// HSFSIM_KERNEL_ISA to force a kernel arm for the run.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
-	"runtime"
-	"sort"
-	"testing"
-	"time"
-
-	"hsfsim"
-	"hsfsim/internal/bench"
-	"hsfsim/internal/circuit"
-	"hsfsim/internal/cmat"
-	"hsfsim/internal/cut"
-	"hsfsim/internal/gate"
-	"hsfsim/internal/hsf"
-	"hsfsim/internal/statevec"
-	"hsfsim/internal/telemetry"
-	"hsfsim/internal/telemetry/trace"
 )
 
-type coreResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-type report struct {
-	GoVersion  string             `json:"go_version"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Timestamp  time.Time          `json:"timestamp"`
-	Walker     []*bench.WalkerRow `json:"walker"`
-	Core       []coreResult       `json:"core"`
-}
-
 func main() {
-	out := flag.String("o", "", "output file (- for stdout; default BENCH_<study>.json)")
-	study := flag.String("study", "core", "study to run: core | kernels | telemetry | serving | dist")
-	isa := flag.String("kernel-isa", "", "force a kernel ISA for the whole run: scalar|span|avx2|avx512|neon (default: best available; equivalent to "+statevec.EnvKernelISA+")")
+	out := flag.String("o", "BENCH_dist.json", "output file (- for stdout)")
 	flag.Parse()
-	if *isa != "" {
-		fail(statevec.SelectKernelISA(*isa))
-	}
 
-	var rep any
-	switch *study {
-	case "core":
-		walkerRows, err := walkerStudy()
-		fail(err)
-		rep = &report{
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Timestamp:  time.Now().UTC(),
-			Walker:     walkerRows,
-			Core:       coreBenchmarks(),
-		}
-	case "kernels":
-		rep = kernelStudy()
-	case "telemetry":
-		rep = telemetryStudy()
-	case "serving":
-		rep = servingStudy()
-	case "dist":
-		rep = distStudy()
-	default:
-		fail(fmt.Errorf("unknown study %q (want core, kernels, telemetry, serving, or dist)", *study))
-	}
-	if *out == "" {
-		*out = "BENCH_" + *study + ".json"
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
+	data, err := json.MarshalIndent(distStudy(), "", "  ")
 	fail(err)
 	data = append(data, '\n')
 	if *out == "-" {
@@ -109,621 +31,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchcore: wrote %s\n", *out)
 	}
 	fail(err)
-}
-
-func walkerStudy() ([]*bench.WalkerRow, error) {
-	cases, err := bench.DefaultWalkerCases()
-	if err != nil {
-		return nil, err
-	}
-	return bench.RunWalker(cases)
-}
-
-// pathTreePlan builds a standard plan with 2^cuts paths for the end-to-end
-// run benchmarks.
-func pathTreePlan(n, cuts int) (*cut.Plan, error) {
-	rng := rand.New(rand.NewSource(99))
-	c := circuit.New(n)
-	for q := 0; q < n; q++ {
-		c.Append(gate.H(q))
-	}
-	for i := 0; i < cuts; i++ {
-		a := rng.Intn(n / 2)
-		b := n/2 + rng.Intn(n-n/2)
-		c.Append(gate.RZZ(rng.Float64(), a, b))
-		c.Append(gate.RX(rng.Float64(), a))
-	}
-	return cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: n/2 - 1}})
-}
-
-func coreBenchmarks() []coreResult {
-	var results []coreResult
-	measure := func(name string, f func(b *testing.B)) {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			f(b)
-		})
-		results = append(results, coreResult{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-	}
-
-	plan, err := pathTreePlan(10, 6)
-	fail(err)
-	measure("hsf/run-dense-64paths", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := hsf.Run(plan, hsf.Options{Backend: hsf.BackendDense}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	measure("hsf/run-dd-64paths", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := hsf.Run(plan, hsf.Options{Backend: hsf.BackendDD}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	const n = 16
-	s := statevec.NewState(n)
-	h := gate.H(3)
-	measure("statevec/apply1-16q", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ApplyGate(&h)
-		}
-	})
-	cx := gate.CNOT(2, 9)
-	measure("statevec/apply2-16q", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ApplyGate(&cx)
-		}
-	})
-	ccz := gate.CCZ(1, 6, 11)
-	statevec.PrepareGate(&ccz)
-	measure("statevec/applyK-diag3-16q", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ApplyGate(&ccz)
-		}
-	})
-	return results
-}
-
-// kernelRow compares one structure-specialized kernel against the dense
-// fallback on the same gate and state size, in both amplitude layouts:
-// spec_ns_per_op is the interleaved complex128 (AoS) kernel retained on
-// State, soa_ns_per_op the split real/imag (SoA) kernel on Vector — the
-// layout the engine actually runs, under the installed kernel arm — and
-// aos_over_soa their ratio (> 1 means the SoA layout is faster).
-// arm_ns_per_op re-measures the SoA side once per available kernel arm
-// (scalar, span, and the assembly arm when the CPU has it), and
-// simd_over_span is the assembly arm's gain over the unrolled-Go span arm —
-// the headline per-row number for the SIMD work.
-type kernelRow struct {
-	Name            string             `json:"name"`
-	Qubits          int                `json:"qubits"`
-	Class           string             `json:"class"`
-	SpecNsPerOp     float64            `json:"spec_ns_per_op"`
-	SoANsPerOp      float64            `json:"soa_ns_per_op"`
-	DenseNsPerOp    float64            `json:"dense_ns_per_op"`
-	Speedup         float64            `json:"speedup"`
-	AoSOverSoA      float64            `json:"aos_over_soa"`
-	ArmNsPerOp      map[string]float64 `json:"arm_ns_per_op,omitempty"`
-	SIMDOverSpan    float64            `json:"simd_over_span,omitempty"`
-	SpecAllocsPerOp int64              `json:"spec_allocs_per_op"`
-	SoAAllocsPerOp  int64              `json:"soa_allocs_per_op"`
-}
-
-type kernelReport struct {
-	GoVersion  string       `json:"go_version"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Timestamp  time.Time    `json:"timestamp"`
-	TileQubits int          `json:"tile_qubits"`
-	KernelISA  string       `json:"kernel_isa"`
-	KernelISAs []string     `json:"kernel_isas"`
-	Kernels    []kernelRow  `json:"kernels"`
-	EndToEnd   []coreResult `json:"end_to_end"`
-}
-
-// perArm evaluates measure once per available kernel arm, best-first,
-// restoring the installed arm afterwards. It returns the per-arm timings
-// plus the installed arm's (ns, allocs) pair, so callers get their headline
-// soa columns from the same measurement.
-func perArm(measure func() (float64, int64)) (arm map[string]float64, ns float64, allocs int64) {
-	orig := statevec.KernelISA()
-	defer func() { fail(statevec.SelectKernelISA(orig)) }()
-	arm = make(map[string]float64)
-	for _, name := range statevec.KernelISAs() {
-		fail(statevec.SelectKernelISA(name))
-		n, a := measure()
-		arm[name] = n
-		if name == orig {
-			ns, allocs = n, a
-		}
-	}
-	return arm, ns, allocs
-}
-
-// simdOverSpan extracts the assembly arm's gain over the span arm from a
-// per-arm timing map; 0 when either side is missing.
-func simdOverSpan(arm map[string]float64) float64 {
-	span, ok := arm["span"]
-	if !ok {
-		return 0
-	}
-	for _, simd := range []string{"avx2", "neon"} {
-		if ns, ok := arm[simd]; ok && ns > 0 {
-			return span / ns
-		}
-	}
-	return 0
-}
-
-// strippedDense clones g, erases its structure classification, and forces the
-// dense plan, reproducing the pre-classifier code path on the same matrix.
-func strippedDense(g *gate.Gate) gate.Gate {
-	d := g.Clone()
-	d.Diagonal = false
-	d.Perm, d.PermPhase = nil, nil
-	d.Controls = 0
-	statevec.PrepareDense(&d)
-	return d
-}
-
-// ccrx builds a doubly-controlled RX: identity except the 2×2 rotation on the
-// both-controls-set block — a k=3 gate whose kernel is planCtrl.
-func ccrx(theta float64, c0, c1, t int) gate.Gate {
-	m := cmat.Identity(8)
-	cos := complex(math.Cos(theta/2), 0)
-	nisin := complex(0, -math.Sin(theta/2))
-	m.Set(3, 3, cos)
-	m.Set(3, 7, nisin)
-	m.Set(7, 3, nisin)
-	m.Set(7, 7, cos)
-	return gate.New("ccrx", m, []float64{theta}, c0, c1, t)
-}
-
-// u4 builds an unstructured dense two-qubit unitary — kron(RX(θ), RY(φ)),
-// whose 16 entries are all nonzero with no diagonal, permutation, or control
-// structure — so its kernel is the dense 2q matvec (the rot4x4 span
-// primitive). This is the dedicated before/after row for the rot4x4 slot,
-// which ran through the scalar body before the span/SIMD bodies landed.
-func u4(q0, q1 int) gate.Gate {
-	rx := gate.RX(0.7, 0).Matrix
-	ry := gate.RY(1.1, 0).Matrix
-	m := cmat.New(4, 4)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			m.Set(r, c, rx.At(r>>1, c>>1)*ry.At(r&1, c&1))
-		}
-	}
-	return gate.New("u4", m, nil, q0, q1)
-}
-
-// sparse3 builds a multiplexed single-qubit rotation: a different 2×2 block
-// per setting of the upper bits — 16 of 64 entries nonzero, no diagonal,
-// permutation, or control structure, so its kernel is the CSR matvec.
-func sparse3(q0, q1, q2 int) gate.Gate {
-	rng := rand.New(rand.NewSource(7))
-	m := cmat.New(8, 8)
-	for base := 0; base < 8; base += 2 {
-		th := rng.Float64() * math.Pi
-		cos, sin := complex(math.Cos(th), 0), complex(math.Sin(th), 0)
-		m.Set(base, base, cos)
-		m.Set(base, base+1, -sin)
-		m.Set(base+1, base, sin)
-		m.Set(base+1, base+1, cos)
-	}
-	return gate.New("muxrot", m, nil, q0, q1, q2)
-}
-
-func benchApply(s statevec.State, g *gate.Gate) (nsPerOp float64, allocs int64) {
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.ApplyGate(g)
-		}
-	})
-	return float64(r.T.Nanoseconds()) / float64(r.N), r.AllocsPerOp()
-}
-
-func benchApplyVec(v statevec.Vector, g *gate.Gate) (nsPerOp float64, allocs int64) {
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v.ApplyGate(g)
-		}
-	})
-	return float64(r.T.Nanoseconds()) / float64(r.N), r.AllocsPerOp()
-}
-
-// kernelStudy measures every specialized kernel against the forced-dense path
-// on identical gates at q=16 and q=20, plus end-to-end sweeps.
-func kernelStudy() *kernelReport {
-	rep := &kernelReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Timestamp:  time.Now().UTC(),
-		TileQubits: statevec.DefaultTileQubits,
-		KernelISA:  statevec.KernelISA(),
-		KernelISAs: statevec.KernelISAs(),
-	}
-	for _, n := range []int{16, 20} {
-		s := statevec.NewState(n)
-		s[0] = 0
-		for i := range s {
-			s[i] = complex(1/math.Sqrt(float64(len(s))), 0)
-		}
-		v := statevec.FromComplex(s)
-		a, b, c := 2, n/2, n-3
-		gates := []struct {
-			name string
-			g    gate.Gate
-		}{
-			{"p-1q", gate.P(0.7, b)},
-			{"rz-1q", gate.RZ(0.7, b)},
-			{"x-1q", gate.X(b)},
-			{"y-1q", gate.Y(b)},
-			{"cz-2q", gate.CZ(a, c)},
-			{"crz-2q", gate.CRZ(0.7, a, c)},
-			{"rzz-2q", gate.RZZ(0.7, a, c)},
-			{"cnot-2q", gate.CNOT(a, c)},
-			{"swap-2q", gate.SWAP(a, c)},
-			{"iswap-2q", gate.ISWAP(a, c)},
-			{"crx-2q", gate.CRX(0.7, a, c)},
-			{"ccz-3q", gate.CCZ(a, b, c)},
-			{"ccx-3q", gate.CCX(a, b, c)},
-			{"ccrx-3q", ccrx(0.7, a, b, c)},
-			{"muxrot-3q", sparse3(a, b, c)},
-			{"u4-2q", u4(a, c)},
-		}
-		for i := range gates {
-			spec := gates[i].g
-			statevec.PrepareGate(&spec)
-			den := strippedDense(&spec)
-			specNs, specAllocs := benchApply(s, &spec)
-			arm, soaNs, soaAllocs := perArm(func() (float64, int64) {
-				return benchApplyVec(v, &spec)
-			})
-			denseNs, _ := benchApply(s, &den)
-			rep.Kernels = append(rep.Kernels, kernelRow{
-				Name:            gates[i].name,
-				Qubits:          n,
-				Class:           spec.Class().String(),
-				SpecNsPerOp:     specNs,
-				SoANsPerOp:      soaNs,
-				DenseNsPerOp:    denseNs,
-				Speedup:         denseNs / specNs,
-				AoSOverSoA:      specNs / soaNs,
-				ArmNsPerOp:      arm,
-				SIMDOverSpan:    simdOverSpan(arm),
-				SpecAllocsPerOp: specAllocs,
-				SoAAllocsPerOp:  soaAllocs,
-			})
-		}
-	}
-	rep.Kernels = append(rep.Kernels, leafAccumulate(), e2eSchrodinger())
-	rep.EndToEnd = e2eRuns()
-	return rep
-}
-
-// aosAccumulateKron is the interleaved-complex leaf accumulation the dense
-// backend used before the SoA refactor, kept here as the AoS side of the
-// leaf-sweep comparison row.
-func aosAccumulateKron(acc []complex128, coeff complex128, up, lo []complex128, nLower int) {
-	dimLo := 1 << nLower
-	for x0 := 0; x0 < len(acc); x0 += dimLo {
-		u := coeff * up[x0>>nLower]
-		if u == 0 {
-			continue
-		}
-		end := x0 + dimLo
-		if end > len(acc) {
-			end = len(acc)
-		}
-		blk := acc[x0:end]
-		for j := range blk {
-			blk[j] += u * lo[j]
-		}
-	}
-}
-
-// leafAccumulate measures the dense-backend leaf sweep — accumulating a
-// Schmidt term's Kronecker product into the amplitude accumulator — in both
-// layouts at the 20-qubit (10+10 split) size the e2e runs use.
-func leafAccumulate() kernelRow {
-	const nLower, nUpper = 10, 10
-	rng := rand.New(rand.NewSource(13))
-	randVec := func(n int) []complex128 {
-		s := make([]complex128, 1<<n)
-		for i := range s {
-			s[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		return s
-	}
-	lo, up := randVec(nLower), randVec(nUpper)
-	accC := make([]complex128, 1<<(nLower+nUpper))
-	coeff := complex(0.6, -0.3)
-	aos := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			aosAccumulateKron(accC, coeff, up, lo, nLower)
-		}
-	})
-	accV := statevec.MakeVector(len(accC))
-	loV, upV := statevec.FromComplex(lo), statevec.FromComplex(up)
-	arm, soaNs, soaAllocs := perArm(func() (float64, int64) {
-		soa := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				statevec.AccumulateKron(accV, coeff, upV, loV, nLower)
-			}
-		})
-		return float64(soa.T.Nanoseconds()) / float64(soa.N), soa.AllocsPerOp()
-	})
-	aosNs := float64(aos.T.Nanoseconds()) / float64(aos.N)
-	return kernelRow{
-		Name:           "leaf-accumulate-kron-20q",
-		Qubits:         nLower + nUpper,
-		Class:          "leaf-sweep",
-		SpecNsPerOp:    aosNs,
-		SoANsPerOp:     soaNs,
-		AoSOverSoA:     aosNs / soaNs,
-		ArmNsPerOp:     arm,
-		SIMDOverSpan:   simdOverSpan(arm),
-		SoAAllocsPerOp: soaAllocs,
-	}
-}
-
-// e2eCircuit mixes every kernel class over n qubits: the workload of the
-// end-to-end sweeps.
-func e2eCircuit(n int) *circuit.Circuit {
-	rng := rand.New(rand.NewSource(21))
-	c := circuit.New(n)
-	for layer := 0; layer < 4; layer++ {
-		for q := 0; q < n; q++ {
-			c.Append(gate.H(q), gate.RZ(rng.Float64(), q))
-		}
-		for q := 0; q+1 < n; q += 2 {
-			c.Append(gate.CNOT(q, q+1), gate.CZ(q, (q+n/2)%n))
-		}
-		for q := 0; q+2 < n; q += 3 {
-			c.Append(gate.CCX(q, q+1, q+2), gate.RZZ(rng.Float64(), q, q+2))
-		}
-	}
-	return c
-}
-
-// e2eSchrodinger runs the full Schrödinger baseline (fusion disabled to
-// isolate the kernels) three ways: the shipped SoA sweep (Simulate, which
-// drives the Vector kernels), the same classified gates through the retained
-// AoS State kernels, and the stripped-dense fallback. Speedup keeps its
-// historical meaning (dense over specialized, now on the SoA path);
-// aos_over_soa is the layout payoff on the full sweep.
-func e2eSchrodinger() kernelRow {
-	const n = 20
-	c := e2eCircuit(n)
-	stripped := circuit.New(n)
-	for i := range c.Gates {
-		stripped.Append(strippedDense(&c.Gates[i]))
-	}
-	run := func(cc *circuit.Circuit) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := hsfsim.Simulate(cc, hsfsim.Options{Method: hsfsim.Schrodinger, FusionMaxQubits: -1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	aosGates := append([]gate.Gate(nil), c.Gates...)
-	statevec.PrepareGates(aosGates)
-	aosRun := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := statevec.NewState(n)
-			s.ApplyAll(aosGates)
-		}
-	})
-	aosNs := float64(aosRun.T.Nanoseconds()) / float64(aosRun.N)
-	arm, soaNs, _ := perArm(func() (float64, int64) {
-		return run(c), 0
-	})
-	denseNs := run(stripped)
-	return kernelRow{
-		Name:         "e2e-schrodinger-20q",
-		Qubits:       n,
-		Class:        "end-to-end",
-		SpecNsPerOp:  aosNs,
-		SoANsPerOp:   soaNs,
-		DenseNsPerOp: denseNs,
-		Speedup:      denseNs / soaNs,
-		AoSOverSoA:   aosNs / soaNs,
-		ArmNsPerOp:   arm,
-		SIMDOverSpan: simdOverSpan(arm),
-	}
-}
-
-// e2eRuns records the shipped configurations for the artifact trajectory: the
-// fused Schrödinger sweep and the HSF path-tree run, specialized kernels on.
-func e2eRuns() []coreResult {
-	var results []coreResult
-	measure := func(name string, f func(b *testing.B)) {
-		r := testing.Benchmark(f)
-		results = append(results, coreResult{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-	}
-	c := e2eCircuit(20)
-	measure("e2e/schrodinger-fused-20q", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.Schrodinger}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	plan, err := pathTreePlan(20, 6)
-	fail(err)
-	measure("e2e/hsf-dense-64paths-20q", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := hsf.Run(plan, hsf.Options{Backend: hsf.BackendDense}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return results
-}
-
-// telemetryRow measures one run configuration with the recorder off versus
-// on. overhead_pct is the headline number: the telemetry design budgets ≤ 2%
-// on the leaf loop (per-worker plain counters, 1-in-64 sampled timings).
-type telemetryRow struct {
-	Name              string  `json:"name"`
-	Paths             uint64  `json:"paths"`
-	DisabledNsPerPath float64 `json:"disabled_ns_per_path"`
-	EnabledNsPerPath  float64 `json:"enabled_ns_per_path"`
-	// OverheadPct prices the full observability stack (telemetry recorder
-	// plus trace flight recorder) against a bare run; TraceOverheadPct is
-	// the marginal cost of the flight recorder alone (traced vs. untraced
-	// with telemetry on in both arms) — the number the ≤2%% tracing budget
-	// gates on.
-	OverheadPct        float64 `json:"overhead_pct"`
-	TraceOverheadPct   float64 `json:"trace_overhead_pct"`
-	EnabledAllocsPerOp int64   `json:"enabled_allocs_per_op"`
-	EnabledBytesPerOp  int64   `json:"enabled_bytes_per_op"`
-}
-
-type telemetryReport struct {
-	GoVersion         string         `json:"go_version"`
-	GOOS              string         `json:"goos"`
-	GOARCH            string         `json:"goarch"`
-	GoMaxProcs        int            `json:"gomaxprocs"`
-	Timestamp         time.Time      `json:"timestamp"`
-	OverheadBudgetPct float64        `json:"overhead_budget_pct"`
-	Runs              []telemetryRow `json:"runs"`
-}
-
-// measureTelemetry benchmarks plan under opts with and without observability
-// attached — the "enabled" arm carries both the telemetry recorder and the
-// trace flight recorder (prefix-batch spans), so overhead_pct prices the
-// full production observability stack. The two variants are interleaved
-// sample by sample and compared by median, so scheduler and thermal drift
-// cancel instead of landing on one side of the comparison — single best-of-N
-// runs swing several percent on a busy box, far more than the effect being
-// measured.
-func measureTelemetry(name string, plan *cut.Plan, opts hsf.Options) telemetryRow {
-	enabled := opts
-	enabled.Telemetry = telemetry.New()
-	trc := trace.NewRecorder(0)
-	tracedCtx := trace.NewContext(context.Background(), trc, trace.SpanContext{})
-	run := func(ctx context.Context, o hsf.Options, n int) time.Duration {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := hsf.RunContext(ctx, plan, o); err != nil {
-				fail(err)
-			}
-		}
-		return time.Since(start)
-	}
-	bg := context.Background()
-
-	// Warm pools and caches, then size each sample to ~150 ms of work —
-	// long enough that scheduler hiccups land well under the percent-level
-	// effects being measured.
-	run(bg, opts, 2)
-	run(tracedCtx, enabled, 2)
-	per := run(bg, opts, 3) / 3
-	runsPerSample := int(150*time.Millisecond/per) + 1
-	if runsPerSample > 400 {
-		runsPerSample = 400
-	}
-
-	// Each sample is a back-to-back disabled / telemetry-only / traced
-	// triple; the per-sample ratios cancel whatever drift the arms share,
-	// and the median of ratios is the overhead estimate. The traced-over-
-	// telemetry ratio isolates the flight recorder's marginal cost.
-	const samples = 31
-	dis := make([]float64, 0, samples)
-	ratios := make([]float64, 0, samples)
-	traceRatios := make([]float64, 0, samples)
-	for k := 0; k < samples; k++ {
-		d := float64(run(bg, opts, runsPerSample))
-		e1 := float64(run(bg, enabled, runsPerSample))
-		e2 := float64(run(tracedCtx, enabled, runsPerSample))
-		dis = append(dis, d)
-		ratios = append(ratios, e2/d)
-		traceRatios = append(traceRatios, e2/e1)
-	}
-	disMed := median(dis)
-	enMed := disMed * median(ratios)
-	traceOverheadPct := (median(traceRatios) - 1) * 100
-
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := hsf.RunContext(tracedCtx, plan, enabled); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	np, _ := plan.NumPaths()
-	perPath := float64(np) * float64(runsPerSample)
-	return telemetryRow{
-		Name:               name,
-		Paths:              np,
-		DisabledNsPerPath:  disMed / perPath,
-		EnabledNsPerPath:   enMed / perPath,
-		OverheadPct:        (enMed - disMed) / disMed * 100,
-		TraceOverheadPct:   traceOverheadPct,
-		EnabledAllocsPerOp: r.AllocsPerOp(),
-		EnabledBytesPerOp:  r.AllocedBytesPerOp(),
-	}
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
-// telemetryStudy quantifies the recorder's cost on many-leaf path-tree runs:
-// small per-leaf segments are the worst case, because the fixed per-leaf
-// counter updates amortize over the least kernel work.
-func telemetryStudy() *telemetryReport {
-	rep := &telemetryReport{
-		GoVersion:         runtime.Version(),
-		GOOS:              runtime.GOOS,
-		GOARCH:            runtime.GOARCH,
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-		Timestamp:         time.Now().UTC(),
-		OverheadBudgetPct: 2,
-	}
-	small, err := pathTreePlan(10, 10) // 1024 paths over 5-qubit halves
-	fail(err)
-	large, err := pathTreePlan(14, 8) // 256 paths over 7-qubit halves
-	fail(err)
-	rep.Runs = append(rep.Runs,
-		measureTelemetry("hsf/dense-1024paths-10q-1w", small, hsf.Options{Backend: hsf.BackendDense, Workers: 1}),
-		measureTelemetry("hsf/dense-1024paths-10q", small, hsf.Options{Backend: hsf.BackendDense}),
-		measureTelemetry("hsf/dense-256paths-14q-1w", large, hsf.Options{Backend: hsf.BackendDense, Workers: 1}),
-		measureTelemetry("hsf/dd-1024paths-10q-1w", small, hsf.Options{Backend: hsf.BackendDD, Workers: 1}),
-	)
-	return rep
 }
 
 func fail(err error) {

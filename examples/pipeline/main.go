@@ -64,10 +64,10 @@ func main() {
 	if !route.IsLinear(slim) {
 		log.Fatal("pipeline produced a non-linear circuit")
 	}
-	s := statevec.NewState(slim.NumQubits)
-	s.ApplyAll(slim.Gates)
+	v := statevec.NewVector(slim.NumQubits)
+	v.ApplyAll(slim.Gates)
 	// Undo the routing permutation to express amplitudes in logical order.
-	logical := reorder.PermuteState(s, routed.Final)
+	logical := reorder.PermuteState(v.ToComplex(), routed.Final)
 
 	// 4. Estimate the cut from 20k shots and bootstrap a 95% interval.
 	counts, err := shots.Sample(xeb.Probabilities(logical), 20000, rng)

@@ -68,10 +68,10 @@ func RunBackends(cases []BackendCase) ([]*BackendRow, error) {
 		row := &BackendRow{Name: cs.Name, Qubits: c.NumQubits, Gates: len(c.Gates)}
 
 		start := time.Now()
-		arr := statevec.NewState(c.NumQubits)
+		arr := statevec.NewVector(c.NumQubits)
 		arr.ApplyAll(c.Gates)
 		row.ArrayTime = time.Since(start)
-		row.ArrayAmps = len(arr)
+		row.ArrayAmps = arr.Len()
 
 		start = time.Now()
 		ddState := dd.New(c.NumQubits, 0)
@@ -90,8 +90,9 @@ func RunBackends(cases []BackendCase) ([]*BackendRow, error) {
 		row.MPSMaxBond = mpsState.MaxBondDim()
 
 		if cs.Verify {
-			dDD := statevec.MaxAbsDiff(ddState.ToStatevector(), arr)
-			dMPS := statevec.MaxAbsDiff(mpsState.ToStatevector(), arr)
+			amps := arr.ToComplex()
+			dDD := statevec.MaxAbsDiff(ddState.ToStatevector(), amps)
+			dMPS := statevec.MaxAbsDiff(mpsState.ToStatevector(), amps)
 			row.MaxDiff = dDD
 			if dMPS > row.MaxDiff {
 				row.MaxDiff = dMPS

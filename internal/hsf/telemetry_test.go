@@ -86,7 +86,7 @@ func TestZeroAllocsPerLeafWithTelemetry(t *testing.T) {
 
 // BenchmarkRunBranchSteadyStateTelemetry is BenchmarkRunBranchSteadyState
 // with telemetry enabled; comparing the two quantifies the recorder's
-// overhead (budget: ≤2%, tracked in BENCH_telemetry.json).
+// overhead on the leaf loop (budget: ≤2%).
 func BenchmarkRunBranchSteadyStateTelemetry(b *testing.B) {
 	walk, scratch, _ := telemetryAllocHarness(b, allocShapes["K=2"])
 	ctx := context.Background()

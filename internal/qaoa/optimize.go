@@ -52,11 +52,11 @@ func OptimizeAngles(g *graph.Graph, opts OptimizeOptions) (*OptimizeResult, erro
 			if err != nil {
 				return 0, err
 			}
-			s := statevec.NewState(g.N)
-			s.ApplyAll(c.Gates)
-			probs := make([]float64, len(s))
-			for i := range s {
-				probs[i] = s.Probability(i)
+			v := statevec.NewVector(g.N)
+			v.ApplyAll(c.Gates)
+			probs := make([]float64, v.Len())
+			for i := range probs {
+				probs[i] = v.Probability(i)
 			}
 			return obs.MaxCutEnergy(probs, g)
 		}

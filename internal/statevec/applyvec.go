@@ -1,20 +1,38 @@
 package statevec
 
 import (
+	"math/cmplx"
+	"sync"
+
 	"hsfsim/internal/gate"
+	"hsfsim/internal/par"
 )
 
-// Vector gate application. Dispatch mirrors State.ApplyGate — the same
-// classification arms, the same kernelPlan machinery for k≥3 gates, the same
-// sequential/parallelRange split — but every arm sweeps the split real/imag
-// planes. Each 1q/2q arm has two bodies: a span path that hands contiguous
-// runs of the planes to the startup-selected primitive table (taken when the
-// gate's run length 2^q reaches ops.spanMin), and an inline scalar loop for
-// low qubits and the purego arm. The scalar loops are the reference
-// semantics; soa_parity_test.go pins both against the complex128 kernels at
-// 1e-12.
+// Vector gate application. The kernel is chosen from the gate's structure
+// classification (see gate.Kind): diagonal, permutation, and controlled gates
+// use kernels that touch only the amplitudes the structure says can change;
+// everything else falls back to a dense matvec. 1q/2q gates dispatch straight
+// off the classification flags, k≥3 gates through a precomputed kernelPlan,
+// and large states split across the persistent executor (sequential /
+// parallelRange). Each 1q/2q arm has two bodies: a span path that hands
+// contiguous runs of the planes to the startup-selected primitive table (taken
+// when the gate's run length 2^q reaches ops.spanMin), and an inline scalar
+// loop for low qubits and the purego arm. soa_parity_test.go pins every arm
+// against the dense-matvec oracle State.ApplyGate at 1e-12.
 
-// ApplyGate applies g to the vector in place.
+// parallelThreshold is the kernel-domain size above which gate application is
+// split across goroutines. Below it, goroutine overhead dominates.
+const parallelThreshold = 1 << 14
+
+// sparseTol is the matrix-entry threshold below which the k-qubit plan
+// builder treats an element as zero (and within which it treats an element as
+// one). It matches gate classification's tolerance, so the sparse kernel
+// drops exactly the entries the diagonal flag already ignores.
+const sparseTol = 1e-14
+
+// ApplyGate applies g to the vector in place. Application is parallelized
+// across the persistent executor for large states, within the process-wide
+// parallelism budget (par.Inner).
 func (v Vector) ApplyGate(g *gate.Gate) {
 	switch g.NumQubits() {
 	case 1:
@@ -44,10 +62,10 @@ func (v Vector) ApplyAll(gs []gate.Gate) {
 }
 
 // applyInline applies g on the caller's goroutine with no parallel split,
-// borrowing scratch for k≥3 kernels that gather (the k-qubit kernels gather
-// into complex scratch and scatter back to the planes, so the buffer type is
-// shared with the State path). A nil or undersized scratch falls back to the
-// pool.
+// borrowing scratch for k≥3 kernels that gather into complex scratch and
+// scatter back to the planes. The compiled segment sweep uses it to replay
+// many gates per tile while holding one scratch buffer across the whole
+// sweep; a nil or undersized scratch falls back to the pool.
 func (v Vector) applyInline(g *gate.Gate, scratch []complex128) {
 	switch g.NumQubits() {
 	case 1:
@@ -67,8 +85,57 @@ func (v Vector) applyInline(g *gate.Gate, scratch []complex128) {
 	}
 }
 
-// kernel1 applies a single-qubit gate to the half-blocks [lo,hi), choosing
-// the same structure arms as State.kernel1.
+// sequential reports whether a kernel over n items should run inline on the
+// caller's goroutine: the work is too small to amortize handoff, or the
+// parallelism budget is already spent on coarser-grained workers. The size
+// check comes first so small states never touch the budget.
+//
+// Every dispatch site branches on this before building its chunk closure,
+// keeping the sequential hot path (every per-path gate in an HSF run) free of
+// closure allocations. parallelRange relies on that gating and does not
+// re-check.
+func sequential(n int) bool {
+	return n < parallelThreshold || par.Inner() <= 1
+}
+
+// parallelRange runs fn over [0,n) split into contiguous chunks sized by the
+// current parallelism budget. Chunks are handed to the persistent executor
+// with a non-blocking submit — the caller always runs the first chunk itself
+// and absorbs any chunk no executor worker is free to take. Callers must gate
+// on sequential(n) first; if the budget collapses between that check and this
+// call, the chunk math degrades to a single inline fn(0,n).
+func parallelRange(n int, fn func(lo, hi int)) {
+	workers := par.Inner()
+	if workers > n {
+		workers = n
+	}
+	ch := executor()
+	chunk := n
+	if workers > 1 {
+		chunk = (n + workers - 1) / workers
+	}
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		wg.Add(1)
+		select {
+		case ch <- span{fn: fn, lo: lo, hi: hi, wg: &wg}:
+		default:
+			fn(lo, hi)
+			wg.Done()
+		}
+	}
+	fn(0, chunk)
+	wg.Wait()
+}
+
+// kernel1 applies a single-qubit gate to the half-blocks [lo,hi): block o
+// addresses the amplitude pair (i0, i0|1<<q). The arms, cheapest first:
+// controlled phases touch one amplitude per pair, diagonals skip the
+// cross terms, permutations move without arithmetic.
 func (v Vector) kernel1(g *gate.Gate, lo, hi int) {
 	q := g.Qubits[0]
 	m := g.Matrix.Data
@@ -264,8 +331,9 @@ func (v Vector) rot1(a, b, c, d complex128, q, lo, hi int) {
 	}
 }
 
-// kernel2 applies a two-qubit gate to the quarter-blocks [lo,hi), same arm
-// selection as State.kernel2.
+// kernel2 applies a two-qubit gate to the quarter-blocks [lo,hi): block o
+// addresses the four amplitudes (i, i|m0, i|m1, i|m0|m1) with both gate bits
+// cleared in i. Matrix bit 0 is Qubits[0], bit 1 is Qubits[1].
 func (v Vector) kernel2(g *gate.Gate, lo, hi int) {
 	m := g.Matrix.Data
 	q0, q1 := g.Qubits[0], g.Qubits[1]
@@ -281,6 +349,20 @@ func (v Vector) kernel2(g *gate.Gate, lo, hi int) {
 	default:
 		v.rot2(m, q0, q1, lo, hi)
 	}
+}
+
+// insert2 spreads block index o over the state, clearing the two gate bit
+// positions pLo < pHi.
+func insert2(o, pLo, pHi int) int {
+	i := (o>>pLo)<<(pLo+1) | (o & (1<<pLo - 1))
+	return (i>>pHi)<<(pHi+1) | (i & (1<<pHi - 1))
+}
+
+func order2(q0, q1 int) (int, int) {
+	if q0 < q1 {
+		return q0, q1
+	}
+	return q1, q0
 }
 
 // span2 analogue of span1: quarter-blocks [lo,hi) decompose into runs of
@@ -528,11 +610,313 @@ func (v Vector) rot2(m []complex128, q0, q1, lo, hi int) {
 	}
 }
 
-// applyK is the general k-qubit dispatcher on the SoA planes. The k≥3
-// kernels gather blocks into complex scratch, run the plan's arithmetic in
-// complex form (these kernels are structure-dominated, not bandwidth-
-// dominated), and scatter back — so they share scratchPool with the State
-// path and stay allocation-free per call.
+// planKind selects the k-qubit kernel a plan drives, in the same priority
+// order as gate.Kind: the cheaper the structure, the fewer amplitudes and
+// multiplies the kernel spends.
+type planKind uint8
+
+const (
+	planDense  planKind = iota // full gather/matvec/scatter (rotK)
+	planDiag                   // multiply the control-satisfied amplitudes by a diagonal entry
+	planPerm                   // amplitude moves along permutation cycles
+	planCtrl                   // dense submatrix on the non-control bits only
+	planSparse                 // matvec skipping zero entries and identity rows
+)
+
+// kernelPlan is the precomputed index machinery of the k-qubit kernels.
+// Building it per call made every segment replay of a fused gate allocate;
+// PrepareGate hoists it onto the gate so the path tree replays
+// allocation-free.
+type kernelPlan struct {
+	kind    planKind
+	k       int // gate qubit count
+	scratch int // gather-buffer length the kernel borrows (0: none)
+
+	sorted  []int // ascending qubit positions for zero-bit insertion
+	offsets []int // offsets[t]: matrix index t spread over the gate qubits
+
+	// planDiag: the diagonal compacted to the control-satisfied block,
+	// indexed by the free-bit pattern (the full diagonal when the gate has no
+	// controls); lowFree is the free-bit position of the lowest gate qubit,
+	// -1 when that qubit is a control.
+	diag    []complex128
+	lowFree int
+
+	// planDiag / planCtrl control geometry.
+	ctrlSorted []int        // ascending control qubit positions (one-bit insertion)
+	freeQubits []int        // non-control qubit positions, ascending matrix bit order
+	ctrlOff    int          // OR of the control qubit masks
+	freeOff    []int        // free-bit pattern u spread over the free qubits
+	sub        []complex128 // planCtrl: fdim×fdim submatrix on the free bits
+
+	// planPerm cycle program: cycNode[cycStart[c]:cycStart[c+1]] lists the
+	// bit-spread offsets of one cycle in traversal order; cycPhase aligns
+	// with cycNode (nil for pure permutations). Phased fixed points are
+	// listed separately.
+	cycStart []int
+	cycNode  []int
+	cycPhase []complex128
+	fixOff   []int
+	fixPhase []complex128
+
+	// planSparse: rows[] lists non-identity matrix rows; row rows[i] holds
+	// entries vals[rowStart[i]:rowStart[i+1]] over columns cols[...].
+	rows     []int
+	rowStart []int
+	cols     []int
+	vals     []complex128
+}
+
+// domain is the block count the plan's kernel iterates for a state of n
+// amplitudes: the control-satisfied subspace for a diagonal (all of it without
+// controls), one block per 2^k amplitudes otherwise.
+func (p *kernelPlan) domain(n int) int {
+	if p.kind == planDiag {
+		return n >> len(p.ctrlSorted)
+	}
+	return n >> p.k
+}
+
+func sortInts(a []int) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
+// splitControls partitions the gate's matrix bits into control and free
+// sets, returning the control qubit positions (sorted, for one-bit
+// insertion), the free qubit positions (ascending matrix-bit order), and the
+// free matrix-bit positions in the same order.
+func splitControls(g *gate.Gate) (ctrlSorted, freeQubits, freeBits []int) {
+	for b := 0; b < g.NumQubits(); b++ {
+		if g.Controls&(1<<b) != 0 {
+			ctrlSorted = append(ctrlSorted, g.Qubits[b])
+		} else {
+			freeQubits = append(freeQubits, g.Qubits[b])
+			freeBits = append(freeBits, b)
+		}
+	}
+	sortInts(ctrlSorted)
+	return
+}
+
+// spreadOffsets returns offsets[t] = matrix index t spread over the gate's
+// qubit positions.
+func spreadOffsets(g *gate.Gate) []int {
+	kdim := 1 << g.NumQubits()
+	offs := make([]int, kdim)
+	for t := 0; t < kdim; t++ {
+		o := 0
+		for j, q := range g.Qubits {
+			o |= ((t >> j) & 1) << q
+		}
+		offs[t] = o
+	}
+	return offs
+}
+
+// sortedQubits returns the gate's qubit positions in ascending order, for
+// zero-bit insertion.
+func sortedQubits(g *gate.Gate) []int {
+	sq := append([]int(nil), g.Qubits...)
+	sortInts(sq)
+	return sq
+}
+
+func buildKernelPlan(g *gate.Gate) *kernelPlan {
+	k := g.NumQubits()
+	kdim := 1 << k
+	m := g.Matrix.Data
+	p := &kernelPlan{k: k}
+
+	spread := func() []int { return spreadOffsets(g) }
+	sorted := func() []int { return sortedQubits(g) }
+
+	switch {
+	case g.Diagonal:
+		p.kind = planDiag
+		p.sorted = sorted()
+		var freeBits []int
+		p.ctrlSorted, p.freeQubits, freeBits = splitControls(g)
+		fdim := 1 << len(freeBits)
+		p.diag = make([]complex128, fdim)
+		for u := 0; u < fdim; u++ {
+			t := g.Controls
+			for j, b := range freeBits {
+				t |= ((u >> j) & 1) << b
+			}
+			p.diag[u] = m[t*kdim+t]
+		}
+		p.lowFree = -1
+		for j, q := range p.freeQubits {
+			if q == p.sorted[0] {
+				p.lowFree = j
+				break
+			}
+		}
+
+	case g.Perm != nil:
+		p.kind = planPerm
+		p.sorted = sorted()
+		offs := spread()
+		seen := make([]bool, kdim)
+		for c := 0; c < kdim; c++ {
+			if seen[c] {
+				continue
+			}
+			if g.Perm[c] == c {
+				seen[c] = true
+				if g.PermPhase != nil && g.PermPhase[c] != 1 {
+					p.fixOff = append(p.fixOff, offs[c])
+					p.fixPhase = append(p.fixPhase, g.PermPhase[c])
+				}
+				continue
+			}
+			p.cycStart = append(p.cycStart, len(p.cycNode))
+			for x := c; !seen[x]; x = g.Perm[x] {
+				seen[x] = true
+				p.cycNode = append(p.cycNode, offs[x])
+				if g.PermPhase != nil {
+					p.cycPhase = append(p.cycPhase, g.PermPhase[x])
+				}
+			}
+		}
+		p.cycStart = append(p.cycStart, len(p.cycNode))
+
+	case g.Controls != 0:
+		p.kind = planCtrl
+		p.sorted = sorted()
+		var freeBits []int
+		p.ctrlSorted, p.freeQubits, freeBits = splitControls(g)
+		for _, q := range p.ctrlSorted {
+			p.ctrlOff |= 1 << q
+		}
+		fdim := 1 << len(freeBits)
+		p.freeOff = make([]int, fdim)
+		tOf := make([]int, fdim)
+		for u := 0; u < fdim; u++ {
+			o, t := 0, g.Controls
+			for j, b := range freeBits {
+				bit := (u >> j) & 1
+				o |= bit << p.freeQubits[j]
+				t |= bit << b
+			}
+			p.freeOff[u] = o
+			tOf[u] = t
+		}
+		p.sub = make([]complex128, fdim*fdim)
+		for u := 0; u < fdim; u++ {
+			for v := 0; v < fdim; v++ {
+				p.sub[u*fdim+v] = m[tOf[u]*kdim+tOf[v]]
+			}
+		}
+		p.scratch = fdim
+
+	default:
+		p.sorted = sorted()
+		p.offsets = spread()
+		p.scratch = kdim
+		// Sparsity census: a fused k-qubit gate often has blocks of exact
+		// zeros and whole identity rows; when at least half the entries
+		// vanish the CSR kernel wins.
+		nnz := 0
+		for _, v := range m {
+			if cmplx.Abs(v) > sparseTol {
+				nnz++
+			}
+		}
+		if nnz <= kdim*kdim/2 {
+			p.kind = planSparse
+			for r := 0; r < kdim; r++ {
+				identity := true
+				for c := 0; c < kdim; c++ {
+					v := m[r*kdim+c]
+					want := complex128(0)
+					if r == c {
+						want = 1
+					}
+					if cmplx.Abs(v-want) > sparseTol {
+						identity = false
+						break
+					}
+				}
+				if identity {
+					continue
+				}
+				p.rows = append(p.rows, r)
+				p.rowStart = append(p.rowStart, len(p.cols))
+				for c := 0; c < kdim; c++ {
+					if v := m[r*kdim+c]; cmplx.Abs(v) > sparseTol {
+						p.cols = append(p.cols, c)
+						p.vals = append(p.vals, v)
+					}
+				}
+			}
+			p.rowStart = append(p.rowStart, len(p.cols))
+		} else {
+			p.kind = planDense
+		}
+	}
+	return p
+}
+
+// planOf returns the gate's cached plan, building one per call for
+// unprepared gates (which allocates — fusion sites call PrepareGates so the
+// hot path never does).
+func planOf(g *gate.Gate) *kernelPlan {
+	if plan, ok := g.KernelCache().(*kernelPlan); ok {
+		return plan
+	}
+	return buildKernelPlan(g)
+}
+
+// PrepareGate precomputes and attaches the kernel plan for a gate with three
+// or more qubits (one- and two-qubit kernels dispatch straight off the
+// classification flags and need none). It must run while the gate is still
+// owned by one goroutine — the HSF engine calls it at compile time, before
+// segments are shared across path workers.
+func PrepareGate(g *gate.Gate) {
+	if g.NumQubits() < 3 {
+		return
+	}
+	if _, ok := g.KernelCache().(*kernelPlan); ok {
+		return
+	}
+	g.SetKernelCache(buildKernelPlan(g))
+}
+
+// PrepareGates runs PrepareGate over a slice.
+func PrepareGates(gs []gate.Gate) {
+	for i := range gs {
+		PrepareGate(&gs[i])
+	}
+}
+
+// scratchPool recycles the gather buffers of the k-qubit kernels. It is
+// shared process-wide (a per-plan buffer would race: many path workers replay
+// the same compiled gate concurrently) and holds pointers so Get/Put do not
+// allocate.
+var scratchPool = sync.Pool{New: func() any { return new([]complex128) }}
+
+// getScratch borrows a pooled buffer of at least n elements. The caller
+// returns the pointer with scratchPool.Put when done; callers applying many
+// gates (compiled segments, parallel chunks) borrow once and reuse.
+func getScratch(n int) (*[]complex128, []complex128) {
+	sp := scratchPool.Get().(*[]complex128)
+	if cap(*sp) < n {
+		*sp = make([]complex128, n)
+	}
+	return sp, (*sp)[:n]
+}
+
+// applyK is the general k-qubit dispatcher. The k≥3 kernels gather blocks
+// into complex scratch, run the plan's arithmetic in complex form (these
+// kernels are structure-dominated, not bandwidth-dominated), and scatter
+// back. The scratch Get/Put is hoisted out of the kernels themselves: the
+// plan records the buffer length it needs, plans that move or scale
+// amplitudes in place record zero and never touch the pool.
 func (v Vector) applyK(g *gate.Gate) {
 	plan := planOf(g)
 	n := plan.domain(v.Len())

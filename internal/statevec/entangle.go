@@ -7,50 +7,6 @@ import (
 	"hsfsim/internal/cmat"
 )
 
-// SchmidtSpectrum computes the Schmidt coefficients of a pure state across
-// the bipartition (qubits 0..nLower-1 | rest): the singular values of the
-// state reshaped to a 2^{n_upper} × 2^{n_lower} matrix. Their squares are
-// the eigenvalues of either reduced density matrix. This is the *state*
-// analogue of the operator decomposition driving HSF cuts: a state produced
-// by a circuit whose crossing gates have small joint rank has few Schmidt
-// coefficients.
-func (s State) SchmidtSpectrum(nLower int) ([]float64, error) {
-	n := s.NumQubits()
-	if nLower <= 0 || nLower >= n {
-		return nil, fmt.Errorf("statevec: bipartition %d|%d invalid", nLower, n-nLower)
-	}
-	dimLo := 1 << nLower
-	dimUp := 1 << (n - nLower)
-	m := cmat.New(dimUp, dimLo)
-	for a := 0; a < dimUp; a++ {
-		for b := 0; b < dimLo; b++ {
-			m.Set(a, b, s[a<<nLower|b])
-		}
-	}
-	svd, err := cmat.SVD(m)
-	if err != nil {
-		return nil, err
-	}
-	return svd.S, nil
-}
-
-// EntanglementEntropy returns the von Neumann entropy (in bits) of the
-// reduced state across the bipartition: S = -Σ λ² log2 λ².
-func (s State) EntanglementEntropy(nLower int) (float64, error) {
-	spec, err := s.SchmidtSpectrum(nLower)
-	if err != nil {
-		return 0, err
-	}
-	var h float64
-	for _, sv := range spec {
-		p := sv * sv
-		if p > 1e-15 {
-			h -= p * math.Log2(p)
-		}
-	}
-	return h, nil
-}
-
 // ReducedDensityMatrix traces out all qubits except those in keep (sorted
 // ascending) and returns the 2^k × 2^k density matrix of the kept
 // subsystem. Exponential in both the state and the kept size; intended for
@@ -118,16 +74,6 @@ func (s State) Purity(keep []int) (float64, error) {
 	return real(cmat.Mul(rho, rho).Trace()), nil
 }
 
-// SchmidtRank returns the number of Schmidt coefficients above tol (state
-// entanglement rank across the cut). tol ≤ 0 selects 1e-10.
-func (s State) SchmidtRank(nLower int, tol float64) (int, error) {
-	spec, err := s.SchmidtSpectrum(nLower)
-	if err != nil {
-		return 0, err
-	}
-	return rankOf(spec, tol), nil
-}
-
 func rankOf(spec []float64, tol float64) int {
 	if tol <= 0 {
 		tol = 1e-10
@@ -144,9 +90,13 @@ func rankOf(spec []float64, tol float64) int {
 	return r
 }
 
-// SchmidtSpectrum is the Vector (SoA) analogue of State.SchmidtSpectrum: the
-// reshape matrix is filled straight from the split planes, so no interleaved
-// copy of the state is materialized.
+// SchmidtSpectrum computes the Schmidt coefficients of a pure state across
+// the bipartition (qubits 0..nLower-1 | rest): the singular values of the
+// state reshaped to a 2^{n_upper} × 2^{n_lower} matrix, filled straight from
+// the split planes. Their squares are the eigenvalues of either reduced
+// density matrix. This is the *state* analogue of the operator decomposition
+// driving HSF cuts: a state produced by a circuit whose crossing gates have
+// small joint rank has few Schmidt coefficients.
 func (v Vector) SchmidtSpectrum(nLower int) ([]float64, error) {
 	n := v.NumQubits()
 	if nLower <= 0 || nLower >= n {
@@ -170,7 +120,7 @@ func (v Vector) SchmidtSpectrum(nLower int) ([]float64, error) {
 }
 
 // EntanglementEntropy returns the von Neumann entropy (in bits) of the
-// reduced state across the bipartition.
+// reduced state across the bipartition: S = -Σ λ² log2 λ².
 func (v Vector) EntanglementEntropy(nLower int) (float64, error) {
 	spec, err := v.SchmidtSpectrum(nLower)
 	if err != nil {
@@ -186,7 +136,8 @@ func (v Vector) EntanglementEntropy(nLower int) (float64, error) {
 	return h, nil
 }
 
-// SchmidtRank returns the number of Schmidt coefficients above tol.
+// SchmidtRank returns the number of Schmidt coefficients above tol (state
+// entanglement rank across the cut). tol ≤ 0 selects 1e-10.
 func (v Vector) SchmidtRank(nLower int, tol float64) (int, error) {
 	spec, err := v.SchmidtSpectrum(nLower)
 	if err != nil {

@@ -9,17 +9,17 @@ import (
 )
 
 func TestProductStateEntropyZero(t *testing.T) {
-	s := NewState(4)
+	v := NewVector(4)
 	h := gate.H(0)
-	s.ApplyGate(&h) // |+>⊗|000>: still a product across any cut
-	e, err := s.EntanglementEntropy(2)
+	v.ApplyGate(&h) // |+>⊗|000>: still a product across any cut
+	e, err := v.EntanglementEntropy(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e > 1e-10 {
 		t.Fatalf("product state entropy = %g", e)
 	}
-	r, err := s.SchmidtRank(2, 0)
+	r, err := v.SchmidtRank(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,22 +30,22 @@ func TestProductStateEntropyZero(t *testing.T) {
 
 func TestGHZEntropyOneBit(t *testing.T) {
 	n := 6
-	s := NewState(n)
+	v := NewVector(n)
 	h := gate.H(0)
-	s.ApplyGate(&h)
+	v.ApplyGate(&h)
 	for q := 1; q < n; q++ {
 		cx := gate.CNOT(q-1, q)
-		s.ApplyGate(&cx)
+		v.ApplyGate(&cx)
 	}
 	for _, cut := range []int{1, 2, 3} {
-		e, err := s.EntanglementEntropy(cut)
+		e, err := v.EntanglementEntropy(cut)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(e-1) > 1e-9 {
 			t.Fatalf("GHZ entropy at cut %d = %g, want 1", cut, e)
 		}
-		r, err := s.SchmidtRank(cut, 0)
+		r, err := v.SchmidtRank(cut, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,21 +57,21 @@ func TestGHZEntropyOneBit(t *testing.T) {
 
 func TestBellPairsAdditiveEntropy(t *testing.T) {
 	// Two Bell pairs across the cut: entropy 2 bits, rank 4.
-	s := NewState(4) // pairs (0,2) and (1,3), cut at 1|2
+	v := NewVector(4) // pairs (0,2) and (1,3), cut at 1|2
 	for _, q := range []int{0, 1} {
 		h := gate.H(q)
-		s.ApplyGate(&h)
+		v.ApplyGate(&h)
 		cx := gate.CNOT(q, q+2)
-		s.ApplyGate(&cx)
+		v.ApplyGate(&cx)
 	}
-	e, err := s.EntanglementEntropy(2)
+	e, err := v.EntanglementEntropy(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(e-2) > 1e-9 {
 		t.Fatalf("two Bell pairs entropy = %g, want 2", e)
 	}
-	r, err := s.SchmidtRank(2, 0)
+	r, err := v.SchmidtRank(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestBellPairsAdditiveEntropy(t *testing.T) {
 }
 
 func TestSchmidtSpectrumNormalization(t *testing.T) {
-	s := NewState(4)
+	v := NewVector(4)
 	h := gate.H(0)
-	s.ApplyGate(&h)
+	v.ApplyGate(&h)
 	cx := gate.CNOT(0, 2)
-	s.ApplyGate(&cx)
-	spec, err := s.SchmidtSpectrum(2)
+	v.ApplyGate(&cx)
+	spec, err := v.SchmidtSpectrum(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestSchmidtSpectrumNormalization(t *testing.T) {
 }
 
 func TestEntangleErrors(t *testing.T) {
-	s := NewState(3)
-	if _, err := s.SchmidtSpectrum(0); err == nil {
+	v := NewVector(3)
+	if _, err := v.SchmidtSpectrum(0); err == nil {
 		t.Fatal("empty partition accepted")
 	}
-	if _, err := s.SchmidtSpectrum(3); err == nil {
+	if _, err := v.SchmidtSpectrum(3); err == nil {
 		t.Fatal("full partition accepted")
 	}
 }
@@ -148,12 +148,9 @@ func TestPurityProductState(t *testing.T) {
 
 func TestPurityMatchesSchmidtSpectrum(t *testing.T) {
 	// tr(ρ_A²) = Σ λ⁴ over the Schmidt coefficients of the A|B split.
-	s := NewState(4)
-	gs := []gate.Gate{gate.H(0), gate.CNOT(0, 2), gate.RY(0.7, 1), gate.CNOT(1, 3), gate.RZZ(0.4, 0, 1)}
-	for i := range gs {
-		s.ApplyGate(&gs[i])
-	}
-	spec, err := s.SchmidtSpectrum(2)
+	v := NewVector(4)
+	v.ApplyAll([]gate.Gate{gate.H(0), gate.CNOT(0, 2), gate.RY(0.7, 1), gate.CNOT(1, 3), gate.RZZ(0.4, 0, 1)})
+	spec, err := v.SchmidtSpectrum(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +158,7 @@ func TestPurityMatchesSchmidtSpectrum(t *testing.T) {
 	for _, sv := range spec {
 		want += sv * sv * sv * sv
 	}
-	p, err := s.Purity([]int{0, 1})
+	p, err := v.ToComplex().Purity([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func cloneGates(gs []gate.Gate) []gate.Gate {
 }
 
 // checkCompiled compares the compiled segment on a random state with
-// gate-by-gate Vector.ApplyAll and with the AoS State oracle, both on
+// gate-by-gate Vector.ApplyAll and with the dense-matvec State oracle, both on
 // unprepared clones in the original order.
 func checkCompiled(t *testing.T, rng *rand.Rand, gs []gate.Gate, n, tileQ int) *CompiledSegment {
 	t.Helper()

@@ -15,8 +15,8 @@ import (
 //   - the HSFSIM_KERNEL_ISA environment variable, applied at package init
 //     (the process dies with a clear message if the named arm is not
 //     available — silently falling back would mislabel benchmark artifacts);
-//   - SelectKernelISA, the programmatic equivalent (cmd/benchcore's
-//     -kernel-isa flag, the per-arm parity sweep).
+//   - SelectKernelISA, the programmatic equivalent (the per-arm parity
+//     sweeps and benchmarks).
 //
 // Overrides can only choose among the compiled-in, CPU-supported arms: you
 // can force avx512 down to avx2, span or scalar, never scalar up to avx2.

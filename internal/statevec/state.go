@@ -3,27 +3,28 @@
 // kernel shared by the Schrödinger baseline and the per-path subcircuit
 // simulations of the HSF engine, mirroring the role qsim plays in the paper.
 //
-// The canonical amplitude layout is Vector — split real/imag float64 planes
-// (SoA) driven by the startup-selected span kernels in soa.go — while State
-// ([]complex128, AoS) remains as the boundary representation and reference
-// implementation. See DESIGN.md § "Amplitude layout".
+// Vector — split real/imag float64 planes (SoA) driven by the
+// startup-selected span kernels in soa.go — is the one amplitude layout every
+// simulation runs on. State ([]complex128) is the interleaved conversion type
+// at API edges plus a dense-matvec oracle the kernel parity suites check
+// Vector against. See DESIGN.md § "Amplitude layout".
 package statevec
 
 import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"hsfsim/internal/gate"
 )
 
 // State is a quantum statevector with 2^n amplitudes for an n-qubit register.
 // Amplitude index bit k is the value of qubit k (qubit 0 least significant).
 //
-// State is the interleaved-complex (AoS) compatibility representation: the
-// execution engine stores amplitudes as split real/imag planes (Vector) and
-// only converts at public boundaries (FromComplex/Vector.ToComplex). Direct
-// indexing of a State is deprecated outside those edges and the parity
-// oracles — new hot-path code should operate on Vector so it reaches the
-// span kernel dispatch; use Vector.Amplitude/SetAmplitude for point access.
+// State is the interleaved-complex conversion type: the execution engine
+// stores amplitudes as split real/imag planes (Vector) and only converts at
+// public boundaries (FromComplex/Vector.ToComplex). Its ApplyGate is the
+// parity oracle, not a kernel — simulation code applies gates to a Vector.
 type State []complex128
 
 // NewState returns the all-zeros computational basis state |0...0> on n
@@ -60,6 +61,49 @@ func (s State) Norm() float64 {
 		sum += real(a)*real(a) + imag(a)*imag(a)
 	}
 	return math.Sqrt(sum)
+}
+
+// ApplyGate applies g to the state in place as a plain dense matvec: for each
+// of the 2^(n−k) base indices with every gate qubit clear, gather the 2^k
+// amplitudes the gate addresses, multiply by g.Matrix, and scatter back.
+// Qubits[j] is bit j of the matrix index. It is the oracle the Vector kernels
+// are checked against, so it reads only g.Qubits and g.Matrix — no structure
+// flags, no cached kernel plan, no parallel split — and shares no code with
+// them.
+func (s State) ApplyGate(g *gate.Gate) {
+	kdim := 1 << len(g.Qubits)
+	off := make([]int, kdim) // off[t]: matrix index t spread over the qubits
+	mask := 0
+	for j, q := range g.Qubits {
+		mask |= 1 << q
+		for t := range off {
+			off[t] |= (t >> j & 1) << q
+		}
+	}
+	m := g.Matrix.Data
+	in := make([]complex128, kdim)
+	for base := range s {
+		if base&mask != 0 {
+			continue
+		}
+		for t, o := range off {
+			in[t] = s[base|o]
+		}
+		for t, o := range off {
+			var acc complex128
+			for u, x := range m[t*kdim : (t+1)*kdim] {
+				acc += x * in[u]
+			}
+			s[base|o] = acc
+		}
+	}
+}
+
+// ApplyAll applies a sequence of gates in order.
+func (s State) ApplyAll(gs []gate.Gate) {
+	for i := range gs {
+		s.ApplyGate(&gs[i])
+	}
 }
 
 // Probability returns |s[i]|².

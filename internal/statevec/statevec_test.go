@@ -65,54 +65,6 @@ func randUnitary(rng *rand.Rand, dim int) *cmat.Matrix {
 	return m
 }
 
-// applyReference is a brute-force reference: build the embedded 2^n matrix
-// and multiply.
-func applyReference(g *gate.Gate, s State) State {
-	n := s.NumQubits()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	// Embed the gate on the full register using circuit's embedding logic
-	// replicated here to avoid an import cycle: spread gate bits.
-	dim := len(s)
-	kdim := g.Matrix.Rows
-	out := make(State, dim)
-	k := g.NumQubits()
-	rest := make([]int, 0, n-k)
-	inGate := make(map[int]bool)
-	for _, q := range g.Qubits {
-		inGate[q] = true
-	}
-	for q := 0; q < n; q++ {
-		if !inGate[q] {
-			rest = append(rest, q)
-		}
-	}
-	for o := 0; o < 1<<len(rest); o++ {
-		base := 0
-		for j, q := range rest {
-			base |= ((o >> j) & 1) << q
-		}
-		for ti := 0; ti < kdim; ti++ {
-			oi := base
-			for j, q := range g.Qubits {
-				oi |= ((ti >> j) & 1) << q
-			}
-			var acc complex128
-			for tj := 0; tj < kdim; tj++ {
-				ij := base
-				for j, q := range g.Qubits {
-					ij |= ((tj >> j) & 1) << q
-				}
-				acc += g.Matrix.At(ti, tj) * s[ij]
-			}
-			out[oi] = acc
-		}
-	}
-	return out
-}
-
 func TestNewState(t *testing.T) {
 	s := NewState(3)
 	if len(s) != 8 || s[0] != 1 {
@@ -126,6 +78,8 @@ func TestNewState(t *testing.T) {
 	}
 }
 
+// TestBellState and TestGHZState pin the oracle State.ApplyGate on the
+// textbook entangled states; TestOracleConventions covers what they cannot.
 func TestBellState(t *testing.T) {
 	s := NewState(2)
 	h := gate.H(0)
@@ -154,17 +108,79 @@ func TestGHZState(t *testing.T) {
 	}
 }
 
+// TestOracleConventions checks the oracle against hand-derived amplitudes
+// where a kernel-style shortcut would go wrong: non-unitary cut terms (a
+// projector and the raising operator |0⟩⟨1|), and a weighted 3-qubit shift
+// on unsorted, non-adjacent qubits whose matrix index has Qubits[k] as bit k.
+// The shift gate also carries classification flags that contradict its
+// matrix, which the oracle must ignore.
+func TestOracleConventions(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const n = 6
+	bit := func(i, q int) int { return i >> q & 1 }
+	for _, tc := range []struct {
+		name string
+		m    [4]complex128
+		want func(s State, i int) complex128 // amplitude i after the gate on qubit 3
+	}{
+		{"projector |1⟩⟨1|", [4]complex128{0, 0, 0, 1}, func(s State, i int) complex128 {
+			return complex(float64(bit(i, 3)), 0) * s[i]
+		}},
+		{"raising |0⟩⟨1|", [4]complex128{0, 1, 0, 0}, func(s State, i int) complex128 {
+			if bit(i, 3) == 1 {
+				return 0
+			}
+			return s[i|1<<3]
+		}},
+	} {
+		m := cmat.New(2, 2)
+		copy(m.Data, tc.m[:])
+		g := gate.New("cut-term", m, nil, 3)
+		s := randomState(rng, n)
+		got := s.Clone()
+		got.ApplyGate(&g)
+		for i := range got {
+			if w := tc.want(s, i); cmplx.Abs(got[i]-w) > parityTol {
+				t.Fatalf("%s: amplitude %d = %v, want %v", tc.name, i, got[i], w)
+			}
+		}
+	}
+
+	qs := []int{4, 0, 2}
+	m := cmat.New(8, 8)
+	for c := 0; c < 8; c++ {
+		m.Set((c+1)%8, c, complex(float64(c+1), 0)) // |c⟩ → (c+1)·|c+1 mod 8⟩
+	}
+	g := gate.New("shift", m, nil, qs...)
+	g.Diagonal, g.Controls = true, 7
+	for x := 0; x < 1<<n; x++ {
+		c := bit(x, 4) | bit(x, 0)<<1 | bit(x, 2)<<2
+		r := (c + 1) % 8
+		y := x&^(1<<4|1<<0|1<<2) | (r&1)<<4 | (r>>1&1)<<0 | (r>>2)<<2
+		s := make(State, 1<<n)
+		s[x] = 1
+		s.ApplyGate(&g)
+		for i := range s {
+			w := complex128(0)
+			if i == y {
+				w = complex(float64(c+1), 0)
+			}
+			if s[i] != w {
+				t.Fatalf("shift on %v from |%06b⟩: amplitude %06b = %v, want %v", qs, x, i, s[i], w)
+			}
+		}
+	}
+}
+
+// TestApply1MatchesReference, TestApply2MatchesReference and
+// TestApplyKMatchesReference hold Vector.ApplyGate to the oracle for random
+// dense gates on random qubits of random-size registers.
 func TestApply1MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(5)
-		s := randomState(rng, n)
 		g := randomGate(rng, n, 1)
-		want := applyReference(&g, s)
-		s.ApplyGate(&g)
-		if MaxAbsDiff(s, want) > 1e-9 {
-			t.Fatalf("trial %d: 1-qubit apply mismatch", trial)
-		}
+		checkSoAParity(t, rng, &g, n)
 	}
 }
 
@@ -172,13 +188,8 @@ func TestApply2MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(5)
-		s := randomState(rng, n)
 		g := randomGate(rng, n, 2)
-		want := applyReference(&g, s)
-		s.ApplyGate(&g)
-		if MaxAbsDiff(s, want) > 1e-9 {
-			t.Fatalf("trial %d: 2-qubit apply mismatch (qubits %v)", trial, g.Qubits)
-		}
+		checkSoAParity(t, rng, &g, n)
 	}
 }
 
@@ -193,27 +204,15 @@ func TestApplyKMatchesReference(t *testing.T) {
 		if k > n {
 			k = n
 		}
-		s := randomState(rng, n)
 		g := randomGate(rng, n, k)
-		want := applyReference(&g, s)
-		s.ApplyGate(&g)
-		if MaxAbsDiff(s, want) > 1e-9 {
-			t.Fatalf("trial %d: %d-qubit apply mismatch (qubits %v)", trial, k, g.Qubits)
-		}
+		checkSoAParity(t, rng, &g, n)
 	}
 }
 
 func TestDiagonalKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	n := 5
-	s := randomState(rng, n)
 	for _, g := range []gate.Gate{gate.RZ(0.7, 2), gate.RZZ(0.9, 1, 4), gate.CZ(0, 3), gate.CPhase(0.4, 2, 4), gate.CCZ(0, 2, 4), gate.CCZ(4, 1, 3)} {
-		want := applyReference(&g, s.Clone())
-		got := s.Clone()
-		got.ApplyGate(&g)
-		if MaxAbsDiff(got, want) > 1e-9 {
-			t.Fatalf("%s: diagonal kernel mismatch", g.Name)
-		}
+		checkSoAParity(t, rng, &g, 5)
 	}
 }
 
@@ -221,12 +220,12 @@ func TestUnitaryPreservesNorm(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(5)
-		s := randomState(rng, n)
+		v := FromComplex(randomState(rng, n))
 		for i := 0; i < 5; i++ {
 			g := randomGate(rng, n, 1+rng.Intn(min(n, 3)))
-			s.ApplyGate(&g)
+			v.ApplyGate(&g)
 		}
-		return math.Abs(s.Norm()-1) < 1e-9
+		return math.Abs(v.Norm()-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -327,51 +326,25 @@ func TestEqualUpToGlobalPhase(t *testing.T) {
 func TestLargeStateParallelPath(t *testing.T) {
 	// Exercise the parallel branch (size above parallelThreshold).
 	n := 16
-	s := NewState(n)
+	v := NewVector(n)
 	h := gate.H(0)
-	s.ApplyGate(&h)
+	v.ApplyGate(&h)
 	for q := 1; q < n; q++ {
 		cx := gate.CNOT(q-1, q)
-		s.ApplyGate(&cx)
+		v.ApplyGate(&cx)
 	}
 	want := complex(math.Sqrt2/2, 0)
-	if cmplx.Abs(s[0]-want) > tol || cmplx.Abs(s[len(s)-1]-want) > tol {
+	if cmplx.Abs(v.Amplitude(0)-want) > tol || cmplx.Abs(v.Amplitude(v.Len()-1)-want) > tol {
 		t.Fatal("large GHZ state wrong")
 	}
-	if math.Abs(s.Norm()-1) > tol {
+	if math.Abs(v.Norm()-1) > tol {
 		t.Fatal("norm drifted")
 	}
 }
 
-func BenchmarkApply1Q20(b *testing.B) {
-	s := NewState(20)
-	g := gate.H(7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.ApplyGate(&g)
-	}
-}
-
-func BenchmarkApply2Q20(b *testing.B) {
-	s := NewState(20)
-	g := gate.CNOT(3, 15)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.ApplyGate(&g)
-	}
-}
-
-func BenchmarkApplyDiagonalQ20(b *testing.B) {
-	s := NewState(20)
-	g := gate.RZZ(0.4, 3, 15)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.ApplyGate(&g)
-	}
-}
-
-// SoA counterparts of the three State benchmarks above: same gates, same
-// size, split-plane layout through the selected dispatch arm.
+// BenchmarkApplyVec1Q20, BenchmarkApplyVec2Q20 and
+// BenchmarkApplyVecDiagonalQ20 time one dense, one permutation and one
+// diagonal gate on a 2^20-amplitude vector through the selected dispatch arm.
 
 func BenchmarkApplyVec1Q20(b *testing.B) {
 	v := NewVector(20)

@@ -47,7 +47,7 @@ func checkSchrodinger(t *testing.T, c *Circuit, opts Options) *Result {
 }
 
 // TestProloguePeel pins which gates fold into the product state and checks
-// the peeled run against the AoS State oracle.
+// the peeled run against the dense-matvec State oracle.
 func TestProloguePeel(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
