@@ -140,7 +140,6 @@ examples:
 	$(GO) run ./examples/supremacy
 	$(GO) run ./examples/manybody
 	$(GO) run ./examples/reorder
-	$(GO) run ./examples/pipeline
 
 fmt:
 	gofmt -w .

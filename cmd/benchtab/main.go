@@ -33,7 +33,7 @@ func main() {
 		cascades  = flag.Bool("cascades", false, "regenerate the Ex. 4 cascade study")
 		supremacy = flag.Bool("supremacy", false, "run the Sec. V supremacy extension")
 		layers    = flag.Bool("layers", false, "run the multi-layer QAOA depth study")
-		backends  = flag.Bool("backends", false, "compare array / DD / MPS backends")
+		backends  = flag.Bool("backends", false, "compare array / DD backends")
 		walker    = flag.Bool("walker", false, "compare dense vs DD HSF execution through the shared walker")
 		manybody  = flag.Bool("manybody", false, "run the many-body Trotter study (ref [35])")
 		all       = flag.Bool("all", false, "run every experiment")

@@ -43,7 +43,6 @@ import (
 	"hsfsim/internal/dd"
 	"hsfsim/internal/dist"
 	"hsfsim/internal/hsf"
-	"hsfsim/internal/mps"
 	"hsfsim/internal/qasm"
 	"hsfsim/internal/telemetry/trace"
 )
@@ -102,9 +101,8 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort after this duration (0: none)")
 		strategy  = flag.String("blocks", "cascade", "joint grouping: cascade | window")
 		maxBlock  = flag.Int("max-block-qubits", 0, "joint block qubit budget (0: default)")
-		analytic  = flag.Bool("analytic", false, "use analytic cascade decompositions")
 		quiet     = flag.Bool("quiet", false, "print statistics only, no amplitudes")
-		backend   = flag.String("backend", "dense", "state backend: dense (alias array) | dd; schrodinger also accepts mps")
+		backend   = flag.String("backend", "dense", "state backend: dense (alias array) | dd")
 		memBudget = flag.Int64("memory-budget", 0, "admission memory budget in bytes (0: 16 GiB default, <0: unlimited)")
 		maxPaths  = flag.Uint64("max-paths", 0, "reject plans with more Feynman paths than this (0: unlimited)")
 		ckptPath  = flag.String("checkpoint", "", "write a resume checkpoint here if the run is interrupted")
@@ -145,14 +143,13 @@ func main() {
 	fail(err)
 
 	opts := hsfsim.Options{
-		MaxAmplitudes:       *maxAmps,
-		Workers:             *workers,
-		Timeout:             *timeout,
-		MaxBlockQubits:      *maxBlock,
-		UseAnalyticCascades: *analytic,
-		MemoryBudget:        *memBudget,
-		MaxPaths:            *maxPaths,
-		FusionMaxQubits:     *fusion,
+		MaxAmplitudes:   *maxAmps,
+		Workers:         *workers,
+		Timeout:         *timeout,
+		MaxBlockQubits:  *maxBlock,
+		MemoryBudget:    *memBudget,
+		MaxPaths:        *maxPaths,
+		FusionMaxQubits: *fusion,
 	}
 	switch *method {
 	case "schrodinger":
@@ -321,7 +318,6 @@ func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, method,
 		CutPos:         opts.CutPos,
 		Strategy:       strategy,
 		MaxBlockQubits: opts.MaxBlockQubits,
-		UseAnalytic:    opts.UseAnalyticCascades,
 		MaxAmplitudes:  opts.MaxAmplitudes,
 	}
 	if opts.Backend != hsfsim.BackendDense {
@@ -480,7 +476,7 @@ func runTakeover(storeDir, runID, workersCSV string, timeout time.Duration, ckpt
 }
 
 // simulateAlternateBackend runs Schrödinger simulation on the decision-
-// diagram or MPS representation and adapts the output to hsfsim.Result.
+// diagram representation and adapts the output to hsfsim.Result.
 func simulateAlternateBackend(c *hsfsim.Circuit, backend string, maxAmps int) (*hsfsim.Result, error) {
 	m := maxAmps
 	if m <= 0 || m > 1<<c.NumQubits {
@@ -498,15 +494,6 @@ func simulateAlternateBackend(c *hsfsim.Circuit, backend string, maxAmps int) (*
 			amps[x] = d.Amplitude(uint64(x))
 		}
 		fmt.Printf("dd nodes:        %d\n", d.NumNodes())
-	case "mps":
-		t := mps.New(c.NumQubits)
-		if err := t.ApplyCircuit(c); err != nil {
-			return nil, err
-		}
-		for x := range amps {
-			amps[x] = t.Amplitude(uint64(x))
-		}
-		fmt.Printf("mps max bond:    %d\n", t.MaxBondDim())
 	default:
 		return nil, fmt.Errorf("unknown backend %q", backend)
 	}

@@ -17,7 +17,6 @@ import (
 	"math/cmplx"
 
 	"hsfsim"
-	"hsfsim/internal/trotter"
 )
 
 func main() {
@@ -28,13 +27,7 @@ func main() {
 		h     = -0.5
 		dt    = 0.1
 	)
-	c, err := trotter.BuildIsing(
-		trotter.Ising{N: n, J: j, H: h},
-		trotter.Options{Steps: steps, Dt: dt, PlusStart: true},
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
+	c := isingTrotter(n, steps, j, h, dt)
 	cutPos := n/2 - 1
 	fmt.Printf("transverse-field Ising chain: %d sites, %d Trotter steps, %d gates\n",
 		n, steps, len(c.Gates))
@@ -74,6 +67,26 @@ func main() {
 	if math.Abs(mx/float64(n)) > 1 {
 		log.Fatal("unphysical magnetization")
 	}
+}
+
+// isingTrotter builds the first-order Trotter circuit of the open chain
+// H = J Σ Z_i Z_{i+1} + h Σ X_i from |+…+⟩ (a global quench): per step
+// RZZ(2Jδt) on every bond, then RX(2hδt) on every site, since
+// RZZ(θ) = e^{-iθZZ/2}.
+func isingTrotter(n, steps int, j, h, dt float64) *hsfsim.Circuit {
+	c := hsfsim.NewCircuit(n)
+	for q := 0; q < n; q++ {
+		c.Append(hsfsim.H(q))
+	}
+	for s := 0; s < steps; s++ {
+		for q := 0; q+1 < n; q++ {
+			c.Append(hsfsim.RZZ(2*j*dt, q, q+1))
+		}
+		for q := 0; q < n; q++ {
+			c.Append(hsfsim.RX(2*h*dt, q))
+		}
+	}
+	return c
 }
 
 // expectationX computes <ψ|X_q|ψ> from a full statevector.

@@ -8,11 +8,9 @@ import (
 	"fmt"
 	"log"
 	"math/cmplx"
-	"math/rand"
 
 	"hsfsim"
 	"hsfsim/internal/grcs"
-	"hsfsim/internal/xeb"
 )
 
 func main() {
@@ -60,42 +58,4 @@ func main() {
 		fmt.Printf("joint cutting speedup: %.1fx\n",
 			stdRes.TotalTime().Seconds()/jntRes.TotalTime().Seconds())
 	}
-
-	// Validate the joint-HSF amplitudes the shot-based way: sample
-	// bitstrings from the computed window, check the windowed linear XEB
-	// (window-conditioned; deviates from 1 at shallow depth where the
-	// window is not Porter-Thomas-representative), and — assumption-free —
-	// the total-variation distance between sampled frequencies and the
-	// window distribution.
-	probs := xeb.Probabilities(jntRes.Amplitudes)
-	sampler, err := xeb.NewSampler(probs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	const shots = 200000
-	samples := sampler.Sample(shots, rng)
-	f, err := xeb.LinearXEBWithDim(probs, samples, 1<<c.NumQubits)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("windowed linear XEB of joint-HSF samples: %.3f (PT-ideal 1; shallow-depth bias expected)\n", f)
-
-	var mass float64
-	for _, p := range probs {
-		mass += p
-	}
-	freq := make([]float64, len(probs))
-	for _, x := range samples {
-		freq[x] += 1.0 / shots
-	}
-	var tv float64
-	for i, p := range probs {
-		d := freq[i] - p/mass
-		if d < 0 {
-			d = -d
-		}
-		tv += d / 2
-	}
-	fmt.Printf("total variation sampled-vs-computed: %.4f (sampling noise only)\n", tv)
 }

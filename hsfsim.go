@@ -172,10 +172,6 @@ type Options struct {
 	MaxBlockQubits int
 	// FusionMaxQubits configures gate fusion (0: default, <0: disabled).
 	FusionMaxQubits int
-	// UseAnalyticCascades replaces numeric SVDs by analytic cascade
-	// decompositions where the pattern matches (ablation; the paper's
-	// evaluation runs numerically).
-	UseAnalyticCascades bool
 	// Tol is the Schmidt singular-value truncation tolerance (0: default).
 	Tol float64
 	// Timeout aborts HSF runs after this duration (0: none), as in the
@@ -380,13 +376,11 @@ func fingerprintOf(c *Circuit, opts Options) uint64 {
 				strategy = cut.StrategyCascade
 			}
 		}
-		analytic := uint64(0)
-		if opts.UseAnalyticCascades {
-			analytic = 1
-		}
+		// The trailing 0 is the slot of the retired analytic-cascade flag,
+		// which was always 0 by default: keeping it keeps every stored key.
 		return hsf.FingerprintOptions(cfp,
 			uint64(opts.Method), uint64(int64(opts.CutPos)), uint64(strategy),
-			uint64(int64(opts.MaxBlockQubits)), math.Float64bits(opts.Tol), analytic)
+			uint64(int64(opts.MaxBlockQubits)), math.Float64bits(opts.Tol), 0)
 	}
 }
 
@@ -410,8 +404,8 @@ func Fingerprint(c *Circuit, opts Options) (uint64, error) {
 // Compile validates the circuit and builds the method's execution plan once:
 // the cut plan with its Schmidt decompositions for the HSF methods, or the
 // fused and kernel-compiled gate segment for Schrodinger. The plan-affecting
-// options (Method, CutPos, BlockStrategy, MaxBlockQubits, Tol,
-// UseAnalyticCascades; FusionMaxQubits for Schrodinger) are baked in;
+// options (Method, CutPos, BlockStrategy, MaxBlockQubits, Tol;
+// FusionMaxQubits for Schrodinger) are baked in;
 // execution options are chosen per SimulateCompiledContext call.
 func Compile(c *Circuit, opts Options) (*CompiledPlan, error) {
 	if c == nil {
@@ -457,7 +451,6 @@ func Compile(c *Circuit, opts Options) (*CompiledPlan, error) {
 			Strategy:       strategy,
 			MaxBlockQubits: opts.MaxBlockQubits,
 			Tol:            opts.Tol,
-			UseAnalytic:    opts.UseAnalyticCascades,
 		})
 		endPlan()
 		if err != nil {

@@ -218,20 +218,3 @@ func TestDDEngineOptionAgrees(t *testing.T) {
 		t.Fatalf("path counts differ: %d vs %d", arr.NumPaths, dd.NumPaths)
 	}
 }
-
-func TestAnalyticOptionAgrees(t *testing.T) {
-	c := qaoaLike(13, 8, 12)
-	num, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ana, err := hsfsim.Simulate(c, hsfsim.Options{
-		Method: hsfsim.JointHSF, CutPos: 3, UseAnalyticCascades: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxDiff(num.Amplitudes, ana.Amplitudes); d > 1e-9 {
-		t.Fatalf("analytic option changed amplitudes by %g", d)
-	}
-}

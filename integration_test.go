@@ -75,14 +75,16 @@ func TestIntegrationRandomizedOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 8; trial++ {
 		opts := hsfsim.Options{
-			Method:              hsfsim.JointHSF,
-			CutPos:              spec.CutPos(),
-			MaxAmplitudes:       maxAmps,
-			Workers:             1 + rng.Intn(8),
-			FusionMaxQubits:     []int{-1, 0, 2, 4}[rng.Intn(4)],
-			UseAnalyticCascades: rng.Intn(2) == 0,
-			UseDDEngine:         trial == 7, // one DD-engine pass (slow)
-			MaxBlockQubits:      []int{0, 4, 6}[rng.Intn(3)],
+			Method:          hsfsim.JointHSF,
+			CutPos:          spec.CutPos(),
+			MaxAmplitudes:   maxAmps,
+			Workers:         1 + rng.Intn(8),
+			FusionMaxQubits: []int{-1, 0, 2, 4}[rng.Intn(4)],
+			UseDDEngine:     trial == 7, // one DD-engine pass (slow)
+			MaxBlockQubits:  []int{0, 4, 6}[rng.Intn(3)],
+		}
+		if opts.UseDDEngine {
+			opts.Workers = 1 // the DD backend is single-threaded
 		}
 		res, err := hsfsim.Simulate(inst.Circuit, opts)
 		if err != nil {

@@ -7,40 +7,36 @@ import (
 	"hsfsim/internal/circuit"
 	"hsfsim/internal/dd"
 	"hsfsim/internal/gate"
-	"hsfsim/internal/mps"
 	"hsfsim/internal/qaoa"
 	"hsfsim/internal/statevec"
 )
 
-// BackendRow compares the three statevector representations the paper's
-// background surveys — plain arrays, decision diagrams, and tensor networks
-// (MPS) — on one circuit: runtime plus the representation-size measure of
-// each (amplitudes / DD nodes / max bond dimension).
+// BackendRow compares two of the statevector representations the paper's
+// background surveys — plain arrays and decision diagrams — on one circuit:
+// runtime plus the representation-size measure of each (amplitudes / DD
+// nodes).
 type BackendRow struct {
-	Name       string
-	Qubits     int
-	Gates      int
-	ArrayTime  time.Duration
-	ArrayAmps  int
-	DDTime     time.Duration
-	DDNodes    int
-	MPSTime    time.Duration
-	MPSMaxBond int
-	MaxDiff    float64 // cross-check between backends (small circuits only)
+	Name      string
+	Qubits    int
+	Gates     int
+	ArrayTime time.Duration
+	ArrayAmps int
+	DDTime    time.Duration
+	DDNodes   int
+	MaxDiff   float64 // cross-check between backends (small circuits only)
 }
 
 // BackendCase is one benchmark circuit.
 type BackendCase struct {
 	Name    string
 	Circuit *circuit.Circuit
-	// Verify expands all three representations and cross-checks amplitudes
+	// Verify expands both representations and cross-checks amplitudes
 	// (exponential; keep for small circuits only).
 	Verify bool
 }
 
-// DefaultBackendCases builds the comparison workloads: a GHZ chain (DD and
-// MPS compress it), a QAOA layer (structured), and a random dense circuit
-// (arrays win).
+// DefaultBackendCases builds the comparison workloads: a GHZ chain (DD
+// compresses it) and a QAOA layer (structured).
 func DefaultBackendCases() ([]BackendCase, error) {
 	var cases []BackendCase
 
@@ -60,7 +56,7 @@ func DefaultBackendCases() ([]BackendCase, error) {
 	return cases, nil
 }
 
-// RunBackends measures every case on all three backends.
+// RunBackends measures every case on both backends.
 func RunBackends(cases []BackendCase) ([]*BackendRow, error) {
 	var rows []*BackendRow
 	for _, cs := range cases {
@@ -81,22 +77,8 @@ func RunBackends(cases []BackendCase) ([]*BackendRow, error) {
 		row.DDTime = time.Since(start)
 		row.DDNodes = ddState.NumNodes()
 
-		start = time.Now()
-		mpsState := mps.New(c.NumQubits)
-		if err := mpsState.ApplyCircuit(c); err != nil {
-			return nil, fmt.Errorf("bench: %s mps: %w", cs.Name, err)
-		}
-		row.MPSTime = time.Since(start)
-		row.MPSMaxBond = mpsState.MaxBondDim()
-
 		if cs.Verify {
-			amps := arr.ToComplex()
-			dDD := statevec.MaxAbsDiff(ddState.ToStatevector(), amps)
-			dMPS := statevec.MaxAbsDiff(mpsState.ToStatevector(), amps)
-			row.MaxDiff = dDD
-			if dMPS > row.MaxDiff {
-				row.MaxDiff = dMPS
-			}
+			row.MaxDiff = statevec.MaxAbsDiff(ddState.ToStatevector(), arr.ToComplex())
 		}
 		rows = append(rows, row)
 	}
@@ -106,7 +88,7 @@ func RunBackends(cases []BackendCase) ([]*BackendRow, error) {
 // RenderBackends formats the comparison.
 func RenderBackends(rows []*BackendRow) string {
 	t := &table{header: []string{
-		"circuit", "qubits", "gates", "array time", "2^n amps", "DD time", "DD nodes", "MPS time", "max bond", "max diff",
+		"circuit", "qubits", "gates", "array time", "2^n amps", "DD time", "DD nodes", "max diff",
 	}}
 	for _, r := range rows {
 		t.add(r.Name,
@@ -116,9 +98,7 @@ func RenderBackends(rows []*BackendRow) string {
 			fmt.Sprintf("%d", r.ArrayAmps),
 			r.DDTime.Round(time.Microsecond).String(),
 			fmt.Sprintf("%d", r.DDNodes),
-			r.MPSTime.Round(time.Microsecond).String(),
-			fmt.Sprintf("%d", r.MPSMaxBond),
 			fmt.Sprintf("%.1e", r.MaxDiff))
 	}
-	return "Backend study: array vs. decision diagram vs. MPS (paper Background, refs [9]-[15])\n" + t.String()
+	return "Backend study: array vs. decision diagram (paper Background, refs [9]-[15])\n" + t.String()
 }

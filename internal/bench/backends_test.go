@@ -27,9 +27,6 @@ func TestBackendsAgreeAndCompress(t *testing.T) {
 	if ghz.DDNodes*16 > ghz.ArrayAmps {
 		t.Errorf("ghz: DD nodes %d show no compression vs %d amplitudes", ghz.DDNodes, ghz.ArrayAmps)
 	}
-	if ghz.MPSMaxBond != 2 {
-		t.Errorf("ghz: MPS max bond %d, want 2", ghz.MPSMaxBond)
-	}
 	out := RenderBackends(rows)
 	if !strings.Contains(out, "ghz-14") || !strings.Contains(out, "DD nodes") {
 		t.Fatalf("render missing content:\n%s", out)

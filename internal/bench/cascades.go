@@ -11,13 +11,12 @@ import (
 
 // CascadePoint compares standard and joint cutting of a CNOT cascade of
 // length k (paper Fig. 5 / Ex. 4), including the preprocessing cost of the
-// numeric versus analytic decomposition (Sec. IV-C/D ablation).
+// joint block's numeric decomposition (Sec. IV-C).
 type CascadePoint struct {
 	Length        int
 	StandardPaths uint64
 	JointPaths    uint64
 	NumericTime   time.Duration
-	AnalyticTime  time.Duration
 }
 
 // cascadeCircuit builds k CNOTs sharing the control, which sits just below
@@ -46,24 +45,13 @@ func CascadeSeries(max int) ([]CascadePoint, error) {
 			return nil, err
 		}
 		numTime := time.Since(start)
-		start = time.Now()
-		ana, err := cut.BuildPlan(c, cut.Options{Partition: p, Strategy: cut.StrategyCascade, MaxBlockQubits: k + 1, UseAnalytic: true})
-		if err != nil {
-			return nil, err
-		}
-		anaTime := time.Since(start)
 		ns, _ := std.NumPaths()
 		nn, _ := num.NumPaths()
-		na, _ := ana.NumPaths()
-		if nn != na {
-			return nil, fmt.Errorf("bench: cascade %d: numeric %d vs analytic %d paths", k, nn, na)
-		}
 		out = append(out, CascadePoint{
 			Length:        k,
 			StandardPaths: ns,
 			JointPaths:    nn,
 			NumericTime:   numTime,
-			AnalyticTime:  anaTime,
 		})
 	}
 	return out, nil
@@ -71,13 +59,12 @@ func CascadeSeries(max int) ([]CascadePoint, error) {
 
 // RenderCascades formats the cascade study.
 func RenderCascades(points []CascadePoint) string {
-	t := &table{header: []string{"cascade length", "standard n_p", "joint n_p", "numeric prep", "analytic prep"}}
+	t := &table{header: []string{"cascade length", "standard n_p", "joint n_p", "numeric prep"}}
 	for _, p := range points {
 		t.add(fmt.Sprintf("%d", p.Length),
 			fmt.Sprintf("%d", p.StandardPaths),
 			fmt.Sprintf("%d", p.JointPaths),
-			p.NumericTime.Round(time.Microsecond).String(),
-			p.AnalyticTime.Round(time.Microsecond).String())
+			p.NumericTime.Round(time.Microsecond).String())
 	}
 	return "Ex. 4 / Fig. 5: CNOT cascades — joint rank stays 2 while standard cutting pays 2^k\n" + t.String()
 }

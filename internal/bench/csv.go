@@ -82,7 +82,7 @@ func WriteFig3CSV(w io.Writer, points []Fig3Point) error {
 
 // WriteCascadesCSV emits the Ex. 4 cascade study.
 func WriteCascadesCSV(w io.Writer, points []CascadePoint) error {
-	header := []string{"length", "standard_paths", "joint_paths", "numeric_prep_s", "analytic_prep_s"}
+	header := []string{"length", "standard_paths", "joint_paths", "numeric_prep_s"}
 	var data [][]string
 	for _, p := range points {
 		data = append(data, []string{
@@ -90,7 +90,6 @@ func WriteCascadesCSV(w io.Writer, points []CascadePoint) error {
 			strconv.FormatUint(p.StandardPaths, 10),
 			strconv.FormatUint(p.JointPaths, 10),
 			f(p.NumericTime.Seconds()),
-			f(p.AnalyticTime.Seconds()),
 		})
 	}
 	return writeCSV(w, header, data)
@@ -159,7 +158,7 @@ func WriteWalkerCSV(w io.Writer, rows []*WalkerRow) error {
 func WriteBackendsCSV(w io.Writer, rows []*BackendRow) error {
 	header := []string{
 		"circuit", "qubits", "gates", "array_s", "array_amps",
-		"dd_s", "dd_nodes", "mps_s", "mps_max_bond", "max_diff",
+		"dd_s", "dd_nodes", "max_diff",
 	}
 	var data [][]string
 	for _, r := range rows {
@@ -167,7 +166,6 @@ func WriteBackendsCSV(w io.Writer, rows []*BackendRow) error {
 			r.Name, strconv.Itoa(r.Qubits), strconv.Itoa(r.Gates),
 			f(r.ArrayTime.Seconds()), strconv.Itoa(r.ArrayAmps),
 			f(r.DDTime.Seconds()), strconv.Itoa(r.DDNodes),
-			f(r.MPSTime.Seconds()), strconv.Itoa(r.MPSMaxBond),
 			fmt.Sprintf("%.3e", r.MaxDiff),
 		})
 	}

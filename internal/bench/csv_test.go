@@ -50,7 +50,7 @@ func TestFig3AndCascadeCSV(t *testing.T) {
 	if err := WriteCascadesCSV(&buf, cpoints); err != nil {
 		t.Fatal(err)
 	}
-	parseCSV(t, &buf, 5)
+	parseCSV(t, &buf, 4)
 }
 
 func TestTableCSVs(t *testing.T) {
@@ -114,7 +114,7 @@ func TestStudyCSVs(t *testing.T) {
 	if err := WriteBackendsCSV(&buf, bk); err != nil {
 		t.Fatal(err)
 	}
-	parseCSV(t, &buf, 10)
+	parseCSV(t, &buf, 8)
 
 	buf.Reset()
 	sup, err := RunSupremacy(DefaultSupremacyCases()[:1], 64, 20*time.Second)

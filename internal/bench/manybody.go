@@ -6,8 +6,9 @@ import (
 	"time"
 
 	"hsfsim"
+	"hsfsim/internal/circuit"
 	"hsfsim/internal/cut"
-	"hsfsim/internal/trotter"
+	"hsfsim/internal/gate"
 )
 
 // ManybodyPoint measures HSF on a Trotterized Ising chain at one depth —
@@ -28,13 +29,7 @@ func ManybodySeries(n, maxSteps int, maxAmplitudes int, timeout time.Duration) (
 	var out []ManybodyPoint
 	cutPos := n/2 - 1
 	for s := 1; s <= maxSteps; s++ {
-		c, err := trotter.BuildIsing(
-			trotter.Ising{N: n, J: 1, H: 0.5},
-			trotter.Options{Steps: s, Dt: 0.1, PlusStart: true},
-		)
-		if err != nil {
-			return nil, err
-		}
+		c := isingTrotter(n, s, 1, 0.5, 0.1)
 		p := cut.Partition{CutPos: cutPos}
 		std, err := cut.BuildPlan(c, cut.Options{Partition: p, Strategy: cut.StrategyNone})
 		if err != nil {
@@ -67,6 +62,25 @@ func ManybodySeries(n, maxSteps int, maxAmplitudes int, timeout time.Duration) (
 		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// isingTrotter is the first-order Trotter circuit of the open transverse-field
+// Ising chain H = J Σ Z_i Z_{i+1} + h Σ X_i on n sites, started from |+…+⟩:
+// per step RZZ(2Jδt) on every bond, then RX(2hδt) on every site.
+func isingTrotter(n, steps int, j, h, dt float64) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := 0; q < n; q++ {
+		c.Append(gate.H(q))
+	}
+	for s := 0; s < steps; s++ {
+		for q := 0; q+1 < n; q++ {
+			c.Append(gate.RZZ(2*j*dt, q, q+1))
+		}
+		for q := 0; q < n; q++ {
+			c.Append(gate.RX(2*h*dt, q))
+		}
+	}
+	return c
 }
 
 // RenderManybody formats the many-body study.

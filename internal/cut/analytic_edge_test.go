@@ -7,14 +7,16 @@ import (
 	"hsfsim/internal/gate"
 )
 
-// These tests pin the fall-back behaviour of the analytic-cascade
-// recognizer: whenever the pattern does not match exactly, the planner must
-// silently use the numeric SVD and still produce a correct plan.
+// These cases pin cascade blocks at the analytic rank 2 of paper Sec. IV-D
+// (Ex. 4) — including the shapes that fall outside the closed forms of
+// schmidt's tests (mixed kinds, a repeated fan qubit, shared-target CNOTs) —
+// reached by the planner's numeric decomposition, as in the paper's
+// evaluation.
 
 func analyticPlan(t *testing.T, c *circuit.Circuit, cutPos int) *Plan {
 	t.Helper()
 	plan, err := BuildPlan(c, Options{
-		Partition: Partition{CutPos: cutPos}, Strategy: StrategyCascade, UseAnalytic: true,
+		Partition: Partition{CutPos: cutPos}, Strategy: StrategyCascade,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -23,16 +25,12 @@ func analyticPlan(t *testing.T, c *circuit.Circuit, cutPos int) *Plan {
 }
 
 func TestAnalyticFallbackMixedGateKinds(t *testing.T) {
-	// rzz + cz sharing an anchor: valid block, but mixed kinds force the
-	// numeric path.
+	// rzz + cz sharing an anchor: a valid block of mixed kinds.
 	c := circuit.New(4)
 	c.Append(gate.RZZ(0.3, 1, 2), gate.CZ(1, 3))
 	plan := analyticPlan(t, c, 1)
 	if len(plan.Cuts) != 1 {
 		t.Fatalf("cuts = %d", len(plan.Cuts))
-	}
-	if plan.Cuts[0].Analytic {
-		t.Fatal("mixed-kind block must not use the analytic form")
 	}
 	if plan.Cuts[0].Rank() != 2 {
 		t.Fatalf("rank = %d, want 2", plan.Cuts[0].Rank())
@@ -40,16 +38,12 @@ func TestAnalyticFallbackMixedGateKinds(t *testing.T) {
 }
 
 func TestAnalyticFallbackRepeatedFan(t *testing.T) {
-	// Two RZZ on the same pair: repeated fan qubit needs the product form,
-	// so the numeric path must be taken.
+	// Two RZZ on the same pair: a repeated fan qubit.
 	c := circuit.New(3)
 	c.Append(gate.RZZ(0.3, 1, 2), gate.RZZ(0.5, 1, 2))
 	plan := analyticPlan(t, c, 1)
 	if len(plan.Cuts) != 1 {
 		t.Fatalf("cuts = %d", len(plan.Cuts))
-	}
-	if plan.Cuts[0].Analytic {
-		t.Fatal("repeated-fan block must not use the analytic form")
 	}
 	// Product of two RZZ on the same pair is a single RZZ: rank 2.
 	if plan.Cuts[0].Rank() != 2 {
@@ -59,7 +53,7 @@ func TestAnalyticFallbackRepeatedFan(t *testing.T) {
 
 func TestAnalyticFallbackCNOTControlOnFan(t *testing.T) {
 	// CNOTs sharing their *target* (anchor = target): Eq. 11 needs the
-	// control as the anchor, so the numeric path applies. The joint rank of
+	// control as the anchor, so no closed form applies. The joint rank of
 	// shared-target CNOTs is still 2 (conjugate by H⊗H of the shared-control
 	// case).
 	c := circuit.New(4)
@@ -69,9 +63,6 @@ func TestAnalyticFallbackCNOTControlOnFan(t *testing.T) {
 		t.Fatalf("cuts = %d", len(plan.Cuts))
 	}
 	cp := plan.Cuts[0]
-	if cp.Analytic {
-		t.Fatal("shared-target CNOT block must not use Eq. 11")
-	}
 	if cp.Rank() != 2 {
 		t.Fatalf("rank = %d, want 2", cp.Rank())
 	}
@@ -81,8 +72,8 @@ func TestAnalyticCPhaseCascadeUsed(t *testing.T) {
 	c := circuit.New(4)
 	c.Append(gate.CPhase(0.4, 1, 2), gate.CPhase(0.8, 1, 3))
 	plan := analyticPlan(t, c, 1)
-	if len(plan.Cuts) != 1 || !plan.Cuts[0].Analytic {
-		t.Fatal("cp cascade should use the analytic decomposition")
+	if len(plan.Cuts) != 1 || !plan.Cuts[0].IsBlock() {
+		t.Fatal("cp cascade should be one block")
 	}
 	if plan.Cuts[0].Rank() != 2 {
 		t.Fatalf("rank = %d, want 2", plan.Cuts[0].Rank())
@@ -90,12 +81,12 @@ func TestAnalyticCPhaseCascadeUsed(t *testing.T) {
 }
 
 func TestAnalyticAnchorOnLowerSide(t *testing.T) {
-	// Anchor in the lower partition, fans above: anchorUpper = false branch.
+	// Anchor in the lower partition, fans above.
 	c := circuit.New(4)
 	c.Append(gate.RZZ(0.3, 0, 2), gate.RZZ(0.5, 0, 3))
 	plan := analyticPlan(t, c, 1)
-	if len(plan.Cuts) != 1 || !plan.Cuts[0].Analytic {
-		t.Fatal("lower-anchor cascade should be analytic")
+	if len(plan.Cuts) != 1 || plan.Cuts[0].Rank() != 2 {
+		t.Fatal("lower-anchor cascade should be one rank-2 block")
 	}
 }
 

@@ -92,12 +92,6 @@ type CutPoint struct {
 	GateIndices []int
 	// Label describes the cut for reporting ("block[rzz x3]" or "sep[swap]").
 	Label string
-	// Analytic records that an analytic cascade decomposition was used
-	// instead of a numeric SVD.
-	Analytic bool
-	// Truncated records that Schmidt terms were dropped (Options.MaxCutRank),
-	// making the overall simulation approximate.
-	Truncated bool
 }
 
 // Rank returns the number of Schmidt terms of the cut.

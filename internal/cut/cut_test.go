@@ -7,7 +7,6 @@ import (
 	"hsfsim/internal/schmidt"
 
 	"hsfsim/internal/circuit"
-	"hsfsim/internal/cmat"
 	"hsfsim/internal/gate"
 )
 
@@ -84,7 +83,7 @@ func TestCascadePlanGroupsSharedAnchor(t *testing.T) {
 	}
 	cp := plan.Cuts[0]
 	if !cp.IsBlock() || cp.Rank() != 2 {
-		t.Fatalf("block rank = %d (analytic=%v), want 2", cp.Rank(), cp.Analytic)
+		t.Fatalf("block rank = %d, want 2", cp.Rank())
 	}
 	n, _ := plan.NumPaths()
 	if n != 2 {
@@ -121,44 +120,6 @@ func TestCascadeVsStandardPathReduction(t *testing.T) {
 	}
 	if nj != 4 {
 		t.Fatalf("joint paths = %d, want 4 (two rank-2 blocks)", nj)
-	}
-}
-
-func TestAnalyticMatchesNumeric(t *testing.T) {
-	c := circuit.New(5)
-	c.Append(gate.RZZ(0.3, 1, 2), gate.RZZ(0.9, 1, 3), gate.RZZ(-0.4, 1, 4))
-	p := Partition{CutPos: 1}
-	num, err := BuildPlan(c, Options{Partition: p, Strategy: StrategyCascade})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ana, err := BuildPlan(c, Options{Partition: p, Strategy: StrategyCascade, UseAnalytic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(num.Cuts) != 1 || len(ana.Cuts) != 1 {
-		t.Fatalf("cuts: numeric %d analytic %d, want 1 each", len(num.Cuts), len(ana.Cuts))
-	}
-	if !ana.Cuts[0].Analytic {
-		t.Fatal("analytic decomposition not used")
-	}
-	if num.Cuts[0].Analytic {
-		t.Fatal("numeric plan claims analytic")
-	}
-	if num.Cuts[0].Rank() != ana.Cuts[0].Rank() {
-		t.Fatalf("rank mismatch: numeric %d analytic %d", num.Cuts[0].Rank(), ana.Cuts[0].Rank())
-	}
-	// Both must reconstruct the same operator: Σ σ X⊗Y equal entrywise.
-	rec := func(cp *CutPoint) *cmat.Matrix {
-		dim := 1 << (len(cp.LowerQubits) + len(cp.UpperQubits))
-		out := cmat.New(dim, dim)
-		for _, tm := range cp.Terms {
-			out = cmat.Add(out, cmat.Scale(complex(tm.Sigma, 0), cmat.Kron(tm.Upper, tm.Lower)))
-		}
-		return out
-	}
-	if !cmat.EqualTol(rec(num.Cuts[0]), rec(ana.Cuts[0]), 1e-9) {
-		t.Fatal("analytic and numeric blocks reconstruct different operators")
 	}
 }
 

@@ -176,7 +176,7 @@ func planFamilies(n, cutPos int) map[string]func(*rand.Rand) *circuit.Circuit {
 // — each proposed group and each crossing gate on its own — has the dense
 // route's rank and spectrum, so "block rank < product of member ranks" keeps
 // and dissolves the same blocks; and every emitted cut equals the dense
-// decomposition of its members after the same Tol and MaxCutRank, so cuts,
+// decomposition of its members after the same Tol, so cuts,
 // blocks, ranks and path counts are the dense route's.
 func TestBuildPlanMatchesDenseRoute(t *testing.T) {
 	const n, cutPos = 8, 3
@@ -187,7 +187,6 @@ func TestBuildPlanMatchesDenseRoute(t *testing.T) {
 			for _, opts := range []Options{
 				{Partition: p, Strategy: strategy},
 				{Partition: p, Strategy: strategy, Tol: 0.2},
-				{Partition: p, Strategy: strategy, MaxCutRank: 2},
 			} {
 				for seed := int64(1); seed <= 3; seed++ {
 					c := build(rand.New(rand.NewSource(seed)))
@@ -226,13 +225,9 @@ func TestBuildPlanMatchesDenseRoute(t *testing.T) {
 							gates[i] = &rc.Gates[m]
 						}
 						dense := denseDecompose(t, gates, cp.LowerQubits, cp.UpperQubits, opts.Tol)
-						wantRank, wantTrunc := dense.Rank(), false
-						if opts.MaxCutRank > 0 && wantRank > opts.MaxCutRank {
-							wantRank, wantTrunc = opts.MaxCutRank, true
-						}
-						if cp.Rank() != wantRank || cp.Truncated != wantTrunc {
-							t.Fatalf("%s/%v seed %d %s: rank %d truncated %v, dense route %d %v",
-								name, strategy, seed, cp.Label, cp.Rank(), cp.Truncated, wantRank, wantTrunc)
+						if cp.Rank() != dense.Rank() {
+							t.Fatalf("%s/%v seed %d %s: rank %d, dense route %d",
+								name, strategy, seed, cp.Label, cp.Rank(), dense.Rank())
 						}
 						for m, term := range cp.Terms {
 							if w := dense.Terms[m].Sigma; math.Abs(term.Sigma-w) > 1e-12*dense.SingularValues[0] {

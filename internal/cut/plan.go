@@ -23,16 +23,6 @@ type Options struct {
 	// Tol is the singular-value truncation tolerance; 0 selects
 	// schmidt.DefaultTol.
 	Tol float64
-	// UseAnalytic replaces the numeric SVD by the analytic rank-2 cascade
-	// decomposition when a block matches a known cascade pattern
-	// (paper Sec. IV-D). The paper's evaluation keeps this off ("the joint
-	// cuts were performed numerically") — it is provided for the ablation.
-	UseAnalytic bool
-	// MaxCutRank, when positive, truncates every cut to its MaxCutRank
-	// largest Schmidt terms, yielding an *approximate* simulation: the
-	// dropped weight Σσ² bounds the error. This extension trades fidelity
-	// for paths and is off (exact) by default.
-	MaxCutRank int
 }
 
 // BuildPlan analyzes the circuit and produces an HSF execution plan.
@@ -159,26 +149,11 @@ func decomposeBlock(rc *circuit.Circuit, opts Options, members []int) (*CutPoint
 	}
 	lowerQ, upperQ := splitQubits(gates, opts.Partition)
 	label := blockLabel(rc, members)
-	cp := &CutPoint{LowerQubits: lowerQ, UpperQubits: upperQ, GateIndices: members, Label: label}
-
-	if opts.UseAnalytic && len(members) >= 2 {
-		if d, ok := analyticCascade(rc, opts.Partition, members, lowerQ, upperQ); ok {
-			cp.Terms = d.Terms
-			cp.Analytic = true
-			return cp, nil
-		}
-	}
-
 	d, err := decompose(gates, lowerQ, upperQ, opts.Tol)
 	if err != nil {
 		return nil, fmt.Errorf("cut: decomposing %s: %w", label, err)
 	}
-	cp.Terms = d.Terms
-	if opts.MaxCutRank > 0 && len(cp.Terms) > opts.MaxCutRank {
-		cp.Terms = cp.Terms[:opts.MaxCutRank]
-		cp.Truncated = true
-	}
-	return cp, nil
+	return &CutPoint{Terms: d.Terms, LowerQubits: lowerQ, UpperQubits: upperQ, GateIndices: members, Label: label}, nil
 }
 
 // decompose Schmidt-decomposes the product of gates (applied in order) on the
@@ -237,83 +212,6 @@ func blockLabel(rc *circuit.Circuit, members []int) string {
 		return fmt.Sprintf("block[%s x%d]", rc.Gates[members[0]].Name, len(members))
 	}
 	return fmt.Sprintf("block[mixed x%d]", len(members))
-}
-
-// analyticCascade recognizes cascade patterns and returns their analytic
-// decomposition: all members must be two-qubit gates of the same kind
-// sharing one anchor qubit, with pairwise-distinct fan qubits. CNOT cascades
-// additionally require the anchor to be every member's control.
-func analyticCascade(rc *circuit.Circuit, p Partition, members []int, lowerQ, upperQ []int) (*schmidt.Decomposition, bool) {
-	if len(lowerQ) == 0 || len(upperQ) == 0 {
-		return nil, false
-	}
-	var anchor int
-	var anchorUpper bool
-	switch {
-	case len(upperQ) == 1:
-		anchor = upperQ[0]
-		anchorUpper = true
-	case len(lowerQ) == 1:
-		anchor = lowerQ[0]
-		anchorUpper = false
-	default:
-		return nil, false
-	}
-	name := rc.Gates[members[0]].Name
-	fanTheta := make(map[int]float64, len(members))
-	for _, m := range members {
-		g := &rc.Gates[m]
-		if g.Name != name || g.NumQubits() != 2 || !g.Touches(anchor) {
-			return nil, false
-		}
-		fan := g.Qubits[0]
-		if fan == anchor {
-			fan = g.Qubits[1]
-		}
-		if _, dup := fanTheta[fan]; dup {
-			return nil, false // repeated fan qubit: product form needed
-		}
-		switch name {
-		case "rzz", "cp":
-			fanTheta[fan] = g.Params[0]
-		case "cz":
-			fanTheta[fan] = 0
-		case "cx":
-			if g.Qubits[0] != anchor { // control must be the anchor
-				return nil, false
-			}
-			fanTheta[fan] = 0
-		default:
-			return nil, false
-		}
-	}
-	// Fan qubits in ascending label order supply the kron-chain bits.
-	fans := lowerQ
-	if !anchorUpper {
-		fans = upperQ
-	}
-	if len(fans) != len(fanTheta) {
-		return nil, false
-	}
-	switch name {
-	case "rzz":
-		thetas := make([]float64, len(fans))
-		for i, f := range fans {
-			thetas[i] = fanTheta[f]
-		}
-		return schmidt.RZZCascade(thetas, anchorUpper), true
-	case "cp":
-		phis := make([]float64, len(fans))
-		for i, f := range fans {
-			phis[i] = fanTheta[f]
-		}
-		return schmidt.CPhaseCascade(phis, anchorUpper), true
-	case "cz":
-		return schmidt.CZCascade(len(fans), anchorUpper), true
-	case "cx":
-		return schmidt.CNOTCascade(len(fans), anchorUpper), true
-	}
-	return nil, false
 }
 
 // StandardPathCount returns the number of paths of the standard (per-gate)

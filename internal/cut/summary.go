@@ -24,7 +24,6 @@ type CutSummary struct {
 	Label       string  `json:"label"`
 	Rank        int     `json:"rank"`
 	Block       bool    `json:"block"`
-	Analytic    bool    `json:"analytic"`
 	NumGates    int     `json:"num_gates"`
 	LowerQubits []int   `json:"lower_qubits"`
 	UpperQubits []int   `json:"upper_qubits"`
@@ -49,7 +48,6 @@ func (p *Plan) Summarize() Summary {
 			Label:       c.Label,
 			Rank:        c.Rank(),
 			Block:       c.IsBlock(),
-			Analytic:    c.Analytic,
 			NumGates:    len(c.GateIndices),
 			LowerQubits: c.LowerQubits,
 			UpperQubits: c.UpperQubits,

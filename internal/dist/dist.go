@@ -59,8 +59,6 @@ type Job struct {
 	MaxBlockQubits int `json:"max_block_qubits,omitempty"`
 	// Tol is the Schmidt truncation tolerance (0: default).
 	Tol float64 `json:"tol,omitempty"`
-	// UseAnalytic selects analytic cascade decompositions.
-	UseAnalytic bool `json:"use_analytic,omitempty"`
 	// MaxAmplitudes bounds the accumulator (0: full statevector).
 	MaxAmplitudes int `json:"max_amplitudes,omitempty"`
 	// FusionMaxQubits configures gate fusion (0: default, <0: disabled).
@@ -100,7 +98,6 @@ func (j *Job) BuildPlan() (*cut.Plan, error) {
 		Strategy:       strategy,
 		MaxBlockQubits: j.MaxBlockQubits,
 		Tol:            j.Tol,
-		UseAnalytic:    j.UseAnalytic,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dist: planning job circuit: %w", err)

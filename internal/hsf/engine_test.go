@@ -120,25 +120,6 @@ func TestHSFMatchesSchrodingerMixedGates(t *testing.T) {
 	}
 }
 
-func TestHSFAnalyticCascadeMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	c := randomQAOAish(rng, 6, 9)
-	want := schrodinger(c)
-	plan, err := cut.BuildPlan(c, cut.Options{
-		Partition: cut.Partition{CutPos: 2}, Strategy: cut.StrategyCascade, UseAnalytic: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(plan, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := statevec.MaxAbsDiff(res.Amplitudes, want); d > 1e-8 {
-		t.Fatalf("analytic cascade: max diff %g", d)
-	}
-}
-
 func TestHSFPartialAmplitudes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	c := randomQAOAish(rng, 6, 8)

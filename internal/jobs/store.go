@@ -67,7 +67,6 @@ type WireOptions struct {
 	Strategy        int     `json:"strategy,omitempty"`
 	MaxBlockQubits  int     `json:"max_block_qubits,omitempty"`
 	FusionMaxQubits int     `json:"fusion_max_qubits,omitempty"`
-	UseAnalytic     bool    `json:"use_analytic,omitempty"`
 	Tol             float64 `json:"tol,omitempty"`
 	TimeoutNS       int64   `json:"timeout_ns,omitempty"`
 	Backend         int     `json:"backend,omitempty"`
@@ -89,7 +88,6 @@ func wireOptions(opts hsfsim.Options) WireOptions {
 		Strategy:        int(opts.BlockStrategy),
 		MaxBlockQubits:  opts.MaxBlockQubits,
 		FusionMaxQubits: opts.FusionMaxQubits,
-		UseAnalytic:     opts.UseAnalyticCascades,
 		Tol:             opts.Tol,
 		TimeoutNS:       int64(opts.Timeout),
 		Backend:         int(backend),
@@ -101,19 +99,18 @@ func wireOptions(opts hsfsim.Options) WireOptions {
 // Options reconstructs the hsfsim.Options a stored job runs with.
 func (w WireOptions) Options() hsfsim.Options {
 	return hsfsim.Options{
-		Method:              hsfsim.Method(w.Method),
-		CutPos:              w.CutPos,
-		MaxAmplitudes:       w.MaxAmplitudes,
-		Workers:             w.Workers,
-		BlockStrategy:       hsfsim.BlockStrategy(w.Strategy),
-		MaxBlockQubits:      w.MaxBlockQubits,
-		FusionMaxQubits:     w.FusionMaxQubits,
-		UseAnalyticCascades: w.UseAnalytic,
-		Tol:                 w.Tol,
-		Timeout:             time.Duration(w.TimeoutNS),
-		Backend:             hsfsim.Backend(w.Backend),
-		MemoryBudget:        w.MemoryBudget,
-		MaxPaths:            w.MaxPaths,
+		Method:          hsfsim.Method(w.Method),
+		CutPos:          w.CutPos,
+		MaxAmplitudes:   w.MaxAmplitudes,
+		Workers:         w.Workers,
+		BlockStrategy:   hsfsim.BlockStrategy(w.Strategy),
+		MaxBlockQubits:  w.MaxBlockQubits,
+		FusionMaxQubits: w.FusionMaxQubits,
+		Tol:             w.Tol,
+		Timeout:         time.Duration(w.TimeoutNS),
+		Backend:         hsfsim.Backend(w.Backend),
+		MemoryBudget:    w.MemoryBudget,
+		MaxPaths:        w.MaxPaths,
 	}
 }
 

@@ -89,7 +89,8 @@ func (h *Hamiltonian) String() string {
 }
 
 // TransverseIsing builds H = J Σ Z_iZ_{i+1} + hx Σ X_i on an n-site open
-// chain — the Hamiltonian behind internal/trotter's Ising circuits.
+// chain (periodic adds the wrap bond) — the model of the many-body study's
+// Trotter circuits.
 func TransverseIsing(n int, j, hx float64, periodic bool) (*Hamiltonian, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("obs: chain needs ≥ 2 sites")

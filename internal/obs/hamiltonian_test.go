@@ -9,7 +9,6 @@ import (
 	"hsfsim/internal/gate"
 	"hsfsim/internal/graph"
 	"hsfsim/internal/statevec"
-	"hsfsim/internal/trotter"
 )
 
 func TestHamiltonianAddValidation(t *testing.T) {
@@ -50,27 +49,36 @@ func TestTransverseIsingGroundStateEnergy(t *testing.T) {
 }
 
 func TestEnergyConservedUnderTrotterEvolution(t *testing.T) {
-	// <H> is conserved by exp(-iHt); a fine Trotterization must keep it
-	// nearly constant — a physics-level integration test tying obs and
-	// trotter together.
-	model := trotter.Ising{N: 5, J: 1, H: 0.6}
-	h, err := TransverseIsing(5, 1, 0.6, false)
+	// <H> is conserved by exp(-iHt); a fine second-order Trotterization
+	// (half ZZ layer, field layer, half ZZ layer per step) must keep it
+	// nearly constant.
+	const n, j, hx, dt = 5, 1.0, 0.6, 0.01
+	h, err := TransverseIsing(n, j, hx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := statevec.NewState(5)
+	start := statevec.NewState(n)
 	hGate := gate.H(0)
 	start.ApplyGate(&hGate) // break symmetry a little
 	e0, err := h.Expectation(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := trotter.BuildIsing(model, trotter.Options{Steps: 64, Dt: 0.01, Order: trotter.SecondOrder})
-	if err != nil {
-		t.Fatal(err)
+	var step []gate.Gate
+	halfZZ := func() {
+		for q := 0; q+1 < n; q++ {
+			step = append(step, gate.RZZ(j*dt, q, q+1))
+		}
 	}
+	halfZZ()
+	for q := 0; q < n; q++ {
+		step = append(step, gate.RX(2*hx*dt, q))
+	}
+	halfZZ()
 	evolved := start.Clone()
-	evolved.ApplyAll(c.Gates)
+	for s := 0; s < 64; s++ {
+		evolved.ApplyAll(step)
+	}
 	e1, err := h.Expectation(evolved)
 	if err != nil {
 		t.Fatal(err)

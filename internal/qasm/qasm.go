@@ -54,7 +54,7 @@ func gateLine(g *gate.Gate) (string, error) {
 		return fmt.Sprintf("u3(%s,%s,%s) %s;",
 			formatFloat(g.Params[0]), formatFloat(g.Params[1]), formatFloat(g.Params[2]), qs), nil
 	default:
-		// Any other single-qubit unitary (sw, peephole-fused gates, …) is
+		// Any other single-qubit unitary (sw, fused gates, …) is
 		// written as its exact ZYZ expansion, global phase included.
 		if g.NumQubits() == 1 {
 			z, err := synth.ZYZDecompose(g.Matrix)

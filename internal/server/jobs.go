@@ -129,7 +129,6 @@ func (s *service) runDistributedJob(ctx context.Context, qasmSrc string, opts hs
 		MaxBlockQubits:  opts.MaxBlockQubits,
 		MaxAmplitudes:   opts.MaxAmplitudes,
 		Tol:             opts.Tol,
-		UseAnalytic:     opts.UseAnalyticCascades,
 		FusionMaxQubits: opts.FusionMaxQubits,
 	}
 	if opts.BlockStrategy == hsfsim.BlockWindow {

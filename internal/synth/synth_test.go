@@ -2,7 +2,6 @@ package synth
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -78,218 +77,5 @@ func TestZYZGatesWithPhaseExact(t *testing.T) {
 		if !cmat.EqualTol(c.Unitary(), u, 1e-9) {
 			t.Fatalf("trial %d: phase-exact gate sequence wrong", trial)
 		}
-	}
-}
-
-func TestSynthesizeControlledExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 12; trial++ {
-		u := randomU2(rng)
-		gs, err := SynthesizeControlled(u, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := circuit.New(2)
-		c.Append(gs...)
-		// Reference: |0><0|⊗I + |1><1|⊗U with control = bit 0.
-		want := cmat.New(4, 4)
-		want.Set(0, 0, 1)
-		want.Set(2, 2, 1)
-		want.Set(1, 1, u.At(0, 0))
-		want.Set(1, 3, u.At(0, 1))
-		want.Set(3, 1, u.At(1, 0))
-		want.Set(3, 3, u.At(1, 1))
-		if !cmat.EqualTol(c.Unitary(), want, 1e-9) {
-			t.Fatalf("trial %d: controlled synthesis wrong", trial)
-		}
-	}
-}
-
-func TestControlledMatrixOf(t *testing.T) {
-	u := gate.RZ(0.7, 0).Matrix
-	m := cmat.New(4, 4)
-	m.Set(0, 0, 1)
-	m.Set(2, 2, 1)
-	m.Set(1, 1, u.At(0, 0))
-	m.Set(3, 3, u.At(1, 1))
-	got, ok := ControlledMatrixOf(m, 1e-10)
-	if !ok || !cmat.EqualTol(got, u, 1e-10) {
-		t.Fatal("controlled structure not recognized")
-	}
-	if _, ok := ControlledMatrixOf(gate.SWAP(0, 1).Matrix, 1e-10); ok {
-		t.Fatal("SWAP misidentified as controlled")
-	}
-	if _, ok := ControlledMatrixOf(cmat.Identity(2), 1e-10); ok {
-		t.Fatal("wrong size accepted")
-	}
-}
-
-func TestSynthesizeDiagonalExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, k := range []int{1, 2, 3} {
-		dim := 1 << k
-		m := cmat.New(dim, dim)
-		for x := 0; x < dim; x++ {
-			m.Set(x, x, cmplx.Exp(complex(0, rng.Float64()*2*math.Pi-math.Pi)))
-		}
-		qs := make([]int, k)
-		for i := range qs {
-			qs[i] = i
-		}
-		gs, phase, err := SynthesizeDiagonal(m, qs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := circuit.New(k)
-		c.Append(gs...)
-		got := cmat.Scale(cmplx.Exp(complex(0, phase)), c.Unitary())
-		if !cmat.EqualTol(got, m, 1e-9) {
-			t.Fatalf("k=%d: diagonal synthesis wrong", k)
-		}
-	}
-}
-
-func TestSynthesizeDiagonalRejects(t *testing.T) {
-	if _, _, err := SynthesizeDiagonal(gate.H(0).Matrix, []int{0}, 0); err == nil {
-		t.Fatal("non-diagonal accepted")
-	}
-	bad := cmat.New(2, 2)
-	bad.Set(0, 0, 2)
-	bad.Set(1, 1, 1)
-	if _, _, err := SynthesizeDiagonal(bad, []int{0}, 0); err == nil {
-		t.Fatal("non-unitary diagonal accepted")
-	}
-	if _, _, err := SynthesizeDiagonal(cmat.Identity(4), []int{0}, 0); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestSynthesizeToffoliExact(t *testing.T) {
-	c := circuit.New(3)
-	c.Append(SynthesizeToffoli(0, 1, 2)...)
-	want := circuit.New(3)
-	want.Append(gate.CCX(0, 1, 2))
-	if !cmat.EqualTol(c.Unitary(), want.Unitary(), 1e-9) {
-		t.Fatal("Toffoli network wrong")
-	}
-	if CXCount(c) != 6 {
-		t.Fatalf("Toffoli uses %d CNOTs, want 6", CXCount(c))
-	}
-}
-
-func TestTranspileAllLibraryGates(t *testing.T) {
-	src := circuit.New(3)
-	src.Append(
-		gate.H(0), gate.SW(1), gate.T(2), gate.U3(0.2, 0.9, -0.3, 0),
-		gate.CNOT(0, 1), gate.CZ(1, 2), gate.CPhase(0.7, 0, 2),
-		gate.RZZ(0.5, 0, 1), gate.RXX(0.8, 1, 2), gate.RYY(-0.6, 0, 2),
-		gate.SWAP(0, 2), gate.ISWAP(1, 2), gate.FSim(0.4, 0.9, 0, 1),
-		gate.CCX(0, 1, 2), gate.CCZ(0, 1, 2),
-	)
-	out, err := Transpile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Gates {
-		g := &out.Gates[i]
-		if g.NumQubits() > 2 || (g.NumQubits() == 2 && g.Name != "cx") {
-			t.Fatalf("gate %d (%s) outside the {1q, cx} basis", i, g.Name)
-		}
-	}
-	if !cmat.EqualTol(src.Unitary(), out.Unitary(), 1e-8) {
-		t.Fatalf("transpile changed the unitary (diff %g)",
-			cmat.MaxAbsDiff(src.Unitary(), out.Unitary()))
-	}
-}
-
-func TestTranspilePropertyRandomCircuits(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(2)
-		c := circuit.New(n)
-		for i := 0; i < 8; i++ {
-			a := rng.Intn(n)
-			b := (a + 1 + rng.Intn(n-1)) % n
-			switch rng.Intn(8) {
-			case 0:
-				c.Append(gate.H(a))
-			case 1:
-				c.Append(gate.SW(a))
-			case 2:
-				c.Append(gate.RZZ(rng.Float64()*3, a, b))
-			case 3:
-				c.Append(gate.ISWAP(a, b))
-			case 4:
-				c.Append(gate.FSim(rng.Float64(), rng.Float64(), a, b))
-			case 5:
-				c.Append(gate.SWAP(a, b))
-			case 6:
-				c.Append(gate.CPhase(rng.Float64(), a, b))
-			default:
-				c.Append(gate.RYY(rng.Float64(), a, b))
-			}
-		}
-		out, err := Transpile(c)
-		if err != nil {
-			return false
-		}
-		return cmat.EqualTol(c.Unitary(), out.Unitary(), 1e-8)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTranspileControlledOrientation(t *testing.T) {
-	// A controlled-RY with the control on the high bit exercises the
-	// swapped-orientation path.
-	u := gate.RY(0.9, 0).Matrix
-	m := cmat.New(4, 4)
-	// control = bit 1: identity on indices {0,1}, U on {2,3}.
-	m.Set(0, 0, 1)
-	m.Set(1, 1, 1)
-	m.Set(2, 2, u.At(0, 0))
-	m.Set(2, 3, u.At(0, 1))
-	m.Set(3, 2, u.At(1, 0))
-	m.Set(3, 3, u.At(1, 1))
-	g := gate.New("cry", m, nil, 0, 1)
-	src := circuit.New(2)
-	src.Append(g)
-	out, err := Transpile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cmat.EqualTol(src.Unitary(), out.Unitary(), 1e-9) {
-		t.Fatal("swapped-control transpile wrong")
-	}
-}
-
-func TestTranspileGenericDenseViaKAK(t *testing.T) {
-	// A fused 2-qubit block with no controlled/diagonal structure falls
-	// through to the Cartan decomposition and still transpiles exactly.
-	c := circuit.New(2)
-	c.Append(gate.RXX(0.3, 0, 1), gate.H(0))
-	u := c.Unitary()
-	g := gate.New("fused", u, nil, 0, 1)
-	src := circuit.New(2)
-	src.Append(g)
-	out, err := Transpile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := cmat.MaxAbsDiff(src.Unitary(), out.Unitary()); d > 1e-7 {
-		t.Fatalf("dense transpile off by %g", d)
-	}
-}
-
-func TestRZZTranspilesToTwoCNOTs(t *testing.T) {
-	src := circuit.New(2)
-	src.Append(gate.RZZ(0.7, 0, 1))
-	out, err := Transpile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if CXCount(out) != 2 {
-		t.Fatalf("RZZ uses %d CNOTs, want 2", CXCount(out))
 	}
 }

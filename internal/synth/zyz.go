@@ -1,10 +1,6 @@
-// Package synth decomposes gates into the {single-qubit, CNOT} basis:
-// ZYZ Euler angles for arbitrary single-qubit unitaries, the ABC
-// construction for controlled single-qubit gates, Walsh-Hadamard phase
-// networks for arbitrary diagonal operators, and exact expansions of every
-// two- and three-qubit gate in the library. Transpile rewrites whole
-// circuits, which in particular makes any library circuit expressible in
-// the OpenQASM subset.
+// Package synth holds the ZYZ Euler decomposition of single-qubit unitaries,
+// which lets the QASM writer express any 1-qubit gate without a qelib1
+// primitive as an rz/ry/rz chain with its global phase.
 package synth
 
 import (
