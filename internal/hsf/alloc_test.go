@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hsfsim/internal/cut"
+	"hsfsim/internal/gate"
 	"hsfsim/internal/statevec"
 	"hsfsim/internal/telemetry/trace"
 )
@@ -21,14 +22,37 @@ type allocShape struct{ n, cutPos int }
 // test IDs.
 var allocShapes = map[string]allocShape{"K=2": {8, 3}, "K=8": {12, 5}}
 
-// harnessPlan builds shape's plan.
+// harnessPlan builds shape's plan. Every other RZZ turns by 2 more, past π/2,
+// so that its leading Schmidt term is Z⊗Z rather than I⊗I: the walker then
+// writes forked children through both an elided identity and a diagonal
+// residual (checkForks).
 func harnessPlan(tb testing.TB, shape allocShape) *cut.Plan {
 	tb.Helper()
-	plan, err := cut.BuildPlan(manyCutCircuit(shape.n, 6), cut.Options{Partition: cut.Partition{CutPos: shape.cutPos}})
+	c := manyCutCircuit(shape.n, 6)
+	turn := false
+	for i, g := range c.Gates {
+		if g.Name == "rzz" {
+			if turn {
+				c.Gates[i] = gate.RZZ(g.Params[0]+2, g.Qubits[0], g.Qubits[1])
+			}
+			turn = !turn
+		}
+	}
+	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: shape.cutPos}})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return plan
+}
+
+// checkForks fails unless the walker of e writes forked children through an
+// elided identity and through a diagonal residual, so that a guard run on it
+// covers the writing fork.
+func checkForks(tb testing.TB, e *engine) {
+	tb.Helper()
+	if k := forkedKinds(e); k[residualIdentity] == 0 || k[residualDiagonal] == 0 {
+		tb.Fatalf("forked residuals identity/diagonal/gate %v: the guard does not cover the writing fork", k)
+	}
 }
 
 // allocHarness compiles a many-cut plan and returns a dense-backend walker
@@ -68,7 +92,8 @@ func BenchmarkRunBranchSteadyState(b *testing.B) {
 }
 
 // TestZeroAllocsPerLeaf is the allocation regression guard: once the
-// workspace is warm, a prefix task — the subtree's walk and, on the K=2
+// workspace is warm, a prefix task — the subtree's walk, whose forks write
+// their children through identity and diagonal residuals, and, on the K=2
 // shape, a two-gate fold epilogue — must not allocate at all: forked states
 // come from the pool, pair structs from the free list, frames from the
 // retained stack, and the sequential gate kernels build no closures.
@@ -79,6 +104,7 @@ func TestZeroAllocsPerLeaf(t *testing.T) {
 	for name, shape := range allocShapes {
 		t.Run(name, func(t *testing.T) {
 			walk, scratch := allocHarness(t, shape)
+			checkForks(t, walk.e)
 			if name == "K=2" && len(walk.e.epiGates) != 2 {
 				t.Fatalf("the K=2 shape sinks %d gates, want 2: the guard no longer covers the epilogue", len(walk.e.epiGates))
 			}
@@ -112,6 +138,7 @@ func TestZeroAllocsPerLeafWithTracing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			walk, scratch := allocHarness(t, shape)
 			e := walk.e
+			checkForks(t, e)
 			e.trc = trace.NewRecorder(512)
 			root := e.trc.Start(trace.SpanContext{}, "walk")
 			e.tsc = root.Context()
@@ -142,11 +169,13 @@ func TestZeroAllocsPerLeafWithTracing(t *testing.T) {
 // TestPoisonedPoolRunStaysFinite turns on the pool's NaN poisoning and
 // replays the tree: if any code path read a released buffer before
 // reinitializing it — the fold a lower half its batch had already given
-// back, say — the canary would propagate into the amplitudes.
+// back, or a written child a buffer the copy had not yet filled — the canary
+// would propagate into the amplitudes.
 func TestPoisonedPoolRunStaysFinite(t *testing.T) {
 	for name, shape := range allocShapes {
 		t.Run(name, func(t *testing.T) {
 			walk, scratch := allocHarness(t, shape)
+			checkForks(t, walk.e)
 			pool := walk.batch.pool
 			pool.Poison = true
 

@@ -82,21 +82,26 @@ func (o Options) backendWorkers() (int, error) {
 }
 
 // pairState is one (lower, upper) partition state pair at a node of the path
-// tree — the unit the walker forks at cuts, advances through segments, and
+// tree — the unit the walker branches at cuts, advances through segments, and
 // emits into its leaf batch at leaves. Implementations are owned by a single
 // worker goroutine.
 //
-// Ownership discipline: fork produces an independent sibling; release returns
-// the state to its workspace, after which it must not be used; emit is the
-// release of a leaf. The walker ends every state exactly once, so live states
-// never exceed the tree depth.
+// Ownership discipline: child either turns the state into its child or makes
+// an independent new one; release returns the state to its workspace, after
+// which it must not be used; emit is the release of a leaf. The walker ends
+// every state exactly once, so live states never exceed the tree depth.
 type pairState interface {
 	// applySegment advances both partitions through a segment's local gates.
 	applySegment(seg *segment) error
-	// applyCutTerm applies term t of a compiled cut to both partitions.
-	applyCutTerm(c *compiledCut, t int) error
-	// fork returns an independent copy for a sibling branch.
-	fork() (pairState, error)
+	// child returns the state term t of cut c leads to: both partitions
+	// through the term's residual, then the cut's projection. In place, the
+	// state itself becomes the child; the walker asks for that only when it
+	// needs the parent no more, at a cut's last term. Otherwise a new state
+	// is made and the parent stays as it was: the dense backend copies the
+	// parent and applies the residual to the copy, the DD backend forks its
+	// edges and applies the residual. On error nothing new stays live, and
+	// an in-place state is still the caller's to release.
+	child(c *compiledCut, t int, inPlace bool) (pairState, error)
 	// release returns the state to its workspace free list.
 	release()
 	// emit hands the leaf coeff · (upper ⊗ lower) to b and releases the state.

@@ -8,7 +8,7 @@ import (
 
 // ddWorkspace is the decision-diagram backend (Burgholzer/Bauer/Wille, QCE
 // 2021 — the paper's ref [10]): partition states are edges into two shared
-// DD node stores, so forking a pair copies two edge handles instead of two
+// DD node stores, so branching a pair copies two edge handles instead of two
 // amplitude arrays and the path tree shares whole sub-diagrams. Leaves are
 // expanded into dense half-statevector scratch buffers and emitted into the
 // same leaf batch as the dense backend's.
@@ -74,23 +74,31 @@ func (p *ddPair) applyAll(d *dd.DD, root *dd.Edge, gs []gate.Gate) error {
 	return nil
 }
 
-func (p *ddPair) applyCutTerm(c *compiledCut, t int) error {
-	lo, err := p.ws.loDD.ApplyGateTo(p.lo, &c.terms[cut.Lower][t])
+// child forks the edges unless it works in place (sub-diagrams are shared, so
+// a fork is free) and applies each side's residual gate; an identity applies
+// nothing.
+func (p *ddPair) child(c *compiledCut, t int, inPlace bool) (pairState, error) {
+	lo, err := applyResidual(p.ws.loDD, p.lo, &c.res[cut.Lower][t])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	up, err := p.ws.upDD.ApplyGateTo(p.up, &c.terms[cut.Upper][t])
+	up, err := applyResidual(p.ws.upDD, p.up, &c.res[cut.Upper][t])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.lo, p.up = lo, up
-	return nil
+	f := p
+	if !inPlace {
+		f = p.ws.take()
+	}
+	f.lo, f.up = lo, up
+	return f, nil
 }
 
-func (p *ddPair) fork() (pairState, error) {
-	f := p.ws.take()
-	f.lo, f.up = p.lo, p.up // edges share sub-diagrams; copying is free
-	return f, nil
+func applyResidual(d *dd.DD, root dd.Edge, r *residual) (dd.Edge, error) {
+	if r.g == nil {
+		return root, nil
+	}
+	return d.ApplyGateTo(root, r.g)
 }
 
 func (p *ddPair) release() {

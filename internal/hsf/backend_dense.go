@@ -13,8 +13,8 @@ import (
 // round-trips through an interleaved []complex128.
 //
 // A half shrinks in place wherever the output cone drops qubits (see cone),
-// so a fork takes buffers of the parent's current size, and a shrunken buffer
-// returns to the pool at the size it was taken at.
+// so a written child takes buffers of the parent's current size, and a
+// shrunken buffer returns to the pool at the size it was taken at.
 type denseWorkspace struct {
 	e    *engine
 	pool *statevec.Pool
@@ -54,17 +54,22 @@ func (p *densePair) applySegment(seg *segment) error {
 	return nil
 }
 
-func (p *densePair) applyCutTerm(c *compiledCut, t int) error {
-	p.lo = c.run(cut.Lower, t, p.lo)
-	p.up = c.run(cut.Upper, t, p.up)
-	return nil
-}
-
-func (p *densePair) fork() (pairState, error) {
-	f := p.ws.take(p.lo.Len(), p.up.Len())
-	f.lo.CopyFrom(p.lo)
-	f.up.CopyFrom(p.up)
-	return f, nil
+// child applies the residuals in place, or writes the child into buffers of
+// the parent's current size: the copy, then the residuals on the copy while
+// it is in cache (an identity is the copy alone). Scaling while copying
+// streams a third buffer through the cache where memmove does not, and
+// measured slower on a 2^11-amplitude half: 1.4–1.6 µs against 1.1 µs for
+// the copy and an in-place half scale.
+func (p *densePair) child(c *compiledCut, t int, inPlace bool) (pairState, error) {
+	if !inPlace {
+		f := p.ws.take(p.lo.Len(), p.up.Len())
+		f.lo.CopyFrom(p.lo)
+		f.up.CopyFrom(p.up)
+		p = f
+	}
+	p.lo = c.apply(cut.Lower, t, p.lo)
+	p.up = c.apply(cut.Upper, t, p.up)
+	return p, nil
 }
 
 func (p *densePair) release() {

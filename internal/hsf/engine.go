@@ -23,11 +23,13 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"math/cmplx"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hsfsim/internal/cmat"
 	"hsfsim/internal/cut"
 	"hsfsim/internal/fuse"
 	"hsfsim/internal/gate"
@@ -156,18 +158,86 @@ func (s *segment) run(side cut.Side, v statevec.Vector) statevec.Vector {
 }
 
 // compiledCut is a cut with its terms lowered to partition-local gates,
-// indexed by cut.Side.
+// indexed by cut.Side. Each diagonal term's leading scalar has moved into
+// sigma (see splitScalar), so what the walker applies per side is the term's
+// residual; terms keeps the plan's gates for the scheduler, sink and cone,
+// which judge a term by its structure alone.
 type compiledCut struct {
-	sigma []complex128
+	sigma []complex128            // the plan's σ times both sides' scalars
 	terms [2][]gate.Gate          // one per term
+	res   [2][]residual           // one per term
 	proj  [2]*statevec.Projection // dense only; nil drops nothing
 }
 
-// run applies term t to one side's dense state and returns it with the
-// qubits dropped after the cut.
-func (c *compiledCut) run(side cut.Side, t int, v statevec.Vector) statevec.Vector {
-	v.ApplyGate(&c.terms[side][t])
+// residualKind is what one side of a term leaves to apply once its scalar has
+// joined σ.
+type residualKind uint8
+
+const (
+	// residualIdentity: the term was its scalar times I, and nothing is
+	// applied.
+	residualIdentity residualKind = iota
+	// residualDiagonal: the term's diagonal over its scalar.
+	residualDiagonal
+	// residualGate: a term that is not diagonal applies as it is (scalar 1).
+	residualGate
+)
+
+// residual is one side of one term as the walker applies it. lowerCuts sets
+// the kind; prepare builds the rest once the cone has fixed the labels.
+type residual struct {
+	kind residualKind
+	diag *statevec.Diagonal // residualDiagonal on the dense backend
+	g    *gate.Gate         // what the DD backend applies, and a residualGate's gate; nil for the identity
+}
+
+// rootCopy is a cut with one identity term: its child is a plain copy, which
+// is how a prefix task takes the walker's shared root.
+var rootCopy = compiledCut{sigma: []complex128{1}, res: [2][]residual{make([]residual, 1), make([]residual, 1)}}
+
+// apply applies term t's residual to one side's dense state in place and
+// returns it with the qubits dropped after the cut.
+func (c *compiledCut) apply(side cut.Side, t int, v statevec.Vector) statevec.Vector {
+	switch r := &c.res[side][t]; r.kind {
+	case residualDiagonal:
+		r.diag.Apply(v)
+	case residualGate:
+		v.ApplyGate(r.g)
+	}
 	return c.proj[side].Apply(v)
+}
+
+// prepare readies the residuals for the backend once the cone has given the
+// terms their final labels: the dense backend compiles each diagonal, the DD
+// backend, whose gate application reads a matrix, gets one built from the
+// 2^k entries. A residualGate's gate is the term's own, kernel plan attached.
+// It returns how many sides of terms are elided identities.
+func (c *compiledCut) prepare(backend Backend) (elided int) {
+	for side := range c.res {
+		for t := range c.res[side] {
+			r, g := &c.res[side][t], &c.terms[side][t]
+			switch r.kind {
+			case residualIdentity:
+				elided++
+			case residualDiagonal:
+				s, _ := splitScalar(g)
+				d := residualEntries(g, s)
+				if backend == BackendDense {
+					r.diag = statevec.NewDiagonal(g.Qubits, d)
+					continue
+				}
+				m := cmat.New(len(d), len(d))
+				for i, x := range d {
+					m.Set(i, i, x)
+				}
+				r.g = &gate.Gate{Name: "cut-residual", Qubits: g.Qubits, Matrix: m, Diagonal: true}
+			case residualGate:
+				statevec.PrepareGate(g)
+				r.g = g
+			}
+		}
+	}
+	return elided
 }
 
 type engine struct {
@@ -369,18 +439,18 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 		e.epi = statevec.CompileSegment(epi, freeQubits(e.m))
 	}
 	e.ranks = make([]int, len(e.cuts))
+	elided := 0
 	for i := range e.cuts {
-		statevec.PrepareGates(e.cuts[i].terms[cut.Lower])
-		statevec.PrepareGates(e.cuts[i].terms[cut.Upper])
+		elided += e.cuts[i].prepare(e.backend)
 		e.ranks[i] = len(e.cuts[i].sigma)
 	}
 	if e.tel != nil {
 		e.tel.SetStructure(kernelClassNames(), e.segClassTable(), e.cutClassTable())
 	}
-	csp.SetInt("segments", int64(len(e.segs)))
 	csp.SetInt("cuts", int64(len(e.cuts)))
 	csp.SetInt("gates_hoisted", int64(hoisted))
 	csp.SetInt("gates_sunk", int64(gatesSunk))
+	csp.SetInt("cut_terms_elided", int64(elided))
 	csp.SetInt("lo_qubits_projected", int64(e.nLower-leaf[cut.Lower]))
 	csp.SetInt("up_qubits_projected", int64(e.nUpper-leaf[cut.Upper]))
 	csp.SetInt("leaf_lo_amps", 1<<leaf[cut.Lower])
@@ -389,7 +459,8 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	endCompile()
 }
 
-// lowerCuts lowers every cut of the plan to partition-local term gates.
+// lowerCuts lowers every cut of the plan to partition-local term gates and
+// moves each side's scalar into σ (splitScalar).
 func lowerCuts(plan *cut.Plan) []compiledCut {
 	upOff := plan.Partition.NumLower()
 	cuts := make([]compiledCut, len(plan.Cuts))
@@ -400,13 +471,71 @@ func lowerCuts(plan *cut.Plan) []compiledCut {
 		for i, q := range cp.UpperQubits {
 			upQ[i] = q - upOff
 		}
-		for _, t := range cp.Terms {
-			cc.sigma = append(cc.sigma, complex(t.Sigma, 0))
-			cc.terms[cut.Lower] = append(cc.terms[cut.Lower], gate.New("cut-term", t.Lower, nil, loQ...))
-			cc.terms[cut.Upper] = append(cc.terms[cut.Upper], gate.New("cut-term", t.Upper, nil, upQ...))
+		r := len(cp.Terms)
+		cc.sigma = make([]complex128, r)
+		for side := range cc.terms {
+			cc.terms[side], cc.res[side] = make([]gate.Gate, r), make([]residual, r)
+		}
+		for i, t := range cp.Terms {
+			cc.terms[cut.Lower][i] = gate.New("cut-term", t.Lower, nil, loQ...)
+			cc.terms[cut.Upper][i] = gate.New("cut-term", t.Upper, nil, upQ...)
+			cc.sigma[i] = complex(t.Sigma, 0)
+			for side := range cc.terms {
+				s, kind := splitScalar(&cc.terms[side][i])
+				cc.sigma[i] *= s
+				cc.res[side][i].kind = kind
+			}
 		}
 	}
 	return cuts
+}
+
+// scalarTol is gate classification's tolerance: an entry at or below it is
+// zero to the diagonal flag, so it cannot be a term's scalar, and a residual
+// entry within it of 1 is 1, as it is to the control mask.
+const scalarTol = 1e-14
+
+// splitScalar splits one side of a term into a scalar and the kind of
+// residual the term is that scalar times. Every path's leaf weight is the
+// product of its terms' σ and the fold is linear in it, so the scalar can ride
+// in σ and leave less to apply per path. A diagonal term's scalar is its first
+// entry above scalarTol, read off the 2^k diagonal; residual entries within
+// scalarTol of 1 count as 1, and when all do, the residual is the identity
+// and is never applied. A term that is not diagonal — a controlled or
+// Gram-route factor — keeps scalar 1 and applies as it is.
+func splitScalar(g *gate.Gate) (complex128, residualKind) {
+	if !g.Diagonal {
+		return 1, residualGate
+	}
+	var s complex128
+	for i := 0; i < g.Matrix.Rows && s == 0; i++ {
+		if e := g.Matrix.At(i, i); cmplx.Abs(e) > scalarTol {
+			s = e
+		}
+	}
+	if s == 0 { // no entry to split off: a zero term, applied as it is
+		return 1, residualGate
+	}
+	for i := 0; i < g.Matrix.Rows; i++ {
+		if cmplx.Abs(g.Matrix.At(i, i)/s-1) > scalarTol {
+			return s, residualDiagonal
+		}
+	}
+	return s, residualIdentity
+}
+
+// residualEntries returns a diagonal term's residual entries over its scalar
+// s, those within scalarTol of 1 exactly 1 (d[0] = 1 unless the term's
+// leading entry is 0). A one-qubit diag(1, d) is a phase, which the dense
+// kernel applies to half the amplitudes.
+func residualEntries(g *gate.Gate, s complex128) []complex128 {
+	d := make([]complex128, g.Matrix.Rows)
+	for i := range d {
+		if d[i] = g.Matrix.At(i, i) / s; cmplx.Abs(d[i]-1) <= scalarTol {
+			d[i] = 1
+		}
+	}
+	return d
 }
 
 // schedule assigns every local gate of the plan to the earliest segment it
@@ -597,14 +726,24 @@ func (e *engine) epilogueClasses(tasks int64) []int64 {
 }
 
 // cutClassTable returns, per cut level and term, the kernel-class census of
-// one cut-term application (the lower and upper term gates).
+// one cut-term application: the class of each side's residual as applied, a
+// diagonal for a residualDiagonal and nothing for an elided identity.
 func (e *engine) cutClassTable() [][][]int64 {
 	t := make([][][]int64, len(e.cuts))
 	for l := range e.cuts {
-		t[l] = make([][]int64, len(e.cuts[l].sigma))
+		c := &e.cuts[l]
+		t[l] = make([][]int64, len(c.sigma))
 		for term := range t[l] {
-			terms := &e.cuts[l].terms
-			t[l][term] = countClasses(terms[cut.Lower][term:term+1], terms[cut.Upper][term:term+1])
+			counts := make([]int64, numKinds)
+			for side := range c.res {
+				switch c.res[side][term].kind {
+				case residualDiagonal:
+					counts[gate.KindDiagonal]++
+				case residualGate:
+					counts[c.terms[side][term].Class()]++
+				}
+			}
+			t[l][term] = counts
 		}
 	}
 	return t

@@ -17,17 +17,23 @@ import (
 
 // sinkCircuit is a random RZZ/CZ/CNOT/RX/H circuit on n qubits: an H layer,
 // then gates random gates on random qubits, whose two-qubit ones cross the
-// cut often enough for a deep path tree, then an RX layer. A closing mixer
-// sinks wherever no later crossing keeps it in the tree.
+// cut often enough for a deep path tree, then an RX layer. Some CNOTs come as
+// a cascade, two from one control, whose cut terms are not diagonal. A
+// closing mixer sinks wherever no later crossing keeps it in the tree.
 func sinkCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 	c := circuit.New(n)
 	for q := 0; q < n; q++ {
 		c.Append(gate.H(q))
 	}
-	for range gates {
+	for len(c.Gates) < n+gates {
 		a := rng.Intn(n)
 		b := (a + 1 + rng.Intn(n-1)) % n
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
+		case 5:
+			c.Append(gate.CNOT(a, b))
+			if b2 := (b + 1) % n; b2 != a {
+				c.Append(gate.CNOT(a, b2))
+			}
 		case 0:
 			c.Append(gate.RZZ(rng.Float64()*2, a, b))
 		case 1:
@@ -51,7 +57,9 @@ func sinkCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 // and DD, each run straight, failed halfway and resumed from its checkpoint,
 // and as two RunPrefixesContext partials over disjoint prefix sets merged,
 // all equal to the Schrödinger oracle at 1e-12. Gates must have sunk on both
-// sides and at every output that frees a qubit.
+// sides and at every output that frees a qubit, and every kind of cut-term
+// residual, the elided identity, the diagonal and the term that is not
+// diagonal, must have been written into a forked child.
 func TestSinkMatchesOracle(t *testing.T) {
 	const n, cutPos = 8, 3
 	const dimLo = 1 << (cutPos + 1)
@@ -59,9 +67,10 @@ func TestSinkMatchesOracle(t *testing.T) {
 	runs := []Options{{Workers: 1}, {Workers: 2}, {Backend: BackendDD}}
 	sunk := map[int]int{}       // gates sunk per output size
 	sides := map[cut.Side]int{} // gates sunk per side
+	var forked [3]int           // forked residuals per kind
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
-		circ := sinkCircuit(rand.New(rand.NewSource(seed)), n, 28)
+		circ := sinkCircuit(rand.New(rand.NewSource(seed)), n, 22)
 		want := schrodinger(circ)
 		for _, strategy := range []cut.Strategy{cut.StrategyNone, cut.StrategyCascade} {
 			plan := buildPlan(t, circ, cutPos, strategy)
@@ -77,6 +86,9 @@ func TestSinkMatchesOracle(t *testing.T) {
 					}
 					run.MaxAmplitudes = m
 					e := compiledFor(plan, BackendDense, m, -1, ChooseSplitLevels(plan, 4*max(run.Workers, 1)))
+					for kind, n := range forkedKinds(e) {
+						forked[kind] += n
+					}
 					for _, g := range e.epiGates { // unfused: one per sunk gate
 						sunk[m]++
 						if g.MaxQubit() < e.nLower {
@@ -136,7 +148,10 @@ func TestSinkMatchesOracle(t *testing.T) {
 	if sides[cut.Lower] == 0 || sides[cut.Upper] == 0 {
 		t.Errorf("gates sunk per side %v: the matrix exercises less than it claims", sides)
 	}
-	t.Logf("gates sunk per output size %v, per side %v", sunk, sides)
+	if forked[residualIdentity] == 0 || forked[residualDiagonal] == 0 || forked[residualGate] == 0 {
+		t.Errorf("forked residuals identity/diagonal/gate %v: some kind never reaches a written child", forked)
+	}
+	t.Logf("gates sunk per output size %v, per side %v; forked residuals identity/diagonal/gate %v", sunk, sides, forked)
 }
 
 // TestSinkLegality holds the block rule: after eight crossings on qubit 0 the
@@ -193,38 +208,78 @@ func TestSinkLegality(t *testing.T) {
 	}
 }
 
-// lowerPasses counts the lower-half gate passes of one run of e that splits
-// at splitLevels: every lower gate of segment l once per replay M(l), and
-// every epilogue gate once per accumulator row of each of the T prefix tasks.
-func lowerPasses(e *engine, splitLevels int) int64 {
-	var passes, tasks int64
-	replays := int64(1)
-	for l := range e.segs {
-		if l == splitLevels {
-			tasks = replays
-		}
-		passes += replays * int64(len(e.segs[l].gates[cut.Lower]))
-		if l < len(e.ranks) {
-			replays *= int64(e.ranks[l])
+// termPasses is how many passes over one side's state term t of cut c takes
+// once its state is there: none for an elided identity, half for a phase
+// diag(1, d) on one qubit, one for any other residual.
+func termPasses(c *compiledCut, side cut.Side, t int) float64 {
+	g := &c.terms[side][t]
+	switch c.res[side][t].kind {
+	case residualIdentity:
+		return 0
+	case residualDiagonal:
+		if s, _ := splitScalar(g); g.NumQubits() == 1 && residualEntries(g, s)[0] == 1 {
+			return 0.5
 		}
 	}
-	for i := range e.epiGates {
-		if e.epiGates[i].MaxQubit() < e.nLower {
-			passes += tasks * int64(leafRows(e.m, e.nLower))
-		}
-	}
-	return passes
+	return 1
 }
 
-// TestQ22WalkPassBudget is the clock-free gate on the fold epilogue. On q22-3
-// at 2^14 amplitudes with one worker (joint-sweep: 4 prefix tasks, 8
-// accumulator rows) the lower mixers on qubits 5–9 sink, and the lower half
-// takes 114 segment passes plus 4 · 8 · 5 epilogue row passes, against 2 098
-// segment passes when every mixer replays in the tree. At 2^20 amplitudes on
-// two workers (joint-accum-par: 8 tasks of 512 rows) nothing is cheaper after
-// the fold. On the serve-plan shape (q20-3, 8-qubit windows, 2^14
-// amplitudes, one worker) the leaf segment's lower gate sits exactly at the
-// rule's tie, 64 · 2^10 = 4 · 2^14, so nothing sinks there either.
+// passes counts one side's passes over its state in one run of e that splits
+// at splitLevels, as the walker makes them. Every gate of segment l runs once
+// per replay M(l), and every epilogue gate on the side once per accumulator
+// row of each of the T = M(splitLevels) prefix tasks. Each task copies the
+// shared root (a fork pass) and applies its prefix's terms in place. Below
+// the prefix, each of the M(l) nodes at cut l writes r−1 forked children — a
+// copy plus the term's passes each — and applies its last term in place.
+func passes(e *engine, side cut.Side, splitLevels int) float64 {
+	var total float64
+	replays := 1.0
+	for l := range e.segs {
+		total += replays * float64(len(e.segs[l].gates[side]))
+		if l == len(e.cuts) {
+			break
+		}
+		c, r := &e.cuts[l], len(e.cuts[l].sigma)
+		for t := range r {
+			if l < splitLevels {
+				total += replays * termPasses(c, side, t)
+			} else if t < r-1 {
+				total += replays * (1 + termPasses(c, side, t))
+			} else {
+				total += replays * termPasses(c, side, t)
+			}
+		}
+		replays *= float64(r)
+	}
+	tasks := 1.0
+	for l := range splitLevels {
+		tasks *= float64(e.ranks[l])
+	}
+	total += tasks // the root copies
+	for i := range e.epiGates {
+		if (e.epiGates[i].MaxQubit() < e.nLower) == (side == cut.Lower) {
+			total += tasks * float64(leafRows(e.m, e.nLower))
+		}
+	}
+	return total
+}
+
+// TestQ22WalkPassBudget is the clock-free gate on the tree interior: the
+// passes each side takes over its state per op, in segments, the fold
+// epilogue, cut terms and forks (passes). On q22-3 at 2^14 amplitudes with
+// one worker (joint-sweep: 4 prefix tasks, 8 accumulator rows) the lower
+// mixers on qubits 5–9 sink, so the lower half takes 114 segment passes and
+// 4 · 8 · 5 epilogue row passes. Its cut terms are a scalar times I or Z on
+// one qubit, so each of the 1 020 nodes below the prefix copies one child and
+// spends half a pass on the Z: 1 530, plus 4 root copies and 1.5 in the
+// prefix, 1 809.5 in all. Applying every term as a full pass, as the engine
+// did before the scalar split, the counts were 3 344 lower and 4 340 upper
+// here, 5 168 / 6 901 on joint-accum-par and 380 / 275 on serve-plan. At
+// 2^20 amplitudes on two workers (joint-accum-par: 8 tasks of 512 rows)
+// nothing is cheaper after the fold. On the serve-plan shape (q20-3, 8-qubit
+// windows, 2^14 amplitudes, one worker) the leaf segment's lower gate sits
+// exactly at the sink rule's tie, 64 · 2^10 = 4 · 2^14, so nothing sinks
+// there either.
 func TestQ22WalkPassBudget(t *testing.T) {
 	q22 := q22Plan(t)
 	serve, err := cut.BuildPlan(sbmCircuit(t, 10, 2003), cut.Options{Partition: cut.Partition{CutPos: 9},
@@ -236,12 +291,12 @@ func TestQ22WalkPassBudget(t *testing.T) {
 		name       string
 		plan       *cut.Plan
 		m, workers int
-		passes     int64
+		passes     [2]float64 // lower, upper
 		sunk       []string
 	}{
-		{"joint-sweep", q22, 1 << 14, 1, 114 + 160, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}},
-		{"joint-accum-par", q22, 1 << 20, 2, 2098, nil},
-		{"serve-plan", serve, 1 << 14, 1, 216, nil},
+		{"joint-sweep", q22, 1 << 14, 1, [2]float64{1809.5, 3566}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}},
+		{"joint-accum-par", q22, 1 << 20, 2, [2]float64{3633.5, 6127}, nil},
+		{"serve-plan", serve, 1 << 14, 1, [2]float64{332, 227}, nil},
 	} {
 		split := ChooseSplitLevels(tc.plan, 4*tc.workers)
 		e := compiledFor(tc.plan, BackendDense, tc.m, 0, split)
@@ -252,8 +307,10 @@ func TestQ22WalkPassBudget(t *testing.T) {
 		if fmt.Sprint(sunk) != fmt.Sprint(tc.sunk) {
 			t.Errorf("%s: epilogue %v, want %v", tc.name, sunk, tc.sunk)
 		}
-		if got := lowerPasses(e, split); got != tc.passes {
-			t.Errorf("%s: %d lower-half passes per op, want %d", tc.name, got, tc.passes)
+		for side, want := range tc.passes {
+			if got := passes(e, cut.Side(side), split); got != want {
+				t.Errorf("%s: %g %v-half passes per op, want %g", tc.name, got, cut.Side(side), want)
+			}
 		}
 	}
 }

@@ -27,6 +27,7 @@ func telemetryAllocHarness(tb testing.TB, shape allocShape) (*walker, statevec.V
 		tel:     rec,
 	}
 	e.compile(plan, 0, 0)
+	checkForks(tb, e)
 	walk, err := e.newWalker(rec.Worker(len(e.segs), e.ranks))
 	if err != nil {
 		tb.Fatal(err)
@@ -69,7 +70,7 @@ func TestZeroAllocsPerLeafWithTelemetry(t *testing.T) {
 			// replays some fold's turn to be timed has come.
 			rec.Flush(walk.wc)
 			rep := rec.Report()
-			if rep.Counters.Leaves == 0 || rep.Counters.SegmentApplications == 0 {
+			if rep.Counters.Leaves == 0 || rep.Counters.SegmentApplications == 0 || rep.Counters.Forks == 0 {
 				t.Fatalf("telemetry saw nothing: %+v", rep.Counters)
 			}
 			if rep.Counters.LeavesFolded != rep.Counters.Leaves ||
@@ -237,9 +238,12 @@ func TestTelemetryPrefixRun(t *testing.T) {
 
 // TestTelemetryReflectsScheduling pins the scheduler's effect where a user
 // reads it: the class tables are built from the scheduled segments, so on the
-// q22-3 plan the diagonal-class applications of one run are the 4 092 cut
-// terms plus segment 0's one pass per worker — not the ≈ 51 000 of replaying
-// every intra-partition RZZ at each of the 1 024 leaves.
+// q22-3 plan the diagonal-class applications of one run are the 2 553 cut-term
+// residuals applied plus segment 0's one pass per worker — not the ≈ 51 000 of
+// replaying every intra-partition RZZ at each of the 1 024 leaves. The tree
+// applies 2 046 terms per side; the elided identities, one lower term per
+// cut and the upper term 0 of cuts 2 and 9, leave 1 023 lower and 1 530
+// upper residuals.
 func TestTelemetryReflectsScheduling(t *testing.T) {
 	rec := telemetry.New()
 	res, err := Run(q22Plan(t), Options{Workers: 1, MaxAmplitudes: 1 << 10, Telemetry: rec})
@@ -248,8 +252,8 @@ func TestTelemetryReflectsScheduling(t *testing.T) {
 	}
 	rep := rec.Report()
 	checkReportMatchesResult(t, rep, res)
-	if got := rep.KernelClasses["diagonal"]; got < 4092 || got >= 6000 {
-		t.Fatalf("diagonal-class applications = %d, want the 4092 cut terms plus one segment-0 pass, under 6000", got)
+	if got := rep.KernelClasses["diagonal"]; got < 2553 || got >= 4000 {
+		t.Fatalf("diagonal-class applications = %d, want the 2553 cut-term residuals plus one segment-0 pass, under 4000", got)
 	}
 }
 
@@ -258,7 +262,9 @@ func TestTelemetryReflectsScheduling(t *testing.T) {
 // sink takes out of the tree, and the dense-class total counts each of them
 // once per accumulator row of each of the four prefix tasks, 4 · 8 · 5 = 160
 // applications on top of the segments' own, so the class totals are the
-// gates the run applied.
+// gates the run applied. The same span's cut_terms_elided counts the
+// identity residuals: one lower term per cut, and the upper term 0 of the two
+// single-RZZ cuts 2 and 9, 12 in all.
 func TestTelemetryCountsEpilogue(t *testing.T) {
 	plan := q22Plan(t)
 	rec := telemetry.New()
@@ -270,14 +276,17 @@ func TestTelemetryCountsEpilogue(t *testing.T) {
 	}
 	rep := rec.Report()
 	checkReportMatchesResult(t, rep, res)
-	sunk := int64(-1)
+	sunk, elided := int64(-1), int64(-1)
 	for _, ev := range trc.Snapshot() {
 		if ev.Name == "compile" {
-			sunk = ev.Int("gates_sunk", -1)
+			sunk, elided = ev.Int("gates_sunk", -1), ev.Int("cut_terms_elided", -1)
 		}
 	}
 	if sunk != 5 {
 		t.Errorf("compile span reports gates_sunk = %d, want 5", sunk)
+	}
+	if elided != 12 {
+		t.Errorf("compile span reports cut_terms_elided = %d, want 12", elided)
 	}
 	e := compiledFor(plan, BackendDense, 1<<14, 0, ChooseSplitLevels(plan, 4))
 	var inTree int64

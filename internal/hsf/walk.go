@@ -28,8 +28,8 @@ type walkFrame struct {
 //
 // root is |0…0⟩ advanced through segment 0 — where the scheduler hoists every
 // path-invariant gate — computed on the walker's first task. Every task
-// starts from a fork of it (a copy, never an alias), so segment 0 runs once
-// per worker instead of once per prefix task.
+// starts from a copy of it (its rootCopy child, never an alias), so segment 0
+// runs once per worker instead of once per prefix task.
 //
 // batch holds the leaves emitted since the last fold. It is empty between
 // tasks: a task that completes folds it into its accumulator, a task that
@@ -95,7 +95,7 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 		}
 		w.root = root
 	}
-	st, err := w.root.fork()
+	st, err := w.root.child(&rootCopy, 0, false)
 	if err != nil {
 		return 0, err
 	}
@@ -112,10 +112,12 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 			}
 		}
 		c := &w.e.cuts[l]
-		if err := st.applyCutTerm(c, t); err != nil {
+		next, err := st.child(c, t, true)
+		if err != nil {
 			st.release()
 			return 0, err
 		}
+		st = next
 		if w.wc != nil {
 			w.wc.CutTerm(l, t)
 		}
@@ -169,8 +171,9 @@ func (w *walker) applySegment(st pairState, l int) error {
 // stack, taking ownership of root. Segment 0 is already part of every root
 // (see walker.root), so only frames at level ≥ 1 apply theirs. Cut terms are
 // expanded in ascending order, matching the engine's historical recursive
-// order; the last term of a cut takes over the parent's state in place of a
-// fork, so a rank-r cut forks r-1 times.
+// order. Every term but a cut's last gets a new child written from the parent
+// (pairState.child); the last takes over the parent's state in place, so a
+// rank-r cut forks r-1 times.
 func (w *walker) walk(ctx context.Context, root pairState, level int, coeff complex128, acc statevec.Vector) (int64, error) {
 	w.stack = append(w.stack[:0], walkFrame{st: root, level: level, coeff: coeff})
 	var nLeaves int64
@@ -223,30 +226,26 @@ func (w *walker) walk(ctx context.Context, root pairState, level int, coeff comp
 			}
 		}
 		c := &w.e.cuts[f.level]
-		level, coeff := f.level, f.coeff
+		level, coeff, parent := f.level, f.coeff, f.st
 		t := f.term
 		f.term++
-		var child pairState
-		if t == len(c.sigma)-1 {
-			// Last term: the parent state is never needed again, so the
-			// child takes it over instead of forking.
-			child = f.st
+		// Last term: the parent state is never needed again, so the child
+		// takes it over in place instead of being written.
+		last := t == len(c.sigma)-1
+		if last {
 			w.stack = w.stack[:len(w.stack)-1]
-		} else {
-			var err error
-			child, err = f.st.fork()
-			if err != nil {
-				return fail(err)
-			}
-			if w.wc != nil {
-				w.wc.Fork()
-			}
 		}
-		if err := child.applyCutTerm(c, t); err != nil {
-			child.release() // child is not on the stack yet
+		child, err := parent.child(c, t, last)
+		if err != nil {
+			if last {
+				parent.release() // off the stack already
+			}
 			return fail(err)
 		}
 		if w.wc != nil {
+			if !last {
+				w.wc.Fork()
+			}
 			w.wc.CutTerm(level, t)
 		}
 		w.stack = append(w.stack, walkFrame{st: child, level: level + 1, coeff: coeff * c.sigma[t]})

@@ -1,0 +1,81 @@
+package statevec
+
+import (
+	"fmt"
+	"math/cmplx"
+	"math/rand"
+	"testing"
+
+	"hsfsim/internal/cmat"
+	"hsfsim/internal/gate"
+)
+
+// TestDiagonalMatchesOracle holds Diagonal.Apply to the dense-matvec oracle
+// on every kernel arm, at 1e-12: one-qubit phases diag(1, d) and general
+// diag(a, d) on every qubit, and k-qubit diagonals whose lowest qubit takes
+// each path — run tables (lowest qubit ≥ 2, short and long periods), the
+// repeating 8-amplitude block (every qubit below 3), pairs around a low
+// qubit, and single amplitudes — with entries of 1 mixed in. A 2^15-amplitude
+// case crosses the parallel threshold.
+func TestDiagonalMatchesOracle(t *testing.T) {
+	cases := []struct {
+		n      int
+		qubits []int
+	}{
+		{9, []int{0}}, {9, []int{1}}, {9, []int{2}}, {9, []int{3}}, {9, []int{8}},
+		{9, []int{2, 3, 5}}, {10, []int{3, 5, 9}}, {9, []int{3, 4, 5, 6, 7}}, {10, []int{8, 2}},
+		{9, []int{1, 2}}, {9, []int{2, 0, 1}}, {3, []int{0, 2}},
+		{9, []int{0, 3, 6, 7, 8}}, {9, []int{0, 8}}, {9, []int{1, 8}}, {4, []int{1, 3}},
+		{15, []int{4, 9}}, {15, []int{6}},
+	}
+	forEachArm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		for _, tc := range cases {
+			for _, phase := range []bool{true, false} {
+				d := make([]complex128, 1<<len(tc.qubits))
+				for i := range d {
+					if rng.Intn(4) == 0 {
+						d[i] = 1
+					} else {
+						d[i] = cmplx.Rect(0.5+rng.Float64(), 2*rng.Float64())
+					}
+				}
+				if phase {
+					d[0] = 1
+				}
+				name := fmt.Sprintf("n=%d qubits %v d[0]=%v", tc.n, tc.qubits, d[0])
+				in := randomState(rng, tc.n)
+				got := FromComplex(in)
+				NewDiagonal(tc.qubits, d).Apply(got)
+
+				m := cmat.New(len(d), len(d))
+				for i, x := range d {
+					m.Set(i, i, x)
+				}
+				want := append(State(nil), in...)
+				want.ApplyGate(&gate.Gate{Name: "diag", Qubits: tc.qubits, Matrix: m})
+				if diff := MaxAbsDiff(got.ToComplex(), want); diff > 1e-12 {
+					t.Fatalf("%s: off the oracle by %g", name, diff)
+				}
+			}
+		}
+	})
+}
+
+// TestDiagonalTakesRunTables pins which diagonals stream through the
+// scaleRuns body: runs of at least 4 amplitudes with a period of at most
+// maxRunPeriod runs, and a one-qubit diagonal's table is its own entries.
+func TestDiagonalTakesRunTables(t *testing.T) {
+	for _, tc := range []struct {
+		qubits []int
+		period int // 0: no table
+	}{
+		{[]int{2}, 2}, {[]int{9}, 2}, {[]int{1}, 0}, {[]int{3, 4, 5, 6, 7}, 32},
+		{[]int{3, 5, 9}, 128}, {[]int{2, 10}, 0}, {[]int{0, 3}, 0}, {[]int{1, 2}, 0},
+	} {
+		D := NewDiagonal(tc.qubits, make([]complex128, 1<<len(tc.qubits)))
+		if len(D.runs) != tc.period {
+			t.Errorf("qubits %v: run table of %d factors, want %d", tc.qubits, len(D.runs), tc.period)
+		}
+	}
+}

@@ -81,6 +81,13 @@ type kernelOps struct {
 	// and 1 (phase1 passes a = 1), vectorized like rot1's low qubits. Nil on
 	// arms without it; callers must check.
 	diag1lo func(re, im []float64, q, lo, hi int, ar, ai, dr, di float64)
+
+	// scaleRuns is the optional run-wise scale: v *= f[j mod len(f)] over
+	// the consecutive runs j of run amplitudes, run a multiple of 4 and
+	// len(f) a power of two. One call streams the whole vector where a scale
+	// per run would pay a call every few amplitudes (Diagonal's runs). Nil on
+	// arms without it; callers must check.
+	scaleRuns func(v Vector, run int, f []complex128)
 }
 
 // ops is the installed primitive table. soa_dispatch.go assigns it in init

@@ -35,17 +35,18 @@ func archArms() []kernelOps {
 		return nil
 	}
 	avx2 := kernelOps{
-		name:    "avx2",
-		spanMin: avx2SpanMin,
-		scale:   avx2Scale,
-		rot2x2:  avx2Rot2x2,
-		swap:    avx2Swap,
-		cross:   avx2Cross,
-		axpy:    avx2Axpy,
-		rot4x4:  avx2Rot4x4,
-		rot1:    avx2Rot1,
-		diag1lo: avx2Diag1Lo,
-		fold:    avx2Fold,
+		name:      "avx2",
+		spanMin:   avx2SpanMin,
+		scale:     avx2Scale,
+		rot2x2:    avx2Rot2x2,
+		swap:      avx2Swap,
+		cross:     avx2Cross,
+		axpy:      avx2Axpy,
+		rot4x4:    avx2Rot4x4,
+		rot1:      avx2Rot1,
+		diag1lo:   avx2Diag1Lo,
+		scaleRuns: avx2ScaleRuns,
+		fold:      avx2Fold,
 	}
 	if !cpufeat.X86.HasAVX512F {
 		return []kernelOps{avx2}
@@ -66,6 +67,9 @@ func avx2ScaleRe(xr, xi *float64, n int, cr float64)
 
 //go:noescape
 func avx2ScaleCx(xr, xi *float64, n int, cr, ci float64)
+
+//go:noescape
+func avx2ScaleRunsN(xr, xi *float64, n, run int, f *complex128, fmask int)
 
 //go:noescape
 func avx2SwapN(xr, xi, yr, yi *float64, n int)
@@ -125,6 +129,14 @@ func avx2Scale(xr, xi []float64, cr, ci float64) {
 		xr[i] = cr*r - ci*m
 		xi[i] = cr*m + ci*r
 	}
+}
+
+// avx2ScaleRuns is the scaleRuns slot: the whole vector in one assembly
+// call, its bounds checked here.
+func avx2ScaleRuns(v Vector, run int, f []complex128) {
+	n := v.Len()
+	_ = v.Im[n-1]
+	avx2ScaleRunsN(&v.Re[0], &v.Im[0], n, run, &f[0], len(f)-1)
 }
 
 func avx2Swap(xr, xi, yr, yi []float64) {

@@ -59,6 +59,43 @@ loop:
 	VZEROUPPER
 	RET
 
+// func avx2ScaleRunsN(xr, xi *float64, n, run int, f *complex128, fmask int)
+// x *= f[j & fmask] over the runs j of run elements, ScaleCx's arithmetic per
+// element. run and n are multiples of 4.
+TEXT ·avx2ScaleRunsN(SB), NOSPLIT, $0-48
+	MOVQ xr+0(FP), DI
+	MOVQ xi+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ run+24(FP), DX
+	MOVQ f+32(FP), R10
+	MOVQ fmask+40(FP), R11
+	XORQ AX, AX // element
+	XORQ BX, BX // run
+runs:
+	MOVQ BX, R12
+	ANDQ R11, R12
+	SHLQ $4, R12
+	VBROADCASTSD (R10)(R12*1), Y0  // cr
+	VBROADCASTSD 8(R10)(R12*1), Y1 // ci
+	LEAQ (AX)(DX*1), R13
+loop:
+	VMOVUPD (DI)(AX*8), Y2 // r
+	VMOVUPD (SI)(AX*8), Y3 // m
+	VMULPD       Y0, Y2, Y4 // cr·r
+	VFNMADD231PD Y1, Y3, Y4 // − ci·m
+	VMULPD       Y0, Y3, Y5 // cr·m
+	VFMADD231PD  Y1, Y2, Y5 // + ci·r
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, (SI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, R13
+	JLT  loop
+	INCQ BX
+	CMPQ AX, CX
+	JLT  runs
+	VZEROUPPER
+	RET
+
 // func avx2SwapN(xr, xi, yr, yi *float64, n int)
 // x ↔ y on both planes, no arithmetic.
 TEXT ·avx2SwapN(SB), NOSPLIT, $0-40

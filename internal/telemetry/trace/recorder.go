@@ -8,7 +8,7 @@ import (
 )
 
 // maxAttrs bounds the inline attribute array; setters beyond it drop the
-// attribute rather than allocate. The engine's "compile" span carries seven.
+// attribute rather than allocate. The engine's "compile" span carries eight.
 const maxAttrs = 8
 
 // numShards is the lock-shard count of the flight recorder; a power of
