@@ -69,6 +69,7 @@ trace-test:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/qasm/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/hsf/
+	$(GO) test -run '^$$' -fuzz=FuzzRunRequest -fuzztime=30s ./internal/dist/
 
 # Distributed-execution integration tests under the race detector: loopback
 # and real-HTTP fleets, including a worker killed mid-run whose leases must

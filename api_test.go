@@ -1,6 +1,7 @@
 package hsfsim_test
 
 import (
+	"errors"
 	"testing"
 
 	"hsfsim"
@@ -81,6 +82,39 @@ func TestMethodStrings(t *testing.T) {
 		if got := m.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", m, got, want)
 		}
+	}
+}
+
+// TestParseNames: the wire and CLI names map onto methods and strategies,
+// the empty name means joint and cascade, and unknown names are
+// ErrUnsupported.
+func TestParseNames(t *testing.T) {
+	methods := map[string]hsfsim.Method{
+		"schrodinger": hsfsim.Schrodinger,
+		"standard":    hsfsim.StandardHSF,
+		"joint":       hsfsim.JointHSF,
+		"":            hsfsim.JointHSF,
+	}
+	for name, want := range methods {
+		if got, err := hsfsim.ParseMethod(name); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	strategies := map[string]hsfsim.BlockStrategy{
+		"cascade": hsfsim.BlockCascade,
+		"window":  hsfsim.BlockWindow,
+		"":        hsfsim.BlockCascade,
+	}
+	for name, want := range strategies {
+		if got, err := hsfsim.ParseBlockStrategy(name); err != nil || got != want {
+			t.Errorf("ParseBlockStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := hsfsim.ParseMethod("joint-hsf"); !errors.Is(err, hsfsim.ErrUnsupported) {
+		t.Errorf("ParseMethod(joint-hsf): %v, want ErrUnsupported", err)
+	}
+	if _, err := hsfsim.ParseBlockStrategy("standard"); !errors.Is(err, hsfsim.ErrUnsupported) {
+		t.Errorf("ParseBlockStrategy(standard): %v, want ErrUnsupported", err)
 	}
 }
 

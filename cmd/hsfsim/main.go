@@ -151,24 +151,10 @@ func main() {
 		MaxPaths:        *maxPaths,
 		FusionMaxQubits: *fusion,
 	}
-	switch *method {
-	case "schrodinger":
-		opts.Method = hsfsim.Schrodinger
-	case "standard":
-		opts.Method = hsfsim.StandardHSF
-	case "joint":
-		opts.Method = hsfsim.JointHSF
-	default:
-		fail(fmt.Errorf("unknown method %q", *method))
-	}
-	switch *strategy {
-	case "cascade":
-		opts.BlockStrategy = hsfsim.BlockCascade
-	case "window":
-		opts.BlockStrategy = hsfsim.BlockWindow
-	default:
-		fail(fmt.Errorf("unknown block strategy %q", *strategy))
-	}
+	opts.Method, err = hsfsim.ParseMethod(*method)
+	fail(err)
+	opts.BlockStrategy, err = hsfsim.ParseBlockStrategy(*strategy)
+	fail(err)
 	if opts.Method != hsfsim.Schrodinger {
 		if c.NumQubits < 2 {
 			fail(fmt.Errorf("HSF methods need at least 2 qubits to bipartition (circuit has %d); use -method schrodinger", c.NumQubits))
@@ -207,10 +193,7 @@ func main() {
 	}
 
 	if *distrib != "" {
-		if opts.Method == hsfsim.Schrodinger {
-			fail(fmt.Errorf("-distribute needs an HSF method (standard | joint)"))
-		}
-		runDistributed(string(src), c, &opts, *method, *strategy, *distrib, *ckptPath, *resume, *storeDir, *runID, *amps, *quiet)
+		runDistributed(string(src), c, &opts, *distrib, *ckptPath, *resume, *storeDir, *runID, *amps, *quiet)
 		writeReport(*report, rec)
 		writeTrace(*tracePath)
 		return
@@ -272,17 +255,8 @@ func main() {
 	}
 	fmt.Printf("preprocessing:   %v\n", res.PreprocessTime)
 	fmt.Printf("simulation:      %v\n", res.SimTime)
-	if *quiet {
-		return
-	}
-	n := *amps
-	if n <= 0 || n > len(res.Amplitudes) {
-		n = len(res.Amplitudes)
-	}
-	fmt.Println("amplitudes:")
-	for i := 0; i < n; i++ {
-		a := res.Amplitudes[i]
-		fmt.Printf("  |%0*b>  % .6f%+.6fi   p=%.6f\n", c.NumQubits, i, real(a), imag(a), cmplx.Abs(a)*cmplx.Abs(a))
+	if !*quiet {
+		printAmplitudes(res.Amplitudes, *amps, c.NumQubits)
 	}
 }
 
@@ -302,39 +276,12 @@ func writeReport(path string, rec *hsfsim.TelemetryRecorder) {
 // prefix-task space is sharded into leased batches, failed workers have
 // their leases reassigned, and the merged amplitudes print exactly like a
 // local run.
-func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, method, strategy, workersCSV, ckptPath, resumePath, storeDir, runID string, ampsN int, quiet bool) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx = withTrace(ctx)
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, hsfsim.ErrTimeout)
-		defer cancel()
-	}
-
-	job := &dist.Job{
-		QASM:           src,
-		Method:         method,
-		CutPos:         opts.CutPos,
-		Strategy:       strategy,
-		MaxBlockQubits: opts.MaxBlockQubits,
-		MaxAmplitudes:  opts.MaxAmplitudes,
-	}
-	if opts.Backend != hsfsim.BackendDense {
-		// Dense stays the absent field, so dense jobs interoperate with
-		// workers predating the backend field.
-		job.Backend = opts.Backend.String()
-	}
-	co, err := dist.New(dist.Config{
-		Transport: &dist.HTTPTransport{},
-		Logger:    log.New(os.Stderr, "hsfsim dist ", log.LstdFlags),
-	})
+func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, workersCSV, ckptPath, resumePath, storeDir, runID string, ampsN int, quiet bool) {
+	ctx, cancel := fleetContext(opts.Timeout)
+	defer cancel()
+	job, err := dist.NewJob(src, *opts)
 	fail(err)
-	for _, a := range strings.Split(workersCSV, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			co.AddWorker(a)
-		}
-	}
+	co := newFleet(workersCSV)
 
 	var ropts dist.RunOptions
 	if storeDir != "" {
@@ -380,58 +327,26 @@ func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, method,
 	}
 	fail(err)
 
-	fmt.Printf("method:          %s-hsf (distributed)\n", method)
+	fmt.Printf("method:          %v (distributed)\n", opts.Method)
 	fmt.Printf("qubits:          %d\n", c.NumQubits)
 	fmt.Printf("gates:           %d (%d two-qubit)\n", len(c.Gates), c.NumTwoQubitGates())
 	fmt.Printf("cut position:    %d\n", opts.CutPos)
-	fmt.Printf("cuts:            %d (%d blocks + %d separate)\n", res.NumCuts, res.NumBlocks, res.NumSeparateCuts)
-	fmt.Printf("paths:           2^%.1f (%d)\n", res.Log2Paths, res.NumPaths)
-	fmt.Printf("workers:         %d (%d batches over %d split levels, %d reassignments)\n",
-		res.Workers, res.Batches, res.SplitLevels, res.Reassignments)
-	fmt.Printf("simulation:      %v\n", elapsed)
-	if quiet {
-		return
-	}
-	n := ampsN
-	if n <= 0 || n > len(res.Amplitudes) {
-		n = len(res.Amplitudes)
-	}
-	fmt.Println("amplitudes:")
-	for i := 0; i < n; i++ {
-		a := res.Amplitudes[i]
-		fmt.Printf("  |%0*b>  % .6f%+.6fi   p=%.6f\n", c.NumQubits, i, real(a), imag(a), cmplx.Abs(a)*cmplx.Abs(a))
-	}
+	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
 }
 
 // runTakeover resumes a durable distributed run on a fresh coordinator: the
 // job and latest checkpoint are loaded from the store, already-merged prefix
 // tasks are skipped, and the remainder is sharded across the given fleet.
 func runTakeover(storeDir, runID, workersCSV string, timeout time.Duration, ckptPath string, ampsN int, quiet bool) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout, hsfsim.ErrTimeout)
-		defer cancel()
-	}
-
+	ctx, cancel := fleetContext(timeout)
+	defer cancel()
 	store, err := dist.NewDirStore(storeDir)
 	fail(err)
 	m, err := store.LoadManifest(runID)
 	fail(err)
 	c, err := qasm.Parse(strings.NewReader(m.Job.QASM))
 	fail(err)
-
-	co, err := dist.New(dist.Config{
-		Transport: &dist.HTTPTransport{},
-		Logger:    log.New(os.Stderr, "hsfsim dist ", log.LstdFlags),
-	})
-	fail(err)
-	for _, a := range strings.Split(workersCSV, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			co.AddWorker(a)
-		}
-	}
+	co := newFleet(workersCSV)
 
 	var ropts dist.RunOptions
 	var ckptFile *os.File
@@ -456,22 +371,59 @@ func runTakeover(storeDir, runID, workersCSV string, timeout time.Duration, ckpt
 
 	fmt.Printf("method:          %s-hsf (takeover of run %s)\n", m.Job.Method, runID)
 	fmt.Printf("qubits:          %d\n", c.NumQubits)
+	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
+}
+
+// fleetContext is a distributed run's context: canceled by Ctrl-C or
+// SIGTERM, after timeout (0: never) with ErrTimeout, and recording into the
+// -trace flight recorder.
+func fleetContext(timeout time.Duration) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx = withTrace(ctx)
+	if timeout <= 0 {
+		return ctx, stop
+	}
+	ctx, cancel := context.WithTimeoutCause(ctx, timeout, hsfsim.ErrTimeout)
+	return ctx, func() { cancel(); stop() }
+}
+
+// newFleet returns a coordinator over the comma-separated worker addresses.
+func newFleet(workersCSV string) *dist.Coordinator {
+	co, err := dist.New(dist.Config{
+		Transport: &dist.HTTPTransport{},
+		Logger:    log.New(os.Stderr, "hsfsim dist ", log.LstdFlags),
+	})
+	fail(err)
+	for _, a := range strings.Split(workersCSV, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			co.AddWorker(a)
+		}
+	}
+	return co
+}
+
+// printFleetRun prints a distributed run's plan and fleet statistics and,
+// unless quiet, its amplitudes.
+func printFleetRun(res *dist.Result, numQubits int, elapsed time.Duration, ampsN int, quiet bool) {
 	fmt.Printf("cuts:            %d (%d blocks + %d separate)\n", res.NumCuts, res.NumBlocks, res.NumSeparateCuts)
 	fmt.Printf("paths:           2^%.1f (%d)\n", res.Log2Paths, res.NumPaths)
 	fmt.Printf("workers:         %d (%d batches over %d split levels, %d reassignments)\n",
 		res.Workers, res.Batches, res.SplitLevels, res.Reassignments)
 	fmt.Printf("simulation:      %v\n", elapsed)
-	if quiet {
-		return
+	if !quiet {
+		printAmplitudes(res.Amplitudes, ampsN, numQubits)
 	}
-	n := ampsN
-	if n <= 0 || n > len(res.Amplitudes) {
-		n = len(res.Amplitudes)
+}
+
+// printAmplitudes prints the first n amplitudes (n ≤ 0: all) with their
+// probabilities.
+func printAmplitudes(amps []complex128, n, numQubits int) {
+	if n <= 0 || n > len(amps) {
+		n = len(amps)
 	}
 	fmt.Println("amplitudes:")
-	for i := 0; i < n; i++ {
-		a := res.Amplitudes[i]
-		fmt.Printf("  |%0*b>  % .6f%+.6fi   p=%.6f\n", c.NumQubits, i, real(a), imag(a), cmplx.Abs(a)*cmplx.Abs(a))
+	for i, a := range amps[:n] {
+		fmt.Printf("  |%0*b>  % .6f%+.6fi   p=%.6f\n", numQubits, i, real(a), imag(a), cmplx.Abs(a)*cmplx.Abs(a))
 	}
 }
 

@@ -143,6 +143,32 @@ const (
 // "", "array") or "dd". Unknown names wrap ErrUnsupported.
 func ParseBackend(s string) (Backend, error) { return hsf.ParseBackend(s) }
 
+// ParseMethod maps a CLI/wire method name to a Method: "schrodinger",
+// "standard" or "joint" (also ""). Unknown names wrap ErrUnsupported.
+func ParseMethod(s string) (Method, error) {
+	switch s {
+	case "schrodinger":
+		return Schrodinger, nil
+	case "standard":
+		return StandardHSF, nil
+	case "", "joint":
+		return JointHSF, nil
+	}
+	return 0, fmt.Errorf("hsfsim: unknown method %q (want schrodinger, standard or joint): %w", s, ErrUnsupported)
+}
+
+// ParseBlockStrategy maps a CLI/wire grouping name to a BlockStrategy:
+// "cascade" (also "") or "window". Unknown names wrap ErrUnsupported.
+func ParseBlockStrategy(s string) (BlockStrategy, error) {
+	switch s {
+	case "", "cascade":
+		return BlockCascade, nil
+	case "window":
+		return BlockWindow, nil
+	}
+	return 0, fmt.Errorf("hsfsim: unknown block strategy %q (want cascade or window): %w", s, ErrUnsupported)
+}
+
 // CostEstimate is the up-front resource projection used by admission
 // control; see EstimateCost.
 type CostEstimate = hsf.CostEstimate
@@ -183,9 +209,6 @@ type Options struct {
 	// identically; the DD backend runs a single path worker and rejects
 	// Workers > 1 with ErrUnsupported.
 	Backend Backend
-	// UseDDEngine is the deprecated boolean form of Backend: when set it
-	// forces BackendDD. New code should set Backend instead.
-	UseDDEngine bool
 	// MemoryBudget caps the estimated memory footprint in bytes before any
 	// statevector is allocated: 0 selects DefaultMemoryBudget (16 GiB),
 	// negative disables the check. Over-budget jobs fail with ErrBudget.
@@ -336,6 +359,11 @@ func (p *CompiledPlan) NumPaths() uint64 {
 	return n
 }
 
+// CutPlan returns the HSF cut plan, or nil for a Schrodinger plan. It is
+// shared and must not be mutated; the distributed runtime shards its path
+// tree into leases.
+func (p *CompiledPlan) CutPlan() *cut.Plan { return p.plan }
+
 // CompileTime reports the wall-clock cost of building this plan (the
 // preprocessing line of the paper's Table I); cached executions inherit it
 // in Result.PreprocessTime without paying it again.
@@ -350,7 +378,7 @@ func (p *CompiledPlan) EstimateCost(opts Options) *CostEstimate {
 		return &est
 	}
 	workers := opts.Workers
-	if !opts.engineBackend().ParallelWorkers() {
+	if !opts.Backend.ParallelWorkers() {
 		workers = 1
 	}
 	est := hsf.Cost(p.plan, hsf.Options{MaxAmplitudes: opts.MaxAmplitudes, Workers: workers})
@@ -364,23 +392,35 @@ func (p *CompiledPlan) EstimateCost(opts Options) *CostEstimate {
 // excluded — runs that differ only there share a plan.
 func fingerprintOf(c *Circuit, opts Options) uint64 {
 	cfp := hsf.CircuitFingerprint(c)
-	switch opts.Method {
-	case Schrodinger:
+	if opts.Method == Schrodinger {
 		return hsf.FingerprintOptions(cfp,
 			uint64(Schrodinger), uint64(int64(opts.FusionMaxQubits)))
-	default:
-		strategy := cut.StrategyNone
-		if opts.Method == JointHSF {
-			strategy = opts.BlockStrategy
-			if strategy == cut.StrategyNone {
-				strategy = cut.StrategyCascade
-			}
+	}
+	co := opts.cutOptions()
+	// The trailing 0 is the slot of the retired analytic-cascade flag,
+	// which was always 0 by default: keeping it keeps every stored key.
+	return hsf.FingerprintOptions(cfp,
+		uint64(opts.Method), uint64(int64(co.Partition.CutPos)), uint64(co.Strategy),
+		uint64(int64(co.MaxBlockQubits)), math.Float64bits(co.Tol), 0)
+}
+
+// cutOptions maps the plan-affecting options of an HSF method onto the
+// planner's: StandardHSF cuts every crossing gate on its own, JointHSF
+// groups them with BlockStrategy (zero: BlockCascade). Compile, the plan
+// fingerprint, Analyze and PathCounts all plan through it.
+func (o Options) cutOptions() cut.Options {
+	strategy := cut.StrategyNone
+	if o.Method == JointHSF {
+		strategy = o.BlockStrategy
+		if strategy == cut.StrategyNone {
+			strategy = cut.StrategyCascade
 		}
-		// The trailing 0 is the slot of the retired analytic-cascade flag,
-		// which was always 0 by default: keeping it keeps every stored key.
-		return hsf.FingerprintOptions(cfp,
-			uint64(opts.Method), uint64(int64(opts.CutPos)), uint64(strategy),
-			uint64(int64(opts.MaxBlockQubits)), math.Float64bits(opts.Tol), 0)
+	}
+	return cut.Options{
+		Partition:      cut.Partition{CutPos: o.CutPos},
+		Strategy:       strategy,
+		MaxBlockQubits: o.MaxBlockQubits,
+		Tol:            o.Tol,
 	}
 }
 
@@ -436,22 +476,10 @@ func Compile(c *Circuit, opts Options) (*CompiledPlan, error) {
 		cp.gates = append(peeled, gates...)
 		endCompile()
 	case StandardHSF, JointHSF:
-		strategy := cut.StrategyNone
-		if opts.Method == JointHSF {
-			strategy = opts.BlockStrategy
-			if strategy == cut.StrategyNone {
-				strategy = cut.StrategyCascade
-			}
-		}
 		// The "plan" span covers partitioning, block grouping, and every
 		// Schmidt decomposition — the preprocessing line of Table I.
 		endPlan := opts.Telemetry.Span("plan")
-		plan, err := cut.BuildPlan(c, cut.Options{
-			Partition:      cut.Partition{CutPos: opts.CutPos},
-			Strategy:       strategy,
-			MaxBlockQubits: opts.MaxBlockQubits,
-			Tol:            opts.Tol,
-		})
+		plan, err := cut.BuildPlan(c, opts.cutOptions())
 		endPlan()
 		if err != nil {
 			return nil, fmt.Errorf("hsfsim: %w", err)
@@ -628,7 +656,7 @@ func (cp *CompiledPlan) runHSF(ctx context.Context, opts Options) (*Result, erro
 	plan := cp.plan
 	engineOpts := hsf.Options{
 		MaxAmplitudes:    opts.MaxAmplitudes,
-		Backend:          opts.engineBackend(),
+		Backend:          opts.Backend,
 		Workers:          opts.Workers,
 		FusionMaxQubits:  opts.FusionMaxQubits,
 		Timeout:          opts.Timeout,
@@ -673,14 +701,8 @@ type PlanSummary = cut.Summary
 // returns its summary: path counts, blocks, per-cut ranks. Use it to decide
 // whether an instance is HSF-friendly before committing to a run.
 func Analyze(c *Circuit, cutPos int, strategy BlockStrategy, maxBlockQubits int) (*PlanSummary, error) {
-	if strategy == cut.StrategyNone {
-		strategy = cut.StrategyCascade
-	}
-	plan, err := cut.BuildPlan(c, cut.Options{
-		Partition:      cut.Partition{CutPos: cutPos},
-		Strategy:       strategy,
-		MaxBlockQubits: maxBlockQubits,
-	})
+	opts := Options{Method: JointHSF, CutPos: cutPos, BlockStrategy: strategy, MaxBlockQubits: maxBlockQubits}
+	plan, err := cut.BuildPlan(c, opts.cutOptions())
 	if err != nil {
 		return nil, fmt.Errorf("hsfsim: %w", err)
 	}
@@ -692,15 +714,12 @@ func Analyze(c *Circuit, cutPos int, strategy BlockStrategy, maxBlockQubits int)
 // joint cutting for the circuit and cut position — the quantity plotted in
 // the paper's Fig. 3b.
 func PathCounts(c *Circuit, cutPos int, strategy BlockStrategy, maxBlockQubits int) (standard, joint uint64, err error) {
-	p := cut.Partition{CutPos: cutPos}
-	std, err := cut.BuildPlan(c, cut.Options{Partition: p, Strategy: cut.StrategyNone})
+	std, err := cut.BuildPlan(c, Options{Method: StandardHSF, CutPos: cutPos}.cutOptions())
 	if err != nil {
 		return 0, 0, err
 	}
-	if strategy == cut.StrategyNone {
-		strategy = cut.StrategyCascade
-	}
-	jnt, err := cut.BuildPlan(c, cut.Options{Partition: p, Strategy: strategy, MaxBlockQubits: maxBlockQubits})
+	opts := Options{Method: JointHSF, CutPos: cutPos, BlockStrategy: strategy, MaxBlockQubits: maxBlockQubits}
+	jnt, err := cut.BuildPlan(c, opts.cutOptions())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -722,15 +741,6 @@ func EstimateCost(c *Circuit, opts Options) (*CostEstimate, error) {
 		return nil, err
 	}
 	return cp.EstimateCost(opts), nil
-}
-
-// engineBackend resolves the effective HSF backend: the deprecated
-// UseDDEngine flag forces BackendDD over the Backend field's zero value.
-func (o Options) engineBackend() Backend {
-	if o.UseDDEngine {
-		return BackendDD
-	}
-	return o.Backend
 }
 
 // Circuit re-exports the circuit IR so users never import internal packages.

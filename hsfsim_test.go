@@ -207,7 +207,7 @@ func TestDDEngineOptionAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dd, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3, UseDDEngine: true})
+	dd, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3, Backend: hsfsim.BackendDD})
 	if err != nil {
 		t.Fatal(err)
 	}

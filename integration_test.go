@@ -80,10 +80,10 @@ func TestIntegrationRandomizedOptions(t *testing.T) {
 			MaxAmplitudes:   maxAmps,
 			Workers:         1 + rng.Intn(8),
 			FusionMaxQubits: []int{-1, 0, 2, 4}[rng.Intn(4)],
-			UseDDEngine:     trial == 7, // one DD-engine pass (slow)
 			MaxBlockQubits:  []int{0, 4, 6}[rng.Intn(3)],
 		}
-		if opts.UseDDEngine {
+		if trial == 7 { // one DD-backend pass (slow)
+			opts.Backend = hsfsim.BackendDD
 			opts.Workers = 1 // the DD backend is single-threaded
 		}
 		res, err := hsfsim.Simulate(inst.Circuit, opts)

@@ -163,10 +163,11 @@ type RunOptions struct {
 // re-split on failure, and keep the fleet elastic — workers joining the
 // registry mid-run are admitted, leavers are drained.
 func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Result, error) {
-	plan, err := job.BuildPlan()
+	cp, _, err := job.compile(nil)
 	if err != nil {
 		return nil, err
 	}
+	plan := cp.CutPlan()
 	workers := c.reg.workers()
 	if len(workers) == 0 {
 		return nil, ErrNoWorkers

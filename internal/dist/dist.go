@@ -2,13 +2,17 @@
 //
 // The ∏ r_i Feynman paths of an HSF plan are embarrassingly parallel and
 // bounded-memory, which makes them the ideal unit of distribution: the
-// coordinator compiles the cut plan once, expands the leading cut levels into
-// prefix tasks (hsf.EnumeratePrefixes), groups them into disjoint batches,
-// and hands out *leases* of batches to workers. A worker executes its batch
-// with the ordinary engine (hsf.RunPrefixesContext) and streams back the
-// partial accumulator plus leaf counts in the checkpoint wire format; the
-// coordinator folds partials together with hsf.Checkpoint.Merge — exactly the
-// operation checkpoint resume performs locally.
+// coordinator compiles the plan once per run through hsfsim.Compile, expands
+// the leading cut levels into prefix tasks (hsf.EnumeratePrefixes), groups
+// them into disjoint batches, and hands out *leases* of batches to workers. A
+// worker takes the plan from its hsfsim.PlanCache (ExecOptions.Plans), so it
+// compiles each circuit once however many leases it serves, checks the plan
+// hash against the lease, executes its batch with the ordinary engine
+// (hsf.RunPrefixesContext), and streams back the partial accumulator plus
+// leaf counts in the checkpoint wire format; the coordinator folds partials
+// together with hsf.Checkpoint.Merge — exactly the operation checkpoint
+// resume performs locally. NewJob and Job.Options are the only conversions
+// between hsfsim.Options and the Job wire form.
 //
 // Failure model: a lease carries a deadline. A worker that dies or stalls has
 // its lease canceled and the batch handed to another worker; a worker that
@@ -28,7 +32,7 @@ import (
 	"fmt"
 	"strings"
 
-	"hsfsim/internal/cut"
+	"hsfsim"
 	"hsfsim/internal/qasm"
 )
 
@@ -43,9 +47,10 @@ var ErrNoWorkers = errors.New("dist: no workers available")
 var ErrPlanMismatch = errors.New("dist: worker plan does not match coordinator plan")
 
 // Job describes one distributed simulation. The QASM source is the unit of
-// plan exchange: coordinator and workers compile it independently through the
-// identical deterministic pipeline, and the resulting plans are
-// fingerprint-checked (hsf.PlanHash) before any path is simulated.
+// plan exchange: coordinator and workers compile it independently through
+// hsfsim.Compile, and the resulting plans are fingerprint-checked
+// (hsf.PlanHash) before any path is simulated. The JSON form is frozen: it
+// travels in every lease and is stored in every durable run manifest.
 type Job struct {
 	// QASM is the OpenQASM 2.0 source of the circuit.
 	QASM string `json:"qasm"`
@@ -71,36 +76,83 @@ type Job struct {
 	Backend string `json:"backend,omitempty"`
 }
 
-// BuildPlan compiles the job's circuit into the cut plan every participant
-// must agree on.
-func (j *Job) BuildPlan() (*cut.Plan, error) {
+// NewJob describes a distributed run of the QASM circuit src under opts.
+// Only the plan-affecting fields and the ones every worker must agree on
+// travel (Method, CutPos, BlockStrategy, MaxBlockQubits, Tol, MaxAmplitudes,
+// FusionMaxQubits, Backend); execution limits stay with each participant.
+// Cascade and dense are the absent fields, so such leases stay readable by
+// workers that predate the strategy and backend fields. Job.Options inverts
+// it.
+func NewJob(src string, opts hsfsim.Options) (*Job, error) {
+	if opts.Method != hsfsim.StandardHSF && opts.Method != hsfsim.JointHSF {
+		return nil, fmt.Errorf("dist: method %v cannot be distributed; use standard or joint", opts.Method)
+	}
+	job := &Job{
+		QASM:            src,
+		Method:          "joint",
+		CutPos:          opts.CutPos,
+		MaxBlockQubits:  opts.MaxBlockQubits,
+		Tol:             opts.Tol,
+		MaxAmplitudes:   opts.MaxAmplitudes,
+		FusionMaxQubits: opts.FusionMaxQubits,
+	}
+	if opts.Method == hsfsim.StandardHSF {
+		job.Method = "standard"
+	}
+	if opts.BlockStrategy == hsfsim.BlockWindow {
+		job.Strategy = opts.BlockStrategy.String()
+	}
+	if opts.Backend != hsfsim.BackendDense {
+		job.Backend = opts.Backend.String()
+	}
+	return job, nil
+}
+
+// Options returns the simulation options the job describes; every
+// participant plans and executes with them. An unknown method, strategy or
+// backend name is an error, and so is a method that cannot be distributed.
+func (j *Job) Options() (hsfsim.Options, error) {
+	method, err := hsfsim.ParseMethod(j.Method)
+	if err != nil {
+		return hsfsim.Options{}, fmt.Errorf("dist: %w", err)
+	}
+	if method == hsfsim.Schrodinger {
+		return hsfsim.Options{}, fmt.Errorf("dist: method %q cannot be distributed; use standard or joint", j.Method)
+	}
+	strategy, err := hsfsim.ParseBlockStrategy(j.Strategy)
+	if err != nil {
+		return hsfsim.Options{}, fmt.Errorf("dist: %w", err)
+	}
+	backend, err := hsfsim.ParseBackend(j.Backend)
+	if err != nil {
+		return hsfsim.Options{}, fmt.Errorf("dist: %w", err)
+	}
+	return hsfsim.Options{
+		Method:          method,
+		CutPos:          j.CutPos,
+		BlockStrategy:   strategy,
+		MaxBlockQubits:  j.MaxBlockQubits,
+		Tol:             j.Tol,
+		MaxAmplitudes:   j.MaxAmplitudes,
+		FusionMaxQubits: j.FusionMaxQubits,
+		Backend:         backend,
+	}, nil
+}
+
+// compile parses the job's circuit and fetches its plan from plans (nil:
+// compile uncached), returning the options it was compiled with.
+func (j *Job) compile(plans *hsfsim.PlanCache) (*hsfsim.CompiledPlan, hsfsim.Options, error) {
+	opts, err := j.Options()
+	if err != nil {
+		return nil, opts, err
+	}
 	c, err := qasm.Parse(strings.NewReader(j.QASM))
 	if err != nil {
-		return nil, fmt.Errorf("dist: parsing job circuit: %w", err)
+		return nil, opts, fmt.Errorf("dist: parsing job circuit: %w", err)
 	}
-	strategy := cut.StrategyNone
-	switch j.Method {
-	case "standard":
-	case "joint", "":
-		switch j.Strategy {
-		case "", "cascade":
-			strategy = cut.StrategyCascade
-		case "window":
-			strategy = cut.StrategyWindow
-		default:
-			return nil, fmt.Errorf("dist: unknown strategy %q", j.Strategy)
-		}
-	default:
-		return nil, fmt.Errorf("dist: unknown method %q", j.Method)
-	}
-	plan, err := cut.BuildPlan(c, cut.Options{
-		Partition:      cut.Partition{CutPos: j.CutPos},
-		Strategy:       strategy,
-		MaxBlockQubits: j.MaxBlockQubits,
-		Tol:            j.Tol,
-	})
+	cp, _, err := plans.Get(c, opts)
 	if err != nil {
-		return nil, fmt.Errorf("dist: planning job circuit: %w", err)
+		return nil, opts, fmt.Errorf("dist: planning job circuit: %w", err)
 	}
-	return plan, nil
+	return cp, opts, nil
 }

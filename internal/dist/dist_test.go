@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"hsfsim"
+	"hsfsim/internal/cut"
 	"hsfsim/internal/hsf"
 	"hsfsim/internal/qasm"
 )
@@ -39,14 +41,20 @@ func testQASM(n, edges int, seed int64) string {
 	return b.String()
 }
 
-// singleProcess runs the job locally through the ordinary engine.
-func singleProcess(t *testing.T, job *Job) []complex128 {
+// jobPlan compiles the job's cut plan the way the coordinator does.
+func jobPlan(t *testing.T, job *Job) *cut.Plan {
 	t.Helper()
-	plan, err := job.BuildPlan()
+	cp, _, err := job.compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hsf.Run(plan, hsf.Options{MaxAmplitudes: job.MaxAmplitudes})
+	return cp.CutPlan()
+}
+
+// singleProcess runs the job locally through the ordinary engine.
+func singleProcess(t *testing.T, job *Job) []complex128 {
+	t.Helper()
+	res, err := hsf.Run(jobPlan(t, job), hsf.Options{MaxAmplitudes: job.MaxAmplitudes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,17 +249,13 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 
 func TestExecuteRunRejectsPlanMismatch(t *testing.T) {
 	job := testJob(8)
-	plan, err := job.BuildPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := &RunRequest{
 		Job:         *job,
-		PlanHash:    hsf.PlanHash(plan) + 1,
+		PlanHash:    hsf.PlanHash(jobPlan(t, job)) + 1,
 		SplitLevels: 0,
 		Prefixes:    [][]int{{}},
 	}
-	_, err = ExecuteRun(context.Background(), req, ExecOptions{})
+	_, err := ExecuteRun(context.Background(), req, ExecOptions{})
 	if !errors.Is(err, ErrPlanMismatch) || !IsPermanent(err) {
 		t.Fatalf("got %v, want permanent ErrPlanMismatch", err)
 	}
@@ -277,15 +281,29 @@ func TestRegistryTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestJobBuildPlanValidates: a job that cannot be planned — unknown method,
+// unknown strategy, unparsable circuit — fails the coordinator's compile and
+// every lease of it, on a warm worker cache too, with a permanent error.
 func TestJobBuildPlanValidates(t *testing.T) {
-	if _, err := (&Job{QASM: "qreg q[4]; h q[0];", Method: "nope", CutPos: 1}).BuildPlan(); err == nil {
-		t.Fatal("accepted unknown method")
-	}
-	if _, err := (&Job{QASM: "qreg q[4]; h q[0];", Method: "joint", Strategy: "nope", CutPos: 1}).BuildPlan(); err == nil {
-		t.Fatal("accepted unknown strategy")
-	}
-	if _, err := (&Job{QASM: "not qasm", Method: "joint", CutPos: 1}).BuildPlan(); err == nil {
-		t.Fatal("accepted unparsable qasm")
+	plans := hsfsim.NewPlanCache(4)
+	for _, tc := range []struct {
+		name string
+		job  Job
+	}{
+		{"unknown method", Job{QASM: "qreg q[4]; h q[0];", Method: "nope", CutPos: 1}},
+		{"unknown strategy", Job{QASM: "qreg q[4]; h q[0];", Method: "joint", Strategy: "nope", CutPos: 1}},
+		{"unparsable qasm", Job{QASM: "not qasm", Method: "joint", CutPos: 1}},
+	} {
+		if _, _, err := tc.job.compile(nil); err == nil {
+			t.Fatalf("%s: coordinator compile accepted it", tc.name)
+		}
+		req := &RunRequest{Job: tc.job, SplitLevels: 0, Prefixes: [][]int{{}}}
+		for i := 0; i < 2; i++ {
+			_, err := ExecuteRun(context.Background(), req, ExecOptions{Plans: plans})
+			if err == nil || !IsPermanent(err) || errors.Is(err, ErrPlanMismatch) {
+				t.Fatalf("%s, lease %d: got %v, want a permanent planning error", tc.name, i, err)
+			}
+		}
 	}
 	c, err := qasm.Parse(strings.NewReader(testQASM(6, 6, 2)))
 	if err != nil {

@@ -16,11 +16,7 @@ import (
 // expectedPaths runs the job single-process and returns its leaf count.
 func expectedPaths(t *testing.T, job *Job) int64 {
 	t.Helper()
-	plan, err := job.BuildPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := hsf.Run(plan, hsf.Options{MaxAmplitudes: job.MaxAmplitudes})
+	res, err := hsf.Run(jobPlan(t, job), hsf.Options{MaxAmplitudes: job.MaxAmplitudes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,10 @@ import (
 	"testing"
 	"time"
 
+	"hsfsim"
 	"hsfsim/internal/dist"
 	"hsfsim/internal/hsf"
+	"hsfsim/internal/qasm"
 	"hsfsim/internal/server"
 )
 
@@ -109,11 +111,15 @@ func newKillableWorker() *killableWorker {
 
 func singleProcessAmps(t *testing.T, job *dist.Job) []complex128 {
 	t.Helper()
-	plan, err := job.BuildPlan()
+	opts, err := job.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hsf.Run(plan, hsf.Options{MaxAmplitudes: job.MaxAmplitudes})
+	c, err := qasm.Parse(strings.NewReader(job.QASM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := hsfsim.Simulate(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"hsfsim"
 	"hsfsim/internal/hsf"
 	"hsfsim/internal/telemetry"
 )
@@ -25,12 +26,19 @@ type ExecOptions struct {
 	// daemon passes its service-scoped recorder so /metrics histograms
 	// cover worker executions too.
 	Telemetry *telemetry.Recorder
+	// Plans caches compiled plans across leases, so a worker plans each
+	// circuit once rather than once per lease. A daemon passes the cache its
+	// job service uses; nil compiles every lease.
+	Plans *hsfsim.PlanCache
 }
 
-// ExecuteRun is the worker half of the protocol: compile the job's plan,
-// verify it fingerprints to the coordinator's, and execute exactly the leased
-// prefix batch. The returned checkpoint is the partial accumulator the
-// coordinator merges.
+// ExecuteRun is the worker half of the protocol: fetch the job's plan from
+// the worker's plan cache (compiling it on first sight), verify it
+// fingerprints to the coordinator's, and execute exactly the leased prefix
+// batch. The plan hash is checked on every lease, cache hits included: a
+// cache key covers the circuit and plan options, not the binary that
+// planned it, so only the hash catches a coordinator whose planner differs.
+// The returned checkpoint is the partial accumulator the coordinator merges.
 //
 // Job-shaped failures — a malformed request, an unplannable circuit, a plan
 // fingerprint mismatch, an admission rejection — are returned as
@@ -41,19 +49,18 @@ func ExecuteRun(ctx context.Context, req *RunRequest, opts ExecOptions) (*hsf.Ch
 	if err := req.Validate(); err != nil {
 		return nil, Permanent(err)
 	}
-	plan, err := req.Job.BuildPlan()
+	// Every job-shaped failure here — a bad name, an unparsable or
+	// unplannable circuit — would repeat on any worker.
+	cp, jopts, err := req.Job.compile(opts.Plans)
 	if err != nil {
 		return nil, Permanent(err)
 	}
+	plan := cp.CutPlan()
 	if h := hsf.PlanHash(plan); h != req.PlanHash {
 		return nil, Permanent(fmt.Errorf("%w: local %016x != lease %016x", ErrPlanMismatch, h, req.PlanHash))
 	}
-	backend, err := hsf.ParseBackend(req.Job.Backend)
-	if err != nil {
-		return nil, Permanent(err) // retrying elsewhere cannot fix a bad name
-	}
 	workers := opts.Workers
-	if !backend.ParallelWorkers() {
+	if !jopts.Backend.ParallelWorkers() {
 		workers = 1
 	}
 	if req.LeaseMillis > 0 {
@@ -77,10 +84,10 @@ func ExecuteRun(ctx context.Context, req *RunRequest, opts ExecOptions) (*hsf.Ch
 		meta.workerStartNS = time.Now().UnixNano()
 	}
 	ck, err := run(ctx, plan, hsf.Options{
-		MaxAmplitudes:   req.Job.MaxAmplitudes,
-		Backend:         backend,
+		MaxAmplitudes:   jopts.MaxAmplitudes,
+		Backend:         jopts.Backend,
 		Workers:         workers,
-		FusionMaxQubits: req.Job.FusionMaxQubits,
+		FusionMaxQubits: jopts.FusionMaxQubits,
 		MemoryBudget:    opts.MemoryBudget,
 		MaxPaths:        opts.MaxPaths,
 		Telemetry:       opts.Telemetry,

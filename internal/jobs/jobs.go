@@ -151,8 +151,8 @@ type Request struct {
 	Circuit *hsfsim.Circuit
 	// Distribute routes execution through the configured dist-fleet runner
 	// (Config.RunDistributed) instead of the in-process walker. Distributed
-	// jobs keep queueing, quotas, and durability but bypass the plan cache
-	// and batching — the dist coordinator compiles its own plan.
+	// jobs keep queueing, quotas, and durability but bypass batching — the
+	// dist coordinator compiles the plan for its run.
 	Distribute bool
 	// Opts carries the simulation options. Plan-affecting fields key the
 	// plan cache; execution fields apply to this job's run. Callback fields

@@ -29,8 +29,6 @@ type Config struct {
 	// 0 means unlimited. Quotas overrides it per tenant.
 	TenantQuota int
 	Quotas      map[string]int
-	// PlanCacheSize bounds the compiled-plan LRU. 0 selects 128.
-	PlanCacheSize int
 	// Store, when non-nil, makes jobs durable: manifests on every state
 	// transition, mid-run checkpoints every FlushInterval, results on
 	// completion. A restarted Manager over the same store re-offers
@@ -50,9 +48,10 @@ type Config struct {
 	OnRunTelemetry func(rec *hsfsim.TelemetryRecorder)
 	// RunDistributed, when non-nil, executes jobs submitted with
 	// Request.Distribute through the dist fleet instead of in-process.
-	// Distributed jobs bypass the plan cache and batching — the dist
-	// coordinator owns its own plan — but keep queueing, quotas, and
-	// durability. When nil, distributed submissions are rejected.
+	// Distributed jobs bypass batching and this manager's admission compile —
+	// the dist coordinator compiles the plan once per run and each worker
+	// once per process — but keep queueing, quotas, and durability. When
+	// nil, distributed submissions are rejected.
 	RunDistributed func(ctx context.Context, qasmSrc string, opts hsfsim.Options) (*hsfsim.Result, error)
 	// Trace, when non-nil, records job lifecycle spans (queued wait, batch
 	// execution) into the flight recorder, and batch walks run under a
@@ -77,6 +76,9 @@ type tenantCounters struct {
 }
 
 type batchKey = uint64
+
+// planCacheSize bounds the compiled-plan LRU.
+const planCacheSize = 128
 
 // job is the manager-internal record; all mutable fields are guarded by
 // Manager.mu except progress (an atomic tracker shared with the walk).
@@ -147,7 +149,7 @@ type batch struct {
 type Manager struct {
 	cfg   Config
 	store Store
-	cache *planCache
+	cache *hsfsim.PlanCache
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -189,7 +191,7 @@ func New(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:         cfg,
 		store:       cfg.Store,
-		cache:       newPlanCache(cfg.PlanCacheSize),
+		cache:       hsfsim.NewPlanCache(planCacheSize),
 		q:           newTenantQueue(),
 		jobs:        map[string]*job{},
 		outstanding: map[string]int{},
@@ -334,7 +336,7 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 		// Cost admission through the plan cache: the first submission of a
 		// fingerprint compiles (and caches) the plan; repeats and
 		// concurrent duplicates estimate against the cached plan for free.
-		cp, _, err := m.cache.get(fp, c, opts)
+		cp, _, err := m.cache.Get(c, opts)
 		if err != nil {
 			return Snapshot{}, err
 		}
@@ -603,7 +605,7 @@ func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Trac
 		return
 	}
 
-	cp, shared, err := m.cache.get(leader.fp, leader.circuit, leader.opts)
+	cp, shared, err := m.cache.Get(leader.circuit, leader.opts)
 	if err != nil {
 		m.finishErr(b, err)
 		return
@@ -1090,9 +1092,14 @@ type StatsSnapshot struct {
 	BatchDurations telemetry.HistogramSnapshot `json:"batch_durations"`
 }
 
+// PlanCache returns the manager's compiled-plan cache, so an embedding
+// daemon can compile distributed leases through the same cache and the
+// plan-cache counters in Stats cover both.
+func (m *Manager) PlanCache() *hsfsim.PlanCache { return m.cache }
+
 // Stats returns a point-in-time copy of the manager's counters.
 func (m *Manager) Stats() StatsSnapshot {
-	hits, misses, evictions := m.cache.stats()
+	hits, misses, evictions := m.cache.Stats()
 	depth, capQ := m.QueueDepth()
 	return StatsSnapshot{
 		Queued:         depth,

@@ -76,10 +76,6 @@ type WireOptions struct {
 
 // wireOptions captures the durable fields of opts.
 func wireOptions(opts hsfsim.Options) WireOptions {
-	backend := opts.Backend
-	if opts.UseDDEngine {
-		backend = hsfsim.BackendDD
-	}
 	return WireOptions{
 		Method:          int(opts.Method),
 		CutPos:          opts.CutPos,
@@ -90,7 +86,7 @@ func wireOptions(opts hsfsim.Options) WireOptions {
 		FusionMaxQubits: opts.FusionMaxQubits,
 		Tol:             opts.Tol,
 		TimeoutNS:       int64(opts.Timeout),
-		Backend:         int(backend),
+		Backend:         int(opts.Backend),
 		MemoryBudget:    opts.MemoryBudget,
 		MaxPaths:        opts.MaxPaths,
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"hsfsim"
 	"hsfsim/internal/dist"
 	"hsfsim/internal/hsf"
 )
@@ -137,10 +138,19 @@ func TestDistRunEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	job := dist.Job{QASM: distQASM(8, 10, 12), Method: "joint", CutPos: 3}
-	plan, err := job.BuildPlan()
+	opts, err := job.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := parseCircuit(job.QASM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := hsfsim.Compile(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := cp.CutPlan()
 	splitLevels := hsf.ChooseSplitLevels(plan, 4)
 	prefixes := hsf.EnumeratePrefixes(plan, splitLevels)
 	req := dist.RunRequest{

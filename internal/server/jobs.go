@@ -110,39 +110,26 @@ func (s *service) newJobsManager() (*jobs.Manager, error) {
 	return jobs.New(jcfg)
 }
 
-// runDistributedJob executes one queued distribute-flagged job through the
-// coordinator's worker fleet.
-func (s *service) runDistributedJob(ctx context.Context, qasmSrc string, opts hsfsim.Options) (*hsfsim.Result, error) {
-	var method string
-	switch opts.Method {
-	case hsfsim.StandardHSF:
-		method = "standard"
-	case hsfsim.JointHSF:
-		method = "joint"
-	default:
-		return nil, fmt.Errorf("method %q cannot be distributed; use \"standard\" or \"joint\"", opts.Method)
-	}
-	job := &dist.Job{
-		QASM:            qasmSrc,
-		Method:          method,
-		CutPos:          opts.CutPos,
-		MaxBlockQubits:  opts.MaxBlockQubits,
-		MaxAmplitudes:   opts.MaxAmplitudes,
-		Tol:             opts.Tol,
-		FusionMaxQubits: opts.FusionMaxQubits,
-	}
-	if opts.BlockStrategy == hsfsim.BlockWindow {
-		job.Strategy = "window"
-	}
-	if opts.Backend != hsfsim.BackendDense {
-		job.Backend = opts.Backend.String()
+// runDistributed runs one HSF simulation across the coordinator's worker
+// fleet, aborting after opts.Timeout when it is set. Distributed /simulate
+// requests and queued distributed jobs both land here.
+func (s *service) runDistributed(ctx context.Context, src string, opts hsfsim.Options) (*dist.Result, error) {
+	job, err := dist.NewJob(src, opts)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, hsfsim.ErrTimeout)
 		defer cancel()
 	}
-	res, err := s.coord.Run(ctx, job, dist.RunOptions{})
+	return s.coord.Run(ctx, job, dist.RunOptions{})
+}
+
+// runDistributedJob executes one queued distribute-flagged job through the
+// coordinator's worker fleet.
+func (s *service) runDistributedJob(ctx context.Context, src string, opts hsfsim.Options) (*hsfsim.Result, error) {
+	res, err := s.runDistributed(ctx, src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -174,11 +161,6 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	opts, status, err := s.simulateOptions(&req.SimulateRequest, c.NumQubits)
 	if err != nil {
 		writeErr(w, status, err, reqID)
-		return
-	}
-	if req.Distribute && opts.Method == hsfsim.Schrodinger {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("method %q cannot be distributed; use \"standard\" or \"joint\"", req.Method), reqID)
 		return
 	}
 	// Jobs outlive the HTTP request, so the deadline travels as an option

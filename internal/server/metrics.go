@@ -1,4 +1,4 @@
-// Runtime metrics, two surfaces:
+// Runtime metrics, two surfaces rendered from one table (scalarMetrics):
 //
 //   - GET /debug/vars — the process-global expvar map "hsfsimd", served by
 //     the standard expvar handler. Counters describe the whole process:
@@ -16,10 +16,10 @@ package server
 
 import (
 	"expvar"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hsfsim/internal/dist"
 	"hsfsim/internal/jobs"
@@ -64,82 +64,150 @@ func sumDistStats(read func(*dist.Stats) int64) int64 {
 	return total
 }
 
-func init() {
-	m := expvar.NewMap("hsfsimd")
-	m.Set("requests_total", metricRequests)
-	m.Set("simulations_total", metricSimulations)
-	m.Set("paths_simulated_total", metricPathsSimulated)
-	m.Set("shed_429_total", metricShed429)
-	m.Set("in_flight", metricInFlight)
-	m.Set("worker_runs_total", metricWorkerRuns)
-	m.Set("dist_leases_granted_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.LeasesGranted.Load() })
-	}))
-	m.Set("dist_lease_reassignments_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.LeasesReassigned.Load() })
-	}))
-	m.Set("dist_workers_retired_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.WorkersRetired.Load() })
-	}))
-	m.Set("dist_prefixes_merged_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.PrefixesMerged.Load() })
-	}))
-	m.Set("dist_paths_simulated_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.PathsSimulated.Load() })
-	}))
-	m.Set("dist_leases_in_flight", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.InFlightLeases.Load() })
-	}))
-	m.Set("dist_leases_stolen_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.LeasesStolen.Load() })
-	}))
-	m.Set("dist_leases_resplit_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.LeasesResplit.Load() })
-	}))
-	m.Set("dist_partial_returns_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.PartialReturns.Load() })
-	}))
-	m.Set("dist_partials_duplicate_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.PartialsDuplicate.Load() })
-	}))
-	m.Set("dist_store_flushes_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.StoreFlushes.Load() })
-	}))
-	m.Set("dist_workers_joined_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.WorkersJoined.Load() })
-	}))
-	m.Set("dist_workers_left_total", expvar.Func(func() any {
-		return sumDistStats(func(s *dist.Stats) int64 { return s.WorkersLeft.Load() })
-	}))
-	for name, read := range map[string]func(jobs.StatsSnapshot) int64{
-		"jobs_queued":               int64Field(func(st jobs.StatsSnapshot) int { return st.Queued }),
-		"jobs_running":              func(st jobs.StatsSnapshot) int64 { return st.Running },
-		"jobs_submitted_total":      func(st jobs.StatsSnapshot) int64 { return st.Submitted },
-		"jobs_completed_total":      func(st jobs.StatsSnapshot) int64 { return st.Completed },
-		"jobs_failed_total":         func(st jobs.StatsSnapshot) int64 { return st.Failed },
-		"jobs_cancelled_total":      func(st jobs.StatsSnapshot) int64 { return st.Cancelled },
-		"jobs_resumed_total":        func(st jobs.StatsSnapshot) int64 { return st.Resumed },
-		"jobs_batches_total":        func(st jobs.StatsSnapshot) int64 { return st.Batches },
-		"jobs_batched_total":        func(st jobs.StatsSnapshot) int64 { return st.BatchedJobs },
-		"jobs_plan_hits_total":      func(st jobs.StatsSnapshot) int64 { return st.PlanHits },
-		"jobs_plan_misses_total":    func(st jobs.StatsSnapshot) int64 { return st.PlanMisses },
-		"jobs_plan_evictions_total": func(st jobs.StatsSnapshot) int64 { return st.PlanEvictions },
-	} {
-		read := read
-		m.Set(name, expvar.Func(func() any { return sumJobsStats(read) }))
+// distCounter reads one coordinator counter summed over every registered
+// service.
+func distCounter(field func(*dist.Stats) *atomic.Int64) func() int64 {
+	return func() int64 {
+		return sumDistStats(func(s *dist.Stats) int64 { return field(s).Load() })
 	}
 }
 
-// int64Field adapts an int-typed StatsSnapshot field to the int64 reader
-// shape sumJobsStats wants.
-func int64Field(read func(jobs.StatsSnapshot) int) func(jobs.StatsSnapshot) int64 {
-	return func(st jobs.StatsSnapshot) int64 { return int64(read(st)) }
+// metricKind is the Prometheus type a scalar metric is exposed as.
+type metricKind int
+
+const (
+	counter metricKind = iota
+	gauge
+)
+
+// scalarMetric declares one scalar metric for both surfaces: expvar is its
+// key in the "hsfsimd" map of /debug/vars ("" for a /metrics-only metric),
+// prom its family name on /metrics. Exactly one reader is set: proc reads a
+// process-global value; jobs reads one job manager's stats, summed over every
+// manager in the process for /debug/vars and taken from the serving
+// instance's manager for /metrics.
+type scalarMetric struct {
+	expvar, prom, help string
+	kind               metricKind
+	proc               func() int64
+	jobs               func(jobs.StatsSnapshot) int64
 }
 
-// handleMetrics serves the Prometheus text exposition format: every expvar
-// counter of the "hsfsimd" map, the service's latency histograms, and
-// runtime gauges. Counter metrics are process-global (matching /debug/vars);
-// histograms are scoped to this service instance.
+// scalarMetrics is the one declaration of every scalar metric, in /metrics
+// order.
+var scalarMetrics = []scalarMetric{
+	{"requests_total", "hsfsimd_requests_total",
+		"HTTP requests received across all endpoints.", counter, metricRequests.Value, nil},
+	{"simulations_total", "hsfsimd_simulations_total",
+		"Simulations completed successfully.", counter, metricSimulations.Value, nil},
+	{"paths_simulated_total", "hsfsimd_paths_simulated_total",
+		"Feynman path leaves simulated locally.", counter, metricPathsSimulated.Value, nil},
+	{"shed_429_total", "hsfsimd_shed_429_total",
+		"Requests shed by the concurrency limiter.", counter, metricShed429.Value, nil},
+	{"in_flight", "hsfsimd_in_flight",
+		"Simulation requests currently executing.", gauge, metricInFlight.Value, nil},
+	{"worker_runs_total", "hsfsimd_worker_runs_total",
+		"Distributed leases served as a worker.", counter, metricWorkerRuns.Value, nil},
+
+	{"dist_leases_granted_total", "hsfsimd_dist_leases_granted_total",
+		"Distributed leases granted by coordinators.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.LeasesGranted }), nil},
+	{"dist_lease_reassignments_total", "hsfsimd_dist_lease_reassignments_total",
+		"Leases reassigned after worker failure or stall.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.LeasesReassigned }), nil},
+	{"dist_workers_retired_total", "hsfsimd_dist_workers_retired_total",
+		"Workers retired after repeated lease failures.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.WorkersRetired }), nil},
+	{"dist_prefixes_merged_total", "hsfsimd_dist_prefixes_merged_total",
+		"Prefix tasks merged into coordinator state.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.PrefixesMerged }), nil},
+	{"dist_paths_simulated_total", "hsfsimd_dist_paths_simulated_total",
+		"Feynman path leaves merged from distributed workers.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.PathsSimulated }), nil},
+	{"dist_leases_in_flight", "hsfsimd_dist_leases_in_flight",
+		"Distributed leases currently executing.", gauge,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.InFlightLeases }), nil},
+	{"dist_leases_stolen_total", "hsfsimd_dist_leases_stolen_total",
+		"Leases created by stealing from slow or leaving workers.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.LeasesStolen }), nil},
+	{"dist_leases_resplit_total", "hsfsimd_dist_leases_resplit_total",
+		"In-flight leases split so part could be re-leased.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.LeasesResplit }), nil},
+	{"dist_partial_returns_total", "hsfsimd_dist_partial_returns_total",
+		"Successful lease replies covering fewer prefixes than leased.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.PartialReturns }), nil},
+	{"dist_partials_duplicate_total", "hsfsimd_dist_partials_duplicate_total",
+		"Returned partials dropped by exactly-once dedup.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.PartialsDuplicate }), nil},
+	{"dist_store_flushes_total", "hsfsimd_dist_store_flushes_total",
+		"Merged checkpoints flushed to durable storage.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.StoreFlushes }), nil},
+	{"dist_workers_joined_total", "hsfsimd_dist_workers_joined_total",
+		"Workers admitted into runs after they started.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.WorkersJoined }), nil},
+	{"dist_workers_left_total", "hsfsimd_dist_workers_left_total",
+		"Workers that dropped out of running rotations.", counter,
+		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.WorkersLeft }), nil},
+
+	{"jobs_queued", "hsfsimd_jobs_queued",
+		"Jobs waiting in the async queue.", gauge,
+		nil, func(st jobs.StatsSnapshot) int64 { return int64(st.Queued) }},
+	{"", "hsfsimd_jobs_queue_capacity",
+		"Capacity of the async job queue.", gauge,
+		nil, func(st jobs.StatsSnapshot) int64 { return int64(st.QueueCap) }},
+	{"jobs_running", "hsfsimd_jobs_running",
+		"Jobs currently executing.", gauge,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.Running }},
+	{"jobs_submitted_total", "hsfsimd_jobs_submitted_total",
+		"Jobs admitted into the queue.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.Submitted }},
+	{"jobs_completed_total", "hsfsimd_jobs_completed_total",
+		"Jobs finished successfully.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.Completed }},
+	{"jobs_failed_total", "hsfsimd_jobs_failed_total",
+		"Jobs that ended in failure.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.Failed }},
+	{"jobs_cancelled_total", "hsfsimd_jobs_cancelled_total",
+		"Jobs cancelled by callers.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.Cancelled }},
+	{"jobs_resumed_total", "hsfsimd_jobs_resumed_total",
+		"Jobs resumed from durable checkpoints after a restart.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.Resumed }},
+	{"jobs_batches_total", "hsfsimd_jobs_batches_total",
+		"Walks executed by the job runner pool.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.Batches }},
+	{"jobs_batched_total", "hsfsimd_jobs_batched_total",
+		"Jobs that shared a walk with at least one other job.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.BatchedJobs }},
+	{"jobs_plan_hits_total", "hsfsimd_jobs_plan_cache_hits_total",
+		"Plan-cache hits (a compiled plan was reused); the cache serves /jobs and /dist/run.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.PlanHits }},
+	{"jobs_plan_misses_total", "hsfsimd_jobs_plan_cache_misses_total",
+		"Plan-cache misses (a plan was compiled); the cache serves /jobs and /dist/run.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.PlanMisses }},
+	{"jobs_plan_evictions_total", "hsfsimd_jobs_plan_cache_evictions_total",
+		"Compiled plans evicted from the LRU shared by /jobs and /dist/run.", counter,
+		nil, func(st jobs.StatsSnapshot) int64 { return st.PlanEvictions }},
+}
+
+func init() {
+	m := expvar.NewMap("hsfsimd")
+	for _, sm := range scalarMetrics {
+		switch {
+		case sm.expvar == "":
+		case sm.proc != nil:
+			m.Set(sm.expvar, expvar.Func(func() any { return sm.proc() }))
+		default:
+			m.Set(sm.expvar, expvar.Func(func() any { return sumJobsStats(sm.jobs) }))
+		}
+	}
+}
+
+// handleMetrics serves the Prometheus text exposition format: every scalar
+// metric (the "hsfsimd" expvar map plus the queue capacity), the service's
+// latency histograms, and runtime gauges. Process and dist metrics are
+// process-global (matching /debug/vars); job metrics and histograms are
+// scoped to this service instance.
 func (s *service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 
@@ -149,86 +217,20 @@ func (s *service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			{"go_version", runtime.Version()},
 			{"kernel_isa", statevec.KernelISA()},
 		})
-	telemetry.WriteCounter(w, "hsfsimd_requests_total",
-		"HTTP requests received across all endpoints.", metricRequests.Value())
-	telemetry.WriteCounter(w, "hsfsimd_simulations_total",
-		"Simulations completed successfully.", metricSimulations.Value())
-	telemetry.WriteCounter(w, "hsfsimd_paths_simulated_total",
-		"Feynman path leaves simulated locally.", metricPathsSimulated.Value())
-	telemetry.WriteCounter(w, "hsfsimd_shed_429_total",
-		"Requests shed by the concurrency limiter.", metricShed429.Value())
-	telemetry.WriteGauge(w, "hsfsimd_in_flight",
-		"Simulation requests currently executing.", float64(metricInFlight.Value()))
-	telemetry.WriteCounter(w, "hsfsimd_worker_runs_total",
-		"Distributed leases served as a worker.", metricWorkerRuns.Value())
-
-	telemetry.WriteCounter(w, "hsfsimd_dist_leases_granted_total",
-		"Distributed leases granted by coordinators.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.LeasesGranted.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_lease_reassignments_total",
-		"Leases reassigned after worker failure or stall.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.LeasesReassigned.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_workers_retired_total",
-		"Workers retired after repeated lease failures.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.WorkersRetired.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_prefixes_merged_total",
-		"Prefix tasks merged into coordinator state.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.PrefixesMerged.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_paths_simulated_total",
-		"Feynman path leaves merged from distributed workers.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.PathsSimulated.Load() }))
-	telemetry.WriteGauge(w, "hsfsimd_dist_leases_in_flight",
-		"Distributed leases currently executing.",
-		float64(sumDistStats(func(st *dist.Stats) int64 { return st.InFlightLeases.Load() })))
-	telemetry.WriteCounter(w, "hsfsimd_dist_leases_stolen_total",
-		"Leases created by stealing from slow or leaving workers.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.LeasesStolen.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_leases_resplit_total",
-		"In-flight leases split so part could be re-leased.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.LeasesResplit.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_partial_returns_total",
-		"Successful lease replies covering fewer prefixes than leased.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.PartialReturns.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_partials_duplicate_total",
-		"Returned partials dropped by exactly-once dedup.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.PartialsDuplicate.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_store_flushes_total",
-		"Merged checkpoints flushed to durable storage.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.StoreFlushes.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_workers_joined_total",
-		"Workers admitted into runs after they started.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.WorkersJoined.Load() }))
-	telemetry.WriteCounter(w, "hsfsimd_dist_workers_left_total",
-		"Workers that dropped out of running rotations.",
-		sumDistStats(func(st *dist.Stats) int64 { return st.WorkersLeft.Load() }))
-
 	jst := s.jobs.Stats()
-	telemetry.WriteGauge(w, "hsfsimd_jobs_queued",
-		"Jobs waiting in the async queue.", float64(jst.Queued))
-	telemetry.WriteGauge(w, "hsfsimd_jobs_queue_capacity",
-		"Capacity of the async job queue.", float64(jst.QueueCap))
-	telemetry.WriteGauge(w, "hsfsimd_jobs_running",
-		"Jobs currently executing.", float64(jst.Running))
-	telemetry.WriteCounter(w, "hsfsimd_jobs_submitted_total",
-		"Jobs admitted into the queue.", jst.Submitted)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_completed_total",
-		"Jobs finished successfully.", jst.Completed)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_failed_total",
-		"Jobs that ended in failure.", jst.Failed)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_cancelled_total",
-		"Jobs cancelled by callers.", jst.Cancelled)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_resumed_total",
-		"Jobs resumed from durable checkpoints after a restart.", jst.Resumed)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_batches_total",
-		"Walks executed by the job runner pool.", jst.Batches)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_batched_total",
-		"Jobs that shared a walk with at least one other job.", jst.BatchedJobs)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_plan_cache_hits_total",
-		"Plan-cache hits (a compiled plan was reused).", jst.PlanHits)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_plan_cache_misses_total",
-		"Plan-cache misses (a plan was compiled).", jst.PlanMisses)
-	telemetry.WriteCounter(w, "hsfsimd_jobs_plan_cache_evictions_total",
-		"Compiled plans evicted from the LRU.", jst.PlanEvictions)
+	for _, sm := range scalarMetrics {
+		var v int64
+		if sm.proc != nil {
+			v = sm.proc()
+		} else {
+			v = sm.jobs(jst)
+		}
+		if sm.kind == gauge {
+			telemetry.WriteGauge(w, sm.prom, sm.help, float64(v))
+		} else {
+			telemetry.WriteCounter(w, sm.prom, sm.help, v)
+		}
+	}
 	telemetry.WriteHistogramSnapshot(w, "hsfsimd_jobs_queue_wait_seconds",
 		"Time jobs spent queued before their walk started.", jst.QueueWait)
 	telemetry.WriteHistogramSnapshot(w, "hsfsimd_jobs_batch_duration_seconds",
@@ -259,7 +261,6 @@ func (s *service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Completed GC cycles.", int64(ms.NumGC))
 	telemetry.WriteGauge(w, "hsfsimd_goroutines",
 		"Current number of goroutines.", float64(runtime.NumGoroutine()))
-	_, _ = fmt.Fprintf(w, "")
 }
 
 // writeTenantMetrics emits the per-tenant job families. They use distinct

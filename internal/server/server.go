@@ -598,17 +598,6 @@ func (s *service) resolveBackend(name string) (hsfsim.Backend, error) {
 	return hsfsim.ParseBackend(name)
 }
 
-func strategyOf(s string) (hsfsim.BlockStrategy, error) {
-	switch s {
-	case "", "cascade":
-		return hsfsim.BlockCascade, nil
-	case "window":
-		return hsfsim.BlockWindow, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
-}
-
 // cutPosOf resolves the partition cut for an HSF request. The default is
 // n/2-1; explicit positions must leave at least one qubit on each side. An
 // error here is a client error (422): the circuit cannot be bipartitioned as
@@ -645,7 +634,7 @@ func (s *service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err, reqID)
 		return
 	}
-	strategy, err := strategyOf(req.Strategy)
+	strategy, err := hsfsim.ParseBlockStrategy(req.Strategy)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err, reqID)
 		return
@@ -667,9 +656,10 @@ func (s *service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // simulateOptions resolves a SimulateRequest into concrete run options; it
-// is shared by /simulate and job submission so both admit identically. The
-// returned status classifies a failure: 400 for a malformed request, 422
-// when the circuit cannot be run as asked (e.g. an impossible cut).
+// is shared by /simulate and job submission, local or distributed, so all
+// of them admit identically. The returned status classifies a failure: 400
+// for a malformed request (including a Schrödinger run asked to distribute),
+// 422 when the circuit cannot be run as asked (e.g. an impossible cut).
 func (s *service) simulateOptions(req *SimulateRequest, numQubits int) (hsfsim.Options, int, error) {
 	backend, err := s.resolveBackend(req.Backend)
 	if err != nil {
@@ -689,17 +679,14 @@ func (s *service) simulateOptions(req *SimulateRequest, numQubits int) (hsfsim.O
 		MemoryBudget:   s.cfg.MemoryBudget,
 		MaxPaths:       s.cfg.MaxPaths,
 	}
-	switch req.Method {
-	case "schrodinger":
-		opts.Method = hsfsim.Schrodinger
-	case "standard":
-		opts.Method = hsfsim.StandardHSF
-	case "joint", "":
-		opts.Method = hsfsim.JointHSF
-	default:
-		return hsfsim.Options{}, http.StatusBadRequest, fmt.Errorf("unknown method %q", req.Method)
+	if opts.Method, err = hsfsim.ParseMethod(req.Method); err != nil {
+		return hsfsim.Options{}, http.StatusBadRequest, err
 	}
-	if opts.BlockStrategy, err = strategyOf(req.Strategy); err != nil {
+	if req.Distribute && opts.Method == hsfsim.Schrodinger {
+		return hsfsim.Options{}, http.StatusBadRequest,
+			fmt.Errorf("method %q cannot be distributed; use \"standard\" or \"joint\"", req.Method)
+	}
+	if opts.BlockStrategy, err = hsfsim.ParseBlockStrategy(req.Strategy); err != nil {
 		return hsfsim.Options{}, http.StatusBadRequest, err
 	}
 	if opts.Method != hsfsim.Schrodinger {
@@ -724,10 +711,6 @@ func (s *service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err, reqID)
 		return
 	}
-	if req.Distribute {
-		s.handleDistributedSimulate(w, r, &req, c.NumQubits)
-		return
-	}
 	opts, status, err := s.simulateOptions(&req, c.NumQubits)
 	if err != nil {
 		writeErr(w, status, err, reqID)
@@ -745,6 +728,10 @@ func (s *service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, d, hsfsim.ErrTimeout)
 		defer cancel()
+	}
+	if req.Distribute {
+		s.handleDistributedSimulate(ctx, w, r, c.NumQubits, req.QASM, opts)
+		return
 	}
 
 	// Request-scoped recorder: its sampled latency histograms merge into the
@@ -792,64 +779,18 @@ func (resp *SimulateResponse) fillAmplitudes(amps []complex128) {
 }
 
 // handleDistributedSimulate fans the request out over the registered worker
-// fleet through the coordinator. The wall-clock of the whole distributed run
-// lands in sim_ms; preprocessing happens independently on every participant.
-func (s *service) handleDistributedSimulate(w http.ResponseWriter, r *http.Request, req *SimulateRequest, numQubits int) {
+// fleet through the coordinator, under the request's deadline ctx. The
+// wall-clock of the whole distributed run lands in sim_ms; preprocessing
+// happens independently on every participant.
+func (s *service) handleDistributedSimulate(ctx context.Context, w http.ResponseWriter, r *http.Request, numQubits int, src string, opts hsfsim.Options) {
 	reqID := requestID(r.Context())
-	method := req.Method
-	if method == "" {
-		method = "joint"
-	}
-	if method != "standard" && method != "joint" {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("method %q cannot be distributed; use \"standard\" or \"joint\"", method), reqID)
-		return
-	}
-	cutPos, err := cutPosOf(req.CutPos, numQubits)
-	if err == nil {
-		err = checkBlockQubits(req.MaxBlockQubits)
-	}
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err, reqID)
-		return
-	}
 	if len(s.coord.Workers()) == 0 {
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("%w: register workers or start hsfsimd with -dist-worker addresses", dist.ErrNoWorkers), reqID)
 		return
 	}
-	backend, err := s.resolveBackend(req.Backend)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err, reqID)
-		return
-	}
-	job := &dist.Job{
-		QASM:           req.QASM,
-		Method:         method,
-		CutPos:         cutPos,
-		Strategy:       req.Strategy,
-		MaxBlockQubits: req.MaxBlockQubits,
-		MaxAmplitudes:  req.MaxAmplitudes,
-	}
-	if backend != hsfsim.BackendDense {
-		// Dense stays the absent field so leases interoperate with workers
-		// predating the backend field.
-		job.Backend = backend.String()
-	}
-
-	ctx := r.Context()
-	if req.TimeoutMillis > 0 {
-		d := time.Duration(req.TimeoutMillis) * time.Millisecond
-		if s.cfg.MaxTimeout > 0 && d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, d, hsfsim.ErrTimeout)
-		defer cancel()
-	}
-
 	start := time.Now()
-	res, err := s.coord.Run(ctx, job, dist.RunOptions{})
+	res, err := s.runDistributed(ctx, src, opts)
 	if err != nil {
 		if errors.Is(err, dist.ErrNoWorkers) {
 			writeErr(w, http.StatusServiceUnavailable, err, reqID)
@@ -860,7 +801,7 @@ func (s *service) handleDistributedSimulate(w http.ResponseWriter, r *http.Reque
 	}
 	metricSimulations.Add(1)
 	resp := SimulateResponse{
-		Method:         method + "-hsf",
+		Method:         opts.Method.String(),
 		NumQubits:      numQubits,
 		NumPaths:       res.NumPaths,
 		Log2Paths:      res.Log2Paths,
@@ -915,6 +856,7 @@ func (s *service) handleDistRun(w http.ResponseWriter, r *http.Request) {
 		MemoryBudget: s.cfg.MemoryBudget,
 		MaxPaths:     s.cfg.MaxPaths,
 		Telemetry:    rec,
+		Plans:        s.jobs.PlanCache(),
 	})
 	execEnd := time.Now()
 	w.Header().Set(dist.WorkerStartHeader, strconv.FormatInt(execStart.UnixNano(), 10))

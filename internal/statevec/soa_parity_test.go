@@ -1050,57 +1050,3 @@ func TestSelectKernelISA(t *testing.T) {
 		}
 	}
 }
-
-// TestVectorSchmidtMatchesState: the Vector entanglement diagnostics agree
-// with an SVD of the interleaved state reshaped across each cut, and with the
-// entropy and rank that spectrum implies.
-func TestVectorSchmidtMatchesState(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	const n = 6
-	s := randomState(rng, n)
-	v := FromComplex(s)
-	for cut := 1; cut < n; cut++ {
-		m := cmat.New(1<<(n-cut), 1<<cut)
-		for a := 0; a < m.Rows; a++ {
-			for b := 0; b < m.Cols; b++ {
-				m.Set(a, b, s[a<<cut|b])
-			}
-		}
-		svd, err := cmat.SVD(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specS := svd.S
-		specV, err := v.SchmidtSpectrum(cut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(specV) != len(specS) {
-			t.Fatalf("cut %d: %d singular values, want %d", cut, len(specV), len(specS))
-		}
-		var eS float64
-		rS := 0
-		for i := range specS {
-			if d := specS[i] - specV[i]; d > parityTol || d < -parityTol {
-				t.Fatalf("cut %d singular value %d: %v vs %v", cut, i, specS[i], specV[i])
-			}
-			if p := specS[i] * specS[i]; p > 1e-15 {
-				eS -= p * math.Log2(p)
-			}
-			if specS[i] > 1e-10*specS[0] {
-				rS++
-			}
-		}
-		eV, _ := v.EntanglementEntropy(cut)
-		if d := eS - eV; d > parityTol || d < -parityTol {
-			t.Fatalf("cut %d entropy: %v vs %v", cut, eS, eV)
-		}
-		rV, _ := v.SchmidtRank(cut, 0)
-		if rS != rV {
-			t.Fatalf("cut %d rank: %d vs %d", cut, rS, rV)
-		}
-	}
-	if _, err := v.SchmidtSpectrum(0); err == nil {
-		t.Fatal("degenerate bipartition accepted")
-	}
-}

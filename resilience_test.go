@@ -40,8 +40,8 @@ func TestSimulateContextCanceled(t *testing.T) {
 		{"schrodinger", hsfsim.Options{Method: hsfsim.Schrodinger}},
 		{"standard", hsfsim.Options{Method: hsfsim.StandardHSF, CutPos: 3}},
 		{"joint", hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3}},
-		{"standard-dd", hsfsim.Options{Method: hsfsim.StandardHSF, CutPos: 3, UseDDEngine: true}},
-		{"joint-dd", hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3, UseDDEngine: true}},
+		{"standard-dd", hsfsim.Options{Method: hsfsim.StandardHSF, CutPos: 3, Backend: hsfsim.BackendDD}},
+		{"joint-dd", hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3, Backend: hsfsim.BackendDD}},
 	}
 	for _, tc := range cases {
 		_, err := hsfsim.SimulateContext(ctx, c, tc.opts)
@@ -91,12 +91,12 @@ func TestBudgetGate(t *testing.T) {
 		t.Fatalf("hsf paths: err = %v, want ErrBudget", err)
 	}
 	// ... and MemoryBudget likewise, on both engines.
-	for _, dd := range []bool{false, true} {
+	for _, backend := range []hsfsim.Backend{hsfsim.BackendDense, hsfsim.BackendDD} {
 		_, err = hsfsim.Simulate(c, hsfsim.Options{
-			Method: hsfsim.StandardHSF, CutPos: 3, MemoryBudget: 1, UseDDEngine: dd,
+			Method: hsfsim.StandardHSF, CutPos: 3, MemoryBudget: 1, Backend: backend,
 		})
 		if !errors.Is(err, hsfsim.ErrBudget) {
-			t.Fatalf("hsf memory (dd=%v): err = %v, want ErrBudget", dd, err)
+			t.Fatalf("hsf memory (%v): err = %v, want ErrBudget", backend, err)
 		}
 	}
 }
