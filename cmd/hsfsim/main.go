@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/cmplx"
 	"os"
@@ -42,7 +43,6 @@ import (
 	"hsfsim"
 	"hsfsim/internal/dd"
 	"hsfsim/internal/dist"
-	"hsfsim/internal/hsf"
 	"hsfsim/internal/qasm"
 	"hsfsim/internal/telemetry/trace"
 )
@@ -277,12 +277,6 @@ func writeReport(path string, rec *hsfsim.TelemetryRecorder) {
 // their leases reassigned, and the merged amplitudes print exactly like a
 // local run.
 func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, workersCSV, ckptPath, resumePath, storeDir, runID string, ampsN int, quiet bool) {
-	ctx, cancel := fleetContext(opts.Timeout)
-	defer cancel()
-	job, err := dist.NewJob(src, *opts)
-	fail(err)
-	co := newFleet(workersCSV)
-
 	var ropts dist.RunOptions
 	if storeDir != "" {
 		// Durable checkpoints: a later hsfsim -takeover -store ... -run-id ...
@@ -292,28 +286,81 @@ func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, workers
 		ropts.Store = st
 		ropts.RunID = runID
 	}
-	// Same recorder/tracker as a local run: the coordinator fills the lease
-	// timeline and advances progress as batches merge.
-	ropts.Telemetry = opts.Telemetry
-	ropts.Progress = opts.Progress
+	// Checkpoint, resume, telemetry and progress ride opts exactly as in a
+	// local run; the coordinator fills the lease timeline and advances
+	// progress as batches merge.
 	if resumePath != "" {
 		rf, err := os.Open(resumePath)
 		fail(err)
-		ck, err := hsf.ReadCheckpoint(rf)
-		rf.Close()
-		fail(err)
-		ropts.Resume = ck
+		defer rf.Close()
+		opts.ResumeFrom = rf
 	}
+	// No fleet timeout here: Simulate applies opts.Timeout itself.
+	res, elapsed := runOnFleet(workersCSV, 0, ckptPath, func(ctx context.Context, co *dist.Coordinator, ckpt io.Writer) (*dist.Result, error) {
+		o := *opts
+		o.CheckpointWriter = ckpt
+		_, res, err := co.Simulate(ctx, src, o, ropts)
+		return res, err
+	})
+	fmt.Printf("method:          %v (distributed)\n", opts.Method)
+	fmt.Printf("qubits:          %d\n", c.NumQubits)
+	fmt.Printf("gates:           %d (%d two-qubit)\n", len(c.Gates), c.NumTwoQubitGates())
+	fmt.Printf("cut position:    %d\n", opts.CutPos)
+	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
+}
+
+// runTakeover resumes a durable distributed run on a fresh coordinator: the
+// job and latest checkpoint are loaded from the store, already-merged prefix
+// tasks are skipped, and the remainder is sharded across the given fleet.
+func runTakeover(storeDir, runID, workersCSV string, timeout time.Duration, ckptPath string, ampsN int, quiet bool) {
+	store, err := dist.NewDirStore(storeDir)
+	fail(err)
+	m, err := store.LoadManifest(runID)
+	fail(err)
+	c, err := qasm.Parse(strings.NewReader(m.Job.QASM))
+	fail(err)
+	res, elapsed := runOnFleet(workersCSV, timeout, ckptPath, func(ctx context.Context, co *dist.Coordinator, ckpt io.Writer) (*dist.Result, error) {
+		return co.Takeover(ctx, store, runID, dist.RunOptions{CheckpointWriter: ckpt})
+	})
+	fmt.Printf("method:          %s-hsf (takeover of run %s)\n", m.Job.Method, runID)
+	fmt.Printf("qubits:          %d\n", c.NumQubits)
+	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
+}
+
+// runOnFleet runs one distributed run on a coordinator over the
+// comma-separated worker addresses, canceled by Ctrl-C or SIGTERM, after
+// timeout (0: never) with ErrTimeout, and recording into the -trace flight
+// recorder. With ckptPath set, run's checkpoint writer is that file: it holds
+// the merged state if the run stops early and is removed when it completes.
+func runOnFleet(workersCSV string, timeout time.Duration, ckptPath string, run func(context.Context, *dist.Coordinator, io.Writer) (*dist.Result, error)) (*dist.Result, time.Duration) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx = withTrace(ctx)
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, timeout, hsfsim.ErrTimeout)
+		defer cancel()
+	}
+	co, err := dist.New(dist.Config{
+		Transport: &dist.HTTPTransport{},
+		Logger:    log.New(os.Stderr, "hsfsim dist ", log.LstdFlags),
+	})
+	fail(err)
+	for _, a := range strings.Split(workersCSV, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			co.AddWorker(a)
+		}
+	}
+	var ckpt io.Writer
 	var ckptFile *os.File
 	if ckptPath != "" {
-		f, err := os.Create(ckptPath)
+		ckptFile, err = os.Create(ckptPath)
 		fail(err)
-		ckptFile = f
-		ropts.CheckpointWriter = ckptFile
+		ckpt = ckptFile
 	}
 
 	start := time.Now()
-	res, err := co.Run(ctx, job, ropts)
+	res, err := run(ctx, co, ckpt)
 	elapsed := time.Since(start)
 	if ckptFile != nil {
 		if cerr := ckptFile.Close(); cerr != nil && err == nil {
@@ -326,80 +373,7 @@ func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, workers
 		}
 	}
 	fail(err)
-
-	fmt.Printf("method:          %v (distributed)\n", opts.Method)
-	fmt.Printf("qubits:          %d\n", c.NumQubits)
-	fmt.Printf("gates:           %d (%d two-qubit)\n", len(c.Gates), c.NumTwoQubitGates())
-	fmt.Printf("cut position:    %d\n", opts.CutPos)
-	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
-}
-
-// runTakeover resumes a durable distributed run on a fresh coordinator: the
-// job and latest checkpoint are loaded from the store, already-merged prefix
-// tasks are skipped, and the remainder is sharded across the given fleet.
-func runTakeover(storeDir, runID, workersCSV string, timeout time.Duration, ckptPath string, ampsN int, quiet bool) {
-	ctx, cancel := fleetContext(timeout)
-	defer cancel()
-	store, err := dist.NewDirStore(storeDir)
-	fail(err)
-	m, err := store.LoadManifest(runID)
-	fail(err)
-	c, err := qasm.Parse(strings.NewReader(m.Job.QASM))
-	fail(err)
-	co := newFleet(workersCSV)
-
-	var ropts dist.RunOptions
-	var ckptFile *os.File
-	if ckptPath != "" {
-		ckptFile, err = os.Create(ckptPath)
-		fail(err)
-		ropts.CheckpointWriter = ckptFile
-	}
-
-	start := time.Now()
-	res, err := co.Takeover(ctx, store, runID, ropts)
-	elapsed := time.Since(start)
-	if ckptFile != nil {
-		if cerr := ckptFile.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err == nil {
-			os.Remove(ckptPath)
-		}
-	}
-	fail(err)
-
-	fmt.Printf("method:          %s-hsf (takeover of run %s)\n", m.Job.Method, runID)
-	fmt.Printf("qubits:          %d\n", c.NumQubits)
-	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
-}
-
-// fleetContext is a distributed run's context: canceled by Ctrl-C or
-// SIGTERM, after timeout (0: never) with ErrTimeout, and recording into the
-// -trace flight recorder.
-func fleetContext(timeout time.Duration) (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	ctx = withTrace(ctx)
-	if timeout <= 0 {
-		return ctx, stop
-	}
-	ctx, cancel := context.WithTimeoutCause(ctx, timeout, hsfsim.ErrTimeout)
-	return ctx, func() { cancel(); stop() }
-}
-
-// newFleet returns a coordinator over the comma-separated worker addresses.
-func newFleet(workersCSV string) *dist.Coordinator {
-	co, err := dist.New(dist.Config{
-		Transport: &dist.HTTPTransport{},
-		Logger:    log.New(os.Stderr, "hsfsim dist ", log.LstdFlags),
-	})
-	fail(err)
-	for _, a := range strings.Split(workersCSV, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			co.AddWorker(a)
-		}
-	}
-	return co
+	return res, elapsed
 }
 
 // printFleetRun prints a distributed run's plan and fleet statistics and,

@@ -385,6 +385,16 @@ func (p *CompiledPlan) EstimateCost(opts Options) *CostEstimate {
 	return &est
 }
 
+// Admit is the admission gate of one SimulateCompiledContext call with opts:
+// it rejects the run with a *BudgetError before anything is allocated when
+// EstimateCost exceeds opts.MemoryBudget or opts.MaxPaths. Schrödinger runs
+// and a job service's submission call it; an HSF run applies the same rule
+// (hsf.Admit) to the same estimate inside the engine, so a plan rejected here
+// is rejected there with an equal *BudgetError.
+func (p *CompiledPlan) Admit(opts Options) error {
+	return hsf.Admit(*p.EstimateCost(opts), opts.MemoryBudget, opts.MaxPaths)
+}
+
 // fingerprintOf computes the plan cache key for (c, opts): the circuit hash
 // extended with every plan-affecting option, normalized the same way the
 // compilers normalize them. Execution-time options (workers, budgets,
@@ -562,18 +572,9 @@ func schrodingerCost(numQubits, maxAmps int, tableBytes int64) CostEstimate {
 }
 
 func (cp *CompiledPlan) runSchrodinger(ctx context.Context, opts Options) (*Result, error) {
-	c, seg := cp.circuit, cp.seg
-	est := *cp.EstimateCost(opts)
-	budget := opts.MemoryBudget
-	if budget == 0 {
-		budget = DefaultMemoryBudget
-	}
-	if budget > 0 && est.TotalBytes > budget {
-		return nil, &BudgetError{
-			Estimate:     est,
-			MemoryBudget: budget,
-			Reason:       fmt.Sprintf("2^%d-amplitude statevector exceeds the memory budget of %d bytes", c.NumQubits, budget),
-		}
+	seg := cp.seg
+	if err := cp.Admit(opts); err != nil {
+		return nil, err
 	}
 	if opts.Telemetry != nil {
 		opts.Telemetry.AddKernelClasses(kernelClassCensus(cp.gates))

@@ -13,6 +13,10 @@ import (
 	"hsfsim/internal/telemetry"
 )
 
+// tasksPerWorker sizes a fresh run's split: the prefix space is expanded
+// until it has at least tasksPerWorker×workers tasks.
+const tasksPerWorker = 16
+
 // Config tunes a Coordinator; the zero value (plus a Transport) is usable.
 type Config struct {
 	// Transport executes leases (required).
@@ -25,13 +29,10 @@ type Config struct {
 	// MaxStrikes is the number of consecutive failed leases after which a
 	// worker is retired from the run. 0: 3.
 	MaxStrikes int
-	// TasksPerWorker sizes the split: the prefix space is expanded until it
-	// has at least TasksPerWorker×workers tasks. 0: 16.
-	TasksPerWorker int
 	// BatchSize fixes the lease size in prefixes. 0: adaptive — leases start
 	// at about pending/(4×workers) prefixes and are then resized per worker
 	// from its lease-duration histogram so each lease lands near
-	// TargetLeaseDuration (slow workers get smaller leases, fast ones larger).
+	// LeaseTimeout/4 (slow workers get smaller leases, fast ones larger).
 	BatchSize int
 	// WorkerTTL is the dynamic-registration heartbeat TTL. 0: 1 minute.
 	WorkerTTL time.Duration
@@ -46,13 +47,6 @@ type Config struct {
 	// worker may steal (re-split) part of it. Leases held by leaving or
 	// retired workers are stealable immediately. 0: max(LeaseTimeout/8, 2s).
 	StealDelay time.Duration
-	// TargetLeaseDuration is the per-lease wall-time the adaptive sizer aims
-	// for. Must be below LeaseTimeout. 0: LeaseTimeout/4.
-	TargetLeaseDuration time.Duration
-	// JoinGrace is how long a run with unfinished work waits for a new worker
-	// to join after the whole fleet has died or left. 0: fail immediately
-	// with ErrNoWorkers (the pre-elastic behavior).
-	JoinGrace time.Duration
 	// Logger receives lease-level events (nil: log.Default()).
 	Logger *log.Logger
 	// Stats, when non-nil, receives counter updates. Every coordinator
@@ -93,8 +87,6 @@ func (cfg Config) Validate() error {
 		{"HeartbeatInterval", cfg.HeartbeatInterval},
 		{"MembershipInterval", cfg.MembershipInterval},
 		{"StealDelay", cfg.StealDelay},
-		{"TargetLeaseDuration", cfg.TargetLeaseDuration},
-		{"JoinGrace", cfg.JoinGrace},
 	} {
 		if f.d < 0 {
 			return &ConfigError{Field: f.name, Reason: "must not be negative"}
@@ -102,9 +94,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxStrikes < 0 {
 		return &ConfigError{Field: "MaxStrikes", Reason: "must not be negative"}
-	}
-	if cfg.TasksPerWorker < 0 {
-		return &ConfigError{Field: "TasksPerWorker", Reason: "must not be negative"}
 	}
 	if cfg.BatchSize < 0 {
 		return &ConfigError{Field: "BatchSize", Reason: "must not be negative"}
@@ -117,13 +106,6 @@ func (cfg Config) Validate() error {
 				n.WorkerTTL, n.HeartbeatInterval),
 		}
 	}
-	if n.TargetLeaseDuration >= n.LeaseTimeout {
-		return &ConfigError{
-			Field: "TargetLeaseDuration",
-			Reason: fmt.Sprintf("target %v must stay below the lease timeout %v or every lease expires",
-				n.TargetLeaseDuration, n.LeaseTimeout),
-		}
-	}
 	return nil
 }
 
@@ -134,9 +116,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxStrikes <= 0 {
 		cfg.MaxStrikes = 3
-	}
-	if cfg.TasksPerWorker <= 0 {
-		cfg.TasksPerWorker = 16
 	}
 	if cfg.WorkerTTL <= 0 {
 		cfg.WorkerTTL = time.Minute
@@ -152,9 +131,6 @@ func (cfg Config) withDefaults() Config {
 		if cfg.StealDelay < 2*time.Second {
 			cfg.StealDelay = 2 * time.Second
 		}
-	}
-	if cfg.TargetLeaseDuration <= 0 {
-		cfg.TargetLeaseDuration = cfg.LeaseTimeout / 4
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = log.Default()

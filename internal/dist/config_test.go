@@ -8,8 +8,7 @@ import (
 
 // TestConfigValidation pins the typed rejection of incoherent tuning: a TTL
 // at or below the heartbeat interval would flap live workers out of the
-// registry between beats, and a target lease duration at or above the lease
-// timeout would expire every lease.
+// registry between beats.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -33,11 +32,6 @@ func TestConfigValidation(t *testing.T) {
 			WorkerTTL:         10 * time.Second,
 			HeartbeatInterval: 10 * time.Second,
 		}, "WorkerTTL"},
-		{"target at lease timeout", Config{
-			Transport:           NewLoopback(),
-			LeaseTimeout:        time.Minute,
-			TargetLeaseDuration: time.Minute,
-		}, "TargetLeaseDuration"},
 		{"negative lease timeout", Config{
 			Transport:    NewLoopback(),
 			LeaseTimeout: -time.Second,

@@ -147,8 +147,14 @@ type RunOptions struct {
 	Store Store
 	// RunID names the run inside the Store. Empty: the plan hash in hex.
 	RunID string
-	// FlushInterval is the durable checkpoint cadence. 0: 5 seconds.
+	// FlushInterval rate-limits the Store's mid-run flushes, which happen on
+	// merges (hsf.Flusher). 0: 5 seconds.
 	FlushInterval time.Duration
+	// OnCheckpoint, when non-nil, runs after every merged lease with the
+	// run's live checkpoint, under the merge lock: the engine's
+	// Options.OnCheckpoint contract, so it must be fast — rate-limit, Clone,
+	// and hand off (hsf.Flusher does all three).
+	OnCheckpoint func(*hsf.Checkpoint)
 	// Telemetry, when non-nil, records the run's lease timeline (one
 	// LeaseEvent per lease, lease-duration histogram) and final totals.
 	Telemetry *telemetry.Recorder
@@ -174,38 +180,15 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 	}
 	c.cfg.Stats.Runs.Add(1)
 
-	planHash := hsf.PlanHash(plan)
-	m := hsf.AccumulatorLen(plan, job.MaxAmplitudes)
-
-	splitLevels := 0
-	if opts.Resume != nil {
-		splitLevels = opts.Resume.SplitLevels
-	} else {
-		splitLevels = hsf.ChooseSplitLevels(plan, c.cfg.TasksPerWorker*len(workers))
+	ck, pending, err := hsf.Seed(plan, hsf.AccumulatorLen(plan, job.MaxAmplitudes),
+		hsf.ChooseSplitLevels(plan, tasksPerWorker*len(workers)), opts.Resume)
+	if err != nil {
+		return nil, fmt.Errorf("dist: resume checkpoint rejected: %w", err)
 	}
-	prefixes := hsf.EnumeratePrefixes(plan, splitLevels)
-
-	ck := &hsf.Checkpoint{
-		PlanHash:    planHash,
-		NumQubits:   plan.NumQubits,
-		M:           m,
-		SplitLevels: splitLevels,
-		Acc:         make([]complex128, m),
-	}
-	merged := make(map[string]bool, len(prefixes))
-	if opts.Resume != nil {
-		if err := ck.Merge(opts.Resume); err != nil {
-			return nil, fmt.Errorf("dist: resume checkpoint rejected: %w", err)
-		}
-		for _, p := range opts.Resume.Prefixes {
-			merged[hsf.PrefixKey(p)] = true
-		}
-	}
-	var pending [][]int
-	for _, p := range prefixes {
-		if !merged[hsf.PrefixKey(p)] {
-			pending = append(pending, p)
-		}
+	planHash, splitLevels := ck.PlanHash, ck.SplitLevels
+	merged := make(map[string]bool, len(ck.Prefixes)+len(pending))
+	for _, p := range ck.Prefixes {
+		merged[hsf.PrefixKey(p)] = true
 	}
 
 	runID := opts.RunID
@@ -255,6 +238,7 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 		leases:   make(map[int]*lease),
 		workers:  make(map[string]*sessWorker),
 		poke:     make(chan struct{}, 1),
+		onCkpt:   opts.OnCheckpoint,
 		tel:      opts.Telemetry,
 		trc:      trc,
 		root:     rootSpan.Context(),
@@ -313,7 +297,7 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 	}
 	if len(pending) == 0 { // everything already checkpointed
 		if opts.Store != nil {
-			s.flushStore(opts.Store, runID)
+			s.saveCheckpoint(opts.Store, runID, ck)
 		}
 		finish()
 		return result(), nil
@@ -333,6 +317,22 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 	c.addSession(s)
 	defer c.removeSession(s)
 
+	var flusher *hsf.Flusher
+	if opts.Store != nil {
+		interval := opts.FlushInterval
+		if interval <= 0 {
+			interval = 5 * time.Second
+		}
+		flusher = hsf.NewFlusher(interval, func(snap *hsf.Checkpoint) {
+			s.saveCheckpoint(opts.Store, runID, snap)
+		})
+		if hook := opts.OnCheckpoint; hook != nil {
+			s.onCkpt = func(ck *hsf.Checkpoint) { flusher.Hook(ck); hook(ck) }
+		} else {
+			s.onCkpt = flusher.Hook
+		}
+	}
+
 	s.mu.Lock()
 	for _, w := range workers {
 		s.addWorkerLocked(w, true)
@@ -341,22 +341,16 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 
 	s.wg.Add(1)
 	go s.membershipLoop()
-	if opts.Store != nil {
-		interval := opts.FlushInterval
-		if interval <= 0 {
-			interval = 5 * time.Second
-		}
-		s.wg.Add(1)
-		go s.flusher(opts.Store, runID, interval)
-	}
 
 	<-s.runCtx.Done()
 	s.wg.Wait()
 
 	if opts.Store != nil {
 		// Final durable flush: the handover point. Written on success and
-		// failure alike so a takeover never replays merged work.
-		s.flushStore(opts.Store, runID)
+		// failure alike so a takeover never replays merged work, and after
+		// the flusher has stopped so no older snapshot lands after it.
+		flusher.Stop()
+		s.saveCheckpoint(opts.Store, runID, ck)
 	}
 	finish()
 	if err := s.err(); err != nil {
@@ -411,6 +405,7 @@ type session struct {
 	left       atomic.Int64
 
 	baseLease int
+	onCkpt    func(*hsf.Checkpoint) // called under mu after every merge
 	tel       *telemetry.Recorder
 	progress  *telemetry.Tracker
 	start     time.Time
@@ -552,28 +547,10 @@ func (s *session) membershipLoop() {
 	}
 }
 
-// flusher streams the merged checkpoint to the durable store on a cadence.
-func (s *session) flusher(store Store, runID string, interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.runCtx.Done():
-			return
-		case <-t.C:
-		}
-		s.flushStore(store, runID)
-	}
-}
-
-// flushStore snapshots the merged checkpoint under the lock and writes it
-// outside it. Flush failures are logged, not fatal: the in-memory run is
-// still authoritative and the next flush retries.
-func (s *session) flushStore(store Store, runID string) {
-	s.mu.Lock()
-	snap := s.ck.Clone()
-	s.mu.Unlock()
+// saveCheckpoint writes one snapshot of the merged checkpoint to the durable
+// store. Failures are logged, not fatal: the in-memory run is still
+// authoritative and the next flush retries.
+func (s *session) saveCheckpoint(store Store, runID string, snap *hsf.Checkpoint) {
 	end := s.tel.Span("store-flush")
 	fsp := s.trc.Start(s.root, "store-flush")
 	err := store.SaveCheckpoint(runID, snap)
@@ -689,8 +666,7 @@ func (s *session) runWorker(w *sessWorker) {
 }
 
 // workerExit runs when a worker loop ends. If the whole fleet is gone with
-// work outstanding, the run fails now (JoinGrace 0) or after a grace window
-// in which a new worker may still join and pick the run back up.
+// work outstanding, the run fails with ErrNoWorkers.
 func (s *session) workerExit(w *sessWorker) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -702,21 +678,6 @@ func (s *session) workerExit(w *sessWorker) {
 	if context.Cause(s.runCtx) != nil {
 		return
 	}
-	fail := func() {
-		s.failLocked(fmt.Errorf("%w: all workers retired or left with %d prefixes unmerged",
-			ErrNoWorkers, s.unmerged))
-	}
-	grace := s.co.cfg.JoinGrace
-	if grace <= 0 {
-		fail()
-		return
-	}
-	time.AfterFunc(grace, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.activeLoops == 0 && s.unmerged > 0 && !s.done && s.firstErr == nil &&
-			context.Cause(s.runCtx) == nil {
-			fail()
-		}
-	})
+	s.failLocked(fmt.Errorf("%w: all workers retired or left with %d prefixes unmerged",
+		ErrNoWorkers, s.unmerged))
 }

@@ -12,7 +12,8 @@
 // leaf counts in the checkpoint wire format; the coordinator folds partials
 // together with hsf.Checkpoint.Merge — exactly the operation checkpoint
 // resume performs locally. NewJob and Job.Options are the only conversions
-// between hsfsim.Options and the Job wire form.
+// between hsfsim.Options and the Job wire form, and Coordinator.Simulate the
+// only mapping of a caller's hsfsim.Options onto a fleet run.
 //
 // Failure model: a lease carries a deadline. A worker that dies or stalls has
 // its lease canceled and the batch handed to another worker; a worker that
@@ -28,11 +29,14 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"hsfsim"
+	"hsfsim/internal/hsf"
 	"hsfsim/internal/qasm"
 )
 
@@ -137,6 +141,51 @@ func (j *Job) Options() (hsfsim.Options, error) {
 		FusionMaxQubits: j.FusionMaxQubits,
 		Backend:         backend,
 	}, nil
+}
+
+// Simulate runs the QASM circuit src on the fleet under opts, for callers
+// that hold hsfsim.Options: it is the one mapping of those options onto a
+// distributed run. NewJob describes the run; ResumeFrom, when set, is read
+// into ropts.Resume, CheckpointWriter, OnCheckpoint, Progress and Telemetry
+// replace ropts' own, and Timeout bounds the run with hsfsim.ErrTimeout.
+// ropts supplies the rest (Store, RunID, FlushInterval). The merged result comes back as an
+// hsfsim.Result whose SimTime is the run's wall clock, together with the
+// fleet statistics.
+func (c *Coordinator) Simulate(ctx context.Context, src string, opts hsfsim.Options, ropts RunOptions) (*hsfsim.Result, *Result, error) {
+	job, err := NewJob(src, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.ResumeFrom != nil {
+		if ropts.Resume, err = hsf.ReadCheckpoint(opts.ResumeFrom); err != nil {
+			return nil, nil, err
+		}
+	}
+	ropts.CheckpointWriter = opts.CheckpointWriter
+	ropts.OnCheckpoint = opts.OnCheckpoint
+	ropts.Progress = opts.Progress
+	ropts.Telemetry = opts.Telemetry
+	if opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, hsfsim.ErrTimeout)
+		defer cancel()
+	}
+	start := time.Now()
+	fleet, err := c.Run(ctx, job, ropts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &hsfsim.Result{
+		Amplitudes:      fleet.Amplitudes,
+		Method:          opts.Method,
+		NumPaths:        fleet.NumPaths,
+		Log2Paths:       fleet.Log2Paths,
+		PathsSimulated:  fleet.PathsSimulated,
+		NumCuts:         fleet.NumCuts,
+		NumBlocks:       fleet.NumBlocks,
+		NumSeparateCuts: fleet.NumSeparateCuts,
+		SimTime:         time.Since(start),
+	}, fleet, nil
 }
 
 // compile parses the job's circuit and fetches its plan from plans (nil:

@@ -110,7 +110,7 @@ func (s *session) grantLocked(w *sessWorker, prefixes [][]int, victim *lease) *l
 // leaseSizeLocked returns how many prefixes to grant this worker. With a
 // fixed BatchSize the answer is constant; otherwise leases start at the base
 // size and are resized from the worker's lease-duration histogram so each
-// lease lands near TargetLeaseDuration: slow workers get smaller leases
+// lease lands near a quarter of LeaseTimeout: slow workers get smaller leases
 // (cheap to reassign), fast workers larger ones (less lease overhead).
 func (s *session) leaseSizeLocked(w *sessWorker) int {
 	if s.co.cfg.BatchSize > 0 {
@@ -120,7 +120,7 @@ func (s *session) leaseSizeLocked(w *sessWorker) int {
 	if w.prefixesDone > 0 {
 		if snap := w.hist.Snapshot(); snap.Count > 0 && snap.SumSeconds > 0 {
 			perPrefix := snap.SumSeconds / float64(w.prefixesDone)
-			n = int(s.co.cfg.TargetLeaseDuration.Seconds() / perPrefix)
+			n = int((s.co.cfg.LeaseTimeout / 4).Seconds() / perPrefix)
 		}
 	}
 	if n < 1 {
@@ -283,6 +283,9 @@ func (s *session) resolve(w *sessWorker, l *lease, part *hsf.Checkpoint, err err
 		cfg.Stats.PrefixesMerged.Add(int64(fresh))
 		cfg.Stats.PathsSimulated.Add(part.PathsSimulated)
 		s.progress.Add(part.PathsSimulated)
+		if s.onCkpt != nil {
+			s.onCkpt(s.ck)
+		}
 		// The reply need not cover the lease: a truncated (draining) worker
 		// returns a prefix of its lease, and a duplicated delivery can carry a
 		// different lease's prefixes entirely. Judge coverage by the lease's

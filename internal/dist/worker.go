@@ -68,13 +68,6 @@ func ExecuteRun(ctx context.Context, req *RunRequest, opts ExecOptions) (*hsf.Ch
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.LeaseMillis)*time.Millisecond)
 		defer cancel()
 	}
-	run := hsf.RunPrefixesContext
-	if req.AllowPartial {
-		// Drain semantics: cancellation or the lease deadline yields the
-		// finished subset as a valid partial instead of an error, so a
-		// SIGTERM'd worker hands its work back rather than abandoning it.
-		run = hsf.RunPrefixesPartialContext
-	}
 	// Report the local execution window to whichever side is estimating
 	// this worker's clock offset: the loopback transport shares the
 	// coordinator's context directly, the HTTP handler copies the window
@@ -83,7 +76,7 @@ func ExecuteRun(ctx context.Context, req *RunRequest, opts ExecOptions) (*hsf.Ch
 	if meta != nil {
 		meta.workerStartNS = time.Now().UnixNano()
 	}
-	ck, err := run(ctx, plan, hsf.Options{
+	ck, err := hsf.RunPrefixesContext(ctx, plan, hsf.Options{
 		MaxAmplitudes:   jopts.MaxAmplitudes,
 		Backend:         jopts.Backend,
 		Workers:         workers,
@@ -95,11 +88,24 @@ func ExecuteRun(ctx context.Context, req *RunRequest, opts ExecOptions) (*hsf.Ch
 	if meta != nil {
 		meta.workerEndNS = time.Now().UnixNano()
 	}
-	if err != nil {
-		if errors.Is(err, hsf.ErrBudget) {
-			return nil, Permanent(err)
-		}
-		return nil, err
+	switch {
+	case err == nil:
+		return ck, nil
+	case req.AllowPartial && ck != nil && stoppedEarly(err):
+		// Drain semantics: cancellation or the lease deadline yields the
+		// finished subset as a valid partial instead of an error, so a
+		// SIGTERM'd worker hands its work back rather than abandoning it.
+		return ck, nil
+	case errors.Is(err, hsf.ErrBudget):
+		return nil, Permanent(err)
 	}
-	return ck, nil
+	return nil, err
+}
+
+// stoppedEarly reports whether err is a cooperative stop (cancellation, a
+// deadline, or the engine's timeout) rather than an execution failure.
+func stoppedEarly(err error) bool {
+	return errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, hsf.ErrTimeout)
 }

@@ -20,6 +20,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"time"
 
 	"hsfsim/internal/cmat"
 	"hsfsim/internal/cut"
@@ -73,6 +74,65 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 	cp.Prefixes = append([][]int(nil), ck.Prefixes...)
 	cp.Acc = append([]complex128(nil), ck.Acc...)
 	return &cp
+}
+
+// Flusher is the rate-limited checkpoint flusher of every durable run, local
+// or distributed. Hook is the run's OnCheckpoint callback: called under the
+// run's merge lock after each merged task, it clones the live checkpoint at
+// most once per interval and hands the copy to a writer goroutine that calls
+// save, so the walk never blocks on storage. A snapshot taken while the
+// writer is still busy is dropped; a fresher one follows. The nil Flusher
+// flushes nothing.
+type Flusher struct {
+	interval time.Duration
+	save     func(*Checkpoint)
+	last     time.Time // guarded by the merge lock Hook runs under
+	ch       chan *Checkpoint
+	quit     chan struct{}
+	done     chan struct{}
+}
+
+// NewFlusher starts a flusher that saves at most one snapshot per interval.
+func NewFlusher(interval time.Duration, save func(*Checkpoint)) *Flusher {
+	f := &Flusher{interval: interval, save: save,
+		ch: make(chan *Checkpoint, 1), quit: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(f.done)
+		for {
+			select {
+			case ck := <-f.ch:
+				f.save(ck)
+			case <-f.quit:
+				return
+			}
+		}
+	}()
+	return f
+}
+
+// Hook offers the run's live checkpoint for flushing; see Flusher.
+func (f *Flusher) Hook(ck *Checkpoint) {
+	if f == nil {
+		return
+	}
+	if now := time.Now(); now.Sub(f.last) >= f.interval {
+		f.last = now
+		select {
+		case f.ch <- ck.Clone():
+		default: // writer busy
+		}
+	}
+}
+
+// Stop ends the writer once a save in progress has returned; a snapshot
+// still queued may be dropped. A run's final synchronous flush goes after
+// Stop, so no older snapshot can land after it. Call Stop once.
+func (f *Flusher) Stop() {
+	if f == nil {
+		return
+	}
+	close(f.quit)
+	<-f.done
 }
 
 // PlanHash fingerprints the structural identity of a plan: register size,

@@ -148,28 +148,28 @@ func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	}
 }
 
-// admit applies the admission-control gate: a zero MemoryBudget selects
-// DefaultMemoryBudget, a negative one disables the memory check, and a zero
-// MaxPaths disables the path check. It returns a *BudgetError on rejection.
-func admit(est CostEstimate, opts Options) error {
-	budget := opts.MemoryBudget
-	if budget == 0 {
-		budget = DefaultMemoryBudget
+// Admit is the admission-control gate every run passes before anything is
+// allocated: a zero memoryBudget selects DefaultMemoryBudget, a negative one
+// disables the memory check, and a zero maxPaths disables the path check. It
+// returns a *BudgetError carrying est on rejection.
+func Admit(est CostEstimate, memoryBudget int64, maxPaths uint64) error {
+	if memoryBudget == 0 {
+		memoryBudget = DefaultMemoryBudget
 	}
-	if budget > 0 && est.TotalBytes > budget {
+	if memoryBudget > 0 && est.TotalBytes > memoryBudget {
 		return &BudgetError{
 			Estimate:     est,
-			MemoryBudget: budget,
+			MemoryBudget: memoryBudget,
 			Reason: fmt.Sprintf("estimated %s exceeds memory budget %s",
-				fmtBytes(est.TotalBytes), fmtBytes(budget)),
+				fmtBytes(est.TotalBytes), fmtBytes(memoryBudget)),
 		}
 	}
-	if opts.MaxPaths > 0 && (!est.PathsExact || est.Paths > opts.MaxPaths) {
+	if maxPaths > 0 && (!est.PathsExact || est.Paths > maxPaths) {
 		return &BudgetError{
 			Estimate: est,
-			MaxPaths: opts.MaxPaths,
+			MaxPaths: maxPaths,
 			Reason: fmt.Sprintf("2^%.1f paths exceed the path budget %d",
-				est.Log2Paths, opts.MaxPaths),
+				est.Log2Paths, maxPaths),
 		}
 	}
 	return nil

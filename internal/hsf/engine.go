@@ -293,38 +293,59 @@ func Run(plan *cut.Plan, opts Options) (*Result, error) {
 // context.Canceled or context.DeadlineExceeded for external cancellation and
 // ErrTimeout when Options.Timeout fires.
 func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, error) {
-	nLower := plan.Partition.NumLower()
-	nUpper := plan.Partition.NumUpper(plan.NumQubits)
-	if nLower <= 0 || nUpper <= 0 {
-		return nil, fmt.Errorf("hsf: degenerate partition %d|%d", nLower, nUpper)
-	}
-	workers, err := opts.backendWorkers()
+	ck, elapsed, err := execute(ctx, plan, opts, func(m, workers int) (*Checkpoint, [][]int, error) {
+		// Expand enough leading cut levels that the task count comfortably
+		// exceeds the worker count.
+		return Seed(plan, m, ChooseSplitLevels(plan, 4*workers), opts.Resume)
+	})
 	if err != nil {
 		return nil, err
 	}
+	np, _ := plan.NumPaths()
+	return &Result{
+		Amplitudes:     ck.Acc,
+		NumPaths:       np,
+		Log2Paths:      plan.Log2Paths(),
+		PathsSimulated: ck.PathsSimulated,
+		NumQubits:      plan.NumQubits,
+		Elapsed:        elapsed,
+	}, nil
+}
+
+// execute is the one engine entry behind RunContext and RunPrefixesContext.
+// It checks the partition, resolves the backend's workers, admits the plan
+// against its cost, takes the task set from seed (the checkpoint to merge
+// into and the pending prefixes), compiles the engine for the set's split
+// depth, applies the timeout and walks the pending prefixes into the
+// checkpoint, finishing the telemetry. Once the walk has begun the
+// checkpoint comes back even with an error, holding every task merged so
+// far; Options.CheckpointWriter then receives it too.
+func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, workers int) (*Checkpoint, [][]int, error)) (*Checkpoint, time.Duration, error) {
+	nLower := plan.Partition.NumLower()
+	nUpper := plan.Partition.NumUpper(plan.NumQubits)
+	if nLower <= 0 || nUpper <= 0 {
+		return nil, 0, fmt.Errorf("hsf: degenerate partition %d|%d", nLower, nUpper)
+	}
+	workers, err := opts.backendWorkers()
+	if err != nil {
+		return nil, 0, err
+	}
 	costOpts := opts
 	costOpts.Workers = workers
-	if err := admit(Cost(plan, costOpts), costOpts); err != nil {
-		return nil, err
+	if err := Admit(Cost(plan, costOpts), opts.MemoryBudget, opts.MaxPaths); err != nil {
+		return nil, 0, err
 	}
 	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
-
-	// Expand enough leading cut levels that the task count comfortably
-	// exceeds the worker count. A resumed run reuses the checkpoint's split
-	// depth so prefix vectors stay comparable.
-	splitLevels := ChooseSplitLevels(plan, 4*workers)
-	if opts.Resume != nil {
-		if err := opts.Resume.validateFor(plan, m); err != nil {
-			return nil, err
-		}
-		splitLevels = opts.Resume.SplitLevels
+	ck, pending, err := seed(m, workers)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	e := &engine{backend: opts.Backend, nLower: nLower, nUpper: nUpper, m: m,
 		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf,
 		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry}
 	e.trc, e.tsc = trace.FromContext(ctx)
-	e.compile(plan, opts.FusionMaxQubits, splitLevels)
+	e.compile(plan, opts.FusionMaxQubits, ck.SplitLevels)
 
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -333,40 +354,24 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 	}
 
 	np, _ := plan.NumPaths()
-	var resumedPaths int64
-	if opts.Resume != nil {
-		resumedPaths = opts.Resume.PathsSimulated
-	}
+	resumedPaths := ck.PathsSimulated
 	opts.Progress.Start(saturateInt64(np), resumedPaths, &e.leaves)
 
 	start := time.Now()
 	wsp := e.trc.Start(e.tsc, "walk")
+	wsp.SetInt("prefixes", int64(len(pending)))
 	e.tsc = wsp.Context() // prefix-task spans parent to the walk phase
-	amps, ck, err := e.run(ctx, workers, splitLevels, opts.Resume, plan)
-	if ck != nil {
-		wsp.SetInt("paths", ck.PathsSimulated)
-	}
+	err = e.runTasks(ctx, workers, pending, ck)
+	wsp.SetInt("paths", ck.PathsSimulated)
 	wsp.End()
 	elapsed := time.Since(start)
-	if ck != nil {
-		e.finishTelemetry(opts.Telemetry, np, plan.Log2Paths(), ck.PathsSimulated, resumedPaths, workers, elapsed)
-	}
-	if err != nil {
-		if ck != nil && opts.CheckpointWriter != nil {
-			if werr := WriteCheckpoint(opts.CheckpointWriter, ck); werr != nil {
-				return nil, errors.Join(err, fmt.Errorf("hsf: writing checkpoint: %w", werr))
-			}
+	e.finishTelemetry(opts.Telemetry, np, plan.Log2Paths(), ck.PathsSimulated, resumedPaths, workers, elapsed)
+	if err != nil && opts.CheckpointWriter != nil {
+		if werr := WriteCheckpoint(opts.CheckpointWriter, ck); werr != nil {
+			err = errors.Join(err, fmt.Errorf("hsf: writing checkpoint: %w", werr))
 		}
-		return nil, err
 	}
-	return &Result{
-		Amplitudes:     amps,
-		NumPaths:       np,
-		Log2Paths:      plan.Log2Paths(),
-		PathsSimulated: ck.PathsSimulated,
-		NumQubits:      plan.NumQubits,
-		Elapsed:        elapsed,
-	}, nil
+	return ck, elapsed, err
 }
 
 // compile lowers the plan for runs that expand splitLevels cut levels into
@@ -780,46 +785,6 @@ func stopped(ctx context.Context) error {
 	default:
 		return nil
 	}
-}
-
-// run executes the path tree. The first splitLevels cuts are expanded
-// breadth-first into independent prefix tasks distributed over the worker
-// pool; each worker simulates one prefix subtree into a private scratch
-// accumulator and merges it into the shared global accumulator on
-// completion, so the set of merged prefixes is always a consistent,
-// checkpointable state. On error the partial checkpoint is returned
-// alongside the error.
-func (e *engine) run(ctx context.Context, workers, splitLevels int, resume *Checkpoint, plan *cut.Plan) ([]complex128, *Checkpoint, error) {
-	prefixes := EnumeratePrefixes(plan, splitLevels)
-
-	ck := &Checkpoint{
-		PlanHash:    PlanHash(plan),
-		NumQubits:   plan.NumQubits,
-		M:           e.m,
-		SplitLevels: splitLevels,
-		Acc:         make([]complex128, e.m),
-	}
-	pending := prefixes
-	if resume != nil {
-		copy(ck.Acc, resume.Acc)
-		ck.PathsSimulated = resume.PathsSimulated
-		ck.Prefixes = append(ck.Prefixes, resume.Prefixes...)
-		done := make(map[string]bool, len(resume.Prefixes))
-		for _, p := range resume.Prefixes {
-			done[PrefixKey(p)] = true
-		}
-		pending = pending[:0:0]
-		for _, p := range prefixes {
-			if !done[PrefixKey(p)] {
-				pending = append(pending, p)
-			}
-		}
-	}
-
-	if err := e.runTasks(ctx, workers, pending, ck); err != nil {
-		return nil, ck, err
-	}
-	return ck.Acc, ck, nil
 }
 
 // runTasks executes the pending prefix tasks on a worker pool, merging each

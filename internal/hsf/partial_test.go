@@ -1,12 +1,13 @@
-// Tests for partial prefix runs: a canceled RunPrefixesPartialContext must
-// return the prefixes it completed (not an error), and the returned partial
-// must merge with the remainder into the exact full-run amplitudes. This is
-// the primitive behind drained distributed workers returning their unfinished
-// leases.
+// Tests for partial prefix runs: a canceled RunPrefixesContext must return
+// the prefixes it completed together with the stop error, and the returned
+// partial must merge with the remainder into the exact full-run amplitudes.
+// This is the primitive behind drained distributed workers returning their
+// unfinished leases.
 package hsf
 
 import (
 	"context"
+	"errors"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"hsfsim/internal/cut"
 )
 
-func TestRunPrefixesPartialContextReturnsCompletedSubset(t *testing.T) {
+func TestRunPrefixesContextPartialReturnsCompletedSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := randomQAOAish(rng, 9, 12)
 	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: 4}, Strategy: cut.StrategyCascade})
@@ -39,23 +40,15 @@ func TestRunPrefixesPartialContextReturnsCompletedSubset(t *testing.T) {
 			cancel()
 		}
 	}}
-	part, err := RunPrefixesPartialContext(ctx, plan, opts, splitLevels, prefixes)
-	if err != nil {
-		t.Fatalf("partial run: %v (want nil error on cancellation)", err)
+	part, err := RunPrefixesContext(ctx, plan, opts, splitLevels, prefixes)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("partial run: %v (want context.Canceled alongside the partial)", err)
+	}
+	if part == nil {
+		t.Fatal("canceled run returned no partial checkpoint")
 	}
 	if len(part.Prefixes) >= len(prefixes) {
 		t.Fatalf("partial run completed all %d prefixes; cancellation had no effect", len(prefixes))
-	}
-
-	// The same cancellation through the strict entry point is an error.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	opts2 := Options{Workers: 1, testHookLeaf: func(leaves int64) {
-		if leaves >= 1 {
-			cancel2()
-		}
-	}}
-	if _, err := RunPrefixesContext(ctx2, plan, opts2, splitLevels, prefixes); err == nil {
-		t.Fatal("strict run returned nil error on cancellation")
 	}
 
 	// The partial plus the uncompleted remainder reproduces the full run:
@@ -90,12 +83,12 @@ func TestRunPrefixesPartialContextReturnsCompletedSubset(t *testing.T) {
 	}
 }
 
-// TestRunPrefixesPartialContextCancelledMidBatch cancels one worker 35 leaves
+// TestRunPrefixesContextPartialCancelledMidBatch cancels one worker 35 leaves
 // into the second of four 64-leaf tasks, eight leaves per fold, so three
 // leaves are held when it stops. The partial must list the first task alone
 // and hold exactly that task's amplitudes: nothing of the abandoned task,
 // folded or held, may have reached it.
-func TestRunPrefixesPartialContextCancelledMidBatch(t *testing.T) {
+func TestRunPrefixesContextPartialCancelledMidBatch(t *testing.T) {
 	plan := buildPlan(t, manyCutCircuit(12, 8), 5, cut.StrategyNone)
 	prefixes := EnumeratePrefixes(plan, 2)
 	for _, backend := range []Backend{BackendDense, BackendDD} {
@@ -105,10 +98,10 @@ func TestRunPrefixesPartialContextCancelledMidBatch(t *testing.T) {
 				cancel()
 			}
 		}}
-		part, err := RunPrefixesPartialContext(ctx, plan, opts, 2, prefixes)
+		part, err := RunPrefixesContext(ctx, plan, opts, 2, prefixes)
 		cancel()
-		if err != nil {
-			t.Fatalf("%v: partial run: %v", backend, err)
+		if !errors.Is(err, context.Canceled) || part == nil {
+			t.Fatalf("%v: partial run: %v (want context.Canceled alongside the partial)", backend, err)
 		}
 		if len(part.Prefixes) != 1 || PrefixKey(part.Prefixes[0]) != PrefixKey(prefixes[0]) || part.PathsSimulated != 64 {
 			t.Fatalf("%v: partial lists prefixes %v with %d paths, want the first task's 64", backend, part.Prefixes, part.PathsSimulated)
@@ -125,7 +118,7 @@ func TestRunPrefixesPartialContextCancelledMidBatch(t *testing.T) {
 	}
 }
 
-func TestRunPrefixesPartialContextPassesThroughRealErrors(t *testing.T) {
+func TestRunPrefixesContextPartialPassesThroughRealErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := randomQAOAish(rng, 8, 8)
 	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: 3}, Strategy: cut.StrategyCascade})
@@ -134,9 +127,10 @@ func TestRunPrefixesPartialContextPassesThroughRealErrors(t *testing.T) {
 	}
 	splitLevels := ChooseSplitLevels(plan, 4)
 	prefixes := EnumeratePrefixes(plan, splitLevels)
-	// An injected engine fault is not a cancellation and must surface.
-	if _, err := RunPrefixesPartialContext(context.Background(), plan,
-		Options{Workers: 1, FailAfterPaths: 1}, splitLevels, prefixes); err == nil {
-		t.Fatal("injected failure returned nil error from partial run")
+	// An injected engine fault is not a cancellation and must surface as
+	// itself.
+	if _, err := RunPrefixesContext(context.Background(), plan,
+		Options{Workers: 1, FailAfterPaths: 1}, splitLevels, prefixes); !errors.Is(err, ErrInjectedFault) {
+		t.Fatalf("injected failure returned %v from partial run, want ErrInjectedFault", err)
 	}
 }

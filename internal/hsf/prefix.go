@@ -9,12 +9,9 @@ package hsf
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"time"
 
 	"hsfsim/internal/cut"
-	"hsfsim/internal/telemetry/trace"
 )
 
 // PrefixKey encodes a prefix choice vector into a collision-free string key.
@@ -96,96 +93,69 @@ func validatePrefixes(plan *cut.Plan, splitLevels int, prefixes [][]int) error {
 // returns their partial accumulation as a Checkpoint: the prefixes completed,
 // the leaf count, and the accumulator summed over those subtrees alone.
 // Partials over disjoint prefix sets merge with Checkpoint.Merge; merging the
-// full enumeration reproduces RunContext's amplitudes exactly.
+// full enumeration reproduces RunContext's amplitudes exactly. It shares
+// RunContext's setup; Options.Resume is not consulted.
+//
+// When the walk stops early — cancellation, a deadline, Options.Timeout, or a
+// failure — the checkpoint of the prefixes completed so far comes back
+// together with the error: its Prefixes may be any subset (including none)
+// of the batch, and every listed prefix is fully accumulated. Errors before
+// the walk (admission, invalid prefixes) return no checkpoint.
 //
 // This is the worker half of distributed execution: a coordinator enumerates
 // the task space once and hands out disjoint prefix batches, each of which a
-// worker process runs through this function.
+// worker process runs through this function, and a draining or
+// deadline-bound worker hands its finished subset back instead of abandoning
+// the lease.
 func RunPrefixesContext(ctx context.Context, plan *cut.Plan, opts Options, splitLevels int, prefixes [][]int) (*Checkpoint, error) {
-	return runPrefixes(ctx, plan, opts, splitLevels, prefixes, false)
+	ck, _, err := execute(ctx, plan, opts, func(m, _ int) (*Checkpoint, [][]int, error) {
+		if err := validatePrefixes(plan, splitLevels, prefixes); err != nil {
+			return nil, nil, err
+		}
+		return newCheckpoint(plan, m, splitLevels), prefixes, nil
+	})
+	return ck, err
 }
 
-// RunPrefixesPartialContext is RunPrefixesContext with drain semantics:
-// when the context is canceled or its deadline expires mid-batch, the
-// prefixes completed so far are returned as a valid partial checkpoint with
-// a nil error instead of the cancellation error. The returned checkpoint's
-// Prefixes may therefore be any subset (including none) of the requested
-// batch; every listed prefix is fully accumulated. Non-cancellation failures
-// (admission rejection, a panicking path worker) still return an error.
-//
-// This is what lets a draining or deadline-bound distributed worker hand its
-// finished work back to the coordinator instead of abandoning the lease.
-func RunPrefixesPartialContext(ctx context.Context, plan *cut.Plan, opts Options, splitLevels int, prefixes [][]int) (*Checkpoint, error) {
-	return runPrefixes(ctx, plan, opts, splitLevels, prefixes, true)
+// Seed returns the task set of a run of plan with an m-amplitude accumulator
+// expanded at splitLevels: the checkpoint its walk merges into and the
+// prefix tasks still pending, in enumeration order. A non-nil resume must
+// belong to the plan and m (ErrCheckpointMismatch otherwise); the seeded
+// checkpoint starts as a copy of it, the run keeps its split depth so prefix
+// vectors stay comparable, and its prefixes are not pending. The engine and
+// the distributed coordinator both seed their runs here.
+func Seed(plan *cut.Plan, m, splitLevels int, resume *Checkpoint) (*Checkpoint, [][]int, error) {
+	if resume == nil {
+		return newCheckpoint(plan, m, splitLevels), EnumeratePrefixes(plan, splitLevels), nil
+	}
+	if err := resume.validateFor(plan, m); err != nil {
+		return nil, nil, err
+	}
+	ck := newCheckpoint(plan, m, resume.SplitLevels)
+	copy(ck.Acc, resume.Acc)
+	ck.PathsSimulated = resume.PathsSimulated
+	ck.Prefixes = append(ck.Prefixes, resume.Prefixes...)
+	done := make(map[string]bool, len(resume.Prefixes))
+	for _, p := range resume.Prefixes {
+		done[PrefixKey(p)] = true
+	}
+	var pending [][]int
+	for _, p := range EnumeratePrefixes(plan, ck.SplitLevels) {
+		if !done[PrefixKey(p)] {
+			pending = append(pending, p)
+		}
+	}
+	return ck, pending, nil
 }
 
-// isCancellation reports whether err is a cooperative-stop cause (rather
-// than a real execution failure): context cancellation, a deadline, or the
-// engine's own timeout sentinel.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrTimeout)
-}
-
-func runPrefixes(ctx context.Context, plan *cut.Plan, opts Options, splitLevels int, prefixes [][]int, partialOnCancel bool) (*Checkpoint, error) {
-	nLower := plan.Partition.NumLower()
-	nUpper := plan.Partition.NumUpper(plan.NumQubits)
-	if nLower <= 0 || nUpper <= 0 {
-		return nil, fmt.Errorf("hsf: degenerate partition %d|%d", nLower, nUpper)
-	}
-	workers, err := opts.backendWorkers()
-	if err != nil {
-		return nil, err
-	}
-	costOpts := opts
-	costOpts.Workers = workers
-	if err := admit(Cost(plan, costOpts), costOpts); err != nil {
-		return nil, err
-	}
-	if err := validatePrefixes(plan, splitLevels, prefixes); err != nil {
-		return nil, err
-	}
-	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
-
-	e := &engine{backend: opts.Backend, nLower: nLower, nUpper: nUpper, m: m,
-		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf, tel: opts.Telemetry}
-	e.trc, e.tsc = trace.FromContext(ctx)
-	e.compile(plan, opts.FusionMaxQubits, splitLevels)
-
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, ErrTimeout)
-		defer cancel()
-	}
-
-	ck := &Checkpoint{
+// newCheckpoint returns the empty checkpoint of a run of plan with an
+// m-amplitude accumulator split at splitLevels.
+func newCheckpoint(plan *cut.Plan, m, splitLevels int) *Checkpoint {
+	return &Checkpoint{
 		PlanHash:    PlanHash(plan),
 		NumQubits:   plan.NumQubits,
 		M:           m,
 		SplitLevels: splitLevels,
 		Acc:         make([]complex128, m),
 	}
-	if len(prefixes) == 0 {
-		if err := stopped(ctx); err != nil && !(partialOnCancel && isCancellation(err)) {
-			return ck, err
-		}
-		return ck, nil
-	}
-	start := time.Now()
-	wsp := e.trc.Start(e.tsc, "walk")
-	wsp.SetInt("prefixes", int64(len(prefixes)))
-	e.tsc = wsp.Context() // prefix-task spans parent to the walk phase
-	err = e.runTasks(ctx, workers, prefixes, ck)
-	wsp.SetInt("paths", ck.PathsSimulated)
-	wsp.End()
-	np, _ := plan.NumPaths()
-	e.finishTelemetry(opts.Telemetry, np, plan.Log2Paths(), ck.PathsSimulated, 0, workers, time.Since(start))
-	if err != nil {
-		if partialOnCancel && isCancellation(err) {
-			return ck, nil
-		}
-		return nil, err
-	}
-	return ck, nil
 }

@@ -30,11 +30,12 @@ type Config struct {
 	TenantQuota int
 	Quotas      map[string]int
 	// Store, when non-nil, makes jobs durable: manifests on every state
-	// transition, mid-run checkpoints every FlushInterval, results on
-	// completion. A restarted Manager over the same store re-offers
+	// transition, mid-run checkpoints at most every FlushInterval, results
+	// on completion. A restarted Manager over the same store re-offers
 	// queued/running jobs and resumes their walks from the checkpoints.
 	Store Store
-	// FlushInterval rate-limits mid-run checkpoint flushes. 0 selects 2s.
+	// FlushInterval rate-limits mid-run checkpoint flushes (hsf.Flusher).
+	// 0 selects 2s.
 	FlushInterval time.Duration
 	// Logf receives job lifecycle log lines (always tagged with job= and,
 	// when present, req=). Nil disables logging.
@@ -47,11 +48,17 @@ type Config struct {
 	// failure). The server merges these into service-lifetime histograms.
 	OnRunTelemetry func(rec *hsfsim.TelemetryRecorder)
 	// RunDistributed, when non-nil, executes jobs submitted with
-	// Request.Distribute through the dist fleet instead of in-process.
-	// Distributed jobs bypass batching and this manager's admission compile —
+	// Request.Distribute through the dist fleet instead of in-process. It
+	// receives the batch's execution options — checkpoint writer, resume
+	// source, OnCheckpoint, progress, telemetry, timeout — and must honour
+	// them as SimulateCompiledContext does (dist.Coordinator.Simulate does).
+	// Distributed jobs skip batching and this manager's admission compile —
 	// the dist coordinator compiles the plan once per run and each worker
-	// once per process — but keep queueing, quotas, and durability. When
-	// nil, distributed submissions are rejected.
+	// once per process — but share queueing, quotas, and the checkpoint and
+	// resume path of local jobs: with a Store they flush their merged state,
+	// and a re-offered one resumes from it on the fleet, never in-process.
+	// When nil, distributed submissions are rejected, and a stored
+	// distributed job fails when it is re-offered.
 	RunDistributed func(ctx context.Context, qasmSrc string, opts hsfsim.Options) (*hsfsim.Result, error)
 	// Trace, when non-nil, records job lifecycle spans (queued wait, batch
 	// execution) into the flight recorder, and batch walks run under a
@@ -143,6 +150,9 @@ type batch struct {
 	jobs   []*job
 	cancel context.CancelFunc
 	live   int // members not yet cancelled
+	// plan is the leader's compiled plan once an in-process walk has fetched
+	// it; only the batch's runner touches it.
+	plan *hsfsim.CompiledPlan
 }
 
 // Manager owns the queues, the runner pool, the plan cache, and the store.
@@ -219,8 +229,8 @@ func (m *Manager) logf(format string, args ...any) {
 
 // loadStore rebuilds the in-memory job table from manifests. Queued and
 // running jobs are re-offered: back into the queue, FIFO by creation time.
-// A previously running job is marked resumed — its batch will seed from the
-// store's mid-run checkpoint if one survived.
+// A previously running job's batch seeds from the store's mid-run checkpoint
+// if one survived, and only then is it marked resumed (see execute).
 func (m *Manager) loadStore() error {
 	mans, err := m.store.Jobs()
 	if err != nil {
@@ -229,19 +239,20 @@ func (m *Manager) loadStore() error {
 	sort.Slice(mans, func(i, k int) bool { return mans[i].Created.Before(mans[k].Created) })
 	for _, man := range mans {
 		j := &job{
-			id:        man.ID,
-			tenant:    man.Tenant,
-			priority:  man.Priority,
-			requestID: man.RequestID,
-			qasm:      man.QASM,
-			opts:      man.Opts.Options(),
-			fp:        man.Fingerprint,
-			state:     man.State,
-			created:   man.Created,
-			started:   man.Started,
-			finished:  man.Finished,
-			resumed:   man.Resumed,
-			resMeta:   man.ResultMeta,
+			id:         man.ID,
+			tenant:     man.Tenant,
+			priority:   man.Priority,
+			requestID:  man.RequestID,
+			qasm:       man.QASM,
+			opts:       man.Opts.Options(),
+			fp:         man.Fingerprint,
+			distribute: man.Distribute,
+			state:      man.State,
+			created:    man.Created,
+			started:    man.Started,
+			finished:   man.Finished,
+			resumed:    man.Resumed,
+			resMeta:    man.ResultMeta,
 		}
 		if man.Error != "" {
 			j.err = errors.New(man.Error)
@@ -257,12 +268,7 @@ func (m *Manager) loadStore() error {
 				continue
 			}
 			j.circuit = c
-			if man.State == StateRunning {
-				// The previous process died mid-walk; the checkpoint (if
-				// any) lets the re-offered batch resume instead of restart.
-				j.resumed = true
-				m.resumedN.Add(1)
-			}
+			j.resumed = false // set again only if a checkpoint seeds the walk
 			j.state = StateQueued
 			j.started = time.Time{}
 			m.q.push(j)
@@ -330,7 +336,7 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 
 	distribute := req.Distribute
 	if distribute && m.cfg.RunDistributed == nil {
-		return Snapshot{}, fmt.Errorf("jobs: distributed execution unavailable: %w", hsfsim.ErrUnsupported)
+		return Snapshot{}, errNoFleet
 	}
 	if !distribute {
 		// Cost admission through the plan cache: the first submission of a
@@ -340,7 +346,7 @@ func (m *Manager) Submit(req Request) (Snapshot, error) {
 		if err != nil {
 			return Snapshot{}, err
 		}
-		if err := admitCost(cp, opts); err != nil {
+		if err := cp.Admit(opts); err != nil {
 			return Snapshot{}, err
 		}
 	}
@@ -436,32 +442,6 @@ func (m *Manager) admitLocked(tenant string) error {
 	return nil
 }
 
-// admitCost applies the hsf.Cost-driven budget gate at submission time, so
-// over-budget work is rejected synchronously (422) instead of failing later
-// in the queue.
-func admitCost(cp *hsfsim.CompiledPlan, opts hsfsim.Options) error {
-	est := cp.EstimateCost(opts)
-	budget := opts.MemoryBudget
-	if budget == 0 {
-		budget = hsfsim.DefaultMemoryBudget
-	}
-	if budget > 0 && est.TotalBytes > budget {
-		return &hsf.BudgetError{
-			Estimate:     *est,
-			MemoryBudget: budget,
-			Reason:       fmt.Sprintf("estimated %d bytes exceed the memory budget of %d bytes", est.TotalBytes, budget),
-		}
-	}
-	if opts.MaxPaths > 0 && (!est.PathsExact || est.Paths > opts.MaxPaths) {
-		return &hsf.BudgetError{
-			Estimate: *est,
-			MaxPaths: opts.MaxPaths,
-			Reason:   fmt.Sprintf("2^%.1f paths exceed the path budget %d", est.Log2Paths, opts.MaxPaths),
-		}
-	}
-	return nil
-}
-
 // retryAfterLocked estimates when queued work will have drained: queue
 // depth over the runner pool, paced by the EWMA batch duration.
 func (m *Manager) retryAfterLocked() time.Duration {
@@ -518,14 +498,12 @@ func (m *Manager) runner() {
 		b := &batch{key: leader.batchKeyOf(), jobs: members, cancel: cancel, live: len(members)}
 		now := time.Now()
 		tracker := &telemetry.Tracker{}
-		resumed := false
 		for _, j := range members {
 			j.state = StateRunning
 			j.started = now
 			j.batch = b
 			j.batchSize = len(members)
 			j.progress = tracker
-			resumed = resumed || j.resumed
 		}
 		m.running[b] = struct{}{}
 		mans := make([]*Manifest, len(members))
@@ -544,7 +522,7 @@ func (m *Manager) runner() {
 			j.queued.End() // queue wait is over; the batch span takes it from here
 			m.persist(j, mans[i])
 			m.notify(j)
-			m.logf("jobs: running job=%s req=%s tenant=%s batch=%d resume=%t", j.id, j.requestID, j.tenant, len(members), resumed)
+			m.logf("jobs: running job=%s req=%s tenant=%s batch=%d distribute=%t", j.id, j.requestID, j.tenant, len(members), j.distribute)
 		}
 
 		// The batch span parents the leader's trace; the walk runs under its
@@ -556,7 +534,7 @@ func (m *Manager) runner() {
 			ctx = trace.NewContext(ctx, m.cfg.Trace, bsp.Context())
 		}
 		start := time.Now()
-		m.execute(ctx, b, tracker, resumed)
+		m.execute(ctx, b, tracker)
 		bsp.End()
 		cancel()
 		dur := time.Since(start)
@@ -591,30 +569,14 @@ func resolveM(n, maxAmps int) int {
 // any surviving checkpoint is a valid partial state of the shared plan.
 func ckptKey(key batchKey) string { return fmt.Sprintf("%016x", uint64(key)) }
 
-// execute runs one batch to completion and distributes the outcome.
-func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Tracker, resumed bool) {
+// execute runs one batch to completion and distributes the outcome. Local
+// and distributed batches take one checkpoint path: with a store, the walk
+// flushes its merged state through an hsf.Flusher, seeds from a surviving
+// checkpoint of the batch's fingerprint, and a walk that stops early leaves
+// its final state durable for the next start.
+func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Tracker) {
 	leader := b.jobs[0]
-
-	if leader.distribute {
-		res, err := m.cfg.RunDistributed(ctx, leader.qasm, leader.opts)
-		if err != nil {
-			m.finishErr(b, err)
-			return
-		}
-		m.finishOK(b, res, res.Amplitudes, leader.circuit.NumQubits)
-		return
-	}
-
-	cp, shared, err := m.cache.Get(leader.circuit, leader.opts)
-	if err != nil {
-		m.finishErr(b, err)
-		return
-	}
-	m.mu.Lock()
-	for _, j := range b.jobs {
-		j.planShared = shared || len(b.jobs) > 1
-	}
-	m.mu.Unlock()
+	numQubits := leader.numQubits()
 
 	// The batch accumulator must cover every member's amplitude request;
 	// members read prefixes of it, so the max wins.
@@ -622,7 +584,7 @@ func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Trac
 	runOpts := leader.opts
 	runOpts.Timeout = 0
 	for _, j := range b.jobs {
-		if n := resolveM(cp.NumQubits(), j.opts.MaxAmplitudes); n > need {
+		if n := resolveM(numQubits, j.opts.MaxAmplitudes); n > need {
 			need = n
 		}
 		// One member's timeout must not kill its batch mates: the batch
@@ -644,9 +606,15 @@ func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Trac
 
 	key := ckptKey(b.key)
 	var finalCkpt bytes.Buffer
-	if m.store != nil && cp.Method() != hsfsim.Schrodinger {
+	var flusher *hsf.Flusher
+	if m.store != nil && leader.opts.Method != hsfsim.Schrodinger {
+		flusher = hsf.NewFlusher(m.cfg.FlushInterval, func(ck *hsf.Checkpoint) {
+			if err := m.store.PutCheckpoint(key, ck); err != nil {
+				m.logf("jobs: checkpoint flush failed key=%s: %v", key, err)
+			}
+		})
 		runOpts.CheckpointWriter = &finalCkpt
-		runOpts.OnCheckpoint = m.newFlusher(ctx, key)
+		runOpts.OnCheckpoint = flusher.Hook
 		if ck, _ := m.store.GetCheckpoint(key); ck != nil && ck.M >= need {
 			// Resume the walk from the flushed partial state. Running with
 			// the checkpoint's (possibly larger) M keeps it valid; members
@@ -655,12 +623,11 @@ func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Trac
 			var buf bytes.Buffer
 			if err := hsf.WriteCheckpoint(&buf, ck); err == nil {
 				runOpts.ResumeFrom = &buf
-				resumed = true
 			}
 		}
 	}
 
-	res, err := hsfsim.SimulateCompiledContext(ctx, cp, runOpts)
+	res, err := m.simulate(ctx, b, runOpts)
 	if err != nil && errors.Is(err, hsfsim.ErrCheckpointMismatch) && runOpts.ResumeFrom != nil {
 		// The stored checkpoint belonged to a different plan generation
 		// (a build with another PlanHash, a fingerprint collision or a stale
@@ -669,18 +636,14 @@ func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Trac
 		runOpts.ResumeFrom = nil
 		runOpts.MaxAmplitudes = need
 		finalCkpt.Reset()
-		resumed = false
-		m.mu.Lock()
-		for _, j := range b.jobs {
-			j.resumed = false // loadStore marked a re-offered running job in advance
-		}
-		m.mu.Unlock()
-		res, err = hsfsim.SimulateCompiledContext(ctx, cp, runOpts)
+		res, err = m.simulate(ctx, b, runOpts)
 	}
+	// The last write of this walk is below; no older snapshot may land after.
+	flusher.Stop()
 	if err != nil {
 		// A prematurely stopped walk hands its final state to the
 		// CheckpointWriter; make it durable so a restart resumes from here.
-		if m.store != nil && finalCkpt.Len() > 0 {
+		if finalCkpt.Len() > 0 {
 			if ck, rerr := hsf.ReadCheckpoint(bytes.NewReader(finalCkpt.Bytes())); rerr == nil {
 				_ = m.store.PutCheckpoint(key, ck)
 			}
@@ -688,52 +651,49 @@ func (m *Manager) execute(ctx context.Context, b *batch, tracker *telemetry.Trac
 		m.finishErr(b, err)
 		return
 	}
-	if resumed {
+	if runOpts.ResumeFrom != nil {
+		// The checkpoint seeded the walk that just finished.
 		m.mu.Lock()
 		for _, j := range b.jobs {
 			j.resumed = true
 		}
 		m.mu.Unlock()
+		m.resumedN.Add(int64(len(b.jobs)))
 	}
 	if m.store != nil {
 		_ = m.store.DeleteCheckpoint(key)
 	}
-	m.finishOK(b, res, res.Amplitudes, cp.NumQubits())
+	m.finishOK(b, res, res.Amplitudes, numQubits)
 }
 
-// newFlusher builds the OnCheckpoint callback: called under the engine's
-// merge lock, it rate-limits, clones, and hands the snapshot to a writer
-// goroutine so the walk never blocks on disk.
-func (m *Manager) newFlusher(ctx context.Context, key string) func(*hsfsim.Checkpoint) {
-	ch := make(chan *hsfsim.Checkpoint, 1)
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		for {
-			select {
-			case ck := <-ch:
-				if err := m.store.PutCheckpoint(key, ck); err != nil {
-					m.logf("jobs: checkpoint flush failed key=%s: %v", key, err)
-				}
-			case <-ctx.Done():
-				return
-			}
+// simulate runs one walk of batch b under opts: on the fleet for a
+// distributed job — never in-process, even when no fleet is configured —
+// and otherwise in-process on the leader's plan from the cache.
+func (m *Manager) simulate(ctx context.Context, b *batch, opts hsfsim.Options) (*hsfsim.Result, error) {
+	leader := b.jobs[0]
+	if leader.distribute {
+		if m.cfg.RunDistributed == nil {
+			return nil, errNoFleet
 		}
-	}()
-	var last time.Time // guarded by the engine's merge lock
-	interval := m.cfg.FlushInterval
-	return func(ck *hsfsim.Checkpoint) {
-		now := time.Now()
-		if now.Sub(last) < interval {
-			return
-		}
-		last = now
-		select {
-		case ch <- ck.Clone():
-		default: // writer busy: drop this snapshot, a fresher one follows
-		}
+		return m.cfg.RunDistributed(ctx, leader.qasm, opts)
 	}
+	if b.plan == nil {
+		cp, shared, err := m.cache.Get(leader.circuit, leader.opts)
+		if err != nil {
+			return nil, err
+		}
+		b.plan = cp
+		m.mu.Lock()
+		for _, j := range b.jobs {
+			j.planShared = shared || len(b.jobs) > 1
+		}
+		m.mu.Unlock()
+	}
+	return hsfsim.SimulateCompiledContext(ctx, b.plan, opts)
 }
+
+// errNoFleet rejects distributed work on a manager without a fleet.
+var errNoFleet = fmt.Errorf("jobs: distributed execution unavailable: %w", hsfsim.ErrUnsupported)
 
 // finishOK distributes a successful result to every live member: each gets
 // its own prefix of the batch accumulator, copied so results are
@@ -1041,6 +1001,7 @@ func (m *Manager) manifestOf(j *job) *Manifest {
 		QASM:        j.qasm,
 		Opts:        wireOptions(j.opts),
 		Fingerprint: j.fp,
+		Distribute:  j.distribute,
 		State:       j.state,
 		Created:     j.created,
 		Started:     j.started,

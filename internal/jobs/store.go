@@ -36,6 +36,9 @@ type Manifest struct {
 	// Result metadata for done jobs; the amplitudes live in the result
 	// checkpoint file (Acc field), retrievable via Store.GetResult.
 	ResultMeta *ResultMeta `json:"result,omitempty"`
+	// Distribute marks a job that runs on the dist fleet. It is omitted for
+	// local jobs, so manifests written before the field existed read as local.
+	Distribute bool `json:"distribute,omitempty"`
 
 	// seq orders a job's manifests by snapshot time inside one manager (see
 	// job.manSeq); it is not stored.

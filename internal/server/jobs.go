@@ -98,7 +98,10 @@ func (s *service) newJobsManager() (*jobs.Manager, error) {
 		OnResult: func(snap jobs.Snapshot, res *hsfsim.Result) {
 			metricSimulations.Add(1)
 		},
-		RunDistributed: s.runDistributedJob,
+		RunDistributed: func(ctx context.Context, src string, opts hsfsim.Options) (*hsfsim.Result, error) {
+			res, _, err := s.coord.Simulate(ctx, src, opts, dist.RunOptions{})
+			return res, err
+		},
 	}
 	if s.cfg.JobStoreDir != "" {
 		store, err := jobs.NewDirStore(s.cfg.JobStoreDir)
@@ -108,41 +111,6 @@ func (s *service) newJobsManager() (*jobs.Manager, error) {
 		jcfg.Store = store
 	}
 	return jobs.New(jcfg)
-}
-
-// runDistributed runs one HSF simulation across the coordinator's worker
-// fleet, aborting after opts.Timeout when it is set. Distributed /simulate
-// requests and queued distributed jobs both land here.
-func (s *service) runDistributed(ctx context.Context, src string, opts hsfsim.Options) (*dist.Result, error) {
-	job, err := dist.NewJob(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, hsfsim.ErrTimeout)
-		defer cancel()
-	}
-	return s.coord.Run(ctx, job, dist.RunOptions{})
-}
-
-// runDistributedJob executes one queued distribute-flagged job through the
-// coordinator's worker fleet.
-func (s *service) runDistributedJob(ctx context.Context, src string, opts hsfsim.Options) (*hsfsim.Result, error) {
-	res, err := s.runDistributed(ctx, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &hsfsim.Result{
-		Method:          opts.Method,
-		Amplitudes:      res.Amplitudes,
-		NumPaths:        res.NumPaths,
-		Log2Paths:       res.Log2Paths,
-		PathsSimulated:  res.PathsSimulated,
-		NumCuts:         res.NumCuts,
-		NumBlocks:       res.NumBlocks,
-		NumSeparateCuts: res.NumSeparateCuts,
-	}, nil
 }
 
 // handleJobSubmit enqueues one job: parse, resolve options exactly like
@@ -281,19 +249,7 @@ func (s *service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err, reqID)
 		return
 	}
-	resp := SimulateResponse{
-		Method:         res.Method.String(),
-		NumQubits:      snap.NumQubits,
-		NumPaths:       res.NumPaths,
-		Log2Paths:      res.Log2Paths,
-		NumCuts:        res.NumCuts,
-		NumBlocks:      res.NumBlocks,
-		PreprocessMs:   float64(res.PreprocessTime.Microseconds()) / 1000,
-		SimMs:          float64(res.SimTime.Microseconds()) / 1000,
-		PathsSimulated: res.PathsSimulated,
-	}
-	resp.fillAmplitudes(res.Amplitudes)
-	writeJSON(w, resp)
+	writeJSON(w, simulateResponse(res, snap.NumQubits, nil))
 }
 
 // handleJobEvents streams a job's lifecycle as Server-Sent Events: a

@@ -96,10 +96,6 @@ type Config struct {
 	// DistMaxStrikes is the consecutive-failure count that retires a worker
 	// from a run (0: the dist default, 3).
 	DistMaxStrikes int
-	// DistJoinGrace keeps a run with unfinished work alive this long after
-	// the whole fleet died, waiting for replacements to join (0: fail
-	// immediately).
-	DistJoinGrace time.Duration
 
 	// JobStoreDir, when set, makes the async job service durable: manifests,
 	// mid-run checkpoints, and results persist there, and a restarted daemon
@@ -140,7 +136,6 @@ func (c Config) distConfig(stats *dist.Stats, onLease func(telemetry.LeaseEvent)
 		WorkerTTL:         c.WorkerTTL,
 		HeartbeatInterval: c.HeartbeatInterval,
 		MaxStrikes:        c.DistMaxStrikes,
-		JoinGrace:         c.DistJoinGrace,
 		Logger:            c.Logger,
 		Stats:             stats,
 		OnLease:           onLease,
@@ -729,93 +724,75 @@ func (s *service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeoutCause(ctx, d, hsfsim.ErrTimeout)
 		defer cancel()
 	}
-	if req.Distribute {
-		s.handleDistributedSimulate(ctx, w, r, c.NumQubits, req.QASM, opts)
-		return
-	}
-
-	// Request-scoped recorder: its sampled latency histograms merge into the
-	// service-level /metrics histograms whether the run succeeds or not.
-	rec := telemetry.New()
-	opts.Telemetry = rec
-	defer s.mergeRunTelemetry(rec)
-
+	// A distributed run fans out over the registered worker fleet: its wall
+	// clock lands in sim_ms, preprocessing happens on every participant, and
+	// the workers count its paths. A local run records into a request-scoped
+	// recorder whose sampled latency histograms merge into the service-level
+	// /metrics histograms whether the run succeeds or not.
+	var (
+		res   *hsfsim.Result
+		fleet *dist.Result
+	)
 	start := time.Now()
-	res, err := hsfsim.SimulateContext(ctx, c, opts)
-	if err != nil {
+	switch {
+	case !req.Distribute:
+		rec := telemetry.New()
+		opts.Telemetry = rec
+		defer s.mergeRunTelemetry(rec)
+		res, err = hsfsim.SimulateContext(ctx, c, opts)
+	case len(s.coord.Workers()) == 0:
+		err = fmt.Errorf("%w: register workers or start hsfsimd with -dist-worker addresses", dist.ErrNoWorkers)
+	default:
+		res, fleet, err = s.coord.Simulate(ctx, req.QASM, opts, dist.RunOptions{})
+	}
+	switch {
+	case errors.Is(err, dist.ErrNoWorkers):
+		writeErr(w, http.StatusServiceUnavailable, err, reqID)
+		return
+	case err != nil:
 		s.writeSimulateErr(w, r, err, time.Since(start))
 		return
 	}
-
 	metricSimulations.Add(1)
-	metricPathsSimulated.Add(res.PathsSimulated)
-	resp := SimulateResponse{
-		Method:         res.Method.String(),
-		NumQubits:      c.NumQubits,
-		NumPaths:       res.NumPaths,
-		Log2Paths:      res.Log2Paths,
-		NumCuts:        res.NumCuts,
-		NumBlocks:      res.NumBlocks,
-		PreprocessMs:   float64(res.PreprocessTime.Microseconds()) / 1000,
-		SimMs:          float64(res.SimTime.Microseconds()) / 1000,
-		PathsSimulated: res.PathsSimulated,
+	if fleet == nil {
+		metricPathsSimulated.Add(res.PathsSimulated)
 	}
-	resp.fillAmplitudes(res.Amplitudes)
-	writeJSON(w, resp)
+	writeJSON(w, simulateResponse(res, c.NumQubits, fleet))
 }
 
-// fillAmplitudes copies amps into the response, truncating to the echo cap.
-func (resp *SimulateResponse) fillAmplitudes(amps []complex128) {
-	resp.AmplitudesTotal = len(amps)
-	n := len(amps)
+// simulateResponse builds the /simulate reply, which a finished job's result
+// shares, from a run's result: fleet carries the distributed-run statistics
+// and is nil for an in-process run. The amplitudes are truncated to the echo
+// cap.
+func simulateResponse(res *hsfsim.Result, numQubits int, fleet *dist.Result) SimulateResponse {
+	resp := SimulateResponse{
+		Method:          res.Method.String(),
+		NumQubits:       numQubits,
+		NumPaths:        res.NumPaths,
+		Log2Paths:       res.Log2Paths,
+		NumCuts:         res.NumCuts,
+		NumBlocks:       res.NumBlocks,
+		PreprocessMs:    float64(res.PreprocessTime.Microseconds()) / 1000,
+		SimMs:           float64(res.SimTime.Microseconds()) / 1000,
+		PathsSimulated:  res.PathsSimulated,
+		AmplitudesTotal: len(res.Amplitudes),
+	}
+	if fleet != nil {
+		resp.Distributed = true
+		resp.DistWorkers = fleet.Workers
+		resp.DistBatches = fleet.Batches
+		resp.Reassignments = fleet.Reassignments
+	}
+	n := len(res.Amplitudes)
 	if n > MaxReturnedAmplitudes {
 		n = MaxReturnedAmplitudes
 		resp.Truncated = true
 	}
 	resp.Amplitudes = make([]Amplitude, n)
-	for i := 0; i < n; i++ {
-		resp.Amplitudes[i] = Amplitude{Re: real(amps[i]), Im: imag(amps[i])}
+	for i, a := range res.Amplitudes[:n] {
+		resp.Amplitudes[i] = Amplitude{Re: real(a), Im: imag(a)}
 	}
-}
-
-// handleDistributedSimulate fans the request out over the registered worker
-// fleet through the coordinator, under the request's deadline ctx. The
-// wall-clock of the whole distributed run lands in sim_ms; preprocessing
-// happens independently on every participant.
-func (s *service) handleDistributedSimulate(ctx context.Context, w http.ResponseWriter, r *http.Request, numQubits int, src string, opts hsfsim.Options) {
-	reqID := requestID(r.Context())
-	if len(s.coord.Workers()) == 0 {
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("%w: register workers or start hsfsimd with -dist-worker addresses", dist.ErrNoWorkers), reqID)
-		return
-	}
-	start := time.Now()
-	res, err := s.runDistributed(ctx, src, opts)
-	if err != nil {
-		if errors.Is(err, dist.ErrNoWorkers) {
-			writeErr(w, http.StatusServiceUnavailable, err, reqID)
-			return
-		}
-		s.writeSimulateErr(w, r, err, time.Since(start))
-		return
-	}
-	metricSimulations.Add(1)
-	resp := SimulateResponse{
-		Method:         opts.Method.String(),
-		NumQubits:      numQubits,
-		NumPaths:       res.NumPaths,
-		Log2Paths:      res.Log2Paths,
-		NumCuts:        res.NumCuts,
-		NumBlocks:      res.NumBlocks,
-		SimMs:          float64(time.Since(start).Microseconds()) / 1000,
-		PathsSimulated: res.PathsSimulated,
-		Distributed:    true,
-		DistWorkers:    res.Workers,
-		DistBatches:    res.Batches,
-		Reassignments:  res.Reassignments,
-	}
-	resp.fillAmplitudes(res.Amplitudes)
-	writeJSON(w, resp)
+	return resp
 }
 
 // handleDistRun is the worker endpoint: execute one leased prefix batch and
