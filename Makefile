@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-dist bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
+.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
 
 all: build vet test
 
@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/qasm/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/hsf/
 	$(GO) test -run '^$$' -fuzz=FuzzRunRequest -fuzztime=30s ./internal/dist/
+	$(GO) test -run '^$$' -fuzz=FuzzSimulateRequest -fuzztime=30s ./internal/server/
 
 # Distributed-execution integration tests under the race detector: loopback
 # and real-HTTP fleets, including a worker killed mid-run whose leases must
@@ -106,13 +107,6 @@ bench:
 # build, and HSFSIM_KERNEL_ISA forces a weaker arm when needed.
 bench-smoke:
 	$(GO) test -run=NONE -bench='Apply|Kernel|Segment|LeafFold' -benchtime=1x ./internal/statevec/
-
-# Distributed scaling study: loopback fleets at 2/4/8/16 workers (adaptive
-# vs. fixed batch sizing) plus a real-HTTP variant, with lease overhead,
-# steal efficiency, and utilization computed from the trace spans the run
-# itself recorded. Closes the ROADMAP [scale] item.
-bench-dist:
-	$(GO) run ./cmd/benchcore -o BENCH_dist.json
 
 # One end-to-end benchmark run of one BENCHMARK.json workload, with the
 # driver's settings: `make bench-e2e W=joint-sweep` (joint-accum-par,

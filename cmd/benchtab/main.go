@@ -34,7 +34,6 @@ func main() {
 		supremacy = flag.Bool("supremacy", false, "run the Sec. V supremacy extension")
 		layers    = flag.Bool("layers", false, "run the multi-layer QAOA depth study")
 		backends  = flag.Bool("backends", false, "compare array / DD backends")
-		walker    = flag.Bool("walker", false, "compare dense vs DD HSF execution through the shared walker")
 		manybody  = flag.Bool("manybody", false, "run the many-body Trotter study (ref [35])")
 		all       = flag.Bool("all", false, "run every experiment")
 		scale     = flag.String("scale", "small", "instance scale: small | medium | paper")
@@ -47,9 +46,9 @@ func main() {
 	flag.Parse()
 	if *all {
 		*table1, *table2, *fig3b, *cascades = true, true, true, true
-		*supremacy, *layers, *backends, *manybody, *walker = true, true, true, true, true
+		*supremacy, *layers, *backends, *manybody = true, true, true, true
 	}
-	if !*table1 && !*table2 && !*fig3b && !*cascades && !*supremacy && !*layers && !*backends && !*manybody && !*walker {
+	if !*table1 && !*table2 && !*fig3b && !*cascades && !*supremacy && !*layers && !*backends && !*manybody {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -118,14 +117,6 @@ func main() {
 		fail(err)
 		fmt.Println(bench.RenderBackends(rows))
 		saveCSV(*csvDir, "backends", func(w io.Writer) error { return bench.WriteBackendsCSV(w, rows) })
-	}
-	if *walker {
-		cases, err := bench.DefaultWalkerCases()
-		fail(err)
-		rows, err := bench.RunWalker(cases)
-		fail(err)
-		fmt.Println(bench.RenderWalker(rows))
-		saveCSV(*csvDir, "walker", func(w io.Writer) error { return bench.WriteWalkerCSV(w, rows) })
 	}
 	if *manybody {
 		const sites = 16

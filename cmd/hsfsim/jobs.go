@@ -42,7 +42,6 @@ func jobsCLI(cmd string, args []string) {
 		maxAmps  = fs.Int("max-amplitudes", 0, "number of amplitudes to compute (0: all)")
 		strategy = fs.String("blocks", "cascade", "joint grouping: cascade | window")
 		maxBlock = fs.Int("max-block-qubits", 0, "joint block qubit budget (0: default)")
-		backend  = fs.String("backend", "", "HSF walker backend: dense | dd (empty: daemon default)")
 		timeout  = fs.Duration("timeout", 0, "job execution timeout (0: none)")
 		distrib  = fs.Bool("distribute", false, "run the job on the daemon's distributed worker fleet")
 	)
@@ -67,7 +66,6 @@ func jobsCLI(cmd string, args []string) {
 				Strategy:       *strategy,
 				MaxBlockQubits: *maxBlock,
 				TimeoutMillis:  int(*timeout / time.Millisecond),
-				Backend:        *backend,
 				Distribute:     *distrib,
 			},
 			Tenant:   *tenant,

@@ -4,7 +4,7 @@
 //	hsfsim -method joint -cut 7 -amplitudes 16 circuit.qasm
 //	hsfsim -method schrodinger circuit.qasm
 //	hsfsim -method standard -cut 7 -timeout 1h circuit.qasm
-//	hsfsim -method joint -cut 7 -backend dd circuit.qasm
+//	hsfsim -method schrodinger -backend dd circuit.qasm
 //	hsfsim -method joint -cut 7 -progress 1s -report run.json circuit.qasm
 //
 // Interrupting a run (Ctrl-C / SIGTERM) cancels it cooperatively; with
@@ -102,7 +102,7 @@ func main() {
 		strategy  = flag.String("blocks", "cascade", "joint grouping: cascade | window")
 		maxBlock  = flag.Int("max-block-qubits", 0, "joint block qubit budget (0: default)")
 		quiet     = flag.Bool("quiet", false, "print statistics only, no amplitudes")
-		backend   = flag.String("backend", "dense", "state backend: dense (alias array) | dd")
+		backend   = flag.String("backend", "dense", "Schrödinger state representation: dense | dd (the decision-diagram oracle; HSF methods run dense)")
 		memBudget = flag.Int64("memory-budget", 0, "admission memory budget in bytes (0: 16 GiB default, <0: unlimited)")
 		maxPaths  = flag.Uint64("max-paths", 0, "reject plans with more Feynman paths than this (0: unlimited)")
 		ckptPath  = flag.String("checkpoint", "", "write a resume checkpoint here if the run is interrupted")
@@ -117,6 +117,10 @@ func main() {
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON dump (load in chrome://tracing) here after the run")
 	)
 	flag.Parse()
+	m, err := hsfsim.ParseMethod(*method)
+	fail(err)
+	useDD, err := parseBackend(*backend, m)
+	fail(err)
 	if *takeover {
 		// The job definition lives in the store's manifest; a circuit file on
 		// the command line would be ignored, so reject the ambiguity.
@@ -151,8 +155,7 @@ func main() {
 		MaxPaths:        *maxPaths,
 		FusionMaxQubits: *fusion,
 	}
-	opts.Method, err = hsfsim.ParseMethod(*method)
-	fail(err)
+	opts.Method = m
 	opts.BlockStrategy, err = hsfsim.ParseBlockStrategy(*strategy)
 	fail(err)
 	if opts.Method != hsfsim.Schrodinger {
@@ -166,11 +169,6 @@ func main() {
 		if opts.CutPos > c.NumQubits-2 {
 			fail(fmt.Errorf("cut position %d out of range [0, %d] for %d qubits", opts.CutPos, c.NumQubits-2, c.NumQubits))
 		}
-		b, err := hsfsim.ParseBackend(*backend)
-		if err != nil {
-			fail(fmt.Errorf("HSF methods run on the dense or dd backend, got %q", *backend))
-		}
-		opts.Backend = b
 	}
 
 	// Telemetry is opt-in: -report attaches a recorder, -progress a live
@@ -219,8 +217,8 @@ func main() {
 	ctx = withTrace(ctx)
 
 	var res *hsfsim.Result
-	if opts.Method == hsfsim.Schrodinger && *backend != "array" && *backend != "dense" {
-		res, err = simulateAlternateBackend(c, *backend, *maxAmps)
+	if useDD {
+		res, err = simulateDD(ctx, c, *maxAmps, *timeout)
 	} else {
 		res, err = hsfsim.SimulateContext(ctx, c, opts)
 	}
@@ -239,10 +237,8 @@ func main() {
 	stopProgress()
 	writeReport(*report, rec)
 	writeTrace(*tracePath)
-	if opts.Method == hsfsim.Schrodinger && *backend != "array" && *backend != "dense" {
-		fmt.Printf("backend:         %s\n", *backend)
-	} else if opts.Method != hsfsim.Schrodinger && opts.Backend != hsfsim.BackendDense {
-		fmt.Printf("backend:         %v\n", opts.Backend)
+	if useDD {
+		fmt.Printf("backend:         dd\n")
 	}
 
 	fmt.Printf("method:          %v\n", res.Method)
@@ -401,28 +397,51 @@ func printAmplitudes(amps []complex128, n, numQubits int) {
 	}
 }
 
-// simulateAlternateBackend runs Schrödinger simulation on the decision-
-// diagram representation and adapts the output to hsfsim.Result.
-func simulateAlternateBackend(c *hsfsim.Circuit, backend string, maxAmps int) (*hsfsim.Result, error) {
+// parseBackend checks -backend against the method and reports whether the
+// run goes to the decision-diagram oracle. Only a Schrödinger run has a
+// choice: the HSF methods run the dense walker.
+func parseBackend(name string, method hsfsim.Method) (useDD bool, err error) {
+	switch name {
+	case "dense":
+		return false, nil
+	case "dd":
+		if method != hsfsim.Schrodinger {
+			return false, errors.New("-backend dd is the whole-circuit decision-diagram oracle: use it with -method schrodinger (HSF methods run dense)")
+		}
+		return true, nil
+	}
+	return false, fmt.Errorf("-backend %q: want dense or dd", name)
+}
+
+// simulateDD runs Schrödinger simulation on the decision-diagram
+// representation and adapts the output to hsfsim.Result. It checks ctx
+// between gates: a cancellation returns context.Canceled, and running past
+// timeout (0: none) returns hsfsim.ErrTimeout, as the dense path does.
+func simulateDD(ctx context.Context, c *hsfsim.Circuit, maxAmps int, timeout time.Duration) (*hsfsim.Result, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, timeout, hsfsim.ErrTimeout)
+		defer cancel()
+	}
 	m := maxAmps
 	if m <= 0 || m > 1<<c.NumQubits {
 		m = 1 << c.NumQubits
 	}
 	start := time.Now()
-	amps := make([]complex128, m)
-	switch backend {
-	case "dd":
-		d := dd.New(c.NumQubits, 0)
-		if err := d.ApplyCircuit(c); err != nil {
-			return nil, err
+	d := dd.New(c.NumQubits, 0)
+	for i := range c.Gates {
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
 		}
-		for x := range amps {
-			amps[x] = d.Amplitude(uint64(x))
+		if err := d.ApplyGate(&c.Gates[i]); err != nil {
+			return nil, fmt.Errorf("dd: gate %d: %w", i, err)
 		}
-		fmt.Printf("dd nodes:        %d\n", d.NumNodes())
-	default:
-		return nil, fmt.Errorf("unknown backend %q", backend)
 	}
+	amps := make([]complex128, m)
+	for x := range amps {
+		amps[x] = d.Amplitude(uint64(x))
+	}
+	fmt.Printf("dd nodes:        %d\n", d.NumNodes())
 	return &hsfsim.Result{
 		Amplitudes: amps,
 		Method:     hsfsim.Schrodinger,

@@ -48,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"hsfsim"
 	"hsfsim/internal/dist"
 	"hsfsim/internal/server"
 )
@@ -72,7 +71,6 @@ func run(args []string) int {
 		memoryBudget  = fs.Int64("memory-budget", 0, "admission memory budget in bytes (0: 16 GiB default, <0: unlimited)")
 		maxPaths      = fs.Uint64("max-paths", 0, "reject plans with more Feynman paths than this (0: unlimited)")
 		workers       = fs.Int("workers", 0, "worker goroutines per simulation (0: all CPUs)")
-		backend       = fs.String("backend", "dense", "default HSF walker backend: dense | dd (requests may override)")
 		maxTimeout    = fs.Duration("max-timeout", 10*time.Minute, "cap on per-request timeout_ms")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 		worker        = fs.Bool("worker", false, "register with a coordinator as a distributed worker (needs -join)")
@@ -102,10 +100,6 @@ func run(args []string) int {
 	}
 
 	logger := log.New(os.Stderr, "hsfsimd ", log.LstdFlags)
-	if _, err := hsfsim.ParseBackend(*backend); err != nil {
-		logger.Printf("-backend %q: want dense or dd", *backend)
-		return 2
-	}
 	quotas, err := parseQuotas(*tenantQuotas)
 	if err != nil {
 		logger.Printf("-tenant-quotas: %v", err)
@@ -116,7 +110,6 @@ func run(args []string) int {
 		MemoryBudget:      *memoryBudget,
 		MaxPaths:          *maxPaths,
 		Workers:           *workers,
-		Backend:           *backend,
 		MaxTimeout:        *maxTimeout,
 		Logger:            logger,
 		DistLeaseTimeout:  *leaseTimeout,

@@ -116,32 +116,14 @@ type BudgetError = hsf.BudgetError
 // reports it as an ordinary error instead of crashing the process.
 type PanicError = hsf.PanicError
 
-// ErrUnsupported is returned (match with errors.Is) when an option
-// combination is not supported by the selected HSF backend — e.g. Workers > 1
-// on the decision-diagram backend — instead of being silently ignored.
-var ErrUnsupported = hsf.ErrUnsupported
+// ErrUnsupported is returned (match with errors.Is) when a name or an option
+// is not supported — an unknown method or block strategy, or a distributed
+// job on a service without a fleet — instead of being silently ignored.
+var ErrUnsupported = errors.New("hsfsim: unsupported option")
 
 // ErrInjectedFault is returned when Options.FailAfterPaths triggers; it
 // makes checkpoint/resume recovery testable deterministically.
 var ErrInjectedFault = hsf.ErrInjectedFault
-
-// Backend selects the HSF path-engine state representation; see the
-// Options.Backend field. Schrödinger runs ignore it.
-type Backend = hsf.Backend
-
-const (
-	// BackendDense evolves partition states as dense statevector arrays (the
-	// default).
-	BackendDense = hsf.BackendDense
-	// BackendDD evolves partition states as decision diagrams (the authors'
-	// ref-[10] approach): memory-compressing and single-worker, with results
-	// structurally identical to the dense backend.
-	BackendDD = hsf.BackendDD
-)
-
-// ParseBackend maps a CLI/wire backend name to a Backend: "dense" (aliases:
-// "", "array") or "dd". Unknown names wrap ErrUnsupported.
-func ParseBackend(s string) (Backend, error) { return hsf.ParseBackend(s) }
 
 // ParseMethod maps a CLI/wire method name to a Method: "schrodinger",
 // "standard" or "joint" (also ""). Unknown names wrap ErrUnsupported.
@@ -203,12 +185,6 @@ type Options struct {
 	// Timeout aborts HSF runs after this duration (0: none), as in the
 	// paper's 1 h limit for standard HSF.
 	Timeout time.Duration
-	// Backend selects the HSF path-engine state representation: BackendDense
-	// (the zero value) or BackendDD. Both run through the same path-tree
-	// walker, so checkpoint/resume, timeouts, and fault injection behave
-	// identically; the DD backend runs a single path worker and rejects
-	// Workers > 1 with ErrUnsupported.
-	Backend Backend
 	// MemoryBudget caps the estimated memory footprint in bytes before any
 	// statevector is allocated: 0 selects DefaultMemoryBudget (16 GiB),
 	// negative disables the check. Over-budget jobs fail with ErrBudget.
@@ -217,7 +193,7 @@ type Options struct {
 	// (0: no limit). Over-budget jobs fail with ErrBudget.
 	MaxPaths uint64
 	// CheckpointWriter, when non-nil, receives a binary checkpoint snapshot
-	// if an HSF run (either backend) stops prematurely (cancellation,
+	// if an HSF run stops prematurely (cancellation,
 	// timeout, injected fault, worker panic): the completed prefix tasks
 	// plus their merged partial accumulator. Ignored by Schrodinger.
 	CheckpointWriter io.Writer
@@ -225,8 +201,8 @@ type Options struct {
 	// previously written through CheckpointWriter: completed prefix tasks
 	// are skipped and the accumulator continues from the snapshot. The
 	// checkpoint must match the circuit, cut plan, and MaxAmplitudes
-	// (ErrCheckpointMismatch otherwise); the backend may differ, since both
-	// walk the same prefix-task space.
+	// (ErrCheckpointMismatch otherwise); the worker count may differ, since
+	// every run walks the same prefix-task space.
 	ResumeFrom io.Reader
 	// FailAfterPaths injects a deterministic fault after roughly that many
 	// HSF path leaves (0: disabled) — a testing hook that makes
@@ -377,11 +353,7 @@ func (p *CompiledPlan) EstimateCost(opts Options) *CostEstimate {
 		est := schrodingerCost(p.circuit.NumQubits, opts.MaxAmplitudes, p.seg.TableBytes())
 		return &est
 	}
-	workers := opts.Workers
-	if !opts.Backend.ParallelWorkers() {
-		workers = 1
-	}
-	est := hsf.Cost(p.plan, hsf.Options{MaxAmplitudes: opts.MaxAmplitudes, Workers: workers})
+	est := hsf.Cost(p.plan, hsf.Options{MaxAmplitudes: opts.MaxAmplitudes, Workers: opts.Workers})
 	return &est
 }
 
@@ -398,7 +370,7 @@ func (p *CompiledPlan) Admit(opts Options) error {
 // fingerprintOf computes the plan cache key for (c, opts): the circuit hash
 // extended with every plan-affecting option, normalized the same way the
 // compilers normalize them. Execution-time options (workers, budgets,
-// MaxAmplitudes, backend, checkpointing, telemetry) are deliberately
+// MaxAmplitudes, checkpointing, telemetry) are deliberately
 // excluded — runs that differ only there share a plan.
 func fingerprintOf(c *Circuit, opts Options) uint64 {
 	cfp := hsf.CircuitFingerprint(c)
@@ -508,7 +480,7 @@ func SimulateCompiled(cp *CompiledPlan, opts Options) (*Result, error) {
 }
 
 // SimulateCompiledContext executes a compiled plan under ctx with the given
-// execution options (workers, budgets, MaxAmplitudes, backend, timeout,
+// execution options (workers, budgets, MaxAmplitudes, timeout,
 // checkpointing, telemetry); the plan-affecting options were fixed at
 // Compile time and are ignored here. The plan is not mutated, so concurrent
 // executions of the same CompiledPlan are safe — that is what lets a job
@@ -657,7 +629,6 @@ func (cp *CompiledPlan) runHSF(ctx context.Context, opts Options) (*Result, erro
 	plan := cp.plan
 	engineOpts := hsf.Options{
 		MaxAmplitudes:    opts.MaxAmplitudes,
-		Backend:          opts.Backend,
 		Workers:          opts.Workers,
 		FusionMaxQubits:  opts.FusionMaxQubits,
 		Timeout:          opts.Timeout,

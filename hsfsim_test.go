@@ -200,21 +200,3 @@ func TestStatsReported(t *testing.T) {
 		t.Fatal("Log2Paths inconsistent with NumPaths")
 	}
 }
-
-func TestDDEngineOptionAgrees(t *testing.T) {
-	c := qaoaLike(17, 8, 12)
-	arr, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dd, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3, Backend: hsfsim.BackendDD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxDiff(arr.Amplitudes, dd.Amplitudes); d > 1e-8 {
-		t.Fatalf("DD engine diverges by %g", d)
-	}
-	if arr.NumPaths != dd.NumPaths {
-		t.Fatalf("path counts differ: %d vs %d", arr.NumPaths, dd.NumPaths)
-	}
-}

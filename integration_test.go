@@ -82,10 +82,6 @@ func TestIntegrationRandomizedOptions(t *testing.T) {
 			FusionMaxQubits: []int{-1, 0, 2, 4}[rng.Intn(4)],
 			MaxBlockQubits:  []int{0, 4, 6}[rng.Intn(3)],
 		}
-		if trial == 7 { // one DD-backend pass (slow)
-			opts.Backend = hsfsim.BackendDD
-			opts.Workers = 1 // the DD backend is single-threaded
-		}
 		res, err := hsfsim.Simulate(inst.Circuit, opts)
 		if err != nil {
 			t.Fatalf("trial %d (%+v): %v", trial, opts, err)

@@ -139,21 +139,6 @@ func WriteManybodyCSV(w io.Writer, points []ManybodyPoint) error {
 	return writeCSV(w, header, data)
 }
 
-// WriteWalkerCSV emits the walker backend study.
-func WriteWalkerCSV(w io.Writer, rows []*WalkerRow) error {
-	header := []string{"plan", "qubits", "gates", "paths", "dense_s", "dd_s", "max_diff"}
-	var data [][]string
-	for _, r := range rows {
-		data = append(data, []string{
-			r.Name, strconv.Itoa(r.Qubits), strconv.Itoa(r.Gates),
-			strconv.FormatUint(r.Paths, 10),
-			f(r.DenseTime.Seconds()), f(r.DDTime.Seconds()),
-			fmt.Sprintf("%.3e", r.MaxDiff),
-		})
-	}
-	return writeCSV(w, header, data)
-}
-
 // WriteBackendsCSV emits the backend study.
 func WriteBackendsCSV(w io.Writer, rows []*BackendRow) error {
 	header := []string{

@@ -6,6 +6,10 @@
 // states (GHZ, stabilizer-like, product states) compress from 2^n amplitudes
 // to O(n) nodes.
 //
+// The package runs whole circuits only. It is the simulator's independent
+// oracle: its gate application shares no code with the dense kernels or the
+// HSF walker, so a result both agree on was not shaped by a bug in either.
+//
 // Gates of any arity are applied uniformly through the outer-product
 // expansion U = Σ_{t,u} M[t,u]·|t><u| on the touched qubits: each (t,u) term
 // selects the u-branches and re-embeds them at t, and the weighted terms are
@@ -228,51 +232,6 @@ func (d *DD) ApplyGate(g *gate.Gate) error {
 	}
 	d.root = result
 	return nil
-}
-
-// Edge is an opaque handle to a DD-represented statevector sharing this
-// DD's node store. Edges enable the Feynman-path style usage of decision
-// diagrams (the authors' ref [10]): "cloning" a state is free because apply
-// operations are purely functional over the shared unique table.
-type Edge struct{ e edge }
-
-// Root returns the current state as an Edge handle.
-func (d *DD) Root() Edge { return Edge{e: d.root} }
-
-// SetRoot replaces the current state by the given handle.
-func (d *DD) SetRoot(r Edge) { d.root = r.e }
-
-// ApplyGateTo applies a gate to the state denoted by root and returns the
-// new state, leaving root intact (functional update over shared nodes).
-func (d *DD) ApplyGateTo(root Edge, g *gate.Gate) (Edge, error) {
-	saved := d.root
-	d.root = root.e
-	err := d.ApplyGate(g)
-	res := d.root
-	d.root = saved
-	if err != nil {
-		return Edge{}, err
-	}
-	return Edge{e: res}, nil
-}
-
-// AmplitudeOf returns <x|ψ> for the state denoted by root.
-func (d *DD) AmplitudeOf(root Edge, x uint64) complex128 {
-	saved := d.root
-	d.root = root.e
-	a := d.Amplitude(x)
-	d.root = saved
-	return a
-}
-
-// FillStatevector writes the dense expansion of root into out, which must
-// have length 2^N.
-func (d *DD) FillStatevector(root Edge, out []complex128) {
-	saved := d.root
-	d.root = root.e
-	s := d.ToStatevector()
-	copy(out, s)
-	d.root = saved
 }
 
 // ApplyCircuit applies every gate of the circuit.

@@ -233,6 +233,28 @@ func TestNodeSharingAcrossBranches(t *testing.T) {
 	}
 }
 
+func TestAmplitudeMatchesExpansionProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(4)
+		c := randomCircuit(rng, n, 8)
+		d := New(n, 0)
+		if err := d.ApplyCircuit(c); err != nil {
+			return false
+		}
+		dense := d.ToStatevector()
+		for x := 0; x < len(dense); x++ {
+			if cmplx.Abs(dense[x]-d.Amplitude(uint64(x))) > 1e-10 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkDDGHZ20(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

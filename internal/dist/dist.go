@@ -72,21 +72,14 @@ type Job struct {
 	MaxAmplitudes int `json:"max_amplitudes,omitempty"`
 	// FusionMaxQubits configures gate fusion (0: default, <0: disabled).
 	FusionMaxQubits int `json:"fusion_max_qubits,omitempty"`
-	// Backend selects the walker backend every worker must run: "" / "dense"
-	// or "dd". The field is omitted for dense, so dense fleets interoperate
-	// with workers predating it; workers that do not know the field reject
-	// the lease outright (the wire decoder disallows unknown fields), which
-	// keeps a mixed fleet from silently splitting a run across backends.
-	Backend string `json:"backend,omitempty"`
 }
 
 // NewJob describes a distributed run of the QASM circuit src under opts.
 // Only the plan-affecting fields and the ones every worker must agree on
 // travel (Method, CutPos, BlockStrategy, MaxBlockQubits, Tol, MaxAmplitudes,
-// FusionMaxQubits, Backend); execution limits stay with each participant.
-// Cascade and dense are the absent fields, so such leases stay readable by
-// workers that predate the strategy and backend fields. Job.Options inverts
-// it.
+// FusionMaxQubits); execution limits stay with each participant. Cascade is
+// the absent strategy, so such leases stay readable by workers that predate
+// the field. Job.Options inverts it.
 func NewJob(src string, opts hsfsim.Options) (*Job, error) {
 	if opts.Method != hsfsim.StandardHSF && opts.Method != hsfsim.JointHSF {
 		return nil, fmt.Errorf("dist: method %v cannot be distributed; use standard or joint", opts.Method)
@@ -106,15 +99,12 @@ func NewJob(src string, opts hsfsim.Options) (*Job, error) {
 	if opts.BlockStrategy == hsfsim.BlockWindow {
 		job.Strategy = opts.BlockStrategy.String()
 	}
-	if opts.Backend != hsfsim.BackendDense {
-		job.Backend = opts.Backend.String()
-	}
 	return job, nil
 }
 
 // Options returns the simulation options the job describes; every
-// participant plans and executes with them. An unknown method, strategy or
-// backend name is an error, and so is a method that cannot be distributed.
+// participant plans and executes with them. An unknown method or strategy
+// name is an error, and so is a method that cannot be distributed.
 func (j *Job) Options() (hsfsim.Options, error) {
 	method, err := hsfsim.ParseMethod(j.Method)
 	if err != nil {
@@ -127,10 +117,6 @@ func (j *Job) Options() (hsfsim.Options, error) {
 	if err != nil {
 		return hsfsim.Options{}, fmt.Errorf("dist: %w", err)
 	}
-	backend, err := hsfsim.ParseBackend(j.Backend)
-	if err != nil {
-		return hsfsim.Options{}, fmt.Errorf("dist: %w", err)
-	}
 	return hsfsim.Options{
 		Method:          method,
 		CutPos:          j.CutPos,
@@ -139,7 +125,6 @@ func (j *Job) Options() (hsfsim.Options, error) {
 		Tol:             j.Tol,
 		MaxAmplitudes:   j.MaxAmplitudes,
 		FusionMaxQubits: j.FusionMaxQubits,
-		Backend:         backend,
 	}, nil
 }
 

@@ -14,43 +14,40 @@ import (
 )
 
 // TestJobOptionsRoundTrip: NewJob → JSON → decode → Options returns every
-// field a Job carries, across both methods, strategies and backends, and a
-// dense cascade joint job encodes exactly as the hand-written conversions it
-// replaced did (strategy and backend absent).
+// field a Job carries, across both methods and strategies, and a cascade
+// joint job encodes exactly as the hand-written conversions it replaced did
+// (strategy absent).
 func TestJobOptionsRoundTrip(t *testing.T) {
 	const src = "qreg q[4]; h q[0]; cx q[0],q[1];"
 	for _, method := range []hsfsim.Method{hsfsim.StandardHSF, hsfsim.JointHSF} {
 		for _, strategy := range []hsfsim.BlockStrategy{hsfsim.BlockCascade, hsfsim.BlockWindow} {
-			for _, backend := range []hsfsim.Backend{hsfsim.BackendDense, hsfsim.BackendDD} {
-				want := hsfsim.Options{
-					Method:          method,
-					CutPos:          2,
-					BlockStrategy:   strategy,
-					MaxBlockQubits:  6,
-					Tol:             1.5e-11,
-					MaxAmplitudes:   32,
-					FusionMaxQubits: -1,
-					Backend:         backend,
-				}
-				job, err := NewJob(src, want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wire, err := json.Marshal(job)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var back Job
-				if err := json.Unmarshal(wire, &back); err != nil {
-					t.Fatal(err)
-				}
-				got, err := back.Options()
-				if err != nil {
-					t.Fatalf("%s: %v", wire, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s:\n got %+v\nwant %+v", wire, got, want)
-				}
+			want := hsfsim.Options{
+				Method:          method,
+				CutPos:          2,
+				BlockStrategy:   strategy,
+				MaxBlockQubits:  6,
+				Tol:             1.5e-11,
+				MaxAmplitudes:   32,
+				FusionMaxQubits: -1,
+			}
+			job, err := NewJob(src, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := json.Marshal(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Job
+			if err := json.Unmarshal(wire, &back); err != nil {
+				t.Fatal(err)
+			}
+			got, err := back.Options()
+			if err != nil {
+				t.Fatalf("%s: %v", wire, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s:\n got %+v\nwant %+v", wire, got, want)
 			}
 		}
 	}
@@ -77,9 +74,6 @@ func TestJobOptionsRoundTrip(t *testing.T) {
 	}
 	if _, err := (&Job{QASM: src, Method: "schrodinger"}).Options(); err == nil {
 		t.Fatal("Options accepted a Schrodinger job")
-	}
-	if _, err := (&Job{QASM: src, Method: "joint", Backend: "mps"}).Options(); err == nil {
-		t.Fatal("Options accepted an unknown backend")
 	}
 }
 
@@ -137,7 +131,8 @@ func TestWorkerPlanCacheCompilesOnce(t *testing.T) {
 // FuzzRunRequest feeds arbitrary bytes through what /dist/run does before
 // planning: the strict decoder, RunRequest.Validate and Job.Options. None
 // may panic, and a request they accept must describe a valid distributed
-// run that survives NewJob unchanged.
+// run that survives NewJob unchanged. The "backend" seed is a rejection case:
+// the field is gone, so the strict decoder refuses it.
 func FuzzRunRequest(f *testing.F) {
 	seed, err := json.Marshal(RunRequest{Job: *testJob(1), PlanHash: 42, SplitLevels: 1, Prefixes: [][]int{{0}, {1}}})
 	if err != nil {
@@ -164,9 +159,6 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if opts.BlockStrategy != hsfsim.BlockCascade && opts.BlockStrategy != hsfsim.BlockWindow {
 			t.Fatalf("accepted strategy %v", opts.BlockStrategy)
-		}
-		if opts.Backend != hsfsim.BackendDense && opts.Backend != hsfsim.BackendDD {
-			t.Fatalf("accepted backend %v", opts.Backend)
 		}
 		job, err := NewJob(req.Job.QASM, opts)
 		if err != nil {

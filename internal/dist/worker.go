@@ -59,10 +59,6 @@ func ExecuteRun(ctx context.Context, req *RunRequest, opts ExecOptions) (*hsf.Ch
 	if h := hsf.PlanHash(plan); h != req.PlanHash {
 		return nil, Permanent(fmt.Errorf("%w: local %016x != lease %016x", ErrPlanMismatch, h, req.PlanHash))
 	}
-	workers := opts.Workers
-	if !jopts.Backend.ParallelWorkers() {
-		workers = 1
-	}
 	if req.LeaseMillis > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.LeaseMillis)*time.Millisecond)
@@ -78,8 +74,7 @@ func ExecuteRun(ctx context.Context, req *RunRequest, opts ExecOptions) (*hsf.Ch
 	}
 	ck, err := hsf.RunPrefixesContext(ctx, plan, hsf.Options{
 		MaxAmplitudes:   jopts.MaxAmplitudes,
-		Backend:         jopts.Backend,
-		Workers:         workers,
+		Workers:         opts.Workers,
 		FusionMaxQubits: jopts.FusionMaxQubits,
 		MemoryBudget:    opts.MemoryBudget,
 		MaxPaths:        opts.MaxPaths,

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"hsfsim/internal/circuit"
 	"hsfsim/internal/cut"
 	"hsfsim/internal/gate"
 	"hsfsim/internal/statevec"
@@ -22,12 +23,21 @@ type allocShape struct{ n, cutPos int }
 // test IDs.
 var allocShapes = map[string]allocShape{"K=2": {8, 3}, "K=8": {12, 5}}
 
-// harnessPlan builds shape's plan. Every other RZZ turns by 2 more, past π/2,
-// so that its leading Schmidt term is Z⊗Z rather than I⊗I: the walker then
-// writes forked children through both an elided identity and a diagonal
-// residual (checkForks).
+// harnessPlan builds shape's plan of harnessCircuit.
 func harnessPlan(tb testing.TB, shape allocShape) *cut.Plan {
 	tb.Helper()
+	plan, err := cut.BuildPlan(harnessCircuit(shape), cut.Options{Partition: cut.Partition{CutPos: shape.cutPos}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// harnessCircuit is shape's circuit. Every other RZZ turns by 2 more, past
+// π/2, so that its leading Schmidt term is Z⊗Z rather than I⊗I: the walker
+// then writes forked children through both an elided identity and a diagonal
+// residual (checkForks).
+func harnessCircuit(shape allocShape) *circuit.Circuit {
 	c := manyCutCircuit(shape.n, 6)
 	turn := false
 	for i, g := range c.Gates {
@@ -38,11 +48,7 @@ func harnessPlan(tb testing.TB, shape allocShape) *cut.Plan {
 			turn = !turn
 		}
 	}
-	plan, err := cut.BuildPlan(c, cut.Options{Partition: cut.Partition{CutPos: shape.cutPos}})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return plan
+	return c
 }
 
 // checkForks fails unless the walker of e writes forked children through an
@@ -55,16 +61,13 @@ func checkForks(tb testing.TB, e *engine) {
 	}
 }
 
-// allocHarness compiles a many-cut plan and returns a dense-backend walker
+// allocHarness compiles a many-cut plan and returns a walker
 // with its scratch accumulator, warmed so the workspace pool, the pair free
 // list, and the frame stack have reached steady state.
 func allocHarness(tb testing.TB, shape allocShape) (*walker, statevec.Vector) {
 	tb.Helper()
 	e := compiled(harnessPlan(tb, shape), 0)
-	walk, err := e.newWalker(nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	walk := e.newWalker(nil)
 	scratch := statevec.MakeVector(e.m)
 	for i := 0; i < 2; i++ { // warm the pools
 		scratch.Clear()
@@ -264,9 +267,9 @@ func TestWalkerReuseAfterFailedTask(t *testing.T) {
 // the root still holds exactly |0…0⟩ advanced through segment 0.
 func TestWalkerRootIsCopiedNotAliased(t *testing.T) {
 	walk, scratch := allocHarness(t, allocShapes["K=2"])
-	root, ok := walk.root.(*densePair)
-	if !ok {
-		t.Fatalf("walker root is %T, want *densePair", walk.root)
+	root := walk.root
+	if root == nil {
+		t.Fatal("warm walker holds no root")
 	}
 	e := walk.e
 	wantLo, wantUp := statevec.NewVector(e.nLower), statevec.NewVector(e.nUpper)

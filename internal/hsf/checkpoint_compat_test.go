@@ -7,9 +7,11 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"os"
 	"testing"
 
 	"hsfsim/internal/cut"
+	"hsfsim/internal/statevec"
 )
 
 // encodeInterleavedCheckpoint serializes ck with the pre-SoA on-disk layout,
@@ -98,6 +100,43 @@ func TestCheckpointCrossLayoutResume(t *testing.T) {
 	for i := range full.Amplitudes {
 		if d := cmplx.Abs(res.Amplitudes[i] - full.Amplitudes[i]); d > 1e-12 {
 			t.Fatalf("amplitude %d differs by %g after cross-layout resume", i, d)
+		}
+	}
+}
+
+// TestCheckpointFromDDWalkerResumes resumes a checkpoint that the retired
+// decision-diagram walker wrote: testdata/dd-walker.ckpt holds 256 of the 512
+// paths of manyCutCircuit(10, 9) cut after qubit 4 for the first 100
+// amplitudes, interrupted by an injected fault on one worker. The format never
+// named the walker, so the dense walker finishes it, projected by the output
+// cone the DD walker never applied, on one worker or two, to the Schrödinger
+// oracle at 1e-12.
+func TestCheckpointFromDDWalkerResumes(t *testing.T) {
+	const m = 100
+	circ := manyCutCircuit(10, 9)
+	plan := buildPlan(t, circ, 4, cut.StrategyNone)
+	data, err := os.ReadFile("testdata/dd-walker.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := schrodinger(circ)[:m]
+	for _, workers := range []int{1, 2} {
+		ck, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.PathsSimulated != 256 || ck.M != m {
+			t.Fatalf("fixture holds %d paths of %d amplitudes, want 256 of %d", ck.PathsSimulated, ck.M, m)
+		}
+		res, err := Run(plan, Options{Workers: workers, MaxAmplitudes: m, Resume: ck})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if res.PathsSimulated != 512 {
+			t.Fatalf("%d workers: %d paths after the resume, want 512", workers, res.PathsSimulated)
+		}
+		if d := statevec.MaxAbsDiff(res.Amplitudes, want); d > 1e-12 {
+			t.Fatalf("%d workers: resumed DD checkpoint off the oracle by %g", workers, d)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hsfsim/internal/cmat"
 	"hsfsim/internal/cut"
 	"hsfsim/internal/fuse"
 	"hsfsim/internal/gate"
@@ -67,13 +66,7 @@ type Options struct {
 	// statevector (the paper computes the first 10^6). 0 means the full
 	// 2^n state.
 	MaxAmplitudes int
-	// Backend selects the pair-state representation (dense statevector
-	// arrays by default, or decision diagrams). Both run through the same
-	// path-tree walker.
-	Backend Backend
 	// Workers is the number of parallel path workers; 0 uses GOMAXPROCS.
-	// Backends without parallel-worker support (BackendDD) reject Workers >
-	// 1 with ErrUnsupported.
 	Workers int
 	// FusionMaxQubits configures per-segment gate fusion: 0 selects
 	// fuse.DefaultMaxQubits, negative disables fusion.
@@ -141,17 +134,17 @@ type Result struct {
 
 // segment is the run of local gates between two consecutive cuts, remapped
 // to partition-local qubit labels and optionally fused; its arrays are
-// indexed by cut.Side. The dense backend replays the compiled forms (kernel
-// plans attached, cache-blocked sweep grouping), then drops the qubits the
-// output cone fixes there; the DD backend walks the gate slices directly.
+// indexed by cut.Side. The walker replays the compiled forms (kernel plans
+// attached, cache-blocked sweep grouping), then drops the qubits the output
+// cone fixes there; gates stay for the kernel-class census.
 type segment struct {
 	gates [2][]gate.Gate
-	comp  [2]*statevec.CompiledSegment // dense only
-	proj  [2]*statevec.Projection      // dense only; nil drops nothing
+	comp  [2]*statevec.CompiledSegment
+	proj  [2]*statevec.Projection // nil drops nothing
 }
 
-// run advances one side's dense state through the segment and returns it
-// with the qubits dropped at the segment's end.
+// run advances one side's state through the segment and returns it with the
+// qubits dropped at the segment's end.
 func (s *segment) run(side cut.Side, v statevec.Vector) statevec.Vector {
 	s.comp[side].Apply(v)
 	return s.proj[side].Apply(v)
@@ -166,7 +159,7 @@ type compiledCut struct {
 	sigma []complex128            // the plan's σ times both sides' scalars
 	terms [2][]gate.Gate          // one per term
 	res   [2][]residual           // one per term
-	proj  [2]*statevec.Projection // dense only; nil drops nothing
+	proj  [2]*statevec.Projection // nil drops nothing
 }
 
 // residualKind is what one side of a term leaves to apply once its scalar has
@@ -187,16 +180,16 @@ const (
 // the kind; prepare builds the rest once the cone has fixed the labels.
 type residual struct {
 	kind residualKind
-	diag *statevec.Diagonal // residualDiagonal on the dense backend
-	g    *gate.Gate         // what the DD backend applies, and a residualGate's gate; nil for the identity
+	diag *statevec.Diagonal // a residualDiagonal's entries
+	g    *gate.Gate         // a residualGate's gate
 }
 
 // rootCopy is a cut with one identity term: its child is a plain copy, which
 // is how a prefix task takes the walker's shared root.
 var rootCopy = compiledCut{sigma: []complex128{1}, res: [2][]residual{make([]residual, 1), make([]residual, 1)}}
 
-// apply applies term t's residual to one side's dense state in place and
-// returns it with the qubits dropped after the cut.
+// apply applies term t's residual to one side's state in place and returns
+// it with the qubits dropped after the cut.
 func (c *compiledCut) apply(side cut.Side, t int, v statevec.Vector) statevec.Vector {
 	switch r := &c.res[side][t]; r.kind {
 	case residualDiagonal:
@@ -207,12 +200,11 @@ func (c *compiledCut) apply(side cut.Side, t int, v statevec.Vector) statevec.Ve
 	return c.proj[side].Apply(v)
 }
 
-// prepare readies the residuals for the backend once the cone has given the
-// terms their final labels: the dense backend compiles each diagonal, the DD
-// backend, whose gate application reads a matrix, gets one built from the
-// 2^k entries. A residualGate's gate is the term's own, kernel plan attached.
-// It returns how many sides of terms are elided identities.
-func (c *compiledCut) prepare(backend Backend) (elided int) {
+// prepare readies the residuals once the cone has given the terms their final
+// labels: each diagonal is compiled from its 2^k entries, and a
+// residualGate's gate is the term's own, kernel plan attached. It returns how
+// many sides of terms are elided identities.
+func (c *compiledCut) prepare() (elided int) {
 	for side := range c.res {
 		for t := range c.res[side] {
 			r, g := &c.res[side][t], &c.terms[side][t]
@@ -221,16 +213,7 @@ func (c *compiledCut) prepare(backend Backend) (elided int) {
 				elided++
 			case residualDiagonal:
 				s, _ := splitScalar(g)
-				d := residualEntries(g, s)
-				if backend == BackendDense {
-					r.diag = statevec.NewDiagonal(g.Qubits, d)
-					continue
-				}
-				m := cmat.New(len(d), len(d))
-				for i, x := range d {
-					m.Set(i, i, x)
-				}
-				r.g = &gate.Gate{Name: "cut-residual", Qubits: g.Qubits, Matrix: m, Diagonal: true}
+				r.diag = statevec.NewDiagonal(g.Qubits, residualEntries(g, s))
 			case residualGate:
 				statevec.PrepareGate(g)
 				r.g = g
@@ -241,14 +224,13 @@ func (c *compiledCut) prepare(backend Backend) (elided int) {
 }
 
 type engine struct {
-	backend Backend
-	segs    []segment
-	cuts    []compiledCut
-	ranks   []int // per-cut Schmidt ranks (len(cuts[l].sigma))
-	nLower  int
-	nUpper  int
-	m       int // output amplitudes
-	leaves  atomic.Int64
+	segs   []segment
+	cuts   []compiledCut
+	ranks  []int // per-cut Schmidt ranks (len(cuts[l].sigma))
+	nLower int
+	nUpper int
+	m      int // output amplitudes
+	leaves atomic.Int64
 
 	// epi is the fold epilogue: the gates sink moved out of the path tree,
 	// fused and compiled for the accumulator's registers (see sink), nil when
@@ -313,7 +295,7 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 }
 
 // execute is the one engine entry behind RunContext and RunPrefixesContext.
-// It checks the partition, resolves the backend's workers, admits the plan
+// It checks the partition, resolves the workers, admits the plan
 // against its cost, takes the task set from seed (the checkpoint to merge
 // into and the pending prefixes), compiles the engine for the set's split
 // depth, applies the timeout and walks the pending prefixes into the
@@ -326,10 +308,7 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, wor
 	if nLower <= 0 || nUpper <= 0 {
 		return nil, 0, fmt.Errorf("hsf: degenerate partition %d|%d", nLower, nUpper)
 	}
-	workers, err := opts.backendWorkers()
-	if err != nil {
-		return nil, 0, err
-	}
+	workers := resolveWorkers(opts.Workers)
 	costOpts := opts
 	costOpts.Workers = workers
 	if err := Admit(Cost(plan, costOpts), opts.MemoryBudget, opts.MaxPaths); err != nil {
@@ -341,7 +320,7 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, wor
 		return nil, 0, err
 	}
 
-	e := &engine{backend: opts.Backend, nLower: nLower, nUpper: nUpper, m: m,
+	e := &engine{nLower: nLower, nUpper: nUpper, m: m,
 		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf,
 		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry}
 	e.trc, e.tsc = trace.FromContext(ctx)
@@ -378,9 +357,9 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, wor
 // prefix tasks: cut terms become partition-local gates, local gates are
 // scheduled into the earliest segment they can legally reach (schedule),
 // those cheaper after the fold move to the epilogue (sink), and the rest are
-// remapped to partition-local labels and fused per segment. On the dense
-// backend the output cone is applied first (project), so every side of every
-// segment compiles at the qubit count it runs at.
+// remapped to partition-local labels and fused per segment. The output cone
+// is applied first (project), so every side of every segment compiles at the
+// qubit count it runs at.
 func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	endCompile := e.tel.Span("compile")
 	csp := e.trc.Start(e.tsc, "compile")
@@ -408,13 +387,10 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	}
 	gatesSunk := len(epi)
 
-	dense := e.backend == BackendDense
-	leaf := [2]int{e.nLower, e.nUpper} // qubits of each half at a leaf
-	if dense {
-		for side := range leaf {
-			e.project(cut.Side(side), &c)
-			leaf[side] = c.qubits(cut.Side(side), 2*len(e.cuts))
-		}
+	var leaf [2]int // qubits of each half at a leaf
+	for side := range leaf {
+		e.project(cut.Side(side), &c)
+		leaf[side] = c.qubits(cut.Side(side), 2*len(e.cuts))
 	}
 
 	if fusionMaxQubits == 0 {
@@ -431,9 +407,7 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 			// and the compiled form attaches every kernel plan (no per-call
 			// index precomputation) and groups low gates into cache-blocked
 			// sweeps.
-			if dense {
-				e.segs[i].comp[side] = statevec.CompileSegment(gs, c.qubits(cut.Side(side), 2*i-1))
-			}
+			e.segs[i].comp[side] = statevec.CompileSegment(gs, c.qubits(cut.Side(side), 2*i-1))
 		}
 	}
 	if len(epi) > 0 {
@@ -446,7 +420,7 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	e.ranks = make([]int, len(e.cuts))
 	elided := 0
 	for i := range e.cuts {
-		elided += e.cuts[i].prepare(e.backend)
+		elided += e.cuts[i].prepare()
 		e.ranks[i] = len(e.cuts[i].sigma)
 	}
 	if e.tel != nil {
@@ -625,7 +599,7 @@ func freeQubits(m int) int { return bits.TrailingZeros(uint(m)) }
 // Sunk gates keep plan order. Like schedule, sink changes only the engine's
 // segments: a task's accumulator ends as the same operator applied to the
 // same paths, so the plan, its hash, prefix keys and checkpoints are
-// untouched. Both backends sink the same gates.
+// untouched.
 func sink(plan *cut.Plan, cuts []compiledCut, at []int, c *cone, m, splitLevels int) []bool {
 	replays := make([]int64, len(cuts)+1)
 	replays[0] = 1
@@ -793,8 +767,8 @@ func stopped(ctx context.Context) error {
 // error encountered (workers that drained without running anything report
 // the external cancellation cause).
 //
-// Each worker owns a private workspace (backend state pools) and a reusable
-// walker, and the pool's worker count is reserved against the process-wide
+// Each worker owns a reusable walker with its private workspace (pair
+// pools), and the pool's worker count is reserved against the process-wide
 // parallelism budget so gate kernels inside the workers do not oversubscribe
 // the cores the pool already occupies.
 func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck *Checkpoint) error {
@@ -833,11 +807,7 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			walk, err := e.newWalker(e.tel.Worker(len(e.segs), e.ranks))
-			if err != nil {
-				fail(err)
-				return
-			}
+			walk := e.newWalker(e.tel.Worker(len(e.segs), e.ranks))
 			// The worker accumulates its subtrees into private SoA scratch;
 			// the interleaved checkpoint accumulator is only touched at the
 			// merge below (the layout's edge-conversion boundary).

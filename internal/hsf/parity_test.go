@@ -3,6 +3,7 @@ package hsf
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,19 +13,31 @@ import (
 	"hsfsim/internal/statevec"
 )
 
-// The parity suite pins the central refactoring invariant: the dense and DD
-// backends run through the identical walker, so for any plan they must agree
-// with each other (and with plain Schrödinger simulation) to 1e-12 — through
-// plain runs, injected faults, and checkpoint resume alike.
+// The parity suite pins the walker to two oracles that share none of its
+// code, the Schrödinger State and the whole-circuit DD engine, at 1e-12 —
+// through plain runs, injected faults, and checkpoint resume alike.
 
-func runBackend(t *testing.T, plan *cut.Plan, b Backend, opts Options) *Result {
+// checkParity runs plan with opts and holds its amplitudes to both oracles of
+// c and its path count to the plan's.
+func checkParity(t *testing.T, c *circuit.Circuit, plan *cut.Plan, opts Options) {
 	t.Helper()
-	opts.Backend = b
 	res, err := Run(plan, opts)
 	if err != nil {
-		t.Fatalf("%v backend: %v", b, err)
+		t.Fatal(err)
 	}
-	return res
+	m := len(res.Amplitudes)
+	if opts.MaxAmplitudes > 0 && m != opts.MaxAmplitudes {
+		t.Fatalf("%d amplitudes, want %d", m, opts.MaxAmplitudes)
+	}
+	if d := statevec.MaxAbsDiff(res.Amplitudes, schrodinger(c)[:m]); d > 1e-12 {
+		t.Fatalf("off the Schrödinger oracle by %g", d)
+	}
+	if d := statevec.MaxAbsDiff(res.Amplitudes, ddOracle(t, c)[:m]); d > 1e-12 {
+		t.Fatalf("off the DD oracle by %g", d)
+	}
+	if np, _ := plan.NumPaths(); res.PathsSimulated != int64(np) {
+		t.Fatalf("%d of %d paths simulated", res.PathsSimulated, np)
+	}
 }
 
 func TestParityRandomPlans(t *testing.T) {
@@ -52,17 +65,8 @@ func TestParityRandomPlans(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := schrodinger(circ)
-				dense := runBackend(t, plan, BackendDense, Options{Workers: 2})
-				dd := runBackend(t, plan, BackendDD, Options{})
-				if d := statevec.MaxAbsDiff(dense.Amplitudes, dd.Amplitudes); d > 1e-12 {
-					t.Fatalf("seed %d: dense and dd diverge: max diff %g", seed, d)
-				}
-				if d := statevec.MaxAbsDiff(statevec.State(dense.Amplitudes), want); d > 1e-10 {
-					t.Fatalf("seed %d: dense diverges from Schrödinger: max diff %g", seed, d)
-				}
-				if dense.PathsSimulated != dd.PathsSimulated {
-					t.Fatalf("seed %d: paths %d (dense) != %d (dd)", seed, dense.PathsSimulated, dd.PathsSimulated)
+				for _, workers := range []int{1, 2} {
+					checkParity(t, circ, plan, Options{Workers: workers})
 				}
 			}
 		})
@@ -73,8 +77,8 @@ func TestParityRandomPlans(t *testing.T) {
 // permutation (X/CNOT/SWAP/CCX), phase-permutation (ISWAP), diagonal with and
 // without controls (P/CZ/RZZ/CCZ/CRZ), controlled-dense (CRX), and plain
 // dense (H/RX) — with several of them crossing the cut, so the classified
-// fast paths in both backends are pitted against each other and against the
-// unclassified Schrödinger reference.
+// fast paths of the walker are pitted against the unclassified Schrödinger
+// reference and the DD engine.
 func kernelZoo(rng *rand.Rand, n, cutPos int) *circuit.Circuit {
 	lo := rng.Intn(cutPos + 1)              // lower-partition qubit
 	hi := cutPos + 1 + rng.Intn(n-cutPos-1) // upper-partition qubit
@@ -102,8 +106,8 @@ func kernelZoo(rng *rand.Rand, n, cutPos int) *circuit.Circuit {
 	return c
 }
 
-// TestParityKernelZoo runs the kernel-zoo circuit through both backends and
-// the Schrödinger reference: the specialized kernels (permutation rotations,
+// TestParityKernelZoo runs the kernel-zoo circuit through the walker and both
+// oracles: the specialized kernels (permutation rotations,
 // control-subspace updates, compacted diagonals) must be bit-for-bit
 // interchangeable with the dense matvec everywhere in the walker.
 func TestParityKernelZoo(t *testing.T) {
@@ -119,87 +123,74 @@ func TestParityKernelZoo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := schrodinger(circ)
-			dense := runBackend(t, plan, BackendDense, Options{Workers: 2})
-			dd := runBackend(t, plan, BackendDD, Options{})
-			if d := statevec.MaxAbsDiff(dense.Amplitudes, dd.Amplitudes); d > 1e-12 {
-				t.Fatalf("seed %d strategy %v: dense and dd diverge: max diff %g", seed, strategy, d)
-			}
-			if d := statevec.MaxAbsDiff(statevec.State(dense.Amplitudes), want); d > 1e-10 {
-				t.Fatalf("seed %d strategy %v: dense diverges from Schrödinger: max diff %g", seed, strategy, d)
-			}
+			checkParity(t, circ, plan, Options{Workers: 2})
 		}
 	}
 }
 
-// TestParityFaultAndResume interrupts a run on each backend with the
-// deterministic fault hook, then resumes the checkpoint on the *other*
-// backend. Both recoveries must land on the identical amplitudes: the
-// checkpoint format, the prefix bookkeeping, and the walker are shared, so
-// backends are interchangeable mid-run.
+// TestParityFaultAndResume interrupts a run with the deterministic fault hook
+// on one worker count, then resumes the checkpoint on another, one worker to
+// two and two to one. Both recoveries must land on the uninterrupted
+// amplitudes: a checkpoint names prefix tasks, not workers, so the worker
+// count may change mid-run.
 //
-// The mid-batch cases run one worker and fail 35 leaves into the second of
-// four 64-leaf tasks, eight leaves per fold, with three leaves held: the
+// The mid-batch cases fail one worker 35 leaves into the second of four
+// 64-leaf tasks, eight leaves per fold, with three leaves held: the
 // checkpoint must hold the first task and nothing of the second.
 func TestParityFaultAndResume(t *testing.T) {
 	for _, tc := range []struct {
 		suffix         string
-		plan           *cut.Plan // 2^8 = 256 paths
-		workers        int
+		circ           *circuit.Circuit
+		cutPos         int
 		failAfter      int64
-		wantCheckpoint int64 // PathsSimulated of the checkpoint; 0: any progress
+		wantCheckpoint int64 // PathsSimulated of a one-worker checkpoint; 0: any progress
 	}{
-		{"", buildPlan(t, manyCutCircuit(8, 8), 3, cut.StrategyNone), 0, 128, 0},
-		{"-mid-batch", buildPlan(t, manyCutCircuit(12, 8), 5, cut.StrategyNone), 1, 64 + 35, 64},
+		{"", manyCutCircuit(8, 8), 3, 128, 0}, // 2^8 = 256 paths
+		{"-mid-batch", manyCutCircuit(12, 8), 5, 64 + 35, 64},
 	} {
-		plan := tc.plan
-		want, err := Run(plan, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, failOn := range []Backend{BackendDense, BackendDD} {
-			resumeOn := BackendDD
-			if failOn == BackendDD {
-				resumeOn = BackendDense
-			}
-			t.Run("fail-"+failOn.String()+tc.suffix, func(t *testing.T) {
-				var buf bytes.Buffer
-				_, err := Run(plan, Options{
-					Backend:          failOn,
-					Workers:          tc.workers,
-					CheckpointWriter: &buf,
-					FailAfterPaths:   tc.failAfter,
+		plan := buildPlan(t, tc.circ, tc.cutPos, cut.StrategyNone)
+		want := schrodinger(tc.circ)
+		t.Run("fail-dense"+tc.suffix, func(t *testing.T) {
+			for _, w := range [][2]int{{1, 2}, {2, 1}} {
+				failWorkers, resumeWorkers := w[0], w[1]
+				t.Run(fmt.Sprintf("workers-%d-%d", failWorkers, resumeWorkers), func(t *testing.T) {
+					var buf bytes.Buffer
+					_, err := Run(plan, Options{
+						Workers:          failWorkers,
+						CheckpointWriter: &buf,
+						FailAfterPaths:   tc.failAfter,
+					})
+					if !errors.Is(err, ErrInjectedFault) {
+						t.Fatalf("err = %v, want ErrInjectedFault", err)
+					}
+					ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ck.Prefixes) == 0 || ck.PathsSimulated == 0 {
+						t.Fatalf("checkpoint empty: %d prefixes, %d paths", len(ck.Prefixes), ck.PathsSimulated)
+					}
+					if failWorkers == 1 && tc.wantCheckpoint != 0 && ck.PathsSimulated != tc.wantCheckpoint {
+						t.Fatalf("checkpoint holds %d paths, want %d", ck.PathsSimulated, tc.wantCheckpoint)
+					}
+					res, err := Run(plan, Options{Workers: resumeWorkers, Resume: ck})
+					if err != nil {
+						t.Fatalf("resume on %d workers: %v", resumeWorkers, err)
+					}
+					if d := statevec.MaxAbsDiff(res.Amplitudes, want); d > 1e-12 {
+						t.Fatalf("resume on %d workers off the oracle by %g", resumeWorkers, d)
+					}
+					if np, _ := plan.NumPaths(); res.PathsSimulated != int64(np) {
+						t.Fatalf("paths = %d, want %d", res.PathsSimulated, np)
+					}
 				})
-				if !errors.Is(err, ErrInjectedFault) {
-					t.Fatalf("err = %v, want ErrInjectedFault", err)
-				}
-				ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ck.Prefixes) == 0 || ck.PathsSimulated == 0 {
-					t.Fatalf("checkpoint empty: %d prefixes, %d paths", len(ck.Prefixes), ck.PathsSimulated)
-				}
-				if tc.wantCheckpoint != 0 && ck.PathsSimulated != tc.wantCheckpoint {
-					t.Fatalf("checkpoint holds %d paths, want %d", ck.PathsSimulated, tc.wantCheckpoint)
-				}
-				res, err := Run(plan, Options{Backend: resumeOn, Workers: tc.workers, Resume: ck})
-				if err != nil {
-					t.Fatalf("resume on %v: %v", resumeOn, err)
-				}
-				if d := statevec.MaxAbsDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
-					t.Fatalf("resume on %v diverges: max diff %g", resumeOn, d)
-				}
-				if res.PathsSimulated != want.PathsSimulated {
-					t.Fatalf("paths = %d, want %d", res.PathsSimulated, want.PathsSimulated)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestParityPartialAmplitudes checks the bounded-accumulator mode through
-// both backends.
+// TestParityPartialAmplitudes checks the bounded-accumulator mode against
+// both oracles.
 func TestParityPartialAmplitudes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	circ := randomQAOAish(rng, 8, 14)
@@ -210,12 +201,5 @@ func TestParityPartialAmplitudes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := runBackend(t, plan, BackendDense, Options{MaxAmplitudes: 16})
-	dd := runBackend(t, plan, BackendDD, Options{MaxAmplitudes: 16})
-	if len(dense.Amplitudes) != 16 || len(dd.Amplitudes) != 16 {
-		t.Fatalf("lengths %d, %d, want 16", len(dense.Amplitudes), len(dd.Amplitudes))
-	}
-	if d := statevec.MaxAbsDiff(dense.Amplitudes, dd.Amplitudes); d > 1e-12 {
-		t.Fatalf("partial amplitudes diverge: max diff %g", d)
-	}
+	checkParity(t, circ, plan, Options{MaxAmplitudes: 16})
 }

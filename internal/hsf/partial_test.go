@@ -91,29 +91,27 @@ func TestRunPrefixesContextPartialReturnsCompletedSubset(t *testing.T) {
 func TestRunPrefixesContextPartialCancelledMidBatch(t *testing.T) {
 	plan := buildPlan(t, manyCutCircuit(12, 8), 5, cut.StrategyNone)
 	prefixes := EnumeratePrefixes(plan, 2)
-	for _, backend := range []Backend{BackendDense, BackendDD} {
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := Options{Backend: backend, Workers: 1, testHookLeaf: func(leaves int64) {
-			if leaves == 64+35 {
-				cancel()
-			}
-		}}
-		part, err := RunPrefixesContext(ctx, plan, opts, 2, prefixes)
-		cancel()
-		if !errors.Is(err, context.Canceled) || part == nil {
-			t.Fatalf("%v: partial run: %v (want context.Canceled alongside the partial)", backend, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := Options{Workers: 1, testHookLeaf: func(leaves int64) {
+		if leaves == 64+35 {
+			cancel()
 		}
-		if len(part.Prefixes) != 1 || PrefixKey(part.Prefixes[0]) != PrefixKey(prefixes[0]) || part.PathsSimulated != 64 {
-			t.Fatalf("%v: partial lists prefixes %v with %d paths, want the first task's 64", backend, part.Prefixes, part.PathsSimulated)
-		}
-		first, err := RunPrefixesContext(context.Background(), plan, Options{Backend: backend, Workers: 1}, 2, prefixes[:1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range first.Acc {
-			if part.Acc[i] != first.Acc[i] {
-				t.Fatalf("%v: amplitude %d is %v, the first task alone gives %v", backend, i, part.Acc[i], first.Acc[i])
-			}
+	}}
+	part, err := RunPrefixesContext(ctx, plan, opts, 2, prefixes)
+	cancel()
+	if !errors.Is(err, context.Canceled) || part == nil {
+		t.Fatalf("partial run: %v (want context.Canceled alongside the partial)", err)
+	}
+	if len(part.Prefixes) != 1 || PrefixKey(part.Prefixes[0]) != PrefixKey(prefixes[0]) || part.PathsSimulated != 64 {
+		t.Fatalf("partial lists prefixes %v with %d paths, want the first task's 64", part.Prefixes, part.PathsSimulated)
+	}
+	first, err := RunPrefixesContext(context.Background(), plan, Options{Workers: 1}, 2, prefixes[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.Acc {
+		if part.Acc[i] != first.Acc[i] {
+			t.Fatalf("amplitude %d is %v, the first task alone gives %v", i, part.Acc[i], first.Acc[i])
 		}
 	}
 }

@@ -16,13 +16,12 @@ import (
 )
 
 // compiledFor lowers plan for an m-amplitude output, split at splitLevels, on
-// a bare engine of the given backend (no telemetry, no tracing).
-func compiledFor(plan *cut.Plan, backend Backend, m, fusionMaxQubits, splitLevels int) *engine {
+// a bare engine (no telemetry, no tracing).
+func compiledFor(plan *cut.Plan, m, fusionMaxQubits, splitLevels int) *engine {
 	e := &engine{
-		backend: backend,
-		nLower:  plan.Partition.NumLower(),
-		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
-		m:       m,
+		nLower: plan.Partition.NumLower(),
+		nUpper: plan.Partition.NumUpper(plan.NumQubits),
+		m:      m,
 	}
 	e.compile(plan, fusionMaxQubits, splitLevels)
 	return e
@@ -91,13 +90,29 @@ func coneCircuit(rng *rand.Rand, n, cutPos int) *circuit.Circuit {
 	return c
 }
 
+// unprojected compiles plan, unfused, for the full output, where the cone
+// drops nothing. Split at the last cut, nothing is cheaper after the fold than
+// in the tree for the outputs these tests use, so the epilogue stays empty
+// and the gate lists are those of any m before the cone applies.
+func unprojected(t *testing.T, plan *cut.Plan) *engine {
+	t.Helper()
+	e := compiledFor(plan, 1<<plan.NumQubits, -1, len(plan.Cuts))
+	if len(e.epiGates) != 0 {
+		t.Fatalf("the unprojected reference sank %d gates", len(e.epiGates))
+	}
+	return e
+}
+
 // coneKinds classifies where plan's cone drops qubits for an m-amplitude
-// output, comparing the dense engine's lists with the DD backend's
-// unprojected ones (both unfused): after segment 0, at a cut, with a
-// contracted 1-qubit gate after a later segment, or as a plain slice there.
-func coneKinds(plan *cut.Plan, m int) (kinds map[string]bool) {
-	dense := compiledFor(plan, BackendDense, m, -1, 0)
-	dd := compiledFor(plan, BackendDD, m, -1, 0)
+// output, comparing the engine's gate lists with the unprojected ones (both
+// unfused, neither sinking): after segment 0, at a cut, with a contracted
+// 1-qubit gate after a later segment, or as a plain slice there.
+func coneKinds(t *testing.T, plan *cut.Plan, m int) (kinds map[string]bool) {
+	dense := compiledFor(plan, m, -1, len(plan.Cuts))
+	if len(dense.epiGates) != 0 {
+		t.Fatalf("m = %d: %d gates sank", m, len(dense.epiGates))
+	}
+	ref := unprojected(t, plan)
 	kinds = map[string]bool{}
 	for side := range 2 {
 		kinds["segment 0"] = kinds["segment 0"] || dense.segs[0].proj[side] != nil
@@ -105,7 +120,7 @@ func coneKinds(plan *cut.Plan, m int) (kinds map[string]bool) {
 			kinds["cut"] = kinds["cut"] || dense.cuts[l].proj[side] != nil
 		}
 		for s := 1; s < len(dense.segs); s++ {
-			removed := len(dd.segs[s].gates[side]) - len(dense.segs[s].gates[side])
+			removed := len(ref.segs[s].gates[side]) - len(dense.segs[s].gates[side])
 			kinds["contracted"] = kinds["contracted"] || removed > 0
 			kinds["plain"] = kinds["plain"] || dense.segs[s].proj[side].NumDropped() > removed
 		}
@@ -123,8 +138,8 @@ func unprojectedCost(plan *cut.Plan, m int) int64 {
 
 // TestProjectionMatchesOracle holds the cone against the Schrödinger oracle
 // at 1e-12 on random circuits whose output-fixed qubits end on every kind of
-// item, for outputs around one lower half, on both backends (the DD one runs
-// unprojected), one and two workers, and every kernel arm. The cone must have
+// item, for outputs around one lower half and the full output (where the cone
+// drops nothing), one and two workers, and every kernel arm. The cone must have
 // dropped qubits in all four places somewhere over the cases, and Cost must
 // never charge more than the unprojected chain.
 func TestProjectionMatchesOracle(t *testing.T) {
@@ -144,7 +159,7 @@ func TestProjectionMatchesOracle(t *testing.T) {
 			plan := buildPlan(t, circ, cutPos, strategy)
 			cases = append(cases, instance{fmt.Sprintf("seed %d/%v", seed, strategy), plan, schrodinger(circ)})
 			for _, m := range ms {
-				for kind, ok := range coneKinds(plan, m) {
+				for kind, ok := range coneKinds(t, plan, m) {
 					seen[kind] = seen[kind] || ok
 				}
 				if est := Cost(plan, Options{Workers: 1, MaxAmplitudes: m}); est.PerWorkerBytes > unprojectedCost(plan, m) {
@@ -173,26 +188,14 @@ func TestProjectionMatchesOracle(t *testing.T) {
 			}
 		}
 	})
-	for _, tc := range cases {
-		for _, m := range ms {
-			res, err := Run(tc.plan, Options{Backend: BackendDD, MaxAmplitudes: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := statevec.MaxAbsDiff(res.Amplitudes, tc.want[:m]); d > 1e-12 {
-				t.Fatalf("%s, dd, m = %d: off the oracle by %g", tc.name, m, d)
-			}
-		}
-	}
 }
 
 // TestProjectionQ22MatchesOracle runs the benchmark instance through the cone
 // at the outputs around one 2^11-amplitude lower half and at the benchmark's
 // 2^14, dense on every arm with one and two workers, against the Schrödinger
 // state. (The full 2^22 output is left to the small circuits: accumulating it
-// per worker would hold several 64 MiB planes.) DD takes about a minute for
-// the whole tree here, so it cross-checks two sampled paths: its unprojected
-// run of them at 2^14 amplitudes must lead with what the cone gives at every m.
+// per worker would hold several 64 MiB planes.) Two sampled paths are also
+// held to pathOracle at every m.
 func TestProjectionQ22MatchesOracle(t *testing.T) {
 	c := q22Circuit(t)
 	plan := q22Plan(t)
@@ -217,19 +220,52 @@ func TestProjectionQ22MatchesOracle(t *testing.T) {
 	depth := len(plan.Cuts)
 	paths := EnumeratePrefixes(plan, depth)
 	sample := [][]int{paths[0], paths[len(paths)-1]}
-	dd, err := RunPrefixesContext(context.Background(), plan, Options{Backend: BackendDD, MaxAmplitudes: 1 << 14}, depth, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantPaths := pathOracle(plan, sample, 1<<14)
 	for _, m := range ms {
 		dense, err := RunPrefixesContext(context.Background(), plan, Options{Workers: 1, MaxAmplitudes: m}, depth, sample)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := statevec.MaxAbsDiff(dense.Acc, dd.Acc[:m]); d > 1e-12 {
-			t.Fatalf("m = %d: sampled paths off DD's by %g", m, d)
+		if d := statevec.MaxAbsDiff(dense.Acc, wantPaths[:m]); d > 1e-12 {
+			t.Fatalf("m = %d: sampled paths off the path oracle by %g", m, d)
 		}
 	}
+}
+
+// pathOracle returns the first m amplitudes of the sum of the given full
+// paths' leaves. Each path runs the plan's steps in order on two |0…0⟩ halves
+// with the State matvec oracle, its cut terms as the plan gives them: no
+// lowering, scheduling, sinking, scalar split or cone.
+func pathOracle(plan *cut.Plan, paths [][]int, m int) statevec.State {
+	nLo := plan.Partition.NumLower()
+	upper := func(q int) int { return q - nLo }
+	out := make(statevec.State, m)
+	for _, path := range paths {
+		lo, up := statevec.NewState(nLo), statevec.NewState(plan.Partition.NumUpper(plan.NumQubits))
+		coeff, level := complex(1, 0), 0
+		for _, st := range plan.Steps {
+			switch {
+			case st.Kind == cut.CutStep:
+				term := st.Cut.Terms[path[level]]
+				gl := gate.New("cut-term", term.Lower, nil, st.Cut.LowerQubits...)
+				gu := gate.New("cut-term", term.Upper, nil, st.Cut.UpperQubits...)
+				gu = gu.Remap(upper)
+				lo.ApplyGate(&gl)
+				up.ApplyGate(&gu)
+				coeff *= complex(term.Sigma, 0)
+				level++
+			case st.Side == cut.Upper:
+				g := st.Gate.Remap(upper)
+				up.ApplyGate(&g)
+			default:
+				lo.ApplyGate(&st.Gate)
+			}
+		}
+		for x := range out {
+			out[x] += coeff * up[x>>nLo] * lo[x&(1<<nLo-1)]
+		}
+	}
+	return out
 }
 
 // TestProjectionQ22Ladder pins the cone on the benchmark instance at 2^14
@@ -242,8 +278,8 @@ func TestProjectionQ22MatchesOracle(t *testing.T) {
 // at both outputs an 8-leaf batch: seven held lower halves of 32 KiB.
 func TestProjectionQ22Ladder(t *testing.T) {
 	plan := q22Plan(t)
-	dense := compiledFor(plan, BackendDense, 1<<14, -1, 0)
-	dd := compiledFor(plan, BackendDD, 1<<14, -1, 0)
+	dense := compiledFor(plan, 1<<14, -1, 0)
+	ref := unprojected(t, plan)
 	want := []int{10, 10, 9, 9, 9, 9, 9, 9, 8, 3, 3} // upper qubits after each segment
 	if len(dense.segs) != len(want) {
 		t.Fatalf("%d segments, want %d", len(dense.segs), len(want))
@@ -265,7 +301,7 @@ func TestProjectionQ22Ladder(t *testing.T) {
 		}
 	}
 	var mixers []int
-	for _, g := range dd.segs[9].gates[cut.Upper] {
+	for _, g := range ref.segs[9].gates[cut.Upper] {
 		if g.Name != "rx" {
 			t.Fatalf("segment 9 holds upper %s, want only RX mixers", g.String())
 		}
@@ -295,18 +331,16 @@ func TestProjectionQ22Ladder(t *testing.T) {
 func TestProjectionCompileSpan(t *testing.T) {
 	plan := q22Plan(t)
 	for _, tc := range []struct {
-		backend        Backend
 		m              int
 		lo, up         int64
 		leafLo, leafUp int64
 	}{
-		{BackendDense, 1 << 14, 0, 8, 2048, 8},
-		{BackendDense, 1 << 10, 1, 11, 1024, 1},
-		{BackendDD, 1 << 14, 0, 0, 2048, 2048},
+		{1 << 14, 0, 8, 2048, 8},
+		{1 << 10, 1, 11, 1024, 1},
 	} {
 		rec := trace.NewRecorder(64)
 		ctx := trace.NewContext(context.Background(), rec, trace.SpanContext{})
-		opts := Options{Backend: tc.backend, Workers: 1, MaxAmplitudes: tc.m}
+		opts := Options{Workers: 1, MaxAmplitudes: tc.m}
 		if _, err := RunPrefixesContext(ctx, plan, opts, len(plan.Cuts), [][]int{make([]int, len(plan.Cuts))}); err != nil {
 			t.Fatal(err)
 		}
@@ -319,54 +353,48 @@ func TestProjectionCompileSpan(t *testing.T) {
 			got := [4]int64{ev.Int("lo_qubits_projected", -1), ev.Int("up_qubits_projected", -1),
 				ev.Int("leaf_lo_amps", -1), ev.Int("leaf_up_amps", -1)}
 			if want := [4]int64{tc.lo, tc.up, tc.leafLo, tc.leafUp}; got != want || ev.Int("gates_hoisted", -1) < 0 {
-				t.Errorf("%v, m = %d: compile span reports %v, want %v", tc.backend, tc.m, got, want)
+				t.Errorf("m = %d: compile span reports %v, want %v", tc.m, got, want)
 			}
 		}
 		if !found {
-			t.Fatalf("%v, m = %d: no compile span recorded", tc.backend, tc.m)
+			t.Fatalf("m = %d: no compile span recorded", tc.m)
 		}
 	}
 }
 
-// TestProjectionCheckpointAcrossBackends stops a projected dense run halfway
-// by an injected fault and resumes its checkpoint on DD, and the other way
-// round: both reproduce the uninterrupted amplitudes at 1e-12.
-func TestProjectionCheckpointAcrossBackends(t *testing.T) {
+// TestProjectionCheckpointAcrossWorkers stops a projected run halfway by an
+// injected fault and resumes its checkpoint on another worker count, one to
+// two and two to one: both reproduce the Schrödinger amplitudes at 1e-12.
+func TestProjectionCheckpointAcrossWorkers(t *testing.T) {
 	const cutPos = 4
-	plan := buildPlan(t, coneCircuit(rand.New(rand.NewSource(7)), 10, cutPos), cutPos, cut.StrategyNone)
+	circ := coneCircuit(rand.New(rand.NewSource(7)), 10, cutPos)
+	plan := buildPlan(t, circ, cutPos, cut.StrategyNone)
+	want := schrodinger(circ)
 	np, _ := plan.NumPaths()
 	if np < 16 {
 		t.Fatalf("plan has %d paths, too few to stop halfway", np)
 	}
 	for _, m := range []int{3, 1<<(cutPos+1) + 1} {
-		want, err := Run(plan, Options{MaxAmplitudes: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, failOn := range []Backend{BackendDense, BackendDD} {
-			resumeOn := BackendDD
-			if failOn == BackendDD {
-				resumeOn = BackendDense
-			}
+		for _, w := range [][2]int{{1, 2}, {2, 1}} {
 			var buf bytes.Buffer
-			_, err := Run(plan, Options{Backend: failOn, Workers: 1, MaxAmplitudes: m,
+			_, err := Run(plan, Options{Workers: w[0], MaxAmplitudes: m,
 				CheckpointWriter: &buf, FailAfterPaths: int64(np / 2)})
 			if !errors.Is(err, ErrInjectedFault) {
-				t.Fatalf("m = %d on %v: err = %v, want ErrInjectedFault", m, failOn, err)
+				t.Fatalf("m = %d on %d workers: err = %v, want ErrInjectedFault", m, w[0], err)
 			}
 			ck, err := ReadCheckpoint(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ck.PathsSimulated == 0 {
-				t.Fatalf("m = %d on %v: empty checkpoint", m, failOn)
+				t.Fatalf("m = %d on %d workers: empty checkpoint", m, w[0])
 			}
-			res, err := Run(plan, Options{Backend: resumeOn, MaxAmplitudes: m, Resume: ck})
+			res, err := Run(plan, Options{Workers: w[1], MaxAmplitudes: m, Resume: ck})
 			if err != nil {
-				t.Fatalf("m = %d: resume on %v: %v", m, resumeOn, err)
+				t.Fatalf("m = %d: resume on %d workers: %v", m, w[1], err)
 			}
-			if d := statevec.MaxAbsDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
-				t.Fatalf("m = %d: %v checkpoint resumed on %v is off by %g", m, failOn, resumeOn, d)
+			if d := statevec.MaxAbsDiff(res.Amplitudes, want[:m]); d > 1e-12 {
+				t.Fatalf("m = %d: checkpoint of %d workers resumed on %d is off the oracle by %g", m, w[0], w[1], d)
 			}
 		}
 	}
@@ -379,17 +407,11 @@ func TestProjectionCheckpointAcrossBackends(t *testing.T) {
 func TestProjectionWalkZeroAllocs(t *testing.T) {
 	for name, shape := range allocShapes {
 		plan := harnessPlan(t, shape)
+		want := schrodinger(harnessCircuit(shape))
 		for _, m := range []int{3, 1<<(shape.cutPos+1) + 1} {
 			t.Run(fmt.Sprintf("%s/m=%d", name, m), func(t *testing.T) {
-				want, err := Run(plan, Options{Backend: BackendDD, MaxAmplitudes: m})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := compiledFor(plan, BackendDense, m, 0, 0)
-				walk, err := e.newWalker(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				e := compiledFor(plan, m, 0, 0)
+				walk := e.newWalker(nil)
 				walk.batch.pool.Poison = true
 				scratch := statevec.MakeVector(m)
 				replay := func() {
@@ -400,8 +422,8 @@ func TestProjectionWalkZeroAllocs(t *testing.T) {
 				}
 				for i := 0; i < 2; i++ {
 					replay()
-					if d := statevec.MaxAbsDiff(scratch.ToComplex(), want.Amplitudes); !(d <= 1e-12) {
-						t.Fatalf("replay %d on a poisoned pool is off the DD run by %g", i, d)
+					if d := statevec.MaxAbsDiff(scratch.ToComplex(), want[:m]); !(d <= 1e-12) {
+						t.Fatalf("replay %d on a poisoned pool is off the oracle by %g", i, d)
 					}
 				}
 				if raceEnabled {

@@ -7,16 +7,30 @@ import (
 	"hsfsim/internal/cmat"
 	"hsfsim/internal/cut"
 	"hsfsim/internal/gate"
+	"hsfsim/internal/statevec"
 )
 
 // residualMatrix returns what side of term t of c applies as a matrix on the
-// term's qubits: the identity when elided, else the residual's gate as the DD
-// backend builds it (a diagonal's matrix is made from its 2^k entries).
-func residualMatrix(c *compiledCut, side cut.Side, t int) *cmat.Matrix {
-	if r := &c.res[side][t]; r.kind != residualIdentity {
-		return r.g.Matrix
+// term's qubits, read off by applying it as the walker does (compiledCut.apply)
+// to each basis state of an n-qubit half. The cut must project nothing.
+func residualMatrix(c *compiledCut, side cut.Side, t, n int) *cmat.Matrix {
+	qs := c.terms[side][t].Qubits
+	off := make([]int, 1<<len(qs)) // off[i]: matrix index i spread over the qubits
+	for j, q := range qs {
+		for i := range off {
+			off[i] |= (i >> j & 1) << q
+		}
 	}
-	return cmat.Identity(c.terms[side][t].Matrix.Rows)
+	m := cmat.New(len(off), len(off))
+	for u, ou := range off {
+		v := statevec.MakeVector(1 << n)
+		v.SetAmplitude(ou, 1)
+		v = c.apply(side, t, v)
+		for i, oi := range off {
+			m.Set(i, u, v.Amplitude(oi))
+		}
+	}
+	return m
 }
 
 // TestCutTermResidual holds the scalar split to the plan: for every term of
@@ -43,14 +57,14 @@ func TestCutTermResidual(t *testing.T) {
 		{"cnot standard", buildPlan(t, cnot, 1, cut.StrategyNone), [3]int{1, 2, 1}},
 		{"cnot cascade", buildPlan(t, fan, 1, cut.StrategyCascade), [3]int{}},
 	} {
-		e := compiledFor(tc.plan, BackendDD, resolveAmplitudes(tc.plan, 0), -1, 0)
+		e := compiledFor(tc.plan, resolveAmplitudes(tc.plan, 0), -1, 0)
 		var kinds [3]int
 		for l, cp := range tc.plan.Cuts {
 			c := &e.cuts[l]
 			for i, term := range cp.Terms {
 				name := fmt.Sprintf("%s cut %d term %d", tc.name, l, i)
 				want := cmat.Scale(complex(term.Sigma, 0), cmat.Kron(term.Upper, term.Lower))
-				got := cmat.Scale(c.sigma[i], cmat.Kron(residualMatrix(c, cut.Upper, i), residualMatrix(c, cut.Lower, i)))
+				got := cmat.Scale(c.sigma[i], cmat.Kron(residualMatrix(c, cut.Upper, i, e.nUpper), residualMatrix(c, cut.Lower, i, e.nLower)))
 				if d := cmat.MaxAbsDiff(got, want); d > 1e-14 {
 					t.Errorf("%s: σ′·up′⊗lo′ off σ·up⊗lo by %g", name, d)
 				}

@@ -51,9 +51,6 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if _, err := RunContext(ctx, plan, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := RunContext(ctx, plan, Options{Backend: BackendDD}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("dd: err = %v, want context.Canceled", err)
-	}
 }
 
 func TestRunContextMidRunCancel(t *testing.T) {
@@ -84,9 +81,6 @@ func TestRunContextParentDeadlineDistinctFromTimeout(t *testing.T) {
 	// Options.Timeout with a healthy parent: must surface ErrTimeout.
 	if _, err := RunContext(context.Background(), plan, Options{Timeout: time.Microsecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if _, err := RunContext(context.Background(), plan, Options{Backend: BackendDD, Timeout: time.Microsecond}); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("dd: err = %v, want ErrTimeout", err)
 	}
 }
 
@@ -121,9 +115,6 @@ func TestAdmissionControl(t *testing.T) {
 
 	if _, err := Run(plan, Options{MaxPaths: 4}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("paths: err = %v, want ErrBudget", err)
-	}
-	if _, err := Run(plan, Options{Backend: BackendDD, MaxPaths: 4}); !errors.Is(err, ErrBudget) {
-		t.Fatalf("dd paths: err = %v, want ErrBudget", err)
 	}
 
 	// A negative budget disables the memory check.

@@ -29,16 +29,10 @@ func q22Plan(tb testing.TB) *cut.Plan {
 	return plan
 }
 
-// compiled lowers plan on a bare dense engine (no telemetry, no tracing).
+// compiled lowers plan for the full output on a bare engine (no telemetry,
+// no tracing).
 func compiled(plan *cut.Plan, fusionMaxQubits int) *engine {
-	e := &engine{
-		backend: BackendDense,
-		nLower:  plan.Partition.NumLower(),
-		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
-		m:       resolveAmplitudes(plan, 0),
-	}
-	e.compile(plan, fusionMaxQubits, 0)
-	return e
+	return compiledFor(plan, resolveAmplitudes(plan, 0), fusionMaxQubits, 0)
 }
 
 // randomCascades builds CNOT or CZ fans from one anchor across the cut, with
@@ -115,9 +109,8 @@ func propertyCircuits(n, cutPos int) map[string]func(*rand.Rand) *circuit.Circui
 // propertyRuns are the executions every property case holds against the
 // Schrödinger oracle.
 var propertyRuns = []Options{
-	{Backend: BackendDense, Workers: 1},
-	{Backend: BackendDense, Workers: 4},
-	{Backend: BackendDD},
+	{Workers: 1},
+	{Workers: 4},
 }
 
 // checkAgainstOracle runs plan once per propertyRuns entry for the first m
@@ -128,17 +121,16 @@ func checkAgainstOracle(t *testing.T, plan *cut.Plan, m int, want statevec.State
 		run.MaxAmplitudes = m
 		res, err := Run(plan, run)
 		if err != nil {
-			t.Fatalf("%v: %v", run.Backend, err)
+			t.Fatalf("workers %d: %v", run.Workers, err)
 		}
 		if d := statevec.MaxAbsDiff(res.Amplitudes, want[:m]); d > 1e-12 {
-			t.Fatalf("%v workers %d, %d amplitudes: off the oracle by %g", run.Backend, run.Workers, m, d)
+			t.Fatalf("workers %d, %d amplitudes: off the oracle by %g", run.Workers, m, d)
 		}
 	}
 }
 
 // TestScheduleProperty is the scheduler's safety net: over random circuits of
-// the paper's families, every grouping strategy, both backends and one or
-// four workers, the amplitudes equal the Schrödinger oracle to 1e-12, no gate
+// the paper's families, every grouping strategy and one or four workers, the amplitudes equal the Schrödinger oracle to 1e-12, no gate
 // is scheduled later than the plan placed it, and no gate is lost.
 func TestScheduleProperty(t *testing.T) {
 	const n, cutPos = 8, 3

@@ -53,8 +53,8 @@ func sinkCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 }
 
 // TestSinkMatchesOracle is the fold epilogue's equivalence matrix: random
-// circuits, outputs around one lower half, dense with one and two workers
-// and DD, each run straight, failed halfway and resumed from its checkpoint,
+// circuits, outputs around one lower half, one and two workers, each run
+// straight, failed halfway and resumed from its checkpoint,
 // and as two RunPrefixesContext partials over disjoint prefix sets merged,
 // all equal to the Schrödinger oracle at 1e-12. Gates must have sunk on both
 // sides and at every output that frees a qubit, and every kind of cut-term
@@ -64,7 +64,7 @@ func TestSinkMatchesOracle(t *testing.T) {
 	const n, cutPos = 8, 3
 	const dimLo = 1 << (cutPos + 1)
 	ms := []int{1, dimLo - 1, dimLo, dimLo + 1, 2 * dimLo, 1 << n}
-	runs := []Options{{Workers: 1}, {Workers: 2}, {Backend: BackendDD}}
+	runs := []Options{{Workers: 1}, {Workers: 2}}
 	sunk := map[int]int{}       // gates sunk per output size
 	sides := map[cut.Side]int{} // gates sunk per side
 	var forked [3]int           // forked residuals per kind
@@ -77,7 +77,7 @@ func TestSinkMatchesOracle(t *testing.T) {
 			np, _ := plan.NumPaths()
 			for _, m := range ms {
 				for _, run := range runs {
-					name := fmt.Sprintf("seed %d/%v/m=%d/%v/workers %d", seed, strategy, m, run.Backend, run.Workers)
+					name := fmt.Sprintf("seed %d/%v/m=%d/workers %d", seed, strategy, m, run.Workers)
 					check := func(how string, got []complex128) {
 						t.Helper()
 						if d := statevec.MaxAbsDiff(got, want[:m]); d > 1e-12 {
@@ -85,7 +85,7 @@ func TestSinkMatchesOracle(t *testing.T) {
 						}
 					}
 					run.MaxAmplitudes = m
-					e := compiledFor(plan, BackendDense, m, -1, ChooseSplitLevels(plan, 4*max(run.Workers, 1)))
+					e := compiledFor(plan, m, -1, ChooseSplitLevels(plan, 4*max(run.Workers, 1)))
 					for kind, n := range forkedKinds(e) {
 						forked[kind] += n
 					}
@@ -190,19 +190,19 @@ func TestSinkLegality(t *testing.T) {
 	}
 	for _, tc := range cases {
 		plan := buildPlan(t, tc.c, cutPos, cut.StrategyNone)
-		e := compiledFor(plan, BackendDense, 1<<n, -1, ChooseSplitLevels(plan, 4))
+		e := compiledFor(plan, 1<<n, -1, ChooseSplitLevels(plan, 4))
 		sunk := slices.ContainsFunc(e.epiGates, func(g gate.Gate) bool { return g.Name == tc.probe })
 		if sunk != tc.sinks {
 			t.Errorf("%s: %s sinks = %v, want %v", tc.name, tc.probe, sunk, tc.sinks)
 		}
 		want := schrodinger(tc.c)
-		for _, run := range []Options{{Workers: 1}, {Backend: BackendDD}} {
-			res, err := Run(plan, run)
+		for _, workers := range []int{1, 2} {
+			res, err := Run(plan, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := statevec.MaxAbsDiff(res.Amplitudes, want); d > 1e-12 {
-				t.Errorf("%s on %v: off the oracle by %g", tc.name, run.Backend, d)
+				t.Errorf("%s, %d workers: off the oracle by %g", tc.name, workers, d)
 			}
 		}
 	}
@@ -299,7 +299,7 @@ func TestQ22WalkPassBudget(t *testing.T) {
 		{"serve-plan", serve, 1 << 14, 1, [2]float64{332, 227}, nil},
 	} {
 		split := ChooseSplitLevels(tc.plan, 4*tc.workers)
-		e := compiledFor(tc.plan, BackendDense, tc.m, 0, split)
+		e := compiledFor(tc.plan, tc.m, 0, split)
 		var sunk []string
 		for _, g := range e.epiGates {
 			sunk = append(sunk, fmt.Sprintf("%s%v", g.Name, g.Qubits))

@@ -20,18 +20,14 @@ func telemetryAllocHarness(tb testing.TB, shape allocShape) (*walker, statevec.V
 	plan := harnessPlan(tb, shape)
 	rec := telemetry.New()
 	e := &engine{
-		backend: BackendDense,
-		nLower:  plan.Partition.NumLower(),
-		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
-		m:       resolveAmplitudes(plan, 0),
-		tel:     rec,
+		nLower: plan.Partition.NumLower(),
+		nUpper: plan.Partition.NumUpper(plan.NumQubits),
+		m:      resolveAmplitudes(plan, 0),
+		tel:    rec,
 	}
 	e.compile(plan, 0, 0)
 	checkForks(tb, e)
-	walk, err := e.newWalker(rec.Worker(len(e.segs), e.ranks))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	walk := e.newWalker(rec.Worker(len(e.segs), e.ranks))
 	scratch := statevec.MakeVector(e.m)
 	for i := 0; i < 2; i++ { // warm the pools
 		scratch.Clear()
@@ -138,8 +134,8 @@ func checkReportMatchesResult(t *testing.T, rep *telemetry.Report, res *Result) 
 	}
 }
 
-// TestTelemetryCountsMatchResult runs the same plan on both backends, dense
-// with one and with four workers, with a recorder attached and checks the
+// TestTelemetryCountsMatchResult runs the same plan with one and with four
+// workers, with a recorder attached and checks the
 // report reconciles with the Result: in particular every simulated path was
 // folded, whichever worker's batch held it.
 func TestTelemetryCountsMatchResult(t *testing.T) {
@@ -149,19 +145,19 @@ func TestTelemetryCountsMatchResult(t *testing.T) {
 		run.Telemetry = rec
 		res, err := Run(plan, run)
 		if err != nil {
-			t.Fatalf("%v: %v", run.Backend, err)
+			t.Fatalf("workers %d: %v", run.Workers, err)
 		}
 		rep := rec.Report()
 		checkReportMatchesResult(t, rep, res)
 		if res.PathsSimulated != int64(res.NumPaths) || rep.Counters.LeavesFolded != res.PathsSimulated {
-			t.Fatalf("%v workers %d: %d of %d paths simulated, %d folded", run.Backend, run.Workers,
+			t.Fatalf("workers %d: %d of %d paths simulated, %d folded", run.Workers,
 				res.PathsSimulated, res.NumPaths, rep.Counters.LeavesFolded)
 		}
 		if rep.Counters.PoolGets == 0 {
-			t.Fatalf("%v reported no pool activity", run.Backend)
+			t.Fatalf("workers %d: no pool activity reported", run.Workers)
 		}
 		if rep.Par.Gomaxprocs == 0 || rep.Par.Workers == 0 {
-			t.Fatalf("%v: par stats missing: %+v", run.Backend, rep.Par)
+			t.Fatalf("workers %d: par stats missing: %+v", run.Workers, rep.Par)
 		}
 	}
 }
@@ -288,7 +284,7 @@ func TestTelemetryCountsEpilogue(t *testing.T) {
 	if elided != 12 {
 		t.Errorf("compile span reports cut_terms_elided = %d, want 12", elided)
 	}
-	e := compiledFor(plan, BackendDense, 1<<14, 0, ChooseSplitLevels(plan, 4))
+	e := compiledFor(plan, 1<<14, 0, ChooseSplitLevels(plan, 4))
 	var inTree int64
 	for s, st := range rep.Segments {
 		inTree += st.Applications * countClasses(e.segs[s].gates[:]...)[gate.KindDense]

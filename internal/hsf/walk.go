@@ -13,7 +13,7 @@ import (
 // term is the next cut term to descend into; entered records that the
 // node's segment has been applied (a frame is re-visited once per term).
 type walkFrame struct {
-	st      pairState
+	st      *densePair
 	level   int
 	coeff   complex128
 	term    int
@@ -21,9 +21,9 @@ type walkFrame struct {
 }
 
 // walker executes path subtrees for one worker goroutine against a private
-// workspace. The frame stack is reused across prefix tasks and forked states
+// workspace. The frame stack is reused across prefix tasks and forked pairs
 // recycle through the workspace, so steady-state execution allocates
-// nothing: live pair states never exceed the remaining tree depth (one per
+// nothing: live pairs never exceed the remaining tree depth (one per
 // frame) plus the root, exactly the clone-chain bound of the Cost model.
 //
 // root is |0…0⟩ advanced through segment 0 — where the scheduler hoists every
@@ -45,19 +45,15 @@ type walker struct {
 	ws    workspace
 	wc    *telemetry.WorkerCounters
 	stack []walkFrame
-	root  pairState
+	root  *densePair
 	batch leafBatch
 }
 
-// newWalker builds one worker's walker: its buffer pool, the backend
-// workspace and the leaf batch that share it.
-func (e *engine) newWalker(wc *telemetry.WorkerCounters) (*walker, error) {
+// newWalker builds one worker's walker: its buffer pool, the workspace and
+// the leaf batch that share it.
+func (e *engine) newWalker(wc *telemetry.WorkerCounters) *walker {
 	pool := statevec.NewPool()
-	ws, err := e.newWorkspace(pool)
-	if err != nil {
-		return nil, err
-	}
-	return &walker{e: e, ws: ws, wc: wc, batch: e.newLeafBatch(pool)}, nil
+	return &walker{e: e, ws: workspace{e: e, pool: pool}, wc: wc, batch: e.newLeafBatch(pool)}
 }
 
 // runTask runs one prefix task into acc, which holds nothing else: runPrefix
@@ -85,20 +81,10 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 	// next task's accumulator.
 	defer w.batch.discard()
 	if w.root == nil {
-		root, err := w.ws.newRoot()
-		if err != nil {
-			return 0, err
-		}
-		if err := w.applySegment(root, 0); err != nil {
-			root.release()
-			return 0, err
-		}
-		w.root = root
+		w.root = w.ws.newRoot()
+		w.applySegment(w.root, 0)
 	}
-	st, err := w.root.child(&rootCopy, 0, false)
-	if err != nil {
-		return 0, err
-	}
+	st := w.root.child(&rootCopy, 0, false)
 	coeff := complex128(1)
 	for l, t := range prefix {
 		if err := stopped(ctx); err != nil {
@@ -106,18 +92,10 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 			return 0, err
 		}
 		if l > 0 {
-			if err := w.applySegment(st, l); err != nil {
-				st.release()
-				return 0, err
-			}
+			w.applySegment(st, l)
 		}
 		c := &w.e.cuts[l]
-		next, err := st.child(c, t, true)
-		if err != nil {
-			st.release()
-			return 0, err
-		}
-		st = next
+		st = st.child(c, t, true)
 		if w.wc != nil {
 			w.wc.CutTerm(l, t)
 		}
@@ -156,15 +134,12 @@ func (w *walker) sample() (sampled bool, t0 time.Time) {
 
 // applySegment advances st through segment l, counting the application and
 // timing one in 64 of them.
-func (w *walker) applySegment(st pairState, l int) error {
+func (w *walker) applySegment(st *densePair, l int) {
 	sampled, t0 := w.sample()
-	if err := st.applySegment(&w.e.segs[l]); err != nil {
-		return err
-	}
+	st.applySegment(&w.e.segs[l])
 	if w.wc != nil {
 		w.wc.Seg(l, sampled, t0)
 	}
-	return nil
 }
 
 // walk runs the subtree rooted at (root, level) depth-first with an explicit
@@ -172,12 +147,12 @@ func (w *walker) applySegment(st pairState, l int) error {
 // (see walker.root), so only frames at level ≥ 1 apply theirs. Cut terms are
 // expanded in ascending order, matching the engine's historical recursive
 // order. Every term but a cut's last gets a new child written from the parent
-// (pairState.child); the last takes over the parent's state in place, so a
+// (densePair.child); the last takes over the parent's pair in place, so a
 // rank-r cut forks r-1 times.
-func (w *walker) walk(ctx context.Context, root pairState, level int, coeff complex128, acc statevec.Vector) (int64, error) {
+func (w *walker) walk(ctx context.Context, root *densePair, level int, coeff complex128, acc statevec.Vector) (int64, error) {
 	w.stack = append(w.stack[:0], walkFrame{st: root, level: level, coeff: coeff})
 	var nLeaves int64
-	// fail releases every state still on the stack before propagating err,
+	// fail releases every pair still on the stack before propagating err,
 	// keeping the release-exactly-once discipline on error paths.
 	fail := func(err error) (int64, error) {
 		for i := len(w.stack) - 1; i >= 0; i-- {
@@ -194,9 +169,7 @@ func (w *walker) walk(ctx context.Context, root pairState, level int, coeff comp
 			}
 			sampled, t0 := w.sample()
 			if f.level > 0 {
-				if err := f.st.applySegment(&w.e.segs[f.level]); err != nil {
-					return fail(err)
-				}
+				f.st.applySegment(&w.e.segs[f.level])
 				if w.wc != nil {
 					w.wc.Seg(f.level, sampled, t0)
 				}
@@ -229,19 +202,13 @@ func (w *walker) walk(ctx context.Context, root pairState, level int, coeff comp
 		level, coeff, parent := f.level, f.coeff, f.st
 		t := f.term
 		f.term++
-		// Last term: the parent state is never needed again, so the child
+		// Last term: the parent pair is never needed again, so the child
 		// takes it over in place instead of being written.
 		last := t == len(c.sigma)-1
 		if last {
 			w.stack = w.stack[:len(w.stack)-1]
 		}
-		child, err := parent.child(c, t, last)
-		if err != nil {
-			if last {
-				parent.release() // off the stack already
-			}
-			return fail(err)
-		}
+		child := parent.child(c, t, last)
 		if w.wc != nil {
 			if !last {
 				w.wc.Fork()

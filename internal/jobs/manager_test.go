@@ -3,8 +3,11 @@ package jobs
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"math/cmplx"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -599,6 +602,61 @@ func TestResultsSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestDDManifestResumesDense restarts on a job store that a build with the
+// decision-diagram walker left behind: testdata/dd-store holds a running
+// standard job on crossCircuit(72, 8, 13) for 64 amplitudes, with "backend":
+// 1 (DD) in its options, and the mid-run checkpoint that walker flushed at
+// 2048 of 8192 paths. The field is ignored: the job resumes from the
+// checkpoint on the dense walker and ends at the Schrödinger amplitudes.
+func TestDDManifestResumesDense(t *testing.T) {
+	const id = "job-009cb8e865673b98"
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "dd-store")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{Runners: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNow(t, m)
+	if snap := waitState(t, m, id, StateDone); !snap.Resumed {
+		t.Fatal("job restarted from zero: the DD checkpoint was not taken")
+	}
+	res, err := m.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hsfsim.Simulate(crossCircuit(72, 8, 13), hsfsim.Options{Method: hsfsim.Schrodinger, MaxAmplitudes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxDiff(res.Amplitudes, want.Amplitudes); len(res.Amplitudes) != 64 || d > 1e-12 {
+		t.Fatalf("%d amplitudes, off the oracle by %g", len(res.Amplitudes), d)
+	}
+	if res.PathsSimulated != 1<<13 {
+		t.Fatalf("resumed job covered %d paths, want %d", res.PathsSimulated, 1<<13)
+	}
+}
+
 func TestWireOptionsRoundTrip(t *testing.T) {
 	in := hsfsim.Options{
 		Method:         hsfsim.JointHSF,
@@ -609,7 +667,6 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 		MaxBlockQubits: 5,
 		Tol:            1e-9,
 		Timeout:        3 * time.Second,
-		Backend:        hsfsim.BackendDD,
 		MemoryBudget:   1 << 30,
 		MaxPaths:       12345,
 	}
@@ -619,7 +676,7 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 	}
 	out := w.Options()
 	if out.Method != in.Method || out.BlockStrategy != in.BlockStrategy ||
-		out.Backend != in.Backend || out.Timeout != in.Timeout || out.MaxPaths != in.MaxPaths {
+		out.Timeout != in.Timeout || out.MaxPaths != in.MaxPaths {
 		t.Fatalf("options reconstruction mismatch: %+v", out)
 	}
 }

@@ -60,8 +60,10 @@ type ResultMeta struct {
 
 // WireOptions is the JSON-serializable subset of hsfsim.Options a job
 // carries: everything that affects the plan or the run, nothing that is a
-// live callback. Methods, strategies, and backends serialize as their
-// stable integer constants.
+// live callback. Methods and strategies serialize as their stable integer
+// constants. Manifests written with a "backend" field (the retired
+// decision-diagram walker was 1) still load: the field is ignored and the job
+// runs dense, which gives the same amplitudes and checkpoints.
 type WireOptions struct {
 	Method          int     `json:"method"`
 	CutPos          int     `json:"cut_pos"`
@@ -72,7 +74,6 @@ type WireOptions struct {
 	FusionMaxQubits int     `json:"fusion_max_qubits,omitempty"`
 	Tol             float64 `json:"tol,omitempty"`
 	TimeoutNS       int64   `json:"timeout_ns,omitempty"`
-	Backend         int     `json:"backend,omitempty"`
 	MemoryBudget    int64   `json:"memory_budget,omitempty"`
 	MaxPaths        uint64  `json:"max_paths,omitempty,string"`
 }
@@ -89,7 +90,6 @@ func wireOptions(opts hsfsim.Options) WireOptions {
 		FusionMaxQubits: opts.FusionMaxQubits,
 		Tol:             opts.Tol,
 		TimeoutNS:       int64(opts.Timeout),
-		Backend:         int(opts.Backend),
 		MemoryBudget:    opts.MemoryBudget,
 		MaxPaths:        opts.MaxPaths,
 	}
@@ -107,7 +107,6 @@ func (w WireOptions) Options() hsfsim.Options {
 		FusionMaxQubits: w.FusionMaxQubits,
 		Tol:             w.Tol,
 		Timeout:         time.Duration(w.TimeoutNS),
-		Backend:         hsfsim.Backend(w.Backend),
 		MemoryBudget:    w.MemoryBudget,
 		MaxPaths:        w.MaxPaths,
 	}

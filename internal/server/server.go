@@ -78,10 +78,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// Workers bounds simulation parallelism per request (0: all CPUs).
 	Workers int
-	// Backend is the default HSF walker backend ("", "dense", or "dd") for
-	// requests that do not name one. A request's explicit "backend" field
-	// wins. Every member of a distributed fleet must run the same backend.
-	Backend string
 	// Logger receives request logs (nil: log.Default()).
 	Logger *log.Logger
 	// DistLeaseTimeout bounds one distributed lease when this service acts
@@ -172,11 +168,6 @@ type SimulateRequest struct {
 	Strategy       string `json:"strategy,omitempty"`
 	MaxBlockQubits int    `json:"max_block_qubits,omitempty"`
 	TimeoutMillis  int    `json:"timeout_ms,omitempty"`
-	// Backend selects the HSF walker backend: "dense" (default) or "dd".
-	// Ignored by the schrodinger method. Distributed runs forward it to
-	// every worker; workers predating the field reject such leases, so a
-	// mixed-version fleet cannot silently split a run across backends.
-	Backend string `json:"backend,omitempty"`
 	// Distribute fans the run out over the registered worker fleet instead of
 	// simulating locally. Requires an HSF method and at least one worker
 	// (503 otherwise).
@@ -584,15 +575,6 @@ func parseCircuit(qasmSrc string) (*hsfsim.Circuit, error) {
 	return qasm.Parse(strings.NewReader(qasmSrc))
 }
 
-// resolveBackend maps the request's backend name — falling back to the
-// daemon's configured default — onto an HSF walker backend.
-func (s *service) resolveBackend(name string) (hsfsim.Backend, error) {
-	if name == "" {
-		name = s.cfg.Backend
-	}
-	return hsfsim.ParseBackend(name)
-}
-
 // cutPosOf resolves the partition cut for an HSF request. The default is
 // n/2-1; explicit positions must leave at least one qubit on each side. An
 // error here is a client error (422): the circuit cannot be bipartitioned as
@@ -656,24 +638,14 @@ func (s *service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // for a malformed request (including a Schrödinger run asked to distribute),
 // 422 when the circuit cannot be run as asked (e.g. an impossible cut).
 func (s *service) simulateOptions(req *SimulateRequest, numQubits int) (hsfsim.Options, int, error) {
-	backend, err := s.resolveBackend(req.Backend)
-	if err != nil {
-		return hsfsim.Options{}, http.StatusBadRequest, err
-	}
-	workers := s.cfg.Workers
-	if !backend.ParallelWorkers() {
-		// Config.Workers is daemon capacity, not a per-job demand: clamp it
-		// for single-worker backends instead of rejecting the request.
-		workers = 1
-	}
 	opts := hsfsim.Options{
 		MaxAmplitudes:  req.MaxAmplitudes,
-		Backend:        backend,
 		MaxBlockQubits: req.MaxBlockQubits,
-		Workers:        workers,
+		Workers:        s.cfg.Workers,
 		MemoryBudget:   s.cfg.MemoryBudget,
 		MaxPaths:       s.cfg.MaxPaths,
 	}
+	var err error
 	if opts.Method, err = hsfsim.ParseMethod(req.Method); err != nil {
 		return hsfsim.Options{}, http.StatusBadRequest, err
 	}

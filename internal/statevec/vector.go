@@ -7,7 +7,7 @@ import (
 
 // Vector is a statevector in split real/imaginary (structure-of-arrays)
 // layout: amplitude i is complex(Re[i], Im[i]). This is the canonical storage
-// of every hot path — the Schrödinger baseline, the HSF dense backend, the
+// of every hot path — the Schrödinger baseline, the HSF walker's pairs, the
 // path-tree accumulators — because stride-1 sweeps over two flat []float64
 // arrays are what the gate kernels (and the Go-assembly kernels planned
 // behind the same seam) vectorize over; the interleaved State layout defeats

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 
 	"hsfsim"
@@ -27,8 +28,8 @@ func interruptible(n, cuts int) *hsfsim.Circuit {
 }
 
 // TestSimulateContextCanceled verifies ctx plumbing for every method ×
-// engine combination: a canceled context surfaces context.Canceled, never
-// ErrTimeout, for Schrödinger, standard/joint HSF, dense and DD engines.
+// method: a canceled context surfaces context.Canceled, never ErrTimeout, for
+// Schrödinger and standard/joint HSF.
 func TestSimulateContextCanceled(t *testing.T) {
 	c := interruptible(8, 8)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -40,8 +41,6 @@ func TestSimulateContextCanceled(t *testing.T) {
 		{"schrodinger", hsfsim.Options{Method: hsfsim.Schrodinger}},
 		{"standard", hsfsim.Options{Method: hsfsim.StandardHSF, CutPos: 3}},
 		{"joint", hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3}},
-		{"standard-dd", hsfsim.Options{Method: hsfsim.StandardHSF, CutPos: 3, Backend: hsfsim.BackendDD}},
-		{"joint-dd", hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3, Backend: hsfsim.BackendDD}},
 	}
 	for _, tc := range cases {
 		_, err := hsfsim.SimulateContext(ctx, c, tc.opts)
@@ -90,14 +89,10 @@ func TestBudgetGate(t *testing.T) {
 	if !errors.Is(err, hsfsim.ErrBudget) {
 		t.Fatalf("hsf paths: err = %v, want ErrBudget", err)
 	}
-	// ... and MemoryBudget likewise, on both engines.
-	for _, backend := range []hsfsim.Backend{hsfsim.BackendDense, hsfsim.BackendDD} {
-		_, err = hsfsim.Simulate(c, hsfsim.Options{
-			Method: hsfsim.StandardHSF, CutPos: 3, MemoryBudget: 1, Backend: backend,
-		})
-		if !errors.Is(err, hsfsim.ErrBudget) {
-			t.Fatalf("hsf memory (%v): err = %v, want ErrBudget", backend, err)
-		}
+	// ... and MemoryBudget likewise.
+	_, err = hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.StandardHSF, CutPos: 3, MemoryBudget: 1})
+	if !errors.Is(err, hsfsim.ErrBudget) {
+		t.Fatalf("hsf memory: err = %v, want ErrBudget", err)
 	}
 }
 
@@ -170,52 +165,35 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 
 func abs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
 
-// TestDDBackendCheckpointResume verifies the DD backend inherits
-// checkpoint/resume from the shared walker: a fault-injected DD run writes a
-// checkpoint, and resuming it (still on DD) reproduces the uninterrupted
-// dense result to 1e-12.
+// TestDDBackendCheckpointResume resumes, through the public API, a
+// checkpoint that the retired decision-diagram backend wrote:
+// testdata/dd-backend.ckpt stopped interruptible(8, 10), joint at cut 3, for
+// the first 48 amplitudes, after an injected fault at half of its 128 paths.
+// The dense walker finishes it, on one worker or two, to the Schrödinger
+// amplitudes at 1e-12.
 func TestDDBackendCheckpointResume(t *testing.T) {
-	c := interruptible(6, 4)
-	base := hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 2, Backend: hsfsim.BackendDD}
-
-	want, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 2})
+	c := interruptible(8, 10)
+	data, err := os.ReadFile("testdata/dd-backend.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	failing := base
-	failing.CheckpointWriter = &buf
-	failing.FailAfterPaths = 3
-	if _, err := hsfsim.Simulate(c, failing); !errors.Is(err, hsfsim.ErrInjectedFault) {
-		t.Fatalf("fault-injected DD run: err = %v, want ErrInjectedFault", err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("DD backend wrote no checkpoint on fault")
-	}
-
-	resumed := base
-	resumed.ResumeFrom = &buf
-	got, err := hsfsim.Simulate(c, resumed)
+	want, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.Schrodinger, MaxAmplitudes: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Amplitudes {
-		if d := got.Amplitudes[i] - want.Amplitudes[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-24 {
-			t.Fatalf("amplitude %d differs after DD resume: %v vs %v", i, got.Amplitudes[i], want.Amplitudes[i])
+	for _, workers := range []int{1, 2} {
+		got, err := hsfsim.Simulate(c, hsfsim.Options{Method: hsfsim.JointHSF, CutPos: 3, MaxAmplitudes: 48,
+			Workers: workers, ResumeFrom: bytes.NewReader(data)})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
 		}
-	}
-}
-
-// TestDDBackendRejectsWorkers pins the typed rejection: the DD backend's
-// node store is single-threaded, so Workers > 1 is ErrUnsupported instead of
-// a silent downgrade.
-func TestDDBackendRejectsWorkers(t *testing.T) {
-	c := interruptible(6, 4)
-	_, err := hsfsim.Simulate(c, hsfsim.Options{
-		Method: hsfsim.JointHSF, CutPos: 2, Backend: hsfsim.BackendDD, Workers: 2,
-	})
-	if !errors.Is(err, hsfsim.ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
+		if got.NumPaths != 128 {
+			t.Fatalf("%d workers: %d paths, want 128", workers, got.NumPaths)
+		}
+		for i := range want.Amplitudes {
+			if d := got.Amplitudes[i] - want.Amplitudes[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-24 {
+				t.Fatalf("%d workers: amplitude %d is %v after the resume, want %v", workers, i, got.Amplitudes[i], want.Amplitudes[i])
+			}
+		}
 	}
 }
