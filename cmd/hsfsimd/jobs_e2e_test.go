@@ -46,7 +46,9 @@ func startJobsDaemon(t *testing.T, storeDir string) (string, chan int) {
 }
 
 // heavyQASM: a standard-HSF walk with 2^15 cheap paths — long enough to be
-// killed mid-run with several 50ms checkpoint flushes behind it.
+// killed mid-run with several 50ms checkpoint flushes behind it. The RX on
+// the crossings' control between them keeps the lower half in the tree:
+// with only phases there, the diagonal tail would fold the walk in a few ms.
 func heavyQASM(n, cuts int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "OPENQASM 2.0;\nqreg q[%d];\n", n)
@@ -54,7 +56,7 @@ func heavyQASM(n, cuts int) string {
 		fmt.Fprintf(&b, "h q[%d];\n", q)
 	}
 	for i := 0; i < cuts; i++ {
-		fmt.Fprintf(&b, "rz(0.%d) q[%d];\n", i+1, i%n)
+		fmt.Fprintf(&b, "rx(0.%d) q[%d];\n", i+1, n/2-1)
 		fmt.Fprintf(&b, "cx q[%d],q[%d];\n", n/2-1, n/2)
 	}
 	return b.String()

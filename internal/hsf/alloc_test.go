@@ -13,15 +13,19 @@ import (
 	"hsfsim/internal/telemetry/trace"
 )
 
-// allocShape is one instance of the allocation harnesses: manyCutCircuit(n, 6)
-// cut after cutPos, 2^6 = 64 leaves per replay, eight folds of leafBatchK.
-type allocShape struct{ n, cutPos int }
+// allocShape is one instance of the allocation harnesses:
+// manyCutCircuit(n, cuts) cut after cutPos, 2^cuts leaves per replay, folded
+// leafBatchK at a time.
+type allocShape struct{ n, cutPos, cuts int }
 
-// allocShapes covers a full output of 16 accumulator rows and one of 64. The
-// names are the leaves per fold the shapes had when K grew with the rows
-// (rows/8); every shape folds leafBatchK now, and the names keep the guards'
-// test IDs.
-var allocShapes = map[string]allocShape{"K=2": {8, 3}, "K=8": {12, 5}}
+// allocShapes covers a full output of 16 accumulator rows and one of 64, and
+// a diagonal tail: on "tail" the lower mixers of the last three crossings
+// sink, the walker carries an 8-amplitude proxy below cut 5, and each of the
+// 32 level-5 nodes folds its 8 leaves into the accumulator once. The names
+// K=2 and K=8 are the leaves per fold the shapes had when K grew with the
+// rows (rows/8); every shape folds leafBatchK now, and the names keep the
+// guards' test IDs.
+var allocShapes = map[string]allocShape{"K=2": {8, 3, 6}, "K=8": {12, 5, 6}, "tail": {8, 3, 8}}
 
 // harnessPlan builds shape's plan of harnessCircuit.
 func harnessPlan(tb testing.TB, shape allocShape) *cut.Plan {
@@ -38,7 +42,7 @@ func harnessPlan(tb testing.TB, shape allocShape) *cut.Plan {
 // then writes forked children through both an elided identity and a diagonal
 // residual (checkForks).
 func harnessCircuit(shape allocShape) *circuit.Circuit {
-	c := manyCutCircuit(shape.n, 6)
+	c := manyCutCircuit(shape.n, shape.cuts)
 	turn := false
 	for i, g := range c.Gates {
 		if g.Name == "rzz" {

@@ -37,14 +37,6 @@ func newCone(lastAny []int, m, nLower, nUpper, cuts int) cone {
 	return c
 }
 
-// planCone lowers and schedules plan to find its cone for an m-amplitude
-// output, without compiling anything.
-func planCone(plan *cut.Plan, m int) cone {
-	cuts := lowerCuts(plan)
-	_, _, lastAny := schedule(plan, cuts)
-	return newCone(lastAny, m, plan.Partition.NumLower(), plan.Partition.NumUpper(plan.NumQubits), len(cuts))
-}
-
 // qubits returns how many qubits side holds after schedule position pos
 // (before segment s: pos = 2s-1).
 func (c *cone) qubits(side cut.Side, pos int) int {

@@ -105,34 +105,54 @@ func addSat(a, b int64) int64 {
 // allocating anything. The memory model mirrors the engine: each worker
 // holds its root pair, at most one partition state pair per cut level (the
 // clone chain of the walk), an m-amplitude scratch accumulator and its leaf
-// batch; a single m-amplitude global accumulator is shared.
+// batch; a single m-amplitude global accumulator is shared. Below a diagonal
+// tail the chain's lower halves are proxies, and the worker also holds the
+// open node's proxy and its row table; Cost decides the tail at the split
+// depth a run of opts expands.
 func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	nLower := plan.Partition.NumLower()
 	nUpper := plan.Partition.NumUpper(plan.NumQubits)
 	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
 	workers := resolveWorkers(opts.Workers)
 
-	halves := func(lo, up int) int64 {
-		return mulSat(bytesPerAmp, addSat(int64(1)<<uint(max(lo, 0)), int64(1)<<uint(max(up, 0))))
-	}
-	lower := mulSat(bytesPerAmp, int64(1)<<uint(max(nLower, 0)))
+	amps := func(n int) int64 { return mulSat(bytesPerAmp, int64(1)<<uint(max(n, 0))) }
+	halves := func(lo, up int) int64 { return addSat(amps(lo), amps(up)) }
 	pair := halves(nLower, nUpper)
 	accBytes := mulSat(bytesPerAmp, int64(m))
+	// The engine's analysis: cone, sink and tail.
+	cuts := lowerCuts(plan)
+	at, _, lastAny := schedule(plan, cuts)
+	c := newCone(lastAny, m, nLower, nUpper, len(cuts))
+	split := runSplit(plan, opts.Resume, workers)
+	tl := chooseTail(plan, cuts, at, sink(plan, cuts, at, &c, m, split), m, split)
 	// Clone chain: the root is taken at full size and shrinks in place. Every
 	// other pair is forked at its parent's size after a segment — the prefix
 	// task's from the root after segment 0, a branch's at cut l after
 	// segment l — and keeps that buffer while the cone shrinks it further.
-	c := planCone(plan, m)
+	// From the tail level down a branch forks a proxy in place of the lower
+	// half, and the open node holds one more proxy beside the lower half its
+	// pair came with.
 	after := func(l int) int64 { return halves(c.qubits(cut.Lower, 2*l), c.qubits(cut.Upper, 2*l)) }
 	chain := addSat(pair, after(0))
 	for l := range plan.Cuts {
-		chain = addSat(chain, after(l))
+		if tl.level >= 0 && l >= tl.level {
+			chain = addSat(chain, addSat(tl.proxyBytes(), amps(c.qubits(cut.Upper, 2*l))))
+		} else {
+			chain = addSat(chain, after(l))
+		}
 	}
+	chain = addSat(chain, tl.proxyBytes())
 	perWorker := addSat(chain, accBytes) // scratch accumulator per worker
-	// Leaf batch: the last held leaf's lower half is still the chain's, the
-	// other K-1 are extra, and the coefficient table has K rows.
-	rows := leafRows(m, max(nLower, 0))
-	batch := addSat(mulSat(lower, leafBatchK-1), mulSat(bytesPerAmp, int64(leafBatchK*rows)))
+	// Leaf batch: the last held leaf's lower half (or proxy) is still the
+	// chain's, the other K-1 are extra, and the coefficient table has K rows.
+	// A tail's row table has 2^|Q| amplitudes per row.
+	rows := int64(leafRows(m, max(nLower, 0)))
+	held := amps(nLower)
+	if tl.level >= 0 {
+		held = tl.proxyBytes()
+		perWorker = addSat(perWorker, mulSat(rows, tl.proxyBytes()))
+	}
+	batch := addSat(mulSat(held, leafBatchK-1), mulSat(bytesPerAmp, leafBatchK*rows))
 	perWorker = addSat(perWorker, batch)
 
 	paths, exact := plan.NumPaths()
@@ -146,6 +166,15 @@ func Cost(plan *cut.Plan, opts Options) CostEstimate {
 		AccumulatorBytes: accBytes,
 		TotalBytes:       addSat(mulSat(perWorker, int64(workers)), accBytes),
 	}
+}
+
+// runSplit returns the split depth a run of plan on workers expands: the
+// resumed checkpoint's, or ChooseSplitLevels' for four tasks per worker.
+func runSplit(plan *cut.Plan, resume *Checkpoint, workers int) int {
+	if resume != nil && resume.SplitLevels >= 0 && resume.SplitLevels <= len(plan.Cuts) {
+		return resume.SplitLevels
+	}
+	return ChooseSplitLevels(plan, 4*workers)
 }
 
 // Admit is the admission-control gate every run passes before anything is

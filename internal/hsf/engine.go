@@ -238,6 +238,10 @@ type engine struct {
 	epi      *statevec.CompiledSegment
 	epiGates []gate.Gate
 
+	// tail is the diagonal lower tail the walker takes below its level (see
+	// chooseTail); its level is -1 when the rule does not fire.
+	tail tail
+
 	failAfter int64
 	hook      func(int64)
 	onCkpt    func(*Checkpoint)
@@ -356,7 +360,8 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, wor
 // compile lowers the plan for runs that expand splitLevels cut levels into
 // prefix tasks: cut terms become partition-local gates, local gates are
 // scheduled into the earliest segment they can legally reach (schedule),
-// those cheaper after the fold move to the epilogue (sink), and the rest are
+// those cheaper after the fold move to the epilogue (sink), the lower half
+// may give way to a proxy below a diagonal tail (chooseTail), and the rest are
 // remapped to partition-local labels and fused per segment. The output cone
 // is applied first (project), so every side of every segment compiles at the
 // qubit count it runs at.
@@ -367,6 +372,7 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	at, hoisted, lastAny := schedule(plan, e.cuts)
 	c := newCone(lastAny, e.m, e.nLower, e.nUpper, len(e.cuts))
 	sunk := sink(plan, e.cuts, at, &c, e.m, splitLevels)
+	e.tail = chooseTail(plan, e.cuts, at, sunk, e.m, splitLevels)
 	e.segs = make([]segment, len(e.cuts)+1)
 	var epi []gate.Gate
 	for i := range plan.Steps {
@@ -392,6 +398,7 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 		e.project(cut.Side(side), &c)
 		leaf[side] = c.qubits(cut.Side(side), 2*len(e.cuts))
 	}
+	e.tail.relabel(e.cuts)
 
 	if fusionMaxQubits == 0 {
 		fusionMaxQubits = fuse.DefaultMaxQubits
@@ -434,6 +441,8 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	csp.SetInt("up_qubits_projected", int64(e.nUpper-leaf[cut.Upper]))
 	csp.SetInt("leaf_lo_amps", 1<<leaf[cut.Lower])
 	csp.SetInt("leaf_up_amps", 1<<leaf[cut.Upper])
+	csp.SetInt("tail_level", int64(e.tail.level))
+	csp.SetInt("tail_qubits", int64(len(e.tail.qubits)))
 	csp.End()
 	endCompile()
 }

@@ -231,22 +231,30 @@ func termPasses(c *compiledCut, side cut.Side, t int) float64 {
 // shared root (a fork pass) and applies its prefix's terms in place. Below
 // the prefix, each of the M(l) nodes at cut l writes r−1 forked children — a
 // copy plus the term's passes each — and applies its last term in place.
+// Below a diagonal tail the lower side's state is the 2^|Q|-amplitude proxy,
+// so from cut L on a lower pass counts 2^|Q|/2^nLower of one, and each of
+// the M(L) nodes writes its proxy φ = 1 once. The node folds, like the leaf
+// folds, stream the accumulator and are not passes over a state.
 func passes(e *engine, side cut.Side, splitLevels int) float64 {
 	var total float64
-	replays := 1.0
+	replays, scale := 1.0, 1.0
 	for l := range e.segs {
 		total += replays * float64(len(e.segs[l].gates[side]))
 		if l == len(e.cuts) {
 			break
 		}
+		if side == cut.Lower && l == e.tail.level {
+			scale = float64(int(1)<<len(e.tail.qubits)) / float64(int(1)<<e.nLower)
+			total += replays * scale
+		}
 		c, r := &e.cuts[l], len(e.cuts[l].sigma)
 		for t := range r {
 			if l < splitLevels {
-				total += replays * termPasses(c, side, t)
+				total += replays * scale * termPasses(c, side, t)
 			} else if t < r-1 {
-				total += replays * (1 + termPasses(c, side, t))
+				total += replays * scale * (1 + termPasses(c, side, t))
 			} else {
-				total += replays * termPasses(c, side, t)
+				total += replays * scale * termPasses(c, side, t)
 			}
 		}
 		replays *= float64(r)
@@ -270,16 +278,21 @@ func passes(e *engine, side cut.Side, splitLevels int) float64 {
 // one worker (joint-sweep: 4 prefix tasks, 8 accumulator rows) the lower
 // mixers on qubits 5–9 sink, so the lower half takes 114 segment passes and
 // 4 · 8 · 5 epilogue row passes. Its cut terms are a scalar times I or Z on
-// one qubit, so each of the 1 020 nodes below the prefix copies one child and
-// spends half a pass on the Z: 1 530, plus 4 root copies and 1.5 in the
-// prefix, 1 809.5 in all. Applying every term as a full pass, as the engine
-// did before the scalar split, the counts were 3 344 lower and 4 340 upper
-// here, 5 168 / 6 901 on joint-accum-par and 380 / 275 on serve-plan. At
-// 2^20 amplitudes on two workers (joint-accum-par: 8 tasks of 512 rows)
-// nothing is cheaper after the fold. On the serve-plan shape (q20-3, 8-qubit
-// windows, 2^14 amplitudes, one worker) the leaf segment's lower gate sits
-// exactly at the sink rule's tie, 64 · 2^10 = 4 · 2^14, so nothing sinks
-// there either.
+// one qubit, so each node below the prefix copies one child and spends half a
+// pass on the Z, 1.5 passes, and the prefix adds 4 root copies and 1.5. From
+// cut 5 on only those terms remain, on qubits 5–9, so the diagonal tail fires
+// at level 5 with a 32-amplitude proxy, 1/64 of the 2048-amplitude half: the
+// 28 nodes at cuts 2–4 cost 42 passes, the 992 at cuts 5–9 cost 992 · 1.5/64
+// = 23.25, and writing the 32 nodes' proxies 0.5, 345.25 in all. Before the
+// tail all 1 020 nodes cost a full 1.5, 1 809.5; applying every term as a
+// full pass, as the engine did before the scalar split, the counts were
+// 3 344 lower and 4 340 upper here, 5 168 / 6 901 on joint-accum-par and
+// 380 / 275 on serve-plan. At 2^20 amplitudes on two workers
+// (joint-accum-par: 8 tasks of 512 rows) nothing is cheaper after the fold,
+// so lower mixers stay below cut 5 and no tail is legal. On the serve-plan
+// shape (q20-3, 8-qubit windows, 2^14 amplitudes, one worker) the leaf
+// segment's lower gate sits exactly at the sink rule's tie, 64 · 2^10 =
+// 4 · 2^14, so nothing sinks and the tail cannot fire there either.
 func TestQ22WalkPassBudget(t *testing.T) {
 	q22 := q22Plan(t)
 	serve, err := cut.BuildPlan(sbmCircuit(t, 10, 2003), cut.Options{Partition: cut.Partition{CutPos: 9},
@@ -293,13 +306,17 @@ func TestQ22WalkPassBudget(t *testing.T) {
 		m, workers int
 		passes     [2]float64 // lower, upper
 		sunk       []string
+		tail       int // the compile span's tail_level
 	}{
-		{"joint-sweep", q22, 1 << 14, 1, [2]float64{1809.5, 3566}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}},
-		{"joint-accum-par", q22, 1 << 20, 2, [2]float64{3633.5, 6127}, nil},
-		{"serve-plan", serve, 1 << 14, 1, [2]float64{332, 227}, nil},
+		{"joint-sweep", q22, 1 << 14, 1, [2]float64{345.25, 3566}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5},
+		{"joint-accum-par", q22, 1 << 20, 2, [2]float64{3633.5, 6127}, nil, -1},
+		{"serve-plan", serve, 1 << 14, 1, [2]float64{332, 227}, nil, -1},
 	} {
 		split := ChooseSplitLevels(tc.plan, 4*tc.workers)
 		e := compiledFor(tc.plan, tc.m, 0, split)
+		if e.tail.level != tc.tail {
+			t.Errorf("%s: tail_level %d, want %d", tc.name, e.tail.level, tc.tail)
+		}
 		var sunk []string
 		for _, g := range e.epiGates {
 			sunk = append(sunk, fmt.Sprintf("%s%v", g.Name, g.Qubits))

@@ -1,0 +1,142 @@
+package hsf
+
+import (
+	"math/bits"
+
+	"hsfsim/internal/cut"
+	"hsfsim/internal/statevec"
+)
+
+// tail is the diagonal lower tail of a compiled plan: from the nodes at cut
+// level L down, nothing acts on the lower half but cut terms that are a
+// scalar times I or a diagonal on the qubits Q. Such a leaf's lower half is
+// φ ⊙ lo_L, where lo_L is its level-L ancestor's lower half and φ, the
+// product of its diagonal residuals, depends on an amplitude's bits on Q
+// alone. The leaf sum is linear, so the leaves below one level-L node fold as
+//
+//	Σ_b c_b·up_b ⊗ (φ_b ⊙ lo_L) = Σ_y U_y ⊗ P_y·lo_L,   U_y = Σ_b c_b·φ_b[y]·up_b,
+//
+// with P_y keeping the amplitudes whose bits on Q spell y. Below L the walker
+// carries the 2^|Q|-amplitude proxy φ in place of the lower half, folds each
+// leaf's (c_b, up_b, φ_b) into a rows × 2^|Q| row table U, and folds U
+// through lo_L into the accumulator once per level-L node (Diagonal.FoldRows).
+//
+// level is -1 when the rule does not fire (see chooseTail).
+type tail struct {
+	level  int
+	qubits []int              // Q, ascending lower-half labels
+	fold   *statevec.Diagonal // Q's run decomposition, for the node fold
+}
+
+// noTail is the tail of a plan the rule does not fire on.
+var noTail = tail{level: -1}
+
+// chooseTail picks the plan's tail level for an m-amplitude output split at
+// splitLevels, from its lowered cuts and the segment of each local step (at)
+// once sink has taken the steps marked sunk out of the tree. A level L is
+// legal when
+//
+//  1. splitLevels ≤ L < len(cuts), so every prefix task walks whole level-L
+//     subtrees and its accumulator is the same sum in another order;
+//  2. no kept lower gate sits in a segment after L, and every lower term of
+//     cuts L… is an identity or diagonal residual; a term's qubits join Q;
+//  3. m ≥ 2^nLower, so the cone drops no lower qubit: lo_L is the leaf's
+//     whole lower half and Q's labels are the partition's own;
+//  4. |Q| < nLower, so the proxy is smaller than the half it stands for;
+//  5. a level-L node has at least leafBatchK leaves below it: the plain fold
+//     streams the accumulator once per batch, so node folds that stream it
+//     once per node do not stream it more often, and a node's leaves fill the
+//     batches they fold into U in.
+//
+// Among legal levels it takes the one that minimises the folds' work,
+// replays(L)·m for the node folds plus leaves·rows·2^|Q| for the leaves'
+// folds into U, and fires only when that is below the leaves·m of the plain
+// fold. A tail that fires has a rank ≥ 2 cut below L, whose lower terms are
+// independent, so one of them is a diagonal and Q is not empty.
+func chooseTail(plan *cut.Plan, cuts []compiledCut, at []int, sunk []bool, m, splitLevels int) tail {
+	nLower := plan.Partition.NumLower()
+	if m < 1<<nLower {
+		return noTail
+	}
+	first := splitLevels // the lowest level below every kept lower gate
+	for i := range plan.Steps {
+		if st := &plan.Steps[i]; st.Kind == cut.LocalStep && st.Side == cut.Lower && !sunk[i] {
+			first = max(first, at[i])
+		}
+	}
+	replays := make([]int64, len(cuts)+1)
+	replays[0] = 1
+	for l := range cuts {
+		replays[l+1] = mulSat(replays[l], int64(len(cuts[l].sigma)))
+	}
+	leaves, rows := replays[len(cuts)], int64(leafRows(m, nLower))
+	best, bestCost, bestQ := -1, mulSat(leaves, int64(m)), uint64(0)
+	var q uint64 // Q of the level under test, as a bit set
+levels:
+	for l := len(cuts) - 1; l >= first; l-- {
+		c := &cuts[l]
+		for t := range c.sigma {
+			switch c.res[cut.Lower][t].kind {
+			case residualGate:
+				break levels
+			case residualDiagonal:
+				for _, b := range c.terms[cut.Lower][t].Qubits {
+					q |= 1 << b
+				}
+			}
+		}
+		k := bits.OnesCount64(q)
+		if k >= nLower {
+			break
+		}
+		if mulSat(replays[l], leafBatchK) > leaves {
+			continue
+		}
+		if cost := addSat(mulSat(replays[l], int64(m)), mulSat(leaves, rows<<k)); cost < bestCost {
+			best, bestCost, bestQ = l, cost, q
+		}
+	}
+	if best < 0 {
+		return noTail
+	}
+	t := tail{level: best}
+	for b := range nLower {
+		if bestQ>>b&1 == 1 {
+			t.qubits = append(t.qubits, b)
+		}
+	}
+	t.fold = statevec.NewDiagonal(t.qubits, nil)
+	return t
+}
+
+// relabel moves the lower terms of the tail's cuts onto the proxy, whose qubit
+// j is Q's j-th: the walker applies them to φ alone. The terms' qubit slices
+// are shared between terms of a cut, so each term gets a fresh one.
+func (t *tail) relabel(cuts []compiledCut) {
+	if t.level < 0 {
+		return
+	}
+	idx := make(map[int]int, len(t.qubits))
+	for j, q := range t.qubits {
+		idx[q] = j
+	}
+	for l := t.level; l < len(cuts); l++ {
+		terms := cuts[l].terms[cut.Lower]
+		for i := range terms {
+			qs := make([]int, len(terms[i].Qubits))
+			for b, q := range terms[i].Qubits {
+				qs[b] = idx[q]
+			}
+			terms[i].Qubits = qs
+			terms[i].SetKernelCache(nil)
+		}
+	}
+}
+
+// proxyBytes returns the bytes of one proxy φ, 0 without a tail.
+func (t *tail) proxyBytes() int64 {
+	if t.level < 0 {
+		return 0
+	}
+	return bytesPerAmp << len(t.qubits)
+}

@@ -40,6 +40,12 @@ type walkFrame struct {
 // fields flushed once at worker exit, and sampled timings (1 in 64) feed
 // atomic histograms — so the zero-allocs-per-leaf guarantee holds with
 // telemetry enabled.
+//
+// Below a diagonal tail (engine.tail) the walker holds one level-L node open
+// at a time: node is its lower half lo_L, taken off the pair when the node's
+// segment is done, and table the row table U its leaves fold into, empty
+// between nodes. The node folds into the accumulator once its subtree is done
+// (flush).
 type walker struct {
 	e     *engine
 	ws    workspace
@@ -47,13 +53,19 @@ type walker struct {
 	stack []walkFrame
 	root  *densePair
 	batch leafBatch
+	node  statevec.Vector
+	table statevec.Vector
 }
 
 // newWalker builds one worker's walker: its buffer pool, the workspace and
-// the leaf batch that share it.
+// the leaf batch that share it, and the row table of a diagonal tail.
 func (e *engine) newWalker(wc *telemetry.WorkerCounters) *walker {
 	pool := statevec.NewPool()
-	return &walker{e: e, ws: workspace{e: e, pool: pool}, wc: wc, batch: e.newLeafBatch(pool)}
+	w := &walker{e: e, ws: workspace{e: e, pool: pool}, wc: wc, batch: e.newLeafBatch(pool)}
+	if e.tail.level >= 0 {
+		w.table = statevec.MakeVector(leafRows(e.m, e.nLower) << len(e.tail.qubits))
+	}
+	return w
 }
 
 // runTask runs one prefix task into acc, which holds nothing else: runPrefix
@@ -79,7 +91,7 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 	// The walker outlives the task: what a failed one (error, cancellation,
 	// injected fault, panic) still holds would otherwise be folded into the
 	// next task's accumulator.
-	defer w.batch.discard()
+	defer w.discard()
 	if w.root == nil {
 		w.root = w.ws.newRoot()
 		w.applySegment(w.root, 0)
@@ -103,24 +115,68 @@ func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vecto
 	}
 	nLeaves, err := w.walk(ctx, st, len(prefix), coeff, acc)
 	if err == nil {
-		w.fold(acc)
+		w.flush(acc)
 	}
 	return nLeaves, err
 }
 
-// fold applies the held leaves to acc in one blocked pass and returns their
-// lower halves to the pool, timing one fold in 64.
+// fold applies the held leaves in one blocked pass, to acc or below a
+// diagonal tail to the row table, and returns their lower halves (proxies)
+// to the pool, timing one fold in 64.
 func (w *walker) fold(acc statevec.Vector) {
 	b := &w.batch
 	if len(b.los) == 0 {
 		return
 	}
 	sampled, t0 := w.sample()
-	statevec.FoldKron(acc, b.coeffs, b.ups, b.los, w.e.nLower)
+	if t := &w.e.tail; t.level >= 0 {
+		statevec.FoldKron(w.table, b.coeffs, b.ups, b.los, len(t.qubits))
+	} else {
+		statevec.FoldKron(acc, b.coeffs, b.ups, b.los, w.e.nLower)
+	}
 	if w.wc != nil {
 		w.wc.Fold(len(b.los), sampled, t0)
 	}
 	b.discard()
+}
+
+// flush folds everything the walker holds into acc: the batch, and the open
+// level-L node's row table through the node's lower half, once.
+func (w *walker) flush(acc statevec.Vector) {
+	w.fold(acc)
+	if w.node.Re == nil {
+		return
+	}
+	w.e.tail.fold.FoldRows(acc, w.table, w.node)
+	w.closeNode()
+}
+
+// closeNode empties the row table and returns the open node's lower half to
+// the pool.
+func (w *walker) closeNode() {
+	w.table.Clear()
+	w.ws.pool.Put(w.node)
+	w.node = statevec.Vector{}
+}
+
+// openNode makes st, whose segment at the tail level is done, the open node:
+// st's lower half becomes the node's, and st carries the proxy φ = 1 in its
+// place.
+func (w *walker) openNode(st *densePair) {
+	w.node = st.lo
+	st.lo = w.ws.pool.Get(1 << len(w.e.tail.qubits))
+	for i := range st.lo.Re {
+		st.lo.Re[i], st.lo.Im[i] = 1, 0
+	}
+}
+
+// discard drops what a failed task left held: the batch, and an open node
+// with its partial row table.
+func (w *walker) discard() {
+	w.batch.discard()
+	if w.node.Re != nil {
+		w.closeNode()
+	}
 }
 
 // sample opens a timing for one operation in 64 when telemetry is on: it
@@ -148,7 +204,9 @@ func (w *walker) applySegment(st *densePair, l int) {
 // expanded in ascending order, matching the engine's historical recursive
 // order. Every term but a cut's last gets a new child written from the parent
 // (densePair.child); the last takes over the parent's pair in place, so a
-// rank-r cut forks r-1 times.
+// rank-r cut forks r-1 times. Below a diagonal tail a frame at its level
+// opens a node once its segment is done, and its pairs below carry the
+// proxy; the node folds when the walk leaves its subtree.
 func (w *walker) walk(ctx context.Context, root *densePair, level int, coeff complex128, acc statevec.Vector) (int64, error) {
 	w.stack = append(w.stack[:0], walkFrame{st: root, level: level, coeff: coeff})
 	var nLeaves int64
@@ -163,6 +221,12 @@ func (w *walker) walk(ctx context.Context, root *densePair, level int, coeff com
 	}
 	for len(w.stack) > 0 {
 		f := &w.stack[len(w.stack)-1]
+		// A frame above the open node means the node's subtree is done (a
+		// sibling is only ever pushed by their parent): it folds now, before
+		// anything forks a pair beside its lower half.
+		if w.node.Re != nil && f.level < w.e.tail.level {
+			w.flush(acc)
+		}
 		if !f.entered {
 			if err := stopped(ctx); err != nil {
 				return fail(err)
@@ -175,6 +239,9 @@ func (w *walker) walk(ctx context.Context, root *densePair, level int, coeff com
 				}
 			}
 			f.entered = true
+			if f.level == w.e.tail.level {
+				w.openNode(f.st)
+			}
 			if f.level == len(w.e.cuts) {
 				n := w.e.leaves.Add(1)
 				if w.e.failAfter > 0 && n > w.e.failAfter {

@@ -27,7 +27,8 @@ type Diagonal struct {
 const maxRunPeriod = 256
 
 // NewDiagonal returns the diagonal d on qubits, with len(d) == 1<<len(qubits).
-// It keeps both slices.
+// It keeps both slices. A nil d gives the qubits' run decomposition alone,
+// which FoldRows reads and Apply cannot run.
 func NewDiagonal(qubits []int, d []complex128) *Diagonal {
 	D := &Diagonal{qubits: qubits, d: d, s0: qubits[0], s1: -1}
 	smax := qubits[0]
@@ -41,6 +42,9 @@ func NewDiagonal(qubits []int, d []complex128) *Diagonal {
 		if q > D.s0 && (D.s1 < 0 || q < D.s1) {
 			D.s1 = q
 		}
+	}
+	if d == nil {
+		return D
 	}
 	if period := 1 << (smax - D.s0 + 1); D.s0 >= 2 && period <= maxRunPeriod {
 		if len(qubits) == 1 {
@@ -158,5 +162,43 @@ func (D *Diagonal) kernel(v Vector, lo, hi int) {
 			im[i] = dr*m + di*r
 		}
 		i += n
+	}
+}
+
+// FoldRows adds to every row r of acc the diagonal W_r over D's qubits times
+// lo: acc[r·N+x] += w[r·2^k+x_D] · lo[x] for the N = lo.Len() amplitudes x of
+// the row (the last row may be shorter), x_D being x's bits on the k qubits,
+// the index Apply reads D's own entries at; those play no part here. It is
+// the HSF diagonal tail's node fold: row r of w sums the leaves below one
+// node, lo is that node's lower half. Amplitudes share an entry in runs of
+// 2^s0, so a run that reaches spanMin is one axpy per row, the run's entry
+// looked up once for all rows; shorter runs take the reference body, one
+// amplitude at a time.
+func (D *Diagonal) FoldRows(acc, w, lo Vector) {
+	n, k := lo.Len(), 1<<len(D.qubits)
+	if run := 1 << D.s0; ops.spanMin > 0 && run >= ops.spanMin {
+		for i := 0; i < n; i += run {
+			x := D.index(i)
+			for r, x0 := 0, i; x0 < acc.Len(); r, x0 = r+1, x0+n {
+				j := min(x0+run, acc.Len()) // a short last row may end inside the run
+				ops.axpy(acc.Re[x0:j], acc.Im[x0:j], lo.Re[i:i+j-x0], lo.Im[i:i+j-x0], w.Re[r*k+x], w.Im[r*k+x])
+			}
+		}
+		return
+	}
+	for r, x0 := 0, 0; x0 < acc.Len(); r, x0 = r+1, x0+n {
+		D.foldRow(acc.Slice(x0, min(x0+n, acc.Len())), w.Slice(r*k, (r+1)*k), lo)
+	}
+}
+
+// foldRow is FoldRows' reference body on one row, with axpy's per-element
+// operation sequence.
+func (D *Diagonal) foldRow(row, w, lo Vector) {
+	for i := range row.Re {
+		x := D.index(i)
+		wr, wi := w.Re[x], w.Im[x]
+		lr, li := lo.Re[i], lo.Im[i]
+		row.Re[i] += wr*lr - wi*li
+		row.Im[i] += wr*li + wi*lr
 	}
 }

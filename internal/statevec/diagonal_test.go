@@ -79,3 +79,78 @@ func TestDiagonalTakesRunTables(t *testing.T) {
 		}
 	}
 }
+
+// TestDiagonalFoldRowsMatchesOracle holds the diagonal tail's node fold,
+// acc_r += W_r ⊙ lo with W_r row r of the table read as a diagonal over the
+// qubits, to a dense oracle at 1e-12 on every kernel arm: on joint-sweep's
+// shape (8 rows of 2^11, qubits 5–9), with qubit 0 among the qubits (runs of
+// one amplitude), on qubits that are not contiguous with a short last row,
+// with a last row that ends inside a run of eight, and into a one-row
+// accumulator. Every operand is a buffer a poisoned pool handed back, so
+// what the test does not write is NaN: the fold must read only the rows and
+// entries it is given and write nothing past the accumulator. It allocates
+// nothing.
+func TestDiagonalFoldRowsMatchesOracle(t *testing.T) {
+	cases := []struct {
+		name   string
+		nLower int
+		qubits []int
+		m      int
+	}{
+		{"joint-sweep", 11, []int{5, 6, 7, 8, 9}, 8 << 11},
+		{"qubit 0", 6, []int{0, 3}, 4 << 6},
+		{"not contiguous", 8, []int{1, 4, 7}, 3<<8 + 37},
+		{"ragged in a run", 8, []int{3, 6}, 2<<8 + 45},
+		{"one row", 7, []int{2, 5}, 1 << 7},
+	}
+	forEachArm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		pool := NewPool()
+		pool.Poison = true
+		// poisoned returns a pool buffer of n amplitudes that has been
+		// released once, and so holds NaN, with its first fill amplitudes
+		// random.
+		poisoned := func(n, fill int) Vector {
+			pool.Put(pool.Get(n))
+			v := pool.Get(n)
+			for i := range fill {
+				v.SetAmplitude(i, complex(rng.NormFloat64(), rng.NormFloat64()))
+			}
+			return v
+		}
+		for _, tc := range cases {
+			n, k := 1<<tc.nLower, 1<<len(tc.qubits)
+			rows := (tc.m + n - 1) / n
+			lo := poisoned(n, n)
+			w := poisoned((rows+1)*k, rows*k)
+			buf := poisoned(tc.m+n, tc.m)
+			acc := buf.Slice(0, tc.m)
+			want := acc.ToComplex()
+			for i := range want {
+				x, y := i%n, 0
+				for j, q := range tc.qubits {
+					y |= (x >> q & 1) << j
+				}
+				want[i] += w.Amplitude(i/n*k+y) * lo.Amplitude(x)
+			}
+			D := NewDiagonal(tc.qubits, nil)
+			D.FoldRows(acc, w, lo)
+			if d := MaxAbsDiff(acc.ToComplex(), want); !(d <= 1e-12) {
+				t.Fatalf("%s: off the oracle by %g", tc.name, d)
+			}
+			for i := tc.m; i < buf.Len(); i++ {
+				if a := buf.Amplitude(i); !cmplx.IsNaN(a) {
+					t.Fatalf("%s: amplitude %d past the accumulator written: %v", tc.name, i, a)
+				}
+			}
+			if !raceEnabled {
+				if allocs := testing.AllocsPerRun(5, func() { D.FoldRows(acc, w, lo) }); allocs != 0 {
+					t.Fatalf("%s: FoldRows allocated %.1f times", tc.name, allocs)
+				}
+			}
+			pool.Put(lo)
+			pool.Put(w)
+			pool.Put(buf)
+		}
+	})
+}

@@ -21,6 +21,7 @@ type Pool struct {
 	free map[int][]Vector
 
 	gets, reuses int
+	bytes        int64
 }
 
 // NewPool returns an empty pool.
@@ -38,6 +39,7 @@ func (p *Pool) Get(n int) Vector {
 		p.reuses++
 		return v
 	}
+	p.bytes += 16 * int64(n)
 	return MakeVector(n)
 }
 
@@ -70,3 +72,8 @@ func (p *Pool) Put(v Vector) {
 // reused a released buffer. Steady-state walker execution has
 // reuses == gets - (live-state high-water mark).
 func (p *Pool) Stats() (gets, reuses int) { return p.gets, p.reuses }
+
+// Bytes reports the bytes of every buffer the pool has allocated. The pool
+// frees nothing, so this is its footprint: per size, the most buffers of that
+// size ever out at once.
+func (p *Pool) Bytes() int64 { return p.bytes }

@@ -8,15 +8,15 @@ import (
 )
 
 // maxAttrs bounds the inline attribute array; setters beyond it drop the
-// attribute rather than allocate. The engine's "compile" span carries eight.
-const maxAttrs = 8
+// attribute rather than allocate. The engine's "compile" span carries ten.
+const maxAttrs = 10
 
 // numShards is the lock-shard count of the flight recorder; a power of
 // two so shard selection is a mask.
 const numShards = 8
 
-// DefaultCapacity is the event capacity NewRecorder(0) selects: at 416
-// bytes per event the recorder then holds ~6.5 MiB, enough for several
+// DefaultCapacity is the event capacity NewRecorder(0) selects: at 496
+// bytes per event the recorder then holds ~7.8 MiB, enough for several
 // minutes of prefix-batch-granularity spans.
 const DefaultCapacity = 16384
 
