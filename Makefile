@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test vet cover bench bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
+.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test stress vet cover bench bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
 
 all: build vet test
 
@@ -82,10 +82,13 @@ dist-test:
 
 # Chaos and elasticity suite under the race detector: seeded fault injection
 # (dropped/duplicated replies, worker kills, registry partitions), mid-run
-# joins, work stealing, durable takeover. Each test logs its chaos seed; set
-# CHAOS_SEED to reproduce a failure or explore new fault schedules.
+# joins, work stealing, and the coordinator handover (a fresh coordinator
+# resuming from the last checkpoint a killed one flushed:
+# TestChaosHalfFleetAndCoordinatorKilled, TestHandover*). Each test logs its
+# chaos seed; set CHAOS_SEED to reproduce a failure or explore new fault
+# schedules.
 chaos-test:
-	$(GO) test -race -run 'Chaos|Steal|Takeover|Partition|Join|Drain|Truncated' -v -count=1 ./internal/dist/ ./internal/server/
+	$(GO) test -race -run 'Chaos|Steal|Handover|Partition|Join|Drain|Truncated' -v -count=1 ./internal/dist/ ./internal/server/
 
 # Job-service suite under the race detector: queues, quotas, plan-cache
 # batching, SSE streaming, fingerprint stability, and the
@@ -93,6 +96,18 @@ chaos-test:
 # same store, every job completes with correct amplitudes).
 jobs-test:
 	$(GO) test -race -run 'Job|Fingerprint|Manager|Queue|Quota|Batch|Plan|Store' -v -count=1 ./internal/jobs/ ./internal/hsf/ ./internal/server/ ./cmd/hsfsimd/
+
+# Stress leg: the coordinator-handover and resume tests, the job service's
+# restart tests and the CLI's -checkpoint tests under the race detector with
+# one and with two Ps, STRESS_COUNT runs each (CI runs them once). A test
+# that flakes here has a synchronisation bug: fix that, not the assertion.
+STRESS_COUNT ?= 3
+stress:
+	for p in 1 2; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'Chaos|Handover|Resume' ./internal/dist/ && \
+		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'Restart|Resume|Handover|DistributedJob' ./internal/jobs/ && \
+		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'Checkpoint' ./cmd/hsfsim/ || exit 1; \
+	done
 
 cover:
 	$(GO) test -cover ./...

@@ -7,18 +7,22 @@
 //	hsfsim -method schrodinger -backend dd circuit.qasm
 //	hsfsim -method joint -cut 7 -progress 1s -report run.json circuit.qasm
 //
-// Interrupting a run (Ctrl-C / SIGTERM) cancels it cooperatively; with
-// -checkpoint set, an interrupted or failed HSF run snapshots its completed
-// prefix tasks so a later -resume run picks up where it left off.
+// Interrupting a run (Ctrl-C / SIGTERM) cancels it cooperatively. With
+// -checkpoint FILE, an HSF run keeps FILE durable while it runs: the merged
+// state of its completed prefix tasks is flushed there every few seconds,
+// the final state lands there if the run stops early, and FILE is removed
+// when the run completes. A later -resume FILE picks up from the newest
+// snapshot, so even a coordinator killed outright loses at most one flush
+// interval of work.
 //
 // With -distribute, the HSF prefix-task space is sharded across hsfsimd
 // worker daemons instead of local goroutines:
 //
 //	hsfsim -method joint -cut 7 -distribute host1:8081,host2:8081 circuit.qasm
 //
-// The same -checkpoint/-resume flags apply: a run that fails mid-way (all
-// workers lost, Ctrl-C) snapshots the merged partial state for a later
-// -distribute or local -resume.
+// The same -checkpoint/-resume flags apply, and the file is the same: a
+// checkpoint from a local run resumes on a fleet and the other way round,
+// and -resume on a fresh fleet is the coordinator handover.
 //
 // The submit/status/watch/result/cancel/jobs subcommands run circuits as
 // asynchronous jobs on a hsfsimd daemon instead of simulating locally; see
@@ -26,23 +30,25 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math/cmplx"
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"hsfsim"
 	"hsfsim/internal/dd"
 	"hsfsim/internal/dist"
+	"hsfsim/internal/hsf"
 	"hsfsim/internal/qasm"
 	"hsfsim/internal/telemetry/trace"
 )
@@ -105,12 +111,9 @@ func main() {
 		backend   = flag.String("backend", "dense", "Schrödinger state representation: dense | dd (the decision-diagram oracle; HSF methods run dense)")
 		memBudget = flag.Int64("memory-budget", 0, "admission memory budget in bytes (0: 16 GiB default, <0: unlimited)")
 		maxPaths  = flag.Uint64("max-paths", 0, "reject plans with more Feynman paths than this (0: unlimited)")
-		ckptPath  = flag.String("checkpoint", "", "write a resume checkpoint here if the run is interrupted")
+		ckptPath  = flag.String("checkpoint", "", "keep a resume checkpoint here while the HSF run lasts (removed on success)")
 		resume    = flag.String("resume", "", "resume an HSF run from this checkpoint file")
 		distrib   = flag.String("distribute", "", "comma-separated hsfsimd worker addresses; shard the HSF run across them")
-		storeDir  = flag.String("store", "", "durable checkpoint directory for distributed runs (enables takeover)")
-		runID     = flag.String("run-id", "", "run identifier inside -store (default: derived from the plan)")
-		takeover  = flag.Bool("takeover", false, "resume the -run-id run from -store on a fresh coordinator (no circuit file needed)")
 		fusion    = flag.Int("fusion", 0, "max fused gate qubits (0: default, <0: disable fusion and run per-gate structure kernels)")
 		report    = flag.String("report", "", "write a JSON telemetry report (spans, counters, histograms) here after the run")
 		progress  = flag.Duration("progress", 0, "print a live progress line to stderr at this interval (0: off)")
@@ -121,20 +124,6 @@ func main() {
 	fail(err)
 	useDD, err := parseBackend(*backend, m)
 	fail(err)
-	if *takeover {
-		// The job definition lives in the store's manifest; a circuit file on
-		// the command line would be ignored, so reject the ambiguity.
-		switch {
-		case *storeDir == "" || *runID == "":
-			fail(fmt.Errorf("-takeover needs -store and -run-id"))
-		case *distrib == "":
-			fail(fmt.Errorf("-takeover needs -distribute (the fresh worker fleet)"))
-		case flag.NArg() != 0:
-			fail(fmt.Errorf("-takeover reads the circuit from the store manifest; drop the circuit argument"))
-		}
-		runTakeover(*storeDir, *runID, *distrib, *timeout, *ckptPath, *amps, *quiet)
-		return
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: hsfsim [flags] circuit.qasm")
 		flag.PrintDefaults()
@@ -190,20 +179,9 @@ func main() {
 		traceRoot = traceRec.Start(trace.SpanContext{}, "hsfsim")
 	}
 
-	if *distrib != "" {
-		runDistributed(string(src), c, &opts, *distrib, *ckptPath, *resume, *storeDir, *runID, *amps, *quiet)
-		writeReport(*report, rec)
-		writeTrace(*tracePath)
-		return
-	}
-
-	// An interrupted HSF run can snapshot its completed prefix tasks.
-	var ckptFile *os.File
-	if *ckptPath != "" {
-		ckptFile, err = os.Create(*ckptPath)
-		fail(err)
-		opts.CheckpointWriter = ckptFile
-	}
+	// Checkpoint and resume ride opts, so local and distributed runs share
+	// them, as they share telemetry and progress.
+	ckpt := startCheckpoint(*ckptPath, checkpointFlushInterval, &opts)
 	if *resume != "" {
 		rf, err := os.Open(*resume)
 		fail(err)
@@ -216,24 +194,35 @@ func main() {
 	defer stop()
 	ctx = withTrace(ctx)
 
+	if *distrib != "" {
+		// Simulate applies opts.Timeout itself.
+		res, fleet, err := newFleet(*distrib).Simulate(ctx, string(src), opts)
+		fail(ckpt.finish(err))
+		stopProgress()
+		writeReport(*report, rec)
+		writeTrace(*tracePath)
+		fmt.Printf("method:          %v (distributed)\n", opts.Method)
+		fmt.Printf("qubits:          %d\n", c.NumQubits)
+		fmt.Printf("gates:           %d (%d two-qubit)\n", len(c.Gates), c.NumTwoQubitGates())
+		fmt.Printf("cut position:    %d\n", opts.CutPos)
+		fmt.Printf("cuts:            %d (%d blocks + %d separate)\n", fleet.NumCuts, fleet.NumBlocks, fleet.NumSeparateCuts)
+		fmt.Printf("paths:           2^%.1f (%d)\n", fleet.Log2Paths, fleet.NumPaths)
+		fmt.Printf("workers:         %d (%d batches over %d split levels, %d reassignments)\n",
+			fleet.Workers, fleet.Batches, fleet.SplitLevels, fleet.Reassignments)
+		fmt.Printf("simulation:      %v\n", res.SimTime)
+		if !*quiet {
+			printAmplitudes(fleet.Amplitudes, *amps, c.NumQubits)
+		}
+		return
+	}
+
 	var res *hsfsim.Result
 	if useDD {
 		res, err = simulateDD(ctx, c, *maxAmps, *timeout)
 	} else {
 		res, err = hsfsim.SimulateContext(ctx, c, opts)
 	}
-	if ckptFile != nil {
-		if cerr := ckptFile.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err == nil {
-			// The run completed; the empty checkpoint file is useless.
-			os.Remove(*ckptPath)
-		} else if errors.Is(err, context.Canceled) || errors.Is(err, hsfsim.ErrTimeout) {
-			fmt.Fprintf(os.Stderr, "hsfsim: interrupted; checkpoint written to %s (resume with -resume)\n", *ckptPath)
-		}
-	}
-	fail(err)
+	fail(ckpt.finish(err))
 	stopProgress()
 	writeReport(*report, rec)
 	writeTrace(*tracePath)
@@ -268,75 +257,70 @@ func writeReport(path string, rec *hsfsim.TelemetryRecorder) {
 	fail(os.WriteFile(path, append(data, '\n'), 0o644))
 }
 
-// runDistributed drives the job as a coordinator over hsfsimd workers: the
-// prefix-task space is sharded into leased batches, failed workers have
-// their leases reassigned, and the merged amplitudes print exactly like a
-// local run.
-func runDistributed(src string, c *hsfsim.Circuit, opts *hsfsim.Options, workersCSV, ckptPath, resumePath, storeDir, runID string, ampsN int, quiet bool) {
-	var ropts dist.RunOptions
-	if storeDir != "" {
-		// Durable checkpoints: a later hsfsim -takeover -store ... -run-id ...
-		// resumes this run even if this coordinator process dies.
-		st, err := dist.NewDirStore(storeDir)
-		fail(err)
-		ropts.Store = st
-		ropts.RunID = runID
-	}
-	// Checkpoint, resume, telemetry and progress ride opts exactly as in a
-	// local run; the coordinator fills the lease timeline and advances
-	// progress as batches merge.
-	if resumePath != "" {
-		rf, err := os.Open(resumePath)
-		fail(err)
-		defer rf.Close()
-		opts.ResumeFrom = rf
-	}
-	// No fleet timeout here: Simulate applies opts.Timeout itself.
-	res, elapsed := runOnFleet(workersCSV, 0, ckptPath, func(ctx context.Context, co *dist.Coordinator, ckpt io.Writer) (*dist.Result, error) {
-		o := *opts
-		o.CheckpointWriter = ckpt
-		_, res, err := co.Simulate(ctx, src, o, ropts)
-		return res, err
-	})
-	fmt.Printf("method:          %v (distributed)\n", opts.Method)
-	fmt.Printf("qubits:          %d\n", c.NumQubits)
-	fmt.Printf("gates:           %d (%d two-qubit)\n", len(c.Gates), c.NumTwoQubitGates())
-	fmt.Printf("cut position:    %d\n", opts.CutPos)
-	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
+// checkpointFlushInterval is how often a -checkpoint file is refreshed
+// while the run lasts.
+const checkpointFlushInterval = 5 * time.Second
+
+// runCheckpoint is -checkpoint FILE, one durable file for local and
+// distributed runs alike. While the run lasts, an hsf.Flusher refreshes FILE
+// from Options.OnCheckpoint at most once per interval; a run that stops
+// early also leaves its final state there; a run that completes removes it.
+// Every write goes tmp → fsync → rename (hsf.WriteFileAtomic), so FILE is
+// absent or a complete snapshot, never empty or torn.
+type runCheckpoint struct {
+	path    string
+	flusher *hsf.Flusher
+	final   bytes.Buffer // the run's CheckpointWriter: its state if it stops early
+	saved   atomic.Bool  // a complete snapshot has been renamed into place
 }
 
-// runTakeover resumes a durable distributed run on a fresh coordinator: the
-// job and latest checkpoint are loaded from the store, already-merged prefix
-// tasks are skipped, and the remainder is sharded across the given fleet.
-func runTakeover(storeDir, runID, workersCSV string, timeout time.Duration, ckptPath string, ampsN int, quiet bool) {
-	store, err := dist.NewDirStore(storeDir)
-	fail(err)
-	m, err := store.LoadManifest(runID)
-	fail(err)
-	c, err := qasm.Parse(strings.NewReader(m.Job.QASM))
-	fail(err)
-	res, elapsed := runOnFleet(workersCSV, timeout, ckptPath, func(ctx context.Context, co *dist.Coordinator, ckpt io.Writer) (*dist.Result, error) {
-		return co.Takeover(ctx, store, runID, dist.RunOptions{CheckpointWriter: ckpt})
+// startCheckpoint wires path (if set) into opts' OnCheckpoint and
+// CheckpointWriter. The nil runCheckpoint, for an empty path, does nothing.
+func startCheckpoint(path string, interval time.Duration, opts *hsfsim.Options) *runCheckpoint {
+	if path == "" {
+		return nil
+	}
+	rc := &runCheckpoint{path: path}
+	rc.flusher = hsf.NewFlusher(interval, func(ck *hsf.Checkpoint) {
+		if err := hsf.SaveCheckpointFile(path, ck); err != nil {
+			fmt.Fprintf(os.Stderr, "hsfsim: flushing checkpoint to %s: %v\n", path, err)
+			return
+		}
+		rc.saved.Store(true)
 	})
-	fmt.Printf("method:          %s-hsf (takeover of run %s)\n", m.Job.Method, runID)
-	fmt.Printf("qubits:          %d\n", c.NumQubits)
-	printFleetRun(res, c.NumQubits, elapsed, ampsN, quiet)
+	opts.OnCheckpoint = rc.flusher.Hook
+	opts.CheckpointWriter = &rc.final
+	return rc
 }
 
-// runOnFleet runs one distributed run on a coordinator over the
-// comma-separated worker addresses, canceled by Ctrl-C or SIGTERM, after
-// timeout (0: never) with ErrTimeout, and recording into the -trace flight
-// recorder. With ckptPath set, run's checkpoint writer is that file: it holds
-// the merged state if the run stops early and is removed when it completes.
-func runOnFleet(workersCSV string, timeout time.Duration, ckptPath string, run func(context.Context, *dist.Coordinator, io.Writer) (*dist.Result, error)) (*dist.Result, time.Duration) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx = withTrace(ctx)
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout, hsfsim.ErrTimeout)
-		defer cancel()
+// finish ends checkpointing for a run that returned err and passes err on.
+// The flusher stops first, so no older snapshot lands after the final
+// state. A completed run removes the file; a failed one says where its
+// checkpoint is, but only when one has been written.
+func (rc *runCheckpoint) finish(err error) error {
+	if rc == nil {
+		return err
 	}
+	rc.flusher.Stop()
+	if err == nil {
+		os.Remove(rc.path)
+		return nil
+	}
+	if rc.final.Len() > 0 {
+		if werr := hsf.WriteFileAtomic(rc.path, rc.final.Bytes()); werr != nil {
+			return errors.Join(err, fmt.Errorf("writing checkpoint: %w", werr))
+		}
+		rc.saved.Store(true)
+	}
+	if rc.saved.Load() {
+		fmt.Fprintf(os.Stderr, "hsfsim: checkpoint written to %s (resume with -resume)\n", rc.path)
+	}
+	return err
+}
+
+// newFleet returns a coordinator over the comma-separated hsfsimd worker
+// addresses.
+func newFleet(workersCSV string) *dist.Coordinator {
 	co, err := dist.New(dist.Config{
 		Transport: &dist.HTTPTransport{},
 		Logger:    log.New(os.Stderr, "hsfsim dist ", log.LstdFlags),
@@ -347,42 +331,7 @@ func runOnFleet(workersCSV string, timeout time.Duration, ckptPath string, run f
 			co.AddWorker(a)
 		}
 	}
-	var ckpt io.Writer
-	var ckptFile *os.File
-	if ckptPath != "" {
-		ckptFile, err = os.Create(ckptPath)
-		fail(err)
-		ckpt = ckptFile
-	}
-
-	start := time.Now()
-	res, err := run(ctx, co, ckpt)
-	elapsed := time.Since(start)
-	if ckptFile != nil {
-		if cerr := ckptFile.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err == nil {
-			os.Remove(ckptPath)
-		} else {
-			fmt.Fprintf(os.Stderr, "hsfsim: distributed run failed; checkpoint written to %s (resume with -resume)\n", ckptPath)
-		}
-	}
-	fail(err)
-	return res, elapsed
-}
-
-// printFleetRun prints a distributed run's plan and fleet statistics and,
-// unless quiet, its amplitudes.
-func printFleetRun(res *dist.Result, numQubits int, elapsed time.Duration, ampsN int, quiet bool) {
-	fmt.Printf("cuts:            %d (%d blocks + %d separate)\n", res.NumCuts, res.NumBlocks, res.NumSeparateCuts)
-	fmt.Printf("paths:           2^%.1f (%d)\n", res.Log2Paths, res.NumPaths)
-	fmt.Printf("workers:         %d (%d batches over %d split levels, %d reassignments)\n",
-		res.Workers, res.Batches, res.SplitLevels, res.Reassignments)
-	fmt.Printf("simulation:      %v\n", elapsed)
-	if !quiet {
-		printAmplitudes(res.Amplitudes, ampsN, numQubits)
-	}
+	return co
 }
 
 // printAmplitudes prints the first n amplitudes (n ≤ 0: all) with their

@@ -1,9 +1,9 @@
 // Chaos suite: seeded fault injection over the full elastic runtime. The
 // centerpiece kills half the worker fleet AND the coordinator mid-run,
-// registers replacements, and has a fresh coordinator take the run over from
-// the durable store — the final amplitudes must match a single-process run to
-// 1e-12 with exactly the right number of paths (nothing lost, nothing
-// double-merged).
+// registers replacements, and has a fresh coordinator resume the run from
+// the last checkpoint the first one flushed — the final amplitudes must
+// match a single-process run to 1e-12 with exactly the right number of paths
+// (nothing lost, nothing double-merged).
 //
 // Seeds are logged on every run; set CHAOS_SEED to reproduce or explore.
 package dist
@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hsfsim/internal/hsf"
 )
 
 // chaosSeed returns CHAOS_SEED if set, else a fixed default, and logs it so
@@ -43,15 +45,12 @@ func chaosJob() *Job {
 // Phase 1: four workers under a seeded fault mix (dropped replies, stale
 // duplicate deliveries, random delays); two workers are killed after a few
 // leases, two replacements register mid-run, and the coordinator itself is
-// killed mid-run after durable flushes. Phase 2: a brand-new coordinator
-// with a brand-new fleet takes the run over purely from the store.
+// killed mid-run after periodic flushes. Phase 2: a brand-new coordinator
+// with a brand-new fleet resumes from the last flushed snapshot alone — the
+// dying coordinator makes no exit write.
 func TestChaosHalfFleetAndCoordinatorKilled(t *testing.T) {
 	seed := chaosSeed(t)
 	job := chaosJob()
-	st, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	lb := NewLoopback()
 	for _, w := range []string{"w0", "w1", "w2", "w3", "w4", "w5"} {
@@ -94,7 +93,11 @@ func TestChaosHalfFleetAndCoordinatorKilled(t *testing.T) {
 	for _, w := range []string{"w0", "w1", "w2", "w3"} {
 		co.AddWorker(w)
 	}
-	_, err = co.Run(ctx, job, RunOptions{Store: st, RunID: "chaos", FlushInterval: time.Millisecond})
+	// The flusher stands in for durable storage: the newest snapshot it
+	// saved is all that survives the coordinator.
+	var flushed atomic.Pointer[hsf.Checkpoint]
+	flusher := hsf.NewFlusher(time.Millisecond, flushed.Store)
+	_, err := co.Run(ctx, job, RunOptions{OnCheckpoint: flusher.Hook})
 	if err == nil {
 		t.Fatal("phase 1 survived the coordinator kill")
 	}
@@ -104,15 +107,22 @@ func TestChaosHalfFleetAndCoordinatorKilled(t *testing.T) {
 		t.Fatal("no worker was ever killed; the chaos mix did not engage")
 	}
 
-	// Handover: any node holding the store can finish the run with a fleet
-	// the first coordinator never knew.
+	waitFlushed(t, func() bool { return flushed.Load() != nil })
+	flusher.Stop()
+	last := flushed.Load()
+	if len(last.Prefixes) == 0 {
+		t.Fatal("no merged state was flushed before the coordinator died")
+	}
+
+	// Handover: any node holding the snapshot can finish the run with a
+	// fleet the first coordinator never knew.
 	lb2 := NewLoopback()
 	lb2.AddWorker("n0", ExecOptions{})
 	lb2.AddWorker("n1", ExecOptions{})
 	co2 := mustNew(t, Config{Transport: lb2, Logger: quietLogger()})
 	co2.AddWorker("n0")
 	co2.AddWorker("n1")
-	res, err := co2.Takeover(context.Background(), st, "chaos", RunOptions{})
+	res, err := co2.Run(context.Background(), job, RunOptions{Resume: last})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hsfsim/internal/cut"
 	"hsfsim/internal/hsf"
 	"hsfsim/internal/telemetry"
 	"hsfsim/internal/telemetry/trace"
@@ -31,7 +32,6 @@ type Stats struct {
 	LeasesResplit  atomic.Int64 // in-flight leases split so part could be re-leased
 	PartialReturns atomic.Int64 // successful replies covering fewer prefixes than leased
 	PartialsMixed  atomic.Int64 // replies dropped whole because they mixed merged and fresh prefixes
-	StoreFlushes   atomic.Int64 // checkpoints written to the durable store
 	WorkersJoined  atomic.Int64 // workers admitted into a run after it started
 	WorkersLeft    atomic.Int64 // workers that dropped out of a run's rotation
 }
@@ -132,8 +132,10 @@ func (c *Coordinator) pokeSessions() {
 	}
 }
 
-// RunOptions carries per-run I/O: crash recovery in and out, durable
-// checkpoint storage, plus optional observability sinks.
+// RunOptions carries per-run I/O: crash recovery in and out, plus optional
+// observability sinks. A run that must outlive its coordinator flushes
+// OnCheckpoint snapshots somewhere durable (hsf.Flusher) and a later Run on
+// any fleet resumes from the newest one.
 type RunOptions struct {
 	// Resume seeds the merged state from a prior checkpoint: already-merged
 	// prefixes are never leased again.
@@ -141,15 +143,6 @@ type RunOptions struct {
 	// CheckpointWriter receives the merged state if the run stops
 	// prematurely, in the exact format single-process runs write.
 	CheckpointWriter io.Writer
-	// Store, when non-nil, receives the run manifest up front and merged
-	// checkpoints on a cadence (and once at exit), so any node can take the
-	// run over after a coordinator crash (see Coordinator.Takeover).
-	Store Store
-	// RunID names the run inside the Store. Empty: the plan hash in hex.
-	RunID string
-	// FlushInterval rate-limits the Store's mid-run flushes, which happen on
-	// merges (hsf.Flusher). 0: 5 seconds.
-	FlushInterval time.Duration
 	// OnCheckpoint, when non-nil, runs after every merged lease with the
 	// run's live checkpoint, under the merge lock: the engine's
 	// Options.OnCheckpoint contract, so it must be fast — rate-limit, Clone,
@@ -173,7 +166,11 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	plan := cp.CutPlan()
+	return c.run(ctx, job, cp.CutPlan(), opts)
+}
+
+// run is Run on the job's compiled plan.
+func (c *Coordinator) run(ctx context.Context, job *Job, plan *cut.Plan, opts RunOptions) (*Result, error) {
 	workers := c.reg.workers()
 	if len(workers) == 0 {
 		return nil, ErrNoWorkers
@@ -191,16 +188,6 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 		merged[hsf.PrefixKey(p)] = true
 	}
 
-	runID := opts.RunID
-	if runID == "" {
-		runID = fmt.Sprintf("%016x", planHash)
-	}
-	if opts.Store != nil {
-		if err := opts.Store.SaveManifest(runID, &Manifest{Job: job, PlanHash: planHash, SplitLevels: splitLevels}); err != nil {
-			return nil, fmt.Errorf("dist: saving run manifest: %w", err)
-		}
-	}
-
 	np, _ := plan.NumPaths()
 	npClamped := int64(np)
 	if np > 1<<63-1 {
@@ -210,15 +197,11 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 	opts.Progress.Start(npClamped, resumedPaths, nil)
 	start := time.Now()
 
-	// The flight recorder rides the caller's context; a durable run with no
-	// recorder gets a private one so the fleet timeline in the store never
-	// silently goes missing.
+	// The flight recorder rides the caller's context; the run attribute is
+	// the plan hash, which /debug/trace?run= resolves.
 	trc, parentSC := trace.FromContext(ctx)
-	if trc == nil && opts.Store != nil {
-		trc = trace.NewRecorder(0)
-	}
 	rootSpan := trc.Start(parentSC, "dist-run")
-	rootSpan.SetStr("run", runID)
+	rootSpan.SetStr("run", fmt.Sprintf("%016x", planHash))
 	rootSpan.SetInt("prefixes", int64(len(pending)))
 	rootSpan.SetInt("workers", int64(len(workers)))
 	if rid := trace.RequestID(ctx); rid != "" {
@@ -260,11 +243,6 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 
 	finish := func() {
 		rootSpan.End()
-		if opts.Store != nil {
-			// The merged fleet timeline lands next to the checkpoints, after
-			// the root span closes so the snapshot includes it.
-			s.saveTimeline(opts.Store, runID)
-		}
 		opts.Telemetry.FinishRun(telemetry.RunTotals{
 			TotalPaths: npClamped,
 			Log2Paths:  plan.Log2Paths(),
@@ -296,9 +274,6 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 		}
 	}
 	if len(pending) == 0 { // everything already checkpointed
-		if opts.Store != nil {
-			s.saveCheckpoint(opts.Store, runID, ck)
-		}
 		finish()
 		return result(), nil
 	}
@@ -317,22 +292,6 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 	c.addSession(s)
 	defer c.removeSession(s)
 
-	var flusher *hsf.Flusher
-	if opts.Store != nil {
-		interval := opts.FlushInterval
-		if interval <= 0 {
-			interval = 5 * time.Second
-		}
-		flusher = hsf.NewFlusher(interval, func(snap *hsf.Checkpoint) {
-			s.saveCheckpoint(opts.Store, runID, snap)
-		})
-		if hook := opts.OnCheckpoint; hook != nil {
-			s.onCkpt = func(ck *hsf.Checkpoint) { flusher.Hook(ck); hook(ck) }
-		} else {
-			s.onCkpt = flusher.Hook
-		}
-	}
-
 	s.mu.Lock()
 	for _, w := range workers {
 		s.addWorkerLocked(w, true)
@@ -345,13 +304,6 @@ func (c *Coordinator) Run(ctx context.Context, job *Job, opts RunOptions) (*Resu
 	<-s.runCtx.Done()
 	s.wg.Wait()
 
-	if opts.Store != nil {
-		// Final durable flush: the handover point. Written on success and
-		// failure alike so a takeover never replays merged work, and after
-		// the flusher has stopped so no older snapshot lands after it.
-		flusher.Stop()
-		s.saveCheckpoint(opts.Store, runID, ck)
-	}
 	finish()
 	if err := s.err(); err != nil {
 		if opts.CheckpointWriter != nil {
@@ -411,7 +363,7 @@ type session struct {
 	start     time.Time
 
 	// trc records the run's spans (lease grant→resolve, lease-wait, merge,
-	// store flushes, reconstructed worker execution windows); root is the
+	// reconstructed worker execution windows); root is the
 	// dist-run span they all hang under. Nil/zero when the run is untraced.
 	trc  *trace.Recorder
 	root trace.SpanContext
@@ -545,22 +497,6 @@ func (s *session) membershipLoop() {
 		s.cond.Broadcast() // age-based steal eligibility advances with time
 		s.mu.Unlock()
 	}
-}
-
-// saveCheckpoint writes one snapshot of the merged checkpoint to the durable
-// store. Failures are logged, not fatal: the in-memory run is still
-// authoritative and the next flush retries.
-func (s *session) saveCheckpoint(store Store, runID string, snap *hsf.Checkpoint) {
-	end := s.tel.Span("store-flush")
-	fsp := s.trc.Start(s.root, "store-flush")
-	err := store.SaveCheckpoint(runID, snap)
-	fsp.End()
-	end()
-	if err != nil {
-		s.co.cfg.Logger.Printf("dist: flushing checkpoint for run %s: %v", runID, err)
-		return
-	}
-	s.co.cfg.Stats.StoreFlushes.Add(1)
 }
 
 // emit reports one completed (or failed) lease to the configured sinks.

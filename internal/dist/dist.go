@@ -54,7 +54,7 @@ var ErrPlanMismatch = errors.New("dist: worker plan does not match coordinator p
 // plan exchange: coordinator and workers compile it independently through
 // hsfsim.Compile, and the resulting plans are fingerprint-checked
 // (hsf.PlanHash) before any path is simulated. The JSON form is frozen: it
-// travels in every lease and is stored in every durable run manifest.
+// travels in every lease, and a fleet mid-upgrade mixes binaries.
 type Job struct {
 	// QASM is the OpenQASM 2.0 source of the circuit.
 	QASM string `json:"qasm"`
@@ -131,32 +131,43 @@ func (j *Job) Options() (hsfsim.Options, error) {
 // Simulate runs the QASM circuit src on the fleet under opts, for callers
 // that hold hsfsim.Options: it is the one mapping of those options onto a
 // distributed run. NewJob describes the run; ResumeFrom, when set, is read
-// into ropts.Resume, CheckpointWriter, OnCheckpoint, Progress and Telemetry
-// replace ropts' own, and Timeout bounds the run with hsfsim.ErrTimeout.
-// ropts supplies the rest (Store, RunID, FlushInterval). The merged result comes back as an
+// into RunOptions.Resume, CheckpointWriter, OnCheckpoint, Progress and
+// Telemetry carry over, and Timeout bounds the run with hsfsim.ErrTimeout.
+// MaxPaths is enforced here, before the first lease, with the *BudgetError
+// hsf.Admit gives a local run; MemoryBudget stays each worker's to enforce,
+// since the footprint is theirs. The merged result comes back as an
 // hsfsim.Result whose SimTime is the run's wall clock, together with the
 // fleet statistics.
-func (c *Coordinator) Simulate(ctx context.Context, src string, opts hsfsim.Options, ropts RunOptions) (*hsfsim.Result, *Result, error) {
+func (c *Coordinator) Simulate(ctx context.Context, src string, opts hsfsim.Options) (*hsfsim.Result, *Result, error) {
 	job, err := NewJob(src, opts)
 	if err != nil {
 		return nil, nil, err
+	}
+	cp, _, err := job.compile(nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := hsf.Admit(*cp.EstimateCost(opts), -1, opts.MaxPaths); err != nil {
+		return nil, nil, err
+	}
+	ropts := RunOptions{
+		CheckpointWriter: opts.CheckpointWriter,
+		OnCheckpoint:     opts.OnCheckpoint,
+		Progress:         opts.Progress,
+		Telemetry:        opts.Telemetry,
 	}
 	if opts.ResumeFrom != nil {
 		if ropts.Resume, err = hsf.ReadCheckpoint(opts.ResumeFrom); err != nil {
 			return nil, nil, err
 		}
 	}
-	ropts.CheckpointWriter = opts.CheckpointWriter
-	ropts.OnCheckpoint = opts.OnCheckpoint
-	ropts.Progress = opts.Progress
-	ropts.Telemetry = opts.Telemetry
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, hsfsim.ErrTimeout)
 		defer cancel()
 	}
 	start := time.Now()
-	fleet, err := c.Run(ctx, job, ropts)
+	fleet, err := c.run(ctx, job, cp.CutPlan(), ropts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,6 +25,18 @@ func fastRetry(attempts int) *HTTPTransport {
 	}
 }
 
+func testCheckpoint(paths int64) *hsf.Checkpoint {
+	return &hsf.Checkpoint{
+		PlanHash:       0xabcd,
+		NumQubits:      3,
+		M:              4,
+		SplitLevels:    1,
+		Prefixes:       [][]int{{0}, {1}},
+		PathsSimulated: paths,
+		Acc:            []complex128{1, 2i, 3, 0},
+	}
+}
+
 func serveCheckpoint(t *testing.T, w http.ResponseWriter) {
 	t.Helper()
 	if err := hsf.WriteCheckpoint(w, testCheckpoint(1)); err != nil {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"hsfsim"
 	"hsfsim/internal/hsf"
+	"hsfsim/internal/qasm"
 	"hsfsim/internal/telemetry"
 )
 
@@ -42,7 +44,7 @@ func TestDistSimulateCheckpointsAndResumes(t *testing.T) {
 	stopped.CheckpointWriter = &ckpt
 	stopped.OnCheckpoint = func(*hsf.Checkpoint) { hooked++ } // under the merge lock
 	stopped.Progress = &telemetry.Tracker{}
-	if _, _, err := co.Simulate(ctx, job.QASM, stopped, RunOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := co.Simulate(ctx, job.QASM, stopped); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run returned %v, want context.Canceled", err)
 	}
 	ck, err := hsf.ReadCheckpoint(bytes.NewReader(ckpt.Bytes()))
@@ -62,7 +64,7 @@ func TestDistSimulateCheckpointsAndResumes(t *testing.T) {
 	co2.AddWorker("w2")
 	resumed := opts
 	resumed.ResumeFrom = bytes.NewReader(ckpt.Bytes())
-	res, fleet, err := co2.Simulate(context.Background(), job.QASM, resumed, RunOptions{})
+	res, fleet, err := co2.Simulate(context.Background(), job.QASM, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestDistSimulateCheckpointsAndResumes(t *testing.T) {
 	// A checkpoint of another plan is refused as a mismatch, before any lease.
 	other := opts
 	other.ResumeFrom = bytes.NewReader(ckpt.Bytes())
-	if _, _, err := co2.Simulate(context.Background(), testJob(62).QASM, other, RunOptions{}); !errors.Is(err, hsfsim.ErrCheckpointMismatch) {
+	if _, _, err := co2.Simulate(context.Background(), testJob(62).QASM, other); !errors.Is(err, hsfsim.ErrCheckpointMismatch) {
 		t.Fatalf("foreign checkpoint: %v, want ErrCheckpointMismatch", err)
 	}
 }
@@ -96,7 +98,53 @@ func TestDistSimulateTimeout(t *testing.T) {
 	lb.Stall("w")
 	co := mustNew(t, Config{Transport: lb, Logger: quietLogger(), MaxStrikes: 100})
 	co.AddWorker("w")
-	if _, _, err := co.Simulate(context.Background(), job.QASM, opts, RunOptions{}); !errors.Is(err, hsfsim.ErrTimeout) {
+	if _, _, err := co.Simulate(context.Background(), job.QASM, opts); !errors.Is(err, hsfsim.ErrTimeout) {
 		t.Fatalf("stalled fleet run returned %v, want ErrTimeout", err)
+	}
+}
+
+// TestDistSimulateEnforcesMaxPaths: the fleet honours the caller's MaxPaths
+// before the first lease, with the *BudgetError a local run of the same plan
+// gives, and a plan exactly at the limit still runs.
+func TestDistSimulateEnforcesMaxPaths(t *testing.T) {
+	job := testJob(64)
+	opts, err := job.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := NewLoopback()
+	lb.AddWorker("w", ExecOptions{})
+	var stats Stats
+	co := mustNew(t, Config{Transport: lb, Logger: quietLogger(), Stats: &stats})
+	co.AddWorker("w")
+
+	paths := expectedPaths(t, job)
+	over := opts
+	over.MaxPaths = uint64(paths - 1)
+	_, _, ferr := co.Simulate(context.Background(), job.QASM, over)
+	c, err := qasm.Parse(strings.NewReader(job.QASM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lerr := hsfsim.Simulate(c, over)
+	var fleet, local *hsfsim.BudgetError
+	if !errors.As(ferr, &fleet) || !errors.As(lerr, &local) {
+		t.Fatalf("fleet = %v, local = %v; want *BudgetError from both", ferr, lerr)
+	}
+	if *fleet != *local {
+		t.Fatalf("fleet rejected with %+v, local with %+v", *fleet, *local)
+	}
+	if n := stats.LeasesGranted.Load(); n != 0 {
+		t.Fatalf("%d leases granted for a rejected plan", n)
+	}
+
+	at := opts
+	at.MaxPaths = uint64(paths)
+	res, _, err := co.Simulate(context.Background(), job.QASM, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PathsSimulated != paths {
+		t.Fatalf("PathsSimulated = %d, want %d", res.PathsSimulated, paths)
 	}
 }

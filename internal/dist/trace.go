@@ -1,15 +1,13 @@
 // Distributed tracing support: lease execution metadata (the worker-side
 // execution window, reported back through the transport), NTP-style worker
-// clock-offset estimation from lease round-trips, and assembly of the
-// merged fleet timeline written next to the run's checkpoints.
+// clock-offset estimation from lease round-trips, and the offset-corrected
+// worker-exec spans that make the caller's flight recorder hold the merged
+// fleet timeline.
 package dist
 
 import (
-	"bytes"
 	"context"
 	"time"
-
-	"hsfsim/internal/telemetry/trace"
 )
 
 // Worker-execution-window headers: the /dist/run handler stamps its local
@@ -43,17 +41,6 @@ func withLeaseMeta(ctx context.Context, m *leaseMeta) context.Context {
 func leaseMetaFrom(ctx context.Context) *leaseMeta {
 	m, _ := ctx.Value(leaseMetaKey{}).(*leaseMeta)
 	return m
-}
-
-// TimelineStore is the optional Store extension that persists the merged
-// fleet timeline (Chrome trace-event JSON) next to a run's checkpoints.
-// It is a separate interface so existing Store implementations keep
-// compiling; DirStore implements it.
-type TimelineStore interface {
-	// SaveTimeline durably replaces the run's fleet timeline.
-	SaveTimeline(runID string, data []byte) error
-	// LoadTimeline returns the run's fleet timeline or ErrNoRun.
-	LoadTimeline(runID string) ([]byte, error)
 }
 
 // observeClock folds one lease round-trip into the worker's clock-offset
@@ -96,27 +83,4 @@ func (s *session) recordWorkerExec(w *sessWorker, l *lease, m *leaseMeta, offNS 
 	sp.SetInt("offset_ns", offNS)
 	sp.SetLane(w.lane)
 	sp.EndAt(end)
-}
-
-// saveTimeline assembles the run's merged fleet timeline from the flight
-// recorder — coordinator spans plus offset-corrected worker execution
-// windows, one timeline lane per worker — and persists it when the store
-// supports timelines. Failures are logged, never fatal.
-func (s *session) saveTimeline(store Store, runID string) {
-	ts, ok := store.(TimelineStore)
-	if !ok || s.trc == nil || !s.root.Valid() {
-		return
-	}
-	events := s.trc.SnapshotTrace(s.root.Trace)
-	if len(events) == 0 {
-		return
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteChromeTrace(&buf, events); err != nil {
-		s.co.cfg.Logger.Printf("dist: encoding timeline for run %s: %v", runID, err)
-		return
-	}
-	if err := ts.SaveTimeline(runID, buf.Bytes()); err != nil {
-		s.co.cfg.Logger.Printf("dist: saving timeline for run %s: %v", runID, err)
-	}
 }

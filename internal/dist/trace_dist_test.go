@@ -1,14 +1,13 @@
 // Integration tests of the tracing layer through the dist protocol: lease
 // and worker-exec spans joining the caller's trace over loopback, steal
-// leases linking their victim, and the merged fleet timeline persisted next
-// to a run's checkpoints — including the chaos case (half the fleet killed
-// mid-run) whose timeline must still account for nearly all of the
-// coordinator's wall clock.
+// leases linking their victim, and the merged fleet timeline in the caller's
+// flight recorder — including the chaos case (half the fleet killed mid-run)
+// whose timeline must still account for nearly all of the coordinator's
+// wall clock.
 package dist
 
 import (
 	"context"
-	"encoding/json"
 	"sort"
 	"testing"
 	"time"
@@ -150,10 +149,11 @@ func TestStealLeaseSpanLinksVictim(t *testing.T) {
 }
 
 // TestChaosTimelineCoversCoordinatorWallClock is the acceptance criterion:
-// a distributed run that loses half its fleet mid-run must still persist a
-// merged fleet timeline whose spans account for >= 95%% of the coordinator's
-// wall clock (every moment of the run is attributable to waiting, executing,
-// merging, or flushing — no dark time).
+// a distributed run that loses half its fleet mid-run must still leave a
+// merged fleet timeline in the caller's recorder — one lane per worker —
+// whose spans account for >= 95%% of the coordinator's wall clock (every
+// moment of the run is attributable to waiting, executing or merging — no
+// dark time).
 func TestChaosTimelineCoversCoordinatorWallClock(t *testing.T) {
 	// Standard cutting keeps every crossing gate a separate cut, so the
 	// prefix space splits into dozens of single-prefix leases — enough
@@ -181,12 +181,8 @@ func TestChaosTimelineCoversCoordinatorWallClock(t *testing.T) {
 		co.AddWorker(w)
 	}
 
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, rec, _ := tracedCtx(t)
-	res, err := co.Run(ctx, job, RunOptions{Store: store, RunID: "chaos-run"})
+	ctx, rec, sc := tracedCtx(t)
+	res, err := co.Run(ctx, job, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,35 +191,32 @@ func TestChaosTimelineCoversCoordinatorWallClock(t *testing.T) {
 	}
 	assertAmplitudesMatch(t, res.Amplitudes, singleProcess(t, job), 1e-12)
 
-	// The merged fleet timeline landed next to the checkpoints and is
-	// loadable Chrome trace-event JSON.
-	data, err := store.LoadTimeline("chaos-run")
-	if err != nil {
-		t.Fatalf("LoadTimeline: %v", err)
-	}
-	var tl struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &tl); err != nil {
-		t.Fatalf("timeline is not Chrome trace JSON: %v", err)
-	}
-	var spans int
-	for _, ev := range tl.TraceEvents {
-		if ev.Ph == "X" {
-			spans++
+	// The run's trace holds one timeline lane per worker: every worker —
+	// the two killed after their first lease too — executed at least once,
+	// each on its own stable lane; the coordinator keeps lane 0.
+	events := rec.SnapshotTrace(sc.Trace)
+	lanes := map[string]int32{}
+	for _, ev := range eventsNamed(events, "worker-exec") {
+		w := ev.Str("worker")
+		if l, seen := lanes[w]; seen && l != ev.Lane {
+			t.Fatalf("worker %q on lanes %d and %d", w, l, ev.Lane)
 		}
+		lanes[w] = ev.Lane
 	}
-	if spans == 0 {
-		t.Fatal("timeline has no complete (ph=X) span events")
+	used := map[int32]bool{}
+	for _, w := range []string{"w0", "w1", "w2", "w3"} {
+		l, ok := lanes[w]
+		if !ok || l < 1 || l > 4 || used[l] {
+			t.Fatalf("worker-exec lanes %v: want w0..w3 on four distinct lanes in 1..4", lanes)
+		}
+		used[l] = true
+	}
+	if len(lanes) != 4 {
+		t.Fatalf("worker-exec lanes %v: want exactly the four workers", lanes)
 	}
 
 	// Coverage: the union of all child spans must account for >= 95% of the
 	// dist-run root span's duration.
-	events := rec.Snapshot()
 	runs := eventsNamed(events, "dist-run")
 	if len(runs) != 1 {
 		t.Fatalf("dist-run spans = %d, want 1", len(runs))

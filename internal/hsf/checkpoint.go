@@ -14,12 +14,15 @@ package hsf
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"time"
 
 	"hsfsim/internal/cmat"
@@ -257,6 +260,49 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// SaveCheckpointFile durably replaces the checkpoint file at path with ck
+// (WriteFileAtomic), so a reader never sees a torn snapshot.
+func SaveCheckpointFile(path string, ck *Checkpoint) error {
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, ck); err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, buf.Bytes())
+}
+
+// WriteFileAtomic writes data to path via tmp → fsync → rename, so a kill at
+// any instant leaves either the old file or the new one, never a hybrid. The
+// tmp name is unique per call, so concurrent writers of one path never
+// rename each other's half-written files: whichever rename lands last wins
+// whole.
+func WriteFileAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint.

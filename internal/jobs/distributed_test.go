@@ -41,7 +41,7 @@ func loopbackFleet(t *testing.T, delay time.Duration, workers ...string) (*dist.
 // map onto the coordinator run through dist.Coordinator.Simulate.
 func onFleet(co *dist.Coordinator) func(context.Context, string, hsfsim.Options) (*hsfsim.Result, error) {
 	return func(ctx context.Context, src string, opts hsfsim.Options) (*hsfsim.Result, error) {
-		res, _, err := co.Simulate(ctx, src, opts, dist.RunOptions{})
+		res, _, err := co.Simulate(ctx, src, opts)
 		return res, err
 	}
 }
@@ -237,5 +237,127 @@ func TestJobAdmissionMatchesSimulate(t *testing.T) {
 				t.Fatalf("Submit rejected with %+v, Simulate with %+v", *sub, *run)
 			}
 		})
+	}
+}
+
+// errDead is what a dead process's store "returns": nothing reaches the disk.
+var errDead = errors.New("jobs test: the process is dead")
+
+// dyingStore kills its manager's durability mid-run: once one periodic flush
+// holding merged prefixes has landed, every later write fails — flushes, the
+// final flush, results and manifests alike — as if the process had been
+// killed outright with no Close.
+type dyingStore struct {
+	Store
+	dead atomic.Bool
+}
+
+func (s *dyingStore) PutJob(m *Manifest) error {
+	if s.dead.Load() {
+		return errDead
+	}
+	return s.Store.PutJob(m)
+}
+
+func (s *dyingStore) PutCheckpoint(key string, ck *hsfsim.Checkpoint) error {
+	if s.dead.Load() {
+		return errDead
+	}
+	if err := s.Store.PutCheckpoint(key, ck); err != nil {
+		return err
+	}
+	if len(ck.Prefixes) > 0 {
+		s.dead.Store(true)
+	}
+	return nil
+}
+
+func (s *dyingStore) DeleteCheckpoint(key string) error {
+	if s.dead.Load() {
+		return errDead
+	}
+	return s.Store.DeleteCheckpoint(key)
+}
+
+func (s *dyingStore) PutResult(id string, ck *hsfsim.Checkpoint) error {
+	if s.dead.Load() {
+		return errDead
+	}
+	return s.Store.PutResult(id, ck)
+}
+
+// TestDistributedJobHandoverAfterHardKill is the job service's coordinator
+// handover: the first manager's store dies after one periodic flush (no
+// Close, no final flush), and a second manager over the same directory, with
+// a fresh fleet, resumes the distributed job from that flush alone — leasing
+// only the prefixes it lacks and finishing with the exact path count and the
+// single-process amplitudes.
+func TestDistributedJobHandoverAfterHardKill(t *testing.T) {
+	const totalPaths = 1 << 12
+	c := crossCircuit(75, 8, 12)
+	opts := hsfOpts(8)
+	opts.MaxAmplitudes = 64
+	dir := t.TempDir()
+
+	disk, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dying := &dyingStore{Store: disk}
+	co1, _ := loopbackFleet(t, 20*time.Millisecond, "w1")
+	m1, err := New(Config{Runners: 1, Store: dying, FlushInterval: time.Millisecond, RunDistributed: onFleet(co1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dead manager's goroutines are stopped only once the test is over;
+	// nothing it does from here reaches the disk.
+	t.Cleanup(func() { closeNow(t, m1) })
+	running, err := m1.Submit(Request{Tenant: "t1", Circuit: c, Opts: opts, Distribute: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !dying.dead.Load(); time.Sleep(time.Millisecond) {
+		if snap, _ := m1.Get(running.ID); snap.State.Terminal() {
+			t.Fatalf("job finished before a periodic flush (state %v)", snap.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no periodic flush landed")
+		}
+	}
+
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := store.GetCheckpoint(ckptKey(running.Fingerprint))
+	if err != nil || ck == nil || ck.PathsSimulated >= totalPaths {
+		t.Fatalf("surviving flush: %v, err %v; want a mid-run checkpoint", ck, err)
+	}
+	tasks := 1 << ck.SplitLevels // every cut of a crossCircuit is a rank-2 RZZ
+	co2, leased := loopbackFleet(t, 0, "w2")
+	m2, err := New(Config{Runners: 1, Store: store, RunDistributed: onFleet(co2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNow(t, m2)
+	if snap := waitState(t, m2, running.ID, StateDone); !snap.Resumed {
+		t.Fatal("distributed job not marked resumed")
+	}
+	if n := leased.Load(); n == 0 || n > int64(tasks-len(ck.Prefixes)) {
+		t.Fatalf("fleet leased %d prefixes, want at most the %d the flush lacked", n, tasks-len(ck.Prefixes))
+	}
+	res, err := m2.Result(running.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PathsSimulated != totalPaths {
+		t.Fatalf("resumed job covered %d paths, want %d", res.PathsSimulated, totalPaths)
+	}
+	want, err := hsfsim.Simulate(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxDiff(res.Amplitudes, want.Amplitudes); d > 1e-12 {
+		t.Fatalf("resumed distributed result diverges from Simulate by %g", d)
 	}
 }

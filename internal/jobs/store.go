@@ -136,9 +136,9 @@ type Store interface {
 
 // DirStore is the filesystem Store: one JSON manifest per job under jobs/,
 // binary checkpoints under ckpt/, result payloads under results/. Every
-// write goes tmp → fsync → rename, the same torn-write discipline as
-// dist.DirStore, so a kill at any instant leaves either the old record or
-// the new one, never a hybrid.
+// write goes tmp → fsync → rename through hsf.WriteFileAtomic, the writer the
+// CLI's -checkpoint file uses too, so a kill at any instant leaves either the
+// old record or the new one, never a hybrid.
 type DirStore struct {
 	dir string
 }
@@ -155,41 +155,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 
 // Dir returns the store's root directory.
 func (s *DirStore) Dir() string { return s.dir }
-
-// writeAtomic writes data to path via tmp → fsync → rename. The tmp name is
-// unique per call: the same record can be persisted concurrently (e.g. the
-// submitter writing a job's queued state while a runner writes its running
-// state), and a shared tmp name would let one rename steal the other's file
-// out from under it. Whichever rename lands last wins whole; for manifests
-// the stalest possible survivor is an earlier state, which restart handles
-// by re-offering the job.
-func writeAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
 
 // sanitizeKey keeps store keys safe as file names.
 func sanitizeKey(key string) string {
@@ -209,7 +174,11 @@ func (s *DirStore) PutJob(m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("jobs: marshal manifest: %w", err)
 	}
-	return writeAtomic(filepath.Join(s.dir, "jobs", sanitizeKey(m.ID)+".json"), data)
+	// The same job can be persisted concurrently (its submitter writing the
+	// queued state while a runner writes the running one); the stalest
+	// possible survivor is an earlier state, which restart handles by
+	// re-offering the job.
+	return hsf.WriteFileAtomic(filepath.Join(s.dir, "jobs", sanitizeKey(m.ID)+".json"), data)
 }
 
 func (s *DirStore) Jobs() ([]*Manifest, error) {
@@ -238,14 +207,6 @@ func (s *DirStore) Jobs() ([]*Manifest, error) {
 	return out, nil
 }
 
-func (s *DirStore) putCkptFile(path string, ck *hsfsim.Checkpoint) error {
-	var buf bytes.Buffer
-	if err := hsf.WriteCheckpoint(&buf, ck); err != nil {
-		return err
-	}
-	return writeAtomic(path, buf.Bytes())
-}
-
 func (s *DirStore) getCkptFile(path string) (*hsfsim.Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -264,7 +225,7 @@ func (s *DirStore) getCkptFile(path string) (*hsfsim.Checkpoint, error) {
 }
 
 func (s *DirStore) PutCheckpoint(key string, ck *hsfsim.Checkpoint) error {
-	return s.putCkptFile(filepath.Join(s.dir, "ckpt", sanitizeKey(key)+".ckpt"), ck)
+	return hsf.SaveCheckpointFile(filepath.Join(s.dir, "ckpt", sanitizeKey(key)+".ckpt"), ck)
 }
 
 func (s *DirStore) GetCheckpoint(key string) (*hsfsim.Checkpoint, error) {
@@ -280,7 +241,7 @@ func (s *DirStore) DeleteCheckpoint(key string) error {
 }
 
 func (s *DirStore) PutResult(id string, ck *hsfsim.Checkpoint) error {
-	return s.putCkptFile(filepath.Join(s.dir, "results", sanitizeKey(id)+".ckpt"), ck)
+	return hsf.SaveCheckpointFile(filepath.Join(s.dir, "results", sanitizeKey(id)+".ckpt"), ck)
 }
 
 func (s *DirStore) GetResult(id string) (*hsfsim.Checkpoint, error) {

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"hsfsim"
-	"hsfsim/internal/dist"
 	"hsfsim/internal/jobs"
 	"hsfsim/internal/telemetry/trace"
 )
@@ -99,7 +98,7 @@ func (s *service) newJobsManager() (*jobs.Manager, error) {
 			metricSimulations.Add(1)
 		},
 		RunDistributed: func(ctx context.Context, src string, opts hsfsim.Options) (*hsfsim.Result, error) {
-			res, _, err := s.coord.Simulate(ctx, src, opts, dist.RunOptions{})
+			res, _, err := s.coord.Simulate(ctx, src, opts)
 			return res, err
 		},
 	}

@@ -139,9 +139,6 @@ var scalarMetrics = []scalarMetric{
 	{"dist_partials_duplicate_total", "hsfsimd_dist_partials_duplicate_total",
 		"Returned partials dropped by exactly-once dedup.", counter,
 		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.PartialsDuplicate }), nil},
-	{"dist_store_flushes_total", "hsfsimd_dist_store_flushes_total",
-		"Merged checkpoints flushed to durable storage.", counter,
-		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.StoreFlushes }), nil},
 	{"dist_workers_joined_total", "hsfsimd_dist_workers_joined_total",
 		"Workers admitted into runs after they started.", counter,
 		distCounter(func(s *dist.Stats) *atomic.Int64 { return &s.WorkersJoined }), nil},

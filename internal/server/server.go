@@ -233,7 +233,6 @@ type readyBody struct {
 	LeasesStolen        int64 `json:"dist_leases_stolen_total"`
 	LeasesResplit       int64 `json:"dist_leases_resplit_total"`
 	PartialReturns      int64 `json:"dist_partial_returns_total"`
-	StoreFlushes        int64 `json:"dist_store_flushes_total"`
 	WorkersJoined       int64 `json:"dist_workers_joined_total"`
 	WorkersLeft         int64 `json:"dist_workers_left_total"`
 }
@@ -291,10 +290,6 @@ func (s *Service) AddWorker(addr string) { s.svc.coord.AddWorker(addr) }
 
 // Workers returns the live distributed-worker fleet.
 func (s *Service) Workers() []string { return s.svc.coord.Workers() }
-
-// Coordinator exposes the service's coordinator for embedding binaries
-// (durable takeover, chaos partitioning).
-func (s *Service) Coordinator() *dist.Coordinator { return s.svc.coord }
 
 // Drain puts the service into worker-drain mode: new /dist/run leases are
 // refused with 503 and in-flight leases are canceled, which makes them
@@ -519,7 +514,6 @@ func (s *service) handleReady(w http.ResponseWriter, r *http.Request) {
 		LeasesStolen:        s.distStats.LeasesStolen.Load(),
 		LeasesResplit:       s.distStats.LeasesResplit.Load(),
 		PartialReturns:      s.distStats.PartialReturns.Load(),
-		StoreFlushes:        s.distStats.StoreFlushes.Load(),
 		WorkersJoined:       s.distStats.WorkersJoined.Load(),
 		WorkersLeft:         s.distStats.WorkersLeft.Load(),
 	}
@@ -715,7 +709,7 @@ func (s *service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	case len(s.coord.Workers()) == 0:
 		err = fmt.Errorf("%w: register workers or start hsfsimd with -dist-worker addresses", dist.ErrNoWorkers)
 	default:
-		res, fleet, err = s.coord.Simulate(ctx, req.QASM, opts, dist.RunOptions{})
+		res, fleet, err = s.coord.Simulate(ctx, req.QASM, opts)
 	}
 	switch {
 	case errors.Is(err, dist.ErrNoWorkers):
