@@ -21,11 +21,13 @@ type allocShape struct{ n, cutPos, cuts int }
 // allocShapes covers a full output of 16 accumulator rows and one of 64, and
 // a diagonal tail: on "tail" the lower mixers of the last three crossings
 // sink, the walker carries an 8-amplitude proxy below cut 5, and each of the
-// 32 level-5 nodes folds its 8 leaves into the accumulator once. The names
-// K=2 and K=8 are the leaves per fold the shapes had when K grew with the
-// rows (rows/8); every shape folds leafBatchK now, and the names keep the
+// 32 level-5 nodes folds its 8 leaves into the accumulator once. On "K=2"
+// three lower mixers sink too, but its ninth crossing keeps every tail level
+// illegal, so it walks plain halves into a three-gate fold epilogue. The
+// names K=2 and K=8 are the leaves per fold the shapes had when K grew with
+// the rows (rows/8); every shape folds leafBatchK now, and the names keep the
 // guards' test IDs.
-var allocShapes = map[string]allocShape{"K=2": {8, 3, 6}, "K=8": {12, 5, 6}, "tail": {8, 3, 8}}
+var allocShapes = map[string]allocShape{"K=2": {8, 3, 9}, "K=8": {12, 5, 6}, "tail": {8, 3, 8}}
 
 // harnessPlan builds shape's plan of harnessCircuit.
 func harnessPlan(tb testing.TB, shape allocShape) *cut.Plan {
@@ -82,7 +84,7 @@ func allocHarness(tb testing.TB, shape allocShape) (*walker, statevec.Vector) {
 	return walk, scratch
 }
 
-// BenchmarkRunBranchSteadyState measures one full path-tree replay (64
+// BenchmarkRunBranchSteadyState measures one full path-tree replay (512
 // leaves) on a warm walker. The interesting number is allocs/op: the pooled
 // workspace keeps it at zero.
 func BenchmarkRunBranchSteadyState(b *testing.B) {
@@ -100,10 +102,11 @@ func BenchmarkRunBranchSteadyState(b *testing.B) {
 
 // TestZeroAllocsPerLeaf is the allocation regression guard: once the
 // workspace is warm, a prefix task — the subtree's walk, whose forks write
-// their children through identity and diagonal residuals, and, on the K=2
-// shape, a two-gate fold epilogue — must not allocate at all: forked states
-// come from the pool, pair structs from the free list, frames from the
-// retained stack, and the sequential gate kernels build no closures.
+// their children through identity and diagonal residuals — and the fold
+// epilogue its merge applies, three gates on the K=2 shape, must not
+// allocate at all: forked states come from the pool, pair structs from the
+// free list, frames from the retained stack, and the sequential gate kernels
+// build no closures.
 func TestZeroAllocsPerLeaf(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -112,8 +115,9 @@ func TestZeroAllocsPerLeaf(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			walk, scratch := allocHarness(t, shape)
 			checkForks(t, walk.e)
-			if name == "K=2" && len(walk.e.epiGates) != 2 {
-				t.Fatalf("the K=2 shape sinks %d gates, want 2: the guard no longer covers the epilogue", len(walk.e.epiGates))
+			if name == "K=2" && (len(walk.e.epiGates) != 3 || walk.e.tail.level >= 0) {
+				t.Fatalf("the K=2 shape sinks %d gates with a tail at level %d, want 3 and none: the guard no longer covers the epilogue after a plain walk",
+					len(walk.e.epiGates), walk.e.tail.level)
 			}
 			ctx := context.Background()
 			var leaves int64
@@ -123,6 +127,7 @@ func TestZeroAllocsPerLeaf(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				walk.e.epilogue(scratch)
 				leaves += n
 			})
 			if allocs != 0 {

@@ -124,7 +124,7 @@ func Cost(plan *cut.Plan, opts Options) CostEstimate {
 	at, _, lastAny := schedule(plan, cuts)
 	c := newCone(lastAny, m, nLower, nUpper, len(cuts))
 	split := runSplit(plan, opts.Resume, workers)
-	tl := chooseTail(plan, cuts, at, sink(plan, cuts, at, &c, m, split), m, split)
+	tl, _ := chooseTail(plan, cuts, at, &c, m, split)
 	// Clone chain: the root is taken at full size and shrinks in place. Every
 	// other pair is forked at its parent's size after a segment — the prefix
 	// task's from the root after segment 0, a branch's at cut l after

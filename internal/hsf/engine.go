@@ -245,6 +245,14 @@ type engine struct {
 	failAfter int64
 	hook      func(int64)
 	onCkpt    func(*Checkpoint)
+	// mergeEach merges a worker's accumulator after every task instead of
+	// once, when someone may read the checkpoint before the walk ends (see
+	// runTasks).
+	mergeEach bool
+	// walkers and merges count the walkers that ran a task and the
+	// accumulators they merged.
+	walkers int
+	merges  int64
 
 	tel *telemetry.Recorder
 	// trc/tsc carry the flight-recorder trace context threaded through the
@@ -279,7 +287,7 @@ func Run(plan *cut.Plan, opts Options) (*Result, error) {
 // context.Canceled or context.DeadlineExceeded for external cancellation and
 // ErrTimeout when Options.Timeout fires.
 func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, error) {
-	ck, elapsed, err := execute(ctx, plan, opts, func(m, workers int) (*Checkpoint, [][]int, error) {
+	ck, elapsed, err := execute(ctx, plan, opts, false, func(m, workers int) (*Checkpoint, [][]int, error) {
 		// Expand enough leading cut levels that the task count comfortably
 		// exceeds the worker count.
 		return Seed(plan, m, ChooseSplitLevels(plan, 4*workers), opts.Resume)
@@ -305,8 +313,12 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 // depth, applies the timeout and walks the pending prefixes into the
 // checkpoint, finishing the telemetry. Once the walk has begun the
 // checkpoint comes back even with an error, holding every task merged so
-// far; Options.CheckpointWriter then receives it too.
-func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, workers int) (*Checkpoint, [][]int, error)) (*Checkpoint, time.Duration, error) {
+// far; Options.CheckpointWriter then receives it too. Every task is merged
+// as soon as it is done when the checkpoint can be read before the walk ends:
+// by Options.OnCheckpoint, Options.CheckpointWriter, or a partial caller,
+// which takes it back with the error. Otherwise each worker merges once
+// (runTasks).
+func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, seed func(m, workers int) (*Checkpoint, [][]int, error)) (*Checkpoint, time.Duration, error) {
 	nLower := plan.Partition.NumLower()
 	nUpper := plan.Partition.NumUpper(plan.NumQubits)
 	if nLower <= 0 || nUpper <= 0 {
@@ -326,7 +338,8 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, wor
 
 	e := &engine{nLower: nLower, nUpper: nUpper, m: m,
 		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf,
-		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry}
+		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry,
+		mergeEach: partial || opts.OnCheckpoint != nil || opts.CheckpointWriter != nil}
 	e.trc, e.tsc = trace.FromContext(ctx)
 	e.compile(plan, opts.FusionMaxQubits, ck.SplitLevels)
 
@@ -346,9 +359,10 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, wor
 	e.tsc = wsp.Context() // prefix-task spans parent to the walk phase
 	err = e.runTasks(ctx, workers, pending, ck)
 	wsp.SetInt("paths", ck.PathsSimulated)
+	wsp.SetInt("merges", e.merges)
 	wsp.End()
 	elapsed := time.Since(start)
-	e.finishTelemetry(opts.Telemetry, np, plan.Log2Paths(), ck.PathsSimulated, resumedPaths, workers, elapsed)
+	e.finishTelemetry(opts.Telemetry, np, plan.Log2Paths(), ck.PathsSimulated, resumedPaths, elapsed)
 	if err != nil && opts.CheckpointWriter != nil {
 		if werr := WriteCheckpoint(opts.CheckpointWriter, ck); werr != nil {
 			err = errors.Join(err, fmt.Errorf("hsf: writing checkpoint: %w", werr))
@@ -360,8 +374,9 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, seed func(m, wor
 // compile lowers the plan for runs that expand splitLevels cut levels into
 // prefix tasks: cut terms become partition-local gates, local gates are
 // scheduled into the earliest segment they can legally reach (schedule),
-// those cheaper after the fold move to the epilogue (sink), the lower half
-// may give way to a proxy below a diagonal tail (chooseTail), and the rest are
+// the lower half may give way to a proxy below a diagonal tail and the gates
+// cheaper after the fold, or in the tail's way, move to the epilogue
+// (chooseTail, sink), and the rest are
 // remapped to partition-local labels and fused per segment. The output cone
 // is applied first (project), so every side of every segment compiles at the
 // qubit count it runs at.
@@ -371,8 +386,8 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	e.cuts = lowerCuts(plan)
 	at, hoisted, lastAny := schedule(plan, e.cuts)
 	c := newCone(lastAny, e.m, e.nLower, e.nUpper, len(e.cuts))
-	sunk := sink(plan, e.cuts, at, &c, e.m, splitLevels)
-	e.tail = chooseTail(plan, e.cuts, at, sunk, e.m, splitLevels)
+	var sunk []bool
+	e.tail, sunk = chooseTail(plan, e.cuts, at, &c, e.m, splitLevels)
 	e.segs = make([]segment, len(e.cuts)+1)
 	var epi []gate.Gate
 	for i := range plan.Steps {
@@ -603,18 +618,21 @@ func freeQubits(m int) int { return bits.TrailingZeros(uint(m)) }
 //  3. it is cheaper after the fold: M(l) · 2^{n_side(l)} > T · m, where M(l)
 //     = Π_{j<l} rank_j is the segment's replay count, n_side(l) the side's
 //     qubits there under the cone c, and T = M(splitLevels) the prefix-task
-//     count — each task applies the epilogue to its m-amplitude accumulator.
+//     count. The epilogue runs once per merge of an m-amplitude accumulator,
+//     and no run merges more often than once per task.
+//
+// With a diagonal tail at tailLevel ≥ 0 (see chooseTail) every lower gate
+// scheduled after that level must sink, whatever rule 3 says; sink reports
+// ok = false when one of them breaks rule 1 or 2. It also returns the work
+// the plan's local gates cost in amplitudes touched, M(l) · 2^{n_side(l)} for
+// a gate kept in segment l and T · m for a sunk one, which chooseTail weighs.
 //
 // Sunk gates keep plan order. Like schedule, sink changes only the engine's
 // segments: a task's accumulator ends as the same operator applied to the
 // same paths, so the plan, its hash, prefix keys and checkpoints are
 // untouched.
-func sink(plan *cut.Plan, cuts []compiledCut, at []int, c *cone, m, splitLevels int) []bool {
-	replays := make([]int64, len(cuts)+1)
-	replays[0] = 1
-	for l := range cuts {
-		replays[l+1] = mulSat(replays[l], int64(len(cuts[l].sigma)))
-	}
+func sink(plan *cut.Plan, cuts []compiledCut, at []int, c *cone, m, splitLevels, tailLevel int) (sunk []bool, work int64, ok bool) {
+	replays := replayCounts(cuts)
 	afterFold := mulSat(replays[splitLevels], int64(m))
 	free := freeQubits(m)
 	blockedAny := make([]bool, plan.NumQubits) // some later kept item touches q
@@ -625,7 +643,7 @@ func sink(plan *cut.Plan, cuts []compiledCut, at []int, c *cone, m, splitLevels 
 			blockedOff[q] = blockedOff[q] || !g.DiagonalOn(b)
 		}
 	}
-	sunk := make([]bool, len(plan.Steps))
+	sunk = make([]bool, len(plan.Steps))
 	level := len(cuts)
 	for i := len(plan.Steps) - 1; i >= 0; i-- {
 		st := &plan.Steps[i]
@@ -640,21 +658,39 @@ func sink(plan *cut.Plan, cuts []compiledCut, at []int, c *cone, m, splitLevels 
 		}
 		g := &st.Gate
 		l := at[i]
-		ok := mulSat(replays[l], int64(1)<<c.qubits(st.Side, 2*l-1)) > afterFold
+		legal := true
 		for b, q := range g.Qubits {
-			ok = ok && q < free && !blockedOff[q] && (g.DiagonalOn(b) || !blockedAny[q])
+			legal = legal && q < free && !blockedOff[q] && (g.DiagonalOn(b) || !blockedAny[q])
 		}
-		if ok {
+		forced := tailLevel >= 0 && st.Side == cut.Lower && l > tailLevel
+		if forced && !legal {
+			return nil, 0, false
+		}
+		inTree := mulSat(replays[l], int64(1)<<c.qubits(st.Side, 2*l-1))
+		if legal && (forced || inTree > afterFold) {
 			sunk[i] = true
+			work = addSat(work, afterFold)
 		} else {
 			block(g, g.Qubits)
+			work = addSat(work, inTree)
 		}
 	}
-	return sunk
+	return sunk, work, true
 }
 
-// epilogue finishes a task's folded accumulator: the sunk gates act on each
-// of its 2^freeQubits-amplitude registers in place.
+// replayCounts returns M(l) = Π_{j<l} rank_j for l = 0…len(cuts): how often
+// segment l is replayed, M(len(cuts)) being the leaf count.
+func replayCounts(cuts []compiledCut) []int64 {
+	replays := make([]int64, len(cuts)+1)
+	replays[0] = 1
+	for l := range cuts {
+		replays[l+1] = mulSat(replays[l], int64(len(cuts[l].sigma)))
+	}
+	return replays
+}
+
+// epilogue finishes a worker's folded accumulator before it merges: the sunk
+// gates act on each of its 2^freeQubits-amplitude registers in place.
 func (e *engine) epilogue(acc statevec.Vector) {
 	if e.epi == nil {
 		return
@@ -701,14 +737,14 @@ func (e *engine) segClassTable() [][]int64 {
 	return t
 }
 
-// epilogueClasses returns the kernel-class census of the epilogue over tasks
-// finished prefix tasks. An epilogue gate counts once per accumulator row per
-// task, the unit of a lower-half application, so with the segment and cut
+// epilogueClasses returns the kernel-class census of the epilogue over
+// merged accumulators. An epilogue gate counts once per accumulator row per
+// merge, the unit of a lower-half application, so with the segment and cut
 // tables the per-class totals are the gates the run applied.
-func (e *engine) epilogueClasses(tasks int64) []int64 {
+func (e *engine) epilogueClasses(merged int64) []int64 {
 	counts := countClasses(e.epiGates)
 	for k := range counts {
-		counts[k] *= tasks * int64(leafRows(e.m, e.nLower))
+		counts[k] *= merged * int64(leafRows(e.m, e.nLower))
 	}
 	return counts
 }
@@ -745,14 +781,15 @@ func saturateInt64(v uint64) int64 {
 	return int64(v)
 }
 
-// finishTelemetry records the run's final totals (nil-safe via Recorder).
-func (e *engine) finishTelemetry(rec *telemetry.Recorder, np uint64, log2 float64, simulated, resumed int64, workers int, elapsed time.Duration) {
+// finishTelemetry records the run's final totals (nil-safe via Recorder),
+// with the walkers that ran a task as the run's workers.
+func (e *engine) finishTelemetry(rec *telemetry.Recorder, np uint64, log2 float64, simulated, resumed int64, elapsed time.Duration) {
 	rec.FinishRun(telemetry.RunTotals{
 		TotalPaths: saturateInt64(np),
 		Log2Paths:  log2,
 		Simulated:  simulated,
 		Resumed:    resumed,
-		Workers:    workers,
+		Workers:    e.walkers,
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 		Reserved:   e.parReserved,
 		Inner:      e.parInner,
@@ -770,20 +807,24 @@ func stopped(ctx context.Context) error {
 	}
 }
 
-// runTasks executes the pending prefix tasks on a worker pool, merging each
-// completed subtree, finished by the fold epilogue, into ck under the mutex
-// so ck is always a consistent, checkpointable state. It returns the first
-// error encountered (workers that drained without running anything report
-// the external cancellation cause).
+// runTasks executes the pending prefix tasks on a worker pool and merges what
+// they fold into ck, so ck is always a consistent, checkpointable state. It
+// returns the first error encountered (workers that drained without running
+// anything report the external cancellation cause).
 //
 // Each worker owns a reusable walker with its private workspace (pair
 // pools), and the pool's worker count is reserved against the process-wide
 // parallelism budget so gate kernels inside the workers do not oversubscribe
 // the cores the pool already occupies.
+//
+// A worker folds its tasks into a private scratch accumulator and merges it
+// into ck (merge). With e.mergeEach it merges after every task, so the
+// checkpoint lists each task as soon as it is done; otherwise nobody reads ck
+// before the walk ends, and a worker folds all its tasks into its scratch and
+// merges once, when it runs out of tasks. A worker whose task failed merges
+// nothing more: the failed task's leaves are already in its scratch.
 func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck *Checkpoint) error {
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	workers = min(workers, len(pending))
 	if workers == 0 { // nothing left to simulate
 		return stopped(ctx)
 	}
@@ -797,9 +838,8 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 	defer cancelRun(nil)
 
 	var (
-		mu       sync.Mutex // guards ck, firstErr and merged
+		mu       sync.Mutex // guards ck, firstErr, e.walkers and e.merges
 		firstErr error
-		merged   int64 // tasks this call merged into ck
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -808,6 +848,21 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 		}
 		mu.Unlock()
 		cancelRun(err)
+	}
+	// merge finishes a worker's scratch with the fold epilogue, which is
+	// linear and so acts on the sum of its tasks as on each, and adds it into
+	// ck with the tasks it holds.
+	merge := func(scratch statevec.Vector, done [][]int, leaves int64) {
+		e.epilogue(scratch)
+		mu.Lock()
+		scratch.AddToComplex(ck.Acc)
+		ck.Prefixes = append(ck.Prefixes, done...)
+		ck.PathsSimulated += leaves
+		e.merges++
+		if e.onCkpt != nil {
+			e.onCkpt(ck)
+		}
+		mu.Unlock()
 	}
 
 	taskCh := make(chan []int)
@@ -819,8 +874,13 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 			walk := e.newWalker(e.tel.Worker(len(e.segs), e.ranks))
 			// The worker accumulates its subtrees into private SoA scratch;
 			// the interleaved checkpoint accumulator is only touched at the
-			// merge below (the layout's edge-conversion boundary).
+			// merge (the layout's edge-conversion boundary).
 			scratch := statevec.MakeVector(e.m)
+			var (
+				done        [][]int // tasks folded into scratch since the last merge
+				leaves      int64   // their leaves
+				ran, failed bool
+			)
 			// Prefix spans coalesce adjacent small tasks: the lane keeps one
 			// span open and folds tasks into it until the span has covered
 			// spanLeafBudget leaves, so tiny tasks (a handful of leaves
@@ -847,34 +907,40 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 				if stopped(runCtx) != nil {
 					continue // drain
 				}
-				scratch.Clear()
 				if spTasks == 0 {
 					sp = e.trc.Start(e.tsc, "prefix")
 					sp.SetLane(lane + 1)
 				}
+				ran = true
 				nLeaves, err := walk.runTask(runCtx, prefix, scratch)
 				spTasks++
 				spLeaves += nLeaves
 				if err != nil {
 					sp.SetStr("err", "failed")
 					closeSpan()
+					failed = true
 					fail(err)
 					continue
 				}
 				if spLeaves >= spanLeafBudget {
 					closeSpan()
 				}
-				mu.Lock()
-				scratch.AddToComplex(ck.Acc)
-				ck.Prefixes = append(ck.Prefixes, prefix)
-				ck.PathsSimulated += nLeaves
-				merged++
-				if e.onCkpt != nil {
-					e.onCkpt(ck)
+				done, leaves = append(done, prefix), leaves+nLeaves
+				if e.mergeEach {
+					merge(scratch, done, leaves)
+					scratch.Clear()
+					done, leaves = done[:0], 0
 				}
-				mu.Unlock()
 			}
 			closeSpan()
+			if len(done) > 0 && !failed {
+				merge(scratch, done, leaves)
+			}
+			if ran {
+				mu.Lock()
+				e.walkers++
+				mu.Unlock()
+			}
 			if walk.wc != nil {
 				walk.wc.AddPool(walk.batch.pool.Stats())
 				e.tel.Flush(walk.wc)
@@ -887,7 +953,7 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 	close(taskCh)
 	wg.Wait()
 	if e.tel != nil && e.epi != nil {
-		e.tel.AddKernelClasses(kernelClassNames(), e.epilogueClasses(merged))
+		e.tel.AddKernelClasses(kernelClassNames(), e.epilogueClasses(e.merges))
 	}
 
 	if firstErr == nil {

@@ -93,7 +93,10 @@ func validatePrefixes(plan *cut.Plan, splitLevels int, prefixes [][]int) error {
 // returns their partial accumulation as a Checkpoint: the prefixes completed,
 // the leaf count, and the accumulator summed over those subtrees alone.
 // Partials over disjoint prefix sets merge with Checkpoint.Merge; merging the
-// full enumeration reproduces RunContext's amplitudes exactly. It shares
+// full enumeration reproduces RunContext's amplitudes to rounding, not bit
+// for bit: the fold epilogue acts on each task's sum here (every task is
+// merged as it completes, so a stopped batch hands back what it finished),
+// and on each worker's sum of tasks in an unobserved RunContext. It shares
 // RunContext's setup; Options.Resume is not consulted.
 //
 // When the walk stops early — cancellation, a deadline, Options.Timeout, or a
@@ -108,7 +111,7 @@ func validatePrefixes(plan *cut.Plan, splitLevels int, prefixes [][]int) error {
 // deadline-bound worker hands its finished subset back instead of abandoning
 // the lease.
 func RunPrefixesContext(ctx context.Context, plan *cut.Plan, opts Options, splitLevels int, prefixes [][]int) (*Checkpoint, error) {
-	ck, _, err := execute(ctx, plan, opts, func(m, _ int) (*Checkpoint, [][]int, error) {
+	ck, _, err := execute(ctx, plan, opts, true, func(m, _ int) (*Checkpoint, [][]int, error) {
 		if err := validatePrefixes(plan, splitLevels, prefixes); err != nil {
 			return nil, nil, err
 		}

@@ -275,12 +275,13 @@ func pathOracle(plan *cut.Plan, paths [][]int, m int) statevec.State {
 // projection absorbs the RX mixers on qubits 3, 4, 5, 7 and 8. The lower half
 // keeps its 2048 amplitudes, and no qubit is dropped at a cut. Cost charges
 // the pairs of that ladder, below the unprojected chain at 2^14 and 2^20, and
-// at 2^20 an 8-leaf batch: seven held lower halves of 32 KiB. At 2^14 the
-// diagonal tail fires at cut 5 with Q = qubits 5–9, and Cost charges what it
-// holds instead: 512-byte proxies for the lower halves of the five forks at
+// at 2^20 an 8-leaf batch: seven held lower halves of 32 KiB. At both sizes
+// the diagonal tail fires at cut 5 with Q = qubits 5–9, and Cost charges what
+// it holds instead: 512-byte proxies for the lower halves of the five forks at
 // cuts 5–9 and of the seven held leaves, one more for the open node, and the
-// 8 × 32-amplitude row table, 1 283 200 − 5·32 256 − 7·32 256 + 512 + 4 096
-// = 900 736 B.
+// rows × 32-amplitude row table, 1 283 200 − 12·32 256 + 512 + 8·512 =
+// 900 736 B at 2^14 and 34 488 320 − 12·32 256 + 512 + 512·512 = 34 363 904 B
+// at 2^20.
 func TestProjectionQ22Ladder(t *testing.T) {
 	plan := q22Plan(t)
 	dense := compiledFor(plan, 1<<14, -1, 0)
@@ -319,7 +320,7 @@ func TestProjectionQ22Ladder(t *testing.T) {
 	for _, tc := range []struct {
 		m    int
 		want int64
-	}{{1 << 14, 900736}, {1 << 20, 34488320}} {
+	}{{1 << 14, 900736}, {1 << 20, 34363904}} {
 		est := Cost(plan, Options{Workers: 1, MaxAmplitudes: tc.m})
 		if est.TotalBytes != tc.want {
 			t.Errorf("m = %d: Cost = %d B, want %d", tc.m, est.TotalBytes, tc.want)

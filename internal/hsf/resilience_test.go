@@ -152,12 +152,27 @@ func TestCostModelShape(t *testing.T) {
 	}
 
 	// The batch term is 7 lower halves plus an 8 × rows table on the full
-	// outputs of the two allocation harnesses, 16 and 64 rows.
+	// outputs of the two allocation harnesses, 16 and 64 rows. On "tail" the
+	// diagonal tail fires at level 5 over three qubits at the split Cost
+	// assumes too: from cut 5 on the chain forks an 8-amplitude proxy with
+	// each upper half, the open node holds one more proxy, the row table has
+	// 8 amplitudes per row, and the batch holds 7 proxies, not lower halves.
 	for name, shape := range allocShapes {
 		plan := harnessPlan(t, shape)
 		lower, rows := int64(16)<<plan.Partition.NumLower(), int64(1)<<(shape.n-plan.Partition.NumLower())
 		pair := lower + 16*rows
 		want := pair*int64(len(plan.Cuts)+2) + 16<<shape.n + 7*lower + 8*rows*16
+		e := compiledFor(plan, 1<<shape.n, 0, ChooseSplitLevels(plan, 4))
+		if name == "tail" {
+			const L, proxy = 5, 16 << 3
+			if e.tail.level != L || len(e.tail.qubits) != 3 {
+				t.Fatalf("tail: the tail is at level %d over %v, want level %d over three qubits", e.tail.level, e.tail.qubits, L)
+			}
+			cuts := int64(len(plan.Cuts))
+			want = pair*(L+2) + (cuts-L)*(proxy+16*rows) + proxy + 16<<shape.n + rows*proxy + 7*proxy + 8*rows*16
+		} else if e.tail.level >= 0 {
+			t.Fatalf("%s: the tail fires at level %d", name, e.tail.level)
+		}
 		if est := Cost(plan, Options{Workers: 1}); est.PerWorkerBytes != want {
 			t.Fatalf("%s: per-worker bytes = %d, want %d", name, est.PerWorkerBytes, want)
 		}

@@ -53,8 +53,9 @@ func sinkCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 }
 
 // TestSinkMatchesOracle is the fold epilogue's equivalence matrix: random
-// circuits, outputs around one lower half, one and two workers, each run
-// straight, failed halfway and resumed from its checkpoint,
+// circuits, outputs around one lower half, one, two and three workers, each
+// run straight (unobserved, so each worker merges once), failed halfway with
+// a checkpoint writer (merging every task) and resumed from its checkpoint,
 // and as two RunPrefixesContext partials over disjoint prefix sets merged,
 // all equal to the Schrödinger oracle at 1e-12. Gates must have sunk on both
 // sides and at every output that frees a qubit, and every kind of cut-term
@@ -64,7 +65,7 @@ func TestSinkMatchesOracle(t *testing.T) {
 	const n, cutPos = 8, 3
 	const dimLo = 1 << (cutPos + 1)
 	ms := []int{1, dimLo - 1, dimLo, dimLo + 1, 2 * dimLo, 1 << n}
-	runs := []Options{{Workers: 1}, {Workers: 2}}
+	runs := []Options{{Workers: 1}, {Workers: 2}, {Workers: 3}}
 	sunk := map[int]int{}       // gates sunk per output size
 	sides := map[cut.Side]int{} // gates sunk per side
 	var forked [3]int           // forked residuals per kind
@@ -225,9 +226,10 @@ func termPasses(c *compiledCut, side cut.Side, t int) float64 {
 }
 
 // passes counts one side's passes over its state in one run of e that splits
-// at splitLevels, as the walker makes them. Every gate of segment l runs once
-// per replay M(l), and every epilogue gate on the side once per accumulator
-// row of each of the T = M(splitLevels) prefix tasks. Each task copies the
+// at splitLevels and merges accumulators merges times, as the walker makes
+// them. Every gate of segment l runs once per replay M(l), and every epilogue
+// gate on the side once per accumulator row of each merge. Each of the T =
+// M(splitLevels) prefix tasks copies the
 // shared root (a fork pass) and applies its prefix's terms in place. Below
 // the prefix, each of the M(l) nodes at cut l writes r−1 forked children — a
 // copy plus the term's passes each — and applies its last term in place.
@@ -235,7 +237,7 @@ func termPasses(c *compiledCut, side cut.Side, t int) float64 {
 // so from cut L on a lower pass counts 2^|Q|/2^nLower of one, and each of
 // the M(L) nodes writes its proxy φ = 1 once. The node folds, like the leaf
 // folds, stream the accumulator and are not passes over a state.
-func passes(e *engine, side cut.Side, splitLevels int) float64 {
+func passes(e *engine, side cut.Side, splitLevels, merges int) float64 {
 	var total float64
 	replays, scale := 1.0, 1.0
 	for l := range e.segs {
@@ -266,7 +268,7 @@ func passes(e *engine, side cut.Side, splitLevels int) float64 {
 	total += tasks // the root copies
 	for i := range e.epiGates {
 		if (e.epiGates[i].MaxQubit() < e.nLower) == (side == cut.Lower) {
-			total += tasks * float64(leafRows(e.m, e.nLower))
+			total += float64(merges * leafRows(e.m, e.nLower))
 		}
 	}
 	return total
@@ -274,25 +276,38 @@ func passes(e *engine, side cut.Side, splitLevels int) float64 {
 
 // TestQ22WalkPassBudget is the clock-free gate on the tree interior: the
 // passes each side takes over its state per op, in segments, the fold
-// epilogue, cut terms and forks (passes). On q22-3 at 2^14 amplitudes with
-// one worker (joint-sweep: 4 prefix tasks, 8 accumulator rows) the lower
+// epilogue, cut terms and forks (passes), for an unobserved run, where each
+// worker merges once. On q22-3 at 2^14 amplitudes with one worker
+// (joint-sweep: 4 prefix tasks, 8 accumulator rows, one merge) the lower
 // mixers on qubits 5–9 sink, so the lower half takes 114 segment passes and
-// 4 · 8 · 5 epilogue row passes. Its cut terms are a scalar times I or Z on
-// one qubit, so each node below the prefix copies one child and spends half a
-// pass on the Z, 1.5 passes, and the prefix adds 4 root copies and 1.5. From
-// cut 5 on only those terms remain, on qubits 5–9, so the diagonal tail fires
-// at level 5 with a 32-amplitude proxy, 1/64 of the 2048-amplitude half: the
-// 28 nodes at cuts 2–4 cost 42 passes, the 992 at cuts 5–9 cost 992 · 1.5/64
-// = 23.25, and writing the 32 nodes' proxies 0.5, 345.25 in all. Before the
-// tail all 1 020 nodes cost a full 1.5, 1 809.5; applying every term as a
-// full pass, as the engine did before the scalar split, the counts were
-// 3 344 lower and 4 340 upper here, 5 168 / 6 901 on joint-accum-par and
-// 380 / 275 on serve-plan. At 2^20 amplitudes on two workers
-// (joint-accum-par: 8 tasks of 512 rows) nothing is cheaper after the fold,
-// so lower mixers stay below cut 5 and no tail is legal. On the serve-plan
-// shape (q20-3, 8-qubit windows, 2^14 amplitudes, one worker) the leaf
-// segment's lower gate sits exactly at the sink rule's tie, 64 · 2^10 =
-// 4 · 2^14, so nothing sinks and the tail cannot fire there either.
+// 1 · 8 · 5 = 40 epilogue row passes. Its cut terms are a scalar times I or Z
+// on one qubit, so each node below the prefix copies one child and spends
+// half a pass on the Z, 1.5 passes, and the prefix adds 4 root copies and
+// 1.5. From cut 5 on only those terms remain, on qubits 5–9, so the diagonal
+// tail fires at level 5 with a 32-amplitude proxy, 1/64 of the 2048-amplitude
+// half: the 28 nodes at cuts 2–4 cost 42 passes, the 992 at cuts 5–9 cost
+// 992 · 1.5/64 = 23.25, and writing the 32 nodes' proxies 0.5, 225.25 in all.
+// With the epilogue run once per task, as before each worker merged once, it
+// was 345.25; before the tail all 1 020 nodes cost a full 1.5, 1 809.5;
+// applying every term as a full pass, as the engine did before the scalar
+// split, the counts were 3 344 lower and 4 340 upper here, 5 168 / 6 901 on
+// joint-accum-par and 380 / 275 on serve-plan.
+//
+// At 2^20 amplitudes on two workers (joint-accum-par: 8 tasks of 512 rows,
+// two merges) sink's cost rule alone keeps the lower mixers in the tree, but
+// with them sunk the same tail pays: its folds, 32 · 2^20 + 1 024 · 512 · 32,
+// and five sunk gates at 8 · 2^20 each, less the (64 + … + 1 024) · 2^11
+// they no longer cost in segments 6–10, against 1 024 · 2^20 for the plain
+// fold. The lower
+// half then takes the same 114 segment passes, 2 · 512 · 5 = 5 120 epilogue
+// row passes, 8 root copies and 3.5 for the three prefix cuts, 36 for the 24
+// nodes at cuts 3–4 and 23.75 below the tail, 5 305.25 (3 633.5 in the tree
+// before: the epilogue streams rows the fold no longer does per leaf). On the
+// serve-plan shape (q20-3, 8-qubit windows, 2^14 amplitudes, one worker:
+// ranks 4, 8, 2, four tasks of 16 rows) the tail fires at level 1 over the
+// lower qubits 4, 7, 8 and 9, whose four mixers sink from segments 2 and 3:
+// 56 segment passes, 1 · 16 · 4 = 64 epilogue row passes, 4 root copies and
+// 5.75 in cut terms, forks and proxies, 129.75 from 332. No upper count moves.
 func TestQ22WalkPassBudget(t *testing.T) {
 	q22 := q22Plan(t)
 	serve, err := cut.BuildPlan(sbmCircuit(t, 10, 2003), cut.Options{Partition: cut.Partition{CutPos: 9},
@@ -308,9 +323,9 @@ func TestQ22WalkPassBudget(t *testing.T) {
 		sunk       []string
 		tail       int // the compile span's tail_level
 	}{
-		{"joint-sweep", q22, 1 << 14, 1, [2]float64{345.25, 3566}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5},
-		{"joint-accum-par", q22, 1 << 20, 2, [2]float64{3633.5, 6127}, nil, -1},
-		{"serve-plan", serve, 1 << 14, 1, [2]float64{332, 227}, nil, -1},
+		{"joint-sweep", q22, 1 << 14, 1, [2]float64{225.25, 3566}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5},
+		{"joint-accum-par", q22, 1 << 20, 2, [2]float64{5305.25, 6127}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5},
+		{"serve-plan", serve, 1 << 14, 1, [2]float64{129.75, 227}, []string{"rx[4]", "rx[7]", "rx[8]", "rx[9]"}, 1},
 	} {
 		split := ChooseSplitLevels(tc.plan, 4*tc.workers)
 		e := compiledFor(tc.plan, tc.m, 0, split)
@@ -325,7 +340,7 @@ func TestQ22WalkPassBudget(t *testing.T) {
 			t.Errorf("%s: epilogue %v, want %v", tc.name, sunk, tc.sunk)
 		}
 		for side, want := range tc.passes {
-			if got := passes(e, cut.Side(side), split); got != want {
+			if got := passes(e, cut.Side(side), split, tc.workers); got != want {
 				t.Errorf("%s: %g %v-half passes per op, want %g", tc.name, got, cut.Side(side), want)
 			}
 		}

@@ -32,14 +32,15 @@ type tail struct {
 var noTail = tail{level: -1}
 
 // chooseTail picks the plan's tail level for an m-amplitude output split at
-// splitLevels, from its lowered cuts and the segment of each local step (at)
-// once sink has taken the steps marked sunk out of the tree. A level L is
+// splitLevels, from its lowered cuts and the segment of each local step (at),
+// together with the steps sink takes out of the tree with it. A level L is
 // legal when
 //
 //  1. splitLevels ≤ L < len(cuts), so every prefix task walks whole level-L
 //     subtrees and its accumulator is the same sum in another order;
-//  2. no kept lower gate sits in a segment after L, and every lower term of
-//     cuts L… is an identity or diagonal residual; a term's qubits join Q;
+//  2. every lower gate scheduled after L can sink (sink's rules 1 and 2), and
+//     every lower term of cuts L… is an identity or diagonal residual; a
+//     term's qubits join Q;
 //  3. m ≥ 2^nLower, so the cone drops no lower qubit: lo_L is the leaf's
 //     whole lower half and Q's labels are the partition's own;
 //  4. |Q| < nLower, so the proxy is smaller than the half it stands for;
@@ -48,39 +49,32 @@ var noTail = tail{level: -1}
 //     once per node do not stream it more often, and a node's leaves fill the
 //     batches they fold into U in.
 //
-// Among legal levels it takes the one that minimises the folds' work,
-// replays(L)·m for the node folds plus leaves·rows·2^|Q| for the leaves'
-// folds into U, and fires only when that is below the leaves·m of the plain
-// fold. A tail that fires has a rank ≥ 2 cut below L, whose lower terms are
-// independent, so one of them is a diagonal and Q is not empty.
-func chooseTail(plan *cut.Plan, cuts []compiledCut, at []int, sunk []bool, m, splitLevels int) tail {
+// Every plan is weighed by its folds plus the work of its local gates (sink):
+// the plain fold's leaves·m with sink's cost rule deciding every gate, or a
+// legal level's replays(L)·m for the node folds plus leaves·rows·2^|Q| for
+// the leaves' folds into U, with the lower gates after L sunk at T·m each.
+// The cheapest plan wins; ties keep the plain one. A tail that fires has a
+// rank ≥ 2 cut below L, whose lower terms are independent, so one of them is
+// a diagonal and Q is not empty.
+func chooseTail(plan *cut.Plan, cuts []compiledCut, at []int, c *cone, m, splitLevels int) (tail, []bool) {
+	sunk, work, _ := sink(plan, cuts, at, c, m, splitLevels, -1)
 	nLower := plan.Partition.NumLower()
 	if m < 1<<nLower {
-		return noTail
+		return noTail, sunk
 	}
-	first := splitLevels // the lowest level below every kept lower gate
-	for i := range plan.Steps {
-		if st := &plan.Steps[i]; st.Kind == cut.LocalStep && st.Side == cut.Lower && !sunk[i] {
-			first = max(first, at[i])
-		}
-	}
-	replays := make([]int64, len(cuts)+1)
-	replays[0] = 1
-	for l := range cuts {
-		replays[l+1] = mulSat(replays[l], int64(len(cuts[l].sigma)))
-	}
+	replays := replayCounts(cuts)
 	leaves, rows := replays[len(cuts)], int64(leafRows(m, nLower))
-	best, bestCost, bestQ := -1, mulSat(leaves, int64(m)), uint64(0)
+	best, bestCost, bestQ := -1, addSat(mulSat(leaves, int64(m)), work), uint64(0)
 	var q uint64 // Q of the level under test, as a bit set
 levels:
-	for l := len(cuts) - 1; l >= first; l-- {
-		c := &cuts[l]
-		for t := range c.sigma {
-			switch c.res[cut.Lower][t].kind {
+	for l := len(cuts) - 1; l >= splitLevels; l-- {
+		cc := &cuts[l]
+		for t := range cc.sigma {
+			switch cc.res[cut.Lower][t].kind {
 			case residualGate:
 				break levels
 			case residualDiagonal:
-				for _, b := range c.terms[cut.Lower][t].Qubits {
+				for _, b := range cc.terms[cut.Lower][t].Qubits {
 					q |= 1 << b
 				}
 			}
@@ -92,12 +86,17 @@ levels:
 		if mulSat(replays[l], leafBatchK) > leaves {
 			continue
 		}
-		if cost := addSat(mulSat(replays[l], int64(m)), mulSat(leaves, rows<<k)); cost < bestCost {
-			best, bestCost, bestQ = l, cost, q
+		s, w, ok := sink(plan, cuts, at, c, m, splitLevels, l)
+		if !ok {
+			continue
+		}
+		folds := addSat(mulSat(replays[l], int64(m)), mulSat(leaves, rows<<k))
+		if cost := addSat(folds, w); cost < bestCost {
+			best, bestCost, bestQ, sunk = l, cost, q, s
 		}
 	}
 	if best < 0 {
-		return noTail
+		return noTail, sunk
 	}
 	t := tail{level: best}
 	for b := range nLower {
@@ -106,7 +105,7 @@ levels:
 		}
 	}
 	t.fold = statevec.NewDiagonal(t.qubits, nil)
-	return t
+	return t, sunk
 }
 
 // relabel moves the lower terms of the tail's cuts onto the proxy, whose qubit

@@ -123,9 +123,11 @@ func tailCases(t *testing.T) (fire, lowerRX []tailCase) {
 
 // TestTailMatchesOracle is the diagonal tail's equivalence matrix: generated
 // plans at a full output, one accumulator row and a ragged number of rows,
-// and outputs below one lower half, on every kernel arm, at one and two
-// workers, each run straight and failed inside a level-L subtree, then
-// resumed from its checkpoint, all equal to the Schrödinger oracle at 1e-12.
+// and outputs below one lower half, on every kernel arm, at one, two and
+// three workers, each run straight (unobserved, so each worker merges once)
+// and failed inside a level-L subtree with a checkpoint writer (merging every
+// task), then resumed from its checkpoint, all equal to the Schrödinger
+// oracle at 1e-12.
 // The rule must not fire below one lower half or with a lower RX above the
 // last cut only, and where it fires no lower gate may sit below it. The
 // cases must cover a tail at the split depth, at the last cut and in
@@ -219,7 +221,7 @@ func TestTailMatchesOracle(t *testing.T) {
 	}
 	eachArm(t, func(t *testing.T) {
 		clear(seen)
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 3} {
 			for _, tc := range fire {
 				for _, m := range []int{1 << tailN, dimLo, 5*dimLo + 16} {
 					check(t, tc, m, workers, true)

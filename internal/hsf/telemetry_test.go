@@ -256,11 +256,11 @@ func TestTelemetryReflectsScheduling(t *testing.T) {
 // TestTelemetryCountsEpilogue pins what a joint-sweep run reports about the
 // fold epilogue: the compile span's gates_sunk counts the five lower mixers
 // sink takes out of the tree, and the dense-class total counts each of them
-// once per accumulator row of each of the four prefix tasks, 4 · 8 · 5 = 160
-// applications on top of the segments' own, so the class totals are the
-// gates the run applied. The same span's cut_terms_elided counts the
-// identity residuals: one lower term per cut, and the upper term 0 of the two
-// single-RZZ cuts 2 and 9, 12 in all.
+// once per accumulator row of each merge, the one worker's single merge of
+// its four prefix tasks: 1 · 8 · 5 = 40 applications on top of the segments'
+// own, so the class totals are the gates the run applied. The same span's
+// cut_terms_elided counts the identity residuals: one lower term per cut, and
+// the upper term 0 of the two single-RZZ cuts 2 and 9, 12 in all.
 func TestTelemetryCountsEpilogue(t *testing.T) {
 	plan := q22Plan(t)
 	rec := telemetry.New()
@@ -290,7 +290,32 @@ func TestTelemetryCountsEpilogue(t *testing.T) {
 		inTree += st.Applications * countClasses(e.segs[s].gates[:]...)[gate.KindDense]
 	}
 	dense := rep.KernelClasses[gate.KindDense.String()]
-	if dense-inTree != 4*8*5 {
-		t.Errorf("dense-class applications %d, %d of them in segments: the epilogue counts %d, want 160", dense, inTree, dense-inTree)
+	if dense-inTree != 1*8*5 {
+		t.Errorf("dense-class applications %d, %d of them in segments: the epilogue counts %d, want 40", dense, inTree, dense-inTree)
+	}
+}
+
+// TestTelemetryWorkersAreWalkersThatRan resumes a run split for four workers
+// with one of its sixteen prefix tasks left: the engine starts one walker,
+// which runs the task, and Report.Par.Workers says so, next to a reservation
+// of one, instead of the four the caller asked for.
+func TestTelemetryWorkersAreWalkersThatRan(t *testing.T) {
+	plan := buildPlan(t, manyCutCircuit(8, 6), 3, cut.StrategyNone)
+	split := ChooseSplitLevels(plan, 4*4)
+	prefixes := EnumeratePrefixes(plan, split)
+	ck, err := RunPrefixesContext(context.Background(), plan, Options{Workers: 1}, split, prefixes[:len(prefixes)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New()
+	res, err := Run(plan, Options{Workers: 4, Resume: ck, Telemetry: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := rec.Report()
+	checkReportMatchesResult(t, rep, res)
+	if rep.Par.Workers != 1 || rep.Par.Reserved != 1 {
+		t.Fatalf("one task left on four requested workers: the report counts %d workers, %d reserved; want 1 and 1",
+			rep.Par.Workers, rep.Par.Reserved)
 	}
 }

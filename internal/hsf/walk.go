@@ -68,20 +68,16 @@ func (e *engine) newWalker(wc *telemetry.WorkerCounters) *walker {
 	return w
 }
 
-// runTask runs one prefix task into acc, which holds nothing else: runPrefix
-// folds the subtree's leaves, then the fold epilogue finishes their sum. A
-// panicking path worker yields a *PanicError instead of tearing the process
-// down.
+// runTask folds one prefix task's leaves into acc (runPrefix); the fold
+// epilogue waits for the merge. A panicking path worker yields a *PanicError
+// instead of tearing the process down.
 func (w *walker) runTask(ctx context.Context, prefix []int, acc statevec.Vector) (nLeaves int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if nLeaves, err = w.runPrefix(ctx, prefix, acc); err == nil {
-		w.e.epilogue(acc)
-	}
-	return nLeaves, err
+	return w.runPrefix(ctx, prefix, acc)
 }
 
 // runPrefix simulates the fixed term choices of a prefix task, then descends

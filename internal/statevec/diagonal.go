@@ -20,6 +20,7 @@ type Diagonal struct {
 	low    int          // the bit of x that s0 supplies
 	runs   []complex128 // one period of run factors; nil when runs are short or the period long
 	block  []complex128 // k ≥ 2 on qubits below 3 only: the factors of amplitudes 0…7, which repeat
+	runX   []int32      // fold-only, runs of 4 or more: one period of each run's index x
 }
 
 // maxRunPeriod bounds the run-factor table of a Diagonal: longer periods go
@@ -28,7 +29,9 @@ const maxRunPeriod = 256
 
 // NewDiagonal returns the diagonal d on qubits, with len(d) == 1<<len(qubits).
 // It keeps both slices. A nil d gives the qubits' run decomposition alone,
-// which FoldRows reads and Apply cannot run.
+// which FoldRows reads and Apply cannot run: when the runs are long enough for
+// a span body (every arm's spanMin is at least 4), the index x of one period
+// of runs, so that FoldRows looks a run's entry up once per row.
 func NewDiagonal(qubits []int, d []complex128) *Diagonal {
 	D := &Diagonal{qubits: qubits, d: d, s0: qubits[0], s1: -1}
 	smax := qubits[0]
@@ -43,10 +46,17 @@ func NewDiagonal(qubits []int, d []complex128) *Diagonal {
 			D.s1 = q
 		}
 	}
+	period := 1 << (smax - D.s0 + 1)
 	if d == nil {
+		if D.s0 >= 2 {
+			D.runX = make([]int32, period)
+			for j := range D.runX {
+				D.runX[j] = int32(D.index(j << D.s0))
+			}
+		}
 		return D
 	}
-	if period := 1 << (smax - D.s0 + 1); D.s0 >= 2 && period <= maxRunPeriod {
+	if D.s0 >= 2 && period <= maxRunPeriod {
 		if len(qubits) == 1 {
 			D.runs = d // run j's factor is d[j&1]
 		} else {
@@ -170,24 +180,27 @@ func (D *Diagonal) kernel(v Vector, lo, hi int) {
 // the row (the last row may be shorter), x_D being x's bits on the k qubits,
 // the index Apply reads D's own entries at; those play no part here. It is
 // the HSF diagonal tail's node fold: row r of w sums the leaves below one
-// node, lo is that node's lower half. Amplitudes share an entry in runs of
-// 2^s0, so a run that reaches spanMin is one axpy per row, the run's entry
-// looked up once for all rows; shorter runs take the reference body, one
-// amplitude at a time.
+// node, lo is that node's lower half. It walks acc once, row by row.
+// Amplitudes share an entry in runs of 2^s0, so on a fold-only D whose runs
+// reach spanMin each run of a row is one axpy, its entry looked up in the run
+// table; otherwise every row takes the reference body, one amplitude at a
+// time. Either way every amplitude gets axpy's operation sequence once.
 func (D *Diagonal) FoldRows(acc, w, lo Vector) {
 	n, k := lo.Len(), 1<<len(D.qubits)
-	if run := 1 << D.s0; ops.spanMin > 0 && run >= ops.spanMin {
-		for i := 0; i < n; i += run {
-			x := D.index(i)
-			for r, x0 := 0, i; x0 < acc.Len(); r, x0 = r+1, x0+n {
-				j := min(x0+run, acc.Len()) // a short last row may end inside the run
-				ops.axpy(acc.Re[x0:j], acc.Im[x0:j], lo.Re[i:i+j-x0], lo.Im[i:i+j-x0], w.Re[r*k+x], w.Im[r*k+x])
-			}
-		}
-		return
-	}
+	run := 1 << D.s0
+	span := D.runX != nil && ops.spanMin > 0 && run >= ops.spanMin
 	for r, x0 := 0, 0; x0 < acc.Len(); r, x0 = r+1, x0+n {
-		D.foldRow(acc.Slice(x0, min(x0+n, acc.Len())), w.Slice(r*k, (r+1)*k), lo)
+		row, wr := acc.Slice(x0, min(x0+n, acc.Len())), w.Slice(r*k, (r+1)*k)
+		if !span {
+			D.foldRow(row, wr, lo)
+			continue
+		}
+		mask := len(D.runX) - 1
+		for i, j := 0, 0; i < row.Len(); i, j = i+run, j+1 {
+			x := D.runX[j&mask]
+			e := min(i+run, row.Len()) // a short last row may end inside the run
+			ops.axpy(row.Re[i:e], row.Im[i:e], lo.Re[i:e], lo.Im[i:e], wr.Re[x], wr.Im[x])
+		}
 	}
 }
 

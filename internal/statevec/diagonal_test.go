@@ -98,6 +98,7 @@ func TestDiagonalFoldRowsMatchesOracle(t *testing.T) {
 		m      int
 	}{
 		{"joint-sweep", 11, []int{5, 6, 7, 8, 9}, 8 << 11},
+		{"joint-accum-par", 11, []int{5, 6, 7, 8, 9}, 1 << 20},
 		{"qubit 0", 6, []int{0, 3}, 4 << 6},
 		{"not contiguous", 8, []int{1, 4, 7}, 3<<8 + 37},
 		{"ragged in a run", 8, []int{3, 6}, 2<<8 + 45},
@@ -151,6 +152,73 @@ func TestDiagonalFoldRowsMatchesOracle(t *testing.T) {
 			pool.Put(lo)
 			pool.Put(w)
 			pool.Put(buf)
+		}
+	})
+}
+
+// foldRowsByRun is FoldRows as it was before it walked rows: runs outside,
+// rows inside, one axpy per run and row, the run's entry looked up once for
+// all rows.
+func foldRowsByRun(D *Diagonal, acc, w, lo Vector) {
+	n, k := lo.Len(), 1<<len(D.qubits)
+	if run := 1 << D.s0; ops.spanMin > 0 && run >= ops.spanMin {
+		for i := 0; i < n; i += run {
+			x := D.index(i)
+			for r, x0 := 0, i; x0 < acc.Len(); r, x0 = r+1, x0+n {
+				j := min(x0+run, acc.Len())
+				ops.axpy(acc.Re[x0:j], acc.Im[x0:j], lo.Re[i:i+j-x0], lo.Im[i:i+j-x0], w.Re[r*k+x], w.Im[r*k+x])
+			}
+		}
+		return
+	}
+	for r, x0 := 0, 0; x0 < acc.Len(); r, x0 = r+1, x0+n {
+		D.foldRow(acc.Slice(x0, min(x0+n, acc.Len())), w.Slice(r*k, (r+1)*k), lo)
+	}
+}
+
+// TestFoldRowsBitIdenticalToRunOrder holds the row-major FoldRows to the
+// run-major loop it replaced, bit for bit, on every kernel arm: each amplitude
+// gets the same axpy on the same operands, only in another order. The shapes
+// are the tail's at joint-sweep and joint-accum-par, runs of 4 (the shortest
+// an assembly span takes), runs shorter than every span, a short last row
+// that ends inside a run, and one row.
+func TestFoldRowsBitIdenticalToRunOrder(t *testing.T) {
+	cases := []struct {
+		nLower int
+		qubits []int
+		m      int
+	}{
+		{11, []int{5, 6, 7, 8, 9}, 8 << 11},
+		{11, []int{5, 6, 7, 8, 9}, 1 << 20},
+		{9, []int{2, 4, 8}, 5<<9 + 3},
+		{8, []int{1, 4, 7}, 3<<8 + 37},
+		{8, []int{3, 6}, 2<<8 + 45},
+		{7, []int{6, 2}, 1 << 7},
+	}
+	forEachArm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		random := func(n int) Vector {
+			v := MakeVector(n)
+			for i := range n {
+				v.Re[i], v.Im[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			return v
+		}
+		for _, tc := range cases {
+			n, k := 1<<tc.nLower, 1<<len(tc.qubits)
+			rows := (tc.m + n - 1) / n
+			lo, w, acc := random(n), random(rows*k), random(tc.m)
+			want := MakeVector(tc.m)
+			want.CopyFrom(acc)
+			D := NewDiagonal(tc.qubits, nil)
+			D.FoldRows(acc, w, lo)
+			foldRowsByRun(D, want, w, lo)
+			for i := range acc.Re {
+				if acc.Re[i] != want.Re[i] || acc.Im[i] != want.Im[i] {
+					t.Fatalf("qubits %v, m = %d: amplitude %d is %v, the run-major loop gives %v",
+						tc.qubits, tc.m, i, acc.Amplitude(i), want.Amplitude(i))
+				}
+			}
 		}
 	})
 }
