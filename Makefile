@@ -42,12 +42,14 @@ race-core:
 # fold's batch bit-identity, the fold epilogue's equivalence matrix, block
 # rule and pass budget, the cut-term residuals and the diagonals that apply
 # them, the diagonal tail's node fold (and its bit-identity to the run-major
-# loop), equivalence matrix, parent-checkpoint resume and cost bound, the
+# loop, and the tiled many-node fold's to a fold per node), equivalence
+# matrix, parent-checkpoint resume and cost bound, the held nodes (bit-identical
+# across worker counts, against the oracle, untouched by a cancelled run), the
 # merge cadence (a checkpoint writer's mid-run checkpoint, the walk span's
 # merges) and the walkers the report counts, and the planner's group scan and
 # contraction against their oracles.
 race-sweep:
-	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|FoldRows|Sink|WalkPassBudget|CutTermResidual|Diagonal|Tail|Contract|MergeCadence|WorkersAreWalkers' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
+	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|FoldRows|Sink|WalkPassBudget|CutTermResidual|Diagonal|Tail|HeldRun|Contract|MergeCadence|WorkersAreWalkers' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
 
 # Telemetry race pass: per-worker counters flush into the shared recorder and
 # the atomic histograms are hammered from every walker goroutine; the guard

@@ -84,6 +84,41 @@ func allocHarness(tb testing.TB, shape allocShape) (*walker, statevec.Vector) {
 	return walk, scratch
 }
 
+// heldHarness is allocHarness on the "tail" shape for a run that holds its
+// nodes: the walker stores the 32 level-5 nodes of its one task in the run's
+// store. replay clears their row tables and walks the task again; it is warm
+// after the two replays heldHarness makes. fold folds the held nodes into a
+// fresh output on one worker, as the fold pass after the walk does.
+func heldHarness(tb testing.TB) (walk *walker, replay func() error, fold func() []complex128) {
+	tb.Helper()
+	e := compiled(harnessPlan(tb, allocShapes["tail"]), 0)
+	if e.tail.level < 0 {
+		tb.Fatal("the tail shape has no tail")
+	}
+	e.workers = 1
+	e.held = e.newNodeStore(1, 0)
+	walk = e.newWalker(nil)
+	replay = func() error {
+		for _, u := range e.held.tables {
+			u.Clear()
+		}
+		walk.slot = 0
+		_, err := walk.runTask(context.Background(), nil, statevec.Vector{})
+		return err
+	}
+	fold = func() []complex128 {
+		acc := make([]complex128, e.m)
+		e.foldHeld(acc)
+		return acc
+	}
+	for range 2 {
+		if err := replay(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return walk, replay, fold
+}
+
 // BenchmarkRunBranchSteadyState measures one full path-tree replay (512
 // leaves) on a warm walker. The interesting number is allocs/op: the pooled
 // workspace keeps it at zero.
@@ -135,6 +170,19 @@ func TestZeroAllocsPerLeaf(t *testing.T) {
 			}
 		})
 	}
+	// A run that holds its nodes stores each in its slot instead.
+	t.Run("tail held", func(t *testing.T) {
+		walk, replay, _ := heldHarness(t)
+		checkForks(t, walk.e)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := replay(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state held walk allocated %.1f times per replay, want 0", allocs)
+		}
+	})
 }
 
 // TestZeroAllocsPerLeafWithTracing re-runs the allocation guard with the
@@ -220,6 +268,33 @@ func TestPoisonedPoolRunStaysFinite(t *testing.T) {
 			}
 		})
 	}
+	// A held node's lower half is copied into its slot before the pair's
+	// buffer goes back to the pool, poisoned.
+	t.Run("tail held", func(t *testing.T) {
+		walk, replay, fold := heldHarness(t)
+		walk.ws.pool.Poison = true
+		if err := replay(); err != nil {
+			t.Fatal(err)
+		}
+		want := fold()
+		if err := replay(); err != nil {
+			t.Fatal(err)
+		}
+		got := fold()
+		var norm float64
+		for i, v := range got {
+			if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+				t.Fatalf("amplitude %d = %v: a poisoned buffer leaked into the result", i, v)
+			}
+			norm += real(v)*real(v) + imag(v)*imag(v)
+		}
+		if math.Abs(norm-1) > 1e-9 {
+			t.Fatalf("norm = %g, want 1", norm)
+		}
+		if d := statevec.MaxAbsDiff(got, want); d != 0 {
+			t.Fatalf("poisoned replays disagree: max diff %g", d)
+		}
+	})
 }
 
 // TestWalkerReuseAfterFailedTask stops a task on a warm walker with leaves

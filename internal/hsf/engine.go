@@ -249,6 +249,16 @@ type engine struct {
 	// once, when someone may read the checkpoint before the walk ends (see
 	// runTasks).
 	mergeEach bool
+	// workers is the number of walkers the run starts, which the hold rule
+	// charges a fold tile each.
+	workers int
+	// hold keeps the level-L nodes of an unobserved run below a diagonal tail
+	// instead of folding each into a worker's scratch, and tile is the
+	// amplitudes of one tile of the pass that folds them after the walk (see
+	// holdNodes); held is that run's store, which runTasks allocates.
+	hold bool
+	tile int
+	held *nodeStore
 	// walkers and merges count the walkers that ran a task and the
 	// accumulators they merged.
 	walkers int
@@ -316,8 +326,9 @@ func RunContext(ctx context.Context, plan *cut.Plan, opts Options) (*Result, err
 // far; Options.CheckpointWriter then receives it too. Every task is merged
 // as soon as it is done when the checkpoint can be read before the walk ends:
 // by Options.OnCheckpoint, Options.CheckpointWriter, or a partial caller,
-// which takes it back with the error. Otherwise each worker merges once
-// (runTasks).
+// which takes it back with the error. Otherwise each worker merges once, or
+// below a diagonal tail whose nodes fit the scratch every worker holds them
+// for one fold pass after the walk (runTasks).
 func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, seed func(m, workers int) (*Checkpoint, [][]int, error)) (*Checkpoint, time.Duration, error) {
 	nLower := plan.Partition.NumLower()
 	nUpper := plan.Partition.NumUpper(plan.NumQubits)
@@ -339,7 +350,8 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, se
 	e := &engine{nLower: nLower, nUpper: nUpper, m: m,
 		failAfter: opts.FailAfterPaths, hook: opts.testHookLeaf,
 		onCkpt: opts.OnCheckpoint, tel: opts.Telemetry,
-		mergeEach: partial || opts.OnCheckpoint != nil || opts.CheckpointWriter != nil}
+		mergeEach: partial || opts.OnCheckpoint != nil || opts.CheckpointWriter != nil,
+		workers:   min(workers, len(pending))}
 	e.trc, e.tsc = trace.FromContext(ctx)
 	e.compile(plan, opts.FusionMaxQubits, ck.SplitLevels)
 
@@ -357,7 +369,7 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, se
 	wsp := e.trc.Start(e.tsc, "walk")
 	wsp.SetInt("prefixes", int64(len(pending)))
 	e.tsc = wsp.Context() // prefix-task spans parent to the walk phase
-	err = e.runTasks(ctx, workers, pending, ck)
+	err = e.runTasks(ctx, pending, ck)
 	wsp.SetInt("paths", ck.PathsSimulated)
 	wsp.SetInt("merges", e.merges)
 	wsp.End()
@@ -379,7 +391,8 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, se
 // (chooseTail, sink), and the rest are
 // remapped to partition-local labels and fused per segment. The output cone
 // is applied first (project), so every side of every segment compiles at the
-// qubit count it runs at.
+// qubit count it runs at. Last it settles whether an unobserved run holds its
+// tail's nodes (holdNodes).
 func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 	endCompile := e.tel.Span("compile")
 	csp := e.trc.Start(e.tsc, "compile")
@@ -437,8 +450,9 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 			epi = fuse.Fuse(epi, fusionMaxQubits)
 		}
 		e.epiGates = epi
-		e.epi = statevec.CompileSegment(epi, freeQubits(e.m))
+		e.epi = statevec.CompileSegment(epi, epilogueQubits(epi))
 	}
+	e.holdNodes()
 	e.ranks = make([]int, len(e.cuts))
 	elided := 0
 	for i := range e.cuts {
@@ -689,8 +703,20 @@ func replayCounts(cuts []compiledCut) []int64 {
 	return replays
 }
 
-// epilogue finishes a worker's folded accumulator before it merges: the sunk
-// gates act on each of its 2^freeQubits-amplitude registers in place.
+// epilogueQubits returns the register the epilogue of the sunk gates gs runs
+// on: qubits 0 up to the highest one they touch. Sink's rule 2 keeps it within
+// the free qubits, so an accumulator, and every tile of one, is a whole number
+// of registers.
+func epilogueQubits(gs []gate.Gate) int {
+	n := 0
+	for i := range gs {
+		n = max(n, gs[i].MaxQubit()+1)
+	}
+	return n
+}
+
+// epilogue finishes a folded accumulator, or a tile of one, before it merges:
+// the sunk gates act on each of its registers (epilogueQubits) in place.
 func (e *engine) epilogue(acc statevec.Vector) {
 	if e.epi == nil {
 		return
@@ -807,10 +833,10 @@ func stopped(ctx context.Context) error {
 	}
 }
 
-// runTasks executes the pending prefix tasks on a worker pool and merges what
-// they fold into ck, so ck is always a consistent, checkpointable state. It
-// returns the first error encountered (workers that drained without running
-// anything report the external cancellation cause).
+// runTasks executes the pending prefix tasks on e.workers workers and merges
+// what they fold into ck, so ck is always a consistent, checkpointable state.
+// It returns the first error encountered (workers that drained without
+// running anything report the external cancellation cause).
 //
 // Each worker owns a reusable walker with its private workspace (pair
 // pools), and the pool's worker count is reserved against the process-wide
@@ -823,8 +849,13 @@ func stopped(ctx context.Context) error {
 // before the walk ends, and a worker folds all its tasks into its scratch and
 // merges once, when it runs out of tasks. A worker whose task failed merges
 // nothing more: the failed task's leaves are already in its scratch.
-func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck *Checkpoint) error {
-	workers = min(workers, len(pending))
+//
+// A run that holds its nodes (e.hold) has no scratch: its walkers store every
+// level-L node in the run's nodeStore, and once every task is done, one pass
+// folds them all into ck (foldHeld), which then lists the tasks, one merge in
+// all. A stopped or failed held run merges nothing, leaving ck at its seed.
+func (e *engine) runTasks(ctx context.Context, pending [][]int, ck *Checkpoint) error {
+	workers := e.workers
 	if workers == 0 { // nothing left to simulate
 		return stopped(ctx)
 	}
@@ -838,8 +869,9 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 	defer cancelRun(nil)
 
 	var (
-		mu       sync.Mutex // guards ck, firstErr, e.walkers and e.merges
-		firstErr error
+		mu         sync.Mutex // guards ck, firstErr, heldLeaves, e.walkers and e.merges
+		firstErr   error
+		heldLeaves int64 // a held run's leaves, merged with its nodes
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -864,8 +896,11 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 		}
 		mu.Unlock()
 	}
+	if e.hold {
+		e.held = e.newNodeStore(len(pending), len(pending[0]))
+	}
 
-	taskCh := make(chan []int)
+	taskCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -875,7 +910,10 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 			// The worker accumulates its subtrees into private SoA scratch;
 			// the interleaved checkpoint accumulator is only touched at the
 			// merge (the layout's edge-conversion boundary).
-			scratch := statevec.MakeVector(e.m)
+			var scratch statevec.Vector
+			if e.held == nil {
+				scratch = statevec.MakeVector(e.m)
+			}
 			var (
 				done        [][]int // tasks folded into scratch since the last merge
 				leaves      int64   // their leaves
@@ -903,7 +941,7 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 				sp.End()
 				spTasks, spLeaves = 0, 0
 			}
-			for prefix := range taskCh {
+			for i := range taskCh {
 				if stopped(runCtx) != nil {
 					continue // drain
 				}
@@ -912,7 +950,10 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 					sp.SetLane(lane + 1)
 				}
 				ran = true
-				nLeaves, err := walk.runTask(runCtx, prefix, scratch)
+				if e.held != nil {
+					walk.slot = i * e.held.perTask
+				}
+				nLeaves, err := walk.runTask(runCtx, pending[i], scratch)
 				spTasks++
 				spLeaves += nLeaves
 				if err != nil {
@@ -925,7 +966,7 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 				if spLeaves >= spanLeafBudget {
 					closeSpan()
 				}
-				done, leaves = append(done, prefix), leaves+nLeaves
+				done, leaves = append(done, pending[i]), leaves+nLeaves
 				if e.mergeEach {
 					merge(scratch, done, leaves)
 					scratch.Clear()
@@ -933,7 +974,12 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 				}
 			}
 			closeSpan()
-			if len(done) > 0 && !failed {
+			switch {
+			case e.held != nil:
+				mu.Lock()
+				heldLeaves += leaves
+				mu.Unlock()
+			case len(done) > 0 && !failed:
 				merge(scratch, done, leaves)
 			}
 			if ran {
@@ -947,17 +993,23 @@ func (e *engine) runTasks(ctx context.Context, workers int, pending [][]int, ck 
 			}
 		}(w)
 	}
-	for _, p := range pending {
-		taskCh <- p
+	for i := range pending {
+		taskCh <- i
 	}
 	close(taskCh)
 	wg.Wait()
-	if e.tel != nil && e.epi != nil {
-		e.tel.AddKernelClasses(kernelClassNames(), e.epilogueClasses(e.merges))
-	}
 
 	if firstErr == nil {
 		firstErr = stopped(ctx)
+	}
+	if e.held != nil && firstErr == nil {
+		e.foldHeld(ck.Acc)
+		ck.Prefixes = append(ck.Prefixes, pending...)
+		ck.PathsSimulated += heldLeaves
+		e.merges = 1
+	}
+	if e.tel != nil && e.epi != nil {
+		e.tel.AddKernelClasses(kernelClassNames(), e.epilogueClasses(e.merges))
 	}
 	return firstErr
 }

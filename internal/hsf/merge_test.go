@@ -78,64 +78,83 @@ func TestMergeCadenceCheckpointWriterMidRun(t *testing.T) {
 	}
 }
 
-// TestMergeCadenceWalkSpan reads the "walk" span's merges on joint-sweep's
-// plan (q22-3 at 2^14 amplitudes, four prefix tasks per worker): an
-// unobserved run merges once per walker that ran a task, as many as
+// TestMergeCadenceWalkSpan reads the "walk" span's merges on q22-3 at
+// joint-sweep's 2^14 amplitudes and at 2^18, four prefix tasks per worker: an
+// unobserved run at 2^14 merges once per walker that ran a task, as many as
 // Report.Par.Workers counts (on one core a walker may find the tasks gone),
-// while a run with an OnCheckpoint reader and a RunPrefixesContext partial
-// merge once per task. All of them give the same amplitudes to rounding.
+// while at 2^18 it holds its 32 level-5 nodes and merges once, after a "fold"
+// span under the walk that folds them in 2^18 / (4 · 2^11) = 32 tiles. A run
+// with an OnCheckpoint reader and a RunPrefixesContext partial merge once per
+// task and fold nothing after the walk. At each size all of them give the
+// same amplitudes to rounding.
 func TestMergeCadenceWalkSpan(t *testing.T) {
 	plan := q22Plan(t)
-	const m = 1 << 14
-	var want []complex128
-	for _, workers := range []int{1, 2} {
-		split := ChooseSplitLevels(plan, 4*workers)
-		tasks := int64(len(EnumeratePrefixes(plan, split)))
-		for _, how := range []string{"unobserved", "OnCheckpoint", "partial"} {
-			rec := telemetry.New()
-			trc := trace.NewRecorder(256)
-			ctx := trace.NewContext(context.Background(), trc, trace.SpanContext{})
-			opts := Options{Workers: workers, MaxAmplitudes: m, Telemetry: rec}
-			var amps []complex128
-			var err error
-			switch how {
-			case "unobserved", "OnCheckpoint":
-				if how == "OnCheckpoint" {
-					opts.OnCheckpoint = func(*Checkpoint) {}
+	for _, m := range []int{1 << 14, 1 << 18} {
+		var want []complex128
+		for _, workers := range []int{1, 2} {
+			split := ChooseSplitLevels(plan, 4*workers)
+			tasks := int64(len(EnumeratePrefixes(plan, split)))
+			for _, how := range []string{"unobserved", "OnCheckpoint", "partial"} {
+				name := fmt.Sprintf("m = %d, %d workers, %s", m, workers, how)
+				rec := telemetry.New()
+				trc := trace.NewRecorder(256)
+				ctx := trace.NewContext(context.Background(), trc, trace.SpanContext{})
+				opts := Options{Workers: workers, MaxAmplitudes: m, Telemetry: rec}
+				var amps []complex128
+				var err error
+				switch how {
+				case "unobserved", "OnCheckpoint":
+					if how == "OnCheckpoint" {
+						opts.OnCheckpoint = func(*Checkpoint) {}
+					}
+					var res *Result
+					if res, err = RunContext(ctx, plan, opts); err == nil {
+						amps = res.Amplitudes
+					}
+				case "partial":
+					var ck *Checkpoint
+					if ck, err = RunPrefixesContext(ctx, plan, opts, split, EnumeratePrefixes(plan, split)); err == nil {
+						amps = ck.Acc
+					}
 				}
-				var res *Result
-				if res, err = RunContext(ctx, plan, opts); err == nil {
-					amps = res.Amplitudes
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-			case "partial":
-				var ck *Checkpoint
-				if ck, err = RunPrefixesContext(ctx, plan, opts, split, EnumeratePrefixes(plan, split)); err == nil {
-					amps = ck.Acc
+				merges, nodes, tiles := int64(-1), int64(-1), int64(-1)
+				var walkID, foldParent trace.SpanID
+				for _, ev := range trc.Snapshot() {
+					switch ev.Name {
+					case "walk":
+						merges, walkID = ev.Int("merges", -1), ev.Span
+					case "fold":
+						nodes, tiles, foldParent = ev.Int("nodes", -1), ev.Int("tiles", -1), ev.Parent
+					}
 				}
-			}
-			if err != nil {
-				t.Fatalf("%d workers, %s: %v", workers, how, err)
-			}
-			merges := int64(-1)
-			for _, ev := range trc.Snapshot() {
-				if ev.Name == "walk" {
-					merges = ev.Int("merges", -1)
+				held := how == "unobserved" && m == 1<<18
+				wantMerges, wantNodes, wantTiles := tasks, int64(-1), int64(-1)
+				switch {
+				case held:
+					wantMerges, wantNodes, wantTiles = 1, 32, 32
+					if foldParent != walkID {
+						t.Errorf("%s: the fold span does not hang under the walk", name)
+					}
+				case how == "unobserved":
+					wantMerges = int64(rec.Report().Par.Workers)
+					if wantMerges < 1 || wantMerges > int64(workers) {
+						t.Fatalf("%s: the report counts %d walkers", name, wantMerges)
+					}
 				}
-			}
-			wantMerges := tasks
-			if how == "unobserved" {
-				wantMerges = int64(rec.Report().Par.Workers)
-				if wantMerges < 1 || wantMerges > int64(workers) {
-					t.Fatalf("%d workers, %s: the report counts %d walkers", workers, how, wantMerges)
+				if merges != wantMerges {
+					t.Errorf("%s: the walk span reports %d merges, want %d", name, merges, wantMerges)
 				}
-			}
-			if merges != wantMerges {
-				t.Errorf("%d workers, %s: the walk span reports %d merges, want %d", workers, how, merges, wantMerges)
-			}
-			if want == nil {
-				want = amps
-			} else if d := statevec.MaxAbsDiff(amps, want); d > 1e-12 {
-				t.Errorf("%d workers, %s: off the first run by %g", workers, how, d)
+				if nodes != wantNodes || tiles != wantTiles {
+					t.Errorf("%s: fold span over %d nodes in %d tiles, want %d in %d", name, nodes, tiles, wantNodes, wantTiles)
+				}
+				if want == nil {
+					want = amps
+				} else if d := statevec.MaxAbsDiff(amps, want); d > 1e-12 {
+					t.Errorf("%s: off the first run by %g", name, d)
+				}
 			}
 		}
 	}

@@ -96,7 +96,8 @@ func validatePrefixes(plan *cut.Plan, splitLevels int, prefixes [][]int) error {
 // full enumeration reproduces RunContext's amplitudes to rounding, not bit
 // for bit: the fold epilogue acts on each task's sum here (every task is
 // merged as it completes, so a stopped batch hands back what it finished),
-// and on each worker's sum of tasks in an unobserved RunContext. It shares
+// and in an unobserved RunContext on each worker's sum of tasks, or on the
+// whole sum when the run holds its nodes for one fold pass. It shares
 // RunContext's setup; Options.Resume is not consulted.
 //
 // When the walk stops early — cancellation, a deadline, Options.Timeout, or a

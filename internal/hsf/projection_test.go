@@ -18,10 +18,17 @@ import (
 // compiledFor lowers plan for an m-amplitude output, split at splitLevels, on
 // a bare engine (no telemetry, no tracing).
 func compiledFor(plan *cut.Plan, m, fusionMaxQubits, splitLevels int) *engine {
+	return compiledOn(plan, m, fusionMaxQubits, splitLevels, 0)
+}
+
+// compiledOn is compiledFor for an unobserved run on workers walkers, whose
+// count the hold rule reads.
+func compiledOn(plan *cut.Plan, m, fusionMaxQubits, splitLevels, workers int) *engine {
 	e := &engine{
-		nLower: plan.Partition.NumLower(),
-		nUpper: plan.Partition.NumUpper(plan.NumQubits),
-		m:      m,
+		nLower:  plan.Partition.NumLower(),
+		nUpper:  plan.Partition.NumUpper(plan.NumQubits),
+		m:       m,
+		workers: workers,
 	}
 	e.compile(plan, fusionMaxQubits, splitLevels)
 	return e

@@ -277,7 +277,8 @@ func passes(e *engine, side cut.Side, splitLevels, merges int) float64 {
 // TestQ22WalkPassBudget is the clock-free gate on the tree interior: the
 // passes each side takes over its state per op, in segments, the fold
 // epilogue, cut terms and forks (passes), for an unobserved run, where each
-// worker merges once. On q22-3 at 2^14 amplitudes with one worker
+// worker merges once, or the one fold pass of a run that holds its nodes
+// merges once in all. On q22-3 at 2^14 amplitudes with one worker
 // (joint-sweep: 4 prefix tasks, 8 accumulator rows, one merge) the lower
 // mixers on qubits 5–9 sink, so the lower half takes 114 segment passes and
 // 1 · 8 · 5 = 40 epilogue row passes. Its cut terms are a scalar times I or Z
@@ -293,21 +294,25 @@ func passes(e *engine, side cut.Side, splitLevels, merges int) float64 {
 // split, the counts were 3 344 lower and 4 340 upper here, 5 168 / 6 901 on
 // joint-accum-par and 380 / 275 on serve-plan.
 //
-// At 2^20 amplitudes on two workers (joint-accum-par: 8 tasks of 512 rows,
-// two merges) sink's cost rule alone keeps the lower mixers in the tree, but
-// with them sunk the same tail pays: its folds, 32 · 2^20 + 1 024 · 512 · 32,
-// and five sunk gates at 8 · 2^20 each, less the (64 + … + 1 024) · 2^11
-// they no longer cost in segments 6–10, against 1 024 · 2^20 for the plain
-// fold. The lower
-// half then takes the same 114 segment passes, 2 · 512 · 5 = 5 120 epilogue
-// row passes, 8 root copies and 3.5 for the three prefix cuts, 36 for the 24
-// nodes at cuts 3–4 and 23.75 below the tail, 5 305.25 (3 633.5 in the tree
-// before: the epilogue streams rows the fold no longer does per leaf). On the
-// serve-plan shape (q20-3, 8-qubit windows, 2^14 amplitudes, one worker:
-// ranks 4, 8, 2, four tasks of 16 rows) the tail fires at level 1 over the
-// lower qubits 4, 7, 8 and 9, whose four mixers sink from segments 2 and 3:
-// 56 segment passes, 1 · 16 · 4 = 64 epilogue row passes, 4 root copies and
-// 5.75 in cut terms, forks and proxies, 129.75 from 332. No upper count moves.
+// At 2^20 amplitudes on two workers (joint-accum-par: 8 tasks of 512 rows)
+// sink's cost rule alone keeps the lower mixers in the tree, but with them
+// sunk the same tail pays: its folds, 32 · 2^20 + 1 024 · 512 · 32, and five
+// sunk gates at 8 · 2^20 each, less the (64 + … + 1 024) · 2^11 they no
+// longer cost in segments 6–10, against 1 024 · 2^20 for the plain fold. Its
+// 32 nodes of 2 048 + 512 · 32 amplitudes and two tiles of 4 rows fit in
+// 2^20, so the run holds them and merges once. The lower half
+// then takes the same 114 segment passes, 1 · 512 · 5 = 2 560 epilogue row
+// passes, 8 root copies and 3.5 for the three prefix cuts, 36 for the 24
+// nodes at cuts 3–4 and 23.75 below the tail, 2 745.25 (5 305.25 when each
+// worker merged its scratch, 3 633.5 in the tree before the tail: the
+// epilogue streams rows the fold no longer does per leaf). On the serve-plan
+// shape (q20-3, 8-qubit windows, 2^14 amplitudes, one worker: ranks 4, 8, 2,
+// four tasks of 16 rows) the tail fires at level 1 over the lower qubits 4,
+// 7, 8 and 9, whose four mixers sink from segments 2 and 3, and its four
+// nodes are held: 56 segment passes, 1 · 16 · 4 = 64 epilogue row passes, 4
+// root copies and 5.75 in cut terms, forks and proxies, 129.75 from 332.
+// Joint-sweep's 32 nodes of 2 048 + 8 · 32 amplitudes overflow its 2^14, so
+// its one worker folds them into its scratch. No upper count moves.
 func TestQ22WalkPassBudget(t *testing.T) {
 	q22 := q22Plan(t)
 	serve, err := cut.BuildPlan(sbmCircuit(t, 10, 2003), cut.Options{Partition: cut.Partition{CutPos: 9},
@@ -321,16 +326,24 @@ func TestQ22WalkPassBudget(t *testing.T) {
 		m, workers int
 		passes     [2]float64 // lower, upper
 		sunk       []string
-		tail       int // the compile span's tail_level
+		tail       int  // the compile span's tail_level
+		held       bool // an unobserved run holds its nodes
 	}{
-		{"joint-sweep", q22, 1 << 14, 1, [2]float64{225.25, 3566}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5},
-		{"joint-accum-par", q22, 1 << 20, 2, [2]float64{5305.25, 6127}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5},
-		{"serve-plan", serve, 1 << 14, 1, [2]float64{129.75, 227}, []string{"rx[4]", "rx[7]", "rx[8]", "rx[9]"}, 1},
+		{"joint-sweep", q22, 1 << 14, 1, [2]float64{225.25, 3566}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5, false},
+		{"joint-accum-par", q22, 1 << 20, 2, [2]float64{2745.25, 6127}, []string{"rx[5]", "rx[6]", "rx[7]", "rx[8]", "rx[9]"}, 5, true},
+		{"serve-plan", serve, 1 << 14, 1, [2]float64{129.75, 227}, []string{"rx[4]", "rx[7]", "rx[8]", "rx[9]"}, 1, true},
 	} {
 		split := ChooseSplitLevels(tc.plan, 4*tc.workers)
-		e := compiledFor(tc.plan, tc.m, 0, split)
+		e := compiledOn(tc.plan, tc.m, 0, split, tc.workers)
 		if e.tail.level != tc.tail {
 			t.Errorf("%s: tail_level %d, want %d", tc.name, e.tail.level, tc.tail)
+		}
+		if e.hold != tc.held {
+			t.Errorf("%s: hold %v, want %v", tc.name, e.hold, tc.held)
+		}
+		merges := tc.workers
+		if e.hold {
+			merges = 1
 		}
 		var sunk []string
 		for _, g := range e.epiGates {
@@ -340,7 +353,7 @@ func TestQ22WalkPassBudget(t *testing.T) {
 			t.Errorf("%s: epilogue %v, want %v", tc.name, sunk, tc.sunk)
 		}
 		for side, want := range tc.passes {
-			if got := passes(e, cut.Side(side), split, tc.workers); got != want {
+			if got := passes(e, cut.Side(side), split, merges); got != want {
 				t.Errorf("%s: %g %v-half passes per op, want %g", tc.name, got, cut.Side(side), want)
 			}
 		}

@@ -2,6 +2,8 @@ package hsf
 
 import (
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"hsfsim/internal/cut"
 	"hsfsim/internal/statevec"
@@ -20,6 +22,8 @@ import (
 // carries the 2^|Q|-amplitude proxy φ in place of the lower half, folds each
 // leaf's (c_b, up_b, φ_b) into a rows × 2^|Q| row table U, and folds U
 // through lo_L into the accumulator once per level-L node (Diagonal.FoldRows).
+// An unobserved run whose nodes fit holds them instead and folds them all in
+// one pass after the walk (holdNodes).
 //
 // level is -1 when the rule does not fire (see chooseTail).
 type tail struct {
@@ -138,4 +142,94 @@ func (t *tail) proxyBytes() int64 {
 		return 0
 	}
 	return bytesPerAmp << len(t.qubits)
+}
+
+// holdNodes settles whether an unobserved run holds its level-L nodes: a
+// walker then stores each finished node's lower half and row table in the
+// run's nodeStore instead of folding them into its scratch accumulator, and
+// after the walk one pass folds every node into the output tile by tile
+// (foldHeld). A tile is the larger of FoldRowBlock rows and one epilogue
+// register, capped at m. The run holds when the tail fires, nobody reads the
+// checkpoint before the walk ends (!mergeEach), and its replays(L) nodes of
+// 2^nLower + rows·2^|Q| amplitudes plus one tile per worker fit in the m
+// amplitudes of the one scratch accumulator they replace, so Cost, which
+// charges a scratch per worker, still covers the run.
+func (e *engine) holdNodes() {
+	e.tile = statevec.FoldRowBlock << e.nLower
+	if e.epi != nil {
+		e.tile = max(e.tile, 1<<e.epi.NumQubits())
+	}
+	e.tile = min(e.tile, e.m)
+	if e.mergeEach || e.tail.level < 0 {
+		return
+	}
+	nodes := replayCounts(e.cuts)[e.tail.level]
+	held := addSat(mulSat(nodes, e.nodeAmps()), mulSat(int64(e.workers), int64(e.tile)))
+	e.hold = held <= int64(e.m)
+}
+
+// nodeAmps returns the amplitudes one held node keeps: its lower half and its
+// row table.
+func (e *engine) nodeAmps() int64 {
+	return int64(1)<<e.nLower + int64(leafRows(e.m, e.nLower))<<len(e.tail.qubits)
+}
+
+// nodeStore holds a held run's level-L nodes: node p's lower half lo_L and
+// row table U at slot p, each a slice of one of two slabs allocated once per
+// run. Slots follow the nodes' DFS order. The pending tasks come in
+// enumeration order, and each walks whole level-L subtrees (split ≤ L), so
+// task i fills slots i·perTask… in the order its walker opens them.
+type nodeStore struct {
+	los, tables []statevec.Vector
+	perTask     int
+}
+
+// newNodeStore returns the store of a held run of tasks prefix tasks, each
+// splitLevels cut levels deep.
+func (e *engine) newNodeStore(tasks, splitLevels int) *nodeStore {
+	replays := replayCounts(e.cuts)
+	perTask := int(replays[e.tail.level] / replays[splitLevels])
+	nodes := tasks * perTask
+	n, tl := 1<<e.nLower, leafRows(e.m, e.nLower)<<len(e.tail.qubits)
+	loSlab, tableSlab := statevec.MakeVector(nodes*n), statevec.MakeVector(nodes*tl)
+	s := &nodeStore{los: make([]statevec.Vector, nodes), tables: make([]statevec.Vector, nodes), perTask: perTask}
+	for p := range nodes {
+		s.los[p], s.tables[p] = loSlab.Slice(p*n, (p+1)*n), tableSlab.Slice(p*tl, (p+1)*tl)
+	}
+	return s
+}
+
+// foldHeld folds every held node into acc in one pass over its row tiles, on
+// the run's workers, which take tiles from a counter: a worker clears its
+// tile, folds every node into it in node order (Diagonal.FoldRowsN), applies
+// the epilogue to it and adds it into its rows of acc. Tiles are disjoint, so nothing locks, and every amplitude
+// gets the same operations whatever the worker count. The pass records a
+// "fold" span under the walk.
+func (e *engine) foldHeld(acc []complex128) {
+	s := e.held
+	tiles := (e.m + e.tile - 1) / e.tile
+	sp := e.trc.Start(e.tsc, "fold")
+	sp.SetInt("nodes", int64(len(s.los)))
+	sp.SetInt("tiles", int64(tiles))
+	defer sp.End()
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(e.workers, tiles) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := statevec.MakeVector(e.tile)
+			for i := int(next.Add(1) - 1); i < tiles; i = int(next.Add(1) - 1) {
+				lo, hi := i*e.tile, min((i+1)*e.tile, e.m)
+				tile := buf.Slice(0, hi-lo)
+				tile.Clear()
+				e.tail.fold.FoldRowsN(tile, lo>>e.nLower, s.tables, s.los)
+				e.epilogue(tile)
+				tile.AddToComplex(acc[lo:hi])
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -287,6 +287,10 @@ func TestTailResumesParentCheckpoint(t *testing.T) {
 // generated plan at its full output: after every prefix task has run, the
 // buffers its pool allocated, the row table, the batch's coefficient table
 // and the scratch accumulator sum to no more than Cost's per-worker figure.
+// On joint-accum-par's shape (2^20 amplitudes, two workers) the run holds its
+// nodes instead: its walkers have no row table and no scratch, and two of
+// them (each as large as the one that walks every task here) with the node
+// slabs and two tiles stay within Cost's two workers.
 func TestTailCostCoversWalker(t *testing.T) {
 	gen := tailCircuit(rand.New(rand.NewSource(102)), tailSpec{1, 4, true, false})
 	for _, tc := range []struct {
@@ -317,6 +321,36 @@ func TestTailCostCoversWalker(t *testing.T) {
 			t.Errorf("%s: Cost charges %d B per worker, the walker held %d", tc.name, est.PerWorkerBytes, held)
 		}
 		t.Logf("%s: Cost %d B per worker, walker %d", tc.name, est.PerWorkerBytes, held)
+	}
+
+	plan := q22Plan(t)
+	const m, workers = 1 << 20, 2
+	split := ChooseSplitLevels(plan, 4*workers)
+	prefixes := EnumeratePrefixes(plan, split)
+	e := compiledOn(plan, m, 0, split, workers)
+	if !e.hold {
+		t.Fatal("joint-accum-par: the run does not hold its nodes")
+	}
+	e.held = e.newNodeStore(len(prefixes), split)
+	w := e.newWalker(nil)
+	for i, p := range prefixes {
+		w.slot = i * e.held.perTask
+		if _, err := w.runTask(context.Background(), p, statevec.Vector{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.table.Len() != 0 {
+		t.Fatalf("joint-accum-par: a held run's walker has a %d-amplitude row table", w.table.Len())
+	}
+	nodes := len(e.held.los)
+	walker := w.ws.pool.Bytes() + 16*leafBatchK*int64(leafRows(m, e.nLower))
+	slabs := 16 * int64(nodes) * e.nodeAmps()
+	tiles := 16 * int64(e.tile)
+	est := Cost(plan, Options{Workers: workers, MaxAmplitudes: m})
+	if got := workers*(walker+tiles) + slabs; got > workers*est.PerWorkerBytes {
+		t.Errorf("joint-accum-par: Cost charges %d B for %d workers, the held run %d", workers*est.PerWorkerBytes, workers, got)
+	} else {
+		t.Logf("joint-accum-par: Cost %d B for %d workers, held run %d (%d in %d node slabs)", workers*est.PerWorkerBytes, workers, got, slabs, nodes)
 	}
 }
 

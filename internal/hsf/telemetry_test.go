@@ -260,38 +260,46 @@ func TestTelemetryReflectsScheduling(t *testing.T) {
 // its four prefix tasks: 1 · 8 · 5 = 40 applications on top of the segments'
 // own, so the class totals are the gates the run applied. The same span's
 // cut_terms_elided counts the identity residuals: one lower term per cut, and
-// the upper term 0 of the two single-RZZ cuts 2 and 9, 12 in all.
+// the upper term 0 of the two single-RZZ cuts 2 and 9, 12 in all. At 2^18
+// amplitudes on two workers the run holds its nodes, and its one fold pass
+// applies the epilogue once: 1 · 128 · 5 = 640.
 func TestTelemetryCountsEpilogue(t *testing.T) {
 	plan := q22Plan(t)
-	rec := telemetry.New()
-	trc := trace.NewRecorder(64)
-	ctx := trace.NewContext(context.Background(), trc, trace.SpanContext{})
-	res, err := RunContext(ctx, plan, Options{Workers: 1, MaxAmplitudes: 1 << 14, Telemetry: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := rec.Report()
-	checkReportMatchesResult(t, rep, res)
-	sunk, elided := int64(-1), int64(-1)
-	for _, ev := range trc.Snapshot() {
-		if ev.Name == "compile" {
-			sunk, elided = ev.Int("gates_sunk", -1), ev.Int("cut_terms_elided", -1)
+	for _, tc := range []struct {
+		m, workers int
+		epilogue   int64
+	}{{1 << 14, 1, 1 * 8 * 5}, {1 << 18, 2, 1 * 128 * 5}} {
+		rec := telemetry.New()
+		trc := trace.NewRecorder(64)
+		ctx := trace.NewContext(context.Background(), trc, trace.SpanContext{})
+		res, err := RunContext(ctx, plan, Options{Workers: tc.workers, MaxAmplitudes: tc.m, Telemetry: rec})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if sunk != 5 {
-		t.Errorf("compile span reports gates_sunk = %d, want 5", sunk)
-	}
-	if elided != 12 {
-		t.Errorf("compile span reports cut_terms_elided = %d, want 12", elided)
-	}
-	e := compiledFor(plan, 1<<14, 0, ChooseSplitLevels(plan, 4))
-	var inTree int64
-	for s, st := range rep.Segments {
-		inTree += st.Applications * countClasses(e.segs[s].gates[:]...)[gate.KindDense]
-	}
-	dense := rep.KernelClasses[gate.KindDense.String()]
-	if dense-inTree != 1*8*5 {
-		t.Errorf("dense-class applications %d, %d of them in segments: the epilogue counts %d, want 40", dense, inTree, dense-inTree)
+		rep := rec.Report()
+		checkReportMatchesResult(t, rep, res)
+		sunk, elided := int64(-1), int64(-1)
+		for _, ev := range trc.Snapshot() {
+			if ev.Name == "compile" {
+				sunk, elided = ev.Int("gates_sunk", -1), ev.Int("cut_terms_elided", -1)
+			}
+		}
+		if sunk != 5 {
+			t.Errorf("m = %d: compile span reports gates_sunk = %d, want 5", tc.m, sunk)
+		}
+		if elided != 12 {
+			t.Errorf("m = %d: compile span reports cut_terms_elided = %d, want 12", tc.m, elided)
+		}
+		e := compiledFor(plan, tc.m, 0, ChooseSplitLevels(plan, 4*tc.workers))
+		var inTree int64
+		for s, st := range rep.Segments {
+			inTree += st.Applications * countClasses(e.segs[s].gates[:]...)[gate.KindDense]
+		}
+		dense := rep.KernelClasses[gate.KindDense.String()]
+		if dense-inTree != tc.epilogue {
+			t.Errorf("m = %d: dense-class applications %d, %d of them in segments: the epilogue counts %d, want %d",
+				tc.m, dense, inTree, dense-inTree, tc.epilogue)
+		}
 	}
 }
 

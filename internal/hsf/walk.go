@@ -45,7 +45,9 @@ type walkFrame struct {
 // at a time: node is its lower half lo_L, taken off the pair when the node's
 // segment is done, and table the row table U its leaves fold into, empty
 // between nodes. The node folds into the accumulator once its subtree is done
-// (flush).
+// (flush). In a held run (engine.held) both are the node's slot in the run's
+// store instead, slot the next one of the task, and the finished node stays
+// there.
 type walker struct {
 	e     *engine
 	ws    workspace
@@ -55,21 +57,24 @@ type walker struct {
 	batch leafBatch
 	node  statevec.Vector
 	table statevec.Vector
+	slot  int
 }
 
 // newWalker builds one worker's walker: its buffer pool, the workspace and
-// the leaf batch that share it, and the row table of a diagonal tail.
+// the leaf batch that share it, and the row table of a diagonal tail whose
+// nodes are not held.
 func (e *engine) newWalker(wc *telemetry.WorkerCounters) *walker {
 	pool := statevec.NewPool()
 	w := &walker{e: e, ws: workspace{e: e, pool: pool}, wc: wc, batch: e.newLeafBatch(pool)}
-	if e.tail.level >= 0 {
+	if e.tail.level >= 0 && e.held == nil {
 		w.table = statevec.MakeVector(leafRows(e.m, e.nLower) << len(e.tail.qubits))
 	}
 	return w
 }
 
-// runTask folds one prefix task's leaves into acc (runPrefix); the fold
-// epilogue waits for the merge. A panicking path worker yields a *PanicError
+// runTask folds one prefix task's leaves into acc, or in a held run into the
+// store from the walker's slot on (runPrefix); the fold epilogue waits for
+// the merge. A panicking path worker yields a *PanicError
 // instead of tearing the process down.
 func (w *walker) runTask(ctx context.Context, prefix []int, acc statevec.Vector) (nLeaves int64, err error) {
 	defer func() {
@@ -82,7 +87,7 @@ func (w *walker) runTask(ctx context.Context, prefix []int, acc statevec.Vector)
 
 // runPrefix simulates the fixed term choices of a prefix task, then descends
 // into the remaining subtree. It returns the number of path leaves reached;
-// on a nil error all of them are folded into acc.
+// on a nil error all of them are folded into acc, or held in the store.
 func (w *walker) runPrefix(ctx context.Context, prefix []int, acc statevec.Vector) (int64, error) {
 	// The walker outlives the task: what a failed one (error, cancellation,
 	// injected fault, panic) still holds would otherwise be folded into the
@@ -137,29 +142,43 @@ func (w *walker) fold(acc statevec.Vector) {
 }
 
 // flush folds everything the walker holds into acc: the batch, and the open
-// level-L node's row table through the node's lower half, once.
+// level-L node's row table through the node's lower half, once. A held node
+// stays in its slot instead.
 func (w *walker) flush(acc statevec.Vector) {
 	w.fold(acc)
 	if w.node.Re == nil {
 		return
 	}
-	w.e.tail.fold.FoldRows(acc, w.table, w.node)
+	if w.e.held == nil {
+		w.e.tail.fold.FoldRows(acc, w.table, w.node)
+	}
 	w.closeNode()
 }
 
 // closeNode empties the row table and returns the open node's lower half to
-// the pool.
+// the pool; a held node's slot keeps both.
 func (w *walker) closeNode() {
+	if w.e.held != nil {
+		w.node, w.table = statevec.Vector{}, statevec.Vector{}
+		return
+	}
 	w.table.Clear()
 	w.ws.pool.Put(w.node)
 	w.node = statevec.Vector{}
 }
 
 // openNode makes st, whose segment at the tail level is done, the open node:
-// st's lower half becomes the node's, and st carries the proxy φ = 1 in its
-// place.
+// st's lower half becomes the node's, copied into the next slot of a held
+// run, and st carries the proxy φ = 1 in its place.
 func (w *walker) openNode(st *densePair) {
-	w.node = st.lo
+	if s := w.e.held; s != nil {
+		w.node, w.table = s.los[w.slot], s.tables[w.slot]
+		w.slot++
+		w.node.CopyFrom(st.lo)
+		w.ws.pool.Put(st.lo)
+	} else {
+		w.node = st.lo
+	}
 	st.lo = w.ws.pool.Get(1 << len(w.e.tail.qubits))
 	for i := range st.lo.Re {
 		st.lo.Re[i], st.lo.Im[i] = 1, 0

@@ -186,10 +186,68 @@ func (D *Diagonal) kernel(v Vector, lo, hi int) {
 // table; otherwise every row takes the reference body, one amplitude at a
 // time. Either way every amplitude gets axpy's operation sequence once.
 func (D *Diagonal) FoldRows(acc, w, lo Vector) {
+	D.foldRowsFrom(acc, 0, w, lo)
+}
+
+// FoldRowsN adds to acc, which holds rows r0… of a fold's accumulator from
+// the start of row r0, what one FoldRows call per node adds, node after node:
+// acc row r += W_p,r · los[p] for p = 0, 1, … over ws and los, a node's row
+// table and lower half. It is bit-identical to those calls, which give every
+// amplitude the nodes' axpys in node order, and so is the register-blocked
+// fold it takes where FoldRows takes an axpy per run: each call covers
+// FoldRowBlock whole rows × one run with up to FoldChunk nodes, table slot p
+// holding node p's run of its lower half with its rows' entries for the run
+// as coefficients. The rows left over, a short last row among them, and every
+// row of a D whose runs miss the span kernels go node by node through
+// FoldRows' own body.
+func (D *Diagonal) FoldRowsN(acc Vector, r0 int, ws, los []Vector) {
+	if len(los) == 0 {
+		return
+	}
+	n, k := los[0].Len(), 1<<len(D.qubits)
+	rows := 0
+	if D.span() {
+		rows = acc.Len() / n &^ (foldRows - 1)
+		run, mask := 1<<D.s0, len(D.runX)-1
+		var t foldTable
+		for b := 0; b < rows; b += foldRows {
+			for i, j := 0, 0; i < n; i, j = i+run, j+1 {
+				blk := acc.Slice(b*n+i, (b+foldRows)*n)
+				y := (r0+b)*k + int(D.runX[j&mask]) // row r0+b's entry for the run
+				for p0 := 0; p0 < len(los); p0 += FoldChunk {
+					t.k = min(FoldChunk, len(los)-p0)
+					for s := range t.k {
+						w := ws[p0+s]
+						t.lo[s] = los[p0+s].Slice(i, i+run)
+						for r := range foldRows {
+							t.c[s][r] = [2]float64{w.Re[y+r*k], w.Im[y+r*k]}
+						}
+					}
+					ops.fold(blk, n, run, t)
+				}
+			}
+		}
+	}
+	if rows*n < acc.Len() {
+		rest := acc.Slice(rows*n, acc.Len())
+		for p := range los {
+			D.foldRowsFrom(rest, r0+rows, ws[p], los[p])
+		}
+	}
+}
+
+// span reports whether D's fold takes an axpy per run: a fold-only D whose
+// runs reach the arm's span kernels.
+func (D *Diagonal) span() bool {
+	return D.runX != nil && ops.spanMin > 0 && 1<<D.s0 >= ops.spanMin
+}
+
+// foldRowsFrom is FoldRows on acc holding rows r0… from the start of row r0.
+func (D *Diagonal) foldRowsFrom(acc Vector, r0 int, w, lo Vector) {
 	n, k := lo.Len(), 1<<len(D.qubits)
 	run := 1 << D.s0
-	span := D.runX != nil && ops.spanMin > 0 && run >= ops.spanMin
-	for r, x0 := 0, 0; x0 < acc.Len(); r, x0 = r+1, x0+n {
+	span := D.span()
+	for r, x0 := r0, 0; x0 < acc.Len(); r, x0 = r+1, x0+n {
 		row, wr := acc.Slice(x0, min(x0+n, acc.Len())), w.Slice(r*k, (r+1)*k)
 		if !span {
 			D.foldRow(row, wr, lo)

@@ -222,3 +222,124 @@ func TestFoldRowsBitIdenticalToRunOrder(t *testing.T) {
 		}
 	})
 }
+
+// TestFoldRowsNBitIdenticalToFoldRows holds FoldRowsN to one FoldRows call
+// per node, node after node, bit for bit on every kernel arm, over tiles that
+// start at a row boundary: whole FoldRowBlock-row blocks, blocks with rows
+// left over, and the ragged end of the accumulator. The shapes are the
+// tail's at joint-accum-par (here 16 rows), runs of 4 (the shortest an
+// assembly span takes) with a short last row, runs shorter than every span
+// (the non-span body), a short last row that ends inside a run, and one row;
+// the node counts straddle FoldChunk. Nothing past the tile is written, and
+// FoldRowsN allocates nothing.
+func TestFoldRowsNBitIdenticalToFoldRows(t *testing.T) {
+	cases := []struct {
+		nLower int
+		qubits []int
+		m      int
+		nodes  int
+		tile   int // rows per tile
+	}{
+		{11, []int{5, 6, 7, 8, 9}, 16 << 11, 32, 4},
+		{11, []int{5, 6, 7, 8, 9}, 16 << 11, 9, 6},
+		{9, []int{2, 4, 8}, 13<<9 + 3, 8, 4},
+		{9, []int{2, 4, 8}, 13<<9 + 3, 17, 8},
+		{8, []int{1, 4, 7}, 7<<8 + 37, 3, 4},
+		{8, []int{3, 6}, 9<<8 + 45, 11, 5},
+		{7, []int{6, 2}, 1 << 7, 1, 4},
+	}
+	forEachArm(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		random := func(n int) Vector {
+			v := MakeVector(n)
+			for i := range n {
+				v.Re[i], v.Im[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			return v
+		}
+		for _, tc := range cases {
+			n, k := 1<<tc.nLower, 1<<len(tc.qubits)
+			rows := (tc.m + n - 1) / n
+			ws, los := make([]Vector, tc.nodes), make([]Vector, tc.nodes)
+			for p := range los {
+				ws[p], los[p] = random(rows*k), random(n)
+			}
+			D := NewDiagonal(tc.qubits, nil)
+			acc := random(tc.m + 1)
+			past := acc.Amplitude(tc.m)
+			want := MakeVector(tc.m)
+			want.CopyFrom(acc.Slice(0, tc.m))
+			for p := range los {
+				D.FoldRows(want, ws[p], los[p])
+			}
+			for r0 := 0; r0 < rows; r0 += tc.tile {
+				tile := acc.Slice(r0*n, min((r0+tc.tile)*n, tc.m))
+				D.FoldRowsN(tile, r0, ws, los)
+				if !raceEnabled && r0 == 0 {
+					before := tile.ToComplex()
+					if allocs := testing.AllocsPerRun(1, func() { D.FoldRowsN(tile, r0, ws, los) }); allocs != 0 {
+						t.Fatalf("qubits %v: FoldRowsN allocated %.1f times", tc.qubits, allocs)
+					}
+					tile.CopyFrom(FromComplex(before))
+				}
+			}
+			for i := range want.Re {
+				if acc.Re[i] != want.Re[i] || acc.Im[i] != want.Im[i] {
+					t.Fatalf("qubits %v, m = %d, %d nodes, %d-row tiles: amplitude %d is %v, FoldRows per node gives %v",
+						tc.qubits, tc.m, tc.nodes, tc.tile, i, acc.Amplitude(i), want.Amplitude(i))
+				}
+			}
+			if a := acc.Amplitude(tc.m); a != past {
+				t.Fatalf("qubits %v: amplitude past the accumulator written: %v", tc.qubits, a)
+			}
+		}
+	})
+}
+
+// BenchmarkNodeFold folds the 32 level-5 nodes of joint-accum-par's tail
+// (2^11-amplitude lower halves, Q = qubits 5–9, 512 rows) into a 2^20
+// accumulator, per arm: one FoldRows call per node over the whole
+// accumulator, and FoldRowsN over tiles of FoldRowBlock rows. It reports ns
+// per node and GFlop/s (8 flops per amplitude and node).
+func BenchmarkNodeFold(b *testing.B) {
+	const nLower, nodes, m = 11, 32, 1 << 20
+	orig := KernelISA()
+	defer func() {
+		if err := SelectKernelISA(orig); err != nil {
+			b.Fatalf("restoring arm %q: %v", orig, err)
+		}
+	}()
+	rng := rand.New(rand.NewSource(43))
+	D := NewDiagonal([]int{5, 6, 7, 8, 9}, nil)
+	ws, los := make([]Vector, nodes), make([]Vector, nodes)
+	for p := range los {
+		ws[p] = FromComplex(randomState(rng, 20-nLower+5)) // 2^9 rows of 2^5
+		los[p] = FromComplex(randomState(rng, nLower))
+	}
+	acc := MakeVector(m)
+	const tile = FoldRowBlock << nLower
+	for _, isa := range KernelISAs() {
+		for _, how := range []string{"FoldRows", "FoldRowsN"} {
+			b.Run(how+"/"+isa, func(b *testing.B) {
+				if err := SelectKernelISA(isa); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if how == "FoldRows" {
+						for p := range los {
+							D.FoldRows(acc, ws[p], los[p])
+						}
+						continue
+					}
+					for lo := 0; lo < m; lo += tile {
+						D.FoldRowsN(acc.Slice(lo, lo+tile), lo>>nLower, ws, los)
+					}
+				}
+				ns := float64(b.Elapsed().Nanoseconds())
+				b.ReportMetric(ns/float64(b.N*nodes), "ns/node")
+				b.ReportMetric(8*float64(m)*float64(b.N*nodes)/ns, "GFlop/s")
+			})
+		}
+	}
+}

@@ -120,6 +120,11 @@ func scalarArm() kernelOps {
 
 const foldRows = 4 // accumulator rows one fold call holds (R)
 
+// FoldRowBlock is foldRows for callers that tile an accumulator: a tile of
+// whole blocks of that many rows goes through the register-blocked fold
+// alone.
+const FoldRowBlock = foldRows
+
 // FoldChunk is the number of leaves one fold call applies at most: FoldKron
 // streams each block of the accumulator once per FoldChunk leaves, which is
 // why the HSF engine batches exactly that many.
