@@ -39,7 +39,8 @@ race-core:
 # across the worker pool with a shared scratch discipline; run the kernel and
 # segment parity suites under the detector to catch any aliasing regression,
 # the output-cone projection suites, whose halves shrink in place, the leaf
-# fold's batch bit-identity, the fold epilogue's equivalence matrix, block
+# fold's batch bit-identity and its packed GEMM on every shape (the diagonal
+# tail's 512 × 32 among them), the fold epilogue's equivalence matrix, block
 # rule and pass budget, the cut-term residuals and the diagonals that apply
 # them, the diagonal tail's node fold (and its bit-identity to the run-major
 # loop, and the tiled many-node fold's to a fold per node), equivalence
@@ -49,7 +50,7 @@ race-core:
 # merges) and the walkers the report counts, and the planner's group scan and
 # contraction against their oracles.
 race-sweep:
-	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|FoldRows|Sink|WalkPassBudget|CutTermResidual|Diagonal|Tail|HeldRun|Contract|MergeCadence|WorkersAreWalkers' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
+	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|FoldKron|FoldRows|Sink|WalkPassBudget|CutTermResidual|Diagonal|Tail|HeldRun|Contract|MergeCadence|WorkersAreWalkers' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
 
 # Telemetry race pass: per-worker counters flush into the shared recorder and
 # the atomic histograms are hammered from every walker goroutine; the guard
@@ -102,15 +103,17 @@ jobs-test:
 	$(GO) test -race -run 'Job|Fingerprint|Manager|Queue|Quota|Batch|Plan|Store' -v -count=1 ./internal/jobs/ ./internal/hsf/ ./internal/server/ ./cmd/hsfsimd/
 
 # Stress leg: the coordinator-handover and resume tests, the job service's
-# restart tests and the CLI's -checkpoint tests under the race detector with
-# one and with two Ps, STRESS_COUNT runs each (CI runs them once). A test
+# restart tests, the CLI's -checkpoint tests and the daemon's kill-and-restart
+# test under the race detector with one and with two Ps, STRESS_COUNT runs
+# each (CI runs them once). A test
 # that flakes here has a synchronisation bug: fix that, not the assertion.
 STRESS_COUNT ?= 3
 stress:
 	for p in 1 2; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'Chaos|Handover|Resume' ./internal/dist/ && \
 		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'Restart|Resume|Handover|DistributedJob' ./internal/jobs/ && \
-		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'Checkpoint' ./cmd/hsfsim/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'Checkpoint' ./cmd/hsfsim/ && \
+		GOMAXPROCS=$$p $(GO) test -race -count=$(STRESS_COUNT) -run 'TestJobsSurviveDaemonRestart' ./cmd/hsfsimd/ || exit 1; \
 	done
 
 cover:
@@ -138,8 +141,9 @@ bench-e2e:
 # Paired A/B run of one workload, a base revision against this checkout:
 # `make bench-ab BASE=<rev> W=<workload> [N=10] [SEED=2203] [S=25]` runs N
 # alternating pairs of S-second windows and prints, per end-to-end metric,
-# both sides' median [q1, q3] and the pairs the change won. BASE=HEAD is an
-# A/A run of the uncommitted edits against the last commit.
+# both sides' median [q1, q3], their ratio, the median of the per-pair ratios
+# and the pairs the change won. BASE=HEAD is an A/A run of the uncommitted
+# edits against the last commit.
 N ?= 10
 SEED ?= 2203
 S ?= 25

@@ -45,10 +45,12 @@ func startJobsDaemon(t *testing.T, storeDir string) (string, chan int) {
 	}
 }
 
-// heavyQASM: a standard-HSF walk with 2^15 cheap paths — long enough to be
-// killed mid-run with several 50ms checkpoint flushes behind it. The RX on
-// the crossings' control between them keeps the lower half in the tree:
-// with only phases there, the diagonal tail would fold the walk in a few ms.
+// heavyQASM: a standard-HSF walk with 2^cuts cheap paths. At 2^16 (some
+// hundreds of milliseconds on two cores) it is far from done when its first
+// 50ms checkpoint flush lands, which is when the restart test kills the
+// daemon. The RX on the crossings' control between them keeps the lower half
+// in the tree: with only phases there, the diagonal tail would fold the walk
+// in a few ms.
 func heavyQASM(n, cuts int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "OPENQASM 2.0;\nqreg q[%d];\n", n)
@@ -109,7 +111,7 @@ func TestJobsSurviveDaemonRestart(t *testing.T) {
 	storeDir := t.TempDir()
 	base, exitCh := startJobsDaemon(t, storeDir)
 
-	heavy := heavyQASM(16, 15)
+	heavy := heavyQASM(16, 16)
 	cascade := "OPENQASM 2.0;\nqreg q[6];\nh q[0];\nrzz(0.3) q[2],q[3];\nrzz(0.5) q[2],q[4];\nrzz(0.7) q[2],q[5];\n"
 	cut7, cut2 := 7, 2
 	type spec struct {
@@ -147,23 +149,29 @@ func TestJobsSurviveDaemonRestart(t *testing.T) {
 		t.Fatalf("identical submissions keyed apart: %x vs %x", snaps[1].Fingerprint, snaps[2].Fingerprint)
 	}
 
-	// Wait for the heavy job to be mid-walk (with checkpoint flushes behind
-	// it), then kill the daemon.
-	deadline := time.Now().Add(10 * time.Second)
+	// Kill the daemon once the heavy job's walk has flushed a checkpoint with
+	// paths in it: the store then holds what the restart must resume from,
+	// and the walk is far from done. The store names a batch's checkpoint by
+	// its fingerprint.
+	store, err := jobs.NewDirStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavyKey := fmt.Sprintf("%016x", snaps[0].Fingerprint)
+	deadline := time.Now().Add(30 * time.Second)
 	for {
-		snap, _ := getJob(t, base, snaps[0].ID)
-		if snap.State == jobs.StateRunning && snap.PathsDone > 0 {
+		if ck, _ := store.GetCheckpoint(heavyKey); ck != nil && ck.PathsSimulated > 0 {
 			break
 		}
+		snap, _ := getJob(t, base, snaps[0].ID)
 		if snap.State.Terminal() {
 			t.Fatalf("heavy job finished before the kill (state %s); enlarge the workload", snap.State)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("heavy job never started running")
+			t.Fatal("heavy job never flushed a checkpoint")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
-	time.Sleep(200 * time.Millisecond) // let a couple of 50ms flushes land
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package gate
 
 import (
+	"math"
 	"math/cmplx"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hsfsim/internal/cmat"
@@ -224,6 +227,111 @@ func TestDiagonalOn(t *testing.T) {
 			if commutes != want {
 				t.Errorf("%s: commutes with Z on bit %d = %v, flag says %v", tc.g.Name, b, commutes, want)
 			}
+		}
+	}
+}
+
+// TestClassifyNearTolMatchesAbsRule sweeps matrix entries around classifyTol
+// — magnitudes from a quarter to four times it, in every direction, and the
+// exact zeros and ones between them — and holds Reclassify's flags to the
+// rule they come from, cmplx.Abs(z) > classifyTol for every entry, which
+// the classification now decides from the components and calls Hypot only
+// in the band where those leave it open.
+func TestClassifyNearTolMatchesAbsRule(t *testing.T) {
+	abs := func(z complex128) bool { return cmplx.Abs(z) > classifyTol }
+	refControls := func(m *cmat.Matrix) int {
+		mask := 0
+		for bit := 1; bit < m.Rows; bit <<= 1 {
+			ok := true
+			for r := 0; r < m.Rows; r++ {
+				for c := 0; c < m.Cols; c++ {
+					want := complex128(0)
+					if r == c {
+						want = 1
+					}
+					if (r&bit == 0 || c&bit == 0) && abs(m.At(r, c)-want) {
+						ok = false
+					}
+				}
+			}
+			if ok {
+				mask |= bit
+			}
+		}
+		return mask
+	}
+	refPerm := func(m *cmat.Matrix) (perm []int, pure bool) {
+		used := make([]bool, m.Rows)
+		pure = true
+		for c := 0; c < m.Cols; c++ {
+			found := -1
+			for r := 0; r < m.Rows; r++ {
+				if abs(m.At(r, c)) {
+					if found >= 0 {
+						return nil, false
+					}
+					found = r
+				}
+			}
+			if found < 0 || used[found] {
+				return nil, false
+			}
+			used[found] = true
+			perm = append(perm, found)
+			pure = pure && m.At(found, c) == 1
+		}
+		return perm, pure
+	}
+	rng := rand.New(rand.NewSource(61))
+	near := func() complex128 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		}
+		r := classifyTol * math.Exp2(4*rng.Float64()-2) // tol/4 … 4·tol
+		if rng.Intn(3) == 0 {
+			r = classifyTol * (1 + 1e-3*(2*rng.Float64()-1)) // at the tolerance
+		}
+		switch rng.Intn(3) {
+		case 0:
+			return complex(r, 0)
+		case 1:
+			return complex(0, -r)
+		}
+		return cmplx.Rect(r, 2*math.Pi*rng.Float64())
+	}
+	for it := 0; it < 20000; it++ {
+		n := 2 << rng.Intn(2)
+		m := cmat.Identity(n)
+		if rng.Intn(2) == 0 { // a permutation's support
+			p := rng.Perm(n)
+			m = cmat.New(n, n)
+			for c, r := range p {
+				m.Set(r, c, 1)
+			}
+		}
+		for range 1 + rng.Intn(3) {
+			m.Set(rng.Intn(n), rng.Intn(n), near())
+		}
+		if rng.Intn(4) == 0 {
+			d := rng.Intn(n)
+			m.Set(d, d, 1+near())
+		}
+		g := Gate{Matrix: m}
+		g.Reclassify()
+		diag := true
+		for r := 0; r < n; r++ {
+			for c := 0; c < n; c++ {
+				diag = diag && (r == c || !abs(m.At(r, c)))
+			}
+		}
+		perm, pure := refPerm(m)
+		if g.Diagonal != diag || g.Controls != refControls(m) ||
+			!slices.Equal(g.Perm, perm) || (g.Perm != nil && (g.PermPhase == nil) != pure) {
+			t.Fatalf("matrix %v: flags diag=%v controls=%b perm=%v phase=%v, the Abs rule gives diag=%v controls=%b perm=%v pure=%v",
+				m.Data, g.Diagonal, g.Controls, g.Perm, g.PermPhase, diag, refControls(m), perm, pure)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package gate
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 	"strings"
 
@@ -264,11 +265,26 @@ func (g Gate) String() string {
 // kernels drop exactly the entries the diagonal kernel already dropped.
 const classifyTol = 1e-14
 
+// nonzero reports cmplx.Abs(z) > classifyTol, calling math.Hypot only when
+// z's components leave it open: |z| is at least the larger component and at
+// most √2 times it, so a component above the tolerance decides true and
+// components at most half of it decide false.
+func nonzero(z complex128) bool {
+	a := max(math.Abs(real(z)), math.Abs(imag(z)))
+	switch {
+	case a > classifyTol:
+		return true
+	case a <= classifyTol/2:
+		return false
+	}
+	return cmplx.Abs(z) > classifyTol // NaN components land here too
+}
+
 // checkDiagonal computes the Diagonal flag from the matrix.
 func checkDiagonal(m *cmat.Matrix) bool {
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			if i != j && cmplx.Abs(m.At(i, j)) > classifyTol {
+			if i != j && nonzero(m.At(i, j)) {
 				return false
 			}
 		}
@@ -277,37 +293,43 @@ func checkDiagonal(m *cmat.Matrix) bool {
 }
 
 // checkPermutation detects a (phase-)permutation matrix: exactly one nonzero
-// per column landing on pairwise-distinct rows. It returns the column→row map
-// and, when any nonzero differs from exactly 1, the per-column values.
+// per column landing on pairwise-distinct rows, which with one per column is
+// at most one per row. It returns the column→row map and, when any nonzero
+// differs from exactly 1, the per-column values; it allocates them only once
+// the matrix has passed.
 func checkPermutation(m *cmat.Matrix) ([]int, []complex128) {
 	n := m.Rows
-	perm := make([]int, n)
-	phase := make([]complex128, n)
-	rowUsed := make([]bool, n)
-	pure := true
-	for c := 0; c < n; c++ {
-		found := -1
-		for r := 0; r < n; r++ {
-			if cmplx.Abs(m.At(r, c)) > classifyTol {
-				if found >= 0 {
-					return nil, nil
-				}
-				found = r
+	for i := 0; i < n; i++ {
+		col, row := 0, 0 // nonzeros in column i and in row i
+		for j := 0; j < n && col < 2 && row < 2; j++ {
+			if nonzero(m.At(j, i)) {
+				col++
+			}
+			if nonzero(m.At(i, j)) {
+				row++
 			}
 		}
-		if found < 0 || rowUsed[found] {
+		if col != 1 || row > 1 {
 			return nil, nil
 		}
-		rowUsed[found] = true
-		perm[c] = found
-		v := m.At(found, c)
-		phase[c] = v
-		if v != 1 {
-			pure = false
-		}
 	}
-	if pure {
-		phase = nil
+	perm := make([]int, n)
+	var phase []complex128
+	for c := 0; c < n; c++ {
+		r := 0
+		for !nonzero(m.At(r, c)) {
+			r++
+		}
+		perm[c] = r
+		if v := m.At(r, c); v != 1 && phase == nil {
+			phase = make([]complex128, n)
+			for k := range c {
+				phase[k] = 1
+			}
+		}
+		if phase != nil {
+			phase[c] = m.At(r, c)
+		}
 	}
 	return perm, phase
 }
@@ -336,7 +358,7 @@ func checkControls(m *cmat.Matrix) int {
 				if r == c {
 					want = 1
 				}
-				if cmplx.Abs(m.At(r, c)-want) > classifyTol {
+				if nonzero(m.At(r, c) - want) {
 					ok = false
 					break scan
 				}

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -144,65 +143,55 @@ func (f *Flusher) Stop() {
 // and prefixes summed from two factorizations of one cut are not a run of
 // either. Two plans with equal hashes execute the same path tree.
 func PlanHash(plan *cut.Plan) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf, v)
-		h.Write(buf)
-	}
-	wf := func(v float64) { wu(math.Float64bits(v)) }
-	wc := func(v complex128) { wf(real(v)); wf(imag(v)) }
-	// An exactly diagonal factor is covered by its diagonal: 2^n entries
-	// where the matrix has 4^n.
-	wm := func(m *cmat.Matrix) {
-		stride := m.Cols + 1
-		for r := 0; r < m.Rows && stride > 1; r++ {
-			for c, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
-				if v != 0 && c != r {
-					stride = 1
-					break
-				}
-			}
-		}
-		for i := 0; i < len(m.Data); i += stride {
-			wc(m.Data[i])
-		}
-	}
-	wu(uint64(plan.NumQubits))
-	wu(uint64(int64(plan.Partition.CutPos)))
+	h := fnvOffset.u64(uint64(plan.NumQubits)).u64(uint64(int64(plan.Partition.CutPos)))
 	for _, st := range plan.Steps {
-		wu(uint64(st.Kind))
+		h = h.u64(uint64(st.Kind))
 		switch {
 		case st.Cut != nil:
-			wu(uint64(st.Cut.Rank()))
+			h = h.u64(uint64(st.Cut.Rank()))
 			for _, t := range st.Cut.Terms {
-				wf(t.Sigma)
-				wm(t.Upper)
-				wm(t.Lower)
+				h = hashFactor(hashFactor(h.f64(t.Sigma), t.Upper), t.Lower)
 			}
 			for _, q := range st.Cut.LowerQubits {
-				wu(uint64(q))
+				h = h.u64(uint64(q))
 			}
 			for _, q := range st.Cut.UpperQubits {
-				wu(uint64(q))
+				h = h.u64(uint64(q))
 			}
 		default:
-			wu(uint64(st.Side))
-			h.Write([]byte(st.Gate.Name))
+			h = h.u64(uint64(st.Side)).str(st.Gate.Name)
 			for _, q := range st.Gate.Qubits {
-				wu(uint64(q))
+				h = h.u64(uint64(q))
 			}
 			for _, p := range st.Gate.Params {
-				wf(p)
+				h = h.f64(p)
 			}
 			if mat := st.Gate.Matrix; mat != nil {
 				for _, v := range mat.Data {
-					wc(v)
+					h = h.c128(v)
 				}
 			}
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// hashFactor appends a Schmidt factor to h. An exactly diagonal factor is
+// covered by its diagonal: 2^n entries where the matrix has 4^n.
+func hashFactor(h fnv64a, m *cmat.Matrix) fnv64a {
+	stride := m.Cols + 1
+	for r := 0; r < m.Rows && stride > 1; r++ {
+		for c, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+			if v != 0 && c != r {
+				stride = 1
+				break
+			}
+		}
+	}
+	for i := 0; i < len(m.Data); i += stride {
+		h = h.c128(m.Data[i])
+	}
+	return h
 }
 
 // WriteCheckpoint serializes ck to w.

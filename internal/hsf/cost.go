@@ -110,21 +110,21 @@ func addSat(a, b int64) int64 {
 // open node's proxy and its row table; Cost decides the tail at the split
 // depth a run of opts expands.
 func Cost(plan *cut.Plan, opts Options) CostEstimate {
+	workers := resolveWorkers(opts.Workers)
+	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
+	return estimate(plan, workers, analyze(plan, m, runSplit(plan, opts.Resume, workers)))
+}
+
+// estimate is Cost on workers from the engine's analysis a of the run.
+func estimate(plan *cut.Plan, workers int, a *analysis) CostEstimate {
 	nLower := plan.Partition.NumLower()
 	nUpper := plan.Partition.NumUpper(plan.NumQubits)
-	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
-	workers := resolveWorkers(opts.Workers)
+	m, c, tl := a.m, &a.cone, &a.tail
 
 	amps := func(n int) int64 { return mulSat(bytesPerAmp, int64(1)<<uint(max(n, 0))) }
 	halves := func(lo, up int) int64 { return addSat(amps(lo), amps(up)) }
 	pair := halves(nLower, nUpper)
 	accBytes := mulSat(bytesPerAmp, int64(m))
-	// The engine's analysis: cone, sink and tail.
-	cuts := lowerCuts(plan)
-	at, _, lastAny := schedule(plan, cuts)
-	c := newCone(lastAny, m, nLower, nUpper, len(cuts))
-	split := runSplit(plan, opts.Resume, workers)
-	tl, _ := chooseTail(plan, cuts, at, &c, m, split)
 	// Clone chain: the root is taken at full size and shrinks in place. Every
 	// other pair is forked at its parent's size after a segment — the prefix
 	// task's from the root after segment 0, a branch's at cut l after

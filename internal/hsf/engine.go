@@ -336,15 +336,18 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, se
 		return nil, 0, fmt.Errorf("hsf: degenerate partition %d|%d", nLower, nUpper)
 	}
 	workers := resolveWorkers(opts.Workers)
-	costOpts := opts
-	costOpts.Workers = workers
-	if err := Admit(Cost(plan, costOpts), opts.MemoryBudget, opts.MaxPaths); err != nil {
+	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
+	a := analyze(plan, m, runSplit(plan, opts.Resume, workers))
+	if err := Admit(estimate(plan, workers, a), opts.MemoryBudget, opts.MaxPaths); err != nil {
 		return nil, 0, err
 	}
-	m := resolveAmplitudes(plan, opts.MaxAmplitudes)
 	ck, pending, err := seed(m, workers)
 	if err != nil {
 		return nil, 0, err
+	}
+	if ck.SplitLevels != a.split { // a partial run's own depth
+		a.split = ck.SplitLevels
+		a.tail, a.sunk = chooseTail(plan, a.cuts, a.at, &a.cone, m, a.split)
 	}
 
 	e := &engine{nLower: nLower, nUpper: nUpper, m: m,
@@ -353,7 +356,7 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, se
 		mergeEach: partial || opts.OnCheckpoint != nil || opts.CheckpointWriter != nil,
 		workers:   min(workers, len(pending))}
 	e.trc, e.tsc = trace.FromContext(ctx)
-	e.compile(plan, opts.FusionMaxQubits, ck.SplitLevels)
+	e.compile(plan, a, opts.FusionMaxQubits)
 
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -383,24 +386,47 @@ func execute(ctx context.Context, plan *cut.Plan, opts Options, partial bool, se
 	return ck, elapsed, err
 }
 
-// compile lowers the plan for runs that expand splitLevels cut levels into
-// prefix tasks: cut terms become partition-local gates, local gates are
-// scheduled into the earliest segment they can legally reach (schedule),
-// the lower half may give way to a proxy below a diagonal tail and the gates
-// cheaper after the fold, or in the tail's way, move to the epilogue
-// (chooseTail, sink), and the rest are
-// remapped to partition-local labels and fused per segment. The output cone
-// is applied first (project), so every side of every segment compiles at the
-// qubit count it runs at. Last it settles whether an unobserved run holds its
+// analysis is the engine's reading of a plan for an m-amplitude run that
+// expands split cut levels into prefix tasks: cut terms become
+// partition-local gates (lowerCuts), local gates are scheduled into the
+// earliest segment they can legally reach (schedule, at), the output cone
+// places its drops, and the lower half may give way to a proxy below a
+// diagonal tail, the gates cheaper after the fold, or in the tail's way,
+// moving to the epilogue (chooseTail, sunk). Cost prices a run from it and
+// compile builds the engine from it, so a run analyses its plan once.
+// compile consumes it: it relabels and prepares the cuts in place.
+type analysis struct {
+	m, split int
+	cuts     []compiledCut
+	at       []int
+	hoisted  int
+	cone     cone
+	tail     tail
+	sunk     []bool
+}
+
+// analyze returns the analysis of plan for an m-amplitude run split at
+// split levels.
+func analyze(plan *cut.Plan, m, split int) *analysis {
+	a := &analysis{m: m, split: split, cuts: lowerCuts(plan)}
+	var lastAny []int
+	a.at, a.hoisted, lastAny = schedule(plan, a.cuts)
+	a.cone = newCone(lastAny, m, plan.Partition.NumLower(), plan.Partition.NumUpper(plan.NumQubits), len(a.cuts))
+	a.tail, a.sunk = chooseTail(plan, a.cuts, a.at, &a.cone, m, split)
+	return a
+}
+
+// compile builds the engine from the plan's analysis a: the local gates go
+// to their segments or, sunk, to the epilogue, the rest are remapped to
+// partition-local labels and fused per segment. The output cone is applied
+// first (project), so every side of every segment compiles at the qubit
+// count it runs at. Last it settles whether an unobserved run holds its
 // tail's nodes (holdNodes).
-func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
+func (e *engine) compile(plan *cut.Plan, a *analysis, fusionMaxQubits int) {
 	endCompile := e.tel.Span("compile")
 	csp := e.trc.Start(e.tsc, "compile")
-	e.cuts = lowerCuts(plan)
-	at, hoisted, lastAny := schedule(plan, e.cuts)
-	c := newCone(lastAny, e.m, e.nLower, e.nUpper, len(e.cuts))
-	var sunk []bool
-	e.tail, sunk = chooseTail(plan, e.cuts, at, &c, e.m, splitLevels)
+	e.cuts, e.tail = a.cuts, a.tail
+	at, hoisted, sunk, c := a.at, a.hoisted, a.sunk, &a.cone
 	e.segs = make([]segment, len(e.cuts)+1)
 	var epi []gate.Gate
 	for i := range plan.Steps {
@@ -423,7 +449,7 @@ func (e *engine) compile(plan *cut.Plan, fusionMaxQubits, splitLevels int) {
 
 	var leaf [2]int // qubits of each half at a leaf
 	for side := range leaf {
-		e.project(cut.Side(side), &c)
+		e.project(cut.Side(side), c)
 		leaf[side] = c.qubits(cut.Side(side), 2*len(e.cuts))
 	}
 	e.tail.relabel(e.cuts)

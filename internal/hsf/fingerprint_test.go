@@ -2,6 +2,8 @@ package hsf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,5 +189,38 @@ func FuzzFingerprintQASMRoundTrip(f *testing.F) {
 func TestFingerprintQASMRoundTripSweep(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		roundTripFingerprint(t, randRoundTripCircuit(rand.New(rand.NewSource(seed))))
+	}
+}
+
+// TestFNVMatchesHashFNV holds the in-place FNV-1a behind CircuitFingerprint,
+// FingerprintOptions and PlanHash to hash/fnv's New64a on the same bytes:
+// strings, little-endian words and float bits in any mix, so every stored
+// fingerprint and checkpoint plan hash stays what it was.
+func TestFNVMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for range 200 {
+		h, ref := fnvOffset, fnv.New64a()
+		for range rng.Intn(20) {
+			var buf [8]byte
+			switch rng.Intn(3) {
+			case 0:
+				s := string([]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), 0}[:rng.Intn(4)])
+				h = h.str(s)
+				ref.Write([]byte(s))
+			case 1:
+				v := rng.Uint64()
+				h = h.u64(v)
+				binary.LittleEndian.PutUint64(buf[:], v)
+				ref.Write(buf[:])
+			default:
+				v := rng.NormFloat64()
+				h = h.f64(v)
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				ref.Write(buf[:])
+			}
+		}
+		if uint64(h) != ref.Sum64() {
+			t.Fatalf("fnv64a %#x, hash/fnv %#x", uint64(h), ref.Sum64())
+		}
 	}
 }

@@ -130,18 +130,12 @@ type leafBatch struct {
 }
 
 func (e *engine) newLeafBatch(pool *statevec.Pool) leafBatch {
-	rows := leafRows(e.m, e.nLower)
-	table := statevec.MakeVector(leafBatchK * rows)
-	b := leafBatch{
+	return leafBatch{
 		pool:   pool,
 		coeffs: make([]complex128, 0, leafBatchK),
-		ups:    make([]statevec.Vector, leafBatchK),
+		ups:    statevec.MakeVectors(leafBatchK, leafRows(e.m, e.nLower)),
 		los:    make([]statevec.Vector, 0, leafBatchK),
 	}
-	for i := range b.ups {
-		b.ups[i] = table.Slice(i*rows, (i+1)*rows)
-	}
-	return b
 }
 
 // add holds one more leaf. The batch takes over lo, a buffer of its pool, and

@@ -30,7 +30,7 @@ func compiledOn(plan *cut.Plan, m, fusionMaxQubits, splitLevels, workers int) *e
 		m:       m,
 		workers: workers,
 	}
-	e.compile(plan, fusionMaxQubits, splitLevels)
+	e.compile(plan, analyze(plan, m, splitLevels), fusionMaxQubits)
 	return e
 }
 

@@ -176,9 +176,11 @@ func (e *engine) nodeAmps() int64 {
 
 // nodeStore holds a held run's level-L nodes: node p's lower half lo_L and
 // row table U at slot p, each a slice of one of two slabs allocated once per
-// run. Slots follow the nodes' DFS order. The pending tasks come in
-// enumeration order, and each walks whole level-L subtrees (split ≤ L), so
-// task i fills slots i·perTask… in the order its walker opens them.
+// run (statevec.MakeVectors, which keeps the fold's reads of every node at
+// one offset in distinct cache sets). Slots follow the nodes' DFS order. The
+// pending tasks come in enumeration order, and each walks whole level-L
+// subtrees (split ≤ L), so task i fills slots i·perTask… in the order its
+// walker opens them.
 type nodeStore struct {
 	los, tables []statevec.Vector
 	perTask     int
@@ -191,12 +193,7 @@ func (e *engine) newNodeStore(tasks, splitLevels int) *nodeStore {
 	perTask := int(replays[e.tail.level] / replays[splitLevels])
 	nodes := tasks * perTask
 	n, tl := 1<<e.nLower, leafRows(e.m, e.nLower)<<len(e.tail.qubits)
-	loSlab, tableSlab := statevec.MakeVector(nodes*n), statevec.MakeVector(nodes*tl)
-	s := &nodeStore{los: make([]statevec.Vector, nodes), tables: make([]statevec.Vector, nodes), perTask: perTask}
-	for p := range nodes {
-		s.los[p], s.tables[p] = loSlab.Slice(p*n, (p+1)*n), tableSlab.Slice(p*tl, (p+1)*tl)
-	}
-	return s
+	return &nodeStore{los: statevec.MakeVectors(nodes, n), tables: statevec.MakeVectors(nodes, tl), perTask: perTask}
 }
 
 // foldHeld folds every held node into acc in one pass over its row tiles, on

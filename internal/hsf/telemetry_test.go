@@ -25,7 +25,7 @@ func telemetryAllocHarness(tb testing.TB, shape allocShape) (*walker, statevec.V
 		m:      resolveAmplitudes(plan, 0),
 		tel:    rec,
 	}
-	e.compile(plan, 0, 0)
+	e.compile(plan, analyze(plan, e.m, 0), 0)
 	checkForks(tb, e)
 	walk := e.newWalker(rec.Worker(len(e.segs), e.ranks))
 	scratch := statevec.MakeVector(e.m)

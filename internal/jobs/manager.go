@@ -252,6 +252,7 @@ func (m *Manager) loadStore() error {
 			started:    man.Started,
 			finished:   man.Finished,
 			resumed:    man.Resumed,
+			batchSize:  man.BatchSize,
 			resMeta:    man.ResultMeta,
 		}
 		if man.Error != "" {
@@ -269,6 +270,7 @@ func (m *Manager) loadStore() error {
 			}
 			j.circuit = c
 			j.resumed = false // set again only if a checkpoint seeds the walk
+			j.batchSize = 0
 			j.state = StateQueued
 			j.started = time.Time{}
 			m.q.push(j)
@@ -1007,6 +1009,7 @@ func (m *Manager) manifestOf(j *job) *Manifest {
 		Started:     j.started,
 		Finished:    j.finished,
 		Resumed:     j.resumed,
+		BatchSize:   j.batchSize,
 		ResultMeta:  j.resMeta,
 	}
 	if j.err != nil {

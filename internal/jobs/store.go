@@ -32,6 +32,7 @@ type Manifest struct {
 	Started     time.Time   `json:"started,omitempty"`
 	Finished    time.Time   `json:"finished,omitempty"`
 	Resumed     bool        `json:"resumed,omitempty"`
+	BatchSize   int         `json:"batch_size,omitempty"`
 	Error       string      `json:"error,omitempty"`
 	// Result metadata for done jobs; the amplitudes live in the result
 	// checkpoint file (Acc field), retrievable via Store.GetResult.

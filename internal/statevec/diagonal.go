@@ -193,39 +193,33 @@ func (D *Diagonal) FoldRows(acc, w, lo Vector) {
 // the start of row r0, what one FoldRows call per node adds, node after node:
 // acc row r += W_p,r · los[p] for p = 0, 1, … over ws and los, a node's row
 // table and lower half. It is bit-identical to those calls, which give every
-// amplitude the nodes' axpys in node order, and so is the register-blocked
-// fold it takes where FoldRows takes an axpy per run: each call covers
-// FoldRowBlock whole rows × one run with up to FoldChunk nodes, table slot p
-// holding node p's run of its lower half with its rows' entries for the run
-// as coefficients. The rows left over, a short last row among them, and every
-// row of a D whose runs miss the span kernels go node by node through
-// FoldRows' own body.
+// amplitude the nodes' axpys in node order, and so is the packed complex GEMM
+// it takes where FoldRows takes an axpy per run: per run of the rows in whole
+// FoldRowBlock blocks, one fold call applies every node, reading the run of
+// each lower half and the rows' entries for the run (the run's phase class)
+// in place from los and ws. The rows left over, a short last row among
+// them, and every row on an arm without a fold body or of a D whose runs
+// miss the span kernels go node by node through FoldRows' own body.
 func (D *Diagonal) FoldRowsN(acc Vector, r0 int, ws, los []Vector) {
 	if len(los) == 0 {
 		return
 	}
 	n, k := los[0].Len(), 1<<len(D.qubits)
 	rows := 0
-	if D.span() {
+	if D.span() && ops.fold != foldNone {
 		rows = acc.Len() / n &^ (foldRows - 1)
+	}
+	if rows > 0 {
 		run, mask := 1<<D.s0, len(D.runX)-1
-		var t foldTable
-		for b := 0; b < rows; b += foldRows {
-			for i, j := 0, 0; i < n; i, j = i+run, j+1 {
-				blk := acc.Slice(b*n+i, (b+foldRows)*n)
-				y := (r0+b)*k + int(D.runX[j&mask]) // row r0+b's entry for the run
-				for p0 := 0; p0 < len(los); p0 += FoldChunk {
-					t.k = min(FoldChunk, len(los)-p0)
-					for s := range t.k {
-						w := ws[p0+s]
-						t.lo[s] = los[p0+s].Slice(i, i+run)
-						for r := range foldRows {
-							t.c[s][r] = [2]float64{w.Re[y+r*k], w.Im[y+r*k]}
-						}
-					}
-					ops.fold(blk, n, run, t)
-				}
-			}
+		// Checked once as the whole of what the runs read: every column of
+		// the lower halves and every class (cOff up to the last) of the rows.
+		op := foldOp{acc: acc.Slice(0, rows*n), stride: n, n: n, blocks: rows / foldRows,
+			lo: los, c: ws, cOff: (r0+1)*k - 1, cStride: k}
+		op.check()
+		op.n = run
+		for i, j := 0, 0; i < n; i, j = i+run, j+1 {
+			op.acc, op.loOff, op.cOff = acc.Slice(i, rows*n), i, r0*k+int(D.runX[j&mask])
+			op.run()
 		}
 	}
 	if rows*n < acc.Len() {

@@ -299,8 +299,11 @@ func TestFoldRowsNBitIdenticalToFoldRows(t *testing.T) {
 // BenchmarkNodeFold folds the 32 level-5 nodes of joint-accum-par's tail
 // (2^11-amplitude lower halves, Q = qubits 5–9, 512 rows) into a 2^20
 // accumulator, per arm: one FoldRows call per node over the whole
-// accumulator, and FoldRowsN over tiles of FoldRowBlock rows. It reports ns
-// per node and GFlop/s (8 flops per amplitude and node).
+// accumulator, the unheld run's node fold, and FoldRowsN over tiles of
+// FoldRowBlock rows, each folded into one reused tile buffer as the held
+// pass does. The nodes' lower halves and row tables sit in padded slabs, as
+// the engine holds them (MakeVectors). It reports ns per node and GFlop/s
+// (8 flops per amplitude and node).
 func BenchmarkNodeFold(b *testing.B) {
 	const nLower, nodes, m = 11, 32, 1 << 20
 	orig := KernelISA()
@@ -311,13 +314,14 @@ func BenchmarkNodeFold(b *testing.B) {
 	}()
 	rng := rand.New(rand.NewSource(43))
 	D := NewDiagonal([]int{5, 6, 7, 8, 9}, nil)
-	ws, los := make([]Vector, nodes), make([]Vector, nodes)
+	ws, los := MakeVectors(nodes, 1<<(20-nLower+5)), MakeVectors(nodes, 1<<nLower) // 2^9 rows of 2^5
 	for p := range los {
-		ws[p] = FromComplex(randomState(rng, 20-nLower+5)) // 2^9 rows of 2^5
-		los[p] = FromComplex(randomState(rng, nLower))
+		ws[p].CopyFromComplex(randomState(rng, 20-nLower+5))
+		los[p].CopyFromComplex(randomState(rng, nLower))
 	}
 	acc := MakeVector(m)
 	const tile = FoldRowBlock << nLower
+	buf := acc.Slice(0, tile)
 	for _, isa := range KernelISAs() {
 		for _, how := range []string{"FoldRows", "FoldRowsN"} {
 			b.Run(how+"/"+isa, func(b *testing.B) {
@@ -333,7 +337,7 @@ func BenchmarkNodeFold(b *testing.B) {
 						continue
 					}
 					for lo := 0; lo < m; lo += tile {
-						D.FoldRowsN(acc.Slice(lo, lo+tile), lo>>nLower, ws, los)
+						D.FoldRowsN(buf, lo>>nLower, ws, los)
 					}
 				}
 				ns := float64(b.Elapsed().Nanoseconds())

@@ -7,7 +7,7 @@ package statevec
 //
 //   - default builds install the best available arm (soa_dispatch.go):
 //     Go-assembly vector bodies — AVX2+FMA on amd64 (soa_amd64.s, plus an
-//     AVX-512F leaf fold), NEON on arm64 (soa_arm64.s) — when the CPU
+//     AVX-512F fold), NEON on arm64 (soa_arm64.s) — when the CPU
 //     feature probe admits them, else the unrolled-Go span arm (this file);
 //     kernels take the span path whenever a gate's contiguous run length
 //     reaches ops.spanMin;
@@ -20,10 +20,10 @@ package statevec
 // one obvious vertical SIMD loop: no lane shuffles, no horizontal
 // reductions. They are scale, rot2x2, swap, cross, axpy and rot4x4 over
 // spans, the optional whole-range 1q rotation and low-qubit diagonal
-// kernels, and fold, the HSF leaf fold's register-blocked micro-kernel:
-// foldRows accumulator rows held in registers while up to FoldChunk leaves
-// are added, an axpy per row and leaf on the arms without a body of their
-// own.
+// kernels, and fold, the packed complex GEMM both HSF folds take: foldRows
+// accumulator rows of a column group held in registers while every node of
+// the call is added, an axpy per row and node on the arms without a body of
+// their own.
 
 // kernelOps is the startup-selected table of span primitives. All spans
 // passed to these functions are equal-length and non-aliasing (x and y spans
@@ -57,13 +57,13 @@ type kernelOps struct {
 	// complex matrix.
 	rot4x4 func(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i []float64, m []complex128)
 
-	// fold: the register-blocked leaf fold. For the foldRows accumulator rows
-	// acc[r·stride : r·stride+n] it adds Σ_k t.c[k][r] · t.lo[k][:n], leaves
-	// in table order, with axpy's per-element operation sequence. The
-	// assembly arms hold the rows in registers across all t.k leaves; the
-	// others run foldAxpy. The table travels by value: a pointer argument to
-	// a call through this field would move FoldKron's table to the heap.
-	fold func(acc Vector, stride, n int, t foldTable)
+	// fold names the arm's register-blocked fold body, the packed complex
+	// GEMM both HSF folds take (foldOp): it holds foldRows rows of a column
+	// group in registers across all the op's nodes. Arms without one
+	// (foldNone) fold through axpy, a call per row and node. A name rather
+	// than a func value, because a fold's operand tables sit on its caller's
+	// stack and a call through a func value would move them to the heap.
+	fold foldBody
 
 	// rot1 is the optional whole-range 1q rotation: the dense gate
 	// [[a, b], [c, d]] on qubit q over the half-block pairs [lo,hi) of the
@@ -96,7 +96,7 @@ type kernelOps struct {
 var ops kernelOps
 
 // KernelISA reports which kernel arm this process is running: "avx512"
-// (avx2 with the ZMM leaf fold), "avx2" or "neon" when an assembly arm is
+// (avx2 with the ZMM fold), "avx2" or "neon" when an assembly arm is
 // live, "span" for the unrolled-Go fallback, "scalar" under -tags purego or
 // a forced override. Telemetry and the bench studies record it so artifacts
 // say which arm produced them.
@@ -114,54 +114,72 @@ func scalarArm() kernelOps {
 		cross:   scalarCross,
 		axpy:    scalarAxpy,
 		rot4x4:  scalarRot4x4,
-		fold:    foldAxpy,
 	}
 }
 
-const foldRows = 4 // accumulator rows one fold call holds (R)
+const foldRows = 4 // accumulator rows one register tile holds (R)
 
 // FoldRowBlock is foldRows for callers that tile an accumulator: a tile of
 // whole blocks of that many rows goes through the register-blocked fold
 // alone.
 const FoldRowBlock = foldRows
 
-// FoldChunk is the number of leaves one fold call applies at most: FoldKron
-// streams each block of the accumulator once per FoldChunk leaves, which is
-// why the HSF engine batches exactly that many.
+// FoldChunk is the number of leaves FoldKron hands one fold call, the leaves
+// its stack panel packs: a batch of that many streams the accumulator once,
+// which is why the HSF engine batches exactly that many.
 const FoldChunk = 8
 
-// foldTable is the operand table of one fold call: the lower halves of up to
-// FoldChunk leaves and their per-row coefficients c[k][r] = (re, im) of
-// coeff_k · up_k[a0+r], in the order the leaves reach every amplitude.
-type foldTable struct {
-	lo [FoldChunk]Vector
-	c  [FoldChunk][foldRows][2]float64
-	k  int
+// foldBody names a kernel arm's fold body; foldOp.run dispatches on it.
+type foldBody uint8
+
+const (
+	foldNone   foldBody = iota // no body: the callers' axpy loops
+	foldAVX2                   // avx2FoldN
+	foldAVX512                 // avx512Fold
+	foldNEON                   // neonFoldN, through soa_arm64.go's archFold
+)
+
+// foldOp is one call of the register-blocked fold: the packed complex GEMM
+// Acc += C·L over the blocks·foldRows rows r of an accumulator, stride apart,
+// and n columns x:
+//
+//	acc[r·stride + x] += Σ_p c[p](r) · lo[p][loOff + x],   c[p](r) = c[p][cOff + r·cStride],
+//
+// p running over the len(lo) nodes (HSF leaves or held tail nodes) in slice
+// order, with axpy's per-element FMA sequence, so every amplitude rounds as
+// under one axpy per node. L is read in place from the nodes' vectors and C
+// from the coefficient vectors, a row table or a packed panel, so setting up
+// a call gathers nothing. The assembly bodies take the op by pointer and
+// read its slices' data pointers, never their lengths: the callers check
+// the op first (check). Only arms with a fold body run one.
+type foldOp struct {
+	acc               Vector
+	stride, n, blocks int
+	lo                []Vector
+	loOff             int
+	c                 []Vector
+	cOff, cStride     int
 }
 
-// from returns the table with every held lower half cut to columns [h, n):
-// the operands of a fold over the columns an assembly head left.
-func (t foldTable) from(h, n int) foldTable {
-	for k := range t.k {
-		t.lo[k] = t.lo[k].Slice(h, n)
+// check panics unless op is one the bodies take — blocks, len(lo) and n
+// positive, n a multiple of 4 — and every amplitude it writes and every
+// operand it reads lies inside its slice.
+func (op *foldOp) check() {
+	if op.blocks <= 0 || len(op.lo) == 0 || op.n <= 0 || op.n&3 != 0 || op.n > op.stride ||
+		op.loOff < 0 || op.cOff < 0 || op.cStride < 0 || len(op.c) < len(op.lo) {
+		panic("statevec: fold operands out of range")
 	}
-	return t
+	last := op.blocks*foldRows - 1
+	x, y := op.loOff+op.n-1, op.cOff+last*op.cStride
+	_, _ = op.acc.Re[last*op.stride+op.n-1], op.acc.Im[last*op.stride+op.n-1]
+	for p, lo := range op.lo {
+		_, _ = lo.Re[x], lo.Im[x]
+		_, _ = op.c[p].Re[y], op.c[p].Im[y]
+	}
 }
 
-// foldAxpy is the reference fold body: one axpy per leaf and row, skipping
-// rows whose coefficient is zero exactly as FoldKron's unblocked rows do.
-func foldAxpy(acc Vector, stride, n int, t foldTable) {
-	for k := range t.k {
-		lo := t.lo[k].Slice(0, n)
-		for r, c := range &t.c[k] {
-			if c[0] == 0 && c[1] == 0 {
-				continue
-			}
-			x := r * stride
-			ops.axpy(acc.Re[x:x+n], acc.Im[x:x+n], lo.Re, lo.Im, c[0], c[1])
-		}
-	}
-}
+// run folds op on the installed arm's body.
+func (op *foldOp) run() { archFold(ops.fold, op) }
 
 // --- scalar arm -------------------------------------------------------------
 //

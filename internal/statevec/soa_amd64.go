@@ -46,21 +46,21 @@ func archArms() []kernelOps {
 		rot1:      avx2Rot1,
 		diag1lo:   avx2Diag1Lo,
 		scaleRuns: avx2ScaleRuns,
-		fold:      avx2Fold,
+		fold:      foldAVX2,
 	}
 	if !cpufeat.X86.HasAVX512F {
 		return []kernelOps{avx2}
 	}
 	avx512 := avx2
-	avx512.name, avx512.fold = "avx512", avx512Fold
+	avx512.name, avx512.fold = "avx512", foldAVX512
 	return []kernelOps{avx512, avx2}
 }
 
 //go:noescape
-func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[FoldChunk]Vector, c *[FoldChunk][foldRows][2]float64, k int)
+func avx2FoldN(op *foldOp)
 
 //go:noescape
-func avx512FoldN(accRe, accIm *float64, stride, n int, lo *[FoldChunk]Vector, c *[FoldChunk][foldRows][2]float64, k int)
+func avx512FoldN(op *foldOp)
 
 //go:noescape
 func avx2ScaleRe(xr, xi *float64, n int, cr float64)
@@ -191,31 +191,34 @@ func avx2Axpy(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64) {
 	}
 }
 
-// avx2Fold hands the 4-column-divisible head to the register-blocked body and
-// the sub-register tail to the reference loop.
-func avx2Fold(acc Vector, stride, n int, t foldTable) {
-	h := n &^ 3
-	if h > 0 {
-		checkFoldHead(acc, stride, h, &t)
-		avx2FoldN(&acc.Re[0], &acc.Im[0], stride, h, &t.lo, &t.c, t.k)
+// archFold runs op on the avx512 or the avx2 fold body.
+func archFold(body foldBody, op *foldOp) {
+	if body == foldAVX512 {
+		avx512Fold(op)
+		return
 	}
-	if h < n {
-		foldAxpy(acc.Slice(h, acc.Len()), stride, n-h, t.from(h, n))
-	}
+	avx2FoldN(op)
 }
 
 // avx512Fold hands the 16-column-divisible head to the ZMM body and the rest
-// to avx2Fold. Both bodies give each element the same FMA sequence, so the
-// output is bit-identical to avx2Fold's.
-func avx512Fold(acc Vector, stride, n int, t foldTable) {
-	h := n &^ 15
+// to the avx2 body. Both bodies give each element the same FMA sequence, so
+// the output is bit-identical to the avx2 arm's.
+func avx512Fold(op *foldOp) {
+	h := op.n &^ 15
+	if h == op.n {
+		avx512FoldN(op)
+		return
+	}
+	rest := *op
+	rest.acc = op.acc.Slice(h, op.acc.Len())
+	rest.loOff += h
+	rest.n -= h
 	if h > 0 {
-		checkFoldHead(acc, stride, h, &t)
-		avx512FoldN(&acc.Re[0], &acc.Im[0], stride, h, &t.lo, &t.c, t.k)
+		head := *op
+		head.n = h
+		avx512FoldN(&head)
 	}
-	if h < n {
-		avx2Fold(acc.Slice(h, acc.Len()), stride, n-h, t.from(h, n))
-	}
+	avx2FoldN(&rest)
 }
 
 func avx2Rot2x2(xr, xi, yr, yi []float64, ar, ai, br, bi, cr, ci, dr, di float64) {

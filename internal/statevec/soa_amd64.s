@@ -1,17 +1,18 @@
 //go:build !purego
 
-// AVX2+FMA span-primitive bodies and the AVX-512F leaf fold. Hand-maintained:
+// AVX2+FMA span-primitive bodies and the AVX-512F fold. Hand-maintained:
 // this text is the source (asm/README.md has the contracts), so builds need
 // no codegen step.
 //
-// Contract shared by every TEXT below: pointer arguments address the first
+// Contract shared by every TEXT below but the folds (which take a foldOp and
+// keep three locals, see there): pointer arguments address the first
 // element of equal-length, non-aliasing float64 spans; n > 0 and n%4 == 0
-// (n%16 == 0 for avx512FoldN; the Go wrappers in soa_amd64.go peel the
-// rest); loads and stores are unaligned (VMOVUPD) because spans start at
-// arbitrary gate-offset positions inside the 64-byte-aligned planes. No
-// function calls, no stack frame, upper vector state cleared with VZEROUPPER
-// before RET.
+// (the Go wrappers in soa_amd64.go peel the rest); loads and stores are
+// unaligned (VMOVUPD) because spans start at arbitrary gate-offset positions
+// inside the 64-byte-aligned planes. No function calls, no stack frame,
+// upper vector state cleared with VZEROUPPER before RET.
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // func avx2ScaleRe(xr, xi *float64, n int, cr float64)
@@ -845,147 +846,187 @@ loop:
 
 // --- register-blocked leaf fold ---------------------------------------------
 
-// func avx2FoldN(accRe, accIm *float64, stride, n int, lo *[8]Vector, c *[8][4][2]float64, k int)
-// acc row r += Σ_k c[k][r] · lo[k][:n] for the 4 rows at accRe/accIm,
-// stride elements apart. Four columns of all four rows (Y0–Y7) stay in
-// registers while the k leaves are applied in table order: per leaf, two
-// lower-half loads and eight coefficient broadcasts feed sixteen FMAs, in
-// avx2AxpyCx's per-element sequence. lo is the table's [8]Vector: leaf k's
-// Re data pointer is at 48k and its Im data pointer at 48k+24. k > 0.
-TEXT ·avx2FoldN(SB), NOSPLIT, $0-56
-	MOVQ accRe+0(FP), DI
-	MOVQ accIm+8(FP), SI
-	MOVQ stride+16(FP), DX
-	SHLQ $3, DX          // row stride in bytes
-	LEAQ (DX)(DX*2), R11 // three row strides
-	MOVQ n+24(FP), CX
-	MOVQ lo+32(FP), R8
-	MOVQ c+40(FP), R9
-	MOVQ k+48(FP), R10
-	IMULQ $48, R10
-	ADDQ R8, R10         // end of the held leaves
-	XORQ AX, AX          // column
-col:
-	VMOVUPD (DI), Y0         // row 0 re
-	VMOVUPD (SI), Y1         // row 0 im
-	VMOVUPD (DI)(DX*1), Y2   // row 1
+// --- the register-blocked fold ----------------------------------------------
+//
+// func avx2FoldN(op *foldOp) / func avx512FoldN(op *foldOp)
+// The packed complex GEMM of a foldOp (soa.go): for its blocks of 4
+// accumulator rows and each column group, the group's accumulators stay in
+// registers while every node of the op is applied in table order — per node,
+// its lower half's s and t for the group and the 4 rows' coefficient
+// broadcasts feed axpy's per-element FMA sequence (re += cr·s, re −= ci·t,
+// im += cr·t, im += ci·s). The node table lo and the coefficient table c
+// are []Vector: node p's header at byte 48p, its Re data pointer first and
+// its Im data pointer at +24. Lengths are not read; the Go callers check
+// the op (foldOp.check). blocks, n and len(lo) are positive; n % 4 == 0
+// (n % 16 == 0 for avx512FoldN).
+
+// FOLD_SETUP loads the op at AX into the fold bodies' registers: DI and SI the
+// first accumulator row of the block (re, im) at the column group, DX one
+// and AX three accumulator row strides in bytes, R8 the node table, R9 the
+// coefficient table, R14 the column group's byte offset in the nodes' lower
+// halves and CX its end, R15 the byte offset of the block's first
+// coefficient row, R12 one and R10 three coefficient row strides in bytes.
+// The locals hold the table bytes of the op's nodes (kend), the byte offset
+// of column 0 (lo0) and the blocks left (blk). BX, R11 and R13 are scratch.
+#define FOLD_SETUP \
+	MOVQ  (foldOp_acc+Vector_Re)(AX), DI; \
+	MOVQ  (foldOp_acc+Vector_Im)(AX), SI; \
+	MOVQ  foldOp_lo(AX), R8; \
+	MOVQ  foldOp_c(AX), R9; \
+	MOVQ  (foldOp_lo+8)(AX), BX; \
+	IMULQ $48, BX; \
+	MOVQ  BX, kend-8(SP); \
+	MOVQ  foldOp_blocks(AX), BX; \
+	MOVQ  BX, blk-24(SP); \
+	MOVQ  foldOp_loOff(AX), R14; \
+	SHLQ  $3, R14; \
+	MOVQ  R14, lo0-16(SP); \
+	MOVQ  foldOp_n(AX), CX; \
+	LEAQ  (R14)(CX*8), CX; \
+	MOVQ  foldOp_cOff(AX), R15; \
+	SHLQ  $3, R15; \
+	MOVQ  foldOp_cStride(AX), R12; \
+	SHLQ  $3, R12; \
+	LEAQ  (R12)(R12*2), R10; \
+	MOVQ  foldOp_stride(AX), DX; \
+	SHLQ  $3, DX; \
+	LEAQ  (DX)(DX*2), AX
+
+// FOLD_NEXT_BLOCK moves the registers from the end of a block's columns to
+// the start of the next block and counts it, leaving ZF set after the last.
+#define FOLD_NEXT_BLOCK \
+	MOVQ lo0-16(SP), R13; \
+	SUBQ R14, R13; \
+	ADDQ R13, DI; \
+	ADDQ R13, SI; \
+	LEAQ (DI)(DX*4), DI; \
+	LEAQ (SI)(DX*4), SI; \
+	MOVQ lo0-16(SP), R14; \
+	LEAQ (R15)(R12*4), R15; \
+	DECQ blk-24(SP)
+
+// avx2FoldN: 4 columns per group, Y0–Y7 the accumulators (row r's re in
+// Y2r, im in Y2r+1), Y8/Y9 s and t, Y10–Y15 the broadcasts: 16 FMAs per node.
+TEXT ·avx2FoldN(SB), NOSPLIT, $24-8
+	MOVQ op+0(FP), AX
+	FOLD_SETUP
+block:
+	VMOVUPD (DI), Y0        // row 0 re
+	VMOVUPD (SI), Y1        // row 0 im
+	VMOVUPD (DI)(DX*1), Y2  // row 1
 	VMOVUPD (SI)(DX*1), Y3
-	VMOVUPD (DI)(DX*2), Y4   // row 2
+	VMOVUPD (DI)(DX*2), Y4  // row 2
 	VMOVUPD (SI)(DX*2), Y5
-	VMOVUPD (DI)(R11*1), Y6  // row 3
-	VMOVUPD (SI)(R11*1), Y7
-	MOVQ R8, BX
-	MOVQ R9, R12
-leaf:
-	MOVQ 0(BX), R13
-	VMOVUPD (R13)(AX*8), Y8 // s
-	MOVQ 24(BX), R13
-	VMOVUPD (R13)(AX*8), Y9 // t
-	VBROADCASTSD 0(R12), Y10 // row 0: cr, ci
-	VBROADCASTSD 8(R12), Y11
-	VFMADD231PD  Y10, Y8, Y0 // re += cr·s
-	VFNMADD231PD Y11, Y9, Y0 // re −= ci·t
-	VFMADD231PD  Y10, Y9, Y1 // im += cr·t
-	VFMADD231PD  Y11, Y8, Y1 // im += ci·s
-	VBROADCASTSD 16(R12), Y12
-	VBROADCASTSD 24(R12), Y13
+	VMOVUPD (DI)(AX*1), Y6  // row 3
+	VMOVUPD (SI)(AX*1), Y7
+	XORQ    BX, BX
+node:
+	MOVQ         0(R8)(BX*1), R13
+	VMOVUPD      (R13)(R14*1), Y8  // s
+	MOVQ         24(R8)(BX*1), R13
+	VMOVUPD      (R13)(R14*1), Y9  // t
+	MOVQ         0(R9)(BX*1), R13
+	ADDQ         R15, R13          // the node's cr of the block's rows
+	MOVQ         24(R9)(BX*1), R11
+	ADDQ         R15, R11          // and its ci
+	VBROADCASTSD (R13), Y10        // row 0
+	VBROADCASTSD (R11), Y11
+	VFMADD231PD  Y10, Y8, Y0       // re += cr·s
+	VFNMADD231PD Y11, Y9, Y0       // re −= ci·t
+	VFMADD231PD  Y10, Y9, Y1       // im += cr·t
+	VFMADD231PD  Y11, Y8, Y1       // im += ci·s
+	VBROADCASTSD (R13)(R12*1), Y12 // row 1
+	VBROADCASTSD (R11)(R12*1), Y13
 	VFMADD231PD  Y12, Y8, Y2
 	VFNMADD231PD Y13, Y9, Y2
 	VFMADD231PD  Y12, Y9, Y3
 	VFMADD231PD  Y13, Y8, Y3
-	VBROADCASTSD 32(R12), Y14
-	VBROADCASTSD 40(R12), Y15
+	VBROADCASTSD (R13)(R12*2), Y14 // row 2
+	VBROADCASTSD (R11)(R12*2), Y15
 	VFMADD231PD  Y14, Y8, Y4
 	VFNMADD231PD Y15, Y9, Y4
 	VFMADD231PD  Y14, Y9, Y5
 	VFMADD231PD  Y15, Y8, Y5
-	VBROADCASTSD 48(R12), Y10
-	VBROADCASTSD 56(R12), Y11
+	VBROADCASTSD (R13)(R10*1), Y10 // row 3
+	VBROADCASTSD (R11)(R10*1), Y11
 	VFMADD231PD  Y10, Y8, Y6
 	VFNMADD231PD Y11, Y9, Y6
 	VFMADD231PD  Y10, Y9, Y7
 	VFMADD231PD  Y11, Y8, Y7
-	ADDQ $48, BX
-	ADDQ $64, R12
-	CMPQ BX, R10
-	JLT  leaf
+	ADDQ         $48, BX
+	CMPQ         BX, kend-8(SP)
+	JLT          node
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, (SI)
 	VMOVUPD Y2, (DI)(DX*1)
 	VMOVUPD Y3, (SI)(DX*1)
 	VMOVUPD Y4, (DI)(DX*2)
 	VMOVUPD Y5, (SI)(DX*2)
-	VMOVUPD Y6, (DI)(R11*1)
-	VMOVUPD Y7, (SI)(R11*1)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  col
+	VMOVUPD Y6, (DI)(AX*1)
+	VMOVUPD Y7, (SI)(AX*1)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R14
+	CMPQ    R14, CX
+	JLT     block
+	FOLD_NEXT_BLOCK
+	JNZ     block
 	VZEROUPPER
 	RET
 
-// func avx512FoldN(accRe, accIm *float64, stride, n int, lo *[8]Vector, c *[8][4][2]float64, k int)
-// avx2FoldN on 16 columns of 8-lane ZMM registers: the 4 rows × 2 groups ×
-// re/im accumulators sit in Z0–Z15 (row r's re groups in Z4r, Z4r+1, its im
-// groups in Z4r+2, Z4r+3). Per leaf, s and t of both groups (Z16–Z19) and
-// the eight coefficient broadcasts (Z20–Z27) feed 32 FMAs in avx2FoldN's
-// per-element sequence, so every element rounds exactly as there.
-// n % 16 == 0, k > 0.
-TEXT ·avx512FoldN(SB), NOSPLIT, $0-56
-	MOVQ accRe+0(FP), DI
-	MOVQ accIm+8(FP), SI
-	MOVQ stride+16(FP), DX
-	SHLQ $3, DX          // row stride in bytes
-	LEAQ (DX)(DX*2), R11 // three row strides
-	MOVQ n+24(FP), CX
-	MOVQ lo+32(FP), R8
-	MOVQ c+40(FP), R9
-	MOVQ k+48(FP), R10
-	IMULQ $48, R10
-	ADDQ R8, R10         // end of the held leaves
-	XORQ AX, AX          // column
-col:
-	VMOVUPD (DI), Z0           // row 0 re
+// avx512FoldN: avx2FoldN on 16 columns of 8-lane ZMM registers per group:
+// the 4 rows × 2 groups × re/im accumulators sit in Z0–Z15 (row r's re
+// groups in Z4r, Z4r+1, its im groups in Z4r+2, Z4r+3). Per node, s and t
+// of both groups (Z16–Z19) and the eight coefficient broadcasts (Z20–Z27)
+// feed 32 FMAs in avx2FoldN's per-element sequence, so every element rounds
+// exactly as there.
+TEXT ·avx512FoldN(SB), NOSPLIT, $24-8
+	MOVQ op+0(FP), AX
+	FOLD_SETUP
+block:
+	VMOVUPD (DI), Z0          // row 0 re
 	VMOVUPD 64(DI), Z1
-	VMOVUPD (SI), Z2           // row 0 im
+	VMOVUPD (SI), Z2          // row 0 im
 	VMOVUPD 64(SI), Z3
-	VMOVUPD (DI)(DX*1), Z4     // row 1
+	VMOVUPD (DI)(DX*1), Z4    // row 1
 	VMOVUPD 64(DI)(DX*1), Z5
 	VMOVUPD (SI)(DX*1), Z6
 	VMOVUPD 64(SI)(DX*1), Z7
-	VMOVUPD (DI)(DX*2), Z8     // row 2
+	VMOVUPD (DI)(DX*2), Z8    // row 2
 	VMOVUPD 64(DI)(DX*2), Z9
 	VMOVUPD (SI)(DX*2), Z10
 	VMOVUPD 64(SI)(DX*2), Z11
-	VMOVUPD (DI)(R11*1), Z12   // row 3
-	VMOVUPD 64(DI)(R11*1), Z13
-	VMOVUPD (SI)(R11*1), Z14
-	VMOVUPD 64(SI)(R11*1), Z15
-	MOVQ R8, BX
-	MOVQ R9, R12
-leaf:
-	MOVQ 0(BX), R13
-	VMOVUPD (R13)(AX*8), Z16   // s
-	VMOVUPD 64(R13)(AX*8), Z17
-	MOVQ 24(BX), R13
-	VMOVUPD (R13)(AX*8), Z18   // t
-	VMOVUPD 64(R13)(AX*8), Z19
-	VBROADCASTSD 0(R12), Z20   // row 0: cr, ci
-	VBROADCASTSD 8(R12), Z21
-	VBROADCASTSD 16(R12), Z22  // row 1
-	VBROADCASTSD 24(R12), Z23
-	VBROADCASTSD 32(R12), Z24  // row 2
-	VBROADCASTSD 40(R12), Z25
-	VBROADCASTSD 48(R12), Z26  // row 3
-	VBROADCASTSD 56(R12), Z27
-	VFMADD231PD  Z20, Z16, Z0  // re += cr·s
+	VMOVUPD (DI)(AX*1), Z12   // row 3
+	VMOVUPD 64(DI)(AX*1), Z13
+	VMOVUPD (SI)(AX*1), Z14
+	VMOVUPD 64(SI)(AX*1), Z15
+	XORQ    BX, BX
+node:
+	MOVQ         0(R8)(BX*1), R13
+	VMOVUPD      (R13)(R14*1), Z16   // s
+	VMOVUPD      64(R13)(R14*1), Z17
+	MOVQ         24(R8)(BX*1), R13
+	VMOVUPD      (R13)(R14*1), Z18   // t
+	VMOVUPD      64(R13)(R14*1), Z19
+	MOVQ         0(R9)(BX*1), R13
+	ADDQ         R15, R13            // the node's cr of the block's rows
+	MOVQ         24(R9)(BX*1), R11
+	ADDQ         R15, R11            // and its ci
+	VBROADCASTSD (R13), Z20          // row 0: cr, ci
+	VBROADCASTSD (R11), Z21
+	VBROADCASTSD (R13)(R12*1), Z22   // row 1
+	VBROADCASTSD (R11)(R12*1), Z23
+	VBROADCASTSD (R13)(R12*2), Z24   // row 2
+	VBROADCASTSD (R11)(R12*2), Z25
+	VBROADCASTSD (R13)(R10*1), Z26   // row 3
+	VBROADCASTSD (R11)(R10*1), Z27
+	VFMADD231PD  Z20, Z16, Z0        // re += cr·s
 	VFMADD231PD  Z20, Z17, Z1
-	VFNMADD231PD Z21, Z18, Z0  // re −= ci·t
+	VFNMADD231PD Z21, Z18, Z0        // re −= ci·t
 	VFNMADD231PD Z21, Z19, Z1
-	VFMADD231PD  Z20, Z18, Z2  // im += cr·t
+	VFMADD231PD  Z20, Z18, Z2        // im += cr·t
 	VFMADD231PD  Z20, Z19, Z3
-	VFMADD231PD  Z21, Z16, Z2  // im += ci·s
+	VFMADD231PD  Z21, Z16, Z2        // im += ci·s
 	VFMADD231PD  Z21, Z17, Z3
 	VFMADD231PD  Z22, Z16, Z4
 	VFMADD231PD  Z22, Z17, Z5
@@ -1011,10 +1052,9 @@ leaf:
 	VFMADD231PD  Z26, Z19, Z15
 	VFMADD231PD  Z27, Z16, Z14
 	VFMADD231PD  Z27, Z17, Z15
-	ADDQ $48, BX
-	ADDQ $64, R12
-	CMPQ BX, R10
-	JLT  leaf
+	ADDQ         $48, BX
+	CMPQ         BX, kend-8(SP)
+	JLT          node
 	VMOVUPD Z0, (DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, (SI)
@@ -1027,14 +1067,16 @@ leaf:
 	VMOVUPD Z9, 64(DI)(DX*2)
 	VMOVUPD Z10, (SI)(DX*2)
 	VMOVUPD Z11, 64(SI)(DX*2)
-	VMOVUPD Z12, (DI)(R11*1)
-	VMOVUPD Z13, 64(DI)(R11*1)
-	VMOVUPD Z14, (SI)(R11*1)
-	VMOVUPD Z15, 64(SI)(R11*1)
-	ADDQ $128, DI
-	ADDQ $128, SI
-	ADDQ $16, AX
-	CMPQ AX, CX
-	JLT  col
+	VMOVUPD Z12, (DI)(AX*1)
+	VMOVUPD Z13, 64(DI)(AX*1)
+	VMOVUPD Z14, (SI)(AX*1)
+	VMOVUPD Z15, 64(SI)(AX*1)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	ADDQ    $128, R14
+	CMPQ    R14, CX
+	JLT     block
+	FOLD_NEXT_BLOCK
+	JNZ     block
 	VZEROUPPER
 	RET

@@ -37,23 +37,37 @@ func archArms() []kernelOps {
 		rot4x4:  neonRot4x4,
 		rot1:    neonRot1,
 		diag1lo: neonDiag1Lo,
-		fold:    neonFold,
+		fold:    foldNEON,
 	}}
 }
 
 //go:noescape
 func neonFoldN(accRe, accIm *float64, stride, n int, lo *[FoldChunk]Vector, c *[FoldChunk][foldRows][2]float64, k int)
 
-// neonFold hands the 4-column-divisible head (two vectors per plane and row)
-// to the register-blocked body and the tail to the reference loop.
-func neonFold(acc Vector, stride, n int, t foldTable) {
-	h := n &^ 3
-	if h > 0 {
-		checkFoldHead(acc, stride, h, &t)
-		neonFoldN(&acc.Re[0], &acc.Im[0], stride, h, &t.lo, &t.c, t.k)
-	}
-	if h < n {
-		foldAxpy(acc.Slice(h, acc.Len()), stride, n-h, t.from(h, n))
+// archFold runs op on the NEON fold body, which takes one block of rows and
+// up to FoldChunk nodes per call: per block and FoldChunk nodes in turn, it
+// gathers their column windows and coefficients into the body's operand
+// table. Every amplitude still gets the nodes in order.
+func archFold(_ foldBody, op *foldOp) {
+	var (
+		lo [FoldChunk]Vector
+		c  [FoldChunk][foldRows][2]float64
+	)
+	for b := range op.blocks {
+		row := b * foldRows
+		x := row * op.stride
+		for p0 := 0; p0 < len(op.lo); p0 += FoldChunk {
+			k := min(FoldChunk, len(op.lo)-p0)
+			for s := range k {
+				lo[s] = op.lo[p0+s].Slice(op.loOff, op.loOff+op.n)
+				w := op.c[p0+s]
+				for r := range foldRows {
+					y := op.cOff + (row+r)*op.cStride
+					c[s][r] = [2]float64{w.Re[y], w.Im[y]}
+				}
+			}
+			neonFoldN(&op.acc.Re[x], &op.acc.Im[x], op.stride, op.n, &lo, &c, k)
+		}
 	}
 }
 

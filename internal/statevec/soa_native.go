@@ -32,18 +32,6 @@ func spanArm() kernelOps {
 		cross:   spanCross,
 		axpy:    spanAxpy,
 		rot4x4:  spanRot4x4,
-		fold:    foldAxpy,
-	}
-}
-
-// checkFoldHead makes the bounds checks an assembly fold body cannot: every
-// row of the accumulator block and every held lower half has an h-column
-// head.
-func checkFoldHead(acc Vector, stride, h int, t *foldTable) {
-	end := (foldRows-1)*stride + h
-	_, _ = acc.Re[end-1], acc.Im[end-1]
-	for k := range t.k {
-		_, _ = t.lo[k].Re[h-1], t.lo[k].Im[h-1]
 	}
 }
 

@@ -6,3 +6,6 @@ package statevec
 func archArms() []kernelOps {
 	return nil
 }
+
+// archFold is never reached: the span and scalar arms fold in Go.
+func archFold(foldBody, *foldOp) { panic("statevec: no assembly fold on this architecture") }

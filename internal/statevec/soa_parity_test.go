@@ -308,11 +308,16 @@ func withinUlps(a, b float64, n int) bool {
 // 20 and 28 columns (other column remainders mod 16 reach the fold bodies
 // only directly, in TestSpanPrimitivesAllArms). A sequence of leaves is
 // folded K at a time, so unless K divides it the last batch is short, and K
-// past FoldChunk is split. Everything the fold has no business reading is
-// NaN: the upper amplitudes past the accumulator's rows, the lower amplitudes
-// past a sub-row output, the table rows past the held leaves, and the lower
-// half of a leaf whose coefficient row is all zero. Another leaf is zero on
-// the rows of one block only. An empty accumulator is a no-op, and the fold allocates
+// past FoldChunk is split. The 512-row shape of 32 columns is the diagonal
+// tail's leaf fold (with 13 rows, and with a short 512th row, beside it):
+// where rows outnumber columns the packed panel holds the scaled lower halves
+// instead of the coefficients, 32 columns at a time, which the 128-row shape
+// of 64 columns (and its 101st row short) splits in two. Everything the fold has no business
+// reading is NaN: the upper amplitudes past the accumulator's rows, the lower
+// amplitudes past a sub-row output and past 2^nLower, the table rows past
+// the held leaves, and the lower half of a leaf whose coefficient row is all
+// zero. Another leaf is zero on the rows of one block only, and row 2 is zero
+// for every leaf. An empty accumulator is a no-op, and the fold allocates
 // nothing.
 func TestFoldKronAllArms(t *testing.T) {
 	orig := KernelISA()
@@ -325,6 +330,7 @@ func TestFoldKronAllArms(t *testing.T) {
 		leaves   = 19
 		zeroLeaf = 5
 		partLeaf = 11 // zero on rows [foldRows, 2·foldRows)
+		zeroRow  = 2  // zero for every leaf
 	)
 	shapes := []struct {
 		nLower, nUpper int
@@ -336,6 +342,8 @@ func TestFoldKronAllArms(t *testing.T) {
 		{4, 3, []int{4 << 4, 5<<4 + 9, 8 << 4}},
 		{3, 4, []int{4 << 3, 7<<3 + 5, 16 << 3}},
 		{1, 4, []int{19, 32}},
+		{5, 9, []int{13 << 5, 511<<5 + 20, 1 << 14}},
+		{6, 7, []int{100<<6 + 9, 1 << 13}},
 	}
 	nan := math.NaN()
 	poison := func(v Vector, from int) {
@@ -363,9 +371,9 @@ func TestFoldKronAllArms(t *testing.T) {
 					for k := range coeffs {
 						coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
 						ups[k] = FromComplex(randomState(rng, sh.nUpper))
-						los[k] = FromComplex(randomState(rng, nLower))
+						los[k] = FromComplex(append(randomState(rng, nLower), 0, 0, 0))
 						poison(ups[k], rows)
-						poison(los[k], m)
+						poison(los[k], min(m, dimLo))
 						switch {
 						case k == zeroLeaf:
 							ups[k].Slice(0, rows).Clear()
@@ -373,6 +381,9 @@ func TestFoldKronAllArms(t *testing.T) {
 							continue
 						case k == partLeaf && rows > foldRows:
 							ups[k].Slice(foldRows, min(2*foldRows, rows)).Clear()
+						}
+						if rows > zeroRow {
+							ups[k].Slice(zeroRow, zeroRow+1).Clear()
 						}
 						for x := range want {
 							want[x] += coeffs[k] * ups[k].Amplitude(x>>nLower) * los[k].Amplitude(x&(dimLo-1))
@@ -460,9 +471,9 @@ func TestFoldBatchBitIdentical(t *testing.T) {
 
 // TestFoldAVX512MatchesAVX2 holds the ZMM fold to the avx2 one bit for bit
 // (±0 counted equal): FoldKron on the benchmark's three shapes and a ragged
-// 7-leaf one, and the fold primitive itself on every column count up to 48,
-// which splits into a ZMM head, an avx2 head and a foldAxpy tail in every
-// combination.
+// 7-leaf one, and the fold primitive itself on every column count up to 48
+// that the bodies take (multiples of 4), which splits into a ZMM head and an
+// avx2 head in every combination, over one to three row blocks.
 func TestFoldAVX512MatchesAVX2(t *testing.T) {
 	var zmm, ymm kernelOps
 	for _, arm := range arms {
@@ -473,7 +484,7 @@ func TestFoldAVX512MatchesAVX2(t *testing.T) {
 			ymm = arm
 		}
 	}
-	if zmm.fold == nil {
+	if zmm.fold != foldAVX512 {
 		t.Skipf("no avx512 arm here (available: %v)", KernelISAs())
 	}
 	orig := KernelISA()
@@ -519,20 +530,21 @@ func TestFoldAVX512MatchesAVX2(t *testing.T) {
 		}
 		same(fmt.Sprintf("FoldKron m=%d nLower=%d K=%d", sh.m, sh.nLower, sh.k), got[0], got[1])
 	}
-	for n := 1; n <= 48; n++ {
-		var tab foldTable
-		for tab.k = 0; tab.k < 1+n%FoldChunk; tab.k++ {
-			tab.lo[tab.k] = randomVector(n)
-			for r := range foldRows {
-				tab.c[tab.k][r] = [2]float64{rng.NormFloat64(), rng.NormFloat64()}
-			}
+	for n := 4; n <= 48; n += 4 {
+		k := 1 + n%FoldChunk
+		op := foldOp{stride: n + 3, n: n, blocks: 1 + n%3, lo: make([]Vector, k), c: make([]Vector, k), cOff: 1, cStride: 2}
+		for p := range k {
+			op.lo[p] = randomVector(n)
+			op.c[p] = randomVector(2*op.blocks*foldRows + 1)
 		}
-		stride := n + 3
-		a := randomVector((foldRows-1)*stride + n)
+		a := randomVector((op.blocks*foldRows-1)*op.stride + n)
 		b := a.Clone()
-		zmm.fold(a, stride, n, tab)
-		ymm.fold(b, stride, n, tab)
-		same(fmt.Sprintf("fold n=%d K=%d", n, tab.k), a, b)
+		op.acc = a
+		op.check()
+		archFold(zmm.fold, &op)
+		op.acc = b
+		archFold(ymm.fold, &op)
+		same(fmt.Sprintf("fold n=%d K=%d", n, k), a, b)
 	}
 }
 
@@ -813,10 +825,11 @@ func TestLoQubitKernelsAllArms(t *testing.T) {
 	}
 }
 
-// TestSpanPrimitivesAllArms hammers the span primitives and the fold of every
-// arm directly against the scalar reference bodies, over lengths below
-// spanMin, every length up to 36 (so every remainder mod 16 follows one and
-// two 16-column fold heads), and unaligned offsets — the span shapes kernel
+// TestSpanPrimitivesAllArms hammers the span primitives and the fold body of
+// every arm directly against the scalar reference bodies (the fold against
+// one axpy per node and row), over lengths below spanMin, every length up to
+// 36 (so every remainder mod 16 the fold takes follows one and two 16-column
+// heads), and unaligned offsets — the span shapes kernel
 // dispatch produces at low qubit positions and odd gate offsets. Both
 // coefficient classes (real-only and complex) are exercised so the Re/Cx
 // assembly entry points and their tail epilogues are all covered.
@@ -899,19 +912,26 @@ func TestSpanPrimitivesAllArms(t *testing.T) {
 						ref.rot2x2(w[0], w[1], w[2], w[3], ar, ai*im, br, bi*im, cr, ci*im, dr, di*im)
 						check(t, "rot2x2", n, off, g, w)
 					}
-					{
-						var tab foldTable
-						for tab.k = 0; tab.k < 3; tab.k++ {
-							tab.lo[tab.k] = Vector{window(n, off), window(n, off)}
+					if arm.fold != foldNone && n&3 == 0 {
+						op := foldOp{stride: n + 5, n: n, blocks: 1, lo: make([]Vector, 3), c: make([]Vector, 3), cStride: 1}
+						for p := range op.lo {
+							op.lo[p] = Vector{window(n, off), window(n, off)}
+							op.c[p] = MakeVector(foldRows)
 							for r := range foldRows {
-								tab.c[tab.k][r] = [2]float64{rng.NormFloat64(), rng.NormFloat64()}
+								op.c[p].Re[r], op.c[p].Im[r] = rng.NormFloat64(), rng.NormFloat64()
 							}
 						}
-						stride := n + 5
-						g := [][]float64{window(3*stride+n, off), window(3*stride+n, off)}
+						g := [][]float64{window(3*op.stride+n, off), window(3*op.stride+n, off)}
 						w := [][]float64{append([]float64(nil), g[0]...), append([]float64(nil), g[1]...)}
-						arm.fold(Vector{g[0], g[1]}, stride, n, tab)
-						ref.fold(Vector{w[0], w[1]}, stride, n, tab)
+						op.acc = Vector{g[0], g[1]}
+						op.check()
+						archFold(arm.fold, &op)
+						for p, lo := range op.lo {
+							for r := range foldRows {
+								x := r * op.stride
+								ref.axpy(w[0][x:x+n], w[1][x:x+n], lo.Re, lo.Im, op.c[p].Re[r], op.c[p].Im[r])
+							}
+						}
 						check(t, "fold", n, off, g, w)
 					}
 					for _, im := range []float64{0, 1} {

@@ -15,3 +15,6 @@ func buildArms() []kernelOps {
 func alignedFloats(n int) []float64 {
 	return make([]float64, n)
 }
+
+// archFold is never reached: the scalar arm folds in Go.
+func archFold(foldBody, *foldOp) { panic("statevec: no assembly fold in a purego build") }

@@ -402,11 +402,13 @@ func BenchmarkKernelRot1PerQubit(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafFold measures the HSF leaf fold at the benchmark's three
-// shapes — joint-sweep (2^14 amplitudes, 11-qubit lower halves), serve-plan
-// (2^14, 10-qubit) and joint-accum-par (2^20, 11-qubit), eight leaves per pass
-// as the engine folds them — on every kernel arm this process has, and reports
-// the time per leaf and the rate at 8·m flops per leaf.
+// BenchmarkLeafFold measures the HSF leaf fold at the benchmark's shapes —
+// joint-sweep (2^14 amplitudes, 11-qubit lower halves), serve-plan (2^14,
+// 10-qubit), the long rows of a 2^20 output (11-qubit) and joint-accum-par's
+// diagonal tail, whose leaves fold into a 512-row table of 2^|Q| = 32
+// columns — eight leaves per pass as the engine folds them, on every kernel
+// arm this process has, and reports the time per leaf and the rate at 8·m
+// flops per leaf.
 func BenchmarkLeafFold(b *testing.B) {
 	orig := KernelISA()
 	defer func() {
@@ -415,7 +417,7 @@ func BenchmarkLeafFold(b *testing.B) {
 		}
 	}()
 	rng := rand.New(rand.NewSource(41))
-	for _, tc := range []struct{ m, nLower, k int }{{1 << 14, 11, 8}, {1 << 14, 10, 8}, {1 << 20, 11, 8}} {
+	for _, tc := range []struct{ m, nLower, k int }{{1 << 14, 11, 8}, {1 << 14, 10, 8}, {1 << 20, 11, 8}, {1 << 14, 5, 8}} {
 		acc := MakeVector(tc.m)
 		coeffs := make([]complex128, tc.k)
 		ups := make([]Vector, tc.k)

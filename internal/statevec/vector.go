@@ -32,6 +32,22 @@ func MakeVector(n int) Vector {
 	return Vector{Re: alignedFloats(n), Im: alignedFloats(n)}
 }
 
+// MakeVectors returns count zeroed n-amplitude vectors carved from one
+// allocation per plane, each starting one cache line past the end of the one
+// before. Equal-size vectors a power of two apart put the same amplitude of
+// every vector in one cache set, so a fold that reads many of them at one
+// offset (the HSF engine's held tail nodes and their row tables) would evict
+// its own lines; the line of padding spreads them over the sets.
+func MakeVectors(count, n int) []Vector {
+	stride := (n+7)&^7 + 8
+	slab := MakeVector(count * stride)
+	vs := make([]Vector, count)
+	for i := range vs {
+		vs[i] = slab.Slice(i*stride, i*stride+n)
+	}
+	return vs
+}
+
 // NewVector returns the all-zeros computational basis state |0...0> on n
 // qubits in SoA layout — the Vector analogue of NewState.
 func NewVector(nQubits int) Vector {
@@ -220,10 +236,10 @@ func MaxAbsDiffVec(a, b Vector) float64 {
 // amplitudes of acc: acc[a<<nLower|b] += coeffs[k]·ups[k][a]·los[k][b], the
 // product Upᵀ·diag(coeffs)·Lo of K = len(coeffs) HSF leaves (ups and los may
 // be longer). It reads ups[k][a] only for the ⌈acc.Len()/2^nLower⌉ rows acc
-// has. Whole rows go foldRows at a time through the kernel table's fold,
-// which streams them once per FoldChunk leaves; the rows left over and a
-// short last row take one stride-1 complex AXPY per row and leaf. Either way
-// every amplitude receives its leaves in slice order.
+// has. On an arm with a fold body, whole rows of a multiple of 4 columns go
+// in blocks of foldRows through the packed fold (foldBlocks); the other
+// rows, a short last row among them, take one stride-1 complex AXPY per row
+// and leaf. Either way every amplitude receives its leaves in slice order.
 func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
 	m := acc.Len()
 	if m == 0 {
@@ -231,30 +247,12 @@ func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
 	}
 	stride := 1 << nLower
 	cols := min(stride, m)
-	blocks := (m / cols) &^ (foldRows - 1) // rows in whole blocks
-	var t foldTable
-	for a0 := 0; a0 < blocks; a0 += foldRows {
-		for k0 := 0; k0 < len(coeffs); k0 += FoldChunk {
-			// A leaf whose coefficients are all zero on these rows is dropped
-			// and its lower half never read.
-			t.k = 0
-			for k := k0; k < min(k0+FoldChunk, len(coeffs)); k++ {
-				c, nonzero := &t.c[t.k], false
-				for r := range c {
-					ur, ui := rowCoeff(coeffs[k], ups[k], a0+r)
-					c[r] = [2]float64{ur, ui}
-					nonzero = nonzero || ur != 0 || ui != 0
-				}
-				if nonzero {
-					t.lo[t.k] = los[k]
-					t.k++
-				}
-			}
-			if t.k > 0 {
-				x0 := a0 * stride
-				ops.fold(acc.Slice(x0, x0+(foldRows-1)*stride+cols), stride, cols, t)
-			}
-		}
+	blocks := 0 // rows in whole blocks
+	if ops.fold != foldNone && cols&3 == 0 {
+		blocks = (m / cols) &^ (foldRows - 1)
+	}
+	if blocks > 0 {
+		foldBlocks(acc, coeffs, ups, los, stride, cols, blocks)
 	}
 	for a := blocks; a<<nLower < m; a++ {
 		x0 := a << nLower
@@ -265,6 +263,85 @@ func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
 			}
 		}
 	}
+}
+
+// foldBlocks is FoldKron's packed fold of its first rows rows, cols columns
+// each, FoldChunk leaves per call. It packs the smaller of the two operands
+// with the coefficients in, up to foldPanel of its rows or columns per call,
+// and reads the other in place: with no more rows than columns the panel
+// holds C = diag(coeffs)·Up, coeff_k·up_k[a] for the call's rows, and the
+// call streams them once; otherwise it holds coeff_k·lo_k for the call's
+// columns, and C is the ups themselves. A leaf whose coefficients are all
+// zero on the call's rows is dropped and its lower half never read.
+func foldBlocks(acc Vector, coeffs []complex128, ups, los []Vector, stride, cols, rows int) {
+	var (
+		panel [FoldChunk][2][foldPanel]float64
+		c, lo [FoldChunk]Vector
+	)
+	byRows := rows <= cols
+	span := cols
+	if byRows {
+		span = rows
+	}
+	for k0 := 0; k0 < len(coeffs); k0 += FoldChunk {
+		for i0 := 0; i0 < span; i0 += foldPanel {
+			w := min(foldPanel, span-i0)
+			op := foldOp{acc: acc.Slice(i0, acc.Len()), stride: stride, n: w, blocks: rows / foldRows, cStride: 1}
+			a0, a1 := 0, rows // the call's rows
+			if byRows {
+				op.acc, op.n, op.blocks = acc.Slice(i0*stride, acc.Len()), cols, w/foldRows
+				a0, a1 = i0, i0+w
+			}
+			n := 0
+			for k := k0; k < min(k0+FoldChunk, len(coeffs)); k++ {
+				up := ups[k].Slice(a0, a1)
+				if coeffs[k] == 0 || zeroRows(up) {
+					continue
+				}
+				p := Vector{panel[n][0][:w], panel[n][1][:w]}
+				if byRows {
+					c[n], lo[n] = p, los[k]
+					scaleInto(p, up, coeffs[k])
+				} else {
+					c[n], lo[n] = ups[k], p
+					scaleInto(p, los[k].Slice(i0, i0+w), coeffs[k])
+				}
+				n++
+			}
+			if n > 0 {
+				op.lo, op.c = lo[:n], c[:n]
+				op.check()
+				op.run()
+			}
+		}
+	}
+}
+
+// foldPanel is the number of rows or columns one foldBlocks call packs at
+// most: a multiple of foldRows and of 4, and small enough that the stack
+// panel of FoldChunk leaves' operands stays 4 KiB.
+const foldPanel = 32
+
+// scaleInto sets dst to coeff·src amplitude by amplitude, with rowCoeff's
+// arithmetic.
+func scaleInto(dst, src Vector, coeff complex128) {
+	cr, ci := real(coeff), imag(coeff)
+	n := len(dst.Re)
+	dr, di, sr, si := dst.Re[:n], dst.Im[:n], src.Re[:n], src.Im[:n]
+	for i, r := range sr {
+		m := si[i]
+		dr[i], di[i] = cr*r-ci*m, cr*m+ci*r
+	}
+}
+
+// zeroRows reports whether every amplitude of up is zero.
+func zeroRows(up Vector) bool {
+	for a := range up.Re {
+		if up.Re[a] != 0 || up.Im[a] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // rowCoeff returns the real and imaginary parts of coeff·up[a], the factor

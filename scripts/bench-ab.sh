@@ -8,9 +8,12 @@
 # .bench_build/ (nothing is registered in .git, so a killed run leaves only
 # files there) and removed on exit. Each of the N pairs runs both sides'
 # own `benchmark/run.sh --trace 0` once, alternating which side goes first.
-# Prints, per end-to-end metric, both sides' median [q1, q3] and in how many
-# pairs the change read better (ties count for neither), over the pairs where
-# both sides printed a result. Exits non-zero if an op failed on either side,
+# Prints, per end-to-end metric, both sides' median [q1, q3], the ratio of
+# those medians, the median of the per-pair change/base ratios ("paired":
+# a pair's two runs are back to back, so this cancels the clock drift between
+# sessions that moves both sides alike) and in how many pairs the change read
+# better (ties count for neither), over the pairs where both sides printed a
+# result. Exits non-zero if an op failed on either side,
 # or if a side printed no result (a failed build, a panic): that pair is named
 # and counted as failed.
 set -euo pipefail
@@ -84,7 +87,7 @@ def spread(values):
     return statistics.median(values), q[0], q[2]
 
 print(f"{workload}, seed {seed}, {seconds} s windows, {len(complete)} of {pairs} alternating pairs, base {rev[:7]}")
-print(f"{'metric':17} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7} {'wins':>6}")
+print(f"{'metric':17} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7} {'paired':>7} {'wins':>6}")
 for m in bench["end_to_end"]:
     name = m["name"]
     b = [runs["base"][k]["metrics"][name]["value"] for k in complete]
@@ -92,7 +95,8 @@ for m in bench["end_to_end"]:
     better = (lambda x, y: x < y) if m["better"] == "lower" else (lambda x, y: x > y)
     wins = sum(better(x, y) for x, y in zip(c, b))
     (bm, b1, b3), (cm, c1, c3) = spread(b), spread(c)
+    paired = statistics.median(y / x for x, y in zip(b, c)) if all(b) else float("nan")
     cell = lambda med, q1, q3: f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
-    print(f"{name:17} {cell(bm, b1, b3):>34} {cell(cm, c1, c3):>34} {cm / bm:7.3f} {wins:3}/{len(complete)}")
+    print(f"{name:17} {cell(bm, b1, b3):>34} {cell(cm, c1, c3):>34} {cm / bm:7.3f} {paired:7.3f} {wins:3}/{len(complete)}")
 sys.exit(1 if failed else 0)
 PY
