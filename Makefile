@@ -47,10 +47,13 @@ race-core:
 # matrix, parent-checkpoint resume and cost bound, the held nodes (bit-identical
 # across worker counts, against the oracle, untouched by a cancelled run), the
 # merge cadence (a checkpoint writer's mid-run checkpoint, the walk span's
-# merges) and the walkers the report counts, and the planner's group scan and
-# contraction against their oracles.
+# merges) and the walkers the report counts, the planner's group scan and
+# contraction against their oracles, and the Schrödinger sweep inside its
+# result (-race turns on checkptr, which checks that the imaginary plane's
+# []float64 view stays inside the result's allocation).
 race-sweep:
 	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|FoldKron|FoldRows|Sink|WalkPassBudget|CutTermResidual|Diagonal|Tail|HeldRun|Contract|MergeCadence|WorkersAreWalkers' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
+	$(GO) test -race -run 'TestSchrodingerSweepsInResult' -count=1 .
 
 # Telemetry race pass: per-worker counters flush into the shared recorder and
 # the atomic histograms are hammered from every walker goroutine; the guard

@@ -13,8 +13,9 @@ import (
 // plans — q22-3 with the cascade strategy at 2^14 amplitudes on one worker
 // (joint-sweep, and schrodinger-dense's HSF probe) and at 2^20 on two and
 // four (joint-accum-par), q20-3 with 8-qubit windows at 2^14 (serve-plan),
-// and the Schrödinger run itself — to the numbers Cost gave when it ran the
-// engine's analysis apart from compile. A run now analyses its plan once and
+// and the Schrödinger run itself (the real plane beside the result that holds
+// the imaginary one) — to the numbers Cost gave when it ran the engine's
+// analysis apart from compile. A run now analyses its plan once and
 // Cost reads that analysis; standing alone it still computes it, to the same
 // estimate.
 func TestEstimateCostOfWorkloads(t *testing.T) {
@@ -52,7 +53,7 @@ func TestEstimateCostOfWorkloads(t *testing.T) {
 			BlockStrategy: hsfsim.BlockWindow, MaxBlockQubits: 8}, hsfsim.CostEstimate{Paths: 1 << 6, PathsExact: true, Log2Paths: 6, Workers: 1,
 			StatePairBytes: 32768, PerWorkerBytes: 373760, AccumulatorBytes: 262144, TotalBytes: 635904}},
 		{"schrodinger-dense", q22, hsfsim.Options{Method: hsfsim.Schrodinger, Workers: 1}, hsfsim.CostEstimate{Paths: 1, PathsExact: true, Workers: 1,
-			StatePairBytes: 67108864, PerWorkerBytes: 67246912, AccumulatorBytes: 67108864, TotalBytes: 134355776}},
+			StatePairBytes: 33554432, PerWorkerBytes: 33692480, AccumulatorBytes: 67108864, TotalBytes: 100801344}},
 	} {
 		got, err := hsfsim.EstimateCost(tc.c, tc.opts)
 		if err != nil {

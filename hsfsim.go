@@ -525,16 +525,19 @@ func peelPrologue(c *Circuit) (prologue [][2]complex128, peeled, rest []gate.Gat
 }
 
 // schrodingerCost estimates the footprint of a full 2^n simulation returning
-// maxAmps amplitudes (0: all): the state's two SoA planes and the compiled
-// segment's phase tables and sweep scratch (PerWorkerBytes), plus the
-// interleaved result (AccumulatorBytes).
+// maxAmps amplitudes (0: all): the interleaved result (AccumulatorBytes), the
+// SoA planes beside it (StatePairBytes) — only the real one when the run
+// returns the whole state, whose imaginary plane is the result's upper half —
+// and, with them, the compiled segment's phase tables and sweep scratch
+// (PerWorkerBytes).
 func schrodingerCost(numQubits, maxAmps int, tableBytes int64) CostEstimate {
 	est := CostEstimate{Paths: 1, PathsExact: true, Workers: 1,
 		StatePairBytes: math.MaxInt64, PerWorkerBytes: math.MaxInt64, TotalBytes: math.MaxInt64}
 	if numQubits < 58 {
-		est.StatePairBytes = 16 << numQubits
-		est.AccumulatorBytes = est.StatePairBytes
+		est.StatePairBytes = 8 << numQubits
+		est.AccumulatorBytes = 16 << numQubits
 		if maxAmps > 0 && maxAmps < 1<<numQubits {
+			est.StatePairBytes = 16 << numQubits
 			est.AccumulatorBytes = 16 * int64(maxAmps)
 		}
 		est.PerWorkerBytes = est.StatePairBytes + tableBytes
@@ -559,23 +562,35 @@ func (cp *CompiledPlan) runSchrodinger(ctx context.Context, opts Options) (*Resu
 	}
 	opts.Progress.Start(1, 0, nil)
 	simStart := time.Now()
-	// The sweep runs on the SoA planes; amplitudes are interleaved exactly
-	// once, at the Result edge below.
-	s := seg.NewState()
-	for i := 0; i < seg.NumSteps(); i++ {
+	m := 1 << cp.circuit.NumQubits
+	if opts.MaxAmplitudes > 0 && opts.MaxAmplitudes < m {
+		m = opts.MaxAmplitudes
+	}
+	// The sweep runs on SoA planes inside the result: a full-state run keeps
+	// its imaginary plane in the upper half of amps, and the last step
+	// interleaves each finished tile into amps.
+	amps := make([]complex128, m)
+	s := seg.NewStateIn(amps)
+	last := seg.NumSteps() - 1
+	for i := 0; i <= last; i++ {
 		select {
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		default:
 		}
+		var t0 time.Time
 		if opts.Telemetry != nil {
 			// The Schrödinger loop runs tens of steps per run, so every
 			// step is timed (no sampling needed at this rate).
-			t0 := time.Now()
+			t0 = time.Now()
+		}
+		if i < last {
 			seg.ApplyStep(s, i)
-			opts.Telemetry.ObserveSegment(i, time.Since(t0))
 		} else {
-			seg.ApplyStep(s, i)
+			seg.ApplyLast(s, amps)
+		}
+		if opts.Telemetry != nil {
+			opts.Telemetry.ObserveSegment(i, time.Since(t0))
 		}
 	}
 	simTime := time.Since(simStart)
@@ -584,12 +599,6 @@ func (cp *CompiledPlan) runSchrodinger(ctx context.Context, opts Options) (*Resu
 		TotalPaths: 1, Simulated: 1, Workers: 1,
 		Gomaxprocs: runtime.GOMAXPROCS(0), Elapsed: simTime,
 	})
-	m := s.Len()
-	if opts.MaxAmplitudes > 0 && opts.MaxAmplitudes < m {
-		m = opts.MaxAmplitudes
-	}
-	amps := make([]complex128, m)
-	s.Slice(0, m).CopyToComplex(amps)
 	return &Result{
 		Amplitudes:     amps,
 		Method:         Schrodinger,

@@ -87,19 +87,88 @@ func compileProduct(qs [][2]complex128, gs []gate.Gate, tileQ int) *CompiledSegm
 	if len(cs.steps) > 0 && cs.steps[0].kind == StepPhase {
 		cs.steps[0].phase.start, cs.writes = qs, true
 	}
+	cs.endOnTiles()
 	return cs
+}
+
+// endOnTiles makes the last step a tiled or phase step, the pass ApplyLast
+// interleaves the result in. When high steps follow the last such step, it
+// moves behind them if the one commutation rule lets each of its gates pass
+// each of theirs (and it is not the step that writes the start state);
+// otherwise a tiled step with no gates closes the segment.
+func (cs *CompiledSegment) endOnTiles() {
+	k := len(cs.steps) - 1
+	for k >= 0 && cs.steps[k].kind == StepHigh {
+		k--
+	}
+	if k >= 0 && k == len(cs.steps)-1 {
+		return
+	}
+	if k > 0 || k == 0 && !cs.writes {
+		all, off := stepMasks(cs.steps[k : k+1])
+		highAll, highOff := stepMasks(cs.steps[k+1:])
+		if off&highAll == 0 && all&highOff == 0 {
+			st := cs.steps[k]
+			cs.steps = append(append(cs.steps[:k], cs.steps[k+1:]...), st)
+			return
+		}
+	}
+	cs.steps = append(cs.steps, segStep{kind: StepTiled})
+}
+
+// stepMasks returns the qubits the steps' gates act on and those some gate
+// among them is not diagonal on.
+func stepMasks(steps []segStep) (all, off uint64) {
+	for _, st := range steps {
+		for i := range st.gates {
+			a, o := qubitMasks(&st.gates[i])
+			all, off = all|a, off|o
+		}
+	}
+	return all, off
+}
+
+// qubitMasks returns the qubits g acts on and those it is not diagonal on.
+func qubitMasks(g *gate.Gate) (all, off uint64) {
+	for b, q := range g.Qubits {
+		all |= 1 << q
+		if !g.DiagonalOn(b) {
+			off |= 1 << q
+		}
+	}
+	return all, off
 }
 
 // NewState allocates the register the segment runs from: zeroed planes when
 // its first step writes the start state, else that state.
-func (cs *CompiledSegment) NewState() Vector {
-	switch {
-	case cs.writes:
-		return MakeVector(1 << cs.n)
-	case cs.start != nil:
-		return NewProductVector(cs.start)
+func (cs *CompiledSegment) NewState() Vector { return cs.NewStateIn(nil) }
+
+// NewStateIn allocates the register of a run whose result is dst, the first
+// len(dst) amplitudes: see ApplyLast. When dst holds the whole state, the
+// imaginary plane is the upper half of dst's memory and only the real plane
+// is allocated beside it; otherwise both planes are. The register holds the
+// start state as NewState's does.
+func (cs *CompiledSegment) NewStateIn(dst []complex128) Vector {
+	v := Vector{Re: alignedFloats(1 << cs.n)}
+	if len(dst) == len(v.Re) {
+		v.Im = imagPlane(dst)
+	} else {
+		v.Im = alignedFloats(len(v.Re))
 	}
-	return NewVector(cs.n)
+	cs.writeStart(v)
+	return v
+}
+
+// writeStart writes the start state into the zeroed register v, unless the
+// first step writes it.
+func (cs *CompiledSegment) writeStart(v Vector) {
+	if cs.writes {
+		return
+	}
+	v.Re[0] = 1
+	if cs.start != nil {
+		v.basisToProduct(cs.start)
+	}
 }
 
 func compileSegment(gs []gate.Gate, n, tileQ int) *CompiledSegment {
@@ -189,13 +258,9 @@ func gatherDiagonal(gs []gate.Gate, tileQ int) (out []gate.Gate, runs [][2]int) 
 	}
 	for i := range gs {
 		g := &gs[i]
-		var all, off uint64
+		all, off := qubitMasks(g)
 		below := 0
-		for b, q := range g.Qubits {
-			all |= 1 << q
-			if !g.DiagonalOn(b) {
-				off |= 1 << q
-			}
+		for _, q := range g.Qubits {
 			if q < tileQ {
 				below++
 			}
@@ -453,14 +518,61 @@ func (cs *CompiledSegment) ApplyStep(v Vector, i int) {
 	}
 	tiles := v.Len() >> cs.tileQ
 	if tiles <= 1 || par.Inner() <= 1 {
-		cs.sweep(v, st, 0, max(tiles, 1))
+		cs.sweep(v, st, 0, max(tiles, 1), nil)
 		return
 	}
-	parallelRange(tiles, func(lo, hi int) { cs.sweep(v, st, lo, hi) })
+	parallelRange(tiles, func(lo, hi int) { cs.sweep(v, st, lo, hi, nil) })
 }
 
-// sweep applies step st to tiles [lo,hi) of v with one borrowed scratch.
-func (cs *CompiledSegment) sweep(v Vector, st *segStep, lo, hi int) {
+// noGates is the tiled step ApplyLast interleaves in after a last high step.
+var noGates = segStep{kind: StepTiled}
+
+// ApplyLast runs the segment's last step over v in place of ApplyStep and
+// writes the first len(dst) amplitudes of the result into dst, interleaved:
+// the tile pass that finishes a tile interleaves it while it is cache-hot,
+// and tiles beyond dst are not swept. A last high step runs first, and then a
+// tiled step with no gates (CompileProduct segments end on tiles).
+//
+// dst may hold v's imaginary plane in the upper half of its memory
+// (NewStateIn). Then tile t ≥ T/2 of T overwrites imaginary tiles 2t−T and
+// 2t−T+1, so the tiles go in waves: [0, T/2) in any order, then [T/2, 3T/4),
+// [3T/4, 7T/8), … each in parallel, each overwriting only tiles an earlier
+// wave read, and the last tile alone. That tile overwrites its own
+// imaginary half: of its L amplitudes, amplitude i lands on imaginary
+// entries 2i−L and 2i−L+1, and CopyToComplex reads entry i before it writes
+// amplitude i, in ascending order, so every entry is read before it is
+// overwritten.
+func (cs *CompiledSegment) ApplyLast(v Vector, dst []complex128) {
+	st := &noGates
+	if last := len(cs.steps) - 1; last >= 0 {
+		if cs.steps[last].kind == StepHigh {
+			cs.ApplyStep(v, last)
+		} else {
+			st = &cs.steps[last]
+		}
+	}
+	tileLen := min(1<<cs.tileQ, v.Len())
+	tiles := (len(dst) + tileLen - 1) / tileLen
+	if tiles <= 1 || par.Inner() <= 1 {
+		// Ascending tile order is one wave at a time.
+		cs.sweep(v, st, 0, tiles, dst)
+		return
+	}
+	if len(dst) < v.Len() {
+		parallelRange(tiles, func(lo, hi int) { cs.sweep(v, st, lo, hi, dst) })
+		return
+	}
+	for lo := 0; lo < tiles; {
+		hi := lo + max((tiles-lo)/2, 1)
+		parallelRange(hi-lo, func(a, b int) { cs.sweep(v, st, lo+a, lo+b, dst) })
+		lo = hi
+	}
+}
+
+// sweep applies step st to tiles [lo,hi) of v with one borrowed scratch and,
+// when dst is not nil, interleaves each finished tile's amplitudes below
+// len(dst) into dst.
+func (cs *CompiledSegment) sweep(v Vector, st *segStep, lo, hi int, dst []complex128) {
 	var sp *[]complex128
 	var buf []complex128
 	if cs.scratch > 0 {
@@ -471,10 +583,14 @@ func (cs *CompiledSegment) sweep(v Vector, st *segStep, lo, hi int) {
 		sub := v.Slice(t*tileLen, (t+1)*tileLen)
 		if st.phase != nil {
 			st.phase.apply(sub, t, buf)
-			continue
+		} else {
+			for g := range st.gates {
+				sub.applyInline(&st.gates[g], buf)
+			}
 		}
-		for g := range st.gates {
-			sub.applyInline(&st.gates[g], buf)
+		if dst != nil {
+			out := dst[t*tileLen : min((t+1)*tileLen, len(dst))]
+			sub.Slice(0, len(out)).CopyToComplex(out)
 		}
 	}
 	if sp != nil {

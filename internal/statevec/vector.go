@@ -3,6 +3,7 @@ package statevec
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Vector is a statevector in split real/imaginary (structure-of-arrays)
@@ -64,8 +65,14 @@ func NewVector(nQubits int) Vector {
 // tile written once as a multiple of it: a circuit's layer of leading 1-qubit
 // gates costs one streaming write instead of one sweep per gate over |0…0⟩.
 func NewProductVector(qs [][2]complex128) Vector {
+	v := NewVector(len(qs))
+	v.basisToProduct(qs)
+	return v
+}
+
+// basisToProduct turns v, which holds |0…0⟩, into the product state qs.
+func (v Vector) basisToProduct(qs [][2]complex128) {
 	n := len(qs)
-	v := NewVector(n)
 	tileQ := min(n, DefaultTileQubits)
 	base := v.Slice(0, 1<<tileQ)
 	for q, size := 0, 1; q < tileQ; q, size = q+1, size<<1 {
@@ -89,7 +96,13 @@ func NewProductVector(qs [][2]complex128) Vector {
 			ops.axpy(dst.Re, dst.Im, base.Re, base.Im, real(c), imag(c))
 		}
 	}
-	return v
+}
+
+// imagPlane returns the upper half of dst's memory as len(dst) float64s: the
+// imaginary plane of a register that sweeps inside its interleaved result.
+func imagPlane(dst []complex128) []float64 {
+	all := unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(dst))), 2*len(dst))
+	return all[len(dst):]
 }
 
 // FromComplex converts an interleaved amplitude slice into a freshly
@@ -176,7 +189,10 @@ func (v Vector) ToComplex() State {
 	return s
 }
 
-// CopyToComplex interleaves v into dst (lengths must match).
+// CopyToComplex interleaves v into dst (lengths must match). It goes in
+// ascending order and reads amplitude i before it writes dst[i], so a plane
+// of v may lie in dst's memory as long as its entry i sits no lower than
+// dst[i] does (CompiledSegment.ApplyLast).
 func (v Vector) CopyToComplex(dst []complex128) {
 	re, im := v.Re, v.Im
 	if len(dst) != len(re) {

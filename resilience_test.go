@@ -112,10 +112,10 @@ func TestEstimateCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The SoA planes plus the interleaved result; an 8-qubit register has no
-	// phase tables.
-	if sch.TotalBytes != 2*16<<8 {
-		t.Fatalf("schrodinger bytes = %d, want %d", sch.TotalBytes, 2*16<<8)
+	// The real plane plus the interleaved result, which holds the imaginary
+	// plane; an 8-qubit register has no phase tables.
+	if sch.TotalBytes != 24<<8 {
+		t.Fatalf("schrodinger bytes = %d, want %d", sch.TotalBytes, 24<<8)
 	}
 }
 

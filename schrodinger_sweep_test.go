@@ -1,7 +1,9 @@
 package hsfsim
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"runtime"
@@ -206,9 +208,12 @@ func allocated(runs int, fn func()) int64 {
 }
 
 // TestSchrodingerCostCoversAllocation: the admission estimate must bound what
-// a run allocates — the planes, the result actually returned (not a second
-// full state when only a prefix is asked for), the phase tables — and a
-// budget the old 16·2^n estimate passed must now reject a full-state run.
+// a run allocates — the planes beside the result (only the real one when the
+// run returns the whole state and sweeps inside it), the result actually
+// returned (not a second full state when only a prefix is asked for), the
+// phase tables — and a budget the old 16·2^n estimate passed must now reject
+// a full-state run. At 28 qubits, where nothing is run, a full-state run is
+// estimated at 24·2^28 bytes and its tables.
 func TestSchrodingerCostCoversAllocation(t *testing.T) {
 	const n = 16
 	g, err := graph.TwoBlockModel(n/2, n/2, 0.6, 0.2, rand.New(rand.NewSource(52)))
@@ -238,25 +243,41 @@ func TestSchrodingerCostCoversAllocation(t *testing.T) {
 		// The run allocates the planes and the result (large objects round up
 		// to whole pages); the estimate also holds the tables Compile built.
 		t.Logf("m=%d: estimate %d B, run allocates %d B, tables %d B", m, est, run, cp.seg.TableBytes())
-		result := state
+		planes, result := state/2, state
 		if m > 0 {
-			result = 16 * int64(m)
+			planes, result = state, 16*int64(m)
 		}
-		if want := state + result + cp.seg.TableBytes(); est != want {
-			t.Errorf("m=%d: estimate %d B, want state + result + tables = %d B", m, est, want)
+		if want := planes + result + cp.seg.TableBytes(); est != want {
+			t.Errorf("m=%d: estimate %d B, want planes + result + tables = %d B", m, est, want)
 		}
-		if run > est || run < state+result {
-			t.Errorf("m=%d: run allocates %d B, want within [state + result = %d, estimate = %d]", m, run, state+result, est)
+		if run > est || run < planes+result {
+			t.Errorf("m=%d: run allocates %d B, want within [planes + result = %d, estimate = %d]", m, run, planes+result, est)
 		}
 	}
-	// 16·2^n was the whole estimate before: it admitted a run that allocates
-	// twice that.
-	_, err = Simulate(c, Options{Method: Schrodinger, MemoryBudget: state + state/2})
+	// 16·2^n was the whole estimate before the result was charged: it
+	// admitted a run that allocates 1.5 times that.
+	_, err = Simulate(c, Options{Method: Schrodinger, MemoryBudget: state + state/4})
 	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("budget of 1.5 states on a full-state run: err = %v, want ErrBudget", err)
+		t.Fatalf("budget of 1.25 states on a full-state run: err = %v, want ErrBudget", err)
 	}
-	if _, err := Simulate(c, Options{Method: Schrodinger, MemoryBudget: state + state/2, MaxAmplitudes: 1024}); err != nil {
+	if _, err := Simulate(c, Options{Method: Schrodinger, MemoryBudget: state + state/4, MaxAmplitudes: 1024}); err != nil {
 		t.Fatalf("the same budget with 1024 amplitudes: %v", err)
+	}
+
+	g28, err := graph.TwoBlockModel(14, 14, 0.6, 0.2, rand.New(rand.NewSource(53)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c28, err := qaoa.Build(g28, qaoa.SingleLayer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := EstimateCost(c28, Options{Method: Schrodinger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := int64(61) << 30 / 10; est.TotalBytes < 24<<28 || est.TotalBytes > limit {
+		t.Errorf("q28 full-state estimate %d B, want within [24·2^28 = %d, 6.1 GiB = %d]", est.TotalBytes, int64(24)<<28, limit)
 	}
 }
 
@@ -281,5 +302,109 @@ func TestSchrodingerFingerprintPinned(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("Fingerprint(%+v) = %#x, want %#x", tc.opts.Method, got, tc.want)
 		}
+	}
+}
+
+// inResultCircuit builds an n-qubit circuit (n > 13) for the sweep inside the
+// result: an H layer (the prologue); with writes, a ZZ layer reaching above
+// the tile boundary first, a phase step that writes the product state, and
+// else a CNOT chain before it, so that the run starts from the written
+// product state; then an RX layer, whose tiled run below the boundary moves
+// behind the high mixers — unless blocked, when a closing CNOT from qubit 0
+// onto the top qubit, which RX on qubit 0 does not commute with, holds it in
+// front and a tiled step with no gates ends the segment.
+func inResultCircuit(n int, writes, blocked bool, rng *rand.Rand) *Circuit {
+	th := func() float64 { return rng.Float64()*6 - 3 }
+	c := NewCircuit(n)
+	for q := 0; q < n; q++ {
+		c.Append(H(q))
+	}
+	for q := n - 1; !writes && q > 0; q-- {
+		c.Append(CNOT(q, q-1))
+	}
+	for q := 0; q < n; q++ {
+		c.Append(RZZ(th(), q, (q+1)%n), RZZ(th(), q, (q+5)%n))
+	}
+	for q := 0; q < n; q++ {
+		c.Append(RX(th(), q))
+	}
+	if blocked {
+		c.Append(CNOT(0, n-1))
+	}
+	return c
+}
+
+// TestSchrodingerSweepsInResult: a Schrödinger run sweeps inside its result —
+// the imaginary plane in the result's upper half, the last step interleaving
+// in waves — or, for a prefix, beside it. From 2 tiles to 32, for the full
+// state and prefixes of 1, one tile and one tile plus 5 amplitudes, from a
+// written and a phase-written start, with a last step that moves and one that
+// cannot, with 1 and 4 workers and at GOMAXPROCS 1, every amplitude equals
+// the planes-then-CopyToComplex run of the same segment bit for bit and the
+// dense oracle at 1e-12. A cancelled run returns the context's error.
+func TestSchrodingerSweepsInResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for n := 14; n <= 18; n++ {
+		for _, writes := range []bool{true, false} {
+			for _, blocked := range []bool{false, true} {
+				c := inResultCircuit(n, writes, blocked, rng)
+				opts := Options{Method: Schrodinger, FusionMaxQubits: -1}
+				cp, err := Compile(c, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg := cp.seg
+				name := fmt.Sprintf("n=%d writes=%v blocked=%v", n, writes, blocked)
+				if kind, _ := seg.Step(0); (kind == statevec.StepPhase) != writes {
+					t.Fatalf("%s: first step is a %v step", name, kind)
+				}
+				if kind, gates := seg.Step(seg.NumSteps() - 1); kind != statevec.StepTiled || (gates == 0) != blocked {
+					t.Fatalf("%s: last step is %d gates of kind %v", name, gates, kind)
+				}
+				if kind, _ := seg.Step(seg.NumSteps() - 2); kind != statevec.StepHigh {
+					t.Fatalf("%s: step before the last is a %v step, want the high mixers it passed or stopped at", name, kind)
+				}
+				oracle := statevec.NewState(n)
+				for i := range c.Gates {
+					g := c.Gates[i].Clone()
+					oracle.ApplyGate(&g)
+				}
+				planes := seg.NewState()
+				seg.Apply(planes)
+				check := func(run string, workers int) {
+					for _, m := range []int{0, 1, 1 << 13, 1<<13 + 5} {
+						opts.Workers, opts.MaxAmplitudes = workers, m
+						res, err := SimulateCompiled(cp, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := planes
+						if m > 0 {
+							want = planes.Slice(0, m)
+						}
+						if len(res.Amplitudes) != want.Len() {
+							t.Fatalf("%s %s m=%d: %d amplitudes, want %d", name, run, m, len(res.Amplitudes), want.Len())
+						}
+						for i, a := range res.Amplitudes {
+							if a != want.Amplitude(i) || !(cmplx.Abs(a-oracle[i]) <= 1e-12) {
+								t.Fatalf("%s %s m=%d: amplitude %d = %v, planes %v, oracle %v", name, run, m, i, a, want.Amplitude(i), oracle[i])
+							}
+						}
+					}
+				}
+				check("workers=1", 1)
+				check("workers=4", 4)
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+					check("GOMAXPROCS=1", 0)
+				}()
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := SimulateContext(ctx, inResultCircuit(14, true, false, rng), Options{Method: Schrodinger})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v, %v; want no result and context.Canceled", res, err)
 	}
 }
