@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test fuzz dist-test chaos-test jobs-test stress vet cover bench bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
+.PHONY: all build test test-purego race race-core race-sweep race-telemetry trace-test check-run-lists fuzz dist-test chaos-test jobs-test stress vet cover bench bench-e2e bench-ab bench-smoke bench-tables examples fmt clean
 
 all: build vet test
 
@@ -40,7 +40,8 @@ race-core:
 # segment parity suites under the detector to catch any aliasing regression,
 # the output-cone projection suites, whose halves shrink in place, the leaf
 # fold's batch bit-identity and its packed GEMM on every shape (the diagonal
-# tail's 512 × 32 among them), the fold epilogue's equivalence matrix, block
+# tail's 512 × 32 among them) for both operands emit weights, emit's zero-leaf
+# drop, the fold epilogue's equivalence matrix, block
 # rule and pass budget, the cut-term residuals and the diagonals that apply
 # them, the diagonal tail's node fold (and its bit-identity to the run-major
 # loop, and the tiled many-node fold's to a fold per node), equivalence
@@ -52,8 +53,14 @@ race-core:
 # result (-race turns on checkptr, which checks that the imaginary plane's
 # []float64 view stays inside the result's allocation).
 race-sweep:
-	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|FoldKron|FoldRows|Sink|WalkPassBudget|CutTermResidual|Diagonal|Tail|HeldRun|Contract|MergeCadence|WorkersAreWalkers' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
+	$(GO) test -race -run 'Segment|Kernel|Parity|Phase|Gather|Pair|Projection|FoldBatch|FoldRows|EmitDropsZeroLeaf|Sink|WalkPassBudget|CutTermResidual|Diagonal|Tail|HeldRun|Contract|MergeCadence|WorkersAreWalkers' -count=1 ./internal/statevec/ ./internal/hsf/ ./internal/circuit/
 	$(GO) test -race -run 'TestSchrodingerSweepsInResult' -count=1 .
+
+# Every alternative of a `go test -run` list in this Makefile and in the CI
+# workflow must match a test of the packages its line names, so a renamed
+# test cannot drop out of the race and purego legs unnoticed.
+check-run-lists:
+	python3 scripts/check-run-lists.py
 
 # Telemetry race pass: per-worker counters flush into the shared recorder and
 # the atomic histograms are hammered from every walker goroutine; the guard
@@ -72,7 +79,7 @@ race-telemetry:
 # allocates).
 trace-test:
 	$(GO) test -race ./internal/telemetry/trace/
-	$(GO) test -race -run 'Trace|Span|Timeline|Recorder|Tenant|DebugTrace' -count=1 ./internal/dist/ ./internal/server/ ./internal/jobs/ ./internal/hsf/
+	$(GO) test -race -run 'Trace|Span|Timeline|Tenant|DebugTrace' -count=1 ./internal/dist/ ./internal/server/ ./internal/jobs/ ./internal/hsf/
 	$(GO) test -run 'TestZeroAllocsPerLeafWithTracing' -count=1 ./internal/hsf/
 
 # Short fuzz pass over the daemon's untrusted input surface.
@@ -103,7 +110,7 @@ chaos-test:
 # kill-the-daemon-mid-job resume test (SIGTERM during a walk, restart on the
 # same store, every job completes with correct amplitudes).
 jobs-test:
-	$(GO) test -race -run 'Job|Fingerprint|Manager|Queue|Quota|Batch|Plan|Store' -v -count=1 ./internal/jobs/ ./internal/hsf/ ./internal/server/ ./cmd/hsfsimd/
+	$(GO) test -race -run 'Job|Fingerprint|Queue|Quota|Batch|Plan|Store' -v -count=1 ./internal/jobs/ ./internal/hsf/ ./internal/server/ ./cmd/hsfsimd/
 
 # Stress leg: the coordinator-handover and resume tests, the job service's
 # restart tests, the CLI's -checkpoint tests and the daemon's kill-and-restart

@@ -103,7 +103,7 @@ func main() {
 		cutPos    = flag.Int("cut", -1, "cut position (last lower-partition qubit); default n/2-1")
 		amps      = flag.Int("amplitudes", 16, "number of amplitudes to print (0: all)")
 		maxAmps   = flag.Int("max-amplitudes", 0, "number of amplitudes to compute (0: all)")
-		workers   = flag.Int("workers", 0, "worker goroutines (0: all CPUs)")
+		workers   = flag.Int("workers", 0, "HSF path workers (0: GOMAXPROCS); a Schrödinger run ignores it, its kernels use every core no run reserves")
 		timeout   = flag.Duration("timeout", 0, "abort after this duration (0: none)")
 		strategy  = flag.String("blocks", "cascade", "joint grouping: cascade | window")
 		maxBlock  = flag.Int("max-block-qubits", 0, "joint block qubit budget (0: default)")

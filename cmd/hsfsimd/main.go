@@ -70,7 +70,7 @@ func run(args []string) int {
 		maxConcurrent = fs.Int("max-concurrent", 0, "max simultaneous simulations (0: 2×GOMAXPROCS, <0: unlimited)")
 		memoryBudget  = fs.Int64("memory-budget", 0, "admission memory budget in bytes (0: 16 GiB default, <0: unlimited)")
 		maxPaths      = fs.Uint64("max-paths", 0, "reject plans with more Feynman paths than this (0: unlimited)")
-		workers       = fs.Int("workers", 0, "worker goroutines per simulation (0: all CPUs)")
+		workers       = fs.Int("workers", 0, "HSF path workers per simulation (0: GOMAXPROCS); a Schrödinger run ignores it, its kernels use every core no run reserves")
 		maxTimeout    = fs.Duration("max-timeout", 10*time.Minute, "cap on per-request timeout_ms")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 		worker        = fs.Bool("worker", false, "register with a coordinator as a distributed worker (needs -join)")

@@ -171,7 +171,10 @@ type Options struct {
 	// MaxAmplitudes limits the output to the first M amplitudes (paper
 	// Table I computes 10^6). 0 means the full statevector.
 	MaxAmplitudes int
-	// Workers bounds path/apply parallelism; 0 uses all CPUs.
+	// Workers is the number of HSF path workers (0: GOMAXPROCS). They
+	// reserve that many cores for the run; gate kernels and Schrödinger tile
+	// passes split over the cores no run has reserved (par.Inner), so a
+	// Schrödinger run ignores Workers.
 	Workers int
 	// BlockStrategy selects the JointHSF grouping; the zero value picks
 	// BlockCascade.

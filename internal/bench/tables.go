@@ -26,15 +26,6 @@ type RunConfig struct {
 	SkipSchrodingerAbove int
 }
 
-// DefaultSmallConfig is the laptop-scale measurement configuration.
-func DefaultSmallConfig() RunConfig {
-	return RunConfig{
-		MaxAmplitudes: 1 << 14,
-		Timeout:       30 * time.Second,
-		Repetitions:   3,
-	}
-}
-
 // timing is a mean/stddev pair in seconds.
 type timing struct {
 	Mean, Std float64

@@ -34,7 +34,7 @@ type ChaosConfig struct {
 	// MaxDelay delays each lease by a uniform random amount up to this.
 	MaxDelay time.Duration
 	// KillAfterLeases kills a worker after it has been granted that many
-	// leases: every later lease fails like a dead TCP peer until Revive.
+	// leases: every later lease fails like a dead TCP peer, for the rest of the run.
 	KillAfterLeases map[string]int
 }
 
@@ -75,14 +75,6 @@ func (c *Chaos) Kill(name string) {
 		c.killed[name] = true
 		c.Kills++
 	}
-}
-
-// Revive undoes Kill (a worker process restarted at the same address).
-func (c *Chaos) Revive(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.killed, name)
-	c.granted[name] = 0
 }
 
 // Run implements Transport.

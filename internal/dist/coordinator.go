@@ -81,12 +81,6 @@ func (c *Coordinator) Deregister(addr string) {
 	c.pokeSessions()
 }
 
-// RemoveWorker drops a worker from the fleet.
-func (c *Coordinator) RemoveWorker(addr string) {
-	c.reg.remove(addr)
-	c.pokeSessions()
-}
-
 // PartitionRegistry simulates a network partition between the registry and
 // addr: heartbeats from addr are ignored and it is excluded from the fleet,
 // while any lease it is already executing keeps running. Chaos tests use

@@ -29,17 +29,6 @@ type cluster struct {
 	gates  []gate.Gate // original order
 }
 
-func (c *cluster) unionSize(qs []int) int {
-	seen := make(map[int]bool, len(c.qubits)+len(qs))
-	for _, q := range c.qubits {
-		seen[q] = true
-	}
-	for _, q := range qs {
-		seen[q] = true
-	}
-	return len(seen)
-}
-
 func (c *cluster) absorb(g gate.Gate) {
 	seen := make(map[int]bool, len(c.qubits))
 	for _, q := range c.qubits {

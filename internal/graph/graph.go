@@ -157,15 +157,6 @@ func (g *Graph) RandomizeWeights(lo, hi float64, rng *rand.Rand) error {
 	return nil
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var w float64
-	for _, e := range g.Edges {
-		w += e.W
-	}
-	return w
-}
-
 // WriteDOT renders the graph in Graphviz DOT format; vertices up to cutPos
 // are grouped in one cluster and the rest in another, visualizing the
 // partition the HSF cut uses. Pass cutPos < 0 to skip clustering.

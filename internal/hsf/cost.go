@@ -144,7 +144,7 @@ func estimate(plan *cut.Plan, workers int, a *analysis) CostEstimate {
 	chain = addSat(chain, tl.proxyBytes())
 	perWorker := addSat(chain, accBytes) // scratch accumulator per worker
 	// Leaf batch: the last held leaf's lower half (or proxy) is still the
-	// chain's, the other K-1 are extra, and the coefficient table has K rows.
+	// chain's, the other K-1 are extra, and the weight table has K rows.
 	// A tail's row table has 2^|Q| amplitudes per row.
 	rows := int64(leafRows(m, max(nLower, 0)))
 	held := amps(nLower)

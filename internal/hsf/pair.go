@@ -95,14 +95,51 @@ func (p *densePair) release() {
 	p.ws.free = append(p.ws.free, p)
 }
 
-// emit hands the leaf coeff · (upper ⊗ lower) to b and releases the pair: the
-// lower half goes to the batch as it is and the upper rows are copied out, so
-// the upper half returns to the pool at once.
+// emit hands the leaf coeff · (upper ⊗ lower) to b and releases the pair. The
+// coefficient goes into the smaller operand of the leaf's fold, so that every
+// product keeps one association: with no more rows than lower columns, the
+// upper rows the output reads are copied out weighted, (c·up)·lo; otherwise
+// they are copied as they are and the lower half (or proxy) is weighted in
+// place, up·(c·lo), since the batch takes that buffer over. A leaf whose
+// coefficient or output rows are zero adds nothing: it is dropped, and its
+// lower half goes back to the pool unread. Either way the upper half returns to the pool at
+// once.
 func (p *densePair) emit(b *leafBatch, coeff complex128) {
-	row := b.add(coeff, p.lo)
-	row.CopyFrom(p.up.Slice(0, row.Len()))
-	p.lo = statevec.Vector{}
+	row := b.ups[len(b.los)]
+	up, byRows := p.up.Slice(0, row.Len()), row.Len() <= p.lo.Len()
+	if byRows {
+		weigh(row, up, coeff)
+	} else {
+		row.CopyFrom(up)
+	}
+	if coeff != 0 && nonzero(row) {
+		if !byRows {
+			weigh(p.lo, p.lo, coeff)
+		}
+		b.los, p.lo = append(b.los, p.lo), statevec.Vector{}
+	}
 	p.release()
+}
+
+// weigh sets dst to c·src amplitude by amplitude; dst may be src.
+func weigh(dst, src statevec.Vector, c complex128) {
+	cr, ci := real(c), imag(c)
+	n := len(dst.Re)
+	dr, di, sr, si := dst.Re[:n], dst.Im[:n], src.Re[:n], src.Im[:n]
+	for i, r := range sr {
+		m := si[i]
+		dr[i], di[i] = cr*r-ci*m, cr*m+ci*r
+	}
+}
+
+// nonzero reports whether any amplitude of v is non-zero.
+func nonzero(v statevec.Vector) bool {
+	for i, r := range v.Re {
+		if r != 0 || v.Im[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // leafBatchK is the number of leaves one fold applies, at every accumulator
@@ -117,34 +154,23 @@ func leafRows(m, nLower int) int {
 }
 
 // leafBatch is one worker's pending rank-K update of its accumulator: the
-// leaves emitted since the last fold, each as its path coefficient, the rows
-// of its upper half the output reads, and its lower half. A lower half stays
-// in the pool buffer the leaf evolved it in (emit hands it over without a
-// copy) and returns to the pool when the batch is folded or
-// discarded; nothing else of a leaf outlives emit.
+// leaves emitted since the last fold, each as the rows of its upper half the
+// output reads and its lower half, one of the two weighted by the leaf's path
+// coefficient (emit). A lower half stays in the pool buffer the leaf evolved
+// it in (emit hands it over without a copy) and returns to the pool when the
+// batch is folded or discarded; nothing else of a leaf outlives emit.
 type leafBatch struct {
-	pool   *statevec.Pool
-	coeffs []complex128      // len = leaves held, cap = K
-	ups    []statevec.Vector // K rows of the coefficient table
-	los    []statevec.Vector // len = leaves held, cap = K
+	pool *statevec.Pool
+	ups  []statevec.Vector // K rows of the weight table
+	los  []statevec.Vector // len = leaves held, cap = K
 }
 
 func (e *engine) newLeafBatch(pool *statevec.Pool) leafBatch {
 	return leafBatch{
-		pool:   pool,
-		coeffs: make([]complex128, 0, leafBatchK),
-		ups:    statevec.MakeVectors(leafBatchK, leafRows(e.m, e.nLower)),
-		los:    make([]statevec.Vector, 0, leafBatchK),
+		pool: pool,
+		ups:  statevec.MakeVectors(leafBatchK, leafRows(e.m, e.nLower)),
+		los:  make([]statevec.Vector, 0, leafBatchK),
 	}
-}
-
-// add holds one more leaf. The batch takes over lo, a buffer of its pool, and
-// returns the table row the caller fills with the leading amplitudes of the
-// leaf's upper half.
-func (b *leafBatch) add(coeff complex128, lo statevec.Vector) statevec.Vector {
-	b.coeffs = append(b.coeffs, coeff)
-	b.los = append(b.los, lo)
-	return b.ups[len(b.los)-1]
 }
 
 func (b *leafBatch) full() bool { return len(b.los) == len(b.ups) }
@@ -154,5 +180,8 @@ func (b *leafBatch) discard() {
 	for _, lo := range b.los {
 		b.pool.Put(lo)
 	}
-	b.coeffs, b.los = b.coeffs[:0], b.los[:0]
+	b.los = b.los[:0]
 }
+
+// leafFold is the fold's nil Diagonal: one class per row, the leaf fold.
+var leafFold *statevec.Diagonal

@@ -21,7 +21,7 @@ import (
 // with P_y keeping the amplitudes whose bits on Q spell y. Below L the walker
 // carries the 2^|Q|-amplitude proxy φ in place of the lower half, folds each
 // leaf's (c_b, up_b, φ_b) into a rows × 2^|Q| row table U, and folds U
-// through lo_L into the accumulator once per level-L node (Diagonal.FoldRows).
+// through lo_L into the accumulator once per level-L node (Diagonal.FoldRowsN).
 // An unobserved run whose nodes fit holds them instead and folds them all in
 // one pass after the walk (holdNodes).
 //

@@ -130,11 +130,10 @@ func (w *walker) fold(acc statevec.Vector) {
 		return
 	}
 	sampled, t0 := w.sample()
-	if t := &w.e.tail; t.level >= 0 {
-		statevec.FoldKron(w.table, b.coeffs, b.ups, b.los, len(t.qubits))
-	} else {
-		statevec.FoldKron(acc, b.coeffs, b.ups, b.los, w.e.nLower)
+	if w.e.tail.level >= 0 {
+		acc = w.table
 	}
+	leafFold.FoldRowsN(acc, 0, b.ups, b.los)
 	if w.wc != nil {
 		w.wc.Fold(len(b.los), sampled, t0)
 	}
@@ -150,7 +149,7 @@ func (w *walker) flush(acc statevec.Vector) {
 		return
 	}
 	if w.e.held == nil {
-		w.e.tail.fold.FoldRows(acc, w.table, w.node)
+		w.e.tail.fold.FoldRowsN(acc, 0, []statevec.Vector{w.table}, []statevec.Vector{w.node})
 	}
 	w.closeNode()
 }

@@ -76,7 +76,9 @@ type Config struct {
 	MaxPaths     uint64
 	// MaxTimeout caps the per-request timeout_ms (0: 10 minutes).
 	MaxTimeout time.Duration
-	// Workers bounds simulation parallelism per request (0: all CPUs).
+	// Workers is each request's HSF path-worker count (hsfsim.Options.Workers,
+	// 0: GOMAXPROCS). Gate kernels and Schrödinger tile passes use the cores
+	// no run has reserved, so a Schrödinger request ignores it.
 	Workers int
 	// Logger receives request logs (nil: log.Default()).
 	Logger *log.Logger

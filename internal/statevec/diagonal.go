@@ -29,9 +29,9 @@ const maxRunPeriod = 256
 
 // NewDiagonal returns the diagonal d on qubits, with len(d) == 1<<len(qubits).
 // It keeps both slices. A nil d gives the qubits' run decomposition alone,
-// which FoldRows reads and Apply cannot run: when the runs are long enough for
+// which FoldRowsN reads and Apply cannot run: when the runs are long enough for
 // a span body (every arm's spanMin is at least 4), the index x of one period
-// of runs, so that FoldRows looks a run's entry up once per row.
+// of runs, so that FoldRowsN looks a run's entry up once per row.
 func NewDiagonal(qubits []int, d []complex128) *Diagonal {
 	D := &Diagonal{qubits: qubits, d: d, s0: qubits[0], s1: -1}
 	smax := qubits[0]
@@ -175,42 +175,40 @@ func (D *Diagonal) kernel(v Vector, lo, hi int) {
 	}
 }
 
-// FoldRows adds to every row r of acc the diagonal W_r over D's qubits times
-// lo: acc[r·N+x] += w[r·2^k+x_D] · lo[x] for the N = lo.Len() amplitudes x of
-// the row (the last row may be shorter), x_D being x's bits on the k qubits,
-// the index Apply reads D's own entries at; those play no part here. It is
-// the HSF diagonal tail's node fold: row r of w sums the leaves below one
-// node, lo is that node's lower half. It walks acc once, row by row.
-// Amplitudes share an entry in runs of 2^s0, so on a fold-only D whose runs
-// reach spanMin each run of a row is one axpy, its entry looked up in the run
-// table; otherwise every row takes the reference body, one amplitude at a
-// time. Either way every amplitude gets axpy's operation sequence once.
-func (D *Diagonal) FoldRows(acc, w, lo Vector) {
-	D.foldRowsFrom(acc, 0, w, lo)
-}
-
-// FoldRowsN adds to acc, which holds rows r0… of a fold's accumulator from
-// the start of row r0, what one FoldRows call per node adds, node after node:
-// acc row r += W_p,r · los[p] for p = 0, 1, … over ws and los, a node's row
-// table and lower half. It is bit-identical to those calls, which give every
-// amplitude the nodes' axpys in node order, and so is the packed complex GEMM
-// it takes where FoldRows takes an axpy per run: per run of the rows in whole
-// FoldRowBlock blocks, one fold call applies every node, reading the run of
-// each lower half and the rows' entries for the run (the run's phase class)
-// in place from los and ws. The rows left over, a short last row among
-// them, and every row on an arm without a fold body or of a D whose runs
-// miss the span kernels go node by node through FoldRows' own body.
+// FoldRowsN is the HSF engine's one fold. acc holds rows r0… of an
+// accumulator from the start of row r0, each N = los[p].Len() amplitudes (the
+// last one may be shorter), and FoldRowsN adds
+//
+//	acc[r·N + x] += Σ_p ws[p][(r0+r)·k + x_D] · los[p][x]
+//
+// with p running over ws and los in slice order, x_D being x's class: its
+// bits on D's k qubits, the index Apply reads D's own entries at (those play
+// no part here), for a k = 2^|D| row table ws[p]. A nil D has one class per
+// row, k = 1: ws[p] holds one weight per row. That is the leaf fold, the
+// leaves' weighted upper rows through their lower halves (or proxies into a
+// diagonal tail's row table); D's classes make it the tail's node fold, a
+// node's row table through its lower half.
+//
+// Amplitudes share a class in runs of 2^s0, a whole row for a nil D. Per run
+// of the rows in whole FoldRowBlock blocks, one packed complex GEMM call
+// applies every node, reading the run of each lower half and the rows'
+// entries for the run's class in place. The rows left over, a short last row
+// among them, and every row on an arm without a fold body or whose runs are
+// not a multiple of 4 amplitudes go node by node, an axpy per run (or, where
+// a D's runs miss the span kernels, the reference body amplitude by
+// amplitude). Either way every amplitude gets the nodes' axpy operation
+// sequence, in node order.
 func (D *Diagonal) FoldRowsN(acc Vector, r0 int, ws, los []Vector) {
 	if len(los) == 0 {
 		return
 	}
-	n, k := los[0].Len(), 1<<len(D.qubits)
+	n := los[0].Len()
+	k, run, span := D.foldRuns(n)
 	rows := 0
-	if D.span() && ops.fold != foldNone {
+	if span && run&3 == 0 && ops.fold != foldNone {
 		rows = acc.Len() / n &^ (foldRows - 1)
 	}
 	if rows > 0 {
-		run, mask := 1<<D.s0, len(D.runX)-1
 		// Checked once as the whole of what the runs read: every column of
 		// the lower halves and every class (cOff up to the last) of the rows.
 		op := foldOp{acc: acc.Slice(0, rows*n), stride: n, n: n, blocks: rows / foldRows,
@@ -218,45 +216,44 @@ func (D *Diagonal) FoldRowsN(acc Vector, r0 int, ws, los []Vector) {
 		op.check()
 		op.n = run
 		for i, j := 0, 0; i < n; i, j = i+run, j+1 {
-			op.acc, op.loOff, op.cOff = acc.Slice(i, rows*n), i, r0*k+int(D.runX[j&mask])
+			op.acc, op.loOff, op.cOff = acc.Slice(i, rows*n), i, r0*k+D.class(j)
 			op.run()
 		}
 	}
-	if rows*n < acc.Len() {
-		rest := acc.Slice(rows*n, acc.Len())
-		for p := range los {
-			D.foldRowsFrom(rest, r0+rows, ws[p], los[p])
+	for p := range los { // the rows left over, node by node
+		for r, x0 := r0+rows, rows*n; x0 < acc.Len(); r, x0 = r+1, x0+n {
+			row, w, lo := acc.Slice(x0, min(x0+n, acc.Len())), ws[p].Slice(r*k, (r+1)*k), los[p]
+			if !span {
+				D.foldRow(row, w, lo)
+				continue
+			}
+			for i, j := 0, 0; i < row.Len(); i, j = i+run, j+1 {
+				x, e := D.class(j), min(i+run, row.Len()) // a short last row may end inside the run
+				ops.axpy(row.Re[i:e], row.Im[i:e], lo.Re[i:e], lo.Im[i:e], w.Re[x], w.Im[x])
+			}
 		}
 	}
 }
 
-// span reports whether D's fold takes an axpy per run: a fold-only D whose
-// runs reach the arm's span kernels.
-func (D *Diagonal) span() bool {
-	return D.runX != nil && ops.spanMin > 0 && 1<<D.s0 >= ops.spanMin
-}
-
-// foldRowsFrom is FoldRows on acc holding rows r0… from the start of row r0.
-func (D *Diagonal) foldRowsFrom(acc Vector, r0 int, w, lo Vector) {
-	n, k := lo.Len(), 1<<len(D.qubits)
-	run := 1 << D.s0
-	span := D.span()
-	for r, x0 := r0, 0; x0 < acc.Len(); r, x0 = r+1, x0+n {
-		row, wr := acc.Slice(x0, min(x0+n, acc.Len())), w.Slice(r*k, (r+1)*k)
-		if !span {
-			D.foldRow(row, wr, lo)
-			continue
-		}
-		mask := len(D.runX) - 1
-		for i, j := 0, 0; i < row.Len(); i, j = i+run, j+1 {
-			x := D.runX[j&mask]
-			e := min(i+run, row.Len()) // a short last row may end inside the run
-			ops.axpy(row.Re[i:e], row.Im[i:e], lo.Re[i:e], lo.Im[i:e], wr.Re[x], wr.Im[x])
-		}
+// foldRuns returns the fold's classes per row and run length for rows of n
+// amplitudes, and whether a run takes one axpy: always for a nil D, whose run
+// is the row; for a fold-only D, when its runs reach the arm's span kernels.
+func (D *Diagonal) foldRuns(n int) (k, run int, span bool) {
+	if D == nil {
+		return 1, n, true
 	}
+	return 1 << len(D.qubits), 1 << D.s0, D.runX != nil && ops.spanMin > 0 && 1<<D.s0 >= ops.spanMin
 }
 
-// foldRow is FoldRows' reference body on one row, with axpy's per-element
+// class returns the class of run j of a row: 0 for a nil D.
+func (D *Diagonal) class(j int) int {
+	if D == nil {
+		return 0
+	}
+	return int(D.runX[j&(len(D.runX)-1)])
+}
+
+// foldRow is the node fold's reference body on one row, with axpy's per-element
 // operation sequence.
 func (D *Diagonal) foldRow(row, w, lo Vector) {
 	for i := range row.Re {

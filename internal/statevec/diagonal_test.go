@@ -86,7 +86,8 @@ func TestDiagonalTakesRunTables(t *testing.T) {
 // shape (8 rows of 2^11, qubits 5–9), with qubit 0 among the qubits (runs of
 // one amplitude), on qubits that are not contiguous with a short last row,
 // with a last row that ends inside a run of eight, and into a one-row
-// accumulator. Every operand is a buffer a poisoned pool handed back, so
+// accumulator; and the leaf fold, a nil D whose one class is the row, on the
+// same shapes. Every operand is a buffer a poisoned pool handed back, so
 // what the test does not write is NaN: the fold must read only the rows and
 // entries it is given and write nothing past the accumulator. It allocates
 // nothing.
@@ -103,6 +104,9 @@ func TestDiagonalFoldRowsMatchesOracle(t *testing.T) {
 		{"not contiguous", 8, []int{1, 4, 7}, 3<<8 + 37},
 		{"ragged in a run", 8, []int{3, 6}, 2<<8 + 45},
 		{"one row", 7, []int{2, 5}, 1 << 7},
+		{"leaves, joint-sweep", 11, nil, 8 << 11},
+		{"leaves, short last row", 8, nil, 3<<8 + 37},
+		{"leaves, sub-row", 8, nil, 45},
 	}
 	forEachArm(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(37))
@@ -134,8 +138,9 @@ func TestDiagonalFoldRowsMatchesOracle(t *testing.T) {
 				}
 				want[i] += w.Amplitude(i/n*k+y) * lo.Amplitude(x)
 			}
-			D := NewDiagonal(tc.qubits, nil)
-			D.FoldRows(acc, w, lo)
+			D := foldDiagonal(tc.qubits)
+			ws, los := []Vector{w}, []Vector{lo}
+			D.FoldRowsN(acc, 0, ws, los)
 			if d := MaxAbsDiff(acc.ToComplex(), want); !(d <= 1e-12) {
 				t.Fatalf("%s: off the oracle by %g", tc.name, d)
 			}
@@ -145,8 +150,8 @@ func TestDiagonalFoldRowsMatchesOracle(t *testing.T) {
 				}
 			}
 			if !raceEnabled {
-				if allocs := testing.AllocsPerRun(5, func() { D.FoldRows(acc, w, lo) }); allocs != 0 {
-					t.Fatalf("%s: FoldRows allocated %.1f times", tc.name, allocs)
+				if allocs := testing.AllocsPerRun(5, func() { D.FoldRowsN(acc, 0, ws, los) }); allocs != 0 {
+					t.Fatalf("%s: FoldRowsN allocated %.1f times", tc.name, allocs)
 				}
 			}
 			pool.Put(lo)
@@ -156,7 +161,22 @@ func TestDiagonalFoldRowsMatchesOracle(t *testing.T) {
 	})
 }
 
-// foldRowsByRun is FoldRows as it was before it walked rows: runs outside,
+// foldDiagonal returns the fold-only Diagonal on qubits, nil (the leaf
+// fold's) for none.
+func foldDiagonal(qubits []int) *Diagonal {
+	if qubits == nil {
+		return nil
+	}
+	return NewDiagonal(qubits, nil)
+}
+
+// foldNode folds one node into the whole accumulator: one FoldRowsN call
+// with a single row table and lower half.
+func foldNode(D *Diagonal, acc, w, lo Vector) {
+	D.FoldRowsN(acc, 0, []Vector{w}, []Vector{lo})
+}
+
+// foldRowsByRun is the node fold as it was before it walked rows: runs outside,
 // rows inside, one axpy per run and row, the run's entry looked up once for
 // all rows.
 func foldRowsByRun(D *Diagonal, acc, w, lo Vector) {
@@ -176,7 +196,7 @@ func foldRowsByRun(D *Diagonal, acc, w, lo Vector) {
 	}
 }
 
-// TestFoldRowsBitIdenticalToRunOrder holds the row-major FoldRows to the
+// TestFoldRowsBitIdenticalToRunOrder holds the row-major node fold to the
 // run-major loop it replaced, bit for bit, on every kernel arm: each amplitude
 // gets the same axpy on the same operands, only in another order. The shapes
 // are the tail's at joint-sweep and joint-accum-par, runs of 4 (the shortest
@@ -211,7 +231,7 @@ func TestFoldRowsBitIdenticalToRunOrder(t *testing.T) {
 			want := MakeVector(tc.m)
 			want.CopyFrom(acc)
 			D := NewDiagonal(tc.qubits, nil)
-			D.FoldRows(acc, w, lo)
+			foldNode(D, acc, w, lo)
 			foldRowsByRun(D, want, w, lo)
 			for i := range acc.Re {
 				if acc.Re[i] != want.Re[i] || acc.Im[i] != want.Im[i] {
@@ -223,15 +243,18 @@ func TestFoldRowsBitIdenticalToRunOrder(t *testing.T) {
 	})
 }
 
-// TestFoldRowsNBitIdenticalToFoldRows holds FoldRowsN to one FoldRows call
-// per node, node after node, bit for bit on every kernel arm, over tiles that
+// TestFoldRowsNBitIdenticalToFoldRows holds FoldRowsN over many nodes to one
+// FoldRowsN call per node, node after node, over the whole accumulator, bit
+// for bit on every kernel arm, over tiles that
 // start at a row boundary: whole FoldRowBlock-row blocks, blocks with rows
 // left over, and the ragged end of the accumulator. The shapes are the
 // tail's at joint-accum-par (here 16 rows), runs of 4 (the shortest an
 // assembly span takes) with a short last row, runs shorter than every span
 // (the non-span body), a short last row that ends inside a run, and one row;
-// the node counts straddle FoldChunk. Nothing past the tile is written, and
-// FoldRowsN allocates nothing.
+// and the leaf fold (a nil D) on joint-sweep's rows, on the tail's leaf fold
+// into a 512-row table of 32 columns and with a short last row. The node
+// counts straddle FoldChunk. Nothing past the tile is written, and FoldRowsN
+// allocates nothing.
 func TestFoldRowsNBitIdenticalToFoldRows(t *testing.T) {
 	cases := []struct {
 		nLower int
@@ -247,6 +270,9 @@ func TestFoldRowsNBitIdenticalToFoldRows(t *testing.T) {
 		{8, []int{1, 4, 7}, 7<<8 + 37, 3, 4},
 		{8, []int{3, 6}, 9<<8 + 45, 11, 5},
 		{7, []int{6, 2}, 1 << 7, 1, 4},
+		{11, nil, 8 << 11, 8, 4},
+		{5, nil, 512 << 5, 8, 4},
+		{6, nil, 13<<6 + 20, 9, 8},
 	}
 	forEachArm(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
@@ -264,13 +290,13 @@ func TestFoldRowsNBitIdenticalToFoldRows(t *testing.T) {
 			for p := range los {
 				ws[p], los[p] = random(rows*k), random(n)
 			}
-			D := NewDiagonal(tc.qubits, nil)
+			D := foldDiagonal(tc.qubits)
 			acc := random(tc.m + 1)
 			past := acc.Amplitude(tc.m)
 			want := MakeVector(tc.m)
 			want.CopyFrom(acc.Slice(0, tc.m))
 			for p := range los {
-				D.FoldRows(want, ws[p], los[p])
+				foldNode(D, want, ws[p], los[p])
 			}
 			for r0 := 0; r0 < rows; r0 += tc.tile {
 				tile := acc.Slice(r0*n, min((r0+tc.tile)*n, tc.m))
@@ -285,7 +311,7 @@ func TestFoldRowsNBitIdenticalToFoldRows(t *testing.T) {
 			}
 			for i := range want.Re {
 				if acc.Re[i] != want.Re[i] || acc.Im[i] != want.Im[i] {
-					t.Fatalf("qubits %v, m = %d, %d nodes, %d-row tiles: amplitude %d is %v, FoldRows per node gives %v",
+					t.Fatalf("qubits %v, m = %d, %d nodes, %d-row tiles: amplitude %d is %v, a fold per node gives %v",
 						tc.qubits, tc.m, tc.nodes, tc.tile, i, acc.Amplitude(i), want.Amplitude(i))
 				}
 			}
@@ -298,12 +324,15 @@ func TestFoldRowsNBitIdenticalToFoldRows(t *testing.T) {
 
 // BenchmarkNodeFold folds the 32 level-5 nodes of joint-accum-par's tail
 // (2^11-amplitude lower halves, Q = qubits 5–9, 512 rows) into a 2^20
-// accumulator, per arm: one FoldRows call per node over the whole
-// accumulator, the unheld run's node fold, and FoldRowsN over tiles of
-// FoldRowBlock rows, each folded into one reused tile buffer as the held
-// pass does. The nodes' lower halves and row tables sit in padded slabs, as
-// the engine holds them (MakeVectors). It reports ns per node and GFlop/s
-// (8 flops per amplitude and node).
+// accumulator, per arm: one FoldRowsN call per node over the whole
+// accumulator, the unheld run's node fold ("PerNode"), and FoldRowsN over
+// tiles of FoldRowBlock rows, each folded into one reused tile buffer as the
+// held pass does ("Tiled"). The nodes' lower halves and row tables sit in
+// padded slabs, as the engine holds them (MakeVectors). It reports ns per
+// node and GFlop/s (8 flops per amplitude and node). It does not predict the
+// held pass: it folds the same nodes over and over with nothing else in the
+// caches, and fold changes that read faster here have read slower end to
+// end, so a fold change needs alternating end-to-end pairs.
 func BenchmarkNodeFold(b *testing.B) {
 	const nLower, nodes, m = 11, 32, 1 << 20
 	orig := KernelISA()
@@ -323,16 +352,16 @@ func BenchmarkNodeFold(b *testing.B) {
 	const tile = FoldRowBlock << nLower
 	buf := acc.Slice(0, tile)
 	for _, isa := range KernelISAs() {
-		for _, how := range []string{"FoldRows", "FoldRowsN"} {
+		for _, how := range []string{"PerNode", "Tiled"} {
 			b.Run(how+"/"+isa, func(b *testing.B) {
 				if err := SelectKernelISA(isa); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if how == "FoldRows" {
+					if how == "PerNode" {
 						for p := range los {
-							D.FoldRows(acc, ws[p], los[p])
+							D.FoldRowsN(acc, 0, ws[p:p+1], los[p:p+1])
 						}
 						continue
 					}

@@ -124,9 +124,11 @@ const foldRows = 4 // accumulator rows one register tile holds (R)
 // alone.
 const FoldRowBlock = foldRows
 
-// FoldChunk is the number of leaves FoldKron hands one fold call, the leaves
-// its stack panel packs: a batch of that many streams the accumulator once,
-// which is why the HSF engine batches exactly that many.
+// FoldChunk is the number of leaves the HSF engine batches for one leaf fold,
+// and the number of nodes the NEON body takes per call. A fold call applies
+// all its nodes to each register block before it stores the block, so a
+// batch of that many leaves streams the accumulator once; larger batches
+// measured no faster while holding more lower halves.
 const FoldChunk = 8
 
 // foldBody names a kernel arm's fold body; foldOp.run dispatches on it.
@@ -148,8 +150,8 @@ const (
 // p running over the len(lo) nodes (HSF leaves or held tail nodes) in slice
 // order, with axpy's per-element FMA sequence, so every amplitude rounds as
 // under one axpy per node. L is read in place from the nodes' vectors and C
-// from the coefficient vectors, a row table or a packed panel, so setting up
-// a call gathers nothing. The assembly bodies take the op by pointer and
+// from their weight rows or row tables, so setting up a call gathers
+// nothing. The assembly bodies take the op by pointer and
 // read its slices' data pointers, never their lengths: the callers check
 // the op first (check). Only arms with a fold body run one.
 type foldOp struct {

@@ -289,37 +289,30 @@ func TestAccumulateKronParity(t *testing.T) {
 	}
 }
 
-// withinUlps reports whether a and b are at most n units in the last place of
-// the larger one apart.
-func withinUlps(a, b float64, n int) bool {
-	x := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= float64(n)*(math.Nextafter(x, math.Inf(1))-x)
-}
-
-// TestFoldKronAllArms holds the leaf fold, on every kernel arm, against the
-// naive complex tensor accumulation at 1e-12 and against one AccumulateKron
-// call per leaf at 4 ulp per amplitude: blocking may reorder work across
-// amplitudes, never across the leaves of one. Output lengths sit on and around
-// one lower half, inside a row and at the full state, and give every
-// remainder of a foldRows block, with a short last row inside one. Rows are
-// 2^nLower columns wide: 2 is narrower than one YMM vector, 8 fills only the
-// avx2 head of the avx512 arm, 16 is exactly one ZMM block, and the 32-column
-// shape also takes every sub-row length from 17 to 31 and short last rows of
-// 20 and 28 columns (other column remainders mod 16 reach the fold bodies
-// only directly, in TestSpanPrimitivesAllArms). A sequence of leaves is
-// folded K at a time, so unless K divides it the last batch is short, and K
-// past FoldChunk is split. The 512-row shape of 32 columns is the diagonal
-// tail's leaf fold (with 13 rows, and with a short 512th row, beside it):
-// where rows outnumber columns the packed panel holds the scaled lower halves
-// instead of the coefficients, 32 columns at a time, which the 128-row shape
-// of 64 columns (and its 101st row short) splits in two. Everything the fold has no business
-// reading is NaN: the upper amplitudes past the accumulator's rows, the lower
-// amplitudes past a sub-row output and past 2^nLower, the table rows past
-// the held leaves, and the lower half of a leaf whose coefficient row is all
-// zero. Another leaf is zero on the rows of one block only, and row 2 is zero
-// for every leaf. An empty accumulator is a no-op, and the fold allocates
-// nothing.
-func TestFoldKronAllArms(t *testing.T) {
+// TestFoldRowsNLeavesAllArms holds the leaf fold, FoldRowsN with a nil D over
+// leaves whose weights emit has multiplied in, on every kernel arm and for
+// both operands emit weights, against the naive complex tensor accumulation at
+// 1e-12 and bit for bit (±0 counted equal) against one AccumulateKron call
+// per leaf on the same weighted operands with coefficient 1: blocking may
+// reorder work across amplitudes, never the operations one receives. Output lengths sit on and around one lower half, inside
+// a row and at the full state, and give every remainder of a foldRows block,
+// with a short last row inside one. Rows are 2^nLower columns wide: 2 is
+// narrower than one YMM vector, 8 fills only the avx2 head of the avx512 arm,
+// 16 is exactly one ZMM block, and the 32-column shape also takes every
+// sub-row length from 17 to 31 and short last rows of 20 and 28 columns
+// (other column remainders mod 16 reach the fold bodies only directly, in
+// TestSpanPrimitivesAllArms). A sequence of leaves is folded K at a time, so
+// unless K divides it the last batch is short, and K runs past FoldChunk. The
+// 512-row shape of 32 columns is the diagonal tail's leaf fold (with 13 rows,
+// and with a short 512th row, beside it), where emit weights the proxies; the
+// 128-row shape of 64 columns has its 101st row short. Everything the fold
+// has no business reading is NaN: the upper amplitudes past the
+// accumulator's rows, the lower amplitudes past a sub-row output, and the
+// table rows past the held leaves. One leaf is zero on the rows of one block
+// only, and row 2 is zero for every leaf. An empty accumulator is a no-op, and
+// the fold allocates nothing. (Dropping a leaf whose rows are all zero is
+// emit's business: TestEmitDropsZeroLeaf.)
+func TestFoldRowsNLeavesAllArms(t *testing.T) {
 	orig := KernelISA()
 	defer func() {
 		if err := SelectKernelISA(orig); err != nil {
@@ -328,7 +321,6 @@ func TestFoldKronAllArms(t *testing.T) {
 	}()
 	const (
 		leaves   = 19
-		zeroLeaf = 5
 		partLeaf = 11 // zero on rows [foldRows, 2·foldRows)
 		zeroRow  = 2  // zero for every leaf
 	)
@@ -351,6 +343,17 @@ func TestFoldKronAllArms(t *testing.T) {
 			v.Re[i], v.Im[i] = nan, nan
 		}
 	}
+	// scaled is c·v amplitude by amplitude, with emit's arithmetic.
+	scaled := func(v Vector, c complex128) Vector {
+		w := v.Clone()
+		cr, ci := real(c), imag(c)
+		for i, r := range v.Re {
+			m := v.Im[i]
+			w.Re[i], w.Im[i] = cr*r-ci*m, cr*m+ci*r
+		}
+		return w
+	}
+	var plain *Diagonal
 	for _, isa := range KernelISAs() {
 		t.Run(isa, func(t *testing.T) {
 			if err := SelectKernelISA(isa); err != nil {
@@ -371,15 +374,10 @@ func TestFoldKronAllArms(t *testing.T) {
 					for k := range coeffs {
 						coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
 						ups[k] = FromComplex(randomState(rng, sh.nUpper))
-						los[k] = FromComplex(append(randomState(rng, nLower), 0, 0, 0))
+						los[k] = FromComplex(randomState(rng, nLower))
 						poison(ups[k], rows)
 						poison(los[k], min(m, dimLo))
-						switch {
-						case k == zeroLeaf:
-							ups[k].Slice(0, rows).Clear()
-							poison(los[k], 0)
-							continue
-						case k == partLeaf && rows > foldRows:
+						if k == partLeaf && rows > foldRows {
 							ups[k].Slice(foldRows, min(2*foldRows, rows)).Clear()
 						}
 						if rows > zeroRow {
@@ -389,65 +387,74 @@ func TestFoldKronAllArms(t *testing.T) {
 							want[x] += coeffs[k] * ups[k].Amplitude(x>>nLower) * los[k].Amplitude(x&(dimLo-1))
 						}
 					}
-					oneRow := FromComplex(start)
-					for k := range coeffs {
-						AccumulateKron(oneRow, coeffs[k], ups[k], los[k], nLower)
-					}
 					spare := MakeVector(1 << sh.nUpper)
 					poison(spare, 0)
-					for _, K := range []int{1, 2, 7, 8, 9, 17} {
-						acc := FromComplex(start)
-						for k0 := 0; k0 < leaves; k0 += K {
-							k1 := min(k0+K, leaves)
-							// A short batch leaves table rows past its leaves.
-							table := append(append([]Vector(nil), ups[k0:k1]...), spare)
-							FoldKron(acc, coeffs[k0:k1], table, los[k0:k1], nLower)
-						}
-						for i := range want {
-							if d := cmplx.Abs(acc.Amplitude(i) - want[i]); !(d <= parityTol) { // NaN fails too
-								t.Fatalf("nLower=%d m=%d K=%d amplitude %d: got %v want %v", nLower, m, K, i, acc.Amplitude(i), want[i])
-							}
-							if !withinUlps(acc.Re[i], oneRow.Re[i], 4) || !withinUlps(acc.Im[i], oneRow.Im[i], 4) {
-								t.Fatalf("nLower=%d m=%d K=%d amplitude %d: fold %v, leaf by leaf %v", nLower, m, K, i, acc.Amplitude(i), oneRow.Amplitude(i))
+					for _, byRows := range []bool{true, false} {
+						ws, ls := make([]Vector, leaves), make([]Vector, leaves)
+						for k := range coeffs {
+							if byRows {
+								ws[k], ls[k] = scaled(ups[k], coeffs[k]), los[k]
+							} else {
+								ws[k], ls[k] = ups[k], scaled(los[k], coeffs[k])
 							}
 						}
-					}
-					if m == 1<<(nLower+sh.nUpper) {
-						acc := FromComplex(start)
-						for _, K := range []int{1, 8, 9} {
-							if allocs := testing.AllocsPerRun(10, func() { FoldKron(acc, coeffs[:K], ups, los, nLower) }); allocs != 0 {
-								t.Errorf("nLower=%d K=%d: %v allocs per fold", nLower, K, allocs)
+						oneRow := FromComplex(start)
+						for k := range coeffs {
+							AccumulateKron(oneRow, 1, ws[k], ls[k], nLower)
+						}
+						for _, K := range []int{1, 2, 7, 8, 9, 17} {
+							acc := FromComplex(start)
+							for k0 := 0; k0 < leaves; k0 += K {
+								k1 := min(k0+K, leaves)
+								// A short batch leaves table rows past its leaves.
+								table := append(append([]Vector(nil), ws[k0:k1]...), spare)
+								plain.FoldRowsN(acc, 0, table, ls[k0:k1])
+							}
+							for i := range want {
+								if d := cmplx.Abs(acc.Amplitude(i) - want[i]); !(d <= parityTol) { // NaN fails too
+									t.Fatalf("nLower=%d m=%d byRows=%v K=%d amplitude %d: got %v want %v", nLower, m, byRows, K, i, acc.Amplitude(i), want[i])
+								}
+								if acc.Re[i] != oneRow.Re[i] || acc.Im[i] != oneRow.Im[i] {
+									t.Fatalf("nLower=%d m=%d byRows=%v K=%d amplitude %d: fold %v, leaf by leaf %v", nLower, m, byRows, K, i, acc.Amplitude(i), oneRow.Amplitude(i))
+								}
+							}
+						}
+						if m == 1<<(nLower+sh.nUpper) {
+							acc := FromComplex(start)
+							for _, K := range []int{1, 8, 9} {
+								if allocs := testing.AllocsPerRun(10, func() { plain.FoldRowsN(acc, 0, ws[:K], ls[:K]) }); allocs != 0 {
+									t.Errorf("nLower=%d K=%d: %v allocs per fold", nLower, K, allocs)
+								}
 							}
 						}
 					}
 				}
 			}
 			empty := MakeVector(0)
-			FoldKron(empty, []complex128{1, 2}, []Vector{MakeVector(8), MakeVector(8)}, []Vector{MakeVector(8), MakeVector(8)}, 3)
+			plain.FoldRowsN(empty, 0, []Vector{MakeVector(8), MakeVector(8)}, []Vector{MakeVector(8), MakeVector(8)})
 			AccumulateKron(empty, 1, MakeVector(8), MakeVector(8), 3)
 		})
 	}
 }
 
-// TestFoldBatchBitIdentical holds, on every kernel arm, one FoldKron of
-// FoldChunk leaves to FoldChunk one-leaf FoldKron calls bit for bit (±0
-// counted equal): batching leaves changes which pass reads the accumulator,
-// never the operations one amplitude receives or their order, so the HSF
-// engine's batch size cannot move a result. The shapes are the joint-sweep
-// (8 rows × 2048) and serve-plan (16 × 1024) accumulators and outputs of one
-// row and of three, the last one short, which take the per-row axpy alone.
+// TestFoldBatchBitIdentical holds, on every kernel arm, one leaf fold of
+// FoldChunk leaves to FoldChunk one-leaf folds bit for bit (±0 counted
+// equal): batching leaves changes which pass reads the accumulator, never the
+// operations one amplitude receives or their order, so the HSF engine's batch
+// size cannot move a result. The shapes are the joint-sweep (8 rows × 2048)
+// and serve-plan (16 × 1024) accumulators and outputs of one row and of
+// three, the last one short, which take the per-row axpy alone.
 func TestFoldBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	var plain *Diagonal
 	forEachArm(t, func(t *testing.T) {
 		for _, sh := range []struct{ m, nLower int }{
 			{8 << 11, 11}, {16 << 10, 10}, {1 << 11, 11}, {2<<10 + 100, 10},
 		} {
 			rows := (sh.m + 1<<sh.nLower - 1) >> sh.nLower
-			coeffs := make([]complex128, FoldChunk)
-			ups, los := make([]Vector, FoldChunk), make([]Vector, FoldChunk)
-			for k := range coeffs {
-				coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
-				ups[k] = FromComplex(randomState(rng, bits.Len(uint(rows-1))))
+			ws, los := make([]Vector, FoldChunk), make([]Vector, FoldChunk)
+			for k := range ws {
+				ws[k] = FromComplex(randomState(rng, bits.Len(uint(rows-1))))
 				los[k] = FromComplex(randomState(rng, sh.nLower))
 			}
 			start := make([]complex128, sh.m)
@@ -455,9 +462,9 @@ func TestFoldBatchBitIdentical(t *testing.T) {
 				start[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
 			batch, single := FromComplex(start), FromComplex(start)
-			FoldKron(batch, coeffs, ups, los, sh.nLower)
-			for k := range coeffs {
-				FoldKron(single, coeffs[k:k+1], ups[k:k+1], los[k:k+1], sh.nLower)
+			plain.FoldRowsN(batch, 0, ws, los)
+			for k := range ws {
+				plain.FoldRowsN(single, 0, ws[k:k+1], los[k:k+1])
 			}
 			for i := range start {
 				if batch.Re[i] != single.Re[i] || batch.Im[i] != single.Im[i] {
@@ -470,8 +477,8 @@ func TestFoldBatchBitIdentical(t *testing.T) {
 }
 
 // TestFoldAVX512MatchesAVX2 holds the ZMM fold to the avx2 one bit for bit
-// (±0 counted equal): FoldKron on the benchmark's three shapes and a ragged
-// 7-leaf one, and the fold primitive itself on every column count up to 48
+// (±0 counted equal): the leaf fold on the benchmark's three shapes and a
+// ragged 7-leaf one, and the fold primitive itself on every column count up to 48
 // that the bodies take (multiples of 4), which splits into a ZMM head and an
 // avx2 head in every combination, over one to three row blocks.
 func TestFoldAVX512MatchesAVX2(t *testing.T) {
@@ -512,10 +519,8 @@ func TestFoldAVX512MatchesAVX2(t *testing.T) {
 	for _, sh := range []struct{ m, nLower, nUpper, k int }{
 		{1 << 14, 11, 3, 8}, {1 << 14, 10, 4, 8}, {1 << 20, 11, 9, 8}, {13<<9 + 100, 9, 4, 7},
 	} {
-		coeffs := make([]complex128, sh.k)
 		ups, los := make([]Vector, sh.k), make([]Vector, sh.k)
-		for k := range coeffs {
-			coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+		for k := range ups {
 			ups[k] = FromComplex(randomState(rng, sh.nUpper))
 			los[k] = FromComplex(randomState(rng, sh.nLower))
 		}
@@ -526,9 +531,9 @@ func TestFoldAVX512MatchesAVX2(t *testing.T) {
 				t.Fatal(err)
 			}
 			got[i] = start.Clone()
-			FoldKron(got[i], coeffs, ups, los, sh.nLower)
+			(*Diagonal)(nil).FoldRowsN(got[i], 0, ups, los)
 		}
-		same(fmt.Sprintf("FoldKron m=%d nLower=%d K=%d", sh.m, sh.nLower, sh.k), got[0], got[1])
+		same(fmt.Sprintf("leaf fold m=%d nLower=%d K=%d", sh.m, sh.nLower, sh.k), got[0], got[1])
 	}
 	for n := 4; n <= 48; n += 4 {
 		k := 1 + n%FoldChunk

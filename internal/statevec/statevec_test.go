@@ -406,9 +406,10 @@ func BenchmarkKernelRot1PerQubit(b *testing.B) {
 // joint-sweep (2^14 amplitudes, 11-qubit lower halves), serve-plan (2^14,
 // 10-qubit), the long rows of a 2^20 output (11-qubit) and joint-accum-par's
 // diagonal tail, whose leaves fold into a 512-row table of 2^|Q| = 32
-// columns — eight leaves per pass as the engine folds them, on every kernel
-// arm this process has, and reports the time per leaf and the rate at 8·m
-// flops per leaf.
+// columns — eight leaves per pass as the engine folds them (their weights
+// already multiplied in, as emit leaves them), on every kernel arm this
+// process has, and reports the time per leaf and the rate at 8·m flops per
+// leaf.
 func BenchmarkLeafFold(b *testing.B) {
 	orig := KernelISA()
 	defer func() {
@@ -419,11 +420,10 @@ func BenchmarkLeafFold(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct{ m, nLower, k int }{{1 << 14, 11, 8}, {1 << 14, 10, 8}, {1 << 20, 11, 8}, {1 << 14, 5, 8}} {
 		acc := MakeVector(tc.m)
-		coeffs := make([]complex128, tc.k)
 		ups := make([]Vector, tc.k)
 		los := make([]Vector, tc.k)
+		var plain *Diagonal // nil: one class per row, the leaf fold
 		for k := range los {
-			coeffs[k] = complex(rng.NormFloat64(), rng.NormFloat64())
 			ups[k] = FromComplex(randomState(rng, bits.Len(uint(tc.m))-1-tc.nLower))
 			los[k] = FromComplex(randomState(rng, tc.nLower))
 		}
@@ -434,7 +434,7 @@ func BenchmarkLeafFold(b *testing.B) {
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					FoldKron(acc, coeffs, ups, los, tc.nLower)
+					plain.FoldRowsN(acc, 0, ups, los)
 				}
 				leaves := float64(b.N * tc.k)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/leaves, "ns/leaf")

@@ -248,127 +248,13 @@ func MaxAbsDiffVec(a, b Vector) float64 {
 	return d
 }
 
-// FoldKron adds Σ_k coeffs[k] · (ups[k] ⊗ los[k]) to the first acc.Len()
-// amplitudes of acc: acc[a<<nLower|b] += coeffs[k]·ups[k][a]·los[k][b], the
-// product Upᵀ·diag(coeffs)·Lo of K = len(coeffs) HSF leaves (ups and los may
-// be longer). It reads ups[k][a] only for the ⌈acc.Len()/2^nLower⌉ rows acc
-// has. On an arm with a fold body, whole rows of a multiple of 4 columns go
-// in blocks of foldRows through the packed fold (foldBlocks); the other
-// rows, a short last row among them, take one stride-1 complex AXPY per row
-// and leaf. Either way every amplitude receives its leaves in slice order.
-func FoldKron(acc Vector, coeffs []complex128, ups, los []Vector, nLower int) {
-	m := acc.Len()
-	if m == 0 {
-		return
-	}
-	stride := 1 << nLower
-	cols := min(stride, m)
-	blocks := 0 // rows in whole blocks
-	if ops.fold != foldNone && cols&3 == 0 {
-		blocks = (m / cols) &^ (foldRows - 1)
-	}
-	if blocks > 0 {
-		foldBlocks(acc, coeffs, ups, los, stride, cols, blocks)
-	}
-	for a := blocks; a<<nLower < m; a++ {
-		x0 := a << nLower
-		n := min(cols, m-x0) // the last row may be short
-		for k, coeff := range coeffs {
-			if ur, ui := rowCoeff(coeff, ups[k], a); ur != 0 || ui != 0 {
-				ops.axpy(acc.Re[x0:x0+n], acc.Im[x0:x0+n], los[k].Re[:n], los[k].Im[:n], ur, ui)
-			}
-		}
-	}
-}
-
-// foldBlocks is FoldKron's packed fold of its first rows rows, cols columns
-// each, FoldChunk leaves per call. It packs the smaller of the two operands
-// with the coefficients in, up to foldPanel of its rows or columns per call,
-// and reads the other in place: with no more rows than columns the panel
-// holds C = diag(coeffs)·Up, coeff_k·up_k[a] for the call's rows, and the
-// call streams them once; otherwise it holds coeff_k·lo_k for the call's
-// columns, and C is the ups themselves. A leaf whose coefficients are all
-// zero on the call's rows is dropped and its lower half never read.
-func foldBlocks(acc Vector, coeffs []complex128, ups, los []Vector, stride, cols, rows int) {
-	var (
-		panel [FoldChunk][2][foldPanel]float64
-		c, lo [FoldChunk]Vector
-	)
-	byRows := rows <= cols
-	span := cols
-	if byRows {
-		span = rows
-	}
-	for k0 := 0; k0 < len(coeffs); k0 += FoldChunk {
-		for i0 := 0; i0 < span; i0 += foldPanel {
-			w := min(foldPanel, span-i0)
-			op := foldOp{acc: acc.Slice(i0, acc.Len()), stride: stride, n: w, blocks: rows / foldRows, cStride: 1}
-			a0, a1 := 0, rows // the call's rows
-			if byRows {
-				op.acc, op.n, op.blocks = acc.Slice(i0*stride, acc.Len()), cols, w/foldRows
-				a0, a1 = i0, i0+w
-			}
-			n := 0
-			for k := k0; k < min(k0+FoldChunk, len(coeffs)); k++ {
-				up := ups[k].Slice(a0, a1)
-				if coeffs[k] == 0 || zeroRows(up) {
-					continue
-				}
-				p := Vector{panel[n][0][:w], panel[n][1][:w]}
-				if byRows {
-					c[n], lo[n] = p, los[k]
-					scaleInto(p, up, coeffs[k])
-				} else {
-					c[n], lo[n] = ups[k], p
-					scaleInto(p, los[k].Slice(i0, i0+w), coeffs[k])
-				}
-				n++
-			}
-			if n > 0 {
-				op.lo, op.c = lo[:n], c[:n]
-				op.check()
-				op.run()
-			}
-		}
-	}
-}
-
-// foldPanel is the number of rows or columns one foldBlocks call packs at
-// most: a multiple of foldRows and of 4, and small enough that the stack
-// panel of FoldChunk leaves' operands stays 4 KiB.
-const foldPanel = 32
-
-// scaleInto sets dst to coeff·src amplitude by amplitude, with rowCoeff's
-// arithmetic.
-func scaleInto(dst, src Vector, coeff complex128) {
-	cr, ci := real(coeff), imag(coeff)
-	n := len(dst.Re)
-	dr, di, sr, si := dst.Re[:n], dst.Im[:n], src.Re[:n], src.Im[:n]
-	for i, r := range sr {
-		m := si[i]
-		dr[i], di[i] = cr*r-ci*m, cr*m+ci*r
-	}
-}
-
-// zeroRows reports whether every amplitude of up is zero.
-func zeroRows(up Vector) bool {
-	for a := range up.Re {
-		if up.Re[a] != 0 || up.Im[a] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// rowCoeff returns the real and imaginary parts of coeff·up[a], the factor
-// row a of a leaf's lower half is added with.
-func rowCoeff(coeff complex128, up Vector, a int) (float64, float64) {
-	cr, ci := real(coeff), imag(coeff)
-	return cr*up.Re[a] - ci*up.Im[a], cr*up.Im[a] + ci*up.Re[a]
-}
-
 // AccumulateKron adds coeff · (up ⊗ lo) to the first acc.Len() amplitudes of
-// acc: the one-leaf call of FoldKron.
+// acc, acc[a<<nLower|b] += coeff·up[a]·lo[b]: one axpy of lo per row a, with
+// coeff·up[a] as its factor. It is the per-row reference of the leaf fold
+// (Diagonal.FoldRowsN with a nil D over rows weighted at emit).
 func AccumulateKron(acc Vector, coeff complex128, up, lo Vector, nLower int) {
-	FoldKron(acc, []complex128{coeff}, []Vector{up}, []Vector{lo}, nLower)
+	for a, x0 := 0, 0; x0 < acc.Len(); a, x0 = a+1, x0+1<<nLower {
+		n, u := min(1<<nLower, acc.Len()-x0), coeff*up.Amplitude(a) // the last row may be short
+		ops.axpy(acc.Re[x0:x0+n], acc.Im[x0:x0+n], lo.Re[:n], lo.Im[:n], real(u), imag(u))
+	}
 }

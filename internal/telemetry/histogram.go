@@ -79,48 +79,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) in seconds by linear
-// interpolation within the containing bucket. Exponential buckets make this
-// an order-of-magnitude estimate — good enough for Retry-After hints and
-// p50/p99 latency reporting, which is what it exists for. Returns 0 on an
-// empty snapshot; observations in the +Inf bucket report the last finite
-// bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.BoundsSeconds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum int64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			hi := s.BoundsSeconds[len(s.BoundsSeconds)-1]
-			lo := 0.0
-			if i < len(s.BoundsSeconds) {
-				hi = s.BoundsSeconds[i]
-			}
-			if i > 0 {
-				lo = s.BoundsSeconds[i-1]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return s.BoundsSeconds[len(s.BoundsSeconds)-1]
-}
-
 // Merge folds a snapshot produced by another Histogram into this one.
 // Snapshots with a different bucket geometry are merged by count and sum
 // only (their bucket shape is lost); in practice every histogram in the

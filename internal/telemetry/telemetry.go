@@ -192,15 +192,6 @@ func (r *Recorder) Lease(ev LeaseEvent) {
 	r.mu.Unlock()
 }
 
-// SinceStartMs reports milliseconds elapsed since the Recorder was created
-// (0 on a nil receiver). Used to timestamp LeaseEvents consistently.
-func (r *Recorder) SinceStartMs() float64 {
-	if r == nil {
-		return 0
-	}
-	return float64(time.Since(r.start)) / 1e6
-}
-
 // RunTotals is the end-of-run summary handed to FinishRun.
 type RunTotals struct {
 	TotalPaths int64
