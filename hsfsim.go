@@ -298,7 +298,7 @@ func SimulateContext(ctx context.Context, c *Circuit, opts Options) (*Result, er
 
 // CompiledPlan is the reusable, immutable result of Compile: the circuit's
 // cut plan (HSF methods) or fused, kernel-compiled gate segment
-// (Schrodinger), plus the fingerprint that keys it. A CompiledPlan is safe
+// (Schrodinger). A CompiledPlan is safe
 // for concurrent SimulateCompiledContext calls, so a service can compile a
 // hot circuit once and execute many requests — even simultaneously — against
 // the same plan, skipping the Schmidt decompositions that dominate
@@ -312,15 +312,8 @@ type CompiledPlan struct {
 	// then fused gates (telemetry census).
 	seg     *statevec.CompiledSegment
 	gates   []gate.Gate
-	fp      uint64
 	compile time.Duration
 }
-
-// Fingerprint returns the plan's cache key: a hash of the circuit (gate
-// sequence, operands, parameters, matrices) and every plan-affecting option.
-// Equal fingerprints execute identically; see Fingerprint for computing the
-// key without compiling.
-func (p *CompiledPlan) Fingerprint() uint64 { return p.fp }
 
 // Method echoes the method the plan was compiled for.
 func (p *CompiledPlan) Method() Method { return p.method }
@@ -439,7 +432,7 @@ func Compile(c *Circuit, opts Options) (*CompiledPlan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("hsfsim: %w", err)
 	}
-	cp := &CompiledPlan{circuit: c, method: opts.Method, fp: fingerprintOf(c, opts)}
+	cp := &CompiledPlan{circuit: c, method: opts.Method}
 	start := time.Now()
 	switch opts.Method {
 	case Schrodinger:

@@ -7,6 +7,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 
 	"hsfsim/internal/cmat"
 	"hsfsim/internal/gate"
@@ -118,12 +119,15 @@ func (c *Circuit) Unitary() *cmat.Matrix {
 func applyGateToMatrix(g *gate.Gate, u *cmat.Matrix, n int) *cmat.Matrix {
 	dim := u.Rows
 	out := cmat.New(dim, u.Cols)
-	col := make([]complex128, dim)
+	buf := make([]complex128, dim+1<<len(g.Qubits)) // a column, then the gather scratch
+	col, in := buf[:dim], buf[dim:]
+	sorted := slices.Clone(g.Qubits)
+	slices.Sort(sorted)
 	for j := 0; j < u.Cols; j++ {
 		for i := 0; i < dim; i++ {
 			col[i] = u.Data[i*u.Cols+j]
 		}
-		applyGateToVector(g, col)
+		applyGateToVector(g, col, in, sorted)
 		for i := 0; i < dim; i++ {
 			out.Data[i*u.Cols+j] = col[i]
 		}
@@ -132,24 +136,22 @@ func applyGateToMatrix(g *gate.Gate, u *cmat.Matrix, n int) *cmat.Matrix {
 }
 
 // applyGateToVector applies g in place to a state over n qubits where
-// len(state) = 2^n. This is a compact reference implementation; the
-// performance-tuned version lives in package statevec.
-func applyGateToVector(g *gate.Gate, state []complex128) {
+// len(state) = 2^n, gathering each group of 2^k amplitudes into in; sorted
+// is g's qubits in ascending order. This is a compact reference
+// implementation; the performance-tuned version lives in package statevec.
+func applyGateToVector(g *gate.Gate, state, in []complex128, sorted []int) {
 	k := g.NumQubits()
 	kdim := 1 << k
-	// Enumerate the non-target bits and gather/scatter the target amplitudes.
-	targets := append([]int(nil), g.Qubits...)
 	outer := len(state) >> k
-	in := make([]complex128, kdim)
 	for o := 0; o < outer; o++ {
-		base := expandIndex(o, targets)
+		base := expandIndex(o, sorted)
 		for t := 0; t < kdim; t++ {
 			in[t] = state[base|spreadBits(t, g.Qubits)]
 		}
 		for t := 0; t < kdim; t++ {
 			var s complex128
 			row := g.Matrix.Data[t*kdim : (t+1)*kdim]
-			for u, iv := range in {
+			for u, iv := range in[:kdim] {
 				s += row[u] * iv
 			}
 			state[base|spreadBits(t, g.Qubits)] = s
@@ -166,17 +168,10 @@ func spreadBits(t int, qubits []int) int {
 	return out
 }
 
-// expandIndex inserts zero bits at each position in targets (which need not
-// be sorted), mapping a compact index over the non-target bits to a full
-// index with zeros at the target positions.
-func expandIndex(o int, targets []int) int {
-	// Insert in ascending position order.
-	sorted := append([]int(nil), targets...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+// expandIndex inserts zero bits at each position in sorted (ascending),
+// mapping a compact index over the non-target bits to a full index with
+// zeros at the target positions.
+func expandIndex(o int, sorted []int) int {
 	for _, p := range sorted {
 		low := o & ((1 << p) - 1)
 		o = (o>>p)<<(p+1) | low

@@ -16,31 +16,41 @@ const commuteTol = 1e-10
 const maxStackUnion = 4
 
 // Commute reports whether two gates commute as operators on the full
-// register. Three increasingly expensive checks are used:
+// register. Four increasingly expensive checks are used:
 //  1. disjoint qubit supports always commute;
 //  2. two gates that both act diagonally on every qubit they share
 //     (gate.DiagonalOn: the matrix is diagonal or the qubit is a control) are
 //     block-diagonal over those qubits with blocks on disjoint supports, so
 //     they commute — the one structural rule of the tree, which the engine's
 //     segment scheduler applies per qubit frontier;
-//  3. otherwise the commutator of the two operators embedded on the union of
+//  3. when one of them is diagonal, the commutator's norm has a closed form
+//     in its diagonal and the other's entries (diagCommutatorNorm2);
+//  4. otherwise the commutator of the two operators embedded on the union of
 //     their supports is computed explicitly.
 func Commute(a, b *gate.Gate) bool {
-	shared, structural := false, true
+	shared, structural := 0, true
 	for ba, q := range a.Qubits {
 		if bb := slices.Index(b.Qubits, q); bb >= 0 {
-			shared = true
+			shared++
 			structural = structural && a.DiagonalOn(ba) && b.DiagonalOn(bb)
 		}
 	}
-	if !shared || structural {
+	if shared == 0 || structural {
 		return true
+	}
+	if len(a.Qubits)+len(b.Qubits)-shared > maxStackUnion {
+		var buf [2 * maxStackUnion]int
+		union := unionQubits(buf[:0], a, b)
+		return cmat.Commutator(embedOnQubits(a, union), embedOnQubits(b, union)).FrobeniusNorm() <= commuteTol
+	}
+	if a.Diagonal {
+		return diagCommutatorNorm2(a, b, shared) <= commuteTol*commuteTol
+	}
+	if b.Diagonal {
+		return diagCommutatorNorm2(b, a, shared) <= commuteTol*commuteTol
 	}
 	var buf [2 * maxStackUnion]int
 	union := unionQubits(buf[:0], a, b)
-	if len(union) > maxStackUnion {
-		return cmat.Commutator(embedOnQubits(a, union), embedOnQubits(b, union)).FrobeniusNorm() <= commuteTol
-	}
 	const maxDim = 1 << maxStackUnion
 	var ma, mb [maxDim * maxDim]complex128
 	dim := 1 << len(union)
@@ -57,6 +67,53 @@ func Commute(a, b *gate.Gate) bool {
 		}
 	}
 	return norm2 <= commuteTol*commuteTol
+}
+
+// diagCommutatorNorm2 returns ‖[D, U]‖²_F for a diagonal d and any u that
+// share the given number of qubits, on a union of at most maxStackUnion
+// qubits, without forming a product. Entry (x, y) of the commutator on the
+// union is (d_x − d_y)·U_xy, and U_xy is zero unless x and y agree off u's
+// support. So with i, j running over u's matrix indices and ρ over the
+// qubits d touches beyond u's support,
+//
+//	‖[D, U]‖² = Σ_ρ Σ_{i≠j} |d(i, ρ) − d(j, ρ)|² · |u_ij|²,
+//
+// where d(i, ρ) is d's diagonal entry at the index i and ρ set on its
+// qubits: 2^|ρ|·4^k terms where the explicit commutator costs 8^|union|.
+func diagCommutatorNorm2(d, u *gate.Gate, shared int) float64 {
+	// dIdx[i] | rest[ρ] is d's matrix index for u's index i and the bits ρ.
+	var dIdxBuf, restBuf [1 << maxStackUnion]int
+	dm, um := d.Matrix, u.Matrix
+	stride, du := dm.Rows+1, um.Rows
+	dIdx, rest := dIdxBuf[:du], restBuf[:1<<(len(d.Qubits)-shared)]
+	nRest := 0
+	for b, q := range d.Qubits {
+		if k := slices.Index(u.Qubits, q); k >= 0 {
+			for i := range dIdx {
+				dIdx[i] |= (i >> k & 1) << b
+			}
+			continue
+		}
+		for r := range rest { // bit nRest of ρ is d's bit b
+			rest[r] |= (r >> nRest & 1) << b
+		}
+		nRest++
+	}
+	var norm2 float64
+	for _, r := range rest {
+		for i, ui := range dIdx {
+			di := dm.Data[(ui|r)*stride]
+			for j, uj := range dIdx {
+				v := um.Data[i*du+j]
+				if i == j || v == 0 {
+					continue
+				}
+				dd := di - dm.Data[(uj|r)*stride]
+				norm2 += (real(dd)*real(dd) + imag(dd)*imag(dd)) * (real(v)*real(v) + imag(v)*imag(v))
+			}
+		}
+	}
+	return norm2
 }
 
 // embedInto writes g ⊗ identity on the register of the given sorted qubits
@@ -98,14 +155,11 @@ func unionQubits(dst []int, a, b *gate.Gate) []int {
 // the given (sorted) qubit list: qubits[k] becomes bit k of the embedded
 // index. Every qubit of g must appear in qubits.
 func embedOnQubits(g *gate.Gate, qubits []int) *cmat.Matrix {
-	pos := make(map[int]int, len(qubits))
-	for k, q := range qubits {
-		pos[q] = k
+	local := gate.Gate{Qubits: make([]int, len(g.Qubits)), Matrix: g.Matrix}
+	for b, q := range g.Qubits {
+		local.Qubits[b] = slices.Index(qubits, q)
 	}
-	local := g.Remap(func(q int) int { return pos[q] })
-	dim := 1 << len(qubits)
-	u := cmat.Identity(dim)
-	return applyGateToMatrix(&local, u, len(qubits))
+	return applyGateToMatrix(&local, cmat.Identity(1<<len(qubits)), len(qubits))
 }
 
 // EmbedOnQubits is the exported form of embedOnQubits, which the fusion pass
@@ -245,28 +299,22 @@ func (d *DependencyDAG) ContractAndOrder(groups [][]int) (order []int, ok bool) 
 		edge[v+1] = len(succ)
 	}
 
-	// Kahn's algorithm with smallest-first-member tie-break.
-	ready := stamp[:0] // every stamp is read for the last time above
+	// Kahn's algorithm with smallest-first-member tie-break: ready is a
+	// binary min-heap of the ready nodes' first members, which name them
+	// (nodeOf).
+	ready := minHeap(stamp[:0]) // every stamp is read for the last time above
 	for v := range numNodes {
 		if indeg[v] == 0 {
-			ready = append(ready, v)
+			ready.push(members[first[v]])
 		}
 	}
 	order = make([]int, 0, d.N)
 	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if members[first[ready[i]]] < members[first[ready[best]]] {
-				best = i
-			}
-		}
-		v := ready[best]
-		ready[best] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+		v := nodeOf[ready.pop()]
 		order = append(order, members[first[v]:first[v+1]]...)
 		for _, w := range succ[edge[v]:edge[v+1]] {
 			if indeg[w]--; indeg[w] == 0 {
-				ready = append(ready, w)
+				ready.push(members[first[w]])
 			}
 		}
 	}
@@ -274,6 +322,37 @@ func (d *DependencyDAG) ContractAndOrder(groups [][]int) (order []int, ok bool) 
 		return nil, false // cycle: grouping invalid
 	}
 	return order, true
+}
+
+// minHeap is a binary min-heap of ints.
+type minHeap []int
+
+func (h *minHeap) push(x int) {
+	*h = append(*h, x)
+	for i, n := len(*h)-1, *h; i > 0 && n[(i-1)/2] > n[i]; i = (i - 1) / 2 {
+		n[(i-1)/2], n[i] = n[i], n[(i-1)/2]
+	}
+}
+
+func (h *minHeap) pop() int {
+	n := *h
+	x, last := n[0], len(n)-1
+	n[0], n = n[last], n[:last]
+	for i := 0; ; {
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(n) && n[c] < n[m] {
+				m = c
+			}
+		}
+		if m == i {
+			break
+		}
+		n[i], n[m] = n[m], n[i]
+		i = m
+	}
+	*h = n
+	return x
 }
 
 // Contractible reports whether group can run as one contiguous block:

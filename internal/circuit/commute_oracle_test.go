@@ -2,6 +2,8 @@ package circuit_test
 
 import (
 	"fmt"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -258,5 +260,107 @@ func TestBuildDAGMatchesOracle(t *testing.T) {
 		if edges == 0 {
 			t.Errorf("%s: no edges, the case exercises nothing", name)
 		}
+	}
+}
+
+// rotationsAt returns every library rotation with all its angles at a.
+func rotationsAt(a float64) []gate.Gate {
+	return []gate.Gate{
+		gate.RX(a, 0), gate.RY(a, 0), gate.RZ(a, 0), gate.P(a, 0), gate.U3(a, a, a, 0),
+		gate.RZZ(a, 0, 1), gate.RXX(a, 0, 1), gate.RYY(a, 0, 1), gate.CPhase(a, 0, 1),
+		gate.CRX(a, 0, 1), gate.CRY(a, 0, 1), gate.CRZ(a, 0, 1), gate.FSim(a, a, 0, 1),
+	}
+}
+
+// TestCommuteMatchesOracleAtSpecialAngles holds Commute against the oracle
+// where rotations degenerate: at 0, π/2, π, 2π and 4π entries vanish or turn
+// into ±1 (RX(0) is the identity, RZZ(2π) is −I, RX(π) a phase
+// permutation), and 1e-9 to either side they do not quite. Every rotation at
+// every such angle meets the library and the rotations at the same angle in
+// every overlapping placement on four qubits.
+func TestCommuteMatchesOracleAtSpecialAngles(t *testing.T) {
+	pairs, commuting := 0, 0
+	for _, base := range []float64{0, math.Pi / 2, math.Pi, 2 * math.Pi, 4 * math.Pi} {
+		for _, a := range []float64{base - 1e-9, base, base + 1e-9} {
+			rot := rotationsAt(a)
+			others := append(library(), rot...)
+			for i := range rot {
+				x := &rot[i]
+				for j := range others {
+					for _, qs := range placements(others[j].NumQubits(), 4) {
+						y := others[j].Remap(func(q int) int { return qs[q] })
+						if !x.SharesQubit(&y) {
+							continue
+						}
+						want := commuteOracle(x, &y)
+						if got := circuit.Commute(x, &y); got != want {
+							t.Errorf("Commute(%v, %v) at angle %v = %v, commutator says %v", x, &y, a, got, want)
+						}
+						if got := circuit.Commute(&y, x); got != want {
+							t.Errorf("Commute(%v, %v) at angle %v = %v, commutator says %v", &y, x, a, got, want)
+						}
+						pairs++
+						if want {
+							commuting++
+						}
+					}
+				}
+			}
+		}
+	}
+	if commuting == 0 || commuting == pairs {
+		t.Fatalf("%d placements, %d commuting: the table exercises nothing", pairs, commuting)
+	}
+}
+
+// TestCommuteRandomDiagonalsMatchOracle holds the closed form for a
+// diagonal gate against the oracle with random three- and four-qubit
+// diagonals, some entries repeated so that a qubit drops out of the
+// diagonal, against every one-qubit library gate on each of the four qubits.
+func TestCommuteRandomDiagonalsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	oneQubit := []gate.Gate{}
+	for _, g := range library() {
+		if g.NumQubits() == 1 {
+			oneQubit = append(oneQubit, g)
+		}
+	}
+	oneQubit = append(oneQubit, gate.RX(0, 0), gate.RX(math.Pi, 0), gate.RY(2*math.Pi, 0))
+	pairs, commuting := 0, 0
+	for it := 0; it < 200; it++ {
+		k := 3 + it%2
+		d := cmat.New(1<<k, 1<<k)
+		free := rng.Intn(k + 1) // the diagonal ignores matrix bit free (none when free == k)
+		for i := 0; i < 1<<k; i++ {
+			if free < k && i>>free&1 == 1 {
+				d.Data[i*(1<<k+1)] = d.Data[(i^1<<free)*(1<<k+1)]
+				continue
+			}
+			d.Data[i*(1<<k+1)] = cmplx.Rect(1, 2*math.Pi*rng.Float64())
+		}
+		qs := rng.Perm(4)[:k]
+		dg := gate.New("diag", d, nil, qs...)
+		for i := range oneQubit {
+			for q := 0; q < 4; q++ {
+				u := oneQubit[i].Remap(func(int) int { return q })
+				if !dg.SharesQubit(&u) {
+					continue
+				}
+				want := commuteOracle(&dg, &u)
+				if got := circuit.Commute(&dg, &u); got != want {
+					t.Errorf("Commute(%v, %v) = %v, commutator says %v", &dg, &u, got, want)
+				}
+				if got := circuit.Commute(&u, &dg); got != want {
+					t.Errorf("Commute(%v, %v) = %v, commutator says %v", &u, &dg, got, want)
+				}
+				pairs++
+				if want {
+					commuting++
+				}
+			}
+		}
+	}
+	if commuting == 0 || commuting == pairs {
+		t.Fatalf("%d pairs, %d commuting: the table exercises nothing", pairs, commuting)
 	}
 }

@@ -20,10 +20,28 @@ type Matrix struct {
 	Data       []complex128
 }
 
-// New returns a zero matrix with the given shape.
+// New returns a zero matrix with the given shape. A matrix of at most 16
+// entries — every one- and two-qubit gate — is one allocation, its entries
+// stored behind its header.
 func New(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("cmat: negative dimension %dx%d", rows, cols))
+	}
+	switch n := rows * cols; {
+	case n <= 4:
+		m := new(struct {
+			Matrix
+			data [4]complex128
+		})
+		m.Matrix = Matrix{Rows: rows, Cols: cols, Data: m.data[:n:n]}
+		return &m.Matrix
+	case n <= 16:
+		m := new(struct {
+			Matrix
+			data [16]complex128
+		})
+		m.Matrix = Matrix{Rows: rows, Cols: cols, Data: m.data[:n:n]}
+		return &m.Matrix
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
 }

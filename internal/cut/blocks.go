@@ -1,6 +1,7 @@
 package cut
 
 import (
+	"slices"
 	"sort"
 
 	"hsfsim/internal/circuit"
@@ -53,11 +54,14 @@ const DefaultMaxBlockQubits = 8
 // collected into a block, and the scan repeats until no anchor holds two or
 // more gates.
 func groupCascades(c *circuit.Circuit, p Partition, crossing []int, maxBlockQubits int) [][]int {
-	grouped := make(map[int]bool)
+	grouped := make([]bool, len(c.Gates))
+	count := make([][]int, c.NumQubits) // anchor qubit -> gate indices, ascending
 	var groups [][]int
 	for {
 		// Score anchors over ungrouped two-qubit crossing gates.
-		count := make(map[int][]int) // anchor qubit -> gate indices
+		for q := range count {
+			count[q] = count[q][:0]
+		}
 		for _, gi := range crossing {
 			if grouped[gi] {
 				continue
@@ -70,21 +74,21 @@ func groupCascades(c *circuit.Circuit, p Partition, crossing []int, maxBlockQubi
 				count[q] = append(count[q], gi)
 			}
 		}
+		// The most gates, the lowest qubit among equals.
 		bestAnchor, bestN := -1, 1
 		for q, gis := range count {
-			if len(gis) > bestN || (len(gis) == bestN && bestAnchor != -1 && q < bestAnchor) {
+			if len(gis) > bestN {
 				bestAnchor, bestN = q, len(gis)
 			}
 		}
-		if bestAnchor == -1 || bestN < 2 {
+		if bestAnchor == -1 {
 			return groups
 		}
 		gis := count[bestAnchor]
-		sort.Ints(gis)
 		// Chunk to respect the block qubit budget: anchor + fan qubits. Two
 		// gates may share a fan qubit, so count distinct qubits as we go.
 		var cur []int
-		qubits := map[int]bool{bestAnchor: true}
+		qubits := []int{bestAnchor}
 		flush := func() {
 			if len(cur) >= 2 {
 				groups = append(groups, cur)
@@ -93,13 +97,13 @@ func groupCascades(c *circuit.Circuit, p Partition, crossing []int, maxBlockQubi
 				grouped[gi] = true
 			}
 			cur = nil
-			qubits = map[int]bool{bestAnchor: true}
+			qubits = append(qubits[:0], bestAnchor)
 		}
 		for _, gi := range gis {
 			g := &c.Gates[gi]
 			added := 0
 			for _, q := range g.Qubits {
-				if !qubits[q] {
+				if !slices.Contains(qubits, q) {
 					added++
 				}
 			}
@@ -107,7 +111,9 @@ func groupCascades(c *circuit.Circuit, p Partition, crossing []int, maxBlockQubi
 				flush()
 			}
 			for _, q := range g.Qubits {
-				qubits[q] = true
+				if !slices.Contains(qubits, q) {
+					qubits = append(qubits, q)
+				}
 			}
 			cur = append(cur, gi)
 		}
@@ -117,7 +123,7 @@ func groupCascades(c *circuit.Circuit, p Partition, crossing []int, maxBlockQubi
 
 // window is an open grouping cluster for StrategyWindow.
 type window struct {
-	qubits   map[int]bool
+	qubits   []int // distinct, in the order the window took them
 	members  []int // gate indices in circuit order
 	crossing int   // crossing members among them
 }
@@ -130,68 +136,64 @@ type window struct {
 // groups; the rest dissolve.
 func groupWindows(c *circuit.Circuit, p Partition, maxBlockQubits int) [][]int {
 	var groups [][]int
-	active := make(map[int]*window) // qubit -> open window
+	// active[q] is the open window owning qubit q. Open windows own
+	// disjoint qubit sets.
+	active := make([]*window, c.NumQubits)
 
 	closeWindow := func(w *window) {
 		if w.crossing >= 2 {
 			groups = append(groups, w.members)
 		}
-		for q := range w.qubits {
+		for _, q := range w.qubits {
 			if active[q] == w {
-				delete(active, q)
+				active[q] = nil
 			}
 		}
 	}
 
+	var touchedBuf [4]*window
 	for gi := range c.Gates {
 		g := &c.Gates[gi]
-		// Distinct windows touching g.
-		var touched []*window
-		seen := make(map[*window]bool)
+		// Distinct windows touching g, and the size of the union of g and
+		// all of them: they are disjoint and hold every owned qubit of g.
+		touched, union := touchedBuf[:0], 0
 		for _, q := range g.Qubits {
-			if w, ok := active[q]; ok && !seen[w] {
-				seen[w] = true
+			switch w := active[q]; {
+			case w == nil:
+				union++
+			case !slices.Contains(touched, w):
 				touched = append(touched, w)
+				union += len(w.qubits)
 			}
 		}
 		crossing := p.Crosses(g)
 		if !crossing && len(touched) == 0 {
 			continue // purely local gate away from any window
 		}
-		// Union size if everything merges.
-		union := make(map[int]bool)
-		for _, q := range g.Qubits {
-			union[q] = true
-		}
-		for _, w := range touched {
-			for q := range w.qubits {
-				union[q] = true
-			}
-		}
-		if len(union) <= maxBlockQubits {
+		if union <= maxBlockQubits {
 			var target *window
 			if len(touched) > 0 {
 				target = touched[0]
 				for _, w := range touched[1:] {
 					target.members = append(target.members, w.members...)
 					target.crossing += w.crossing
-					for q := range w.qubits {
-						if active[q] == w {
-							active[q] = target
-						}
-						target.qubits[q] = true
+					for _, q := range w.qubits {
+						active[q] = target
 					}
+					target.qubits = append(target.qubits, w.qubits...)
 				}
 			} else {
-				target = &window{qubits: make(map[int]bool)}
+				target = &window{}
 			}
 			target.members = append(target.members, gi)
 			if crossing {
 				target.crossing++
 			}
 			for _, q := range g.Qubits {
-				target.qubits[q] = true
-				active[q] = target
+				if active[q] != target {
+					target.qubits = append(target.qubits, q)
+					active[q] = target
+				}
 			}
 			sort.Ints(target.members)
 			continue
@@ -202,19 +204,16 @@ func groupWindows(c *circuit.Circuit, p Partition, maxBlockQubits int) [][]int {
 			closeWindow(w)
 		}
 		if crossing && g.NumQubits() <= maxBlockQubits {
-			w := &window{qubits: make(map[int]bool), members: []int{gi}, crossing: 1}
+			w := &window{qubits: slices.Clone(g.Qubits), members: []int{gi}, crossing: 1}
 			for _, q := range g.Qubits {
-				w.qubits[q] = true
 				active[q] = w
 			}
 		}
 	}
 	// Close the rest deterministically (by first member).
 	var rest []*window
-	seen := make(map[*window]bool)
 	for _, w := range active {
-		if !seen[w] {
-			seen[w] = true
+		if w != nil && !slices.Contains(rest, w) {
 			rest = append(rest, w)
 		}
 	}

@@ -71,14 +71,17 @@ func BenchmarkBuildPlan(b *testing.B) {
 // their figures plus ≈ 10 %: a dependency DAG built from all pairs, or a
 // contraction with one map per node run for every proposed group, allocated
 // 409 kB / 2347 objects (q20-3) and 768 kB / 6974 objects (q22-3 cascade),
-// and the memory the engine's 8-leaf batches hold is paid from that.
+// and the memory the engine's 8-leaf batches hold is paid from that. Maps
+// per grouping step, a reordered copy of the circuit, separate-cut ranks
+// built as full decompositions and library gates classified by scanning
+// their matrices still allocated 267 kB / 653 and 238 kB / 1592.
 func TestBuildPlanAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		index               int
 		maxBytes, maxObject float64
 	}{
-		{0, 295e3, 720},  // measured 267 291 B, 653 objects
-		{1, 262e3, 1750}, // measured 237 577 B, 1592 objects
+		{0, 264e3, 415}, // measured 239 552 B, 375 objects
+		{1, 212e3, 895}, // measured 192 582 B, 812 objects
 		{2, 16 << 20, 0},
 	} {
 		pc := planCases[tc.index]

@@ -7,7 +7,7 @@ package cut
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hsfsim/internal/circuit"
 	"hsfsim/internal/gate"
@@ -92,6 +92,11 @@ type CutPoint struct {
 	GateIndices []int
 	// Label describes the cut for reporting ("block[rzz x3]" or "sep[swap]").
 	Label string
+	// Diagonal records that every factor of every term is a diagonal matrix
+	// with exact zeros off its diagonal (the phase-matrix route of a
+	// diagonal block), so the engine classifies the factors from their
+	// diagonals instead of scanning them.
+	Diagonal bool
 }
 
 // Rank returns the number of Schmidt terms of the cut.
@@ -171,21 +176,17 @@ func CrossingGateIndices(c *circuit.Circuit, p Partition) []int {
 // splitQubits returns the sorted touched lower and upper qubits of a set of
 // gates.
 func splitQubits(gates []*gate.Gate, p Partition) (lower, upper []int) {
-	seen := make(map[int]bool)
 	for _, g := range gates {
 		for _, q := range g.Qubits {
-			if seen[q] {
-				continue
-			}
-			seen[q] = true
-			if p.IsLower(q) {
+			switch {
+			case p.IsLower(q) && !slices.Contains(lower, q):
 				lower = append(lower, q)
-			} else {
+			case !p.IsLower(q) && !slices.Contains(upper, q):
 				upper = append(upper, q)
 			}
 		}
 	}
-	sort.Ints(lower)
-	sort.Ints(upper)
+	slices.Sort(lower)
+	slices.Sort(upper)
 	return lower, upper
 }

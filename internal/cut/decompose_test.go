@@ -195,6 +195,10 @@ func TestBuildPlanMatchesDenseRoute(t *testing.T) {
 						t.Fatal(err)
 					}
 					rc := c.Reorder(order)
+					planned := make([]*gate.Gate, len(rc.Gates))
+					for i := range rc.Gates {
+						planned[i] = &rc.Gates[i]
+					}
 					newPos := make([]int, len(order))
 					for np, oi := range order {
 						newPos[oi] = np
@@ -216,7 +220,7 @@ func TestBuildPlanMatchesDenseRoute(t *testing.T) {
 					}
 
 					check := func(members []int) *CutPoint {
-						cp, err := decomposeBlock(rc, opts, members)
+						cp, err := decomposeBlock(planned, opts, members)
 						if err != nil {
 							t.Fatal(err)
 						}

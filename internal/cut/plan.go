@@ -42,14 +42,14 @@ func BuildPlan(c *circuit.Circuit, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := c.Reorder(order)
-	newPos := make([]int, len(order)) // original index -> new position
+	rc := make([]*gate.Gate, len(order)) // the gates in planned order
+	newPos := make([]int, len(order))    // original index -> new position
 	for np, oi := range order {
-		newPos[oi] = np
+		rc[np], newPos[oi] = &c.Gates[oi], np
 	}
 
 	// groupOf[new position] = group id, or -1.
-	groupOf := make([]int, len(rc.Gates))
+	groupOf := make([]int, len(rc))
 	for i := range groupOf {
 		groupOf[i] = -1
 	}
@@ -64,11 +64,11 @@ func BuildPlan(c *circuit.Circuit, opts Options) (*Plan, error) {
 	}
 
 	// Every step takes at least one gate.
-	plan := &Plan{NumQubits: c.NumQubits, Partition: opts.Partition, Steps: make([]Step, 0, len(rc.Gates))}
-	emitted := make([]bool, len(rc.Gates))
+	plan := &Plan{NumQubits: c.NumQubits, Partition: opts.Partition, Steps: make([]Step, 0, len(rc))}
+	emitted := make([]bool, len(rc))
 
 	emitSingle := func(np int) error {
-		g := &rc.Gates[np]
+		g := rc[np]
 		emitted[np] = true
 		if !opts.Partition.Crosses(g) {
 			side := Upper
@@ -87,7 +87,7 @@ func BuildPlan(c *circuit.Circuit, opts Options) (*Plan, error) {
 		return nil
 	}
 
-	for np := range rc.Gates {
+	for np := range rc {
 		if emitted[np] {
 			continue
 		}
@@ -109,7 +109,7 @@ func BuildPlan(c *circuit.Circuit, opts Options) (*Plan, error) {
 		}
 		separate := 1
 		for _, m := range members {
-			g := &rc.Gates[m]
+			g := rc[m]
 			if !opts.Partition.Crosses(g) {
 				continue
 			}
@@ -141,11 +141,11 @@ func BuildPlan(c *circuit.Circuit, opts Options) (*Plan, error) {
 }
 
 // decomposeBlock Schmidt-decomposes the product of the member gates (indices
-// into rc, sorted) across the partition.
-func decomposeBlock(rc *circuit.Circuit, opts Options, members []int) (*CutPoint, error) {
+// into rc, the gates in planned order, sorted) across the partition.
+func decomposeBlock(rc []*gate.Gate, opts Options, members []int) (*CutPoint, error) {
 	gates := make([]*gate.Gate, len(members))
 	for i, m := range members {
-		gates[i] = &rc.Gates[m]
+		gates[i] = rc[m]
 	}
 	lowerQ, upperQ := splitQubits(gates, opts.Partition)
 	label := blockLabel(rc, members)
@@ -153,7 +153,8 @@ func decomposeBlock(rc *circuit.Circuit, opts Options, members []int) (*CutPoint
 	if err != nil {
 		return nil, fmt.Errorf("cut: decomposing %s: %w", label, err)
 	}
-	return &CutPoint{Terms: d.Terms, LowerQubits: lowerQ, UpperQubits: upperQ, GateIndices: members, Label: label}, nil
+	return &CutPoint{Terms: d.Terms, LowerQubits: lowerQ, UpperQubits: upperQ, GateIndices: members, Label: label,
+		Diagonal: d.Diagonal}, nil
 }
 
 // decompose Schmidt-decomposes the product of gates (applied in order) on the
@@ -162,17 +163,29 @@ func decomposeBlock(rc *circuit.Circuit, opts Options, members []int) (*CutPoint
 // kernels: when every gate is diagonal the product is one 2^n vector and the
 // SVD runs on its phase matrix; anything else goes through the dense unitary.
 func decompose(gates []*gate.Gate, lowerQ, upperQ []int, tol float64) (*schmidt.Decomposition, error) {
-	touched := append(append([]int(nil), lowerQ...), upperQ...)
+	diag, dense := blockOperator(gates, lowerQ, upperQ)
+	if diag != nil {
+		return schmidt.DecomposeDiagonal(diag, len(lowerQ), len(upperQ), tol)
+	}
+	return schmidt.Decompose(dense, len(lowerQ), len(upperQ), tol)
+}
+
+// blockOperator returns the product of gates on the register lowerQ ++
+// upperQ: its diagonal when every gate is diagonal, else its dense unitary.
+func blockOperator(gates []*gate.Gate, lowerQ, upperQ []int) (diag []complex128, dense *cmat.Matrix) {
+	var touchedBuf [16]int
+	touched := append(append(touchedBuf[:0], lowerQ...), upperQ...)
 	for _, g := range gates {
 		if !g.Diagonal {
-			return schmidt.Decompose(blockUnitary(gates, touched), len(lowerQ), len(upperQ), tol)
+			return nil, blockUnitary(gates, touched)
 		}
 	}
-	diag := make([]complex128, 1<<len(touched))
+	diag = make([]complex128, 1<<len(touched))
 	for i := range diag {
 		diag[i] = 1
 	}
-	var bit []int // register bit of each matrix bit of the current gate
+	var bitBuf [8]int
+	bit := bitBuf[:0] // register bit of each matrix bit of the current gate
 	for _, g := range gates {
 		bit = bit[:0]
 		for _, q := range g.Qubits {
@@ -186,7 +199,7 @@ func decompose(gates []*gate.Gate, lowerQ, upperQ []int, tol float64) (*schmidt.
 			diag[i] *= g.Matrix.At(l, l)
 		}
 	}
-	return schmidt.DecomposeDiagonal(diag, len(lowerQ), len(upperQ), tol)
+	return diag, nil
 }
 
 // blockUnitary multiplies the gates into a dense operator on the register
@@ -200,16 +213,16 @@ func blockUnitary(gates []*gate.Gate, touched []int) *cmat.Matrix {
 }
 
 // blockLabel summarizes a block for reports, e.g. "block[rzz x3]".
-func blockLabel(rc *circuit.Circuit, members []int) string {
+func blockLabel(rc []*gate.Gate, members []int) string {
 	if len(members) == 1 {
-		return "sep[" + rc.Gates[members[0]].Name + "]"
+		return "sep[" + rc[members[0]].Name + "]"
 	}
 	names := make(map[string]int)
 	for _, m := range members {
-		names[rc.Gates[m].Name]++
+		names[rc[m].Name]++
 	}
 	if len(names) == 1 {
-		return fmt.Sprintf("block[%s x%d]", rc.Gates[members[0]].Name, len(members))
+		return fmt.Sprintf("block[%s x%d]", rc[members[0]].Name, len(members))
 	}
 	return fmt.Sprintf("block[mixed x%d]", len(members))
 }
@@ -232,9 +245,9 @@ func StandardPathCount(c *circuit.Circuit, p Partition, tol float64) (uint64, fl
 func GateSchmidtRank(g *gate.Gate, p Partition, tol float64) (int, error) {
 	gates := []*gate.Gate{g}
 	lowerQ, upperQ := splitQubits(gates, p)
-	d, err := decompose(gates, lowerQ, upperQ, tol)
-	if err != nil {
-		return 0, err
+	diag, dense := blockOperator(gates, lowerQ, upperQ)
+	if diag != nil {
+		return schmidt.DiagonalSchmidtRank(diag, len(lowerQ), len(upperQ), tol)
 	}
-	return d.Rank(), nil
+	return schmidt.OperatorSchmidtRank(dense, len(lowerQ), len(upperQ), tol)
 }

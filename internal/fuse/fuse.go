@@ -6,7 +6,7 @@
 package fuse
 
 import (
-	"sort"
+	"slices"
 
 	"hsfsim/internal/circuit"
 	"hsfsim/internal/cmat"
@@ -23,53 +23,44 @@ import (
 // clusters; this implementation does not.
 const DefaultMaxQubits = 2
 
-// cluster is an open fusion group under construction.
+// cluster is an open fusion group under construction. Its first few qubits
+// and members live in the cluster itself.
 type cluster struct {
-	qubits []int       // sorted
-	gates  []gate.Gate // original order
+	qubits  []int // sorted
+	members []int // indices into the gate list, in order
+	qbuf    [4]int
+	mbuf    [4]int
 }
 
-func (c *cluster) absorb(g gate.Gate) {
-	seen := make(map[int]bool, len(c.qubits))
-	for _, q := range c.qubits {
-		seen[q] = true
-	}
-	for _, q := range g.Qubits {
-		if !seen[q] {
+func newCluster() *cluster {
+	cl := &cluster{}
+	cl.qubits, cl.members = cl.qbuf[:0], cl.mbuf[:0]
+	return cl
+}
+
+// absorb adds gates[i] to the cluster.
+func (c *cluster) absorb(gates []gate.Gate, i int) {
+	for _, q := range gates[i].Qubits {
+		if !slices.Contains(c.qubits, q) {
 			c.qubits = append(c.qubits, q)
-			seen[q] = true
 		}
 	}
-	sort.Ints(c.qubits)
-	c.gates = append(c.gates, g)
+	slices.Sort(c.qubits)
+	c.members = append(c.members, i)
 }
 
 // emit builds the fused gate for the cluster. Single-gate clusters pass
 // through unchanged to keep names and diagonal flags intact.
-func (c *cluster) emit() gate.Gate {
-	if len(c.gates) == 1 {
-		return c.gates[0]
+func (c *cluster) emit(gates []gate.Gate) gate.Gate {
+	if len(c.members) == 1 {
+		return gates[c.members[0]]
 	}
 	// Multiply the member gates on the cluster's qubit space.
-	dim := 1 << len(c.qubits)
-	u := cmat.Identity(dim)
-	pos := make(map[int]int, len(c.qubits))
-	for k, q := range c.qubits {
-		pos[q] = k
+	u := cmat.Identity(1 << len(c.qubits))
+	for _, i := range c.members {
+		u = cmat.Mul(circuit.EmbedOnQubits(&gates[i], c.qubits), u)
 	}
-	for i := range c.gates {
-		local := c.gates[i].Remap(func(q int) int { return pos[q] })
-		u = cmat.Mul(circuit.EmbedOnQubits(&local, localRange(len(c.qubits))), u)
-	}
-	return gate.New("fused", u, nil, append([]int(nil), c.qubits...)...)
-}
-
-func localRange(n int) []int {
-	r := make([]int, n)
-	for i := range r {
-		r[i] = i
-	}
-	return r
+	return gate.New("fused", u, nil, slices.Clone(c.qubits)...)
 }
 
 // Fuse rewrites the gate list of c into fused clusters of at most maxQubits
@@ -79,51 +70,49 @@ func Fuse(gates []gate.Gate, maxQubits int) []gate.Gate {
 	if maxQubits < 1 {
 		maxQubits = DefaultMaxQubits
 	}
-	var out []gate.Gate
-	// active[q] is the open cluster currently owning qubit q.
-	active := make(map[int]*cluster)
+	out := make([]gate.Gate, 0, len(gates))
+	// active[q] is the open cluster currently owning qubit q. Open clusters
+	// own disjoint qubit sets.
+	nq := 0
+	for i := range gates {
+		nq = max(nq, gates[i].MaxQubit()+1)
+	}
+	active := make([]*cluster, nq)
 
 	closeCluster := func(cl *cluster) {
-		out = append(out, cl.emit())
+		out = append(out, cl.emit(gates))
 		for _, q := range cl.qubits {
 			if active[q] == cl {
-				delete(active, q)
+				active[q] = nil
 			}
 		}
 	}
 
+	var touchedBuf [4]*cluster
 	for i := range gates {
-		g := gates[i]
-		// Find the distinct open clusters touching g's qubits.
-		var touched []*cluster
-		seen := make(map[*cluster]bool)
+		g := &gates[i]
+		// Find the distinct open clusters touching g's qubits. They are
+		// disjoint and hold every qubit of g that is owned, so the union
+		// of g and all of them counts each qubit once.
+		touched, union := touchedBuf[:0], 0
 		for _, q := range g.Qubits {
-			if cl, ok := active[q]; ok && !seen[cl] {
-				seen[cl] = true
+			switch cl := active[q]; {
+			case cl == nil:
+				union++
+			case !slices.Contains(touched, cl):
 				touched = append(touched, cl)
+				union += len(cl.qubits)
 			}
 		}
-		// Compute the union size if all touched clusters and g merge.
-		union := make(map[int]bool)
-		for _, q := range g.Qubits {
-			union[q] = true
-		}
-		for _, cl := range touched {
-			for _, q := range cl.qubits {
-				union[q] = true
-			}
-		}
-		if len(union) <= maxQubits {
+		if union <= maxQubits {
 			// Merge everything into the first touched cluster (or a new one).
 			var target *cluster
 			if len(touched) > 0 {
 				target = touched[0]
 				for _, cl := range touched[1:] {
-					// Merging preserves order: all member gates of cl come
-					// after target's only if... both are open and disjoint;
-					// their gates act on disjoint qubits so interleaving is
-					// irrelevant. Concatenate in original order.
-					target.gates = append(target.gates, cl.gates...)
+					// The clusters act on disjoint qubits, so interleaving
+					// their gates is irrelevant: concatenate in order.
+					target.members = append(target.members, cl.members...)
 					for _, q := range cl.qubits {
 						if active[q] == cl {
 							active[q] = target
@@ -132,13 +121,13 @@ func Fuse(gates []gate.Gate, maxQubits int) []gate.Gate {
 					target.qubits = append(target.qubits, cl.qubits...)
 				}
 				if len(touched) > 1 {
-					sort.Ints(target.qubits)
-					target.qubits = dedupSorted(target.qubits)
+					slices.Sort(target.qubits)
+					target.qubits = slices.Compact(target.qubits)
 				}
 			} else {
-				target = &cluster{}
+				target = newCluster()
 			}
-			target.absorb(g)
+			target.absorb(gates, i)
 			for _, q := range target.qubits {
 				active[q] = target
 			}
@@ -149,41 +138,22 @@ func Fuse(gates []gate.Gate, maxQubits int) []gate.Gate {
 			closeCluster(cl)
 		}
 		if g.NumQubits() <= maxQubits {
-			cl := &cluster{}
-			cl.absorb(g)
+			cl := newCluster()
+			cl.absorb(gates, i)
 			for _, q := range cl.qubits {
 				active[q] = cl
 			}
 		} else {
 			// Gate larger than the fusion budget passes through unchanged.
-			out = append(out, g)
+			out = append(out, *g)
 		}
 	}
-	// Close remaining clusters in order of their first gate's position to
-	// keep the output deterministic. Open clusters are pairwise independent,
-	// so any order is correct.
-	var rest []*cluster
-	seen := make(map[*cluster]bool)
-	for _, cl := range active {
-		if !seen[cl] {
-			seen[cl] = true
-			rest = append(rest, cl)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		return rest[i].qubits[0] < rest[j].qubits[0]
-	})
-	for _, cl := range rest {
-		out = append(out, cl.emit())
-	}
-	return out
-}
-
-func dedupSorted(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
+	// Close remaining clusters in order of their lowest qubit to keep the
+	// output deterministic: a cluster is first met at its lowest qubit. Open
+	// clusters are pairwise independent, so any order is correct.
+	for q, cl := range active {
+		if cl != nil && cl.qubits[0] == q {
+			closeCluster(cl)
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -332,6 +333,83 @@ func TestClassifyNearTolMatchesAbsRule(t *testing.T) {
 			!slices.Equal(g.Perm, perm) || (g.Perm != nil && (g.PermPhase == nil) != pure) {
 			t.Fatalf("matrix %v: flags diag=%v controls=%b perm=%v phase=%v, the Abs rule gives diag=%v controls=%b perm=%v pure=%v",
 				m.Data, g.Diagonal, g.Controls, g.Perm, g.PermPhase, diag, refControls(m), perm, pure)
+		}
+	}
+}
+
+// specialAngles are the rotation angles where entries of the library
+// matrices vanish or turn into exact ±1 — 0, π/2, π, 2π, 4π — each also
+// 1e-9 to either side, plus one generic angle.
+func specialAngles() []float64 {
+	out := []float64{0.7}
+	for _, a := range []float64{0, math.Pi / 2, math.Pi, 2 * math.Pi, 4 * math.Pi} {
+		out = append(out, a, a-1e-9, a+1e-9)
+	}
+	return out
+}
+
+// scanned returns the flags the three full matrix scans compute.
+func scanned(m *cmat.Matrix) Gate {
+	g := Gate{Matrix: m, Diagonal: checkDiagonal(m), Controls: checkControls(m)}
+	g.Perm, g.PermPhase = checkPermutation(m)
+	return g
+}
+
+// sameFlags reports whether two gates carry equal classification flags.
+func sameFlags(a, b *Gate) bool {
+	return a.Diagonal == b.Diagonal && a.Controls == b.Controls &&
+		reflect.DeepEqual(a.Perm, b.Perm) && reflect.DeepEqual(a.PermPhase, b.PermPhase)
+}
+
+// TestStructuredClassificationMatchesScans holds every library constructor,
+// at a generic angle and at every special angle, to the flags the full scans
+// compute from its matrix, and so does Reclassify of the same matrix: the
+// constructors read only the entries their structure lets vanish, and
+// Reclassify reads a diagonal matrix's diagonal alone. A few matrices no
+// constructor makes hold classify to the scans on its own.
+func TestStructuredClassificationMatchesScans(t *testing.T) {
+	gates := []Gate{I(0), X(0), Y(0), Z(0), H(0), S(0), Sdg(0), T(0), Tdg(0), SX(0), SY(0), SW(0),
+		CNOT(0, 1), CZ(0, 1), SWAP(0, 1), ISWAP(0, 1), CCX(0, 1, 2), CCZ(0, 1, 2)}
+	angles := specialAngles()
+	for _, a := range angles {
+		gates = append(gates, RX(a, 0), RY(a, 0), RZ(a, 0), P(a, 0),
+			CPhase(a, 0, 1), RZZ(a, 0, 1), RXX(a, 0, 1), RYY(a, 0, 1), CRX(a, 0, 1), CRY(a, 0, 1), CRZ(a, 0, 1))
+		for _, b := range angles {
+			gates = append(gates, FSim(a, b, 0, 1))
+			for _, c := range angles {
+				gates = append(gates, U3(a, b, c, 0))
+			}
+		}
+	}
+	classes := map[Kind]int{}
+	for i := range gates {
+		g := &gates[i]
+		want := scanned(g.Matrix)
+		if !sameFlags(g, &want) {
+			t.Errorf("%v: constructor flags diag=%v perm=%v phase=%v controls=%b, the scans give diag=%v perm=%v phase=%v controls=%b",
+				g, g.Diagonal, g.Perm, g.PermPhase, g.Controls, want.Diagonal, want.Perm, want.PermPhase, want.Controls)
+		}
+		r := Gate{Matrix: g.Matrix}
+		r.Reclassify()
+		if !sameFlags(&r, &want) {
+			t.Errorf("%v: Reclassify disagrees with the scans", g)
+		}
+		classes[g.Class()]++
+	}
+	// classify's contract beyond the library's patterns: two columns whose
+	// one nonzero lands on the same row, an empty column, a triangle.
+	for _, m := range [][]complex128{{1, 1, 0, 0}, {0, 1, 0, 1}, {1, 0.5, 0, 1}, {0, 1, 1, 0}} {
+		g := Gate{Matrix: cmat.FromSlice(2, 2, m)}
+		g.classify([][2]int{{0, 1}, {1, 0}})
+		if want := scanned(g.Matrix); !sameFlags(&g, &want) {
+			t.Errorf("%v: classify gives diag=%v perm=%v phase=%v controls=%b, the scans give diag=%v perm=%v phase=%v controls=%b",
+				m, g.Diagonal, g.Perm, g.PermPhase, g.Controls, want.Diagonal, want.Perm, want.PermPhase, want.Controls)
+		}
+	}
+	// The special angles must reach every class, or they exercise nothing.
+	for k := KindDense; k <= KindControlled; k++ {
+		if classes[k] == 0 {
+			t.Errorf("no library gate at the special angles classifies as %v", k)
 		}
 	}
 }

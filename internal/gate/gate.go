@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"strings"
 
 	"hsfsim/internal/cmat"
@@ -79,15 +80,13 @@ func (g *Gate) Validate() error {
 	if g.Matrix == nil || g.Matrix.Rows != dim || g.Matrix.Cols != dim {
 		return fmt.Errorf("gate %q: matrix is not %dx%d", g.Name, dim, dim)
 	}
-	seen := make(map[int]bool, k)
-	for _, q := range g.Qubits {
+	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("gate %q: negative qubit %d", g.Name, q)
 		}
-		if seen[q] {
+		if slices.Contains(g.Qubits[:i], q) {
 			return fmt.Errorf("gate %q: duplicate qubit %d", g.Name, q)
 		}
-		seen[q] = true
 	}
 	return nil
 }
@@ -174,13 +173,120 @@ func (g *Gate) Dagger() Gate {
 }
 
 // Reclassify recomputes Diagonal, Perm, PermPhase, and Controls from the
-// current matrix and drops any attached kernel cache. Call it after mutating
-// Matrix in place; constructors going through New never need it.
+// current matrix and drops any attached kernel cache. It is for matrices of
+// unknown structure — fusion output, Dagger, a gate built from a raw matrix
+// with New — and after mutating Matrix in place. A matrix that passes the
+// diagonal scan is classified from its diagonal alone (classify); any other
+// is scanned for a permutation and for controls.
 func (g *Gate) Reclassify() {
-	g.Diagonal = checkDiagonal(g.Matrix)
+	if checkDiagonal(g.Matrix) {
+		g.classify(nil)
+		return
+	}
+	g.Diagonal = false
 	g.Perm, g.PermPhase = checkPermutation(g.Matrix)
 	g.Controls = checkControls(g.Matrix)
 	g.kernel = nil
+}
+
+// classify sets the classification flags of a matrix that is known to be
+// zero off its diagonal except, possibly, at the (row, column) positions in
+// off: every other off-diagonal entry is an exact zero. It reads only the
+// diagonal and those positions, with the nonzero rule the scans use, so it
+// sets the flags Reclassify would: the library constructors and the
+// planner's diagonal factors pass their structure here instead of having
+// their matrices scanned. A non-nil off needs at most 8 rows.
+//
+// The control mask is one AND: bit b is a control exactly when every entry
+// outside the bit-b-set block matches the identity, so every diagonal index
+// whose entry is not 1 and both the row and the column of every nonzero
+// off-diagonal entry must have bit b set.
+func (g *Gate) classify(off [][2]int) {
+	m := g.Matrix
+	n := m.Rows
+	controls := n - 1
+	var rowBuf [8]int
+	row := rowBuf[:0] // row of each column's one nonzero; -1 none, -2 several
+	if off != nil {
+		row = rowBuf[:n]
+	}
+	for i := range row {
+		row[i] = -1
+	}
+	g.Diagonal = true
+	for _, rc := range off {
+		r, c := rc[0], rc[1]
+		if nonzero(m.Data[r*n+c]) {
+			g.Diagonal = false
+			controls &= r & c
+			if row[c] == -1 {
+				row[c] = r
+			} else {
+				row[c] = -2
+			}
+		}
+	}
+	perm := true
+	for i := 0; i < n; i++ {
+		d := m.Data[i*(n+1)]
+		if nonzero(d - 1) {
+			controls &= i
+		}
+		switch {
+		case off == nil:
+			perm = perm && nonzero(d)
+		case nonzero(d):
+			perm = perm && row[i] == -1
+			row[i] = i
+		default:
+			perm = perm && row[i] >= 0
+		}
+	}
+	g.Controls = controls
+	g.Perm, g.PermPhase, g.kernel = nil, nil, nil
+	if !perm {
+		return
+	}
+	if off != nil {
+		// One nonzero per column; a permutation when they land on distinct
+		// rows.
+		seen := 0
+		for _, r := range row {
+			if seen&(1<<r) != 0 {
+				return
+			}
+			seen |= 1 << r
+		}
+	}
+	// Perm and PermPhase share one allocation up to four entries.
+	var phase []complex128
+	if n <= 4 {
+		pp := new(struct {
+			perm  [4]int
+			phase [4]complex128
+		})
+		g.Perm, phase = pp.perm[:n:n], pp.phase[:n:n]
+	} else {
+		g.Perm = make([]int, n)
+	}
+	pure := true
+	for c := range g.Perm {
+		g.Perm[c] = c
+		if off != nil {
+			g.Perm[c] = row[c]
+		}
+		pure = pure && m.Data[g.Perm[c]*n+c] == 1
+	}
+	if pure {
+		return
+	}
+	if phase == nil {
+		phase = make([]complex128, n)
+	}
+	for c, r := range g.Perm {
+		phase[c] = m.Data[r*n+c]
+	}
+	g.PermPhase = phase
 }
 
 // IsUnitary reports whether the gate matrix is unitary within tol.
@@ -371,15 +477,26 @@ func checkControls(m *cmat.Matrix) int {
 	return mask
 }
 
-// New builds a gate from an explicit matrix, computing the kernel
-// classification (diagonal flag, permutation structure, control mask).
+// New builds a gate from an explicit matrix of unknown structure, computing
+// the kernel classification (diagonal flag, permutation structure, control
+// mask) with Reclassify.
 func New(name string, matrix *cmat.Matrix, params []float64, qubits ...int) Gate {
-	g := Gate{
-		Name:   name,
-		Qubits: qubits,
-		Params: params,
-		Matrix: matrix,
-	}
+	g := Gate{Name: name, Qubits: qubits, Params: params, Matrix: matrix}
 	g.Reclassify()
+	return g
+}
+
+// NewDiagonal builds a gate from a matrix that is diagonal by construction —
+// every off-diagonal entry an exact zero — and classifies it from its
+// diagonal alone, as Reclassify would after scanning the rest.
+func NewDiagonal(name string, matrix *cmat.Matrix, params []float64, qubits ...int) Gate {
+	return newSparse(name, matrix, params, nil, qubits...)
+}
+
+// newSparse builds a library gate whose matrix can be nonzero off the
+// diagonal only at the positions in off (see classify).
+func newSparse(name string, matrix *cmat.Matrix, params []float64, off [][2]int, qubits ...int) Gate {
+	g := Gate{Name: name, Qubits: qubits, Params: params, Matrix: matrix}
+	g.classify(off)
 	return g
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"hsfsim/internal/circuit"
@@ -371,5 +372,37 @@ func TestWalkerRootIsCopiedNotAliased(t *testing.T) {
 		if d := statevec.MaxAbsDiffVec(root.up, wantUp); d != 0 {
 			t.Fatalf("prefix %v changed the root's upper half by %g", prefix, d)
 		}
+	}
+}
+
+// TestEngineCompileAllocBudget is the clock-free gate on the engine's share of
+// a cold joint request: analyze and compile of the q22-3 cascade plan for the
+// joint-sweep benchmark's run (2^14 amplitudes, one walker). Lowering the
+// cuts, scheduling, the cone, fusion and segment compilation are paid once
+// per request: with a map per fused gate, cloned upper gates and slices
+// grown gate by gate it came to 205 882 B and 1 642 objects. The budget is
+// the measured figure plus ≈ 10 %.
+func TestEngineCompileAllocBudget(t *testing.T) {
+	const maxBytes, maxObjects = 120e3, 535.0 // measured 108 816 B, 485 objects
+	plan := q22Plan(t)
+	const m = 1 << 14
+	split := runSplit(plan, nil, 1)
+	build := func() { compiledOn(plan, m, 0, split, 1) }
+	const runs = 5
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	objects := testing.AllocsPerRun(runs, build)
+	t.Logf("q22-3 analyze + compile: %.0f B, %.0f objects per run", bytes, objects)
+	if bytes > maxBytes {
+		t.Errorf("analyze + compile allocate %.0f B per run, budget %.0f", bytes, maxBytes)
+	}
+	if objects > maxObjects {
+		t.Errorf("analyze + compile allocate %.0f objects per run, budget %.0f", objects, maxObjects)
 	}
 }

@@ -428,24 +428,53 @@ func (e *engine) compile(plan *cut.Plan, a *analysis, fusionMaxQubits int) {
 	e.cuts, e.tail = a.cuts, a.tail
 	at, hoisted, sunk, c := a.at, a.hoisted, a.sunk, &a.cone
 	e.segs = make([]segment, len(e.cuts)+1)
-	var epi []gate.Gate
+	// Size every segment side, the epilogue and the upper gates' labels
+	// first, so that each is carved from one array.
+	count := make([][2]int, len(e.segs))
+	var gatesSunk, nGates, nUpQubits int
+	for i := range plan.Steps {
+		st := &plan.Steps[i]
+		switch {
+		case st.Kind != cut.LocalStep:
+		case sunk[i]:
+			gatesSunk++
+		default:
+			count[at[i]][st.Side]++
+			nGates++
+			if st.Side == cut.Upper {
+				nUpQubits += len(st.Gate.Qubits)
+			}
+		}
+	}
+	all, upQubits := make([]gate.Gate, nGates+gatesSunk), make([]int, nUpQubits)
+	for i := range e.segs {
+		for side, n := range count[i] {
+			e.segs[i].gates[side], all = all[:0:n], all[n:]
+		}
+	}
+	epi := all[:0:gatesSunk]
 	for i := range plan.Steps {
 		st := &plan.Steps[i]
 		if st.Kind != cut.LocalStep {
 			continue
 		}
-		g := st.Gate
+		g := st.Gate // shares the plan's matrix, which nothing writes
 		if sunk[i] {
 			epi = append(epi, g) // the accumulator's labels are the plan's
 			continue
 		}
 		if st.Side == cut.Upper {
-			g = g.Remap(func(q int) int { return q - e.nLower })
+			qs := upQubits[:len(g.Qubits):len(g.Qubits)]
+			upQubits = upQubits[len(g.Qubits):]
+			for b, q := range g.Qubits {
+				qs[b] = q - e.nLower
+			}
+			g.Qubits = qs
+			g.SetKernelCache(nil)
 		}
 		seg := &e.segs[at[i]]
 		seg.gates[st.Side] = append(seg.gates[st.Side], g)
 	}
-	gatesSunk := len(epi)
 
 	var leaf [2]int // qubits of each half at a leaf
 	for side := range leaf {
@@ -503,25 +532,42 @@ func (e *engine) compile(plan *cut.Plan, a *analysis, fusionMaxQubits int) {
 }
 
 // lowerCuts lowers every cut of the plan to partition-local term gates and
-// moves each side's scalar into σ (splitScalar).
+// moves each side's scalar into σ (splitScalar). The factors of a diagonal
+// cut are classified from their diagonals (gate.NewDiagonal); any other
+// factor is scanned. All cuts share one array per field.
 func lowerCuts(plan *cut.Plan) []compiledCut {
 	upOff := plan.Partition.NumLower()
+	nTerms, nQubits := 0, 0
+	for _, cp := range plan.Cuts {
+		nTerms += len(cp.Terms)
+		nQubits += len(cp.LowerQubits) + len(cp.UpperQubits)
+	}
 	cuts := make([]compiledCut, len(plan.Cuts))
+	sigma := make([]complex128, nTerms)
+	terms, res := make([]gate.Gate, 2*nTerms), make([]residual, 2*nTerms)
+	qubits := make([]int, nQubits)
 	for l, cp := range plan.Cuts {
 		cc := &cuts[l]
-		loQ := append([]int(nil), cp.LowerQubits...)
-		upQ := make([]int, len(cp.UpperQubits))
+		r := len(cp.Terms)
+		cc.sigma, sigma = sigma[:r:r], sigma[r:]
+		for side := range cc.terms {
+			cc.terms[side], terms = terms[:r:r], terms[r:]
+			cc.res[side], res = res[:r:r], res[r:]
+		}
+		nLo, nUp := len(cp.LowerQubits), len(cp.UpperQubits)
+		loQ, upQ := qubits[:nLo:nLo], qubits[nLo:nLo+nUp:nLo+nUp]
+		qubits = qubits[nLo+nUp:]
+		copy(loQ, cp.LowerQubits)
 		for i, q := range cp.UpperQubits {
 			upQ[i] = q - upOff
 		}
-		r := len(cp.Terms)
-		cc.sigma = make([]complex128, r)
-		for side := range cc.terms {
-			cc.terms[side], cc.res[side] = make([]gate.Gate, r), make([]residual, r)
+		newTerm := gate.New
+		if cp.Diagonal {
+			newTerm = gate.NewDiagonal
 		}
 		for i, t := range cp.Terms {
-			cc.terms[cut.Lower][i] = gate.New("cut-term", t.Lower, nil, loQ...)
-			cc.terms[cut.Upper][i] = gate.New("cut-term", t.Upper, nil, upQ...)
+			cc.terms[cut.Lower][i] = newTerm("cut-term", t.Lower, nil, loQ...)
+			cc.terms[cut.Upper][i] = newTerm("cut-term", t.Upper, nil, upQ...)
 			cc.sigma[i] = complex(t.Sigma, 0)
 			for side := range cc.terms {
 				s, kind := splitScalar(&cc.terms[side][i])

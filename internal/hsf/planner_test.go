@@ -3,11 +3,13 @@ package hsf
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"hsfsim/internal/circuit"
 	"hsfsim/internal/cut"
+	"hsfsim/internal/gate"
 	"hsfsim/internal/graph"
 	"hsfsim/internal/qaoa"
 )
@@ -71,6 +73,55 @@ func TestBuildPlanPinned(t *testing.T) {
 		}
 		if h := PlanHash(plan); runtime.GOARCH == "amd64" && h != tc.hash {
 			t.Errorf("%s: PlanHash %#x, want %#x", tc.name, h, tc.hash)
+		}
+	}
+}
+
+// TestCutTermFlagsMatchReclassify holds the classification lowerCuts gives
+// every cut-term factor to what Reclassify computes from the same matrix, on
+// the plans TestBuildPlanPinned pins: the q22-3 cascade and q20-3 window-8
+// factors come from the diagonal route and are classified from their
+// diagonals, the CNOT cascade's from the dense route and are scanned.
+func TestCutTermFlagsMatchReclassify(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		c        *circuit.Circuit
+		opts     cut.Options
+		diagonal bool // every cut took the diagonal route
+	}{
+		{"q22-3/cascade", sbmCircuit(t, 11, 2203),
+			cut.Options{Partition: cut.Partition{CutPos: 10}, Strategy: cut.StrategyCascade}, true},
+		{"q20-3/window-8", sbmCircuit(t, 10, 2003),
+			cut.Options{Partition: cut.Partition{CutPos: 9}, Strategy: cut.StrategyWindow, MaxBlockQubits: 8}, true},
+		{"cx-cascade", randomCascades(rand.New(rand.NewSource(5)), 10, 4, "cx"),
+			cut.Options{Partition: cut.Partition{CutPos: 4}, Strategy: cut.StrategyCascade}, false},
+	} {
+		plan, err := cut.BuildPlan(tc.c, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms := 0
+		for l, c := range lowerCuts(plan) {
+			if plan.Cuts[l].Diagonal != tc.diagonal {
+				t.Errorf("%s cut %d: Diagonal = %v, want %v", tc.name, l, plan.Cuts[l].Diagonal, tc.diagonal)
+			}
+			for side := range c.terms {
+				for i := range c.terms[side] {
+					g := &c.terms[side][i]
+					want := gate.Gate{Matrix: g.Matrix}
+					want.Reclassify()
+					if g.Diagonal != want.Diagonal || g.Controls != want.Controls ||
+						!reflect.DeepEqual(g.Perm, want.Perm) || !reflect.DeepEqual(g.PermPhase, want.PermPhase) {
+						t.Errorf("%s cut %d side %d term %d: flags diag=%v perm=%v phase=%v controls=%b, Reclassify gives diag=%v perm=%v phase=%v controls=%b",
+							tc.name, l, side, i, g.Diagonal, g.Perm, g.PermPhase, g.Controls,
+							want.Diagonal, want.Perm, want.PermPhase, want.Controls)
+					}
+					terms++
+				}
+			}
+		}
+		if terms == 0 {
+			t.Errorf("%s: no cut terms", tc.name)
 		}
 	}
 }

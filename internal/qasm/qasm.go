@@ -82,35 +82,44 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', 17, 64)
 }
 
+// maxLine is the longest line Parse accepts, in bytes: a line of this
+// length or more is an error wrapping bufio.ErrTooLong, not a silent
+// truncation.
+const maxLine = 1 << 20
+
 // Parse reads an OpenQASM 2.0 subset back into a circuit. Unsupported
-// statements produce errors rather than silent drops.
+// statements produce errors rather than silent drops. The text is read into
+// one string and every line, statement and argument is a substring of it.
 func Parse(r io.Reader) (*circuit.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20) // grows on demand, same 1 MiB line cap
+	var sb strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		sb.Grow(l.Len())
+	}
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, fmt.Errorf("qasm: %w", err)
+	}
+	text := sb.String()
 	var c *circuit.Circuit
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+	for lineNo := 1; text != ""; lineNo++ {
+		line, rest, _ := strings.Cut(text, "\n")
+		text = rest
+		if len(line) >= maxLine {
+			return nil, fmt.Errorf("qasm: line %d: %w", lineNo, bufio.ErrTooLong)
 		}
-		if line == "" {
-			continue
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = line[:i]
 		}
 		// A line may hold several ';'-terminated statements.
-		for _, stmt := range strings.Split(line, ";") {
-			stmt = strings.TrimSpace(stmt)
-			if stmt == "" {
+		for line != "" {
+			var stmt string
+			stmt, line, _ = strings.Cut(line, ";")
+			if stmt = strings.TrimSpace(stmt); stmt == "" {
 				continue
 			}
-			if err := parseStatement(stmt, &c); err != nil {
+			if err := parseStatement(stmt, &c, text); err != nil {
 				return nil, fmt.Errorf("qasm: line %d: %w", lineNo, err)
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("qasm: %w", err)
 	}
 	if c == nil {
 		return nil, fmt.Errorf("qasm: no qreg declaration found")
@@ -118,7 +127,9 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 	return c, nil
 }
 
-func parseStatement(stmt string, c **circuit.Circuit) error {
+// parseStatement parses one statement into *c. rest is the text after the
+// statement's line, which a qreg sizes the gate list for.
+func parseStatement(stmt string, c **circuit.Circuit, rest string) error {
 	switch {
 	case strings.HasPrefix(stmt, "OPENQASM"), strings.HasPrefix(stmt, "include"),
 		strings.HasPrefix(stmt, "creg"), strings.HasPrefix(stmt, "barrier"):
@@ -146,12 +157,18 @@ func parseStatement(stmt string, c **circuit.Circuit) error {
 			return fmt.Errorf("qreg size %d", n)
 		}
 		*c = circuit.New(n)
+		// Room for the gates of the statements that follow, at most one per
+		// six bytes (the shortest gate statement, "x [0];"), so that a run
+		// of empty statements reserves no more than real gates would.
+		(*c).Gates = make([]gate.Gate, 0, min(strings.Count(rest, ";"), len(rest)/6)+1)
 		return nil
 	}
 	if *c == nil {
 		return fmt.Errorf("gate before qreg")
 	}
-	name, params, qubits, err := splitGateStmt(stmt)
+	var pbuf [3]float64
+	var qbuf [3]int
+	name, params, qubits, err := splitGateStmt(stmt, pbuf[:0], qbuf[:0])
 	if err != nil {
 		return err
 	}
@@ -169,30 +186,33 @@ func parseStatement(stmt string, c **circuit.Circuit) error {
 	return nil
 }
 
-// splitGateStmt parses "name(p1,p2) q[a],q[b]".
-func splitGateStmt(stmt string) (name string, params []float64, qubits []int, err error) {
-	head := stmt
-	rest := ""
+// splitGateStmt parses "name(p1,p2) q[a],q[b]", appending the parameters
+// and qubit indices to params and qubits.
+func splitGateStmt(stmt string, params []float64, qubits []int) (name string, _ []float64, _ []int, err error) {
+	head, rest := stmt, ""
 	if sp := strings.IndexAny(stmt, " \t"); sp >= 0 {
 		head, rest = stmt[:sp], strings.TrimSpace(stmt[sp+1:])
 	}
+	name = head
 	if par := strings.Index(head, "("); par >= 0 {
 		name = head[:par]
 		closing := strings.LastIndex(head, ")")
 		if closing < par {
 			return "", nil, nil, fmt.Errorf("unbalanced parentheses in %q", stmt)
 		}
-		for _, p := range strings.Split(head[par+1:closing], ",") {
+		for list, more := head[par+1:closing], true; more; {
+			var p string
+			p, list, more = strings.Cut(list, ",")
 			v, err := parseAngle(strings.TrimSpace(p))
 			if err != nil {
 				return "", nil, nil, err
 			}
 			params = append(params, v)
 		}
-	} else {
-		name = head
 	}
-	for _, qref := range strings.Split(rest, ",") {
+	for more := true; more; {
+		var qref string
+		qref, rest, more = strings.Cut(rest, ",")
 		qref = strings.TrimSpace(qref)
 		open := strings.Index(qref, "[")
 		close_ := strings.Index(qref, "]")

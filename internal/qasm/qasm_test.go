@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -192,5 +193,27 @@ func TestSYDecompositionExact(t *testing.T) {
 	got := cmat.Mul(cmat.Mul(s, sx), sdg)
 	if !cmat.EqualTol(got, gate.SY(0).Matrix, 1e-12) {
 		t.Fatal("S·SX·S† != SY")
+	}
+}
+
+// TestParseEmptyStatementsReserveLittle: Parse sizes the gate list from the
+// statements after the qreg, at most one gate per six bytes, so a body of
+// empty statements — which a server parses from outside — reserves no more
+// than the gates the same bytes could hold. One gate per ';' would reserve
+// ≈ 150 bytes per input byte here.
+func TestParseEmptyStatementsReserveLittle(t *testing.T) {
+	src := "qreg q[1];\n" + strings.Repeat(strings.Repeat(";", 1023)+"\n", 1024)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Parse(strings.NewReader(src))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Gates) != 0 {
+		t.Fatalf("%d gates from empty statements", len(c.Gates))
+	}
+	if perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src)); perByte > 32 {
+		t.Errorf("parsing %d bytes of empty statements allocated %.1f bytes per input byte, want ≤ 32", len(src), perByte)
 	}
 }

@@ -38,6 +38,9 @@ type Decomposition struct {
 	NumLower       int // n_b: qubits in the lower partition (low bits)
 	NumUpper       int // n_a: qubits in the upper partition (high bits)
 	SingularValues []float64
+	// Diagonal records that every factor is a diagonal matrix with exact
+	// zeros off its diagonal, as DecomposeDiagonal builds them.
+	Diagonal bool
 }
 
 // Rank returns the number of retained terms (the Schmidt rank).
@@ -59,6 +62,16 @@ func MaxRank(nLower, nUpper int) int {
 // partition and [nLower, nLower+nUpper) for the upper partition. Terms with
 // σ ≤ tol·σ_max are dropped; tol ≤ 0 selects DefaultTol.
 func Decompose(op *cmat.Matrix, nLower, nUpper int, tol float64) (*Decomposition, error) {
+	svd, err := reshapedSVD(op, nLower, nUpper)
+	if err != nil {
+		return nil, err
+	}
+	return termsFromSVD(svd, nLower, nUpper, tol), nil
+}
+
+// reshapedSVD is the SVD of op's reshape across the bipartition, whose
+// singular values are the Schmidt coefficients.
+func reshapedSVD(op *cmat.Matrix, nLower, nUpper int) (*cmat.SVDResult, error) {
 	n := nLower + nUpper
 	dim := 1 << n
 	if op.Rows != dim || op.Cols != dim {
@@ -90,7 +103,7 @@ func Decompose(op *cmat.Matrix, nLower, nUpper int, tol float64) (*Decomposition
 	if err != nil {
 		return nil, fmt.Errorf("schmidt: %w", err)
 	}
-	return termsFromSVD(svd, nLower, nUpper, tol), nil
+	return svd, nil
 }
 
 // DecomposeDiagonal computes the Schmidt decomposition of the diagonal
@@ -101,6 +114,27 @@ func Decompose(op *cmat.Matrix, nLower, nUpper int, tol float64) (*Decomposition
 // al., "Optimal joint cutting of two-qubit rotation gates"); the factors are
 // diagonal with exact zeros elsewhere.
 func DecomposeDiagonal(diag []complex128, nLower, nUpper int, tol float64) (*Decomposition, error) {
+	svd, err := phaseSVD(diag, nLower, nUpper)
+	if err != nil {
+		return nil, err
+	}
+	d := termsFromSVD(svd, nLower, nUpper, tol)
+	d.Diagonal = true
+	return d, nil
+}
+
+// DiagonalSchmidtRank returns the rank DecomposeDiagonal finds, without
+// building the factors.
+func DiagonalSchmidtRank(diag []complex128, nLower, nUpper int, tol float64) (int, error) {
+	svd, err := phaseSVD(diag, nLower, nUpper)
+	if err != nil {
+		return 0, err
+	}
+	return svd.Rank(resolveTol(tol)), nil
+}
+
+// phaseSVD is the SVD of a diagonal operator's phase matrix.
+func phaseSVD(diag []complex128, nLower, nUpper int) (*cmat.SVDResult, error) {
 	if len(diag) != 1<<(nLower+nUpper) {
 		return nil, fmt.Errorf("schmidt: diagonal has %d entries, want %d for %d qubits", len(diag), 1<<(nLower+nUpper), nLower+nUpper)
 	}
@@ -119,7 +153,15 @@ func DecomposeDiagonal(diag []complex128, nLower, nUpper int, tol float64) (*Dec
 	if err != nil {
 		return nil, fmt.Errorf("schmidt: %w", err)
 	}
-	return termsFromSVD(svd, nLower, nUpper, tol), nil
+	return svd, nil
+}
+
+// resolveTol maps tol ≤ 0 to DefaultTol.
+func resolveTol(tol float64) float64 {
+	if tol <= 0 {
+		return DefaultTol
+	}
+	return tol
 }
 
 // termsFromSVD absorbs the SVD of a reshaped operator into Schmidt terms:
@@ -127,11 +169,8 @@ func DecomposeDiagonal(diag []complex128, nLower, nUpper int, tol float64) (*Dec
 // V†) into X_m. Terms with σ ≤ tol·σ_max are dropped; tol ≤ 0 selects
 // DefaultTol.
 func termsFromSVD(svd *cmat.SVDResult, nLower, nUpper int, tol float64) *Decomposition {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
 	d := &Decomposition{NumLower: nLower, NumUpper: nUpper, SingularValues: svd.S}
-	d.Terms = make([]Term, svd.Rank(tol))
+	d.Terms = make([]Term, svd.Rank(resolveTol(tol)))
 	for m := range d.Terms {
 		d.Terms[m] = Term{
 			Sigma: svd.S[m],
@@ -179,11 +218,11 @@ func (d *Decomposition) ReconstructionError(op *cmat.Matrix) float64 {
 // OperatorSchmidtRank computes just the Schmidt rank of op across the given
 // bipartition, without building the term matrices.
 func OperatorSchmidtRank(op *cmat.Matrix, nLower, nUpper int, tol float64) (int, error) {
-	d, err := Decompose(op, nLower, nUpper, tol)
+	svd, err := reshapedSVD(op, nLower, nUpper)
 	if err != nil {
 		return 0, err
 	}
-	return d.Rank(), nil
+	return svd.Rank(resolveTol(tol)), nil
 }
 
 // WeightedNorm returns sqrt(Σ σ_m²); for a unitary on n qubits this equals
